@@ -3,9 +3,9 @@
 Outputs are deterministic (byte-identical across repeated runs with the same
 configuration): CSV floats carry 17 significant digits and JSON keys are
 sorted. Every JSON report embeds the resolved configuration and the derived
-constants for provenance. Exit codes: 0 success, 2 hypothesis violation,
-3 numerical failure (positivity loss, step underflow, or a non-converged
-estimate under --strict), 4 I/O errors.
+constants for provenance. Exit codes: 0 success, 2 hypothesis violation or
+invalid configuration, 3 numerical failure (any other ProfileError, or a
+non-converged estimate under --strict), 4 I/O errors.
 """
 
 from __future__ import annotations
@@ -23,14 +23,7 @@ import numpy as np
 
 from . import __version__
 from .decay import estimate_log_decay, estimate_power_decay, expected_log_constant
-from .errors import (
-    HypothesisViolation,
-    OutOfRange,
-    PositivityLoss,
-    ProfileError,
-    RegimeMismatch,
-    StepUnderflow,
-)
+from .errors import HypothesisViolation, ProfileError, RegimeMismatch
 from .integrate import SolveConfig, solve_profile
 from .invariants import run_all_checks
 from .loglimit import limit_convergence
@@ -96,8 +89,20 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; keys match flag names."""
+_PARAM_OPTS = ("n", "m", "alpha", "beta", "eta")
+# How a config file spells the state of a switch such as --strict.
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Flat `key = value` lines; '#' starts a comment; keys are flag names.
+
+    Each value is converted by the flag's own argparse action (type, choices,
+    and true/false for switches), so a file is checked exactly like flags.
+    """
+    actions = {a.dest: a for a in parser._actions if a.option_strings}
+    del actions["help"], actions["config"]
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -105,37 +110,38 @@ def _read_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key, text = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if action.nargs == 0:  # a switch: true sets it, false leaves it unset
+            word = text.lower()
+            if word not in _TRUE + _FALSE:
+                raise ValueError(f"config key {key!r} takes true or false, got {text!r}")
+            if word in _TRUE:
+                values[action.dest] = action.const
+            continue
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise ValueError(f"config key {key!r} must be one of {choices}, got {text!r}")
+        values[action.dest] = value
     return values
 
 
-_PARAM_OPTS = ("n", "m", "alpha", "beta", "eta")
-_FLOAT_OPTS = ("tol", "quad_tol", "r_max", "s_end", "r_handoff", "T", "h", "dt")
-_LIST_OPTS = ("m_list", "radii", "times", "n_list", "alpha_list", "beta_list", "eta_list")
-_BOOL_OPTS = ("strict", "override_hypotheses")
+def _flags(args: argparse.Namespace) -> dict:
+    """The values set on the command line."""
+    skip = ("config", "command", "func", "parser")
+    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Hard defaults, then config file, then explicit flags."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        file_vals = _read_config_file(args.config)
-        for key, val in file_vals.items():
-            if key == "n":
-                merged[key] = int(val)
-            elif key in _PARAM_OPTS or key in _FLOAT_OPTS:
-                merged[key] = float(val)
-            elif key in _LIST_OPTS:
-                merged[key] = _parse_floats(val) if key != "alpha_list" else val
-            elif key in _BOOL_OPTS:
-                merged[key] = val.lower() in ("1", "true", "yes", "on")
-            else:
-                merged[key] = val
-    for key, val in vars(args).items():
-        if key in ("config", "command", "func") or val is None:
-            continue
-        merged[key] = val
+    """Config file values, overridden by explicit flags."""
+    merged = _read_config_file(args.config, args.parser) if args.config else {}
+    merged.update(_flags(args))
     return merged
 
 
@@ -143,19 +149,14 @@ def _params_from(cfg: dict) -> Parameters:
     missing = [k for k in _PARAM_OPTS if k not in cfg]
     if missing:
         raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
-    return Parameters(
-        n=int(cfg["n"]), m=cfg["m"], alpha=cfg["alpha"], beta=cfg["beta"], eta=cfg["eta"]
-    )
+    return Parameters(*(cfg[k] for k in _PARAM_OPTS))
 
 
 def _solve_config_from(cfg: dict) -> SolveConfig:
-    kwargs = {}
+    kwargs = {key: cfg[key] for key in ("r_max", "s_end", "r_handoff") if key in cfg}
     if "tol" in cfg:
-        tol = float(cfg["tol"])
+        tol = cfg["tol"]
         kwargs.update(rtol_r=tol, atol_r=tol * 1e-2, rtol_s=tol * 10.0, atol_s=tol * 1e-1)
-    for key in ("r_max", "s_end", "r_handoff"):
-        if key in cfg:
-            kwargs[key] = float(cfg[key])
     if cfg.get("override_hypotheses"):
         kwargs["override_hypotheses"] = True
     return SolveConfig(**kwargs)
@@ -165,15 +166,7 @@ def _base_report(cfg: dict, p: Parameters | None) -> dict:
     report = {"config": {k: _jsonable(v) for k, v in sorted(cfg.items())}}
     report["config"]["version"] = __version__
     if p is not None:
-        dc = derived(p)
-        report["derived"] = {
-            "k": dc.k,
-            "rho1": dc.rho1,
-            "a0": dc.a0,
-            "b0": dc.b0,
-            "b1": dc.b1,
-            "b2": dc.b2,
-        }
+        report["derived"] = _jsonable(derived(p))
         report["hypotheses"] = _jsonable(check_hypotheses(p))
         report["regime"] = classify_regime(p).value
     return report
@@ -211,11 +204,21 @@ def _decay_section(est) -> dict:
     return out
 
 
-def _cmd_solve(cfg: dict) -> tuple[int, dict]:
+def _strict_exit(cfg: dict, ok: bool) -> int:
+    return EXIT_NUMERICAL if cfg.get("strict") and not ok else EXIT_OK
+
+
+def _solved(cfg: dict):
+    """Solve the configured profile; (parameters, solution, report with diagnostics)."""
     p = _params_from(cfg)
     report = _base_report(cfg, p)
     sol = solve_profile(p, _solve_config_from(cfg))
     report["diagnostics"] = _jsonable(sol.diagnostics)
+    return p, sol, report
+
+
+def _cmd_solve(cfg: dict) -> tuple[int, dict]:
+    _, sol, report = _solved(cfg)
     out = _resolve_path(cfg.get("out"))
     if out is not None:
         prof = sol.profile
@@ -228,34 +231,23 @@ def _cmd_solve(cfg: dict) -> tuple[int, dict]:
 
 
 def _cmd_verify(cfg: dict) -> tuple[int, dict]:
-    p = _params_from(cfg)
-    report = _base_report(cfg, p)
-    sol = solve_profile(p, _solve_config_from(cfg))
-    rep = run_all_checks(sol, quad_tol=float(cfg.get("quad_tol", 1e-10)))
+    _, sol, report = _solved(cfg)
+    rep = run_all_checks(sol, quad_tol=cfg.get("quad_tol", 1e-10))
     report["invariants"] = _invariants_section(rep)
-    report["diagnostics"] = _jsonable(sol.diagnostics)
-    if not rep.overall and cfg.get("strict"):
-        return EXIT_NUMERICAL, report
-    return EXIT_OK, report
+    return _strict_exit(cfg, rep.overall), report
 
 
 def _cmd_decay(cfg: dict) -> tuple[int, dict]:
-    p = _params_from(cfg)
-    report = _base_report(cfg, p)
-    sol = solve_profile(p, _solve_config_from(cfg))
+    p, sol, report = _solved(cfg)
     kind = cfg.get("kind", "auto")
-    hyp = check_hypotheses(p)
     if kind == "auto":
-        kind = "log" if hyp.log_decay_ok else "power"
+        kind = "log" if check_hypotheses(p).log_decay_ok else "power"
     est = estimate_log_decay(sol) if kind == "log" else estimate_power_decay(sol)
     report["decay"] = _decay_section(est)
-    report["diagnostics"] = _jsonable(sol.diagnostics)
     trace_out = _resolve_path(cfg.get("trace_out"))
     if trace_out is not None:
         _write_csv(trace_out, "scale,value", zip(est.scales, est.values))
-    if not est.converged and cfg.get("strict"):
-        return EXIT_NUMERICAL, report
-    return EXIT_OK, report
+    return _strict_exit(cfg, est.converged), report
 
 
 def _cmd_limit(cfg: dict) -> tuple[int, dict]:
@@ -264,17 +256,15 @@ def _cmd_limit(cfg: dict) -> tuple[int, dict]:
             raise ValueError(f"missing required parameter: {key}")
     report = _base_report(cfg, None)
     cr = limit_convergence(
-        n=int(cfg["n"]),
+        n=cfg["n"],
         alpha=cfg["alpha"],
         beta=cfg["beta"],
         eta=cfg["eta"],
-        m_list=tuple(cfg.get("m_list", (0.2, 0.1, 0.05, 0.02, 0.01))),
-        r_max=float(cfg.get("r_max", 10.0)),
+        m_list=cfg.get("m_list", (0.2, 0.1, 0.05, 0.02, 0.01)),
+        r_max=cfg.get("r_max", 10.0),
     )
     report["limit"] = _jsonable(cr)
-    if not cr.monotone and cfg.get("strict"):
-        return EXIT_NUMERICAL, report
-    return EXIT_OK, report
+    return _strict_exit(cfg, cr.monotone), report
 
 
 def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
@@ -285,16 +275,15 @@ def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
         raise RegimeMismatch(
             "parameters do not satisfy any of the three self-similar exponent relations"
         )
-    radii = tuple(cfg.get("radii", (0.5, 1.0, 2.0, 5.0)))
+    radii = cfg.get("radii", (0.5, 1.0, 2.0, 5.0))
     solve_cfg = _solve_config_from(cfg)
     if "r_max" not in cfg:
         # generous default coverage for the rescaled stencil arguments
         solve_cfg = dataclasses.replace(solve_cfg, r_max=4.0 * max(radii))
     sol = solve_profile(p, solve_cfg)
     ssim = build_selfsimilar(sol, regime, T=cfg.get("T"))
-    times = tuple(cfg["times"]) if "times" in cfg else None
     stats = pde_residual(
-        ssim, radii=radii, times=times, h=float(cfg.get("h", 1e-3)), dt=cfg.get("dt")
+        ssim, radii=radii, times=cfg.get("times"), h=cfg.get("h", 1e-3), dt=cfg.get("dt")
     )
     report["pde"] = _jsonable(stats)
     report["pde"]["regime"] = regime.value
@@ -302,13 +291,14 @@ def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
 
 
 def _sweep_grid(cfg: dict):
-    ns = tuple(int(x) for x in cfg.get("n_list", (cfg.get("n"),)))
-    ms = tuple(cfg.get("m_list", (cfg.get("m"),)))
-    betas = tuple(cfg.get("beta_list", (cfg.get("beta", 1.0),)))
-    etas = tuple(cfg.get("eta_list", (cfg.get("eta", 1.0),)))
+    ns = cfg.get("n_list", (cfg.get("n"),))
+    ms = cfg.get("m_list", (cfg.get("m"),))
+    betas = cfg.get("beta_list", (cfg.get("beta", 1.0),))
+    etas = cfg.get("eta_list", (cfg.get("eta", 1.0),))
     alpha_choice = cfg.get("alpha_list", cfg.get("alpha", "eternal"))
     if None in ns or None in ms:
         raise ValueError("sweep needs n/m values via --n-list/--m-list or --n/--m")
+    ns = tuple(int(x) for x in ns)
     points = []
     for n in ns:
         for m in ms:
@@ -325,9 +315,12 @@ def _sweep_grid(cfg: dict):
     return points
 
 
+_SWEEP_COLUMNS = ("n", "m", "alpha", "beta", "eta", "a0_expected", "a0_measured",
+                  "invariants_passed", "invariants_applicable")
+
+
 def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
     report = _base_report(cfg, None)
-    rows = []
     summary = []
     for n, m, alpha, beta, eta in _sweep_grid(cfg):
         p = Parameters(n=n, m=m, alpha=alpha, beta=beta, eta=eta)
@@ -341,48 +334,31 @@ def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
         if hyp.log_decay_ok and hyp.strict_m:
             a0_expected = expected_log_constant(p)
             a0_measured = estimate_log_decay(sol).extrapolated
-        rows.append((n, m, alpha, beta, eta, a0_expected, a0_measured, n_pass, n_app))
-        summary.append(
-            {
-                "n": n,
-                "m": m,
-                "alpha": alpha,
-                "beta": beta,
-                "eta": eta,
-                "a0_expected": a0_expected,
-                "a0_measured": a0_measured,
-                "invariants_passed": n_pass,
-                "invariants_applicable": n_app,
-            }
-        )
+        row = (n, m, alpha, beta, eta, a0_expected, a0_measured, n_pass, n_app)
+        summary.append(dict(zip(_SWEEP_COLUMNS, row)))
     out = _resolve_path(cfg.get("out"))
     if out is not None:
-        _write_csv(
-            out,
-            "n,m,alpha,beta,eta,a0_expected,a0_measured,invariants_passed,invariants_applicable",
-            rows,
-        )
+        _write_csv(out, ",".join(_SWEEP_COLUMNS), (row.values() for row in summary))
     report["sweep"] = _jsonable(summary)
     return EXIT_OK, report
 
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--m", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--eta", type=float)
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file; flags override it")
-    sub.add_argument("--tol", type=float, help="r-chart relative tolerance (s-chart runs 10x looser)")
-    sub.add_argument("--r-max", dest="r_max", type=float)
-    sub.add_argument("--s-end", dest="s_end", type=float)
-    sub.add_argument("--r-handoff", dest="r_handoff", type=float)
-    sub.add_argument("--override-hypotheses", dest="override_hypotheses", action="store_const", const=True)
-    sub.add_argument("--strict", action="store_const", const=True)
-    sub.add_argument("--json", dest="json", help="write the JSON report here")
+def _common_flags() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int)
+    common.add_argument("--m", type=float)
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--beta", type=float)
+    common.add_argument("--eta", type=float)
+    common.add_argument("--config", help="flat key = value config file; flags override it")
+    common.add_argument("--tol", type=float, help="r-chart relative tolerance (s-chart runs 10x looser)")
+    common.add_argument("--r-max", dest="r_max", type=float)
+    common.add_argument("--s-end", dest="s_end", type=float)
+    common.add_argument("--r-handoff", dest="r_handoff", type=float)
+    common.add_argument("--override-hypotheses", dest="override_hypotheses", action="store_const", const=True)
+    common.add_argument("--strict", action="store_const", const=True)
+    common.add_argument("--json", dest="json", help="write the JSON report here")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,73 +367,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radial self-similar profiles of the fast diffusion equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
 
-    p_solve = sub.add_parser("solve", help="solve the profile and write samples")
-    _add_param_flags(p_solve)
-    _add_common_flags(p_solve)
+    def add(name, func, summary):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p_solve = add("solve", _cmd_solve, "solve the profile and write samples")
     p_solve.add_argument("--out", help="r-chart CSV (r,v,dv)")
     p_solve.add_argument("--log-out", dest="log_out", help="log-chart CSV (s,w,ws)")
-    p_solve.set_defaults(func=_cmd_solve)
 
-    p_verify = sub.add_parser("verify", help="run all invariant and identity checks")
-    _add_param_flags(p_verify)
-    _add_common_flags(p_verify)
+    p_verify = add("verify", _cmd_verify, "run all invariant and identity checks")
     p_verify.add_argument("--quad-tol", dest="quad_tol", type=float)
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_decay = sub.add_parser("decay", help="measure the decay limit")
-    _add_param_flags(p_decay)
-    _add_common_flags(p_decay)
+    p_decay = add("decay", _cmd_decay, "measure the decay limit")
     p_decay.add_argument("--kind", choices=("auto", "log", "power"), default=None)
     p_decay.add_argument("--trace-out", dest="trace_out", help="trace CSV (scale,value)")
-    p_decay.set_defaults(func=_cmd_decay)
 
-    p_limit = sub.add_parser("limit", help="m -> 0 uniform convergence study")
-    _add_param_flags(p_limit)
-    _add_common_flags(p_limit)
+    p_limit = add("limit", _cmd_limit, "m -> 0 uniform convergence study")
     p_limit.add_argument("--m-list", dest="m_list", type=_parse_floats)
-    p_limit.set_defaults(func=_cmd_limit)
 
-    p_pde = sub.add_parser("pde-check", help="finite-difference residual of the self-similar solution")
-    _add_param_flags(p_pde)
-    _add_common_flags(p_pde)
+    p_pde = add("pde-check", _cmd_pde_check, "finite-difference residual of the self-similar solution")
     p_pde.add_argument("--T", type=float, help="horizon for the backward regime")
     p_pde.add_argument("--h", type=float)
     p_pde.add_argument("--dt", type=float)
     p_pde.add_argument("--radii", type=_parse_floats)
     p_pde.add_argument("--times", type=_parse_floats)
-    p_pde.set_defaults(func=_cmd_pde_check)
 
-    p_sweep = sub.add_parser("sweep", help="Cartesian parameter sweep with summary rows")
-    _add_param_flags(p_sweep)
-    _add_common_flags(p_sweep)
+    p_sweep = add("sweep", _cmd_sweep, "Cartesian parameter sweep with summary rows")
     p_sweep.add_argument("--n-list", dest="n_list", type=_parse_floats)
     p_sweep.add_argument("--m-list", dest="m_list", type=_parse_floats)
     p_sweep.add_argument("--beta-list", dest="beta_list", type=_parse_floats)
     p_sweep.add_argument("--eta-list", dest="eta_list", type=_parse_floats)
     p_sweep.add_argument("--alpha-list", dest="alpha_list", help="'eternal' or space/comma separated values")
     p_sweep.add_argument("--out", help="summary CSV")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report: dict = {}
+    args = build_parser().parse_args(argv)
+    cfg = _flags(args)  # what the error report shows if the config file is rejected
     try:
         cfg = _merge_config(args)
         code, report = args.func(cfg)
     except (HypothesisViolation, RegimeMismatch, ValueError) as exc:
-        code, report = EXIT_HYPOTHESIS, _error_report(args, exc)
-    except (PositivityLoss, StepUnderflow, OutOfRange, ProfileError) as exc:
-        code, report = EXIT_NUMERICAL, _error_report(args, exc)
+        code, report = EXIT_HYPOTHESIS, _error_report(cfg, exc)
+    except ProfileError as exc:
+        code, report = EXIT_NUMERICAL, _error_report(cfg, exc)
     except OSError as exc:
         print(f"fdprofiles: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    json_path = _resolve_path(getattr(args, "json", None))
+    json_path = _resolve_path(cfg.get("json"))
     if json_path is not None:
         try:
             _write_json(json_path, report)
@@ -470,9 +433,7 @@ def main(argv=None) -> int:
     return code
 
 
-def _error_report(args: argparse.Namespace, exc: Exception) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
-    return {
-        "config": _jsonable(cfg),
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
+def _error_report(cfg: dict, exc: Exception) -> dict:
+    report = _base_report(cfg, None)
+    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    return report

@@ -22,8 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import EndpointExponentError, HypothesisViolation
-from .integrate import Solution
-from .model import Parameters, check_hypotheses
+from .integrate import LogProfile, Solution
+from .model import Parameters, check_hypotheses, derived
 
 __all__ = [
     "DecayKind",
@@ -32,9 +32,17 @@ __all__ = [
     "estimate_log_decay",
     "estimate_power_decay",
     "tail_limit_fit",
+    "log_tail_fit",
 ]
 
 _LN10 = math.log(10.0)
+# The log-decay trace samples w_s at s = 10, 15, ... and at the chart end.
+_TRACE_START = 10.0
+_TRACE_STEP = 5.0
+# A log-decay fit counts as converged when its last sample is this close to it.
+_CONVERGED_RTOL = 0.02
+# A power plateau counts as converged when its last-decade drift is below this.
+_DRIFT_RTOL = 1e-3
 
 
 class DecayKind(Enum):
@@ -82,7 +90,7 @@ def expected_log_constant(p: Parameters) -> float:
         )
     if not p.beta > 0.0:
         raise HypothesisViolation(f"decay constant needs beta > 0, got {p.beta}")
-    return 2.0 * (p.n - 1) * (p.n - 2 - p.n * p.m) / ((1.0 - p.m) * p.beta)
+    return derived(p).a0
 
 
 def tail_limit_fit(s: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -96,6 +104,25 @@ def tail_limit_fit(s: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
+def log_tail_fit(lp: LogProfile) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """w_s sampled along the log chart and its a + c/s fit: (s, w_s, a, c).
+
+    The trace runs from s = 10 in steps of 5 and ends at the chart end; the
+    fit window is the upper half of the chart.
+    """
+    s_end = lp.s_end
+    if s_end < 2.0 * _TRACE_START:
+        raise HypothesisViolation(
+            f"log chart reaches only s = {s_end:.3g}; need at least {2 * _TRACE_START:.3g}"
+        )
+    sgrid = np.arange(_TRACE_START, s_end + 1e-9, _TRACE_STEP)
+    if s_end - sgrid[-1] > 1e-9:
+        sgrid = np.append(sgrid, s_end)
+    vals = lp.eval_ws(sgrid)
+    window = sgrid >= 0.5 * s_end - 1e-9
+    return (sgrid, vals, *tail_limit_fit(sgrid[window], vals[window]))
+
+
 def _require_strict_interior(p: Parameters) -> None:
     if p.at_endpoint:
         raise EndpointExponentError(
@@ -103,17 +130,8 @@ def _require_strict_interior(p: Parameters) -> None:
         )
 
 
-def estimate_log_decay(
-    sol: Solution,
-    trace_start: float = 10.0,
-    trace_step: float = 5.0,
-    converged_rtol: float = 0.02,
-) -> DecayEstimate:
-    """Extrapolated limit of w_s under the eternal relation.
-
-    The trace samples w_s at s = trace_start, trace_start + trace_step, ...
-    up to the chart end; the fit window is the upper half of the chart.
-    """
+def estimate_log_decay(sol: Solution) -> DecayEstimate:
+    """Extrapolated limit of w_s under the eternal relation (see log_tail_fit)."""
     p = sol.params
     _require_strict_interior(p)
     hyp = check_hypotheses(p)
@@ -124,16 +142,7 @@ def estimate_log_decay(
         )
     lp = sol.logprofile
     s_end = lp.s_end
-    if s_end < 2.0 * trace_start:
-        raise HypothesisViolation(
-            f"log chart reaches only s = {s_end:.3g}; need at least {2 * trace_start:.3g}"
-        )
-    sgrid = np.arange(trace_start, s_end + 1e-9, trace_step)
-    if s_end - sgrid[-1] > 1e-9:
-        sgrid = np.append(sgrid, s_end)
-    vals = lp.eval_ws(sgrid)
-    window = sgrid >= 0.5 * s_end - 1e-9
-    a_fit, c_fit = tail_limit_fit(sgrid[window], vals[window])
+    sgrid, vals, a_fit, c_fit = log_tail_fit(lp)
     expected = expected_log_constant(p)
     raw_last = float(vals[-1])
     return DecayEstimate(
@@ -142,15 +151,15 @@ def estimate_log_decay(
         values=vals,
         raw_last=raw_last,
         extrapolated=a_fit,
-        converged=bool(abs(raw_last - a_fit) < converged_rtol * abs(a_fit)),
+        converged=bool(abs(raw_last - a_fit) < _CONVERGED_RTOL * abs(a_fit)),
         expected=expected,
         rel_error_vs_expected=abs(a_fit - expected) / abs(expected),
         fit_slope=c_fit,
-        w_over_s_last=float(lp.eval_w(s_end) / s_end) if s_end > 0 else None,
+        w_over_s_last=float(lp.eval_w(s_end) / s_end),
     )
 
 
-def estimate_power_decay(sol: Solution, drift_rtol: float = 1e-3) -> DecayEstimate:
+def estimate_power_decay(sol: Solution) -> DecayEstimate:
     """Plateau of q = r^(alpha/beta) * v at decade radii.
 
     alpha = 0 short-circuits to A = eta (q is then v itself, a constant).
@@ -218,7 +227,7 @@ def estimate_power_decay(sol: Solution, drift_rtol: float = 1e-3) -> DecayEstima
         values=q,
         raw_last=float(q[-1]),
         extrapolated=extrapolated,
-        converged=bool(drift < drift_rtol and extrapolated > 0.0),
+        converged=bool(drift < _DRIFT_RTOL and extrapolated > 0.0),
         drift=drift,
         proxy_values=proxy,
         proxy_decreasing=bool(absP[-3] > absP[-2] > absP[-1]),

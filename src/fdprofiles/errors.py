@@ -2,27 +2,23 @@
 
 
 class ProfileError(Exception):
-    """Base class for solver and analysis failures."""
+    """Base class for solver and analysis failures.
+
+    ``location``, when given, is the radius (or log-radius) at which the
+    failure was bracketed.
+    """
+
+    def __init__(self, message: str, location: float | None = None):
+        super().__init__(message if location is None else f"{message} (at {location:.6g})")
+        self.location = location
 
 
 class PositivityLoss(ProfileError):
-    """The integrated quantity crossed the positivity floor.
-
-    ``location`` is the radius (or log-radius) at which the crossing was
-    bracketed.
-    """
-
-    def __init__(self, message: str, location: float):
-        super().__init__(f"{message} (at {location:.6g})")
-        self.location = location
+    """The integrated quantity crossed the positivity floor."""
 
 
 class StepUnderflow(ProfileError):
     """Adaptive step size shrank below the resolvable scale."""
-
-    def __init__(self, message: str, location: float):
-        super().__init__(f"{message} (at {location:.6g})")
-        self.location = location
 
 
 class HypothesisViolation(ProfileError):

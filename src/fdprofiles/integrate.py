@@ -24,15 +24,17 @@ w_s - sigma*w of two large numbers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
-from .model import Parameters, check_hypotheses
+from .model import Parameters, check_hypotheses, exponent_relation
 from .rk import CubicHermite, QuinticHermite, integrate_2d
-from .series import SeriesExpansion, eval_series, expand_at_origin
+from .series import SeriesExpansion, eval_series, seed_within
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -68,9 +70,18 @@ class SolveConfig:
     atol_r: float = 1e-12
     rtol_s: float = 1e-9
     atol_s: float = 1e-11
-    max_step_r: float = math.inf
-    max_step_s: float = math.inf
     override_hypotheses: bool = False
+
+    def __post_init__(self):
+        for name in ("r_max", "r_handoff", "rtol_r", "atol_r", "rtol_s", "atol_s"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"SolveConfig.{name} must be finite and positive, got {val}")
+        if not (math.isfinite(self.s_end) and self.s_end > math.log(self.r_handoff)):
+            raise ValueError(
+                f"SolveConfig.s_end must be finite and exceed log(r_handoff) = "
+                f"{math.log(self.r_handoff):.6g}, got {self.s_end}"
+            )
 
     def tightened(self, factor: float) -> "SolveConfig":
         """Same run with all four tolerances scaled by ``factor``."""
@@ -122,7 +133,7 @@ class Profile:
         arr = np.asarray(r, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr).copy()
-        if np.any(arr < 0.0) or np.any(arr > self.r_end * (1.0 + _RANGE_SLACK)):
+        if not np.all((arr >= 0.0) & (arr <= self.r_end * (1.0 + _RANGE_SLACK))):
             raise OutOfRange(f"profile covers [0, {self.r_end:.6g}], requested {r}")
         np.clip(arr, 0.0, self.r_end, out=arr)
         v = np.empty_like(arr)
@@ -187,7 +198,7 @@ class LogProfile:
         arr = np.asarray(s, dtype=float)
         lo, hi = self.s_start, self.s_end
         slack = _RANGE_SLACK * max(1.0, abs(lo), abs(hi))
-        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
+        if not np.all((arr >= lo - slack) & (arr <= hi + slack)):
             raise OutOfRange(f"log chart covers [{lo:.6g}, {hi:.6g}], requested {s}")
         return np.clip(arr, lo, hi)
 
@@ -220,8 +231,20 @@ def _r_rhs(p: Parameters):
     return rhs
 
 
-def _log_rhs(n: int, m: float, alpha: float, beta: float):
-    """Right-hand side of the (w, g) system, plus sigma.
+class _ChartCoeffs(NamedTuple):
+    """The (w, g) chart: w_s = g + sigma*w, g_s = c_sq*g^2/w + c_g*g + c_wg*w*g + c_w*w + c_w2*w^2."""
+
+    sigma: float
+    rho1: float
+    c_sq: float
+    c_g: float
+    c_wg: float
+    c_w: float
+    c_w2: float
+
+
+def _chart_coeffs(n: int, m: float, alpha: float, beta: float) -> _ChartCoeffs:
+    """Coefficients of the (w, g) chart, shared by the full system and the QSS tail.
 
     For beta != 0 the w^2 coefficient -(beta*sigma + rho1)/(n-1) vanishes
     identically by the choice sigma = -rho1/beta and is dropped rather than
@@ -231,7 +254,7 @@ def _log_rhs(n: int, m: float, alpha: float, beta: float):
     """
     n1 = float(n - 1)
     one_m = 1.0 - m
-    rho1 = alpha * one_m - 2.0 * beta
+    rho1, _ = exponent_relation(m, alpha, beta)
     c_sq = (1.0 - 2.0 * m) / one_m
     c_lin = 2.0 * (n - 2 - n * m) / one_m
     b0 = (n - 2 - (n + 2) * m) / one_m
@@ -242,8 +265,13 @@ def _log_rhs(n: int, m: float, alpha: float, beta: float):
         sigma = 2.0
         c_w2 = -rho1 / n1
     c_g = (2.0 * sigma) * c_sq - b0 - sigma
-    c_wg = -beta / n1
     c_w = -sigma * sigma * m / one_m - b0 * sigma + c_lin
+    return _ChartCoeffs(sigma, rho1, c_sq, c_g, -beta / n1, c_w, c_w2)
+
+
+def _log_rhs(n: int, m: float, alpha: float, beta: float):
+    """Right-hand side of the (w, g) system, plus sigma and rho1."""
+    sigma, rho1, c_sq, c_g, c_wg, c_w, c_w2 = _chart_coeffs(n, m, alpha, beta)
 
     def rhs(s, w, g):
         if w <= 0.0 or not math.isfinite(w):
@@ -262,10 +290,9 @@ def integrate_r(
     r_max: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.inf,
 ) -> Profile:
     """Integrate the r-chart from the series handoff out to r_max."""
-    start = se.r_switch if math.isfinite(se.r_switch) else 1e-4
+    start = se.r_start
     if r_max <= start:
         raise ValueError(f"r_max = {r_max} must exceed the series handoff {start}")
     v0, dv0 = eval_series(se, start)
@@ -278,7 +305,6 @@ def integrate_r(
         r_max,
         rtol,
         atol,
-        max_step=max_step,
         positive_y=True,
         floor_y=POSITIVITY_FLOOR,
         y_scale_hint=p.eta,
@@ -296,29 +322,18 @@ def integrate_r(
     )
 
 
+def _w_q(r, v, dv, m):
+    """Chart change (v, v') -> (w, q) = (r^2 v^(1-m), r w_r); q is w_s in the log chart."""
+    w = r * r * v ** (1.0 - m)
+    return w, w * (2.0 + (1.0 - m) * r * dv / v)
+
+
 def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float, float]:
     """Exact chart change at radius r_h: (s, w, w_s) from (v, v')."""
     v, dv = profile.eval(r_h)
     if v <= 0.0:
         raise ProfileError(f"cannot hand off at r = {r_h}: v = {v} is not positive")
-    s = math.log(r_h)
-    w = r_h * r_h * v ** (1.0 - m)
-    ws = w * (2.0 + (1.0 - m) * r_h * dv / v)
-    return s, w, ws
-
-
-def _manifold_coeffs(n: int, m: float, alpha: float, beta: float):
-    n1 = float(n - 1)
-    one_m = 1.0 - m
-    rho1 = alpha * one_m - 2.0 * beta
-    sigma = -rho1 / beta
-    c_sq = (1.0 - 2.0 * m) / one_m
-    b0 = (n - 2 - (n + 2) * m) / one_m
-    c_lin = 2.0 * (n - 2 - n * m) / one_m
-    c_g = (2.0 * sigma) * c_sq - b0 - sigma
-    c_wg = -beta / n1
-    c_w = -sigma * sigma * m / one_m - b0 * sigma + c_lin
-    return sigma, c_sq, c_g, c_wg, c_w
+    return (math.log(r_h), *_w_q(r_h, v, dv, m))
 
 
 def _g_manifold(w, c_sq, c_g, c_wg, c_w):
@@ -349,6 +364,7 @@ def _g_manifold_slope(w, g, c_sq, c_g, c_wg, c_w):
 # ~1e-6 and falls off as 1/w^2.
 _QSS_RATE = 1000.0
 _QSS_MIN_SIGMA = 0.02
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def integrate_log(
@@ -360,7 +376,6 @@ def integrate_log(
     s_max: float,
     rtol: float = 1e-9,
     atol: float = 1e-11,
-    max_step: float = math.inf,
 ) -> LogProfile:
     """Integrate the log chart from (s, w, w_s) to s_max.
 
@@ -395,7 +410,6 @@ def integrate_log(
         s_max,
         rtol,
         atol,
-        max_step=max_step,
         positive_y=True,
         floor_y=POSITIVITY_FLOOR,
         y_scale_hint=w0,
@@ -411,23 +425,25 @@ def integrate_log(
     switch_s = None
     if w_stop is not None and s_arr[-1] < s_max * (1.0 - 1e-12) - 1e-12:
         switch_s = float(s_arr[-1])
-        _, c_sq, c_g, c_wg, c_w = _manifold_coeffs(n, m, alpha, beta)
+        cc = _chart_coeffs(n, m, alpha, beta)
+        c_sq, c_g, c_wg, c_w = cc.c_sq, cc.c_g, cc.c_wg, cc.c_w
 
         def slow(s, ly, _unused):
             w_loc = math.exp(ly)
             return sigma + _g_manifold(w_loc, c_sq, c_g, c_wg, c_w) / w_loc, 0.0
 
-        tail = integrate_2d(
-            slow,
-            switch_s,
-            math.log(w_arr[-1]),
-            0.0,
-            s_max,
-            rtol,
-            atol,
-            max_step=min(max_step, 0.15 / sigma),
-            y_scale_hint=1.0,
-        )
+        ly0 = math.log(w_arr[-1])
+        try:
+            tail = integrate_2d(
+                slow, switch_s, ly0, 0.0, s_max, rtol, atol, max_step=0.15 / sigma, y_scale_hint=1.0
+            )
+        except OverflowError:
+            # log w grows at rate sigma on the manifold, so it leaves the
+            # float range near the extrapolated s below
+            raise ProfileError(
+                "w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end",
+                switch_s + (_LOG_FLOAT_MAX - ly0) / sigma,
+            ) from None
         s2 = tail.t[1:]
         w2 = np.exp(tail.y[1:])
         g2 = np.array([_g_manifold(wv, c_sq, c_g, c_wg, c_w) for wv in w2])
@@ -487,7 +503,7 @@ class Solution:
 
     def _split(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(arr < 0.0) or np.any(arr > self.r_cover * (1.0 + _RANGE_SLACK)):
+        if not np.all((arr >= 0.0) & (arr <= self.r_cover * (1.0 + _RANGE_SLACK))):
             raise OutOfRange(f"solution covers [0, {self.r_cover:.6g}], requested {r}")
         in_r = arr <= self.profile.r_end
         return arr, in_r
@@ -522,12 +538,9 @@ class Solution:
         arr, in_r = self._split(r)
         w = np.empty_like(arr)
         q = np.empty_like(arr)
-        one_m = 1.0 - self.params.m
         if in_r.any():
             rr = arr[in_r]
-            v, dv = self.profile.eval(rr)
-            w[in_r] = rr * rr * v**one_m
-            q[in_r] = w[in_r] * (2.0 + one_m * rr * dv / np.where(v > 0, v, np.nan))
+            w[in_r], q[in_r] = _w_q(rr, *self.profile.eval(rr), self.params.m)
         rest = ~in_r
         if rest.any():
             s = np.log(arr[rest])
@@ -542,8 +555,7 @@ def _overlap_error(profile: Profile, logprofile: LogProfile, m: float, r_h: floa
     """Max relative disagreement of w between the charts on [r_h, 2*r_h]."""
     hi = min(2.0 * r_h, profile.r_end)
     rs = np.geomspace(r_h, hi, 33)
-    v, _ = profile.eval(rs)
-    w_r = rs * rs * v ** (1.0 - m)
+    w_r, _ = _w_q(rs, *profile.eval(rs), m)
     w_s = logprofile.eval_w(np.log(rs))
     return float(np.max(np.abs(w_r - w_s) / np.abs(w_s)))
 
@@ -563,25 +575,13 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
             f"got alpha = {p.alpha}, beta = {p.beta}"
         )
 
-    se = expand_at_origin(p)
-    # Shrink the seed radius until the series truncation clears the local
-    # error budget of the r-chart.
-    while se.truncation_estimate > config.rtol_r * p.eta and se.r_switch > 1e-8:
-        se = expand_at_origin(p, r_switch=se.r_switch / 4.0)
-
+    # the seed truncation must clear the local error budget of the r-chart
+    se = seed_within(p.n, p.m, p.alpha, p.beta, p.eta, config.rtol_r)
     r_top = max(config.r_max, 2.0 * config.r_handoff)
-    profile = integrate_r(p, se, r_top, config.rtol_r, config.atol_r, config.max_step_r)
+    profile = integrate_r(p, se, r_top, config.rtol_r, config.atol_r)
     start = handoff_to_log(profile, config.r_handoff, p.m)
     logprofile = integrate_log(
-        p.n,
-        p.m,
-        p.alpha,
-        p.beta,
-        start,
-        config.s_end,
-        config.rtol_s,
-        config.atol_s,
-        config.max_step_s,
+        p.n, p.m, p.alpha, p.beta, start, config.s_end, config.rtol_s, config.atol_s
     )
     overlap = _overlap_error(profile, logprofile, p.m, config.r_handoff)
     diagnostics = {
@@ -591,7 +591,7 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         "s_steps": logprofile.n_steps,
         "s_rejected": logprofile.n_rejected,
         "overlap_error": overlap,
-        "series_r_switch": se.r_switch if math.isfinite(se.r_switch) else profile.r_start,
+        "series_r_switch": se.r_start,
         "series_truncation": se.truncation_estimate,
     }
     return Solution(

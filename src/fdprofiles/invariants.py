@@ -2,13 +2,13 @@
 
 Each check walks a computed Solution and reports a signed worst margin per
 invariant instead of raising: strict inequalities are accepted down to
--eps_accept (default 100x the integrator tolerance) because discretization
+-eps (100x the looser integrator tolerance) because discretization
 noise can graze zero where an inequality degenerates, e.g. the slope ratio
 r*w_r/w -> 2 at the origin meets its bound exactly when m = (n-2)/(n+2).
 
 Margins are dimensionless (each quantity is normalized by its own local
 scale). For identity checks the margin is threshold minus worst relative
-mismatch, so pass/fail is margin >= -eps_accept (pointwise) or margin >= 0
+mismatch, so pass/fail is margin >= -eps (pointwise) or margin >= 0
 (identities) uniformly.
 """
 
@@ -86,11 +86,11 @@ def _from_margins(name, margins, locations, eps, note="") -> InvariantEntry:
     )
 
 
-def _default_eps(sol: Solution) -> float:
+def _eps(sol: Solution) -> float:
     return 100.0 * max(sol.profile.rtol, sol.logprofile.rtol)
 
 
-def check_pointwise(sol: Solution, eps_accept: float | None = None) -> InvariantReport:
+def check_pointwise(sol: Solution) -> InvariantReport:
     """Sign and positivity facts at every stored sample of both charts.
 
     Checked (when their hypotheses apply): h1 = v + k*r*v' > 0 and the
@@ -99,7 +99,7 @@ def check_pointwise(sol: Solution, eps_accept: float | None = None) -> Invariant
     increasing for 2*beta/(1-m) >= alpha > 0.
     """
     p = sol.params
-    eps = _default_eps(sol) if eps_accept is None else eps_accept
+    eps = _eps(sol)
     dc = derived(p)
     prof, lp = sol.profile, sol.logprofile
     one_m = 1.0 - p.m
@@ -197,7 +197,7 @@ def check_pointwise(sol: Solution, eps_accept: float | None = None) -> Invariant
     return InvariantReport.collect(entries)
 
 
-def check_slope_bounds(sol: Solution, eps_accept: float | None = None) -> InvariantReport:
+def check_slope_bounds(sol: Solution) -> InvariantReport:
     """Slope bounds of the log chart under the exact-decay hypotheses.
 
     Applicable only for alpha = 2*beta/(1-m) > 0 with m strictly interior.
@@ -207,7 +207,7 @@ def check_slope_bounds(sol: Solution, eps_accept: float | None = None) -> Invari
     w_s on s >= 0 are reported, as is unbounded growth of w.
     """
     p = sol.params
-    eps = _default_eps(sol) if eps_accept is None else eps_accept
+    eps = _eps(sol)
     hyp = check_hypotheses(p)
     names = ("slope_ratio_bound", "ws_positive_bounded", "w_unbounded")
     if not (hyp.log_decay_ok and hyp.strict_m):

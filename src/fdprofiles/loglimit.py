@@ -22,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import estimate_log_decay, tail_limit_fit
+from .decay import estimate_log_decay, log_tail_fit
 from .errors import HypothesisViolation
-from .integrate import LogProfile, Profile, SolveConfig, integrate_log, integrate_r, solve_profile
+from .integrate import (
+    LogProfile, Profile, SolveConfig, handoff_to_log, integrate_log, integrate_r, solve_profile,
+)
 from .model import Parameters, check_hypotheses
 from .rk import integrate_2d
-from .series import SeriesExpansion, expand_at_origin
+from .series import expand_at_origin, seed_within
 
 __all__ = [
     "ConvergenceReport",
@@ -38,26 +40,8 @@ __all__ = [
     "double_limit_check",
 ]
 
-
-def _log_seed(n: int, alpha: float, beta: float, eta: float, r_switch: float | None = None) -> SeriesExpansion:
-    d2 = -alpha * eta * eta / (2.0 * n * (n - 1))
-    if r_switch is None:
-        if d2 == 0.0:
-            r_switch = math.inf
-        else:
-            r_switch = min(0.05, 1e-4 * max(1.0, abs(d2) ** -0.5))
-    est = 0.0
-    if math.isfinite(r_switch):
-        # residual of the log-diffusion equation on the truncated seed,
-        # converted to a u-error scale
-        r = r_switch
-        u = eta + d2 * r * r
-        du = 2.0 * d2 * r
-        ddu = 2.0 * d2
-        lap_log = ddu / u - (du / u) ** 2 + (n - 1) / r * du / u
-        resid = (n - 1) * lap_log + alpha * u + beta * r * du
-        est = abs(resid) * r * r * eta / (2.0 * n * (n - 1))
-    return SeriesExpansion(eta=eta, c2=d2, r_switch=float(r_switch), truncation_estimate=est)
+# Samples of the sup-norm grid on [0, r_max] in limit_convergence.
+_GRID_POINTS = 1001
 
 
 def solve_log_equation(
@@ -68,7 +52,6 @@ def solve_log_equation(
     r_max: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.inf,
 ) -> Profile:
     """Radial solution of the log-diffusion equation on [0, r_max].
 
@@ -80,11 +63,8 @@ def solve_log_equation(
         raise ValueError(f"eta must be positive, got {eta}")
     if n != int(n) or n < 3:
         raise ValueError(f"dimension n must be an integer >= 3, got {n}")
-    se = _log_seed(n, alpha, beta, eta)
-    start = se.r_switch if math.isfinite(se.r_switch) else 1e-4
-    while se.truncation_estimate > rtol * eta and start > 1e-8:
-        start /= 4.0
-        se = _log_seed(n, alpha, beta, eta, r_switch=start)
+    se = seed_within(n, 0.0, alpha, beta, eta, rtol)
+    start = se.r_start
     u0 = eta + se.c2 * start * start
     i0 = eta * start**n / n + se.c2 * start ** (n + 2) / (n + 2)
     n1 = n - 1.0
@@ -102,7 +82,6 @@ def solve_log_equation(
         r_max,
         rtol,
         atol,
-        max_step=max_step,
         positive_y=True,
         y_scale_hint=eta,
     )
@@ -132,10 +111,8 @@ def log_chart_of_log_equation(
 ) -> LogProfile:
     """Continue the log-diffusion solution in the m = 0 log chart (w = r^2 u)."""
     prof = base if base is not None else solve_log_equation(n, alpha, beta, eta, 2.0 * r_handoff)
-    u, du = prof.eval(r_handoff)
-    w = r_handoff * r_handoff * u
-    ws = w * (2.0 + r_handoff * du / u)
-    return integrate_log(n, 0.0, alpha, beta, (math.log(r_handoff), w, ws), s_end, rtol, atol)
+    start = handoff_to_log(prof, r_handoff, 0.0)
+    return integrate_log(n, 0.0, alpha, beta, start, s_end, rtol, atol)
 
 
 @dataclass(frozen=True)
@@ -163,7 +140,6 @@ def limit_convergence(
     r_max: float = 10.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    grid_points: int = 1001,
 ) -> ConvergenceReport:
     """Solve v^(m) for each m and measure sup |v^(m) - u| on [0, r_max]."""
     if not (beta > 0.0 or alpha == 0.0):
@@ -177,7 +153,7 @@ def limit_convergence(
             )
 
     u_prof = solve_log_equation(n, alpha, beta, eta, r_max, rtol, atol)
-    grid = np.linspace(0.0, r_max, grid_points)
+    grid = np.linspace(0.0, r_max, _GRID_POINTS)
     u_vals, _ = u_prof.eval(grid)
 
     sups = []
@@ -239,10 +215,7 @@ def double_limit_check(
     a0_extrap = a_last - m_last * slope
 
     lp = log_chart_of_log_equation(n, 2.0 * beta, beta, eta, s_end=s_end)
-    sgrid = np.arange(10.0, lp.s_end + 1e-9, 5.0)
-    vals = lp.eval_ws(sgrid)
-    window = sgrid >= 0.5 * lp.s_end - 1e-9
-    log_side, _ = tail_limit_fit(sgrid[window], vals[window])
+    _, _, log_side, _ = log_tail_fit(lp)
 
     return DoubleLimitReport(
         target=target,

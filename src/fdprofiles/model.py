@@ -25,6 +25,7 @@ __all__ = [
     "classify_regime",
     "check_hypotheses",
     "derived",
+    "exponent_relation",
 ]
 
 # Relative tolerance for matching the special exponent relations. The regimes
@@ -97,12 +98,21 @@ class DerivedConstants:
     b2: float
 
 
+def exponent_relation(m: float, alpha: float, beta: float) -> tuple[float, float]:
+    """rho1 = alpha*(1-m) - 2*beta and the scale its relations are matched against.
+
+    Takes plain scalars so that the m = 0 log chart shares it.
+    """
+    one_m = 1.0 - m
+    return alpha * one_m - 2.0 * beta, max(1.0, abs(alpha) * one_m + 2.0 * abs(beta))
+
+
 def derived(p: Parameters) -> DerivedConstants:
     """Evaluate all derived constants in closed form."""
     one_m = 1.0 - p.m
     gap = p.n - 2 - p.n * p.m  # zero exactly at the range endpoint
     k = p.beta / p.alpha if p.alpha != 0.0 else None
-    rho1 = p.alpha * one_m - 2.0 * p.beta
+    rho1, _ = exponent_relation(p.m, p.alpha, p.beta)
     a0 = 2.0 * gap * (p.n - 1) / (one_m * p.beta) if p.beta != 0.0 else math.nan
     b0 = (p.n - 2 - (p.n + 2) * p.m) / one_m
     b1 = 2.0 * p.m * gap / (one_m * one_m)
@@ -116,8 +126,7 @@ def classify_regime(p: Parameters, tol: float = REGIME_TOL) -> Regime:
     ``tol`` is relative to the size of the relation being tested. The closest
     matching relation wins; exact ties are reported as GENERIC.
     """
-    rho1 = p.alpha * (1.0 - p.m) - 2.0 * p.beta
-    scale = max(1.0, abs(p.alpha) * (1.0 - p.m) + 2.0 * abs(p.beta))
+    rho1, scale = exponent_relation(p.m, p.alpha, p.beta)
     residuals = {
         Regime.ETERNAL: abs(rho1),
         Regime.FORWARD: abs(rho1 + 1.0),
@@ -143,8 +152,7 @@ class HypothesisReport:
 
 
 def check_hypotheses(p: Parameters, tol: float = REGIME_TOL) -> HypothesisReport:
-    rho1 = p.alpha * (1.0 - p.m) - 2.0 * p.beta
-    scale = max(1.0, abs(p.alpha) * (1.0 - p.m) + 2.0 * abs(p.beta))
+    rho1, scale = exponent_relation(p.m, p.alpha, p.beta)
     return HypothesisReport(
         existence_ok=bool(p.beta > 0.0 and p.alpha <= p.beta * (p.n - 2) / p.m),
         strict_m=not p.at_endpoint,

@@ -123,7 +123,6 @@ def integrate_2d(
     atol: float,
     *,
     max_step: float = math.inf,
-    first_step: float | None = None,
     positive_y: bool = False,
     floor_y: float = 1e-300,
     y_scale_hint: float | None = None,
@@ -160,8 +159,7 @@ def integrate_2d(
     fys = [fy]
     fzs = [fz]
 
-    h = first_step if first_step is not None else _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol)
-    h = min(h, max_step, span)
+    h = min(_initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol), max_step, span)
 
     t, y, z = t0, y0, z0
     err_prev = 1e-4

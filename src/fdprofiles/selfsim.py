@@ -75,14 +75,14 @@ class SelfSimilarSolution:
         return -pref * core
 
 
-def build_selfsimilar(
-    sol: Solution,
-    regime: Regime,
-    T: float | None = None,
-    tol: float = 1e-9,
-) -> SelfSimilarSolution:
+# Relative tolerance for matching the exponent relation; looser than
+# REGIME_TOL so that relations typed with few digits still build.
+_RELATION_TOL = 1e-9
+
+
+def build_selfsimilar(sol: Solution, regime: Regime, T: float | None = None) -> SelfSimilarSolution:
     """Validated constructor: the regime must match the parameters' relation."""
-    actual = classify_regime(sol.params, tol)
+    actual = classify_regime(sol.params, _RELATION_TOL)
     if regime is Regime.GENERIC or actual is not regime:
         raise RegimeMismatch(
             f"parameters classify as {actual.value}; cannot build a {regime.value} self-similar solution"

@@ -22,11 +22,13 @@ import numpy as np
 from .errors import OutOfRange
 from .model import Parameters
 
-__all__ = ["SeriesExpansion", "expand_at_origin", "eval_series", "series_residual"]
+__all__ = ["SeriesExpansion", "seed_within", "expand_at_origin", "eval_series", "series_residual"]
 
 # Never hand off above this radius; all interior bounds are cheapest well
 # inside r = 1.
 _R_SWITCH_CAP = 0.05
+# Radius at which integration takes over from the exact constant solution.
+_R_START_CONSTANT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -43,29 +45,58 @@ class SeriesExpansion:
     r_switch: float
     truncation_estimate: float
 
+    @property
+    def r_start(self) -> float:
+        """Radius where integration takes over from the expansion."""
+        return self.r_switch if math.isfinite(self.r_switch) else _R_START_CONSTANT
 
-def expand_at_origin(p: Parameters, r_switch: float | None = None) -> SeriesExpansion:
-    """Build the order-2 origin expansion for the profile equation."""
-    c2 = -p.alpha * p.eta ** (2.0 - p.m) / (2.0 * p.n * (p.n - 1))
+
+def _residual(n, m, alpha, beta, eta, c2, r: float) -> float:
+    # (n-1)/m * Delta(v^m) with the factor m cancelled, so that m = 0 gives the
+    # log-diffusion operator (n-1) * Delta(log v)
+    v = eta + c2 * r * r
+    dv = 2.0 * c2 * r
+    ddv = 2.0 * c2
+    vm1 = v ** (m - 1.0)
+    lap = vm1 * ddv + (m - 1.0) * v ** (m - 2.0) * dv * dv + (n - 1) / r * vm1 * dv
+    return (n - 1) * lap + alpha * v + beta * r * dv
+
+
+def _seed(n, m, alpha, beta, eta, r_switch: float | None) -> SeriesExpansion:
+    """Order-2 origin expansion from plain scalars; m = 0 is the log-diffusion limit."""
+    c2 = -alpha * eta ** (2.0 - m) / (2.0 * n * (n - 1))
     if r_switch is None:
         if c2 == 0.0:
             r_switch = math.inf
         else:
             r_switch = min(_R_SWITCH_CAP, 1e-4 * max(1.0, abs(c2) ** -0.5))
-    se = SeriesExpansion(eta=p.eta, c2=c2, r_switch=float(r_switch), truncation_estimate=0.0)
-    if math.isfinite(se.r_switch):
-        resid = abs(series_residual(p, se, se.r_switch))
+    r_switch = float(r_switch)
+    est = 0.0
+    if math.isfinite(r_switch):
+        resid = abs(_residual(n, m, alpha, beta, eta, c2, r_switch))
         # Convert the equation residual into a local error scale for v by
         # inverting the dominant (Laplacian) part of the operator.
-        est = resid * se.r_switch**2 * p.eta ** (1.0 - p.m) / (2.0 * p.n * (p.n - 1))
-        se = SeriesExpansion(eta=se.eta, c2=se.c2, r_switch=se.r_switch, truncation_estimate=est)
+        est = resid * r_switch**2 * eta ** (1.0 - m) / (2.0 * n * (n - 1))
+    return SeriesExpansion(eta=eta, c2=c2, r_switch=r_switch, truncation_estimate=est)
+
+
+def seed_within(n, m, alpha, beta, eta, rtol: float) -> SeriesExpansion:
+    """Origin seed whose radius is shrunk until its truncation clears rtol*eta."""
+    se = _seed(n, m, alpha, beta, eta, None)
+    while se.truncation_estimate > rtol * eta and se.r_switch > 1e-8:
+        se = _seed(n, m, alpha, beta, eta, se.r_switch / 4.0)
     return se
+
+
+def expand_at_origin(p: Parameters, r_switch: float | None = None) -> SeriesExpansion:
+    """Build the order-2 origin expansion for the profile equation."""
+    return _seed(p.n, p.m, p.alpha, p.beta, p.eta, r_switch)
 
 
 def eval_series(se: SeriesExpansion, r):
     """Evaluate (v, v') of the expansion; valid only for 0 <= r <= r_switch."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > se.r_switch * (1.0 + 1e-12)):
+    if not np.all((arr >= 0.0) & (arr <= se.r_switch * (1.0 + 1e-12))):
         raise OutOfRange(f"series is valid on [0, {se.r_switch:.6g}], requested r={r}")
     v = se.eta + se.c2 * arr * arr
     dv = 2.0 * se.c2 * arr
@@ -79,10 +110,4 @@ def series_residual(p: Parameters, se: SeriesExpansion, r: float) -> float:
 
     Vanishes to O(1) by construction of c2, so the result is O(r^2) as r -> 0.
     """
-    v = se.eta + se.c2 * r * r
-    dv = 2.0 * se.c2 * r
-    ddv = 2.0 * se.c2
-    m = p.m
-    vm1 = v ** (m - 1.0)
-    lap_vm = m * vm1 * ddv + m * (m - 1.0) * v ** (m - 2.0) * dv * dv + (p.n - 1) / r * m * vm1 * dv
-    return (p.n - 1) / m * lap_vm + p.alpha * v + p.beta * r * dv
+    return _residual(p.n, p.m, p.alpha, p.beta, se.eta, se.c2, r)

@@ -1,11 +1,3 @@
-import sys
-from pathlib import Path
-
-try:
-    import fdprofiles  # noqa: F401
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
 import pytest
 
 from fdprofiles import Parameters, SolveConfig, solve_profile

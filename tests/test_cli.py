@@ -42,6 +42,18 @@ class TestSolve:
                    "--override-hypotheses", "--r-max", 120, "--s-end", 1)
         assert code == 3
 
+    def test_invalid_handoff_is_a_hypothesis_exit(self, tmp_path):
+        report = tmp_path / "err.json"
+        assert run("solve", *PARAMS, "--r-handoff", 0, "--json", report) == 2
+        assert "r_handoff" in json.loads(report.read_text())["error"]["message"]
+
+    def test_tail_overflow_is_a_numerical_exit(self, tmp_path):
+        report = tmp_path / "r.json"
+        code = run("solve", "--n", 3, "--m", 0.2, "--alpha", 1, "--beta", 1, "--eta", 1,
+                   "--s-end", 2000, "--json", report)
+        assert code == 3
+        assert json.loads(report.read_text())["error"]["type"] == "ProfileError"
+
     def test_deterministic_outputs(self, tmp_path):
         csv = tmp_path / "run.csv"
         js = tmp_path / "run.json"
@@ -70,6 +82,33 @@ class TestConfigFile:
         js = tmp_path / "report.json"
         assert run("solve", "--config", cfgfile, "--json", js) == 0
         assert json.loads(js.read_text())["config"]["r_max"] == 4.0
+
+    @pytest.mark.parametrize("line", ["kind = bogus", "r-maxx = 7", "alpha = two", "strict = maybe"])
+    def test_bad_file_rejected_with_report(self, tmp_path, line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"n = 3\nm = 0.2\nalpha = 1.25\nbeta = 1\neta = 1\n{line}\n")
+        js = tmp_path / "err.json"
+        assert run("decay", "--config", cfgfile, "--json", js) == 2
+        assert json.loads(js.read_text())["error"]["type"] == "ValueError"
+
+    def test_error_report_embeds_file_values(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n = 3\nm = 0.2\nalpha = 6\nbeta = 1\neta = 1\n")
+        js = tmp_path / "err.json"
+        assert run("solve", "--config", cfgfile, "--json", js) == 2
+        data = json.loads(js.read_text())
+        assert data["error"]["type"] == "HypothesisViolation"
+        assert {k: data["config"][k] for k in ("n", "m", "alpha", "beta", "eta")} == {
+            "n": 3, "m": 0.2, "alpha": 6.0, "beta": 1.0, "eta": 1.0
+        }
+
+    def test_strict_from_file(self, tmp_path):
+        # s_end = 8 leaves the power plateau short of converging
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n = 3\nm = 0.2\nalpha = 1.25\nbeta = 1\neta = 1\ns-end = 8\n")
+        assert run("decay", "--config", cfgfile) == 0
+        cfgfile.write_text(cfgfile.read_text() + "strict = true\n")
+        assert run("decay", "--config", cfgfile) == 3
 
     def test_flags_override_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

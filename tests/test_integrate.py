@@ -10,7 +10,9 @@ from fdprofiles import (
     OutOfRange,
     Parameters,
     PositivityLoss,
+    ProfileError,
     SolveConfig,
+    eval_series,
     expand_at_origin,
     handoff_to_log,
     integrate_log,
@@ -143,6 +145,31 @@ class TestGuards:
         with pytest.raises(OutOfRange):
             eternal_n3.profile.eval(-1.0)
 
+    def test_dense_eval_rejects_nan(self, eternal_n3):
+        sol = eternal_n3
+        for evaluate in (sol.v, sol.dv, sol.w_q, sol.profile.eval, sol.logprofile.eval_w):
+            with pytest.raises(OutOfRange):
+                evaluate(math.nan)
+            with pytest.raises(OutOfRange):
+                evaluate(np.array([0.5, math.nan]))
+        with pytest.raises(OutOfRange):
+            eval_series(sol.profile.series, math.nan)
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("r_handoff", {"r_handoff": 0.0}),
+            ("r_max", {"r_max": -1.0}),
+            ("rtol_r", {"rtol_r": math.nan}),
+            ("atol_s", {"atol_s": math.inf}),
+            ("s_end", {"s_end": 0.0}),
+            ("s_end", {"r_handoff": 2.0, "s_end": 0.5}),
+        ],
+    )
+    def test_solve_config_validated(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            SolveConfig(**kwargs)
+
 
 class TestLogChartDirect:
     @settings(max_examples=60)
@@ -208,6 +235,12 @@ class TestStiffTail:
 
     def test_eternal_never_switches(self, eternal_n3):
         assert eternal_n3.logprofile.qss_switch_s is None
+
+    def test_overflow_is_a_located_profile_error(self):
+        # w grows like e^(1.2 s) and leaves the float range near s = 591
+        with pytest.raises(ProfileError) as exc:
+            solve_profile(P(1.0), SolveConfig(s_end=2000.0))
+        assert 500.0 < exc.value.location < 700.0
 
 
 @settings(max_examples=10, deadline=None)
