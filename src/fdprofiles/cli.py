@@ -232,7 +232,7 @@ def _cmd_solve(cfg: dict) -> tuple[int, dict]:
 
 def _cmd_verify(cfg: dict) -> tuple[int, dict]:
     _, sol, report = _solved(cfg)
-    rep = run_all_checks(sol, quad_tol=cfg.get("quad_tol", 1e-10))
+    rep = run_all_checks(sol)
     report["invariants"] = _invariants_section(rep)
     return _strict_exit(cfg, rep.overall), report
 
@@ -378,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", help="r-chart CSV (r,v,dv)")
     p_solve.add_argument("--log-out", dest="log_out", help="log-chart CSV (s,w,ws)")
 
-    p_verify = add("verify", _cmd_verify, "run all invariant and identity checks")
-    p_verify.add_argument("--quad-tol", dest="quad_tol", type=float)
+    add("verify", _cmd_verify, "run all invariant and identity checks")
 
     p_decay = add("decay", _cmd_decay, "measure the decay limit")
     p_decay.add_argument("--kind", choices=("auto", "log", "power"), default=None)

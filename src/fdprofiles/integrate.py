@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, check_hypotheses, exponent_relation
-from .rk import CubicHermite, QuinticHermite, integrate_2d
+from .rk import POSITIVITY_FLOOR, CubicHermite, QuinticHermite, integrate_2d
 from .series import SeriesExpansion, eval_series, seed_within
 
 __all__ = [
@@ -47,9 +47,6 @@ __all__ = [
     "handoff_to_log",
     "solve_profile",
 ]
-
-# No clamping below this value; clamping would corrupt decay estimation.
-POSITIVITY_FLOOR = 1e-300
 
 _RANGE_SLACK = 1e-12
 
@@ -297,18 +294,7 @@ def integrate_r(
         raise ValueError(f"r_max = {r_max} must exceed the series handoff {start}")
     v0, dv0 = eval_series(se, start)
     rhs = _r_rhs(p)
-    path = integrate_2d(
-        rhs,
-        start,
-        v0,
-        dv0,
-        r_max,
-        rtol,
-        atol,
-        positive_y=True,
-        floor_y=POSITIVITY_FLOOR,
-        y_scale_hint=p.eta,
-    )
+    path = integrate_2d(rhs, start, v0, dv0, r_max, rtol, atol, positive_y=True)
     return Profile(
         r=path.t,
         v=path.y,
@@ -402,19 +388,7 @@ def integrate_log(
             # already stiff at the start; step explicitly through one
             # relaxation scale before slaving
             w_stop = 2.0 * w0
-    path = integrate_2d(
-        rhs,
-        s0,
-        w0,
-        g0,
-        s_max,
-        rtol,
-        atol,
-        positive_y=True,
-        floor_y=POSITIVITY_FLOOR,
-        y_scale_hint=w0,
-        stop_when_y_above=w_stop,
-    )
+    path = integrate_2d(rhs, s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop)
     s_arr = path.t
     w_arr = path.y
     g_arr = path.z
@@ -434,9 +408,7 @@ def integrate_log(
 
         ly0 = math.log(w_arr[-1])
         try:
-            tail = integrate_2d(
-                slow, switch_s, ly0, 0.0, s_max, rtol, atol, max_step=0.15 / sigma, y_scale_hint=1.0
-            )
+            tail = integrate_2d(slow, switch_s, ly0, 0.0, s_max, rtol, atol, max_step=0.15 / sigma)
         except OverflowError:
             # log w grows at rate sigma on the manifold, so it leaves the
             # float range near the extrapolated s below

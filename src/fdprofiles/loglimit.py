@@ -74,17 +74,7 @@ def solve_log_equation(
             return math.nan, math.nan
         return u / n1 * (-beta * r * u + (n * beta - alpha) * acc / r**n1), r**n1 * u
 
-    path = integrate_2d(
-        rhs,
-        start,
-        u0,
-        i0,
-        r_max,
-        rtol,
-        atol,
-        positive_y=True,
-        y_scale_hint=eta,
-    )
+    path = integrate_2d(rhs, start, u0, i0, r_max, rtol, atol, positive_y=True)
     return Profile(
         r=path.t,
         v=path.y,

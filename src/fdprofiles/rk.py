@@ -23,7 +23,10 @@ import numpy as np
 
 from .errors import PositivityLoss, StepUnderflow
 
-__all__ = ["RawPath", "integrate_2d", "QuinticHermite", "CubicHermite"]
+__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "QuinticHermite", "CubicHermite"]
+
+# No clamping below this value; clamping would corrupt decay estimation.
+POSITIVITY_FLOOR = 1e-300
 
 # Dormand-Prince 5(4) tableau.
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -124,18 +127,17 @@ def integrate_2d(
     *,
     max_step: float = math.inf,
     positive_y: bool = False,
-    floor_y: float = 1e-300,
-    y_scale_hint: float | None = None,
     max_steps: int = 1_000_000,
     stop_when_y_above: float | None = None,
 ) -> RawPath:
     """Integrate (y, z)' = f(t, y, z) from t0 to t_end, storing every accepted node.
 
-    With ``positive_y`` the first component is monitored against ``floor_y``;
-    a crossing raises PositivityLoss with the bracketed location. A step-size
-    collapse raises StepUnderflow unless the state is already heading to zero,
-    which is reported as positivity loss as well (steep vanishing profiles
-    exhaust the step size long before y reaches the floor).
+    With ``positive_y`` the first component is monitored against
+    POSITIVITY_FLOOR; a crossing raises PositivityLoss with the bracketed
+    location. A step-size collapse raises StepUnderflow unless y has already
+    fallen below 1e-8*|y0|, which is reported as positivity loss as well
+    (steep vanishing profiles exhaust the step size long before y reaches
+    the floor).
 
     ``stop_when_y_above`` ends the integration at the first accepted node with
     y above the threshold (overshoot of at most one step); the caller detects
@@ -151,7 +153,7 @@ def integrate_2d(
         raise ValueError(f"right-hand side not finite at the starting point t={t0}")
 
     span = t_end - t0
-    y_scale = abs(y0) if y_scale_hint is None else float(y_scale_hint)
+    y_vanished = max(1e-8 * abs(y0), 1e3 * POSITIVITY_FLOOR)
 
     ts = [t0]
     ys = [y0]
@@ -174,7 +176,7 @@ def integrate_2d(
         if final:
             h = t_end - t
         if h < 1e-14 * max(abs(t), 1e-6 * span):
-            if positive_y and y <= max(1e-8 * y_scale, 1e3 * floor_y):
+            if positive_y and y <= y_vanished:
                 raise PositivityLoss("profile vanishes faster than the integrator can resolve", t)
             raise StepUnderflow("step size underflow", t)
 
@@ -217,10 +219,10 @@ def integrate_2d(
             continue
 
         if err <= 1.0:
-            if positive_y and y_new <= floor_y:
+            if positive_y and y_new <= POSITIVITY_FLOOR:
                 raise PositivityLoss(
                     "profile crossed the positivity floor",
-                    _bracket_crossing(t, h, y, k1y, y_new, k7y, floor_y),
+                    _bracket_crossing(t, h, y, k1y, y_new, k7y, POSITIVITY_FLOOR),
                 )
             t, y, z = t_new, y_new, z_new
             fy, fz = k7y, k7z

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +200,12 @@ class TestOutdirEnv:
         monkeypatch.setenv("FDPROFILES_OUTDIR", str(tmp_path))
         assert run("solve", *PARAMS, "--out", "rel.csv") == 0
         assert (tmp_path / "rel.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fdprofiles.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

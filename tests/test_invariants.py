@@ -1,17 +1,23 @@
 import dataclasses
 
+import numpy as np
 import pytest
+from scipy.integrate import quad as adaptive_quad
+from test_acceptance import INVARIANT_GRID
 
 from fdprofiles import (
     Parameters,
     SolveConfig,
     check_flux_identity,
+    check_hypotheses,
     check_pointwise,
     check_q_identity,
     check_slope_bounds,
+    derived,
     run_all_checks,
     solve_profile,
 )
+from fdprofiles import invariants
 
 
 class TestPointwise:
@@ -132,3 +138,79 @@ class TestRunAll:
         names = [e.name for e in rep.entries]
         assert len(names) == len(set(names))
         assert "flux_identity" in names and "slope_ratio_bound" in names
+
+
+@pytest.fixture(scope="module")
+def grid(solved):
+    """The acceptance invariant grid as solved there, with the radii both identities use."""
+    out = []
+    for n, m, alpha, beta, eta in INVARIANT_GRID:
+        sol = solved(n, m, alpha, beta, eta, r_max=25.0)
+        radii = invariants._IDENTITY_RADII[invariants._IDENTITY_RADII <= sol.r_cover]
+        hyp = check_hypotheses(sol.params)
+        out.append((sol, radii, hyp.log_decay_ok and hyp.strict_m))
+    return out
+
+
+class TestGaussLegendre:
+    def test_exact_for_degree_15_on_every_piece(self):
+        coeffs = np.arange(1.0, 17.0)
+        exact = np.polynomial.polynomial.polyval(2.0, np.polynomial.polynomial.polyint(coeffs))
+        breaks = np.array([-1.0, 0.3, 0.7, 1.1, 2.5])
+        got = invariants.quad(lambda x: np.polynomial.polynomial.polyval(x, coeffs), 0.0, 2.0, breaks)
+        assert got == pytest.approx(exact, rel=1e-14)
+
+    def test_flux_integral_matches_adaptive_quadrature(self, grid):
+        for sol, radii, _ in grid:
+            n, eta = sol.params.n, sol.params.eta
+            for r in radii:
+                ref, _ = adaptive_quad(
+                    lambda rho: rho ** (n - 1) * sol.v(rho),
+                    0.0, r, epsabs=1e-10 * eta * r**n, epsrel=1e-10, limit=200,
+                )
+                assert invariants._flux_integral(sol, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_q_integral_matches_adaptive_quadrature(self, grid):
+        checked = 0
+        for sol, radii, eternal in grid:
+            if not eternal:
+                continue
+            p = sol.params
+            dc = derived(p)
+            mexp = p.m / (1.0 - p.m)
+
+            def smooth_part(rho):
+                if rho <= 0.0:
+                    return p.eta**p.m * dc.a0
+                w, q = sol.w_q(rho)
+                return (w / (rho * rho)) ** mexp * (dc.a0 - q)
+
+            for r in radii:
+                ref, _ = adaptive_quad(
+                    smooth_part, 0.0, r, weight="alg", wvar=(dc.b0 - 1.0 + 2.0 * mexp, 0.0),
+                    epsabs=1e-10, epsrel=1e-10, limit=200,
+                )
+                assert invariants._q_integral(sol, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
+                checked += 1
+        assert checked >= 20
+
+    def test_8_and_16_points_agree(self, grid, monkeypatch):
+        def integrals():
+            out = []
+            for sol, radii, eternal in grid:
+                for r in radii:
+                    out.append(invariants._flux_integral(sol, r))
+                    if eternal:
+                        out.append(invariants._q_integral(sol, r))
+            return out
+
+        eight = integrals()
+        x16, w16 = np.polynomial.legendre.leggauss(16)
+        monkeypatch.setattr(invariants, "_GL_X", x16)
+        monkeypatch.setattr(invariants, "_GL_W", w16)
+        np.testing.assert_allclose(eight, integrals(), rtol=1e-13, atol=0.0)
+
+    def test_grid_has_a_non_integer_substitution_power(self, grid):
+        # n = 5, m = 3/7: u = rho^p1 with p1 = (n-2-nm)/(1-m) = 1.5
+        p1s = [(p.n - 2 - p.n * p.m) / (1.0 - p.m) for p in (s.params for s, _, e in grid if e)]
+        assert any(p1 == pytest.approx(1.5, rel=1e-14) for p1 in p1s)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from fdprofiles import (
@@ -65,6 +66,26 @@ class TestBuild:
             bwd.value(1.0, 2.0)
 
 
+    @pytest.mark.parametrize("regime, T", [(Regime.FORWARD, None), (Regime.BACKWARD, 2.0)])
+    def test_arrays_broadcast_like_scalar_calls(self, forward_sol, backward_sol, regime, T):
+        sol = forward_sol if regime is Regime.FORWARD else backward_sol
+        ss = build_selfsimilar(sol, regime, T=T)
+        r = np.array([[0.5, 1.0, 2.0]])
+        t = np.array([[0.8], [1.0], [1.25]])
+        u = ss.value(r, t)
+        chain = ss.time_derivative_chain(r, t)
+        assert u.shape == chain.shape == (3, 3)
+        for i, ti in enumerate(t[:, 0]):
+            for j, rj in enumerate(r[0]):
+                assert u[i, j] == pytest.approx(ss.value(rj, ti), rel=1e-14)
+                assert chain[i, j] == pytest.approx(ss.time_derivative_chain(rj, ti), rel=1e-14)
+
+    def test_time_domain_enforced_on_arrays(self, forward_sol):
+        fwd = build_selfsimilar(forward_sol, Regime.FORWARD)
+        with pytest.raises(OutOfRange):
+            fwd.value(1.0, np.array([1.0, 0.5, -0.1]))
+
+
 class TestResidual:
     def test_constant_solution_is_exact(self, solved):
         sol = solved(3, 0.2, 0.0, 1.0)
@@ -103,3 +124,40 @@ class TestResidual:
         ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
         with pytest.raises(OutOfRange):
             pde_residual(ss, radii=(1.0, 1e20), times=(0.0,))
+
+    @pytest.mark.parametrize(
+        "regime, T, times",
+        [
+            (Regime.ETERNAL, None, (-0.2, 0.0, 0.2)),
+            (Regime.FORWARD, None, (0.8, 1.0, 1.25)),
+            (Regime.BACKWARD, 2.0, (0.5, 1.0, 1.4)),
+        ],
+    )
+    def test_array_stencil_matches_pointwise_loop(
+        self, eternal_wide, forward_sol, backward_sol, regime, T, times
+    ):
+        # reference: the stencil evaluated one (r, t) point at a time through scalar calls
+        sol = {Regime.ETERNAL: eternal_wide, Regime.FORWARD: forward_sol}.get(regime, backward_sol)
+        ss = build_selfsimilar(sol, regime, T=T)
+        eps = 1e-12 * sol.params.eta
+
+        def loop_residual(h, dt):
+            worst = chain_worst = 0.0
+            for t in times:
+                for r in (0.5, 1.0, 2.0, 5.0):
+                    u_t = (ss.value(r, t + dt) - ss.value(r, t - dt)) / (2.0 * dt)
+                    fp, f0, fm = (ss.value(r + d, t) ** ss.m for d in (h, 0.0, -h))
+                    lap = (fp - 2.0 * f0 + fm) / (h * h) + (ss.n - 1) / r * (fp - fm) / (2.0 * h)
+                    rhs = (ss.n - 1) / ss.m * lap
+                    worst = max(worst, abs(u_t - rhs) / (abs(u_t) + abs(rhs) + eps))
+                    chain = ss.time_derivative_chain(r, t)
+                    chain_worst = max(chain_worst, abs(u_t - chain) / (abs(u_t) + abs(chain) + eps))
+            return worst, chain_worst
+
+        stats = pde_residual(ss)
+        full, chain = loop_residual(1e-3, 1e-3)
+        half, _ = loop_residual(5e-4, 5e-4)
+        # the h/2 stencil amplifies last-digit differences of array arithmetic
+        assert stats.max_rel_residual == pytest.approx(full, rel=1e-6)
+        assert stats.max_rel_residual_half == pytest.approx(half, rel=1e-6)
+        assert stats.chain_rule_max_rel_diff == pytest.approx(chain, rel=1e-6)
