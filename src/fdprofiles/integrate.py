@@ -174,6 +174,9 @@ class LogProfile:
     # Log-radius past which the fast mode was slaved to the slow manifold
     # (None when the whole span was integrated with the full system).
     qss_switch_s: float | None = None
+    # Log-radius where the full system went from DP5 to Radau IIA (None when
+    # DP5 stepped it to its end).
+    stiff_switch_s: float | None = None
 
     @property
     def s_start(self) -> float:
@@ -281,6 +284,17 @@ def _log_rhs(n: int, m: float, alpha: float, beta: float):
     return rhs, sigma, rho1
 
 
+def _log_jac(n: int, m: float, alpha: float, beta: float):
+    """Jacobian of the (w, g) right-hand side: (dw_s/dw, dw_s/dg, dg_s/dw, dg_s/dg)."""
+    sigma, _, c_sq, c_g, c_wg, c_w, c_w2 = _chart_coeffs(n, m, alpha, beta)
+
+    def jac(s, w, g):
+        gw = g / w
+        return sigma, 1.0, -c_sq * gw * gw + c_wg * g + c_w + 2.0 * c_w2 * w, 2.0 * c_sq * gw + c_g + c_wg * w
+
+    return jac
+
+
 def integrate_r(
     p: Parameters,
     se: SeriesExpansion,
@@ -322,24 +336,28 @@ def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float
     return (math.log(r_h), *_w_q(r_h, v, dv, m))
 
 
-def _g_manifold(w, c_sq, c_g, c_wg, c_w):
+def _g_manifold(w, c_sq, c_g, c_wg, c_w, xp=np):
     """Root of the g balance c_sq*g^2/w + (c_g + c_wg*w)*g + c_w*w = 0 near -c_w/c_wg.
 
     Uses the cancellation-free quadratic formula; only called where the fast
     relaxation dominates (|c_wg|*w large), so the discriminant is safely
-    positive.
+    positive. ``w`` is an array, or a float with ``xp=math``: the tail's
+    right-hand side calls this per stage, and numpy's sqrt and copysign on a
+    Python float cost about 1 us more per call than math's, with the same
+    correctly rounded results.
     """
     b_q = c_g + c_wg * w
     if c_sq == 0.0:
         return -c_w * w / b_q
     a_q = c_sq / w
     disc = b_q * b_q - 4.0 * a_q * (c_w * w)
-    qq = -0.5 * (b_q + math.copysign(math.sqrt(disc), b_q))
+    qq = -0.5 * (b_q + xp.copysign(xp.sqrt(disc), b_q))
     return c_w * w / qq
 
 
 def _g_manifold_slope(w, g, c_sq, c_g, c_wg, c_w):
     # dg/dw along the manifold, by implicit differentiation of the balance
+    # (elementwise on arrays)
     f_w = -c_sq * g * g / (w * w) + c_wg * g + c_w
     f_g = 2.0 * c_sq * g / w + c_g + c_wg * w
     return -f_w / f_g
@@ -368,6 +386,11 @@ def integrate_log(
     Takes plain scalars rather than Parameters so that m = 0 is accepted: the
     same chart serves the log-diffusion equation in the singular limit.
 
+    The fast mode g relaxes at a rate that grows like beta*w/(n-1), so the
+    chart turns stiff as w grows. Its analytic Jacobian goes to integrate_2d,
+    which hands the (w, g) system from DP5 to Radau IIA once the explicit
+    steps are bound by stability (``stiff_switch_s``).
+
     When w grows exponentially (sigma > 0, i.e. alpha < 2*beta/(1-m)) the fast
     mode makes the system stiffer without bound, so once its relaxation rate
     passes a threshold the integration continues on the slow manifold: g is
@@ -379,6 +402,7 @@ def integrate_log(
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
     s0, w0, ws0 = start
     rhs, sigma, rho1 = _log_rhs(n, m, alpha, beta)
+    jac = _log_jac(n, m, alpha, beta)
     g0 = ws0 - sigma * w0
 
     w_stop = None
@@ -388,7 +412,7 @@ def integrate_log(
             # already stiff at the start; step explicitly through one
             # relaxation scale before slaving
             w_stop = 2.0 * w0
-    path = integrate_2d(rhs, s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop)
+    path = integrate_2d(rhs, s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=jac)
     s_arr = path.t
     w_arr = path.y
     g_arr = path.z
@@ -404,7 +428,7 @@ def integrate_log(
 
         def slow(s, ly, _unused):
             w_loc = math.exp(ly)
-            return sigma + _g_manifold(w_loc, c_sq, c_g, c_wg, c_w) / w_loc, 0.0
+            return sigma + _g_manifold(w_loc, c_sq, c_g, c_wg, c_w, math) / w_loc, 0.0
 
         ly0 = math.log(w_arr[-1])
         try:
@@ -418,12 +442,9 @@ def integrate_log(
             ) from None
         s2 = tail.t[1:]
         w2 = np.exp(tail.y[1:])
-        g2 = np.array([_g_manifold(wv, c_sq, c_g, c_wg, c_w) for wv in w2])
+        g2 = _g_manifold(w2, c_sq, c_g, c_wg, c_w)
         ws2 = g2 + sigma * w2
-        slope2 = np.array(
-            [_g_manifold_slope(wv, gv, c_sq, c_g, c_wg, c_w) for wv, gv in zip(w2, g2)]
-        )
-        gs2 = slope2 * ws2
+        gs2 = _g_manifold_slope(w2, g2, c_sq, c_g, c_wg, c_w) * ws2
         s_arr = np.concatenate([s_arr, s2])
         w_arr = np.concatenate([w_arr, w2])
         g_arr = np.concatenate([g_arr, g2])
@@ -448,6 +469,7 @@ def integrate_log(
         n_steps=n_steps,
         n_rejected=n_rejected,
         qss_switch_s=switch_s,
+        stiff_switch_s=path.t_stiff,
     )
 
 
@@ -558,6 +580,7 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
     overlap = _overlap_error(profile, logprofile, p.m, config.r_handoff)
     diagnostics = {
         "qss_switch_s": logprofile.qss_switch_s,
+        "stiff_switch_s": logprofile.stiff_switch_s,
         "r_steps": profile.n_steps,
         "r_rejected": profile.n_rejected,
         "s_steps": logprofile.n_steps,

@@ -1,12 +1,25 @@
-"""Embedded Runge-Kutta 5(4) stepping for two-state systems.
+"""Runge-Kutta stepping for two-state systems: explicit DP5(4), then Radau IIA once stiff.
 
 Every chart in this package is a second-order scalar ODE reduced to first
-order, so the state always has exactly two components. The hot loop therefore
-works on plain Python floats: at this state size the interpreter overhead of
+order, so the state always has exactly two components. The hot loops therefore
+work on plain Python floats: at this state size the interpreter overhead of
 array arithmetic dominates the flops, and a float core is roughly an order of
 magnitude faster than wrapping a general-purpose array solver.
 
-The pair is Dormand-Prince 5(4) with FSAL and a PI step-size controller.
+Integration starts with Dormand-Prince 5(4) with FSAL and a PI step-size
+controller. A caller that supplies the Jacobian of the right-hand side lets
+the same call hand over, once and for good, to the 3-stage Radau IIA method
+(order 5, L-stable, stiffly accurate; Hairer & Wanner, Solving ODEs II,
+Sec. IV.8) when the problem turns stiff: when h*rho(J), the accepted DP5 step
+times the spectral radius of the 2x2 Jacobian, stays above _STIFF_H_RHO for
+_STIFF_RUN accepted steps in a row. The explicit pair is then paying for
+stability, not accuracy (its real-axis stability bound is h*lambda ~ 3.3),
+and the implicit method takes steps set by the tolerance alone. Its
+simplified Newton iteration costs one real and one complex 2x2 solve per
+iteration and starts from the previous step's collocation polynomial; the
+error estimate is Hairer & Wanner's. Without a Jacobian the call never
+switches.
+
 Accepted nodes retain both state components and their derivatives, which is
 enough for quintic Hermite dense output whenever the second component is the
 derivative of the first (value, slope, and curvature known at both ends of
@@ -21,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PositivityLoss, StepUnderflow
+from .errors import PositivityLoss, ProfileError, StepUnderflow
 
 __all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "QuinticHermite", "CubicHermite"]
 
@@ -51,6 +64,42 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 
+# Radau IIA (3 stages, order 5): nodes, error-estimate weights, the eigenvalues
+# of the inverse collocation matrix (one real, one complex pair) and the
+# transformations W = TI*Z, Z = T*W that diagonalize it, and the coefficients
+# of the collocation polynomial y_old + sum_k Q_k x^(k+1), Q = Z^T P.
+_S6 = 6.0**0.5
+_RC1, _RC2 = (4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0
+_RE1, _RE2, _RE3 = (-13.0 - 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0
+_MU_REAL = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
+_MU_COMPLEX = complex(
+    3.0 + 0.5 * (3.0 ** (1.0 / 3.0) - 3.0 ** (2.0 / 3.0)),
+    -0.5 * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0)),
+)
+_T00, _T01, _T02 = 0.09443876248897524, -0.14125529502095421, 0.03002919410514742
+_T10, _T11, _T12 = 0.25021312296533332, 0.20412935229379994, -0.38294211275726192
+_TI00, _TI01, _TI02 = 4.17871859155190428, 0.32768282076106237, 0.52337644549944951
+_TI10, _TI11, _TI12 = -4.17871859155190428, -0.32768282076106237, 0.47662355450055044
+_TI20, _TI21, _TI22 = 0.50287263494578682, -2.57192694985560522, 0.59603920482822492
+_TIC0, _TIC1, _TIC2 = complex(_TI10, _TI20), complex(_TI11, _TI21), complex(_TI12, _TI22)
+_P = (
+    (13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6),
+    (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6),
+    (1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0),
+)
+_NEWTON_MAXITER = 6
+# the RMS norm of k scaled components is hypot(...)/sqrt(k); sqrt(6) is _S6
+_SQRT2 = math.sqrt(2.0)
+
+# Hand over to Radau IIA once h*rho(J) > _STIFF_H_RHO on _STIFF_RUN accepted
+# DP5 steps in a row. A DP5 step that resolves a decaying mode to rtol ~ 1e-9
+# has h*|lambda| of a few hundredths, so a sustained 0.5 (a seventh of the
+# real-axis stability bound 3.3) means the fast mode has died out and only
+# stability holds the step down; the run length keeps a transient from
+# tripping the switch.
+_STIFF_H_RHO = 0.5
+_STIFF_RUN = 15
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -59,6 +108,8 @@ _PI_EXP = 0.17
 _PI_MEM = 0.04
 
 RHS = Callable[[float, float, float], tuple[float, float]]
+# Jacobian of an RHS: (dfy/dy, dfy/dz, dfz/dy, dfz/dz).
+JAC = Callable[[float, float, float], tuple[float, float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -72,6 +123,9 @@ class RawPath:
     fz: np.ndarray
     n_steps: int
     n_rejected: int
+    nfev: int
+    # Node from which Radau IIA took over (None when DP5 ran the whole span).
+    t_stiff: float | None = None
 
 
 def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol) -> float:
@@ -93,6 +147,40 @@ def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, span)
+
+
+def _spectral_radius(a, b, c, d) -> float:
+    """Largest eigenvalue modulus of [[a, b], [c, d]]."""
+    half_tr = 0.5 * (a + d)
+    disc = half_tr * half_tr - (a * d - b * c)
+    if disc >= 0.0:
+        return abs(half_tr) + math.sqrt(disc)
+    return math.sqrt(a * d - b * c)  # complex pair: |lambda|^2 = det
+
+
+def _shifted_solve(mu, jac, r1, r2):
+    """(mu*I - J)^-1 (r1, r2) for a real or complex shift mu."""
+    a, b, c, d = jac
+    p = mu - a
+    q = mu - d
+    det = p * q - b * c
+    return (q * r1 + b * r2) / det, (c * r1 + p * r2) / det
+
+
+def _radau_factor(h, h_old, err, err_old) -> float:
+    """Step-size factor of the Gustafsson predictive controller (Hairer & Wanner IV.8)."""
+    if err == 0.0:
+        return _MAX_FACTOR
+    if err_old is None:
+        return err**-0.25
+    return min(1.0, h / h_old * (err_old / err) ** 0.25) * err**-0.25
+
+
+def _step_collapse(t, positive_y, y, y_vanished) -> ProfileError:
+    """The error for a step size that fell below resolution at t."""
+    if positive_y and y <= y_vanished:
+        return PositivityLoss("profile vanishes faster than the integrator can resolve", t)
+    return StepUnderflow("step size underflow", t)
 
 
 def _cubic_eval(theta, h, y0, d0, y1, d1):
@@ -129,6 +217,7 @@ def integrate_2d(
     positive_y: bool = False,
     max_steps: int = 1_000_000,
     stop_when_y_above: float | None = None,
+    jac: JAC | None = None,
 ) -> RawPath:
     """Integrate (y, z)' = f(t, y, z) from t0 to t_end, storing every accepted node.
 
@@ -142,6 +231,11 @@ def integrate_2d(
     ``stop_when_y_above`` ends the integration at the first accepted node with
     y above the threshold (overshoot of at most one step); the caller detects
     the early stop by comparing the final node against t_end.
+
+    ``jac`` is the Jacobian of f. With it, the integration switches from DP5
+    to Radau IIA once the problem is measurably stiff (see the module
+    docstring); ``RawPath.t_stiff`` records where. Without it the call is
+    pure DP5.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -168,6 +262,9 @@ def integrate_2d(
     just_rejected = False
     n_steps = 0
     n_rejected = 0
+    nfev = 2
+    stiff_run = 0
+    t_stiff = None
 
     while t < t_end:
         if n_steps + n_rejected >= max_steps:
@@ -176,9 +273,7 @@ def integrate_2d(
         if final:
             h = t_end - t
         if h < 1e-14 * max(abs(t), 1e-6 * span):
-            if positive_y and y <= y_vanished:
-                raise PositivityLoss("profile vanishes faster than the integrator can resolve", t)
-            raise StepUnderflow("step size underflow", t)
+            raise _step_collapse(t, positive_y, y, y_vanished)
 
         k1y, k1z = fy, fz
         k2y, k2z = f(t + _C2 * h, y + h * (_A21 * k1y), z + h * (_A21 * k1z))
@@ -198,6 +293,7 @@ def integrate_2d(
             y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
             z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
         )
+        nfev += 5
         y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
         z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
         t_new = t_end if final else t + h
@@ -205,6 +301,7 @@ def integrate_2d(
         ok = math.isfinite(y_new) and math.isfinite(z_new)
         if ok:
             k7y, k7z = f(t_new, y_new, z_new)
+            nfev += 1
             err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
             err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
             scy = atol + rtol * max(abs(y), abs(y_new))
@@ -234,6 +331,11 @@ def integrate_2d(
             n_steps += 1
             if stop_when_y_above is not None and y >= stop_when_y_above:
                 break
+            if jac is not None and not final:
+                stiff_run = stiff_run + 1 if h * _spectral_radius(*jac(t, y, z)) > _STIFF_H_RHO else 0
+                if stiff_run >= _STIFF_RUN:
+                    t_stiff = t
+                    break
 
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-_PI_EXP) * err_prev**_PI_MEM
             if just_rejected:
@@ -247,6 +349,16 @@ def integrate_2d(
             just_rejected = True
             h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-0.2))
 
+    if t_stiff is not None:
+        more = _radau(
+            f, jac, (t, y, z, fy, fz), h, t_end, rtol, atol, (ts, ys, zs, fys, fzs),
+            max_step=max_step, budget=max_steps - n_steps - n_rejected, positive_y=positive_y,
+            y_vanished=y_vanished, span=span, stop_when_y_above=stop_when_y_above,
+        )
+        n_steps += more[0]
+        n_rejected += more[1]
+        nfev += more[2]
+
     return RawPath(
         t=np.asarray(ts),
         y=np.asarray(ys),
@@ -255,7 +367,175 @@ def integrate_2d(
         fz=np.asarray(fzs),
         n_steps=n_steps,
         n_rejected=n_rejected,
+        nfev=nfev,
+        t_stiff=t_stiff,
     )
+
+
+def _radau(
+    f, jac, node, h, t_end, rtol, atol, nodes, *, max_step, budget, positive_y, y_vanished, span,
+    stop_when_y_above,
+) -> tuple[int, int, int]:
+    """Continue integrate_2d from the accepted ``node`` with Radau IIA.
+
+    Appends every accepted node to the lists in ``nodes`` and returns
+    (accepted steps, rejected attempts, RHS evaluations). The Jacobian is
+    evaluated once per accepted node, which for a 2x2 system costs less than
+    one RHS evaluation, so the iteration matrix is always current.
+    """
+    ts, ys, zs, fys, fzs = nodes
+    t, y, z, fy, fz = node
+    newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol**0.5))
+    n_steps = n_rejected = nfev = 0
+    J = jac(t, y, z)
+    poly = None  # (t, h, y, z, Q of y, Q of z) of the last accepted step
+    h_old = err_old = None
+    rejected = False
+
+    while t < t_end:
+        if n_steps + n_rejected >= budget:
+            raise StepUnderflow("step budget exhausted", t)
+        h = min(h, max_step)
+        final = h >= (t_end - t) * (1.0 - 1e-12)
+        if final:
+            h = t_end - t
+        if h < 1e-14 * max(abs(t), 1e-6 * span):
+            raise _step_collapse(t, positive_y, y, y_vanished)
+        t_new = t_end if final else t + h
+
+        # Newton start: the last step's collocation polynomial at this step's nodes.
+        if poly is None:
+            zy0 = zy1 = zy2 = zz0 = zz1 = zz2 = 0.0
+        else:
+            tp, hp, yp, zp, (qy0, qy1, qy2), (qz0, qz1, qz2) = poly
+            x0 = (t + _RC1 * h - tp) / hp
+            x1 = (t + _RC2 * h - tp) / hp
+            x2 = (t + h - tp) / hp
+            zy0 = yp + x0 * (qy0 + x0 * (qy1 + x0 * qy2)) - y
+            zy1 = yp + x1 * (qy0 + x1 * (qy1 + x1 * qy2)) - y
+            zy2 = yp + x2 * (qy0 + x2 * (qy1 + x2 * qy2)) - y
+            zz0 = zp + x0 * (qz0 + x0 * (qz1 + x0 * qz2)) - z
+            zz1 = zp + x1 * (qz0 + x1 * (qz1 + x1 * qz2)) - z
+            zz2 = zp + x2 * (qz0 + x2 * (qz1 + x2 * qz2)) - z
+        wy0 = _TI00 * zy0 + _TI01 * zy1 + _TI02 * zy2
+        wy1 = _TI10 * zy0 + _TI11 * zy1 + _TI12 * zy2
+        wy2 = _TI20 * zy0 + _TI21 * zy1 + _TI22 * zy2
+        wz0 = _TI00 * zz0 + _TI01 * zz1 + _TI02 * zz2
+        wz1 = _TI10 * zz0 + _TI11 * zz1 + _TI12 * zz2
+        wz2 = _TI20 * zz0 + _TI21 * zz1 + _TI22 * zz2
+
+        # Simplified Newton on the collocation system, in the eigenbasis of
+        # the Radau matrix: one real and one complex 2x2 solve per iteration.
+        mu_r = _MU_REAL / h
+        mu_c = _MU_COMPLEX / h
+        ry = 1.0 / (atol + rtol * abs(y))
+        rz = 1.0 / (atol + rtol * abs(z))
+        converged = False
+        norm_old = rate = None
+        n_iter = 0
+        while n_iter < _NEWTON_MAXITER:
+            n_iter += 1
+            f0y, f0z = f(t + _RC1 * h, y + zy0, z + zz0)
+            f1y, f1z = f(t + _RC2 * h, y + zy1, z + zz1)
+            f2y, f2z = f(t_new, y + zy2, z + zz2)
+            nfev += 3
+            dy0, dz0 = _shifted_solve(
+                mu_r, J,
+                _TI00 * f0y + _TI01 * f1y + _TI02 * f2y - mu_r * wy0,
+                _TI00 * f0z + _TI01 * f1z + _TI02 * f2z - mu_r * wz0,
+            )
+            dyc, dzc = _shifted_solve(
+                mu_c, J,
+                _TIC0 * f0y + _TIC1 * f1y + _TIC2 * f2y - mu_c * complex(wy1, wy2),
+                _TIC0 * f0z + _TIC1 * f1z + _TIC2 * f2z - mu_c * complex(wz1, wz2),
+            )
+            norm = math.hypot(dy0 * ry, dyc.real * ry, dyc.imag * ry, dz0 * rz, dzc.real * rz, dzc.imag * rz) / _S6
+            if not math.isfinite(norm):  # a stage left the domain of f
+                break
+            if norm_old is not None:
+                rate = norm / norm_old
+                if rate >= 1.0 or rate ** (_NEWTON_MAXITER - n_iter + 1) / (1.0 - rate) * norm > newton_tol:
+                    break
+            wy0 += dy0
+            wy1 += dyc.real
+            wy2 += dyc.imag
+            wz0 += dz0
+            wz1 += dzc.real
+            wz2 += dzc.imag
+            zy0 = _T00 * wy0 + _T01 * wy1 + _T02 * wy2
+            zy1 = _T10 * wy0 + _T11 * wy1 + _T12 * wy2
+            zy2 = wy0 + wy1
+            zz0 = _T00 * wz0 + _T01 * wz1 + _T02 * wz2
+            zz1 = _T10 * wz0 + _T11 * wz1 + _T12 * wz2
+            zz2 = wz0 + wz1
+            if norm == 0.0 or (rate is not None and rate / (1.0 - rate) * norm < newton_tol):
+                converged = True
+                break
+            norm_old = norm
+
+        if converged:
+            y_new = y + zy2
+            z_new = z + zz2
+            fy_new, fz_new = f(t_new, y_new, z_new)
+            nfev += 1
+            converged = math.isfinite(fy_new) and math.isfinite(fz_new)
+        if not converged:
+            n_rejected += 1
+            h *= 0.5
+            continue
+
+        # Hairer-Wanner error estimate, smoothed by (mu_r*I - J)^-1; after a
+        # rejection it is filtered once more through the stiff component.
+        ey = (_RE1 * zy0 + _RE2 * zy1 + _RE3 * zy2) / h
+        ez = (_RE1 * zz0 + _RE2 * zz1 + _RE3 * zz2) / h
+        err_y, err_z = _shifted_solve(mu_r, J, fy + ey, fz + ez)
+        scy = atol + rtol * max(abs(y), abs(y_new))
+        scz = atol + rtol * max(abs(z), abs(z_new))
+        err = math.hypot(err_y / scy, err_z / scz) / _SQRT2
+        if rejected and err > 1.0:
+            gy, gz = f(t, y + err_y, z + err_z)
+            nfev += 1
+            err_y, err_z = _shifted_solve(mu_r, J, gy + ey, gz + ez)
+            err = math.hypot(err_y / scy, err_z / scz) / _SQRT2
+        if not math.isfinite(err):
+            err = math.inf
+        safety = _SAFETY * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+        if err > 1.0:
+            n_rejected += 1
+            rejected = True
+            h *= max(_MIN_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
+            continue
+
+        if positive_y and y_new <= POSITIVITY_FLOOR:
+            raise PositivityLoss(
+                "profile crossed the positivity floor",
+                _bracket_crossing(t, h, y, fy, y_new, fy_new, POSITIVITY_FLOOR),
+            )
+        poly = (
+            t, h, y, z,
+            (zy0 * _P[0][0] + zy1 * _P[1][0] + zy2 * _P[2][0],
+             zy0 * _P[0][1] + zy1 * _P[1][1] + zy2 * _P[2][1],
+             zy0 * _P[0][2] + zy1 * _P[1][2] + zy2 * _P[2][2]),
+            (zz0 * _P[0][0] + zz1 * _P[1][0] + zz2 * _P[2][0],
+             zz0 * _P[0][1] + zz1 * _P[1][1] + zz2 * _P[2][1],
+             zz0 * _P[0][2] + zz1 * _P[1][2] + zz2 * _P[2][2]),
+        )
+        t, y, z, fy, fz = t_new, y_new, z_new, fy_new, fz_new
+        ts.append(t)
+        ys.append(y)
+        zs.append(z)
+        fys.append(fy)
+        fzs.append(fz)
+        n_steps += 1
+        if stop_when_y_above is not None and y >= stop_when_y_above:
+            break
+        factor = min(_MAX_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
+        h_old, err_old = h, err
+        rejected = False
+        J = jac(t, y, z)
+        h *= factor
+
+    return n_steps, n_rejected, nfev
 
 
 class QuinticHermite:

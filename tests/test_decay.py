@@ -30,6 +30,40 @@ ETERNAL_GRID = [
 # (tol and tol/10 agree to ~3e-10; scipy DOP853 agrees to ~1e-9)
 FROZEN_A = {1.25: 3.0663182351, 0.5: 1.4708822673, -1.0: 0.5394185343}
 
+# estimate_log_decay(...).extrapolated under the default SolveConfig on the
+# decay grid of scripts/run_decay_grid.py (alpha = 2*beta/(1-m)), and
+# estimate_power_decay(...).extrapolated for n=3, m=0.2, beta=eta=1 at the
+# default and tenfold tightened tolerances, as computed by the pure DP5(4)
+# log chart; the Radau IIA continuation must reproduce them.
+PINNED_LOG = {
+    (3, 0.2, 1.0): 1.998365057624805,
+    (4, 1 / 3, 1.0): 5.998003089052348,
+    (5, 3 / 7, 2.0): 5.999308606606872,
+    (5, 0.5, 1.0): 8.001756817339102,
+    (6, 0.25, 1.0): 33.36704257887156,
+    (7, 5 / 9, 1.0): 30.00242436937295,
+}
+PINNED_POWER = {
+    (1.25, 1.0): 3.0663182351033655,
+    (1.25, 0.1): 3.0663182353790575,
+    (0.5, 1.0): 1.4708822672699693,
+    (0.5, 0.1): 1.4708822666539711,
+    (-1.0, 1.0): 0.5394185342680519,
+    (-1.0, 0.1): 0.5394185338642371,
+}
+
+
+@pytest.mark.parametrize("n,m,beta", list(PINNED_LOG))
+def test_log_decay_pinned(solved, n, m, beta):
+    sol = solved(n, m, 2.0 * beta / (1.0 - m), beta)
+    assert estimate_log_decay(sol).extrapolated == pytest.approx(PINNED_LOG[n, m, beta], rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha,factor", list(PINNED_POWER))
+def test_power_decay_pinned(alpha, factor):
+    sol = solve_profile(Parameters(3, 0.2, alpha, 1.0, 1.0), SolveConfig().tightened(factor))
+    assert estimate_power_decay(sol).extrapolated == pytest.approx(PINNED_POWER[alpha, factor], rel=1e-8)
+
 
 class TestExpectedConstant:
     @pytest.mark.parametrize("n,m,beta,alpha,a0", ETERNAL_GRID)

@@ -242,6 +242,56 @@ class TestStiffTail:
             solve_profile(P(1.0), SolveConfig(s_end=2000.0))
         assert 500.0 < exc.value.location < 700.0
 
+    def test_manifold_arrays_match_per_node_loop(self, solved):
+        # the vectorized tail values are the scalar formula node by node
+        from fdprofiles.integrate import _chart_coeffs, _g_manifold, _g_manifold_slope
+
+        lp = solved(3, 0.2, 1.25, 1.0).logprofile
+        cc = _chart_coeffs(3, 0.2, 1.25, 1.0)
+        coeffs = (cc.c_sq, cc.c_g, cc.c_wg, cc.c_w)
+        tail = lp.s > lp.qss_switch_s
+        w2 = lp.w[tail]
+        g2 = np.array([_g_manifold(wv, *coeffs, math) for wv in w2])
+        slope2 = np.array([_g_manifold_slope(wv, gv, *coeffs) for wv, gv in zip(w2, g2)])
+        assert np.array_equal(lp.g[tail], g2)
+        assert np.array_equal(lp.gs[tail], slope2 * (g2 + lp.sigma * w2))
+
+
+class TestStiffSwitch:
+    """The full (w, g) system goes from DP5 to Radau IIA once stability-bound."""
+
+    def test_switch_recorded(self, eternal_n3):
+        lp = eternal_n3.logprofile
+        assert lp.stiff_switch_s is not None
+        assert lp.s_start < lp.stiff_switch_s < lp.s_end
+        assert lp.stiff_switch_s in lp.s
+        assert eternal_n3.diagnostics["stiff_switch_s"] == lp.stiff_switch_s
+
+    def test_matches_radau_oracle(self):
+        from scipy.integrate import solve_ivp
+
+        from fdprofiles.integrate import _log_rhs
+
+        n, m, beta = 7, 5 / 9, 1.0
+        alpha = 2.0 * beta / (1.0 - m)
+        lp = solve_profile(P(alpha, n=n, m=m, beta=beta)).logprofile
+        assert lp.n_steps < 500  # pure DP5 needs 1449
+        rhs, sigma, _ = _log_rhs(n, m, alpha, beta)
+        ref = solve_ivp(
+            lambda s, y: rhs(s, *y),
+            (lp.s_start, 40.0),
+            [lp.w[0], lp.g[0]],
+            method="Radau",
+            rtol=1e-12,
+            atol=1e-14,
+            dense_output=True,
+        )
+        s = np.linspace(lp.s_start, 40.0, 4001)
+        w_ref, g_ref = ref.sol(s)
+        ws_ref = g_ref + sigma * w_ref
+        assert np.max(np.abs(lp.eval_w(s) - w_ref) / w_ref) < 1e-7
+        assert np.max(np.abs(lp.eval_ws(s) - ws_ref) / np.abs(ws_ref)) < 1e-7
+
 
 @settings(max_examples=10, deadline=None)
 @given(

@@ -96,6 +96,14 @@ class TestSlopeBounds:
         entry = check_slope_bounds(eternal_n3).entry("w_unbounded")
         assert entry.passed and entry.worst_margin > 0.0
 
+    def test_w_growth_is_scale_aware(self, solved):
+        # near m = (n-2)/n the constant a0 is small and w grows slowly, yet
+        # w_s stays above 1.19*a0: w(s_end) < 10*w(0) must not fail the case
+        m = 0.98 / 3.0
+        entry = check_slope_bounds(solved(3, m, 4.0 / (1.0 - m), 2.0)).entry("w_unbounded")
+        assert entry.passed
+        assert entry.worst_margin == pytest.approx(0.69, abs=0.01)
+
 
 class TestFluxIdentity:
     def test_constant_solution_balances_exactly(self, solved):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from fdprofiles import rk
 from fdprofiles.errors import PositivityLoss, StepUnderflow
 from fdprofiles.rk import CubicHermite, QuinticHermite, integrate_2d
 
@@ -82,6 +83,113 @@ def test_nodes_store_derivatives():
     path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-11)
     assert np.allclose(path.fy, path.z)
     assert np.allclose(path.fz, -path.y)
+
+
+def test_nfev_counts_every_rhs_call():
+    calls = 0
+
+    def f(t, y, z):
+        nonlocal calls
+        calls += 1
+        return z, -y
+
+    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11)
+    assert path.nfev == calls
+    assert path.t_stiff is None
+
+
+def _radau_alone(f, jac, t0, y0, z0, t_end, rtol):
+    """Radau IIA from t0 to t_end without the DP5 lead-in; returns (steps, final y)."""
+    fy0, fz0 = f(t0, y0, z0)
+    nodes = ([t0], [y0], [z0], [fy0], [fz0])
+    steps, _, _ = rk._radau(
+        f, jac, (t0, y0, z0, fy0, fz0), 1e-3, t_end, rtol, rtol, nodes, max_step=math.inf,
+        budget=100_000, positive_y=False, y_vanished=0.0, span=t_end - t0, stop_when_y_above=None,
+    )
+    return steps, nodes[1][-1]
+
+
+def test_radau_converges_with_order_five():
+    # y = 1/(1+t) solves y'' = 2y^3 with y(0) = 1, y'(0) = -1
+    def f(t, y, z):
+        return z, 2.0 * y**3
+
+    def jac(t, y, z):
+        return 0.0, 1.0, 6.0 * y * y, 0.0
+
+    steps, errs = [], []
+    for rtol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        n, y_end = _radau_alone(f, jac, 0.0, 1.0, -1.0, 3.0, rtol)
+        steps.append(n)
+        errs.append(abs(y_end - 0.25))
+    slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
+    assert -5.8 < slope < -4.5
+
+
+def _prothero_robinson(lam):
+    # y' = lam*(y - sin t) + cos t has the smooth solution y = sin t for every
+    # lam < 0; z' = -z is a slow companion mode
+    def f(t, y, z):
+        return lam * (y - math.sin(t)) + math.cos(t), -z
+
+    def jac(t, y, z):
+        return lam, 0.0, 0.0, -1.0
+
+    return f, jac
+
+
+@pytest.mark.parametrize("lam", [-1e4, -1e8])
+def test_stiff_problem_solved_to_tolerance(lam):
+    f, jac = _prothero_robinson(lam)
+    path = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
+    assert path.t_stiff is not None and path.t_stiff < 0.1
+    assert np.max(np.abs(path.y - np.sin(path.t))) < 1e-8
+    assert np.max(np.abs(path.z - np.exp(-path.t)) / np.exp(-path.t)) < 1e-7
+    assert path.n_steps < 400
+
+
+def test_jacobian_switch_saves_steps_on_stiff_problem():
+    f, jac = _prothero_robinson(-1e4)
+    calls = 0
+
+    def counted(t, y, z):
+        nonlocal calls
+        calls += 1
+        return f(t, y, z)
+
+    stiff = integrate_2d(counted, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
+    assert stiff.nfev == calls
+    explicit = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10)
+    assert explicit.t_stiff is None
+    assert 10 * stiff.n_steps <= explicit.n_steps
+    # DP5 runs identically up to the switch node
+    k = int(np.searchsorted(stiff.t, stiff.t_stiff)) + 1
+    for attr in ("t", "y", "z", "fy", "fz"):
+        assert np.array_equal(getattr(stiff, attr)[:k], getattr(explicit, attr)[:k])
+    assert stiff.t[k] != explicit.t[k]
+
+
+def test_non_stiff_problem_never_switches_with_jacobian():
+    path = integrate_2d(
+        lambda t, y, z: (z, -y), 0.0, 1.0, 0.0, 20.0, 1e-10, 1e-12, jac=lambda t, y, z: (0.0, 1.0, -1.0, 0.0)
+    )
+    assert path.t_stiff is None
+
+
+def test_radau_honours_early_stop_and_positivity():
+    f, jac = _prothero_robinson(-1e4)
+    path = integrate_2d(f, 0.0, 0.0, 1.0, 20.0, 1e-9, 1e-12, jac=jac, stop_when_y_above=0.9)
+    assert path.t_stiff is not None
+    assert path.y[-1] >= 0.9 and path.t[-1] < 20.0
+    # y follows sin t, which reaches zero at pi
+    with pytest.raises(PositivityLoss) as exc:
+        integrate_2d(f, 0.0, 1.0, 1.0, 10.0, 1e-9, 1e-12, positive_y=True, jac=jac)
+    assert exc.value.location == pytest.approx(math.pi, abs=1e-2)
+
+
+@pytest.mark.parametrize("a,b,c,d", [(-3.0, 1.0, 0.5, -2.0), (0.0, 1.0, -4.0, 0.0), (1.0, 2.0, 3.0, 4.0)])
+def test_spectral_radius(a, b, c, d):
+    assert rk._spectral_radius(a, b, c, d) == pytest.approx(max(abs(np.linalg.eigvals([[a, b], [c, d]]))))
 
 
 coeffs = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)
