@@ -153,13 +153,8 @@ def _params_from(cfg: dict) -> Parameters:
 
 
 def _solve_config_from(cfg: dict) -> SolveConfig:
-    kwargs = {key: cfg[key] for key in ("r_max", "s_end", "r_handoff") if key in cfg}
-    if "tol" in cfg:
-        tol = cfg["tol"]
-        kwargs.update(rtol_r=tol, atol_r=tol * 1e-2, rtol_s=tol * 10.0, atol_s=tol * 1e-1)
-    if cfg.get("override_hypotheses"):
-        kwargs["override_hypotheses"] = True
-    return SolveConfig(**kwargs)
+    """The SolveConfig fields that flags or the file set (switches arrive only as True)."""
+    return SolveConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(SolveConfig) if f.name in cfg})
 
 
 def _base_report(cfg: dict, p: Parameters | None) -> dict:
@@ -351,7 +346,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--beta", type=float)
     common.add_argument("--eta", type=float)
     common.add_argument("--config", help="flat key = value config file; flags override it")
-    common.add_argument("--tol", type=float, help="r-chart relative tolerance (s-chart runs 10x looser)")
+    common.add_argument("--tol", type=float, help="r-chart relative tolerance (log chart 10x looser; atol = rtol/100)")
     common.add_argument("--r-max", dest="r_max", type=float)
     common.add_argument("--s-end", dest="s_end", type=float)
     common.add_argument("--r-handoff", dest="r_handoff", type=float)

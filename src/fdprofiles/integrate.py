@@ -42,6 +42,7 @@ __all__ = [
     "Profile",
     "LogProfile",
     "Solution",
+    "chart_tolerances",
     "integrate_r",
     "integrate_log",
     "handoff_to_log",
@@ -55,22 +56,19 @@ _RANGE_SLACK = 1e-12
 class SolveConfig:
     """Numerical options for a full two-chart solve.
 
-    The s-chart runs looser than the r-chart because its span is much longer
-    (s_end = 40 reaches r ~ 2.4e17). All log-chart bounds used downstream are
-    stated for r >= 1, hence the default handoff at r_handoff = 1 (s = 0).
+    ``tol`` is the r-chart's relative tolerance; ``chart_tolerances`` derives
+    every chart's (rtol, atol) from it. All log-chart bounds used downstream
+    are stated for r >= 1, hence the default handoff at r_handoff = 1 (s = 0).
     """
 
     r_max: float = 10.0
     s_end: float = 40.0
     r_handoff: float = 1.0
-    rtol_r: float = 1e-10
-    atol_r: float = 1e-12
-    rtol_s: float = 1e-9
-    atol_s: float = 1e-11
+    tol: float = 1e-10
     override_hypotheses: bool = False
 
     def __post_init__(self):
-        for name in ("r_max", "r_handoff", "rtol_r", "atol_r", "rtol_s", "atol_s"):
+        for name in ("r_max", "r_handoff", "tol"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"SolveConfig.{name} must be finite and positive, got {val}")
@@ -81,14 +79,20 @@ class SolveConfig:
             )
 
     def tightened(self, factor: float) -> "SolveConfig":
-        """Same run with all four tolerances scaled by ``factor``."""
-        return replace(
-            self,
-            rtol_r=self.rtol_r * factor,
-            atol_r=self.atol_r * factor,
-            rtol_s=self.rtol_s * factor,
-            atol_s=self.atol_s * factor,
-        )
+        """Same run with every chart's tolerances scaled by ``factor``."""
+        return replace(self, tol=self.tol * factor)
+
+
+def chart_tolerances(chart: str, tol: float) -> tuple[float, float]:
+    """(rtol, atol) of the "r" or "log" chart for the r-chart relative tolerance ``tol``.
+
+    The log chart runs 10x looser than the r-chart because its span is much
+    longer (s_end = 40 reaches r ~ 2.4e17). Every chart's absolute tolerance
+    is 1/100 of its relative one in the mixed error scale atol + rtol*|y| of
+    the step control (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4).
+    """
+    rtol = tol * 10.0 if chart == "log" else tol
+    return rtol, rtol * 1e-2
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,8 @@ class Profile:
     v: np.ndarray
     dv: np.ndarray
     ddv: np.ndarray | None
-    series: SeriesExpansion | None
+    series: SeriesExpansion
     rtol: float
-    atol: float
     n_steps: int = 0
     n_rejected: int = 0
 
@@ -137,8 +140,6 @@ class Profile:
         dv = np.empty_like(arr)
         inner = arr < self.r_start
         if inner.any():
-            if self.series is None:
-                raise OutOfRange(f"no series segment below r = {self.r_start:.6g}")
             v[inner], dv[inner] = eval_series(self.series, arr[inner])
         outer = ~inner
         if outer.any():
@@ -168,7 +169,6 @@ class LogProfile:
     m: float
     rho1: float
     rtol: float
-    atol: float
     n_steps: int = 0
     n_rejected: int = 0
     # Log-radius past which the fast mode was slaved to the slow manifold
@@ -295,19 +295,14 @@ def _log_jac(n: int, m: float, alpha: float, beta: float):
     return jac
 
 
-def integrate_r(
-    p: Parameters,
-    se: SeriesExpansion,
-    r_max: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> Profile:
+def integrate_r(p: Parameters, se: SeriesExpansion, r_max: float, tol: float = SolveConfig.tol) -> Profile:
     """Integrate the r-chart from the series handoff out to r_max."""
     start = se.r_start
     if r_max <= start:
         raise ValueError(f"r_max = {r_max} must exceed the series handoff {start}")
     v0, dv0 = eval_series(se, start)
     rhs = _r_rhs(p)
+    rtol, atol = chart_tolerances("r", tol)
     path = integrate_2d(rhs, start, v0, dv0, r_max, rtol, atol, positive_y=True)
     return Profile(
         r=path.t,
@@ -316,7 +311,6 @@ def integrate_r(
         ddv=path.fz,
         series=se,
         rtol=rtol,
-        atol=atol,
         n_steps=path.n_steps,
         n_rejected=path.n_rejected,
     )
@@ -378,10 +372,12 @@ def integrate_log(
     beta: float,
     start: tuple[float, float, float],
     s_max: float,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
+    tol: float = SolveConfig.tol,
 ) -> LogProfile:
     """Integrate the log chart from (s, w, w_s) to s_max.
+
+    ``tol`` is the r-chart relative tolerance; the log chart's own pair comes
+    from ``chart_tolerances``.
 
     Takes plain scalars rather than Parameters so that m = 0 is accepted: the
     same chart serves the log-diffusion equation in the singular limit.
@@ -404,6 +400,7 @@ def integrate_log(
     rhs, sigma, rho1 = _log_rhs(n, m, alpha, beta)
     jac = _log_jac(n, m, alpha, beta)
     g0 = ws0 - sigma * w0
+    rtol, atol = chart_tolerances("log", tol)
 
     w_stop = None
     if beta > 0.0 and sigma > _QSS_MIN_SIGMA:
@@ -465,7 +462,6 @@ def integrate_log(
         m=m,
         rho1=rho1,
         rtol=rtol,
-        atol=atol,
         n_steps=n_steps,
         n_rejected=n_rejected,
         qss_switch_s=switch_s,
@@ -486,7 +482,6 @@ class Solution:
     params: Parameters
     profile: Profile
     logprofile: LogProfile
-    r_handoff: float
     config: SolveConfig
     diagnostics: dict
 
@@ -570,13 +565,11 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         )
 
     # the seed truncation must clear the local error budget of the r-chart
-    se = seed_within(p.n, p.m, p.alpha, p.beta, p.eta, config.rtol_r)
+    se = seed_within(p.n, p.m, p.alpha, p.beta, p.eta, config.tol)
     r_top = max(config.r_max, 2.0 * config.r_handoff)
-    profile = integrate_r(p, se, r_top, config.rtol_r, config.atol_r)
+    profile = integrate_r(p, se, r_top, config.tol)
     start = handoff_to_log(profile, config.r_handoff, p.m)
-    logprofile = integrate_log(
-        p.n, p.m, p.alpha, p.beta, start, config.s_end, config.rtol_s, config.atol_s
-    )
+    logprofile = integrate_log(p.n, p.m, p.alpha, p.beta, start, config.s_end, config.tol)
     overlap = _overlap_error(profile, logprofile, p.m, config.r_handoff)
     diagnostics = {
         "qss_switch_s": logprofile.qss_switch_s,
@@ -593,7 +586,6 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         params=p,
         profile=profile,
         logprofile=logprofile,
-        r_handoff=config.r_handoff,
         config=config,
         diagnostics=diagnostics,
     )

@@ -314,20 +314,29 @@ def _q_integral(sol: Solution, r: float) -> float:
     """Integral of rho^(b0-1) * w^(m/(1-m)) * (a0 - q) over [0, r].
 
     The integrand is rho^edge times the smooth factor v^m * (a0 - q), with
-    edge = b0 - 1 + 2m/(1-m) in (-1, inf). The substitution u = rho^p1,
-    p1 = edge + 1 = (n-2-nm)/(1-m) > 0, removes the endpoint singularity.
+    edge = b0 - 1 + 2m/(1-m) = p1 - 1 and p1 = (n-2-nm)/(1-m) > 0. On the
+    series segment [0, h], h = min(r, r_start), the smooth factor is
+    s0 + (smooth(h) - s0)*(rho/h)^2 up to O(rho^4), s0 = eta^m * a0, and is
+    integrated in closed form (in u = rho^p1 it is a polynomial of degree
+    ~2/p1, beyond a quadrature rule as m -> (n-2)/n). Beyond r_start the
+    substitution u = rho^p1 removes the rho^edge factor.
     """
     p = sol.params
     dc = derived(p)
     mexp = p.m / (1.0 - p.m)
     p1 = (p.n - 2 - p.n * p.m) / (1.0 - p.m)
 
-    def smooth_part(u):
-        rho = u ** (1.0 / p1)
+    def smooth_part(rho):
         w, q = sol.w_q(rho)
         return (w / (rho * rho)) ** mexp * (dc.a0 - q)
 
-    return quad(smooth_part, 0.0, r**p1, _breaks(sol) ** p1) / p1
+    h = min(r, sol.profile.r_start)
+    s0 = p.eta**p.m * dc.a0
+    series_piece = s0 * h**p1 / p1 + (smooth_part(h) - s0) * h**p1 / (p1 + 2.0)
+    if r <= h:
+        return series_piece
+    rest = quad(lambda u: smooth_part(u ** (1.0 / p1)), h**p1, r**p1, _breaks(sol) ** p1)
+    return series_piece + rest / p1
 
 
 def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
@@ -364,11 +373,11 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
     """Integral identity for q = r*w_r under the exact-decay hypotheses.
 
     r^b0 * q * w^((2m-1)/(1-m)) must equal beta/(n-1) times the integral of
-    rho^(b0-1) * w^(m/(1-m)) * (a0 - q) from the origin, taken by
-    Gauss-Legendre on the pieces of the dense output after the substitution
-    of ``_q_integral``; the boundary factor itself must decay to zero as
-    r -> 0. ``quad_tol`` is the floor of the mismatch threshold
-    100*max(quad_tol, rtol).
+    rho^(b0-1) * w^(m/(1-m)) * (a0 - q) from the origin, taken as in
+    ``_q_integral`` (closed form on the series segment, Gauss-Legendre on
+    the dense output's pieces beyond); the boundary factor itself must
+    decay to zero as r -> 0. ``quad_tol`` is the floor of the mismatch
+    threshold 100*max(quad_tol, rtol).
     """
     p = sol.params
     hyp = check_hypotheses(p)

@@ -25,11 +25,12 @@ import numpy as np
 from .decay import estimate_log_decay, log_tail_fit
 from .errors import HypothesisViolation
 from .integrate import (
-    LogProfile, Profile, SolveConfig, handoff_to_log, integrate_log, integrate_r, solve_profile,
+    LogProfile, Profile, SolveConfig, chart_tolerances, handoff_to_log, integrate_log, integrate_r,
+    solve_profile,
 )
 from .model import Parameters, check_hypotheses
 from .rk import integrate_2d
-from .series import expand_at_origin, seed_within
+from .series import seed_within
 
 __all__ = [
     "ConvergenceReport",
@@ -44,16 +45,8 @@ __all__ = [
 _GRID_POINTS = 1001
 
 
-def solve_log_equation(
-    n: int,
-    alpha: float,
-    beta: float,
-    eta: float,
-    r_max: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> Profile:
-    """Radial solution of the log-diffusion equation on [0, r_max].
+def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: float) -> Profile:
+    """Radial solution of the log-diffusion equation on [0, r_max], at the r-chart's tolerances.
 
     Integrates the (u, I) system above; near the origin the I/r^(n-1) factor
     is started from the seed expansion to avoid the 0/0."""
@@ -63,6 +56,7 @@ def solve_log_equation(
         raise ValueError(f"eta must be positive, got {eta}")
     if n != int(n) or n < 3:
         raise ValueError(f"dimension n must be an integer >= 3, got {n}")
+    rtol, atol = chart_tolerances("r", SolveConfig.tol)
     se = seed_within(n, 0.0, alpha, beta, eta, rtol)
     start = se.r_start
     u0 = eta + se.c2 * start * start
@@ -82,7 +76,6 @@ def solve_log_equation(
         ddv=None,
         series=se,
         rtol=rtol,
-        atol=atol,
         n_steps=path.n_steps,
         n_rejected=path.n_rejected,
     )
@@ -94,15 +87,15 @@ def log_chart_of_log_equation(
     beta: float,
     eta: float,
     s_end: float = 40.0,
-    r_handoff: float = 1.0,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
     base: Profile | None = None,
 ) -> LogProfile:
-    """Continue the log-diffusion solution in the m = 0 log chart (w = r^2 u)."""
+    """Continue the log-diffusion solution in the m = 0 log chart (w = r^2 u).
+
+    Hands off at the main solve's default radius and runs at its tolerances."""
+    r_handoff = SolveConfig.r_handoff
     prof = base if base is not None else solve_log_equation(n, alpha, beta, eta, 2.0 * r_handoff)
     start = handoff_to_log(prof, r_handoff, 0.0)
-    return integrate_log(n, 0.0, alpha, beta, start, s_end, rtol, atol)
+    return integrate_log(n, 0.0, alpha, beta, start, s_end)
 
 
 @dataclass(frozen=True)
@@ -128,10 +121,11 @@ def limit_convergence(
     eta: float,
     m_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01),
     r_max: float = 10.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> ConvergenceReport:
-    """Solve v^(m) for each m and measure sup |v^(m) - u| on [0, r_max]."""
+    """Solve v^(m) for each m and measure sup |v^(m) - u| on [0, r_max].
+
+    Both sides run at the r-chart's default tolerance, and v^(m) is seeded
+    like ``solve_profile`` seeds it."""
     if not (beta > 0.0 or alpha == 0.0):
         raise HypothesisViolation(f"log-diffusion limit needs beta > 0 or alpha = 0; got alpha={alpha}, beta={beta}")
     ms = tuple(sorted(m_list, reverse=True))
@@ -142,14 +136,14 @@ def limit_convergence(
                 f"m = {m} leaves the existence range for alpha = {alpha}, beta = {beta}"
             )
 
-    u_prof = solve_log_equation(n, alpha, beta, eta, r_max, rtol, atol)
+    u_prof = solve_log_equation(n, alpha, beta, eta, r_max)
     grid = np.linspace(0.0, r_max, _GRID_POINTS)
     u_vals, _ = u_prof.eval(grid)
 
     sups = []
     for m in ms:
         p = Parameters(n, m, alpha, beta, eta)
-        prof = integrate_r(p, expand_at_origin(p), r_max, rtol, atol)
+        prof = integrate_r(p, seed_within(n, m, alpha, beta, eta, SolveConfig.tol), r_max)
         v_vals, _ = prof.eval(grid)
         sups.append(float(np.max(np.abs(v_vals - u_vals))))
 

@@ -151,12 +151,13 @@ class HypothesisReport:
     limit_ok: bool        # beta > 0 or alpha = 0
 
 
-def check_hypotheses(p: Parameters, tol: float = REGIME_TOL) -> HypothesisReport:
+def check_hypotheses(p: Parameters) -> HypothesisReport:
+    """The operating-range conditions; the eternal relation is matched to REGIME_TOL."""
     rho1, scale = exponent_relation(p.m, p.alpha, p.beta)
     return HypothesisReport(
         existence_ok=bool(p.beta > 0.0 and p.alpha <= p.beta * (p.n - 2) / p.m),
         strict_m=not p.at_endpoint,
-        log_decay_ok=bool(abs(rho1) <= tol * scale and p.alpha > 0.0),
+        log_decay_ok=bool(abs(rho1) <= REGIME_TOL * scale and p.alpha > 0.0),
         power_decay_ok=bool(2.0 * p.beta / (1.0 - p.m) > max(p.alpha, 0.0)),
         limit_ok=bool(p.beta > 0.0 or p.alpha == 0.0),
     )

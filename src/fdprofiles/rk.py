@@ -92,13 +92,16 @@ _NEWTON_MAXITER = 6
 _SQRT2 = math.sqrt(2.0)
 
 # Hand over to Radau IIA once h*rho(J) > _STIFF_H_RHO on _STIFF_RUN accepted
-# DP5 steps in a row. A DP5 step that resolves a decaying mode to rtol ~ 1e-9
-# has h*|lambda| of a few hundredths, so a sustained 0.5 (a seventh of the
-# real-axis stability bound 3.3) means the fast mode has died out and only
-# stability holds the step down; the run length keeps a transient from
-# tripping the switch.
+# DP5 steps in a row. A DP5 step that resolves a decaying mode to the log
+# chart's default rtol has h*|lambda| of a few hundredths, so a sustained 0.5
+# (a seventh of the real-axis stability bound 3.3) means the fast mode has
+# died out and only stability holds the step down; the run length keeps a
+# transient from tripping the switch.
 _STIFF_H_RHO = 0.5
 _STIFF_RUN = 15
+
+# Accepted plus rejected steps (DP5 and Radau together) before StepUnderflow.
+_MAX_STEPS = 1_000_000
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -215,7 +218,6 @@ def integrate_2d(
     *,
     max_step: float = math.inf,
     positive_y: bool = False,
-    max_steps: int = 1_000_000,
     stop_when_y_above: float | None = None,
     jac: JAC | None = None,
 ) -> RawPath:
@@ -267,8 +269,8 @@ def integrate_2d(
     t_stiff = None
 
     while t < t_end:
-        if n_steps + n_rejected >= max_steps:
-            raise StepUnderflow(f"step budget of {max_steps} exhausted", t)
+        if n_steps + n_rejected >= _MAX_STEPS:
+            raise StepUnderflow(f"step budget of {_MAX_STEPS} exhausted", t)
         final = h >= (t_end - t) * (1.0 - 1e-12)
         if final:
             h = t_end - t
@@ -352,7 +354,7 @@ def integrate_2d(
     if t_stiff is not None:
         more = _radau(
             f, jac, (t, y, z, fy, fz), h, t_end, rtol, atol, (ts, ys, zs, fys, fzs),
-            max_step=max_step, budget=max_steps - n_steps - n_rejected, positive_y=positive_y,
+            max_step=max_step, budget=_MAX_STEPS - n_steps - n_rejected, positive_y=positive_y,
             y_vanished=y_vanished, span=span, stop_when_y_above=stop_when_y_above,
         )
         n_steps += more[0]

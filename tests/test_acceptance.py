@@ -226,7 +226,7 @@ def test_criterion_9_dual_chart_consistency():
     for n, m, alpha, beta, eta in INVARIANT_GRID:
         p = Parameters(n, m, alpha, beta, eta)
         sol = solve_profile(p, SolveConfig())
-        tol = max(sol.config.rtol_r, sol.config.rtol_s)
+        tol = max(sol.profile.rtol, sol.logprofile.rtol)
         err = sol.diagnostics["overlap_error"]
         worst = max(worst, err / (10.0 * tol))
         ok &= err < 10.0 * tol

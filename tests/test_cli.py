@@ -80,6 +80,33 @@ class TestSolve:
         assert data["diagnostics"]["qss_switch_s"] is None
 
 
+class TestTolerance:
+    def test_default_tol_is_the_flag_default(self, tmp_path):
+        reports = []
+        for extra in ((), ("--tol", "1e-10")):
+            js = tmp_path / "report.json"
+            assert run("solve", *PARAMS, *extra, "--json", js) == 0
+            reports.append(json.loads(js.read_text())["diagnostics"])
+        assert reports[0] == reports[1]
+
+    def test_looser_tol_takes_fewer_steps(self, tmp_path):
+        steps = []
+        for tol in ("1e-10", "1e-8"):
+            js = tmp_path / "report.json"
+            assert run("solve", *PARAMS, "--tol", tol, "--json", js) == 0
+            steps.append(json.loads(js.read_text())["diagnostics"]["r_steps"])
+        assert steps[1] < steps[0]
+
+    def test_file_tol_matches_the_flag(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n = 3\nm = 0.2\nalpha = 2.5\nbeta = 1\neta = 1\ntol = 1e-8\n")
+        js = tmp_path / "report.json"  # the report embeds its own path
+        assert run("verify", "--config", cfgfile, "--json", js) == 0
+        from_file = js.read_bytes()
+        assert run("verify", *PARAMS, "--tol", "1e-8", "--json", js) == 0
+        assert js.read_bytes() == from_file
+
+
 class TestConfigFile:
     def test_file_values_used(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

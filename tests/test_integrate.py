@@ -19,6 +19,7 @@ from fdprofiles import (
     integrate_r,
     solve_profile,
 )
+from fdprofiles.integrate import chart_tolerances
 
 
 def P(alpha, n=3, m=0.2, beta=1.0, eta=1.0):
@@ -104,7 +105,7 @@ class TestOverlap:
     @pytest.mark.parametrize("n,m,alpha,beta", GRID)
     def test_charts_agree_on_overlap(self, solved, n, m, alpha, beta):
         sol = solved(n, m, alpha, beta)
-        tol = max(sol.config.rtol_r, sol.config.rtol_s)
+        tol = max(sol.profile.rtol, sol.logprofile.rtol)
         assert sol.diagnostics["overlap_error"] < 10.0 * tol
 
     def test_halving_tolerance_reduces_overlap_error(self):
@@ -112,6 +113,22 @@ class TestOverlap:
         base = solve_profile(p, SolveConfig())
         tight = solve_profile(p, SolveConfig().tightened(0.5))
         assert tight.diagnostics["overlap_error"] < base.diagnostics["overlap_error"]
+
+
+class TestTolerancePolicy:
+    def test_both_charts_follow_one_tol(self):
+        for cfg in (SolveConfig(tol=1e-8), SolveConfig().tightened(0.5)):
+            sol = solve_profile(P(2.5), cfg)
+            assert sol.profile.rtol == cfg.tol
+            assert sol.logprofile.rtol == pytest.approx(10.0 * cfg.tol, rel=1e-15)
+
+    def test_absolute_is_a_hundredth_of_relative(self):
+        for chart in ("r", "log"):
+            rtol, atol = chart_tolerances(chart, 1e-10)
+            assert atol == pytest.approx(rtol / 100.0, rel=1e-15)
+        # at the default tol: r-chart 1e-10 / 1e-12, log chart rtol 1e-9
+        assert chart_tolerances("r", 1e-10) == (1e-10, 1e-12)
+        assert chart_tolerances("log", 1e-10)[0] == 1e-9
 
 
 class TestGuards:
@@ -160,8 +177,8 @@ class TestGuards:
         [
             ("r_handoff", {"r_handoff": 0.0}),
             ("r_max", {"r_max": -1.0}),
-            ("rtol_r", {"rtol_r": math.nan}),
-            ("atol_s", {"atol_s": math.inf}),
+            ("tol", {"tol": math.nan}),
+            ("tol", {"tol": math.inf}),
             ("s_end", {"s_end": 0.0}),
             ("s_end", {"r_handoff": 2.0, "s_end": 0.5}),
         ],
@@ -312,4 +329,4 @@ def test_admissible_solves_are_well_behaved(n, mfrac, afrac, beta, eta):
         assert np.all(prof.dv[prof.r > 0] < 0)
     elif alpha < 0:
         assert np.all(prof.dv[prof.r > 0] > 0)
-    assert sol.diagnostics["overlap_error"] < 10.0 * max(sol.config.rtol_r, sol.config.rtol_s)
+    assert sol.diagnostics["overlap_error"] < 10.0 * max(sol.profile.rtol, sol.logprofile.rtol)

@@ -147,17 +147,30 @@ class TestRunAll:
         assert len(names) == len(set(names))
         assert "flux_identity" in names and "slope_ratio_bound" in names
 
+    def test_all_pass_near_range_endpoint(self, solved):
+        # p1 = (n-2-nm)/(1-m) = 0.0297: the q integral's series piece is
+        # taken in closed form, at the unchanged 1e-7 threshold
+        rep = run_all_checks(solved(*NEAR_ENDPOINT))
+        assert rep.overall
+        assert rep.entry("q_identity").worst_margin > 0.0
+
+
+# Eternal case close to m = (n-2)/n, at the default SolveConfig.
+_M_NEAR_END = 0.98 / 3.0
+NEAR_ENDPOINT = (3, _M_NEAR_END, 4.0 / (1.0 - _M_NEAR_END), 2.0)
+
+
+def _with_radii(sol):
+    """(solution, radii both identities use there, whether the q identity applies)."""
+    radii = invariants._IDENTITY_RADII[invariants._IDENTITY_RADII <= sol.r_cover]
+    hyp = check_hypotheses(sol.params)
+    return sol, radii, hyp.log_decay_ok and hyp.strict_m
+
 
 @pytest.fixture(scope="module")
 def grid(solved):
     """The acceptance invariant grid as solved there, with the radii both identities use."""
-    out = []
-    for n, m, alpha, beta, eta in INVARIANT_GRID:
-        sol = solved(n, m, alpha, beta, eta, r_max=25.0)
-        radii = invariants._IDENTITY_RADII[invariants._IDENTITY_RADII <= sol.r_cover]
-        hyp = check_hypotheses(sol.params)
-        out.append((sol, radii, hyp.log_decay_ok and hyp.strict_m))
-    return out
+    return [_with_radii(solved(n, m, alpha, beta, eta, r_max=25.0)) for n, m, alpha, beta, eta in INVARIANT_GRID]
 
 
 class TestGaussLegendre:
@@ -178,9 +191,9 @@ class TestGaussLegendre:
                 )
                 assert invariants._flux_integral(sol, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_q_integral_matches_adaptive_quadrature(self, grid):
+    def test_q_integral_matches_adaptive_quadrature(self, grid, solved):
         checked = 0
-        for sol, radii, eternal in grid:
+        for sol, radii, eternal in grid + [_with_radii(solved(*NEAR_ENDPOINT))]:
             if not eternal:
                 continue
             p = sol.params
@@ -193,14 +206,22 @@ class TestGaussLegendre:
                 w, q = sol.w_q(rho)
                 return (w / (rho * rho)) ** mexp * (dc.a0 - q)
 
+            edge = dc.b0 - 1.0 + 2.0 * mexp
+            # the dense output jumps by the charts' overlap error at the seam,
+            # so a radius beyond it gets the seam as a break
+            seam = sol.profile.r_end
             for r in radii:
                 ref, _ = adaptive_quad(
-                    smooth_part, 0.0, r, weight="alg", wvar=(dc.b0 - 1.0 + 2.0 * mexp, 0.0),
+                    smooth_part, 0.0, min(r, seam), weight="alg", wvar=(edge, 0.0),
                     epsabs=1e-10, epsrel=1e-10, limit=200,
                 )
+                if r > seam:
+                    ref += adaptive_quad(
+                        lambda rho: rho**edge * smooth_part(rho), seam, r, epsabs=1e-10, epsrel=1e-10, limit=200
+                    )[0]
                 assert invariants._q_integral(sol, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
                 checked += 1
-        assert checked >= 20
+        assert checked >= 24
 
     def test_8_and_16_points_agree(self, grid, monkeypatch):
         def integrals():

@@ -6,10 +6,13 @@ from scipy.integrate import solve_ivp
 
 from fdprofiles import (
     HypothesisViolation,
+    Parameters,
+    SolveConfig,
     double_limit_check,
     limit_convergence,
     log_chart_of_log_equation,
     solve_log_equation,
+    solve_profile,
 )
 from fdprofiles.decay import tail_limit_fit
 
@@ -107,6 +110,19 @@ class TestLimitConvergence:
         # alpha > beta*(n-2)/m for the largest m in the list
         with pytest.raises(HypothesisViolation):
             limit_convergence(3, 6.0, 1.0, 1.0, m_list=(0.2, 0.1), r_max=5.0)
+
+    def test_measures_the_profile_solve_profile_computes(self):
+        # at eta = 1e4 and m = 0.02 the unshrunk origin seed's truncation
+        # (2.2e-10*eta) misses the r-chart budget rtol*eta; v^(m) must be
+        # seeded, and so integrated, exactly as solve_profile does it
+        eta = 1e4
+        rep = limit_convergence(3, 1.0, 1.0, eta, m_list=(0.05, 0.02))
+        grid = np.linspace(0.0, rep.r_max, 1001)
+        u, _ = solve_log_equation(3, 1.0, 1.0, eta, rep.r_max).eval(grid)
+        for m, sup in zip(rep.m_values, rep.sup_errors):
+            sol = solve_profile(Parameters(3, m, 1.0, 1.0, eta), SolveConfig(r_max=rep.r_max))
+            v, _ = sol.profile.eval(grid)
+            assert sup == float(np.max(np.abs(v - u)))
 
     def test_sup_error_scales_linearly_in_m(self):
         rep = limit_convergence(3, 1.0, 1.0, 1.0, m_list=(0.2, 0.1, 0.05))
