@@ -28,7 +28,7 @@ from .integrate import SolveConfig, solve_profile
 from .invariants import run_all_checks
 from .loglimit import limit_convergence
 from .model import Parameters, Regime, check_hypotheses, classify_regime, derived
-from .selfsim import build_selfsimilar, pde_residual
+from .selfsim import RELATION_TOL, build_selfsimilar, pde_residual
 
 __all__ = ["main"]
 
@@ -265,7 +265,7 @@ def _cmd_limit(cfg: dict) -> tuple[int, dict]:
 def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
     p = _params_from(cfg)
     report = _base_report(cfg, p)
-    regime = classify_regime(p)
+    regime = classify_regime(p, RELATION_TOL)
     if regime is Regime.GENERIC:
         raise RegimeMismatch(
             "parameters do not satisfy any of the three self-similar exponent relations"
@@ -293,7 +293,6 @@ def _sweep_grid(cfg: dict):
     alpha_choice = cfg.get("alpha_list", cfg.get("alpha", "eternal"))
     if None in ns or None in ms:
         raise ValueError("sweep needs n/m values via --n-list/--m-list or --n/--m")
-    ns = tuple(int(x) for x in ns)
     points = []
     for n in ns:
         for m in ms:
@@ -317,8 +316,8 @@ _SWEEP_COLUMNS = ("n", "m", "alpha", "beta", "eta", "a0_expected", "a0_measured"
 def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
     report = _base_report(cfg, None)
     summary = []
-    for n, m, alpha, beta, eta in _sweep_grid(cfg):
-        p = Parameters(n=n, m=m, alpha=alpha, beta=beta, eta=eta)
+    for point in _sweep_grid(cfg):
+        p = Parameters(*point)  # rejects a non-integer n
         hyp = check_hypotheses(p)
         sol = solve_profile(p, _solve_config_from(cfg))
         rep = run_all_checks(sol)
@@ -329,7 +328,7 @@ def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
         if hyp.log_decay_ok and hyp.strict_m:
             a0_expected = expected_log_constant(p)
             a0_measured = estimate_log_decay(sol).extrapolated
-        row = (n, m, alpha, beta, eta, a0_expected, a0_measured, n_pass, n_app)
+        row = (*dataclasses.astuple(p), a0_expected, a0_measured, n_pass, n_app)
         summary.append(dict(zip(_SWEEP_COLUMNS, row)))
     out = _resolve_path(cfg.get("out"))
     if out is not None:
@@ -349,7 +348,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, help="r-chart relative tolerance (log chart 10x looser; atol = rtol/100)")
     common.add_argument("--r-max", dest="r_max", type=float)
     common.add_argument("--s-end", dest="s_end", type=float)
-    common.add_argument("--r-handoff", dest="r_handoff", type=float)
     common.add_argument("--override-hypotheses", dest="override_hypotheses", action="store_const", const=True)
     common.add_argument("--strict", action="store_const", const=True)
     common.add_argument("--json", dest="json", help="write the JSON report here")

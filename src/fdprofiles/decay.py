@@ -163,9 +163,9 @@ def estimate_power_decay(sol: Solution) -> DecayEstimate:
     """Plateau of q = r^(alpha/beta) * v at decade radii.
 
     alpha = 0 short-circuits to A = eta (q is then v itself, a constant).
-    Otherwise q and its logarithmic derivative are read from the log chart,
-    where the decay residual is held as exact state, and from (v, v') on the
-    r-chart below the handoff.
+    Otherwise q and its logarithmic derivative are read from the log chart at
+    r = 1, 10, 100, ... (the chart starts at r = 1), where the decay residual
+    is held as exact state.
     """
     p = sol.params
     _require_strict_interior(p)

@@ -38,6 +38,7 @@ from .series import SeriesExpansion, eval_series, seed_within
 
 __all__ = [
     "POSITIVITY_FLOOR",
+    "R_HANDOFF",
     "SolveConfig",
     "Profile",
     "LogProfile",
@@ -51,32 +52,31 @@ __all__ = [
 
 _RANGE_SLACK = 1e-12
 
+# The radius where the r-chart hands off to the log chart (s = 0). Every
+# log-chart bound and trace downstream (decay traces, power-plateau decades,
+# slope checks) is stated for r >= 1 and read from s = 0.
+R_HANDOFF = 1.0
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Numerical options for a full two-chart solve.
 
     ``tol`` is the r-chart's relative tolerance; ``chart_tolerances`` derives
-    every chart's (rtol, atol) from it. All log-chart bounds used downstream
-    are stated for r >= 1, hence the default handoff at r_handoff = 1 (s = 0).
+    every chart's (rtol, atol) from it. The log chart runs from s = 0
+    (r = R_HANDOFF) to ``s_end``.
     """
 
     r_max: float = 10.0
     s_end: float = 40.0
-    r_handoff: float = 1.0
     tol: float = 1e-10
     override_hypotheses: bool = False
 
     def __post_init__(self):
-        for name in ("r_max", "r_handoff", "tol"):
+        for name in ("r_max", "s_end", "tol"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"SolveConfig.{name} must be finite and positive, got {val}")
-        if not (math.isfinite(self.s_end) and self.s_end > math.log(self.r_handoff)):
-            raise ValueError(
-                f"SolveConfig.s_end must be finite and exceed log(r_handoff) = "
-                f"{math.log(self.r_handoff):.6g}, got {self.s_end}"
-            )
 
     def tightened(self, factor: float) -> "SolveConfig":
         """Same run with every chart's tolerances scaled by ``factor``."""
@@ -99,16 +99,15 @@ def chart_tolerances(chart: str, tol: float) -> tuple[float, float]:
 class Profile:
     """Samples (r, v, v') of an r-chart solution with dense evaluation.
 
-    ``ddv`` holds v'' from the equation at each node; when present the dense
-    output is quintic Hermite (needed by the finite-difference residual
-    checks), otherwise cubic. Radii below the first node are served by the
-    origin series.
+    ``ddv`` holds v'' from the equation at each node, so the dense output is
+    quintic Hermite (needed by the finite-difference residual checks). Radii
+    below the first node are served by the origin series.
     """
 
     r: np.ndarray
     v: np.ndarray
     dv: np.ndarray
-    ddv: np.ndarray | None
+    ddv: np.ndarray
     series: SeriesExpansion
     rtol: float
     n_steps: int = 0
@@ -124,9 +123,7 @@ class Profile:
 
     @cached_property
     def _value_interp(self):
-        if self.ddv is not None:
-            return QuinticHermite(self.r, self.v, self.dv, self.ddv)
-        return CubicHermite(self.r, self.v, self.dv)
+        return QuinticHermite(self.r, self.v, self.dv, self.ddv)
 
     def eval(self, r):
         """Dense (v, v') at radii in [0, r_end]."""
@@ -167,7 +164,6 @@ class LogProfile:
     gs: np.ndarray
     sigma: float
     m: float
-    rho1: float
     rtol: float
     n_steps: int = 0
     n_rejected: int = 0
@@ -192,6 +188,12 @@ class LogProfile:
 
     @cached_property
     def _g_interp(self):
+        # Cubic, not quintic: once the chart is stiff the Radau IIA steps run
+        # at h*rho(J) up to ~500, and a g_ss taken from the right-hand side
+        # multiplies the node error by (h*rho)^2. Against a Radau reference at
+        # rtol 1e-13 on the eternal decay grid, a quintic g was 10-57x less
+        # accurate between the stiff nodes and moved the n = 7, m = 5/9 decay
+        # value by 2.9e-8.
         return CubicHermite(self.s, self.g, self.gs)
 
     def _check(self, s):
@@ -397,7 +399,7 @@ def integrate_log(
     if not 0.0 <= m < 1.0:
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
     s0, w0, ws0 = start
-    rhs, sigma, rho1 = _log_rhs(n, m, alpha, beta)
+    rhs, sigma, _ = _log_rhs(n, m, alpha, beta)
     jac = _log_jac(n, m, alpha, beta)
     g0 = ws0 - sigma * w0
     rtol, atol = chart_tolerances("log", tol)
@@ -460,7 +462,6 @@ def integrate_log(
         gs=gs_arr,
         sigma=sigma,
         m=m,
-        rho1=rho1,
         rtol=rtol,
         n_steps=n_steps,
         n_rejected=n_rejected,
@@ -482,7 +483,6 @@ class Solution:
     params: Parameters
     profile: Profile
     logprofile: LogProfile
-    config: SolveConfig
     diagnostics: dict
 
     @property
@@ -566,11 +566,10 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
 
     # the seed truncation must clear the local error budget of the r-chart
     se = seed_within(p.n, p.m, p.alpha, p.beta, p.eta, config.tol)
-    r_top = max(config.r_max, 2.0 * config.r_handoff)
-    profile = integrate_r(p, se, r_top, config.tol)
-    start = handoff_to_log(profile, config.r_handoff, p.m)
+    profile = integrate_r(p, se, max(config.r_max, 2.0 * R_HANDOFF), config.tol)
+    start = handoff_to_log(profile, R_HANDOFF, p.m)
     logprofile = integrate_log(p.n, p.m, p.alpha, p.beta, start, config.s_end, config.tol)
-    overlap = _overlap_error(profile, logprofile, p.m, config.r_handoff)
+    overlap = _overlap_error(profile, logprofile, p.m, R_HANDOFF)
     diagnostics = {
         "qss_switch_s": logprofile.qss_switch_s,
         "stiff_switch_s": logprofile.stiff_switch_s,
@@ -586,6 +585,5 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         params=p,
         profile=profile,
         logprofile=logprofile,
-        config=config,
         diagnostics=diagnostics,
     )

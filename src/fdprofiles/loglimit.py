@@ -7,7 +7,7 @@ As m -> 0 the profile equation turns into
 valid for beta > 0 or alpha = 0. The radial solution is produced here by a
 route independent of the main charts: the once-integrated form
 
-    u' = u/(n-1) * ( -beta*r*u + (n*beta - alpha) * I / r^(n-1) ),
+    u' = u*A/(n-1),  A = -beta*r*u + (n*beta - alpha) * I / r^(n-1),
     I' = r^(n-1) * u,
 
 seeded near the origin by u = eta + d2*r^2 with d2 = -alpha*eta^2/(2n(n-1)).
@@ -25,8 +25,8 @@ import numpy as np
 from .decay import estimate_log_decay, log_tail_fit
 from .errors import HypothesisViolation
 from .integrate import (
-    LogProfile, Profile, SolveConfig, chart_tolerances, handoff_to_log, integrate_log, integrate_r,
-    solve_profile,
+    R_HANDOFF, LogProfile, Profile, SolveConfig, chart_tolerances, handoff_to_log, integrate_log,
+    integrate_r, solve_profile,
 )
 from .model import Parameters, check_hypotheses
 from .rk import integrate_2d
@@ -43,13 +43,18 @@ __all__ = [
 
 # Samples of the sup-norm grid on [0, r_max] in limit_convergence.
 _GRID_POINTS = 1001
+# The eternal family m -> 0 that double_limit_check follows.
+_DOUBLE_LIMIT_MS = (0.2, 0.1, 0.05, 0.02)
 
 
 def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: float) -> Profile:
     """Radial solution of the log-diffusion equation on [0, r_max], at the r-chart's tolerances.
 
     Integrates the (u, I) system above; near the origin the I/r^(n-1) factor
-    is started from the seed expansion to avoid the 0/0."""
+    is started from the seed expansion to avoid the 0/0. u'' at each node is
+    the derivative of that right-hand side, u'' = (u'*A + u*A')/(n-1) =
+    u'^2/u + u*A'/(n-1) with A' = -beta*(u + r*u') + (n*beta - alpha)*(u - (n-1)*I/r^n),
+    so the dense output is quintic like the r-chart's."""
     if not (beta > 0.0 or alpha == 0.0):
         raise HypothesisViolation(f"log-diffusion limit needs beta > 0 or alpha = 0; got alpha={alpha}, beta={beta}")
     if not eta > 0.0:
@@ -69,11 +74,13 @@ def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: flo
         return u / n1 * (-beta * r * u + (n * beta - alpha) * acc / r**n1), r**n1 * u
 
     path = integrate_2d(rhs, start, u0, i0, r_max, rtol, atol, positive_y=True)
+    r, u, du, acc = path.t, path.y, path.fy, path.z
+    da = -beta * (u + r * du) + (n * beta - alpha) * (u - n1 * acc / r**n)
     return Profile(
-        r=path.t,
-        v=path.y,
-        dv=path.fy,
-        ddv=None,
+        r=r,
+        v=u,
+        dv=du,
+        ddv=du * du / u + u * da / n1,
         series=se,
         rtol=rtol,
         n_steps=path.n_steps,
@@ -81,21 +88,13 @@ def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: flo
     )
 
 
-def log_chart_of_log_equation(
-    n: int,
-    alpha: float,
-    beta: float,
-    eta: float,
-    s_end: float = 40.0,
-    base: Profile | None = None,
-) -> LogProfile:
+def log_chart_of_log_equation(n: int, alpha: float, beta: float, eta: float) -> LogProfile:
     """Continue the log-diffusion solution in the m = 0 log chart (w = r^2 u).
 
-    Hands off at the main solve's default radius and runs at its tolerances."""
-    r_handoff = SolveConfig.r_handoff
-    prof = base if base is not None else solve_log_equation(n, alpha, beta, eta, 2.0 * r_handoff)
-    start = handoff_to_log(prof, r_handoff, 0.0)
-    return integrate_log(n, 0.0, alpha, beta, start, s_end)
+    Hands off at R_HANDOFF and runs to the main solve's default s_end at its tolerances."""
+    prof = solve_log_equation(n, alpha, beta, eta, 2.0 * R_HANDOFF)
+    start = handoff_to_log(prof, R_HANDOFF, 0.0)
+    return integrate_log(n, 0.0, alpha, beta, start, SolveConfig.s_end)
 
 
 @dataclass(frozen=True)
@@ -176,29 +175,20 @@ class DoubleLimitReport:
     rel_err_log_side: float
 
 
-def double_limit_check(
-    n: int,
-    beta: float,
-    eta: float = 1.0,
-    m_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02),
-    s_end: float = 40.0,
-) -> DoubleLimitReport:
+def double_limit_check(n: int, beta: float, eta: float = 1.0) -> DoubleLimitReport:
     target = 2.0 * (n - 1) * (n - 2) / beta
-    ms = tuple(sorted(m_list, reverse=True))
-    if len(ms) < 2:
-        raise ValueError("need at least two m values to extrapolate the trend to m = 0")
+    ms = _DOUBLE_LIMIT_MS
     measured = []
     for m in ms:
         alpha = 2.0 * beta / (1.0 - m)
         p = Parameters(n, m, alpha, beta, eta)
-        sol = solve_profile(p, SolveConfig(s_end=s_end))
-        measured.append(estimate_log_decay(sol).extrapolated)
+        measured.append(estimate_log_decay(solve_profile(p)).extrapolated)
     m_prev, m_last = ms[-2], ms[-1]
     a_prev, a_last = measured[-2], measured[-1]
     slope = (a_prev - a_last) / (m_prev - m_last)
     a0_extrap = a_last - m_last * slope
 
-    lp = log_chart_of_log_equation(n, 2.0 * beta, beta, eta, s_end=s_end)
+    lp = log_chart_of_log_equation(n, 2.0 * beta, beta, eta)
     _, _, log_side, _ = log_tail_fit(lp)
 
     return DoubleLimitReport(

@@ -26,7 +26,7 @@ from .errors import OutOfRange, RegimeMismatch
 from .integrate import Solution
 from .model import Regime, classify_regime
 
-__all__ = ["SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "pde_residual"]
+__all__ = ["RELATION_TOL", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "pde_residual"]
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,14 @@ class SelfSimilarSolution:
 
 
 # Relative tolerance for matching the exponent relation; looser than
-# REGIME_TOL so that relations typed with few digits still build.
-_RELATION_TOL = 1e-9
+# REGIME_TOL so that relations typed with few digits still build. The CLI's
+# pde-check classifies with it too, so it accepts what this module builds.
+RELATION_TOL = 1e-9
 
 
 def build_selfsimilar(sol: Solution, regime: Regime, T: float | None = None) -> SelfSimilarSolution:
     """Validated constructor: the regime must match the parameters' relation."""
-    actual = classify_regime(sol.params, _RELATION_TOL)
+    actual = classify_regime(sol.params, RELATION_TOL)
     if regime is Regime.GENERIC or actual is not regime:
         raise RegimeMismatch(
             f"parameters classify as {actual.value}; cannot build a {regime.value} self-similar solution"
@@ -164,6 +165,8 @@ def pde_residual(
         raise OutOfRange(
             f"stencil reaches r = {r_need:.4g} which exceeds the covered range {ss.solution.r_cover:.4g}"
         )
+    if not min(radii) > h:
+        raise OutOfRange(f"stencil reaches r = {min(radii) - h:.4g}; every radius must exceed h = {h:.4g}")
 
     eps_scale = 1e-12 * ss.solution.params.eta
     full, chain = _max_residual(ss, radii, times, h, dt, eps_scale)

@@ -46,10 +46,16 @@ class TestSolve:
                    "--override-hypotheses", "--r-max", 120, "--s-end", 1)
         assert code == 3
 
-    def test_invalid_handoff_is_a_hypothesis_exit(self, tmp_path):
+    def test_r_handoff_is_rejected(self, tmp_path):
+        # the charts always meet at r = 1; neither a flag nor a file key moves the seam
+        with pytest.raises(SystemExit) as exc:
+            run("solve", *PARAMS, "--r-handoff", 2)
+        assert exc.value.code == 2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("r-handoff = 2\n")
         report = tmp_path / "err.json"
-        assert run("solve", *PARAMS, "--r-handoff", 0, "--json", report) == 2
-        assert "r_handoff" in json.loads(report.read_text())["error"]["message"]
+        assert run("solve", *PARAMS, "--config", cfgfile, "--json", report) == 2
+        assert "r-handoff" in json.loads(report.read_text())["error"]["message"]
 
     def test_tail_overflow_is_a_numerical_exit(self, tmp_path):
         report = tmp_path / "r.json"
@@ -210,6 +216,16 @@ class TestPdeCheck:
     def test_generic_rejected(self):
         assert run("pde-check", "--n", 3, "--m", 0.2, "--alpha", 0.7, "--beta", 1, "--eta", 1) == 2
 
+    def test_classifies_like_the_library_builds(self, tmp_path):
+        # off the eternal relation by 2.5e-11 relative: beyond REGIME_TOL, within the
+        # tolerance build_selfsimilar accepts
+        js = tmp_path / "pde.json"
+        args = ("--n", 3, "--m", 0.2, "--alpha", "2.500000000125", "--beta", 1, "--eta", 1)
+        assert run("pde-check", *args, "--json", js) == 0
+        pde = json.loads(js.read_text())["pde"]
+        assert pde["regime"] == "eternal"
+        assert pde["max_rel_residual"] < 1e-5
+
 
 class TestSweep:
     def test_summary_rows(self, tmp_path):
@@ -223,6 +239,15 @@ class TestSweep:
         row = lines[1].split(",")
         assert float(row[5]) == pytest.approx(2.0, rel=1e-12)
         assert float(row[6]) == pytest.approx(2.0, rel=0.01)
+
+    def test_non_integer_dimension_rejected(self, tmp_path):
+        js = tmp_path / "err.json"
+        code = run("sweep", "--n-list", 3.7, "--m-list", 0.2, "--beta-list", 1,
+                   "--alpha-list", "eternal", "--eta-list", 1, "--json", js)
+        assert code == 2
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "ValueError"
+        assert "integer" in err["message"]
 
 
 class TestOutdirEnv:

@@ -175,12 +175,12 @@ class TestGuards:
     @pytest.mark.parametrize(
         "field,kwargs",
         [
-            ("r_handoff", {"r_handoff": 0.0}),
+            ("r_max", {"r_max": math.inf}),
             ("r_max", {"r_max": -1.0}),
             ("tol", {"tol": math.nan}),
             ("tol", {"tol": math.inf}),
             ("s_end", {"s_end": 0.0}),
-            ("s_end", {"r_handoff": 2.0, "s_end": 0.5}),
+            ("s_end", {"s_end": math.nan}),
         ],
     )
     def test_solve_config_validated(self, field, kwargs):

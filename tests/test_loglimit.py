@@ -58,9 +58,29 @@ class TestLogEquation:
         with pytest.raises(HypothesisViolation):
             solve_log_equation(3, 1.0, -1.0, 1.0, 10.0)
 
+    def test_dense_output_between_nodes(self):
+        # the (u, I) system from the same seed, integrated far tighter; at the
+        # node midpoints a cubic interpolant without u'' errs by 1.1e-8
+        n, alpha, beta, eta, r_max = 3, 2.0, 1.0, 1.0, 10.0
+        prof = solve_log_equation(n, alpha, beta, eta, r_max)
+        r0, c2 = prof.r_start, prof.series.c2
+        i0 = eta * r0**n / n + c2 * r0 ** (n + 2) / (n + 2)
+
+        def rhs(r, y):
+            u, acc = y
+            return [u / (n - 1) * (-beta * r * u + (n * beta - alpha) * acc / r ** (n - 1)), r ** (n - 1) * u]
+
+        ref = solve_ivp(rhs, (r0, r_max), [prof.v[0], i0], method="DOP853", rtol=1e-13, atol=1e-16,
+                        dense_output=True)
+        assert ref.success
+        mid = 0.5 * (prof.r[1:] + prof.r[:-1])
+        u_ref = ref.sol(mid)[0]
+        u, _ = prof.eval(mid)
+        assert np.max(np.abs(u - u_ref) / u_ref) < 1e-9
+
     def test_log_corrected_tail(self):
         # alpha = 2*beta: r^2 u / log r approaches 2*(n-1)*(n-2)/beta
-        lp = log_chart_of_log_equation(3, 2.0, 1.0, 1.0, s_end=40.0)
+        lp = log_chart_of_log_equation(3, 2.0, 1.0, 1.0)
         sgrid = np.arange(10.0, 40.0 + 1e-9, 5.0)
         limit, _ = tail_limit_fit(sgrid[sgrid >= 20.0], lp.eval_ws(sgrid[sgrid >= 20.0]))
         assert limit == pytest.approx(4.0, rel=0.01)
@@ -79,7 +99,7 @@ class TestCrossSolverAgreement:
     def test_direct_and_chart_paths_agree(self):
         n, alpha, beta, eta = 3, 1.0, 1.0, 1.0
         prof = solve_log_equation(n, alpha, beta, eta, 10.0)
-        lp = log_chart_of_log_equation(n, alpha, beta, eta, s_end=math.log(10.0), base=prof)
+        lp = log_chart_of_log_equation(n, alpha, beta, eta)
         rr = np.geomspace(1.0, 10.0, 41)
         u_direct, _ = prof.eval(rr)
         w_direct = rr * rr * u_direct

@@ -125,6 +125,12 @@ class TestResidual:
         with pytest.raises(OutOfRange):
             pde_residual(ss, radii=(1.0, 1e20), times=(0.0,))
 
+    @pytest.mark.parametrize("radii, lowest", [((0.0, 1.0), "-0.001"), ((0.0005, 1.0), "-0.0005")])
+    def test_stencil_below_origin_rejected(self, eternal_wide, radii, lowest):
+        ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
+        with pytest.raises(OutOfRange, match=f"stencil reaches r = {lowest};"):
+            pde_residual(ss, radii=radii, times=(0.0,))
+
     @pytest.mark.parametrize(
         "regime, T, times",
         [
