@@ -250,14 +250,8 @@ def _cmd_limit(cfg: dict) -> tuple[int, dict]:
         if key not in cfg:
             raise ValueError(f"missing required parameter: {key}")
     report = _base_report(cfg, None)
-    cr = limit_convergence(
-        n=cfg["n"],
-        alpha=cfg["alpha"],
-        beta=cfg["beta"],
-        eta=cfg["eta"],
-        m_list=cfg.get("m_list", (0.2, 0.1, 0.05, 0.02, 0.01)),
-        r_max=cfg.get("r_max", 10.0),
-    )
+    # only what the flags or the file set; limit_convergence owns the defaults
+    cr = limit_convergence(**{k: cfg[k] for k in ("n", "alpha", "beta", "eta", "m_list", "r_max") if k in cfg})
     report["limit"] = _jsonable(cr)
     return _strict_exit(cfg, cr.monotone), report
 
@@ -281,7 +275,7 @@ def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
         ssim, radii=radii, times=cfg.get("times"), h=cfg.get("h", 1e-3), dt=cfg.get("dt")
     )
     report["pde"] = _jsonable(stats)
-    report["pde"]["regime"] = regime.value
+    report["regime"] = report["pde"]["regime"] = regime.value
     return EXIT_OK, report
 
 

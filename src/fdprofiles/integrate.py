@@ -24,7 +24,6 @@ w_s - sigma*w of two large numbers.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -95,6 +94,27 @@ def chart_tolerances(chart: str, tol: float) -> tuple[float, float]:
     return rtol, rtol * 1e-2
 
 
+# Gauss-Legendre rule on [-1, 1]; 8 points are exact to degree 15.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+
+def quad(f, a: float, b, breaks):
+    """Integrals of the vectorized ``f`` from ``a`` to every upper limit in ``b`` (a float for scalar ``b``).
+
+    One Gauss-Legendre rule per piece of [a, max(b)] cut at every upper limit and at every entry
+    of ``breaks`` inside it, summed cumulatively. A repeated cut only adds an empty piece
+    (np.unique would import numpy.ma, ~15 ms on a first call).
+    """
+    ends = np.asarray(b, dtype=float)
+    breaks = np.asarray(breaks, dtype=float)
+    x = np.sort(np.concatenate(([a], breaks[(breaks > a) & (breaks < ends.max())], ends.ravel())))
+    half = 0.5 * np.diff(x)
+    nodes = (x[:-1] + half)[:, None] + half[:, None] * _GL_X
+    cum = np.concatenate(([0.0], np.cumsum(half * (f(nodes.ravel()).reshape(nodes.shape) @ _GL_W))))
+    out = cum[np.searchsorted(x, ends)]
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class Profile:
     """Samples (r, v, v') of an r-chart solution with dense evaluation.
@@ -125,26 +145,29 @@ class Profile:
     def _value_interp(self):
         return QuinticHermite(self.r, self.v, self.dv, self.ddv)
 
-    def eval(self, r):
-        """Dense (v, v') at radii in [0, r_end]."""
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).copy()
+    def _covered(self, r):
+        arr = np.atleast_1d(np.asarray(r, dtype=float)).copy()
         if not np.all((arr >= 0.0) & (arr <= self.r_end * (1.0 + _RANGE_SLACK))):
             raise OutOfRange(f"profile covers [0, {self.r_end:.6g}], requested {r}")
         np.clip(arr, 0.0, self.r_end, out=arr)
-        v = np.empty_like(arr)
-        dv = np.empty_like(arr)
-        inner = arr < self.r_start
+        return arr, arr < self.r_start
+
+    def value(self, r) -> np.ndarray:
+        """Dense v alone at radii in [0, r_end], as an array even for a scalar ``r``."""
+        arr, inner = self._covered(r)
+        v = self._value_interp.value(arr)
+        if inner.any():
+            v[inner] = eval_series(self.series, arr[inner])[0]
+        return v
+
+    def eval(self, r):
+        """Dense (v, v') at radii in [0, r_end]."""
+        arr, inner = self._covered(r)
+        v = self._value_interp.value(arr)
+        dv = self._value_interp.derivative(arr)
         if inner.any():
             v[inner], dv[inner] = eval_series(self.series, arr[inner])
-        outer = ~inner
-        if outer.any():
-            v[outer] = self._value_interp.value(arr[outer])
-            dv[outer] = self._value_interp.derivative(arr[outer])
-        if scalar:
-            return float(v[0]), float(dv[0])
-        return v, dv
+        return (float(v[0]), float(dv[0])) if np.ndim(r) == 0 else (v, dv)
 
 
 @dataclass(frozen=True)
@@ -332,30 +355,23 @@ def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float
     return (math.log(r_h), *_w_q(r_h, v, dv, m))
 
 
-def _g_manifold(w, c_sq, c_g, c_wg, c_w, xp=np):
-    """Root of the g balance c_sq*g^2/w + (c_g + c_wg*w)*g + c_w*w = 0 near -c_w/c_wg.
+def _g_manifold(w, c_sq, c_g, c_wg, c_w):
+    """Root of the g balance c_sq*g^2/w + (c_g + c_wg*w)*g + c_w*w = 0 near -c_w/c_wg, elementwise.
 
-    Uses the cancellation-free quadratic formula; only called where the fast
-    relaxation dominates (|c_wg|*w large), so the discriminant is safely
-    positive. ``w`` is an array, or a float with ``xp=math``: the tail's
-    right-hand side calls this per stage, and numpy's sqrt and copysign on a
-    Python float cost about 1 us more per call than math's, with the same
-    correctly rounded results.
+    The cancellation-free quadratic formula divided through by w, so that no
+    intermediate overflows as w nears the float maximum. Only called where
+    the fast relaxation dominates (|c_wg|*w large), so the discriminant is
+    safely positive.
     """
-    b_q = c_g + c_wg * w
-    if c_sq == 0.0:
-        return -c_w * w / b_q
-    a_q = c_sq / w
-    disc = b_q * b_q - 4.0 * a_q * (c_w * w)
-    qq = -0.5 * (b_q + xp.copysign(xp.sqrt(disc), b_q))
-    return c_w * w / qq
+    b_w = c_g / w + c_wg
+    return -2.0 * c_w / (b_w * (1.0 + np.sqrt(1.0 - 4.0 * c_sq * c_w / b_w / w / b_w / w)))
 
 
 def _g_manifold_slope(w, g, c_sq, c_g, c_wg, c_w):
-    # dg/dw along the manifold, by implicit differentiation of the balance
-    # (elementwise on arrays)
-    f_w = -c_sq * g * g / (w * w) + c_wg * g + c_w
-    f_g = 2.0 * c_sq * g / w + c_g + c_wg * w
+    # dg/dw along the manifold by implicit differentiation of the balance, elementwise
+    gw = g / w  # not g*g/(w*w): w*w overflows once w > 1e154
+    f_w = -c_sq * gw * gw + c_wg * g + c_w
+    f_g = 2.0 * c_sq * gw + c_g + c_wg * w
     return -f_w / f_g
 
 
@@ -364,7 +380,58 @@ def _g_manifold_slope(w, g, c_sq, c_g, c_wg, c_w):
 # ~1e-6 and falls off as 1/w^2.
 _QSS_RATE = 1000.0
 _QSS_MIN_SIGMA = 0.02
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# The tail's nodes are at most _QSS_DLY apart in log w, steps of about
+# _QSS_DLY/sigma in s, where the quintic dense output of w is accurate.
+_QSS_DLY = 0.15
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+
+def _slow_tail(cc: _ChartCoeffs, s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
+    """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
+
+    On the manifold d(log w)/ds = F(log w) = sigma + G(w)/w with G = _g_manifold, so
+    s = s0 + integral of 1/F from ly0, and g, g_s are algebraic in w. A cumulative
+    Gauss-Legendre sweep over nodes _QSS_DLY apart in log w brackets s_end, Newton's
+    method on that piece finds log w there, and a second sweep gives the s of k equal
+    pieces up to it.
+    """
+    sigma = cc.sigma
+    coeffs = cc.c_sq, cc.c_g, cc.c_wg, cc.c_w
+
+    def rate(ly):
+        w = np.exp(ly)
+        return sigma + _g_manifold(w, *coeffs) / w
+
+    def inv_rate(ly):
+        f = rate(ly)
+        if not np.all(f > 0.0):
+            raise ProfileError("log w stops growing on the slow manifold", s0)
+        return 1.0 / f
+
+    # F relaxes monotonically to sigma, so ly_top lies past s_end; every
+    # stored value, up to w_ss ~ sigma^2*w, must stay finite
+    ly_max = _LOG_FLOAT_MAX - 2.0 * math.log(max(1.0, sigma))
+    ly_top = ly0 + (s_end - s0) * max(rate(ly0), sigma) + 2.0 * _QSS_DLY
+    if ly_top > ly_max:
+        raise ProfileError(
+            "w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end",
+            s0 + (ly_max - ly0) / sigma,
+        )
+    ly = ly0 + _QSS_DLY * np.arange(math.ceil((ly_top - ly0) / _QSS_DLY) + 1)
+    s = s0 + quad(inv_rate, ly0, ly, ())
+    k = min(int(np.searchsorted(s, s_end)), ly.size - 1)
+    # Newton for log w at s_end from the piece's end; F' = O(1/w) makes
+    # three steps reach rounding
+    end = ly[k]
+    for _ in range(3):
+        end -= (s[k - 1] + quad(inv_rate, ly[k - 1], end, ()) - s_end) * rate(end)
+    # k equal pieces up to it, none longer than _QSS_DLY and none a sliver
+    ly = np.linspace(ly0, end, k + 1)
+    s = s0 + quad(inv_rate, ly0, ly, ())
+    s[-1] = s_end
+    w = np.exp(ly[1:])
+    g = _g_manifold(w, *coeffs)
+    return s[1:], w, g, _g_manifold_slope(w, g, *coeffs) * (g + sigma * w)
 
 
 def integrate_log(
@@ -392,8 +459,9 @@ def integrate_log(
     When w grows exponentially (sigma > 0, i.e. alpha < 2*beta/(1-m)) the fast
     mode makes the system stiffer without bound, so once its relaxation rate
     passes a threshold the integration continues on the slow manifold: g is
-    slaved algebraically to w and only the scalar equation for log w is
-    stepped. The slaving error enters far below the integration tolerances
+    slaved algebraically to w, and the scalar equation left for log w is
+    autonomous, so ``_slow_tail`` places its nodes by quadrature instead of
+    stepping it. The slaving error enters far below the integration tolerances
     and decays like 1/w^2.
     """
     if not 0.0 <= m < 1.0:
@@ -412,59 +480,26 @@ def integrate_log(
             # relaxation scale before slaving
             w_stop = 2.0 * w0
     path = integrate_2d(rhs, s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=jac)
-    s_arr = path.t
-    w_arr = path.y
-    g_arr = path.z
-    gs_arr = path.fz
-    n_steps = path.n_steps
-    n_rejected = path.n_rejected
-
+    s_arr, w_arr, g_arr, gs_arr = path.t, path.y, path.z, path.fz
     switch_s = None
     if w_stop is not None and s_arr[-1] < s_max * (1.0 - 1e-12) - 1e-12:
         switch_s = float(s_arr[-1])
-        cc = _chart_coeffs(n, m, alpha, beta)
-        c_sq, c_g, c_wg, c_w = cc.c_sq, cc.c_g, cc.c_wg, cc.c_w
-
-        def slow(s, ly, _unused):
-            w_loc = math.exp(ly)
-            return sigma + _g_manifold(w_loc, c_sq, c_g, c_wg, c_w, math) / w_loc, 0.0
-
-        ly0 = math.log(w_arr[-1])
-        try:
-            tail = integrate_2d(slow, switch_s, ly0, 0.0, s_max, rtol, atol, max_step=0.15 / sigma)
-        except OverflowError:
-            # log w grows at rate sigma on the manifold, so it leaves the
-            # float range near the extrapolated s below
-            raise ProfileError(
-                "w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end",
-                switch_s + (_LOG_FLOAT_MAX - ly0) / sigma,
-            ) from None
-        s2 = tail.t[1:]
-        w2 = np.exp(tail.y[1:])
-        g2 = _g_manifold(w2, c_sq, c_g, c_wg, c_w)
-        ws2 = g2 + sigma * w2
-        gs2 = _g_manifold_slope(w2, g2, c_sq, c_g, c_wg, c_w) * ws2
-        s_arr = np.concatenate([s_arr, s2])
-        w_arr = np.concatenate([w_arr, w2])
-        g_arr = np.concatenate([g_arr, g2])
-        gs_arr = np.concatenate([gs_arr, gs2])
-        n_steps += tail.n_steps
-        n_rejected += tail.n_rejected
+        tail = _slow_tail(_chart_coeffs(n, m, alpha, beta), switch_s, math.log(w_arr[-1]), s_max)
+        s_arr, w_arr, g_arr, gs_arr = (np.concatenate(pair) for pair in zip((s_arr, w_arr, g_arr, gs_arr), tail))
 
     ws = g_arr + sigma * w_arr
-    wss = gs_arr + sigma * ws
     return LogProfile(
         s=s_arr,
         w=w_arr,
         ws=ws,
-        wss=wss,
+        wss=gs_arr + sigma * ws,
         g=g_arr,
         gs=gs_arr,
         sigma=sigma,
         m=m,
         rtol=rtol,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
+        n_steps=path.n_steps + s_arr.size - path.t.size,  # a tail node counts as a step
+        n_rejected=path.n_rejected,
         qss_switch_s=switch_s,
         stiff_switch_s=path.t_stiff,
     )
@@ -490,54 +525,40 @@ class Solution:
         """Largest radius served by dense evaluation."""
         return max(self.profile.r_end, math.exp(self.logprofile.s_end))
 
-    def _split(self, r):
+    def _by_chart(self, r, on_r, on_log, rows):
+        """``rows`` outputs: ``on_r(radii)`` where the r-chart reaches, ``on_log(log r, radii)`` beyond."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all((arr >= 0.0) & (arr <= self.r_cover * (1.0 + _RANGE_SLACK))):
             raise OutOfRange(f"solution covers [0, {self.r_cover:.6g}], requested {r}")
         in_r = arr <= self.profile.r_end
-        return arr, in_r
+        rest = ~in_r
+        out = np.empty((rows, *arr.shape))
+        if in_r.any():
+            out[:, in_r] = on_r(arr[in_r])
+        if rest.any():
+            out[:, rest] = on_log(np.log(arr[rest]), arr[rest])
+        out = out[:, 0].tolist() if np.ndim(r) == 0 else list(out)
+        return out[0] if rows == 1 else tuple(out)
 
     def v(self, r):
         """Profile value v(r) across both charts."""
-        arr, in_r = self._split(r)
-        out = np.empty_like(arr)
-        if in_r.any():
-            out[in_r] = self.profile.eval(arr[in_r])[0]
-        rest = ~in_r
-        if rest.any():
-            out[rest] = self.logprofile.eval_v(np.log(arr[rest]))
-        return float(out[0]) if np.asarray(r).ndim == 0 else out
+        return self._by_chart(r, self.profile.value, lambda s, _: self.logprofile.eval_v(s), 1)
 
     def dv(self, r):
         """Radial derivative v'(r) across both charts."""
-        arr, in_r = self._split(r)
-        out = np.empty_like(arr)
-        if in_r.any():
-            out[in_r] = self.profile.eval(arr[in_r])[1]
-        rest = ~in_r
-        if rest.any():
-            s = np.log(arr[rest])
-            one_m = 1.0 - self.params.m
-            pw = self.logprofile.eval_ws(s) / self.logprofile.eval_w(s)
-            out[rest] = self.logprofile.eval_v(s) * (pw - 2.0) / (one_m * arr[rest])
-        return float(out[0]) if np.asarray(r).ndim == 0 else out
+        lp = self.logprofile
+
+        def on_log(s, rr):
+            return lp.eval_v(s) * (lp.eval_ws(s) / lp.eval_w(s) - 2.0) / ((1.0 - self.params.m) * rr)
+
+        return self._by_chart(r, lambda rr: self.profile.eval(rr)[1], on_log, 1)
 
     def w_q(self, r):
         """(w, q) = (r^2 v^(1-m), r w_r) at radius r, from whichever chart covers it."""
-        arr, in_r = self._split(r)
-        w = np.empty_like(arr)
-        q = np.empty_like(arr)
-        if in_r.any():
-            rr = arr[in_r]
-            w[in_r], q[in_r] = _w_q(rr, *self.profile.eval(rr), self.params.m)
-        rest = ~in_r
-        if rest.any():
-            s = np.log(arr[rest])
-            w[rest] = self.logprofile.eval_w(s)
-            q[rest] = self.logprofile.eval_ws(s)
-        if np.asarray(r).ndim == 0:
-            return float(w[0]), float(q[0])
-        return w, q
+        lp = self.logprofile
+        return self._by_chart(
+            r, lambda rr: _w_q(rr, *self.profile.eval(rr), self.params.m), lambda s, _: (lp.eval_w(s), lp.eval_ws(s)), 2
+        )
 
 
 def _overlap_error(profile: Profile, logprofile: LogProfile, m: float, r_h: float) -> float:

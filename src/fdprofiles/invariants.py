@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import Solution
+from .integrate import Solution, quad
 from .model import check_hypotheses, derived
 
 __all__ = [
@@ -279,23 +279,9 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
 
 
 # Radii at which both integral identities are checked (those within reach).
+# ``quad``'s 8-point rule is exact to degree 15, so on each r-chart piece
+# (quintic Hermite in r) the flux integrand is integrated exactly for n <= 11.
 _IDENTITY_RADII = np.array([0.5, 1.0, 5.0, 20.0])
-# Gauss-Legendre rule on [-1, 1]; 8 points are exact to degree 15, so on each
-# r-chart piece (quintic Hermite in r) the flux integrand is integrated
-# exactly for n <= 11.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-
-def quad(f, a: float, b: float, breaks) -> float:
-    """Integral of the vectorized ``f`` over [a, b], one Gauss-Legendre rule per piece.
-
-    The pieces are [a, b] cut at every entry of ``breaks`` strictly inside it.
-    """
-    breaks = np.asarray(breaks, dtype=float)
-    x = np.concatenate(([a], breaks[(breaks > a) & (breaks < b)], [b]))
-    half = 0.5 * np.diff(x)
-    nodes = (x[:-1] + half)[:, None] + half[:, None] * _GL_X
-    return float(half @ (f(nodes.ravel()).reshape(nodes.shape) @ _GL_W))
 
 
 def _breaks(sol: Solution) -> np.ndarray:
@@ -304,14 +290,14 @@ def _breaks(sol: Solution) -> np.ndarray:
     return np.concatenate(([0.0], sol.profile.r, rlog[rlog > sol.profile.r_end]))
 
 
-def _flux_integral(sol: Solution, r: float) -> float:
-    """Integral of rho^(n-1) * v(rho) over [0, r]."""
+def _flux_integral(sol: Solution, r):
+    """Integral of rho^(n-1) * v(rho) over [0, r], for every radius in ``r`` at once."""
     n = sol.params.n
     return quad(lambda rho: rho ** (n - 1) * sol.v(rho), 0.0, r, _breaks(sol))
 
 
-def _q_integral(sol: Solution, r: float) -> float:
-    """Integral of rho^(b0-1) * w^(m/(1-m)) * (a0 - q) over [0, r].
+def _q_integral(sol: Solution, r):
+    """Integral of rho^(b0-1) * w^(m/(1-m)) * (a0 - q) over [0, r], for every radius in ``r`` at once.
 
     The integrand is rho^edge times the smooth factor v^m * (a0 - q), with
     edge = b0 - 1 + 2m/(1-m) = p1 - 1 and p1 = (n-2-nm)/(1-m) > 0. On the
@@ -330,13 +316,16 @@ def _q_integral(sol: Solution, r: float) -> float:
         w, q = sol.w_q(rho)
         return (w / (rho * rho)) ** mexp * (dc.a0 - q)
 
-    h = min(r, sol.profile.r_start)
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    r_start = sol.profile.r_start
+    h = np.minimum(radii, r_start)
     s0 = p.eta**p.m * dc.a0
-    series_piece = s0 * h**p1 / p1 + (smooth_part(h) - s0) * h**p1 / (p1 + 2.0)
-    if r <= h:
-        return series_piece
-    rest = quad(lambda u: smooth_part(u ** (1.0 / p1)), h**p1, r**p1, _breaks(sol) ** p1)
-    return series_piece + rest / p1
+    out = s0 * h**p1 / p1 + (smooth_part(h) - s0) * h**p1 / (p1 + 2.0)
+    beyond = radii > r_start
+    if beyond.any():
+        u_ends = radii[beyond] ** p1
+        out[beyond] += quad(lambda u: smooth_part(u ** (1.0 / p1)), r_start**p1, u_ends, _breaks(sol) ** p1) / p1
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
@@ -355,8 +344,7 @@ def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantRepo
     v = sol.v(radii)
     lhs = (n - 1) * v ** (p.m - 1.0) * sol.dv(radii)
     term1 = -p.beta * radii * v
-    integrals = np.array([_flux_integral(sol, r) for r in radii])
-    term2 = (n * p.beta - p.alpha) / radii ** (n - 1) * integrals
+    term2 = (n * p.beta - p.alpha) / radii ** (n - 1) * _flux_integral(sol, radii)
     mismatches = np.abs(lhs - term1 - term2) / (np.abs(lhs) + np.abs(term1) + np.abs(term2) + 1e-300)
 
     entry = _from_margins(
@@ -396,7 +384,7 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
         return r**dc.b0 * q * w**wexp
 
     lhs = lhs_at(radii)
-    rhs = p.beta / (p.n - 1) * np.array([_q_integral(sol, r) for r in radii])
+    rhs = p.beta / (p.n - 1) * _q_integral(sol, radii)
     mismatches = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)
 
     entries = [

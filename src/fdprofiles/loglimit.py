@@ -137,13 +137,13 @@ def limit_convergence(
 
     u_prof = solve_log_equation(n, alpha, beta, eta, r_max)
     grid = np.linspace(0.0, r_max, _GRID_POINTS)
-    u_vals, _ = u_prof.eval(grid)
+    u_vals = u_prof.value(grid)
 
     sups = []
     for m in ms:
         p = Parameters(n, m, alpha, beta, eta)
         prof = integrate_r(p, seed_within(n, m, alpha, beta, eta, SolveConfig.tol), r_max)
-        v_vals, _ = prof.eval(grid)
+        v_vals = prof.value(grid)
         sups.append(float(np.max(np.abs(v_vals - u_vals))))
 
     monotone = all(sups[i + 1] <= 1.05 * sups[i] for i in range(len(sups) - 1))

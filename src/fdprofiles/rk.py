@@ -216,7 +216,6 @@ def integrate_2d(
     rtol: float,
     atol: float,
     *,
-    max_step: float = math.inf,
     positive_y: bool = False,
     stop_when_y_above: float | None = None,
     jac: JAC | None = None,
@@ -257,7 +256,7 @@ def integrate_2d(
     fys = [fy]
     fzs = [fz]
 
-    h = min(_initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol), max_step, span)
+    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol)
 
     t, y, z = t0, y0, z0
     err_prev = 1e-4
@@ -343,7 +342,6 @@ def integrate_2d(
             if just_rejected:
                 factor = min(1.0, factor)
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            h = min(h, max_step)
             err_prev = max(err, 1e-4)
             just_rejected = False
         else:
@@ -354,7 +352,7 @@ def integrate_2d(
     if t_stiff is not None:
         more = _radau(
             f, jac, (t, y, z, fy, fz), h, t_end, rtol, atol, (ts, ys, zs, fys, fzs),
-            max_step=max_step, budget=_MAX_STEPS - n_steps - n_rejected, positive_y=positive_y,
+            budget=_MAX_STEPS - n_steps - n_rejected, positive_y=positive_y,
             y_vanished=y_vanished, span=span, stop_when_y_above=stop_when_y_above,
         )
         n_steps += more[0]
@@ -375,7 +373,7 @@ def integrate_2d(
 
 
 def _radau(
-    f, jac, node, h, t_end, rtol, atol, nodes, *, max_step, budget, positive_y, y_vanished, span,
+    f, jac, node, h, t_end, rtol, atol, nodes, *, budget, positive_y, y_vanished, span,
     stop_when_y_above,
 ) -> tuple[int, int, int]:
     """Continue integrate_2d from the accepted ``node`` with Radau IIA.
@@ -397,7 +395,6 @@ def _radau(
     while t < t_end:
         if n_steps + n_rejected >= budget:
             raise StepUnderflow("step budget exhausted", t)
-        h = min(h, max_step)
         final = h >= (t_end - t) * (1.0 - 1e-12)
         if final:
             h = t_end - t

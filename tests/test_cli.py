@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fdprofiles.cli import main
+from fdprofiles.loglimit import limit_convergence
 
 
 def run(*args):
@@ -204,6 +205,15 @@ class TestLimit:
         assert lim["monotone"] is True
         assert len(lim["sup_errors"]) == 3
 
+    def test_defaults_come_from_the_library(self, tmp_path):
+        js = tmp_path / "limit.json"
+        assert run("limit", "--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1, "--json", js) == 0
+        lim = json.loads(js.read_text())["limit"]
+        cr = limit_convergence(3, 1.0, 1.0, 1.0)
+        assert lim["m_values"] == list(cr.m_values)
+        assert lim["sup_errors"] == list(cr.sup_errors)
+        assert lim["r_max"] == cr.r_max
+
 
 class TestPdeCheck:
     def test_eternal_report(self, tmp_path):
@@ -225,6 +235,13 @@ class TestPdeCheck:
         pde = json.loads(js.read_text())["pde"]
         assert pde["regime"] == "eternal"
         assert pde["max_rel_residual"] < 1e-5
+
+    def test_report_names_one_regime(self, tmp_path):
+        js = tmp_path / "pde.json"
+        args = ("--n", 3, "--m", 0.2, "--alpha", "2.500000000125", "--beta", 1, "--eta", 1)
+        assert run("pde-check", *args, "--json", js) == 0
+        data = json.loads(js.read_text())
+        assert data["regime"] == data["pde"]["regime"] == "eternal"
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,10 +255,54 @@ class TestStiffTail:
         assert eternal_n3.logprofile.qss_switch_s is None
 
     def test_overflow_is_a_located_profile_error(self):
-        # w grows like e^(1.2 s) and leaves the float range near s = 591
-        with pytest.raises(ProfileError) as exc:
+        # w grows like e^(1.2 s) and leaves the float range near s = 591;
+        # the tail sees that before it evaluates anything out of range
+        with warnings.catch_warnings(), pytest.raises(ProfileError) as exc:
+            warnings.simplefilter("error")
             solve_profile(P(1.0), SolveConfig(s_end=2000.0))
         assert 500.0 < exc.value.location < 700.0
+
+    @pytest.mark.parametrize("alpha", [1.25, -1.0])
+    def test_node_s_is_the_quadrature_of_the_manifold_rate(self, solved, alpha):
+        # on the manifold d(log w)/ds = F(log w) = sigma + G(w)/w, so every
+        # tail node sits at s = s* + integral of 1/F from the switch
+        from scipy.integrate import quad as adaptive_quad
+
+        from fdprofiles.integrate import _chart_coeffs, _g_manifold
+
+        lp = solved(3, 0.2, alpha, 1.0).logprofile
+        cc = _chart_coeffs(3, 0.2, alpha, 1.0)
+        coeffs = (cc.c_sq, cc.c_g, cc.c_wg, cc.c_w)
+
+        def inv_rate(ly):
+            w = math.exp(ly)
+            return 1.0 / (cc.sigma + _g_manifold(w, *coeffs) / w)
+
+        i0 = int(np.searchsorted(lp.s, lp.qss_switch_s))
+        ly = np.log(lp.w[i0:])
+        pieces = [adaptive_quad(inv_rate, a, b, epsabs=1e-14, epsrel=1e-14)[0] for a, b in zip(ly[:-1], ly[1:])]
+        ref = lp.qss_switch_s + np.cumsum(pieces)
+        assert np.max(np.abs(lp.s[i0 + 1 :] - ref)) <= 1e-12
+        assert np.max(np.diff(ly)) <= 0.15 + 1e-12
+
+    def test_nodes_increase_and_end_exactly_at_s_end(self, solved):
+        for alpha in (1.25, 0.5, -1.0):
+            lp = solved(3, 0.2, alpha, 1.0).logprofile
+            assert np.all(np.diff(lp.s) > 0.0)
+            assert lp.s[-1] == 40.0
+        # a tail shorter than one node spacing still ends exactly at s_end
+        lp = solve_profile(P(1.25), SolveConfig(s_end=6.8)).logprofile
+        assert lp.qss_switch_s is not None and lp.s[-2] == lp.qss_switch_s
+        assert lp.s[-1] == 6.8
+
+    def test_stalled_manifold_is_a_profile_error(self):
+        # a manifold rate F <= 0 would never reach s_end
+        from fdprofiles.integrate import _chart_coeffs, _slow_tail
+
+        cc = _chart_coeffs(3, 0.2, 1.25, 1.0)._replace(c_w=-1e6)
+        with pytest.raises(ProfileError, match="stops growing") as exc:
+            _slow_tail(cc, 5.0, math.log(5000.0), 40.0)
+        assert exc.value.location == 5.0
 
     def test_manifold_arrays_match_per_node_loop(self, solved):
         # the vectorized tail values are the scalar formula node by node
@@ -268,7 +313,7 @@ class TestStiffTail:
         coeffs = (cc.c_sq, cc.c_g, cc.c_wg, cc.c_w)
         tail = lp.s > lp.qss_switch_s
         w2 = lp.w[tail]
-        g2 = np.array([_g_manifold(wv, *coeffs, math) for wv in w2])
+        g2 = np.array([_g_manifold(wv, *coeffs) for wv in w2])
         slope2 = np.array([_g_manifold_slope(wv, gv, *coeffs) for wv, gv in zip(w2, g2)])
         assert np.array_equal(lp.g[tail], g2)
         assert np.array_equal(lp.gs[tail], slope2 * (g2 + lp.sigma * w2))

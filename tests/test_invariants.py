@@ -17,7 +17,7 @@ from fdprofiles import (
     run_all_checks,
     solve_profile,
 )
-from fdprofiles import invariants
+from fdprofiles import integrate, invariants
 
 
 class TestPointwise:
@@ -235,9 +235,34 @@ class TestGaussLegendre:
 
         eight = integrals()
         x16, w16 = np.polynomial.legendre.leggauss(16)
-        monkeypatch.setattr(invariants, "_GL_X", x16)
-        monkeypatch.setattr(invariants, "_GL_W", w16)
+        monkeypatch.setattr(integrate, "_GL_X", x16)
+        monkeypatch.setattr(integrate, "_GL_W", w16)
         np.testing.assert_allclose(eight, integrals(), rtol=1e-13, atol=0.0)
+
+    def test_one_sweep_matches_a_rule_per_radius(self, grid, monkeypatch):
+        # both identities read every radius off one cumulative sweep; the
+        # reference integrates [a, r] afresh for each radius r
+        def per_radius(f, a, b, breaks):
+            out = []
+            for r in np.atleast_1d(b):
+                x = np.concatenate(([a], breaks[(breaks > a) & (breaks < r)], [r]))
+                half = 0.5 * np.diff(x)
+                nodes = (x[:-1] + half)[:, None] + half[:, None] * integrate._GL_X
+                out.append(half @ (f(nodes.ravel()).reshape(nodes.shape) @ integrate._GL_W))
+            return np.array(out)
+
+        def integrals():
+            out = []
+            for sol, radii, eternal in grid:
+                out.append(invariants._flux_integral(sol, radii))
+                if eternal:
+                    out.append(invariants._q_integral(sol, radii))
+            return out
+
+        swept = integrals()
+        monkeypatch.setattr(invariants, "quad", per_radius)
+        for got, ref in zip(swept, integrals()):
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     def test_grid_has_a_non_integer_substitution_power(self, grid):
         # n = 5, m = 3/7: u = rho^p1 with p1 = (n-2-nm)/(1-m) = 1.5

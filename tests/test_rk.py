@@ -49,11 +49,6 @@ def test_agrees_with_scipy_on_nonlinear_system():
     assert path.z[-1] == pytest.approx(ref.y[1][-1], abs=1e-8)
 
 
-def test_max_step_respected():
-    path = integrate_2d(lambda t, y, z: (0.0, 0.0), 0.0, 1.0, 0.0, 1.0, 1e-8, 1e-10, max_step=0.01)
-    assert np.max(np.diff(path.t)) <= 0.01 + 1e-12
-
-
 def test_positivity_loss_located():
     with pytest.raises(PositivityLoss) as exc:
         integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True)
@@ -103,7 +98,7 @@ def _radau_alone(f, jac, t0, y0, z0, t_end, rtol):
     fy0, fz0 = f(t0, y0, z0)
     nodes = ([t0], [y0], [z0], [fy0], [fz0])
     steps, _, _ = rk._radau(
-        f, jac, (t0, y0, z0, fy0, fz0), 1e-3, t_end, rtol, rtol, nodes, max_step=math.inf,
+        f, jac, (t0, y0, z0, fy0, fz0), 1e-3, t_end, rtol, rtol, nodes,
         budget=100_000, positive_y=False, y_vanished=0.0, span=t_end - t0, stop_when_y_above=None,
     )
     return steps, nodes[1][-1]
