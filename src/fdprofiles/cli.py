@@ -28,7 +28,7 @@ from .integrate import SolveConfig, solve_profile
 from .invariants import run_all_checks
 from .loglimit import limit_convergence
 from .model import Parameters, Regime, check_hypotheses, classify_regime, derived
-from .selfsim import RELATION_TOL, build_selfsimilar, pde_residual
+from .selfsim import PDE_RADII, RELATION_TOL, build_selfsimilar, pde_residual
 
 __all__ = ["main"]
 
@@ -264,16 +264,14 @@ def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
         raise RegimeMismatch(
             "parameters do not satisfy any of the three self-similar exponent relations"
         )
-    radii = cfg.get("radii", (0.5, 1.0, 2.0, 5.0))
     solve_cfg = _solve_config_from(cfg)
     if "r_max" not in cfg:
         # generous default coverage for the rescaled stencil arguments
-        solve_cfg = dataclasses.replace(solve_cfg, r_max=4.0 * max(radii))
+        solve_cfg = dataclasses.replace(solve_cfg, r_max=4.0 * max(cfg.get("radii", PDE_RADII)))
     sol = solve_profile(p, solve_cfg)
     ssim = build_selfsimilar(sol, regime, T=cfg.get("T"))
-    stats = pde_residual(
-        ssim, radii=radii, times=cfg.get("times"), h=cfg.get("h", 1e-3), dt=cfg.get("dt")
-    )
+    # only what the flags or the file set; pde_residual owns the defaults
+    stats = pde_residual(ssim, **{k: cfg[k] for k in ("radii", "times", "h", "dt") if k in cfg})
     report["pde"] = _jsonable(stats)
     report["regime"] = report["pde"]["regime"] = regime.value
     return EXIT_OK, report

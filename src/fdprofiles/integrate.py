@@ -367,12 +367,15 @@ def _g_manifold(w, c_sq, c_g, c_wg, c_w):
     return -2.0 * c_w / (b_w * (1.0 + np.sqrt(1.0 - 4.0 * c_sq * c_w / b_w / w / b_w / w)))
 
 
-def _g_manifold_slope(w, g, c_sq, c_g, c_wg, c_w):
-    # dg/dw along the manifold by implicit differentiation of the balance, elementwise
+def _g_manifold_slope(w, g, c_sq, c_g, c_wg):
+    # dg/dw = -f_w/f_g along the manifold by implicit differentiation of the
+    # balance f = 0, elementwise. f_w = -c_sq*(g/w)^2 + c_wg*g + c_w cancels
+    # to rounding noise at large w, where g ~ -c_w/c_wg; the balance itself
+    # gives c_wg*g + c_w = -c_sq*(g/w)^2 - c_g*(g/w), so f_w = -(g/w)*p with
+    # p = 2*c_sq*(g/w) + c_g, and f_g = p + c_wg*w.
     gw = g / w  # not g*g/(w*w): w*w overflows once w > 1e154
-    f_w = -c_sq * gw * gw + c_wg * g + c_w
-    f_g = 2.0 * c_sq * gw + c_g + c_wg * w
-    return -f_w / f_g
+    p = 2.0 * c_sq * gw + c_g
+    return gw * p / (p + c_wg * w)
 
 
 # Slave g to the manifold once the fast relaxation rate beta*w/(n-1) exceeds
@@ -431,7 +434,7 @@ def _slow_tail(cc: _ChartCoeffs, s0: float, ly0: float, s_end: float) -> tuple[n
     s[-1] = s_end
     w = np.exp(ly[1:])
     g = _g_manifold(w, *coeffs)
-    return s[1:], w, g, _g_manifold_slope(w, g, *coeffs) * (g + sigma * w)
+    return s[1:], w, g, _g_manifold_slope(w, g, cc.c_sq, cc.c_g, cc.c_wg) * (g + sigma * w)
 
 
 def integrate_log(

@@ -6,19 +6,22 @@ work on plain Python floats: at this state size the interpreter overhead of
 array arithmetic dominates the flops, and a float core is roughly an order of
 magnitude faster than wrapping a general-purpose array solver.
 
-Integration starts with Dormand-Prince 5(4) with FSAL and a PI step-size
-controller. A caller that supplies the Jacobian of the right-hand side lets
-the same call hand over, once and for good, to the 3-stage Radau IIA method
-(order 5, L-stable, stiffly accurate; Hairer & Wanner, Solving ODEs II,
-Sec. IV.8) when the problem turns stiff: when h*rho(J), the accepted DP5 step
-times the spectral radius of the 2x2 Jacobian, stays above _STIFF_H_RHO for
-_STIFF_RUN accepted steps in a row. The explicit pair is then paying for
-stability, not accuracy (its real-axis stability bound is h*lambda ~ 3.3),
-and the implicit method takes steps set by the tolerance alone. Its
-simplified Newton iteration costs one real and one complex 2x2 solve per
-iteration and starts from the previous step's collocation polynomial; the
-error estimate is Hairer & Wanner's. Without a Jacobian the call never
-switches.
+One step loop drives two step kinds. Integration starts with Dormand-Prince
+5(4) steps with FSAL and a PI step-size controller. A caller that supplies
+the Jacobian of the right-hand side lets the loop switch, once and for good,
+to steps of the 3-stage Radau IIA method (order 5, L-stable, stiffly
+accurate; Hairer & Wanner, Solving ODEs II, Sec. IV.8) when the problem
+turns stiff: when h*rho(J), the accepted DP5 step times the spectral radius
+of the 2x2 Jacobian, stays above _STIFF_H_RHO for _STIFF_RUN accepted steps
+in a row. The explicit pair is then paying for stability, not accuracy (its
+real-axis stability bound is h*lambda ~ 3.3), and the implicit method takes
+steps set by the tolerance alone. Its simplified Newton iteration costs one
+real and one complex 2x2 solve per iteration and starts from the previous
+step's collocation polynomial; the error estimate is Hairer & Wanner's, with
+a predictive (Gustafsson) step-size controller. Without a Jacobian the call
+never switches. The step budget, the final-step clamp, the step-collapse and
+positivity guards, the node store and the early stop are the loop's own;
+only the attempt and the step-size update depend on the step kind.
 
 Accepted nodes retain both state components and their derivatives, which is
 enough for quintic Hermite dense output whenever the second component is the
@@ -186,21 +189,13 @@ def _step_collapse(t, positive_y, y, y_vanished) -> ProfileError:
     return StepUnderflow("step size underflow", t)
 
 
-def _cubic_eval(theta, h, y0, d0, y1, d1):
-    # value of the cubic Hermite on one step at fraction theta
-    a = y1 - y0 - h * d0
-    b = h * (d1 - d0)
-    c3 = b - 2.0 * a
-    c2 = 3.0 * a - b
-    return y0 + h * d0 * theta + theta * theta * (c2 + theta * c3)
-
-
 def _bracket_crossing(t, h, y0, d0, y1, d1, floor) -> float:
-    """Bisect the step's Hermite interpolant for the first floor crossing."""
+    """Bisect the step's cubic Hermite interpolant for the first floor crossing."""
+    piece = CubicHermite(np.array([0.0, h]), np.array([y0, y1]), np.array([d0, d1]))
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _cubic_eval(mid, h, y0, d0, y1, d1) - floor > 0.0:
+        if piece._value(0, mid) - floor > 0.0:
             lo = mid
         else:
             hi = mid
@@ -259,13 +254,21 @@ def integrate_2d(
     h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol)
 
     t, y, z = t0, y0, z0
-    err_prev = 1e-4
-    just_rejected = False
     n_steps = 0
     n_rejected = 0
     nfev = 2
+    # the last attempt was rejected for its error (or, in DP5, a non-finite stage)
+    rejected = False
+    # DP5 controller memory and stiffness run
+    err_prev = 1e-4
     stiff_run = 0
+    # Radau IIA state: the iteration matrix's Jacobian (None while DP5 steps),
+    # the last accepted step's (t, h, y, z, Q of y, Q of z) and controller memory
+    J = None
     t_stiff = None
+    poly = None
+    h_old = err_old = None
+    newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol**0.5))
 
     while t < t_end:
         if n_steps + n_rejected >= _MAX_STEPS:
@@ -275,89 +278,192 @@ def integrate_2d(
             h = t_end - t
         if h < 1e-14 * max(abs(t), 1e-6 * span):
             raise _step_collapse(t, positive_y, y, y_vanished)
-
-        k1y, k1z = fy, fz
-        k2y, k2z = f(t + _C2 * h, y + h * (_A21 * k1y), z + h * (_A21 * k1z))
-        k3y, k3z = f(t + _C3 * h, y + h * (_A31 * k1y + _A32 * k2y), z + h * (_A31 * k1z + _A32 * k2z))
-        k4y, k4z = f(
-            t + _C4 * h,
-            y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
-            z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z),
-        )
-        k5y, k5z = f(
-            t + _C5 * h,
-            y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-            z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z),
-        )
-        k6y, k6z = f(
-            t + h,
-            y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
-            z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
-        )
-        nfev += 5
-        y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-        z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
         t_new = t_end if final else t + h
 
-        ok = math.isfinite(y_new) and math.isfinite(z_new)
-        if ok:
-            k7y, k7z = f(t_new, y_new, z_new)
-            nfev += 1
-            err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-            err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+        if J is None:
+            k1y, k1z = fy, fz
+            k2y, k2z = f(t + _C2 * h, y + h * (_A21 * k1y), z + h * (_A21 * k1z))
+            k3y, k3z = f(t + _C3 * h, y + h * (_A31 * k1y + _A32 * k2y), z + h * (_A31 * k1z + _A32 * k2z))
+            k4y, k4z = f(
+                t + _C4 * h,
+                y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
+                z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z),
+            )
+            k5y, k5z = f(
+                t + _C5 * h,
+                y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+                z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z),
+            )
+            k6y, k6z = f(
+                t + h,
+                y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
+                z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
+            )
+            nfev += 5
+            y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+            z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+            # a non-finite stage makes err non-finite, and err = inf cuts h by _MIN_FACTOR
+            if math.isfinite(y_new) and math.isfinite(z_new):
+                fy_new, fz_new = f(t_new, y_new, z_new)
+                nfev += 1
+                err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * fy_new)
+                err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * fz_new)
+                scy = atol + rtol * max(abs(y), abs(y_new))
+                scz = atol + rtol * max(abs(z), abs(z_new))
+                err = math.sqrt(0.5 * ((err_y / scy) ** 2 + (err_z / scz) ** 2))
+            else:
+                err = math.inf
+        else:
+            # Newton start: the last step's collocation polynomial at this step's nodes.
+            if poly is None:
+                zy0 = zy1 = zy2 = zz0 = zz1 = zz2 = 0.0
+            else:
+                tp, hp, yp, zp, (qy0, qy1, qy2), (qz0, qz1, qz2) = poly
+                x0 = (t + _RC1 * h - tp) / hp
+                x1 = (t + _RC2 * h - tp) / hp
+                x2 = (t + h - tp) / hp
+                zy0 = yp + x0 * (qy0 + x0 * (qy1 + x0 * qy2)) - y
+                zy1 = yp + x1 * (qy0 + x1 * (qy1 + x1 * qy2)) - y
+                zy2 = yp + x2 * (qy0 + x2 * (qy1 + x2 * qy2)) - y
+                zz0 = zp + x0 * (qz0 + x0 * (qz1 + x0 * qz2)) - z
+                zz1 = zp + x1 * (qz0 + x1 * (qz1 + x1 * qz2)) - z
+                zz2 = zp + x2 * (qz0 + x2 * (qz1 + x2 * qz2)) - z
+            wy0 = _TI00 * zy0 + _TI01 * zy1 + _TI02 * zy2
+            wy1 = _TI10 * zy0 + _TI11 * zy1 + _TI12 * zy2
+            wy2 = _TI20 * zy0 + _TI21 * zy1 + _TI22 * zy2
+            wz0 = _TI00 * zz0 + _TI01 * zz1 + _TI02 * zz2
+            wz1 = _TI10 * zz0 + _TI11 * zz1 + _TI12 * zz2
+            wz2 = _TI20 * zz0 + _TI21 * zz1 + _TI22 * zz2
+
+            # Simplified Newton on the collocation system, in the eigenbasis of
+            # the Radau matrix: one real and one complex 2x2 solve per iteration.
+            mu_r = _MU_REAL / h
+            mu_c = _MU_COMPLEX / h
+            ry = 1.0 / (atol + rtol * abs(y))
+            rz = 1.0 / (atol + rtol * abs(z))
+            converged = False
+            norm_old = rate = None
+            n_iter = 0
+            while n_iter < _NEWTON_MAXITER:
+                n_iter += 1
+                f0y, f0z = f(t + _RC1 * h, y + zy0, z + zz0)
+                f1y, f1z = f(t + _RC2 * h, y + zy1, z + zz1)
+                f2y, f2z = f(t_new, y + zy2, z + zz2)
+                nfev += 3
+                dy0, dz0 = _shifted_solve(
+                    mu_r, J,
+                    _TI00 * f0y + _TI01 * f1y + _TI02 * f2y - mu_r * wy0,
+                    _TI00 * f0z + _TI01 * f1z + _TI02 * f2z - mu_r * wz0,
+                )
+                dyc, dzc = _shifted_solve(
+                    mu_c, J,
+                    _TIC0 * f0y + _TIC1 * f1y + _TIC2 * f2y - mu_c * complex(wy1, wy2),
+                    _TIC0 * f0z + _TIC1 * f1z + _TIC2 * f2z - mu_c * complex(wz1, wz2),
+                )
+                norm = math.hypot(dy0 * ry, dyc.real * ry, dyc.imag * ry, dz0 * rz, dzc.real * rz, dzc.imag * rz) / _S6
+                if not math.isfinite(norm):  # a stage left the domain of f
+                    break
+                if norm_old is not None:
+                    rate = norm / norm_old
+                    if rate >= 1.0 or rate ** (_NEWTON_MAXITER - n_iter + 1) / (1.0 - rate) * norm > newton_tol:
+                        break
+                wy0 += dy0
+                wy1 += dyc.real
+                wy2 += dyc.imag
+                wz0 += dz0
+                wz1 += dzc.real
+                wz2 += dzc.imag
+                zy0 = _T00 * wy0 + _T01 * wy1 + _T02 * wy2
+                zy1 = _T10 * wy0 + _T11 * wy1 + _T12 * wy2
+                zy2 = wy0 + wy1
+                zz0 = _T00 * wz0 + _T01 * wz1 + _T02 * wz2
+                zz1 = _T10 * wz0 + _T11 * wz1 + _T12 * wz2
+                zz2 = wz0 + wz1
+                if norm == 0.0 or (rate is not None and rate / (1.0 - rate) * norm < newton_tol):
+                    converged = True
+                    break
+                norm_old = norm
+
+            if converged:
+                y_new = y + zy2
+                z_new = z + zz2
+                fy_new, fz_new = f(t_new, y_new, z_new)
+                nfev += 1
+                converged = math.isfinite(fy_new) and math.isfinite(fz_new)
+            if not converged:
+                n_rejected += 1
+                h *= 0.5
+                continue
+
+            # Hairer-Wanner error estimate, smoothed by (mu_r*I - J)^-1; after a
+            # rejection it is filtered once more through the stiff component.
+            ey = (_RE1 * zy0 + _RE2 * zy1 + _RE3 * zy2) / h
+            ez = (_RE1 * zz0 + _RE2 * zz1 + _RE3 * zz2) / h
+            err_y, err_z = _shifted_solve(mu_r, J, fy + ey, fz + ez)
             scy = atol + rtol * max(abs(y), abs(y_new))
             scz = atol + rtol * max(abs(z), abs(z_new))
-            err = math.sqrt(0.5 * ((err_y / scy) ** 2 + (err_z / scz) ** 2))
-            if not math.isfinite(err) or not (math.isfinite(k7y) and math.isfinite(k7z)):
-                ok = False
-        if not ok:
+            err = math.hypot(err_y / scy, err_z / scz) / _SQRT2
+            if rejected and err > 1.0:
+                gy, gz = f(t, y + err_y, z + err_z)
+                nfev += 1
+                err_y, err_z = _shifted_solve(mu_r, J, gy + ey, gz + ez)
+                err = math.hypot(err_y / scy, err_z / scz) / _SQRT2
+            safety = _SAFETY * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+
+        if not math.isfinite(err):
+            err = math.inf
+        if err > 1.0:
             n_rejected += 1
-            just_rejected = True
-            h *= _MIN_FACTOR
+            rejected = True
+            if J is None:
+                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-0.2))
+            else:
+                h *= max(_MIN_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
             continue
 
-        if err <= 1.0:
-            if positive_y and y_new <= POSITIVITY_FLOOR:
-                raise PositivityLoss(
-                    "profile crossed the positivity floor",
-                    _bracket_crossing(t, h, y, k1y, y_new, k7y, POSITIVITY_FLOOR),
-                )
-            t, y, z = t_new, y_new, z_new
-            fy, fz = k7y, k7z
-            ts.append(t)
-            ys.append(y)
-            zs.append(z)
-            fys.append(fy)
-            fzs.append(fz)
-            n_steps += 1
-            if stop_when_y_above is not None and y >= stop_when_y_above:
-                break
-            if jac is not None and not final:
-                stiff_run = stiff_run + 1 if h * _spectral_radius(*jac(t, y, z)) > _STIFF_H_RHO else 0
-                if stiff_run >= _STIFF_RUN:
-                    t_stiff = t
-                    break
+        if positive_y and y_new <= POSITIVITY_FLOOR:
+            raise PositivityLoss(
+                "profile crossed the positivity floor",
+                _bracket_crossing(t, h, y, fy, y_new, fy_new, POSITIVITY_FLOOR),
+            )
+        t, y, z, fy, fz = t_new, y_new, z_new, fy_new, fz_new
+        ts.append(t)
+        ys.append(y)
+        zs.append(z)
+        fys.append(fy)
+        fzs.append(fz)
+        n_steps += 1
+        if stop_when_y_above is not None and y >= stop_when_y_above:
+            break
 
+        if J is None:
+            if jac is not None and not final:
+                jac_t = jac(t, y, z)
+                stiff_run = stiff_run + 1 if h * _spectral_radius(*jac_t) > _STIFF_H_RHO else 0
+                if stiff_run >= _STIFF_RUN:
+                    # hand over with the current h and the Jacobian just evaluated
+                    J, t_stiff, rejected = jac_t, t, False
+                    continue
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-_PI_EXP) * err_prev**_PI_MEM
-            if just_rejected:
+            if rejected:
                 factor = min(1.0, factor)
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = max(err, 1e-4)
-            just_rejected = False
         else:
-            n_rejected += 1
-            just_rejected = True
-            h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-0.2))
-
-    if t_stiff is not None:
-        more = _radau(
-            f, jac, (t, y, z, fy, fz), h, t_end, rtol, atol, (ts, ys, zs, fys, fzs),
-            budget=_MAX_STEPS - n_steps - n_rejected, positive_y=positive_y,
-            y_vanished=y_vanished, span=span, stop_when_y_above=stop_when_y_above,
-        )
-        n_steps += more[0]
-        n_rejected += more[1]
-        nfev += more[2]
+            poly = (
+                ts[-2], h, ys[-2], zs[-2],
+                (zy0 * _P[0][0] + zy1 * _P[1][0] + zy2 * _P[2][0],
+                 zy0 * _P[0][1] + zy1 * _P[1][1] + zy2 * _P[2][1],
+                 zy0 * _P[0][2] + zy1 * _P[1][2] + zy2 * _P[2][2]),
+                (zz0 * _P[0][0] + zz1 * _P[1][0] + zz2 * _P[2][0],
+                 zz0 * _P[0][1] + zz1 * _P[1][1] + zz2 * _P[2][1],
+                 zz0 * _P[0][2] + zz1 * _P[1][2] + zz2 * _P[2][2]),
+            )
+            factor = min(_MAX_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
+            h_old, err_old = h, err
+            J = jac(t, y, z)
+            h *= factor
+        rejected = False
 
     return RawPath(
         t=np.asarray(ts),
@@ -372,172 +478,38 @@ def integrate_2d(
     )
 
 
-def _radau(
-    f, jac, node, h, t_end, rtol, atol, nodes, *, budget, positive_y, y_vanished, span,
-    stop_when_y_above,
-) -> tuple[int, int, int]:
-    """Continue integrate_2d from the accepted ``node`` with Radau IIA.
+class _PiecewiseHermite:
+    """Two-point Hermite pieces on strictly increasing nodes.
 
-    Appends every accepted node to the lists in ``nodes`` and returns
-    (accepted steps, rejected attempts, RHS evaluations). The Jacobian is
-    evaluated once per accepted node, which for a 2x2 system costs less than
-    one RHS evaluation, so the iteration matrix is always current.
+    Subclasses define ``_value(i, theta)`` and ``_derivative(i, theta)`` on
+    piece i at fraction theta; ``value`` and ``derivative`` look the pieces up
+    and return a float for a scalar query and an array otherwise.
     """
-    ts, ys, zs, fys, fzs = nodes
-    t, y, z, fy, fz = node
-    newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol**0.5))
-    n_steps = n_rejected = nfev = 0
-    J = jac(t, y, z)
-    poly = None  # (t, h, y, z, Q of y, Q of z) of the last accepted step
-    h_old = err_old = None
-    rejected = False
 
-    while t < t_end:
-        if n_steps + n_rejected >= budget:
-            raise StepUnderflow("step budget exhausted", t)
-        final = h >= (t_end - t) * (1.0 - 1e-12)
-        if final:
-            h = t_end - t
-        if h < 1e-14 * max(abs(t), 1e-6 * span):
-            raise _step_collapse(t, positive_y, y, y_vanished)
-        t_new = t_end if final else t + h
+    def __init__(self, x, y, dy):
+        self.x = np.asarray(x, dtype=float)
+        if self.x.ndim != 1 or self.x.size < 2 or np.any(np.diff(self.x) <= 0):
+            raise ValueError("nodes must be a strictly increasing 1-d array")
+        self.y = np.asarray(y, dtype=float)
+        self.dy = np.asarray(dy, dtype=float)
+        self._h = np.diff(self.x)
 
-        # Newton start: the last step's collocation polynomial at this step's nodes.
-        if poly is None:
-            zy0 = zy1 = zy2 = zz0 = zz1 = zz2 = 0.0
-        else:
-            tp, hp, yp, zp, (qy0, qy1, qy2), (qz0, qz1, qz2) = poly
-            x0 = (t + _RC1 * h - tp) / hp
-            x1 = (t + _RC2 * h - tp) / hp
-            x2 = (t + h - tp) / hp
-            zy0 = yp + x0 * (qy0 + x0 * (qy1 + x0 * qy2)) - y
-            zy1 = yp + x1 * (qy0 + x1 * (qy1 + x1 * qy2)) - y
-            zy2 = yp + x2 * (qy0 + x2 * (qy1 + x2 * qy2)) - y
-            zz0 = zp + x0 * (qz0 + x0 * (qz1 + x0 * qz2)) - z
-            zz1 = zp + x1 * (qz0 + x1 * (qz1 + x1 * qz2)) - z
-            zz2 = zp + x2 * (qz0 + x2 * (qz1 + x2 * qz2)) - z
-        wy0 = _TI00 * zy0 + _TI01 * zy1 + _TI02 * zy2
-        wy1 = _TI10 * zy0 + _TI11 * zy1 + _TI12 * zy2
-        wy2 = _TI20 * zy0 + _TI21 * zy1 + _TI22 * zy2
-        wz0 = _TI00 * zz0 + _TI01 * zz1 + _TI02 * zz2
-        wz1 = _TI10 * zz0 + _TI11 * zz1 + _TI12 * zz2
-        wz2 = _TI20 * zz0 + _TI21 * zz1 + _TI22 * zz2
+    def _at(self, piece, xq):
+        xq = np.asarray(xq, dtype=float)
+        scalar = xq.ndim == 0
+        xq = np.atleast_1d(xq)
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
+        out = piece(i, (xq - self.x[i]) / self._h[i])
+        return float(out[0]) if scalar else out
 
-        # Simplified Newton on the collocation system, in the eigenbasis of
-        # the Radau matrix: one real and one complex 2x2 solve per iteration.
-        mu_r = _MU_REAL / h
-        mu_c = _MU_COMPLEX / h
-        ry = 1.0 / (atol + rtol * abs(y))
-        rz = 1.0 / (atol + rtol * abs(z))
-        converged = False
-        norm_old = rate = None
-        n_iter = 0
-        while n_iter < _NEWTON_MAXITER:
-            n_iter += 1
-            f0y, f0z = f(t + _RC1 * h, y + zy0, z + zz0)
-            f1y, f1z = f(t + _RC2 * h, y + zy1, z + zz1)
-            f2y, f2z = f(t_new, y + zy2, z + zz2)
-            nfev += 3
-            dy0, dz0 = _shifted_solve(
-                mu_r, J,
-                _TI00 * f0y + _TI01 * f1y + _TI02 * f2y - mu_r * wy0,
-                _TI00 * f0z + _TI01 * f1z + _TI02 * f2z - mu_r * wz0,
-            )
-            dyc, dzc = _shifted_solve(
-                mu_c, J,
-                _TIC0 * f0y + _TIC1 * f1y + _TIC2 * f2y - mu_c * complex(wy1, wy2),
-                _TIC0 * f0z + _TIC1 * f1z + _TIC2 * f2z - mu_c * complex(wz1, wz2),
-            )
-            norm = math.hypot(dy0 * ry, dyc.real * ry, dyc.imag * ry, dz0 * rz, dzc.real * rz, dzc.imag * rz) / _S6
-            if not math.isfinite(norm):  # a stage left the domain of f
-                break
-            if norm_old is not None:
-                rate = norm / norm_old
-                if rate >= 1.0 or rate ** (_NEWTON_MAXITER - n_iter + 1) / (1.0 - rate) * norm > newton_tol:
-                    break
-            wy0 += dy0
-            wy1 += dyc.real
-            wy2 += dyc.imag
-            wz0 += dz0
-            wz1 += dzc.real
-            wz2 += dzc.imag
-            zy0 = _T00 * wy0 + _T01 * wy1 + _T02 * wy2
-            zy1 = _T10 * wy0 + _T11 * wy1 + _T12 * wy2
-            zy2 = wy0 + wy1
-            zz0 = _T00 * wz0 + _T01 * wz1 + _T02 * wz2
-            zz1 = _T10 * wz0 + _T11 * wz1 + _T12 * wz2
-            zz2 = wz0 + wz1
-            if norm == 0.0 or (rate is not None and rate / (1.0 - rate) * norm < newton_tol):
-                converged = True
-                break
-            norm_old = norm
+    def value(self, xq):
+        return self._at(self._value, xq)
 
-        if converged:
-            y_new = y + zy2
-            z_new = z + zz2
-            fy_new, fz_new = f(t_new, y_new, z_new)
-            nfev += 1
-            converged = math.isfinite(fy_new) and math.isfinite(fz_new)
-        if not converged:
-            n_rejected += 1
-            h *= 0.5
-            continue
-
-        # Hairer-Wanner error estimate, smoothed by (mu_r*I - J)^-1; after a
-        # rejection it is filtered once more through the stiff component.
-        ey = (_RE1 * zy0 + _RE2 * zy1 + _RE3 * zy2) / h
-        ez = (_RE1 * zz0 + _RE2 * zz1 + _RE3 * zz2) / h
-        err_y, err_z = _shifted_solve(mu_r, J, fy + ey, fz + ez)
-        scy = atol + rtol * max(abs(y), abs(y_new))
-        scz = atol + rtol * max(abs(z), abs(z_new))
-        err = math.hypot(err_y / scy, err_z / scz) / _SQRT2
-        if rejected and err > 1.0:
-            gy, gz = f(t, y + err_y, z + err_z)
-            nfev += 1
-            err_y, err_z = _shifted_solve(mu_r, J, gy + ey, gz + ez)
-            err = math.hypot(err_y / scy, err_z / scz) / _SQRT2
-        if not math.isfinite(err):
-            err = math.inf
-        safety = _SAFETY * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-        if err > 1.0:
-            n_rejected += 1
-            rejected = True
-            h *= max(_MIN_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
-            continue
-
-        if positive_y and y_new <= POSITIVITY_FLOOR:
-            raise PositivityLoss(
-                "profile crossed the positivity floor",
-                _bracket_crossing(t, h, y, fy, y_new, fy_new, POSITIVITY_FLOOR),
-            )
-        poly = (
-            t, h, y, z,
-            (zy0 * _P[0][0] + zy1 * _P[1][0] + zy2 * _P[2][0],
-             zy0 * _P[0][1] + zy1 * _P[1][1] + zy2 * _P[2][1],
-             zy0 * _P[0][2] + zy1 * _P[1][2] + zy2 * _P[2][2]),
-            (zz0 * _P[0][0] + zz1 * _P[1][0] + zz2 * _P[2][0],
-             zz0 * _P[0][1] + zz1 * _P[1][1] + zz2 * _P[2][1],
-             zz0 * _P[0][2] + zz1 * _P[1][2] + zz2 * _P[2][2]),
-        )
-        t, y, z, fy, fz = t_new, y_new, z_new, fy_new, fz_new
-        ts.append(t)
-        ys.append(y)
-        zs.append(z)
-        fys.append(fy)
-        fzs.append(fz)
-        n_steps += 1
-        if stop_when_y_above is not None and y >= stop_when_y_above:
-            break
-        factor = min(_MAX_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
-        h_old, err_old = h, err
-        rejected = False
-        J = jac(t, y, z)
-        h *= factor
-
-    return n_steps, n_rejected, nfev
+    def derivative(self, xq):
+        return self._at(self._derivative, xq)
 
 
-class QuinticHermite:
+class QuinticHermite(_PiecewiseHermite):
     """Piecewise two-point quintic Hermite interpolant.
 
     Built from (value, first derivative, second derivative) at strictly
@@ -547,90 +519,50 @@ class QuinticHermite:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray, ddy: np.ndarray):
-        self.x = np.asarray(x, dtype=float)
-        if self.x.ndim != 1 or self.x.size < 2 or np.any(np.diff(self.x) <= 0):
-            raise ValueError("nodes must be a strictly increasing 1-d array")
-        self.y = np.asarray(y, dtype=float)
-        self.dy = np.asarray(dy, dtype=float)
+        super().__init__(x, y, dy)
         self.ddy = np.asarray(ddy, dtype=float)
-        h = np.diff(self.x)
+        h = self._h
         y0, y1 = self.y[:-1], self.y[1:]
         d0, d1 = self.dy[:-1], self.dy[1:]
         s0, s1 = self.ddy[:-1], self.ddy[1:]
         a = y1 - y0 - h * d0 - 0.5 * h * h * s0
         b = h * (d1 - d0) - h * h * s0
         c = h * h * (s1 - s0)
-        self._h = h
         self._c5 = 0.5 * c - 3.0 * b + 6.0 * a
         self._c4 = 7.0 * b - 15.0 * a - c
         self._c3 = 10.0 * a - 4.0 * b + 0.5 * c
 
-    def _pieces(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
-        theta = (xq - self.x[idx]) / self._h[idx]
-        return idx, theta
-
-    def value(self, xq):
-        xq = np.asarray(xq, dtype=float)
-        scalar = xq.ndim == 0
-        xq = np.atleast_1d(xq)
-        i, th = self._pieces(xq)
+    def _value(self, i, th):
         h = self._h[i]
-        out = (
+        return (
             self.y[i]
             + h * self.dy[i] * th
             + 0.5 * h * h * self.ddy[i] * th * th
             + th**3 * (self._c3[i] + th * (self._c4[i] + th * self._c5[i]))
         )
-        return float(out[0]) if scalar else out
 
-    def derivative(self, xq):
-        xq = np.asarray(xq, dtype=float)
-        scalar = xq.ndim == 0
-        xq = np.atleast_1d(xq)
-        i, th = self._pieces(xq)
+    def _derivative(self, i, th):
         h = self._h[i]
-        out = (
+        return (
             self.dy[i]
             + h * self.ddy[i] * th
             + th * th * (3.0 * self._c3[i] + th * (4.0 * self._c4[i] + th * 5.0 * self._c5[i])) / h
         )
-        return float(out[0]) if scalar else out
 
 
-class CubicHermite:
+class CubicHermite(_PiecewiseHermite):
     """Piecewise cubic Hermite interpolant from (value, derivative) nodes."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray):
-        self.x = np.asarray(x, dtype=float)
-        if self.x.ndim != 1 or self.x.size < 2 or np.any(np.diff(self.x) <= 0):
-            raise ValueError("nodes must be a strictly increasing 1-d array")
-        self.y = np.asarray(y, dtype=float)
-        self.dy = np.asarray(dy, dtype=float)
-        h = np.diff(self.x)
+        super().__init__(x, y, dy)
+        h = self._h
         a = self.y[1:] - self.y[:-1] - h * self.dy[:-1]
         b = h * (self.dy[1:] - self.dy[:-1])
-        self._h = h
         self._c3 = b - 2.0 * a
         self._c2 = 3.0 * a - b
 
-    def _pieces(self, xq):
-        idx = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
-        theta = (xq - self.x[idx]) / self._h[idx]
-        return idx, theta
+    def _value(self, i, th):
+        return self.y[i] + self._h[i] * self.dy[i] * th + th * th * (self._c2[i] + th * self._c3[i])
 
-    def value(self, xq):
-        xq = np.asarray(xq, dtype=float)
-        scalar = xq.ndim == 0
-        xq = np.atleast_1d(xq)
-        i, th = self._pieces(xq)
-        out = self.y[i] + self._h[i] * self.dy[i] * th + th * th * (self._c2[i] + th * self._c3[i])
-        return float(out[0]) if scalar else out
-
-    def derivative(self, xq):
-        xq = np.asarray(xq, dtype=float)
-        scalar = xq.ndim == 0
-        xq = np.atleast_1d(xq)
-        i, th = self._pieces(xq)
-        out = self.dy[i] + th * (2.0 * self._c2[i] + 3.0 * th * self._c3[i]) / self._h[i]
-        return float(out[0]) if scalar else out
+    def _derivative(self, i, th):
+        return self.dy[i] + th * (2.0 * self._c2[i] + 3.0 * th * self._c3[i]) / self._h[i]

@@ -26,7 +26,7 @@ from .errors import OutOfRange, RegimeMismatch
 from .integrate import Solution
 from .model import Regime, classify_regime
 
-__all__ = ["RELATION_TOL", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "pde_residual"]
+__all__ = ["PDE_RADII", "RELATION_TOL", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "pde_residual"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,11 @@ def build_selfsimilar(sol: Solution, regime: Regime, T: float | None = None) -> 
     )
 
 
+# Radii of the default residual stencil; callers that must cover the stencil
+# with a solve (the CLI's r_max) read them from here.
+PDE_RADII = (0.5, 1.0, 2.0, 5.0)
+
+
 @dataclass(frozen=True)
 class ResidualStats:
     """Finite-difference residual summary over the (r, t) grid."""
@@ -136,7 +141,7 @@ def _max_residual(ss: SelfSimilarSolution, radii, times, h, dt, eps_scale):
 
 def pde_residual(
     ss: SelfSimilarSolution,
-    radii=(0.5, 1.0, 2.0, 5.0),
+    radii=PDE_RADII,
     times=None,
     h: float = 1e-3,
     dt: float | None = None,

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from fdprofiles import Parameters, Regime, SolveConfig, build_selfsimilar, pde_residual, solve_profile
 from fdprofiles.cli import main
 from fdprofiles.loglimit import limit_convergence
+from fdprofiles.selfsim import PDE_RADII
 
 
 def run(*args):
@@ -242,6 +244,16 @@ class TestPdeCheck:
         assert run("pde-check", *args, "--json", js) == 0
         data = json.loads(js.read_text())
         assert data["regime"] == data["pde"]["regime"] == "eternal"
+
+
+    def test_defaults_come_from_the_library(self, tmp_path):
+        js = tmp_path / "pde.json"
+        assert run("pde-check", *PARAMS, "--json", js) == 0
+        pde = json.loads(js.read_text())["pde"]
+        sol = solve_profile(Parameters(3, 0.2, 2.5, 1.0, 1.0), SolveConfig(r_max=4.0 * max(PDE_RADII)))
+        stats = pde_residual(build_selfsimilar(sol, Regime.ETERNAL))
+        assert (pde["h"], pde["dt"], pde["n_points"]) == (stats.h, stats.dt, stats.n_points)
+        assert pde["max_rel_residual"] == stats.max_rel_residual
 
 
 class TestSweep:

@@ -314,9 +314,33 @@ class TestStiffTail:
         tail = lp.s > lp.qss_switch_s
         w2 = lp.w[tail]
         g2 = np.array([_g_manifold(wv, *coeffs) for wv in w2])
-        slope2 = np.array([_g_manifold_slope(wv, gv, *coeffs) for wv, gv in zip(w2, g2)])
+        slope2 = np.array([_g_manifold_slope(wv, gv, cc.c_sq, cc.c_g, cc.c_wg) for wv, gv in zip(w2, g2)])
         assert np.array_equal(lp.g[tail], g2)
         assert np.array_equal(lp.gs[tail], slope2 * (g2 + lp.sigma * w2))
+
+    @pytest.mark.parametrize("n,m,alpha", [(5, 0.3, 0.5), (3, 0.2, 1.25), (3, 0.2, -1.0), (3, 0.2, -5.0)])
+    def test_manifold_slope_against_decimal_reference(self, solved, n, m, alpha):
+        # The reference roots the balance and differentiates it in its plain
+        # form, f_w = -c_sq*g^2/w^2 + c_wg*g + c_w, with 400 decimal digits:
+        # enough to absorb the ~2*log10(w) digits that form cancels.
+        from decimal import Decimal, localcontext
+
+        from fdprofiles.integrate import _chart_coeffs, _g_manifold, _g_manifold_slope
+
+        lp = solved(n, m, alpha, 1.0).logprofile
+        cc = _chart_coeffs(n, m, alpha, 1.0)
+        w = lp.w[lp.s > lp.qss_switch_s]
+        assert w.size > 10 and w.max() < 1e150
+        slope = _g_manifold_slope(w, _g_manifold(w, cc.c_sq, cc.c_g, cc.c_wg, cc.c_w), cc.c_sq, cc.c_g, cc.c_wg)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            c_sq, c_g, c_wg, c_w = (Decimal(c) for c in (cc.c_sq, cc.c_g, cc.c_wg, cc.c_w))
+            for wf, got in zip(w, slope):
+                wd = Decimal(wf)
+                b = c_g + c_wg * wd
+                g = -2 * c_w * wd / (b + (b * b - 4 * c_sq * c_w).sqrt().copy_sign(b))
+                ref = -(-c_sq * g * g / (wd * wd) + c_wg * g + c_w) / (2 * c_sq * g / wd + c_g + c_wg * wd)
+                assert abs(Decimal(float(got)) - ref) <= Decimal(2e-15) * abs(ref)
 
 
 class TestStiffSwitch:

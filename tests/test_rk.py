@@ -93,18 +93,16 @@ def test_nfev_counts_every_rhs_call():
     assert path.t_stiff is None
 
 
-def _radau_alone(f, jac, t0, y0, z0, t_end, rtol):
-    """Radau IIA from t0 to t_end without the DP5 lead-in; returns (steps, final y)."""
-    fy0, fz0 = f(t0, y0, z0)
-    nodes = ([t0], [y0], [z0], [fy0], [fz0])
-    steps, _, _ = rk._radau(
-        f, jac, (t0, y0, z0, fy0, fz0), 1e-3, t_end, rtol, rtol, nodes,
-        budget=100_000, positive_y=False, y_vanished=0.0, span=t_end - t0, stop_when_y_above=None,
-    )
-    return steps, nodes[1][-1]
+def _radau_alone(monkeypatch, f, jac, t0, y0, z0, t_end, rtol):
+    """Radau IIA from the first accepted node to t_end; returns (steps, final y)."""
+    monkeypatch.setattr(rk, "_STIFF_RUN", 1)
+    monkeypatch.setattr(rk, "_STIFF_H_RHO", -1.0)
+    path = integrate_2d(f, t0, y0, z0, t_end, rtol, rtol, jac=jac)
+    assert path.t_stiff == path.t[1]
+    return path.n_steps, path.y[-1]
 
 
-def test_radau_converges_with_order_five():
+def test_radau_converges_with_order_five(monkeypatch):
     # y = 1/(1+t) solves y'' = 2y^3 with y(0) = 1, y'(0) = -1
     def f(t, y, z):
         return z, 2.0 * y**3
@@ -114,7 +112,7 @@ def test_radau_converges_with_order_five():
 
     steps, errs = [], []
     for rtol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-        n, y_end = _radau_alone(f, jac, 0.0, 1.0, -1.0, 3.0, rtol)
+        n, y_end = _radau_alone(monkeypatch, f, jac, 0.0, 1.0, -1.0, 3.0, rtol)
         steps.append(n)
         errs.append(abs(y_end - 0.25))
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
@@ -180,6 +178,17 @@ def test_radau_honours_early_stop_and_positivity():
     with pytest.raises(PositivityLoss) as exc:
         integrate_2d(f, 0.0, 1.0, 1.0, 10.0, 1e-9, 1e-12, positive_y=True, jac=jac)
     assert exc.value.location == pytest.approx(math.pi, abs=1e-2)
+
+
+def test_step_budget_is_shared_by_both_step_kinds(monkeypatch):
+    f, jac = _prothero_robinson(-1e4)
+    full = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
+    dp5_steps = int(np.searchsorted(full.t, full.t_stiff))
+    for budget, in_radau in ((dp5_steps - 2, False), (full.n_steps + full.n_rejected - 5, True)):
+        monkeypatch.setattr(rk, "_MAX_STEPS", budget)
+        with pytest.raises(StepUnderflow, match=f"step budget of {budget} exhausted") as exc:
+            integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
+        assert (exc.value.location > full.t_stiff) is in_radau
 
 
 @pytest.mark.parametrize("a,b,c,d", [(-3.0, 1.0, 0.5, -2.0), (0.0, 1.0, -4.0, 0.0), (1.0, 2.0, 3.0, 4.0)])
