@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decay import estimate_log_decay, estimate_power_decay, expected_log_constant
+from .decay import estimate_log_decay, estimate_power_decay
 from .errors import HypothesisViolation, ProfileError, RegimeMismatch
 from .integrate import SolveConfig, solve_profile
 from .invariants import run_all_checks
@@ -167,13 +167,6 @@ def _base_report(cfg: dict, p: Parameters | None) -> dict:
     return report
 
 
-def _invariants_section(rep) -> dict:
-    return {
-        "overall": rep.overall,
-        "entries": [_jsonable(e) for e in rep.entries],
-    }
-
-
 def _decay_section(est) -> dict:
     out = {
         "kind": est.kind.value,
@@ -228,7 +221,7 @@ def _cmd_solve(cfg: dict) -> tuple[int, dict]:
 def _cmd_verify(cfg: dict) -> tuple[int, dict]:
     _, sol, report = _solved(cfg)
     rep = run_all_checks(sol)
-    report["invariants"] = _invariants_section(rep)
+    report["invariants"] = _jsonable(rep)
     return _strict_exit(cfg, rep.overall), report
 
 
@@ -318,8 +311,8 @@ def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
         a0_expected = math.nan
         a0_measured = math.nan
         if hyp.log_decay_ok and hyp.strict_m:
-            a0_expected = expected_log_constant(p)
-            a0_measured = estimate_log_decay(sol).extrapolated
+            est = estimate_log_decay(sol)
+            a0_expected, a0_measured = est.expected, est.extrapolated
         row = (*dataclasses.astuple(p), a0_expected, a0_measured, n_pass, n_app)
         summary.append(dict(zip(_SWEEP_COLUMNS, row)))
     out = _resolve_path(cfg.get("out"))

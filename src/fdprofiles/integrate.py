@@ -243,10 +243,9 @@ class LogProfile:
         return (self._w_interp.value(sq) * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
 
 
-def _r_rhs(p: Parameters):
-    n1 = float(p.n - 1)
-    one_m = 1.0 - p.m
-    alpha, beta = p.alpha, p.beta
+def _r_rhs(n: int, m: float, alpha: float, beta: float):
+    n1 = float(n - 1)
+    one_m = 1.0 - m
 
     def rhs(r, v, dv):
         if v <= 0.0 or not math.isfinite(v):
@@ -320,15 +319,22 @@ def _log_jac(n: int, m: float, alpha: float, beta: float):
     return jac
 
 
-def integrate_r(p: Parameters, se: SeriesExpansion, r_max: float, tol: float = SolveConfig.tol) -> Profile:
-    """Integrate the r-chart from the series handoff out to r_max."""
+def integrate_r(
+    n: int, m: float, alpha: float, beta: float, eta: float, r_max: float, tol: float = SolveConfig.tol
+) -> Profile:
+    """Integrate the r-chart from the origin seed (``seed_within`` at ``tol``) out to r_max.
+
+    Takes plain scalars rather than Parameters so that m = 0 is accepted: the
+    chart then solves the log-diffusion equation of the singular limit."""
+    if not (0.0 <= m < 1.0 and eta > 0.0):
+        raise ValueError(f"r-chart requires 0 <= m < 1 and eta > 0, got m = {m}, eta = {eta}")
+    se = seed_within(n, m, alpha, beta, eta, tol)
     start = se.r_start
     if r_max <= start:
         raise ValueError(f"r_max = {r_max} must exceed the series handoff {start}")
     v0, dv0 = eval_series(se, start)
-    rhs = _r_rhs(p)
     rtol, atol = chart_tolerances("r", tol)
-    path = integrate_2d(rhs, start, v0, dv0, r_max, rtol, atol, positive_y=True)
+    path = integrate_2d(_r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True)
     return Profile(
         r=path.t,
         v=path.y,
@@ -451,8 +457,8 @@ def integrate_log(
     ``tol`` is the r-chart relative tolerance; the log chart's own pair comes
     from ``chart_tolerances``.
 
-    Takes plain scalars rather than Parameters so that m = 0 is accepted: the
-    same chart serves the log-diffusion equation in the singular limit.
+    Takes plain scalars so that m = 0 is accepted: the chart then continues
+    the log-diffusion solution that ``integrate_r`` gives at m = 0.
 
     The fast mode g relaxes at a rate that grows like beta*w/(n-1), so the
     chart turns stiff as w grows. Its analytic Jacobian goes to integrate_2d,
@@ -588,9 +594,7 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
             f"got alpha = {p.alpha}, beta = {p.beta}"
         )
 
-    # the seed truncation must clear the local error budget of the r-chart
-    se = seed_within(p.n, p.m, p.alpha, p.beta, p.eta, config.tol)
-    profile = integrate_r(p, se, max(config.r_max, 2.0 * R_HANDOFF), config.tol)
+    profile = integrate_r(p.n, p.m, p.alpha, p.beta, p.eta, max(config.r_max, 2.0 * R_HANDOFF), config.tol)
     start = handoff_to_log(profile, R_HANDOFF, p.m)
     logprofile = integrate_log(p.n, p.m, p.alpha, p.beta, start, config.s_end, config.tol)
     overlap = _overlap_error(profile, logprofile, p.m, R_HANDOFF)
@@ -602,8 +606,8 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         "s_steps": logprofile.n_steps,
         "s_rejected": logprofile.n_rejected,
         "overlap_error": overlap,
-        "series_r_switch": se.r_start,
-        "series_truncation": se.truncation_estimate,
+        "series_r_switch": profile.series.r_start,
+        "series_truncation": profile.series.truncation_estimate,
     }
     return Solution(
         params=p,

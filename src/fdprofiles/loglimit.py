@@ -4,20 +4,15 @@ As m -> 0 the profile equation turns into
 
     (n-1) * Delta log u + alpha*u + beta*x.grad(u) = 0,  u(0) = eta,
 
-valid for beta > 0 or alpha = 0. The radial solution is produced here by a
-route independent of the main charts: the once-integrated form
-
-    u' = u*A/(n-1),  A = -beta*r*u + (n*beta - alpha) * I / r^(n-1),
-    I' = r^(n-1) * u,
-
-seeded near the origin by u = eta + d2*r^2 with d2 = -alpha*eta^2/(2n(n-1)).
-The same solution can be followed at large radii by the log chart with m = 0;
-both routes must agree, which the tests exercise.
+valid for beta > 0 or alpha = 0. Its radial form is the r-chart's equation
+at m = 0, so u comes from the same ``integrate_r`` (origin seed included)
+that produces every v^(m), and the log chart with m = 0 continues it to large
+radii. An independent route, the once-integrated (u, I) system with
+I' = r^(n-1)*u under scipy, is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +20,9 @@ import numpy as np
 from .decay import estimate_log_decay, log_tail_fit
 from .errors import HypothesisViolation
 from .integrate import (
-    R_HANDOFF, LogProfile, Profile, SolveConfig, chart_tolerances, handoff_to_log, integrate_log,
-    integrate_r, solve_profile,
+    R_HANDOFF, LogProfile, Profile, SolveConfig, handoff_to_log, integrate_log, integrate_r, solve_profile,
 )
 from .model import Parameters, check_hypotheses
-from .rk import integrate_2d
-from .series import seed_within
 
 __all__ = [
     "ConvergenceReport",
@@ -48,44 +40,14 @@ _DOUBLE_LIMIT_MS = (0.2, 0.1, 0.05, 0.02)
 
 
 def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: float) -> Profile:
-    """Radial solution of the log-diffusion equation on [0, r_max], at the r-chart's tolerances.
-
-    Integrates the (u, I) system above; near the origin the I/r^(n-1) factor
-    is started from the seed expansion to avoid the 0/0. u'' at each node is
-    the derivative of that right-hand side, u'' = (u'*A + u*A')/(n-1) =
-    u'^2/u + u*A'/(n-1) with A' = -beta*(u + r*u') + (n*beta - alpha)*(u - (n-1)*I/r^n),
-    so the dense output is quintic like the r-chart's."""
+    """Radial solution of the log-diffusion equation on [0, r_max]: the r-chart at m = 0, default tolerance."""
     if not (beta > 0.0 or alpha == 0.0):
         raise HypothesisViolation(f"log-diffusion limit needs beta > 0 or alpha = 0; got alpha={alpha}, beta={beta}")
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if n != int(n) or n < 3:
         raise ValueError(f"dimension n must be an integer >= 3, got {n}")
-    rtol, atol = chart_tolerances("r", SolveConfig.tol)
-    se = seed_within(n, 0.0, alpha, beta, eta, rtol)
-    start = se.r_start
-    u0 = eta + se.c2 * start * start
-    i0 = eta * start**n / n + se.c2 * start ** (n + 2) / (n + 2)
-    n1 = n - 1.0
-
-    def rhs(r, u, acc):
-        if u <= 0.0 or not math.isfinite(u):
-            return math.nan, math.nan
-        return u / n1 * (-beta * r * u + (n * beta - alpha) * acc / r**n1), r**n1 * u
-
-    path = integrate_2d(rhs, start, u0, i0, r_max, rtol, atol, positive_y=True)
-    r, u, du, acc = path.t, path.y, path.fy, path.z
-    da = -beta * (u + r * du) + (n * beta - alpha) * (u - n1 * acc / r**n)
-    return Profile(
-        r=r,
-        v=u,
-        dv=du,
-        ddv=du * du / u + u * da / n1,
-        series=se,
-        rtol=rtol,
-        n_steps=path.n_steps,
-        n_rejected=path.n_rejected,
-    )
+    return integrate_r(n, 0.0, alpha, beta, eta, r_max)
 
 
 def log_chart_of_log_equation(n: int, alpha: float, beta: float, eta: float) -> LogProfile:
@@ -123,10 +85,11 @@ def limit_convergence(
 ) -> ConvergenceReport:
     """Solve v^(m) for each m and measure sup |v^(m) - u| on [0, r_max].
 
-    Both sides run at the r-chart's default tolerance, and v^(m) is seeded
-    like ``solve_profile`` seeds it."""
-    if not (beta > 0.0 or alpha == 0.0):
-        raise HypothesisViolation(f"log-diffusion limit needs beta > 0 or alpha = 0; got alpha={alpha}, beta={beta}")
+    u and every v^(m) come from the same ``integrate_r`` at its default
+    tolerance, u at m = 0; v^(m) is the r-chart ``solve_profile`` computes."""
+    # solve_log_equation raises first where the limit equation itself is inadmissible
+    grid = np.linspace(0.0, r_max, _GRID_POINTS)
+    u_vals = solve_log_equation(n, alpha, beta, eta, r_max).value(grid)
     ms = tuple(sorted(m_list, reverse=True))
     for m in ms:
         p = Parameters(n, m, alpha, beta, eta)
@@ -135,15 +98,9 @@ def limit_convergence(
                 f"m = {m} leaves the existence range for alpha = {alpha}, beta = {beta}"
             )
 
-    u_prof = solve_log_equation(n, alpha, beta, eta, r_max)
-    grid = np.linspace(0.0, r_max, _GRID_POINTS)
-    u_vals = u_prof.value(grid)
-
     sups = []
     for m in ms:
-        p = Parameters(n, m, alpha, beta, eta)
-        prof = integrate_r(p, seed_within(n, m, alpha, beta, eta, SolveConfig.tol), r_max)
-        v_vals = prof.value(grid)
+        v_vals = integrate_r(n, m, alpha, beta, eta, r_max).value(grid)
         sups.append(float(np.max(np.abs(v_vals - u_vals))))
 
     monotone = all(sups[i + 1] <= 1.05 * sups[i] for i in range(len(sups) - 1))

@@ -134,16 +134,26 @@ class RawPath:
     t_stiff: float | None = None
 
 
+def _rms(a: float, b: float) -> float:
+    """RMS norm of two scaled components; inf once a square leaves the float range."""
+    try:
+        return math.sqrt(0.5 * (a**2 + b**2))
+    except OverflowError:
+        return math.inf
+
+
 def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol) -> float:
     scy = atol + rtol * abs(y0)
     scz = atol + rtol * abs(z0)
-    d0 = math.sqrt(0.5 * ((y0 / scy) ** 2 + (z0 / scz) ** 2))
-    d1 = math.sqrt(0.5 * ((fy0 / scy) ** 2 + (fz0 / scz) ** 2))
+    d0 = _rms(y0 / scy, z0 / scz)
+    d1 = _rms(fy0 / scy, fz0 / scz)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if h0 == 0.0:  # d1 overflowed: the loop reports a step collapse at t0
+        return 0.0
     fy1, fz1 = f(t0 + h0, y0 + h0 * fy0, z0 + h0 * fz0)
     if math.isfinite(fy1) and math.isfinite(fz1):
-        d2 = math.sqrt(0.5 * (((fy1 - fy0) / scy) ** 2 + ((fz1 - fz0) / scz) ** 2)) / h0
+        d2 = _rms((fy1 - fy0) / scy, (fz1 - fz0) / scz) / h0
     else:
         d2 = math.inf
     if max(d1, d2) <= 1e-15:
@@ -310,7 +320,7 @@ def integrate_2d(
                 err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * fz_new)
                 scy = atol + rtol * max(abs(y), abs(y_new))
                 scz = atol + rtol * max(abs(z), abs(z_new))
-                err = math.sqrt(0.5 * ((err_y / scy) ** 2 + (err_z / scz) ** 2))
+                err = _rms(err_y / scy, err_z / scz)  # inf past the float range: rejected
             else:
                 err = math.inf
         else:

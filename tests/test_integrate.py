@@ -14,7 +14,6 @@ from fdprofiles import (
     ProfileError,
     SolveConfig,
     eval_series,
-    expand_at_origin,
     handoff_to_log,
     integrate_log,
     integrate_r,
@@ -32,7 +31,7 @@ class TestConstantSolution:
 
     def test_r_chart_constant_to_machine_precision(self):
         p = P(0.0)
-        prof = integrate_r(p, expand_at_origin(p), 100.0)
+        prof = integrate_r(p.n, p.m, p.alpha, p.beta, p.eta, 100.0)
         assert np.all(prof.v == p.eta)
         assert np.all(prof.dv == 0.0)
 
@@ -77,7 +76,7 @@ class TestMonotonicity:
 class TestHandoff:
     def test_constant_profile_values(self):
         p = P(0.0)
-        prof = integrate_r(p, expand_at_origin(p), 3.0)
+        prof = integrate_r(p.n, p.m, p.alpha, p.beta, p.eta, 3.0)
         s, w, ws = handoff_to_log(prof, 1.0, p.m)
         assert s == 0.0
         assert w == pytest.approx(1.0, rel=1e-13)  # eta^(1-m) with eta = 1
@@ -187,6 +186,12 @@ class TestGuards:
     def test_solve_config_validated(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             SolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("m,eta", [(1.0, 1.0), (-0.1, 1.0), (0.2, -1.0), (0.2, 0.0)])
+    def test_r_chart_rejects_m_and_eta_out_of_range(self, m, eta):
+        # eta < 0 would otherwise reach a complex eta**(2-m) in the seed
+        with pytest.raises(ValueError, match="r-chart requires"):
+            integrate_r(3, m, 1.0, 1.0, eta, 10.0)
 
 
 class TestLogChartDirect:

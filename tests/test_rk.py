@@ -66,6 +66,19 @@ def test_step_underflow_at_unreachable_point():
     assert exc.value.location == pytest.approx(0.5, abs=1e-2)
 
 
+@pytest.mark.parametrize(
+    "f,y0,z0",
+    [
+        (lambda t, y, z: (z * z, 0.0), 0.0, 1e80),  # a scaled slope whose square overflows
+        (lambda t, y, z: (z, 1e300 * y), 1.0, 0.0),  # a scaled slope that is inf itself
+    ],
+)
+def test_overflowing_start_slope_is_step_underflow_at_start(f, y0, z0):
+    with pytest.raises(StepUnderflow) as exc:
+        integrate_2d(f, 0.0, y0, z0, 1.0, 1e-10, 1e-12)
+    assert exc.value.location == 0.0
+
+
 def test_early_stop_threshold():
     path = integrate_2d(
         lambda t, y, z: (y, 0.0), 0.0, 1.0, 0.0, 20.0, 1e-9, 1e-12, stop_when_y_above=100.0
