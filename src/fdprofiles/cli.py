@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -90,6 +91,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 _PARAM_OPTS = ("n", "m", "alpha", "beta", "eta")
+# limit_convergence's own parameters: m is what it varies
+_LIMIT_PARAMS = ("n", "alpha", "beta", "eta")
 # How a config file spells the state of a switch such as --strict.
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -138,18 +141,15 @@ def _flags(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file values, overridden by explicit flags."""
-    merged = _read_config_file(args.config, args.parser) if args.config else {}
-    merged.update(_flags(args))
-    return merged
+def _required(cfg: dict, keys) -> list:
+    missing = [k for k in keys if k not in cfg]
+    if missing:
+        raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
+    return [cfg[k] for k in keys]
 
 
 def _params_from(cfg: dict) -> Parameters:
-    missing = [k for k in _PARAM_OPTS if k not in cfg]
-    if missing:
-        raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
-    return Parameters(*(cfg[k] for k in _PARAM_OPTS))
+    return Parameters(*_required(cfg, _PARAM_OPTS))
 
 
 def _solve_config_from(cfg: dict) -> SolveConfig:
@@ -158,38 +158,12 @@ def _solve_config_from(cfg: dict) -> SolveConfig:
 
 
 def _base_report(cfg: dict, p: Parameters | None) -> dict:
-    report = {"config": {k: _jsonable(v) for k, v in sorted(cfg.items())}}
-    report["config"]["version"] = __version__
+    report = {"config": {**cfg, "version": __version__}}
     if p is not None:
         report["derived"] = _jsonable(derived(p))
         report["hypotheses"] = _jsonable(check_hypotheses(p))
         report["regime"] = classify_regime(p).value
     return report
-
-
-def _decay_section(est) -> dict:
-    out = {
-        "kind": est.kind.value,
-        "trace": [[float(s), float(v)] for s, v in zip(est.scales, est.values)],
-        "raw_last": est.raw_last,
-        "extrapolated": est.extrapolated,
-        "converged": est.converged,
-    }
-    for name in (
-        "expected",
-        "rel_error_vs_expected",
-        "drift",
-        "proxy_decreasing",
-        "direction",
-        "fit_slope",
-        "w_over_s_last",
-    ):
-        val = getattr(est, name)
-        if val is not None:
-            out[name] = _jsonable(val)
-    if est.proxy_values is not None:
-        out["proxy_trace"] = [[float(s), float(v)] for s, v in zip(est.scales, est.proxy_values)]
-    return out
 
 
 def _strict_exit(cfg: dict, ok: bool) -> int:
@@ -231,7 +205,7 @@ def _cmd_decay(cfg: dict) -> tuple[int, dict]:
     if kind == "auto":
         kind = "log" if check_hypotheses(p).log_decay_ok else "power"
     est = estimate_log_decay(sol) if kind == "log" else estimate_power_decay(sol)
-    report["decay"] = _decay_section(est)
+    report["decay"] = _jsonable(est)
     trace_out = _resolve_path(cfg.get("trace_out"))
     if trace_out is not None:
         _write_csv(trace_out, "scale,value", zip(est.scales, est.values))
@@ -239,12 +213,10 @@ def _cmd_decay(cfg: dict) -> tuple[int, dict]:
 
 
 def _cmd_limit(cfg: dict) -> tuple[int, dict]:
-    for key in ("n", "alpha", "beta", "eta"):
-        if key not in cfg:
-            raise ValueError(f"missing required parameter: {key}")
+    params = _required(cfg, _LIMIT_PARAMS)
     report = _base_report(cfg, None)
     # only what the flags or the file set; limit_convergence owns the defaults
-    cr = limit_convergence(**{k: cfg[k] for k in ("n", "alpha", "beta", "eta", "m_list", "r_max") if k in cfg})
+    cr = limit_convergence(*params, **{k: cfg[k] for k in ("m_list", "r_max") if k in cfg})
     report["limit"] = _jsonable(cr)
     return _strict_exit(cfg, cr.monotone), report
 
@@ -273,25 +245,15 @@ def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
 def _sweep_grid(cfg: dict):
     ns = cfg.get("n_list", (cfg.get("n"),))
     ms = cfg.get("m_list", (cfg.get("m"),))
-    betas = cfg.get("beta_list", (cfg.get("beta", 1.0),))
-    etas = cfg.get("eta_list", (cfg.get("eta", 1.0),))
-    alpha_choice = cfg.get("alpha_list", cfg.get("alpha", "eternal"))
     if None in ns or None in ms:
         raise ValueError("sweep needs n/m values via --n-list/--m-list or --n/--m")
-    points = []
-    for n in ns:
-        for m in ms:
-            for beta in betas:
-                for eta in etas:
-                    if isinstance(alpha_choice, str) and alpha_choice.strip() == "eternal":
-                        alphas = (2.0 * beta / (1.0 - m),)
-                    elif isinstance(alpha_choice, str):
-                        alphas = _parse_floats(alpha_choice)
-                    else:
-                        alphas = (float(alpha_choice),)
-                    for alpha in alphas:
-                        points.append((n, m, alpha, beta, eta))
-    return points
+    betas = cfg.get("beta_list", (cfg.get("beta", 1.0),))
+    etas = cfg.get("eta_list", (cfg.get("eta", 1.0),))
+    alphas = cfg.get("alpha_list", (cfg["alpha"],) if "alpha" in cfg else "eternal")
+    # alpha None stands for the eternal relation alpha = 2*beta/(1-m) at each point
+    grid = itertools.product(ns, ms, betas, etas, (None,) if alphas == "eternal" else alphas)
+    return [(n, m, 2.0 * beta / (1.0 - m) if alpha is None else alpha, beta, eta)
+            for n, m, beta, eta, alpha in grid]
 
 
 _SWEEP_COLUMNS = ("n", "m", "alpha", "beta", "eta", "a0_expected", "a0_measured",
@@ -322,21 +284,17 @@ def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int)
-    common.add_argument("--m", type=float)
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--eta", type=float)
-    common.add_argument("--config", help="flat key = value config file; flags override it")
-    common.add_argument("--tol", type=float, help="r-chart relative tolerance (log chart 10x looser; atol = rtol/100)")
-    common.add_argument("--r-max", dest="r_max", type=float)
-    common.add_argument("--s-end", dest="s_end", type=float)
-    common.add_argument("--override-hypotheses", dest="override_hypotheses", action="store_const", const=True)
-    common.add_argument("--strict", action="store_const", const=True)
-    common.add_argument("--json", dest="json", help="write the JSON report here")
-    return common
+def _flag_set(param_names=()) -> argparse.ArgumentParser:
+    """A parent parser, holding --n/--m/--alpha/--beta/--eta for the names given."""
+    group = argparse.ArgumentParser(add_help=False)
+    for name in param_names:
+        group.add_argument(f"--{name}", type=int if name == "n" else float)
+    return group
+
+
+def _alpha_choice(text: str):
+    """'eternal' (alpha = 2*beta/(1-m) at each point) or the listed alpha values."""
+    return "eternal" if text.strip() == "eternal" else _parse_floats(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,39 +303,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radial self-similar profiles of the fast diffusion equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
+    io = _flag_set()
+    io.add_argument("--config", help="flat key = value config file; flags override it")
+    io.add_argument("--json", dest="json", help="write the JSON report here")
+    params = _flag_set(_PARAM_OPTS)
+    solve = _flag_set()  # the SolveConfig fields
+    solve.add_argument("--tol", type=float, help="r-chart relative tolerance (log chart 10x looser; atol = rtol/100)")
+    solve.add_argument("--r-max", dest="r_max", type=float)
+    solve.add_argument("--s-end", dest="s_end", type=float)
+    solve.add_argument("--override-hypotheses", dest="override_hypotheses", action="store_const", const=True)
+    strict = _flag_set()
+    strict.add_argument("--strict", action="store_const", const=True, help="exit 3 when the verdict fails")
 
-    def add(name, func, summary):
-        p = sub.add_parser(name, help=summary, parents=[common])
+    def add(name, func, summary, *parents):
+        # no prefix matching: limit would read a stray --m as --m-list
+        p = sub.add_parser(name, help=summary, parents=[io, *parents], allow_abbrev=False)
         p.set_defaults(func=func, parser=p)
         return p
 
-    p_solve = add("solve", _cmd_solve, "solve the profile and write samples")
+    p_solve = add("solve", _cmd_solve, "solve the profile and write samples", params, solve)
     p_solve.add_argument("--out", help="r-chart CSV (r,v,dv)")
     p_solve.add_argument("--log-out", dest="log_out", help="log-chart CSV (s,w,ws)")
 
-    add("verify", _cmd_verify, "run all invariant and identity checks")
+    add("verify", _cmd_verify, "run all invariant and identity checks", params, solve, strict)
 
-    p_decay = add("decay", _cmd_decay, "measure the decay limit")
+    p_decay = add("decay", _cmd_decay, "measure the decay limit", params, solve, strict)
     p_decay.add_argument("--kind", choices=("auto", "log", "power"), default=None)
     p_decay.add_argument("--trace-out", dest="trace_out", help="trace CSV (scale,value)")
 
-    p_limit = add("limit", _cmd_limit, "m -> 0 uniform convergence study")
+    p_limit = add("limit", _cmd_limit, "m -> 0 uniform convergence study", _flag_set(_LIMIT_PARAMS), strict)
+    p_limit.add_argument("--r-max", dest="r_max", type=float, help="sup-norm interval [0, r_max]")
     p_limit.add_argument("--m-list", dest="m_list", type=_parse_floats)
 
-    p_pde = add("pde-check", _cmd_pde_check, "finite-difference residual of the self-similar solution")
+    p_pde = add("pde-check", _cmd_pde_check, "finite-difference residual of the self-similar solution",
+                params, solve)
     p_pde.add_argument("--T", type=float, help="horizon for the backward regime")
     p_pde.add_argument("--h", type=float)
     p_pde.add_argument("--dt", type=float)
     p_pde.add_argument("--radii", type=_parse_floats)
     p_pde.add_argument("--times", type=_parse_floats)
 
-    p_sweep = add("sweep", _cmd_sweep, "Cartesian parameter sweep with summary rows")
+    p_sweep = add("sweep", _cmd_sweep, "Cartesian parameter sweep with summary rows", params, solve)
     p_sweep.add_argument("--n-list", dest="n_list", type=_parse_floats)
     p_sweep.add_argument("--m-list", dest="m_list", type=_parse_floats)
     p_sweep.add_argument("--beta-list", dest="beta_list", type=_parse_floats)
     p_sweep.add_argument("--eta-list", dest="eta_list", type=_parse_floats)
-    p_sweep.add_argument("--alpha-list", dest="alpha_list", help="'eternal' or space/comma separated values")
+    p_sweep.add_argument("--alpha-list", dest="alpha_list", type=_alpha_choice,
+                         help="'eternal' or space/comma separated values")
     p_sweep.add_argument("--out", help="summary CSV")
 
     return parser
@@ -387,7 +359,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _flags(args)  # what the error report shows if the config file is rejected
     try:
-        cfg = _merge_config(args)
+        if args.config:  # flags override the file
+            cfg = {**_read_config_file(args.config, args.parser), **cfg}
         code, report = args.func(cfg)
     except (HypothesisViolation, RegimeMismatch, ValueError) as exc:
         code, report = EXIT_HYPOTHESIS, _error_report(cfg, exc)

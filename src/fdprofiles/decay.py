@@ -115,7 +115,8 @@ def log_tail_fit(lp: LogProfile) -> tuple[np.ndarray, np.ndarray, float, float]:
         raise HypothesisViolation(
             f"log chart reaches only s = {s_end:.3g}; need at least {2 * _TRACE_START:.3g}"
         )
-    sgrid = np.arange(_TRACE_START, s_end + 1e-9, _TRACE_STEP)
+    # the stop's 1e-9 slack keeps a point at s_end; one it lets past s_end is read at s_end
+    sgrid = np.minimum(np.arange(_TRACE_START, s_end + 1e-9, _TRACE_STEP), s_end)
     if s_end - sgrid[-1] > 1e-9:
         sgrid = np.append(sgrid, s_end)
     vals = lp.eval_ws(sgrid)
@@ -199,7 +200,8 @@ def estimate_power_decay(sol: Solution) -> DecayEstimate:
         raise HypothesisViolation(
             f"log chart reaches only r = {math.exp(lp.s_end):.3g}; need at least three decades"
         )
-    sgrid = np.arange(0, n_dec + 1) * _LN10
+    # the 1e-9 slack in n_dec can put the last decade just past s_end; it is read at s_end
+    sgrid = np.minimum(np.arange(0, n_dec + 1) * _LN10, lp.s_end)
     w = lp.eval_w(sgrid)
     g = lp.eval_g(sgrid)
     logq = a * sgrid + (np.log(w) - 2.0 * sgrid) / one_m

@@ -56,9 +56,6 @@ class InvariantReport:
             overall=all(e.passed for e in entries if e.applicable),
         )
 
-    def merged(self, other: "InvariantReport") -> "InvariantReport":
-        return InvariantReport.collect(self.entries + other.entries)
-
     def entry(self, name: str) -> InvariantEntry:
         for e in self.entries:
             if e.name == name:
@@ -88,6 +85,15 @@ def _eps(sol: Solution) -> float:
     return 100.0 * max(sol.profile.rtol, sol.logprofile.rtol)
 
 
+_EXACT_DECAY_NOTE = "needs alpha = 2*beta/(1-m) > 0 and m < (n-2)/n"
+
+
+def _exact_decay(p) -> bool:
+    """The exact-decay hypotheses: the eternal relation alpha = 2*beta/(1-m) > 0, m strictly interior."""
+    hyp = check_hypotheses(p)
+    return hyp.log_decay_ok and hyp.strict_m
+
+
 def check_pointwise(sol: Solution) -> InvariantReport:
     """Sign and positivity facts at every stored sample of both charts.
 
@@ -102,22 +108,19 @@ def check_pointwise(sol: Solution) -> InvariantReport:
     prof, lp = sol.profile, sol.logprofile
     one_m = 1.0 - p.m
 
-    r = prof.r
-    v = prof.v
-    dv = prof.dv
-    interior = r > 0
-    r, v, dv = r[interior], v[interior], dv[interior]
+    # every r-chart node lies at or beyond r_start > 0
+    r, v = prof.r, prof.v
+    rdv_v = r * prof.dv / v
     rlog = np.exp(lp.s)
 
     entries = []
 
     # sign of v'
     if p.alpha == 0.0:
-        slope = np.abs(r * dv) / v
         entries.append(
             _from_margins(
                 "dv_sign",
-                eps - slope,
+                eps - np.abs(rdv_v),
                 r,
                 eps,
                 note="alpha = 0: derivative must vanish identically",
@@ -125,7 +128,7 @@ def check_pointwise(sol: Solution) -> InvariantReport:
         )
     else:
         sign = -math.copysign(1.0, p.alpha)
-        entries.append(_from_margins("dv_sign", sign * r * dv / v, r, eps))
+        entries.append(_from_margins("dv_sign", sign * rdv_v, r, eps))
 
     # v bounded by its center value when alpha > 0
     if p.alpha > 0.0:
@@ -138,7 +141,7 @@ def check_pointwise(sol: Solution) -> InvariantReport:
     h1_ok = p.alpha != 0.0 and p.beta != 0.0 and p.m * p.alpha / p.beta <= p.n - 2
     if h1_ok:
         k = dc.k
-        h1_r = 1.0 + k * r * dv / v
+        h1_r = 1.0 + k * rdv_v
         # same quantity on the log chart, where it is held as exact state:
         # h1/v = k*g / ((1-m)*w)
         h1_s = k * lp.g / (one_m * lp.w)
@@ -167,7 +170,7 @@ def check_pointwise(sol: Solution) -> InvariantReport:
 
     # h > 0 and w increasing need 2*beta/(1-m) >= alpha > 0
     if p.alpha > 0.0 and 2.0 * p.beta / one_m >= p.alpha:
-        h_r = 1.0 + 0.5 * one_m * r * dv / v
+        h_r = 1.0 + 0.5 * one_m * rdv_v
         h_s = 0.5 * lp.ws / lp.w
         entries.append(
             _from_margins(
@@ -207,23 +210,16 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
     """
     p = sol.params
     eps = _eps(sol)
-    hyp = check_hypotheses(p)
-    names = ("slope_ratio_bound", "ws_positive_bounded", "w_unbounded")
-    if not (hyp.log_decay_ok and hyp.strict_m):
-        return InvariantReport.collect(
-            _na(nm, "needs alpha = 2*beta/(1-m) > 0 and m < (n-2)/n") for nm in names
-        )
+    if not _exact_decay(p):
+        names = ("slope_ratio_bound", "ws_positive_bounded", "w_unbounded")
+        return InvariantReport.collect(_na(nm, _EXACT_DECAY_NOTE) for nm in names)
 
     dc = derived(p)
     prof, lp = sol.profile, sol.logprofile
     one_m = 1.0 - p.m
 
-    r = prof.r[prof.r > 0]
-    v, dv = prof.eval(r)
-    ratio_r = 2.0 + one_m * r * dv / v
-    ratio_s = lp.ws / lp.w
-    ratio = np.concatenate([ratio_r, ratio_s])
-    locs = np.concatenate([r, np.exp(lp.s)])
+    ratio = np.concatenate([2.0 + one_m * prof.r * prof.dv / prof.v, lp.ws / lp.w])
+    locs = np.concatenate([prof.r, np.exp(lp.s)])
 
     entries = []
     if dc.b0 >= 0.0:
@@ -284,6 +280,17 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
 _IDENTITY_RADII = np.array([0.5, 1.0, 5.0, 20.0])
 
 
+def _identity_radii(sol: Solution) -> np.ndarray:
+    return _IDENTITY_RADII[_IDENTITY_RADII <= sol.r_cover]
+
+
+def _identity_entry(name, residual, scale, radii, quad_tol, rtol) -> InvariantEntry:
+    """An identity's entry: relative mismatch |residual|/scale against 100*max(quad_tol, rtol)."""
+    tol_eff = 100.0 * max(quad_tol, rtol)
+    mismatches = np.abs(residual) / (scale + 1e-300)
+    return _from_margins(name, tol_eff - mismatches, radii, 0.0, note=f"relative mismatch vs threshold {tol_eff:.3g}")
+
+
 def _breaks(sol: Solution) -> np.ndarray:
     """Piece ends of the dense output: series segment, r-chart nodes, log-chart nodes beyond."""
     rlog = np.exp(sol.logprofile.s)
@@ -338,22 +345,14 @@ def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantRepo
     100*max(quad_tol, rtol).
     """
     p = sol.params
-    tol_eff = 100.0 * max(quad_tol, sol.profile.rtol)
-    radii = _IDENTITY_RADII[_IDENTITY_RADII <= sol.r_cover]
+    radii = _identity_radii(sol)
     n = p.n
     v = sol.v(radii)
     lhs = (n - 1) * v ** (p.m - 1.0) * sol.dv(radii)
     term1 = -p.beta * radii * v
     term2 = (n * p.beta - p.alpha) / radii ** (n - 1) * _flux_integral(sol, radii)
-    mismatches = np.abs(lhs - term1 - term2) / (np.abs(lhs) + np.abs(term1) + np.abs(term2) + 1e-300)
-
-    entry = _from_margins(
-        "flux_identity",
-        tol_eff - mismatches,
-        radii,
-        0.0,
-        note=f"relative mismatch vs threshold {tol_eff:.3g}",
-    )
+    scale = np.abs(lhs) + np.abs(term1) + np.abs(term2)
+    entry = _identity_entry("flux_identity", lhs - term1 - term2, scale, radii, quad_tol, sol.profile.rtol)
     return InvariantReport.collect([entry])
 
 
@@ -368,15 +367,10 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
     threshold 100*max(quad_tol, rtol).
     """
     p = sol.params
-    hyp = check_hypotheses(p)
-    names = ("q_identity", "q_boundary_decay")
-    if not (hyp.log_decay_ok and hyp.strict_m):
-        return InvariantReport.collect(
-            _na(nm, "needs alpha = 2*beta/(1-m) > 0 and m < (n-2)/n") for nm in names
-        )
+    if not _exact_decay(p):
+        return InvariantReport.collect(_na(nm, _EXACT_DECAY_NOTE) for nm in ("q_identity", "q_boundary_decay"))
     dc = derived(p)
-    tol_eff = 100.0 * max(quad_tol, sol.logprofile.rtol)
-    radii = _IDENTITY_RADII[_IDENTITY_RADII <= sol.r_cover]
+    radii = _identity_radii(sol)
     wexp = (2.0 * p.m - 1.0) / (1.0 - p.m)
 
     def lhs_at(r):
@@ -385,17 +379,8 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
 
     lhs = lhs_at(radii)
     rhs = p.beta / (p.n - 1) * _q_integral(sol, radii)
-    mismatches = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)
-
-    entries = [
-        _from_margins(
-            "q_identity",
-            tol_eff - mismatches,
-            radii,
-            0.0,
-            note=f"relative mismatch vs threshold {tol_eff:.3g}",
-        )
-    ]
+    entries = [_identity_entry("q_identity", lhs - rhs, np.abs(lhs) + np.abs(rhs), radii, quad_tol,
+                               sol.logprofile.rtol)]
 
     lhs_outer = abs(lhs_at(1e-3))
     lhs_inner = abs(lhs_at(1e-4))
@@ -414,8 +399,6 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
 
 def run_all_checks(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
     """All pointwise, slope, and integral checks merged into one report."""
-    report = check_pointwise(sol)
-    report = report.merged(check_slope_bounds(sol))
-    report = report.merged(check_flux_identity(sol, quad_tol))
-    report = report.merged(check_q_identity(sol, quad_tol))
-    return report
+    reports = (check_pointwise(sol), check_slope_bounds(sol), check_flux_identity(sol, quad_tol),
+               check_q_identity(sol, quad_tol))
+    return InvariantReport.collect(e for rep in reports for e in rep.entries)

@@ -87,6 +87,8 @@ def limit_convergence(
 
     u and every v^(m) come from the same ``integrate_r`` at its default
     tolerance, u at m = 0; v^(m) is the r-chart ``solve_profile`` computes."""
+    if not m_list:
+        raise ValueError("m_list is empty: the study needs at least one m")
     # solve_log_equation raises first where the limit equation itself is inadmissible
     grid = np.linspace(0.0, r_max, _GRID_POINTS)
     u_vals = solve_log_equation(n, alpha, beta, eta, r_max).value(grid)

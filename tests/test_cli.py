@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from fdprofiles import Parameters, Regime, SolveConfig, build_selfsimilar, pde_residual, solve_profile
-from fdprofiles.cli import main
+from fdprofiles import (
+    Parameters, Regime, SolveConfig, build_selfsimilar, estimate_log_decay, estimate_power_decay, pde_residual,
+    run_all_checks, solve_profile,
+)
+from fdprofiles.cli import _jsonable, main
 from fdprofiles.loglimit import limit_convergence
 from fdprofiles.selfsim import PDE_RADII
 
@@ -217,6 +220,14 @@ class TestLimit:
         assert lim["r_max"] == cr.r_max
 
 
+    def test_empty_m_list_is_a_json_error(self, tmp_path):
+        js = tmp_path / "err.json"
+        assert run("limit", "--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1, "--m-list", "", "--json", js) == 2
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "ValueError"
+        assert "m_list" in err["message"]
+
+
 class TestPdeCheck:
     def test_eternal_report(self, tmp_path):
         js = tmp_path / "pde.json"
@@ -277,6 +288,58 @@ class TestSweep:
         err = json.loads(js.read_text())["error"]
         assert err["type"] == "ValueError"
         assert "integer" in err["message"]
+
+
+class TestThinLayer:
+    """Each report section is the library call's own result; each subcommand takes only the flags it reads."""
+
+    def section(self, tmp_path, command, *args):
+        js = tmp_path / f"{command}.json"
+        assert run(command, *args, "--json", js) == 0
+        return json.loads(js.read_text())
+
+    def test_verify_is_the_invariant_report(self, tmp_path):
+        rep = run_all_checks(solve_profile(Parameters(3, 0.2, 2.5, 1.0, 1.0)))
+        assert self.section(tmp_path, "verify", *PARAMS)["invariants"] == _jsonable(rep)
+
+    @pytest.mark.parametrize("alpha,estimate", [(2.5, estimate_log_decay), (1.25, estimate_power_decay)])
+    def test_decay_is_the_estimate(self, tmp_path, alpha, estimate):
+        est = estimate(solve_profile(Parameters(3, 0.2, alpha, 1.0, 1.0)))
+        args = ("--n", 3, "--m", 0.2, "--alpha", alpha, "--beta", 1, "--eta", 1)
+        assert self.section(tmp_path, "decay", *args)["decay"] == _jsonable(est)
+
+    def test_limit_is_the_convergence_report(self, tmp_path):
+        cr = limit_convergence(3, 1.0, 1.0, 1.0, m_list=(0.2, 0.1), r_max=5.0)
+        args = ("--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1, "--m-list", "0.2 0.1", "--r-max", 5)
+        assert self.section(tmp_path, "limit", *args)["limit"] == _jsonable(cr)
+
+    def test_pde_check_is_the_residual_stats(self, tmp_path):
+        sol = solve_profile(Parameters(3, 0.2, 3.75, 1.0, 1.0), SolveConfig(r_max=20.0))
+        stats = pde_residual(build_selfsimilar(sol, Regime.BACKWARD, T=2.0))
+        args = ("--n", 3, "--m", 0.2, "--alpha", 3.75, "--beta", 1, "--eta", 1, "--r-max", 20, "--T", 2)
+        pde = self.section(tmp_path, "pde-check", *args)["pde"]
+        assert pde.pop("regime") == "backward"
+        assert pde == _jsonable(stats)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("limit", ("--m", 0.2)), ("limit", ("--tol", "1e-6")), ("limit", ("--s-end", 30)),
+        ("limit", ("--override-hypotheses",)), ("solve", ("--strict",)), ("pde-check", ("--strict",)),
+        ("sweep", ("--strict",)),
+    ])
+    def test_unread_flag_is_rejected(self, command, flag):
+        args = ("--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1) if command == "limit" else PARAMS
+        with pytest.raises(SystemExit) as exc:
+            run(command, *args, *flag)
+        assert exc.value.code == 2
+
+    def test_unread_file_key_is_rejected(self, tmp_path):
+        cfgfile = tmp_path / "limit.cfg"
+        cfgfile.write_text("n = 3\nalpha = 1\nbeta = 1\neta = 1\ntol = 1e-8\n")
+        js = tmp_path / "err.json"
+        assert run("limit", "--config", cfgfile, "--json", js) == 2
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "ValueError"
+        assert "tol" in err["message"]
 
 
 class TestOutdirEnv:

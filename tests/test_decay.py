@@ -100,6 +100,13 @@ class TestLogDecay:
         assert est.scales[0] == 10.0 and est.scales[-1] == pytest.approx(40.0)
         assert np.all(np.diff(est.scales) > 0)
 
+    def test_trace_ends_at_a_chart_end_just_short_of_a_step(self, solved):
+        # s_end = 40 - 5e-10: the trace's last step point rounds past the chart end
+        sol = solved(3, 0.2, 2.5, 1.0, s_end=39.9999999995)
+        est = estimate_log_decay(sol)
+        assert est.scales[-1] == sol.logprofile.s_end
+        assert np.all(np.diff(est.scales) > 0)
+
     def test_slower_alternative_estimator(self, eternal_n3):
         # w(s)/s approaches the same limit but lags behind w_s(s)
         est = estimate_log_decay(eternal_n3)
@@ -196,6 +203,14 @@ class TestPowerDecay:
         w = sol.logprofile.eval_w(s)
         q_ours = math.exp(alpha * s + (math.log(w) - 2.0 * s) / 0.8)
         assert q_ours == pytest.approx(q_ref, rel=1e-8)
+
+    def test_last_decade_at_a_chart_end_just_short_of_it(self, solved):
+        # s_end = 23.0258509299 lies 4e-11 short of 10*ln(10), the tenth decade
+        sol = solved(3, 0.2, 1.25, 1.0, s_end=23.0258509299)
+        est = estimate_power_decay(sol)
+        assert len(est.scales) == 11
+        assert est.scales[-1] == pytest.approx(1e10, rel=1e-9)
+        assert math.log(est.scales[-1]) <= sol.logprofile.s_end
 
     def test_refuses_wrong_range(self, eternal_n3):
         with pytest.raises(HypothesisViolation):

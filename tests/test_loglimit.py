@@ -133,6 +133,10 @@ class TestLimitConvergence:
         with pytest.raises(HypothesisViolation):
             limit_convergence(3, 6.0, 1.0, 1.0, m_list=(0.2, 0.1), r_max=5.0)
 
+    def test_rejects_empty_m_list(self):
+        with pytest.raises(ValueError, match="m_list is empty"):
+            limit_convergence(3, 1.0, 1.0, 1.0, m_list=())
+
     def test_measures_the_profile_solve_profile_computes(self):
         # at eta = 1e4 and m = 0.02 the unshrunk origin seed's truncation
         # (2.2e-10*eta) misses the r-chart budget rtol*eta; v^(m) must be
