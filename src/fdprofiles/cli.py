@@ -231,8 +231,9 @@ def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
         )
     solve_cfg = _solve_config_from(cfg)
     if "r_max" not in cfg:
-        # generous default coverage for the rescaled stencil arguments
-        solve_cfg = dataclasses.replace(solve_cfg, r_max=4.0 * max(cfg.get("radii", PDE_RADII)))
+        # generous default coverage for the rescaled stencil arguments; an
+        # empty --radii is left for pde_residual to reject by name
+        solve_cfg = dataclasses.replace(solve_cfg, r_max=4.0 * max(cfg.get("radii") or PDE_RADII))
     sol = solve_profile(p, solve_cfg)
     ssim = build_selfsimilar(sol, regime, T=cfg.get("T"))
     # only what the flags or the file set; pde_residual owns the defaults
@@ -250,6 +251,10 @@ def _sweep_grid(cfg: dict):
     betas = cfg.get("beta_list", (cfg.get("beta", 1.0),))
     etas = cfg.get("eta_list", (cfg.get("eta", 1.0),))
     alphas = cfg.get("alpha_list", (cfg["alpha"],) if "alpha" in cfg else "eternal")
+    lists = {"--n-list": ns, "--m-list": ms, "--beta-list": betas, "--eta-list": etas, "--alpha-list": alphas}
+    empty = [flag for flag, values in lists.items() if len(values) == 0]
+    if empty:
+        raise ValueError(f"{', '.join(empty)} is empty: the sweep needs at least one value in each list")
     # alpha None stands for the eternal relation alpha = 2*beta/(1-m) at each point
     grid = itertools.product(ns, ms, betas, etas, (None,) if alphas == "eternal" else alphas)
     return [(n, m, 2.0 * beta / (1.0 - m) if alpha is None else alpha, beta, eta)

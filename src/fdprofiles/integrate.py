@@ -259,7 +259,6 @@ class _ChartCoeffs(NamedTuple):
     """The (w, g) chart: w_s = g + sigma*w, g_s = c_sq*g^2/w + c_g*g + c_wg*w*g + c_w*w + c_w2*w^2."""
 
     sigma: float
-    rho1: float
     c_sq: float
     c_g: float
     c_wg: float
@@ -268,7 +267,7 @@ class _ChartCoeffs(NamedTuple):
 
 
 def _chart_coeffs(n: int, m: float, alpha: float, beta: float) -> _ChartCoeffs:
-    """Coefficients of the (w, g) chart, shared by the full system and the QSS tail.
+    """Coefficients of the (w, g) chart, shared by the full system and the slow tail.
 
     For beta != 0 the w^2 coefficient -(beta*sigma + rho1)/(n-1) vanishes
     identically by the choice sigma = -rho1/beta and is dropped rather than
@@ -290,12 +289,12 @@ def _chart_coeffs(n: int, m: float, alpha: float, beta: float) -> _ChartCoeffs:
         c_w2 = -rho1 / n1
     c_g = (2.0 * sigma) * c_sq - b0 - sigma
     c_w = -sigma * sigma * m / one_m - b0 * sigma + c_lin
-    return _ChartCoeffs(sigma, rho1, c_sq, c_g, -beta / n1, c_w, c_w2)
+    return _ChartCoeffs(sigma, c_sq, c_g, -beta / n1, c_w, c_w2)
 
 
-def _log_rhs(n: int, m: float, alpha: float, beta: float):
-    """Right-hand side of the (w, g) system, plus sigma and rho1."""
-    sigma, rho1, c_sq, c_g, c_wg, c_w, c_w2 = _chart_coeffs(n, m, alpha, beta)
+def _log_rhs(cc: _ChartCoeffs):
+    """Right-hand side of the (w, g) system."""
+    sigma, c_sq, c_g, c_wg, c_w, c_w2 = cc
 
     def rhs(s, w, g):
         if w <= 0.0 or not math.isfinite(w):
@@ -305,12 +304,12 @@ def _log_rhs(n: int, m: float, alpha: float, beta: float):
             c_sq * g * g / w + c_g * g + c_wg * w * g + c_w * w + c_w2 * w * w,
         )
 
-    return rhs, sigma, rho1
+    return rhs
 
 
-def _log_jac(n: int, m: float, alpha: float, beta: float):
+def _log_jac(cc: _ChartCoeffs):
     """Jacobian of the (w, g) right-hand side: (dw_s/dw, dw_s/dg, dg_s/dw, dg_s/dg)."""
-    sigma, _, c_sq, c_g, c_wg, c_w, c_w2 = _chart_coeffs(n, m, alpha, beta)
+    sigma, c_sq, c_g, c_wg, c_w, c_w2 = cc
 
     def jac(s, w, g):
         gw = g / w
@@ -361,58 +360,57 @@ def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float
     return (math.log(r_h), *_w_q(r_h, v, dv, m))
 
 
-def _g_manifold(w, c_sq, c_g, c_wg, c_w):
-    """Root of the g balance c_sq*g^2/w + (c_g + c_wg*w)*g + c_w*w = 0 near -c_w/c_wg, elementwise.
-
-    The cancellation-free quadratic formula divided through by w, so that no
-    intermediate overflows as w nears the float maximum. Only called where
-    the fast relaxation dominates (|c_wg|*w large), so the discriminant is
-    safely positive.
-    """
-    b_w = c_g / w + c_wg
-    return -2.0 * c_w / (b_w * (1.0 + np.sqrt(1.0 - 4.0 * c_sq * c_w / b_w / w / b_w / w)))
-
-
-def _g_manifold_slope(w, g, c_sq, c_g, c_wg):
-    # dg/dw = -f_w/f_g along the manifold by implicit differentiation of the
-    # balance f = 0, elementwise. f_w = -c_sq*(g/w)^2 + c_wg*g + c_w cancels
-    # to rounding noise at large w, where g ~ -c_w/c_wg; the balance itself
-    # gives c_wg*g + c_w = -c_sq*(g/w)^2 - c_g*(g/w), so f_w = -(g/w)*p with
-    # p = 2*c_sq*(g/w) + c_g, and f_g = p + c_wg*w.
-    gw = g / w  # not g*g/(w*w): w*w overflows once w > 1e154
-    p = 2.0 * c_sq * gw + c_g
-    return gw * p / (p + c_wg * w)
-
-
-# Slave g to the manifold once the fast relaxation rate beta*w/(n-1) exceeds
-# this multiple of max(1, sigma); the relative slaving error is then below
-# ~1e-6 and falls off as 1/w^2.
+# Slave g to the slow manifold once the fast relaxation rate beta*w/(n-1)
+# exceeds this multiple of max(1, sigma). Past that point the terms of the
+# manifold series in 1/w shrink by a factor of order (k + |c_g|)/_QSS_RATE
+# from term k to term k+1: up to ~2e-2 per term at n = 10, m near 0.
 _QSS_RATE = 1000.0
 _QSS_MIN_SIGMA = 0.02
+# Terms d_0..d_7 of the manifold series. By that fall-off the first term left
+# out is at most 1.7e-15 of G at the switch on n = 3..10 (worst at n = 10 with
+# sigma near _QSS_MIN_SIGMA; 6 terms would leave 4.5e-12 there).
+_SERIES_TERMS = 8
 # The tail's nodes are at most _QSS_DLY apart in log w, steps of about
 # _QSS_DLY/sigma in s, where the quintic dense output of w is accurate.
 _QSS_DLY = 0.15
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
+def _manifold_series(cc: _ChartCoeffs) -> list[float]:
+    """Coefficients d_k of the slow manifold g = G(w) = sum of d_k*w^(-k), k < _SERIES_TERMS (beta > 0).
+
+    Substituting G into G'(w)*(G + sigma*w) = g_s and matching powers of w gives
+    d_0 = -c_w/c_wg and d_(j+1) = ([G'G]_j - j*sigma*d_j - c_sq*[G^2]_(j-1) - c_g*d_j)/c_wg,
+    with [.]_j the coefficient of w^(-j); [G'G]_j - c_sq*[G^2]_(j-1) is the sum of
+    -(k + c_sq)*d_k*d_(j-1-k) over k < j.
+    """
+    d = [-cc.c_w / cc.c_wg]
+    for j in range(_SERIES_TERMS - 1):
+        conv = sum((k + cc.c_sq) * d[k] * d[j - 1 - k] for k in range(j))
+        d.append(-(conv + (j * cc.sigma + cc.c_g) * d[j]) / cc.c_wg)
+    return d
+
+
 def _slow_tail(cc: _ChartCoeffs, s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
     """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
 
-    On the manifold d(log w)/ds = F(log w) = sigma + G(w)/w with G = _g_manifold, so
-    s = s0 + integral of 1/F from ly0, and g, g_s are algebraic in w. A cumulative
-    Gauss-Legendre sweep over nodes _QSS_DLY apart in log w brackets s_end, Newton's
-    method on that piece finds log w there, and a second sweep gives the s of k equal
-    pieces up to it.
+    On the manifold g = G, a polynomial in x = 1/w (``_manifold_series``), so
+    d(log w)/ds = F = sigma + x*G and g_s = G'(w)*w_s = -x*G_x*F, where neither
+    can overflow or cancel. Then s = s0 + integral of 1/F from ly0. A cumulative
+    Gauss-Legendre sweep over nodes _QSS_DLY apart in log w brackets s_end,
+    Newton's method on that piece finds log w there, and a second sweep gives
+    the s of k equal pieces up to it.
     """
     sigma = cc.sigma
-    coeffs = cc.c_sq, cc.c_g, cc.c_wg, cc.c_w
-
-    def rate(ly):
-        w = np.exp(ly)
-        return sigma + _g_manifold(w, *coeffs) / w
+    d = _manifold_series(cc)[::-1]
 
     def inv_rate(ly):
-        f = rate(ly)
+        # 1/F with F = sigma + x*G at x = e^(-ly), G by Horner's rule
+        x = np.exp(-ly)
+        g = d[0]
+        for dk in d[1:]:
+            g = g * x + dk
+        f = sigma + x * g
         if not np.all(f > 0.0):
             raise ProfileError("log w stops growing on the slow manifold", s0)
         return 1.0 / f
@@ -420,7 +418,7 @@ def _slow_tail(cc: _ChartCoeffs, s0: float, ly0: float, s_end: float) -> tuple[n
     # F relaxes monotonically to sigma, so ly_top lies past s_end; every
     # stored value, up to w_ss ~ sigma^2*w, must stay finite
     ly_max = _LOG_FLOAT_MAX - 2.0 * math.log(max(1.0, sigma))
-    ly_top = ly0 + (s_end - s0) * max(rate(ly0), sigma) + 2.0 * _QSS_DLY
+    ly_top = ly0 + (s_end - s0) * max(1.0 / inv_rate(ly0), sigma) + 2.0 * _QSS_DLY
     if ly_top > ly_max:
         raise ProfileError(
             "w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end",
@@ -433,14 +431,18 @@ def _slow_tail(cc: _ChartCoeffs, s0: float, ly0: float, s_end: float) -> tuple[n
     # three steps reach rounding
     end = ly[k]
     for _ in range(3):
-        end -= (s[k - 1] + quad(inv_rate, ly[k - 1], end, ()) - s_end) * rate(end)
+        end -= (s[k - 1] + quad(inv_rate, ly[k - 1], end, ()) - s_end) / inv_rate(end)
     # k equal pieces up to it, none longer than _QSS_DLY and none a sliver
     ly = np.linspace(ly0, end, k + 1)
     s = s0 + quad(inv_rate, ly0, ly, ())
     s[-1] = s_end
-    w = np.exp(ly[1:])
-    g = _g_manifold(w, *coeffs)
-    return s[1:], w, g, _g_manifold_slope(w, g, cc.c_sq, cc.c_g, cc.c_wg) * (g + sigma * w)
+    # G and G_x at the nodes by one Horner loop; g_s = G'(w)*w_s = -x*G_x*F
+    x = np.exp(-ly[1:])
+    g, gx = d[0], 0.0
+    for dk in d[1:]:
+        gx = gx * x + g
+        g = g * x + dk
+    return s[1:], np.exp(ly[1:]), g, -x * gx * (sigma + x * g)
 
 
 def integrate_log(
@@ -468,16 +470,16 @@ def integrate_log(
     When w grows exponentially (sigma > 0, i.e. alpha < 2*beta/(1-m)) the fast
     mode makes the system stiffer without bound, so once its relaxation rate
     passes a threshold the integration continues on the slow manifold: g is
-    slaved algebraically to w, and the scalar equation left for log w is
-    autonomous, so ``_slow_tail`` places its nodes by quadrature instead of
-    stepping it. The slaving error enters far below the integration tolerances
-    and decays like 1/w^2.
+    the chart's own manifold series in 1/w, built once from the chart
+    coefficients, and the scalar equation left for log w is autonomous, so
+    ``_slow_tail`` places its nodes by quadrature instead of stepping it. At
+    the switch the series and the integrated g agree to 2e-14..4e-13.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
     s0, w0, ws0 = start
-    rhs, sigma, _ = _log_rhs(n, m, alpha, beta)
-    jac = _log_jac(n, m, alpha, beta)
+    cc = _chart_coeffs(n, m, alpha, beta)
+    sigma = cc.sigma
     g0 = ws0 - sigma * w0
     rtol, atol = chart_tolerances("log", tol)
 
@@ -488,12 +490,14 @@ def integrate_log(
             # already stiff at the start; step explicitly through one
             # relaxation scale before slaving
             w_stop = 2.0 * w0
-    path = integrate_2d(rhs, s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=jac)
+    path = integrate_2d(
+        _log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=_log_jac(cc)
+    )
     s_arr, w_arr, g_arr, gs_arr = path.t, path.y, path.z, path.fz
     switch_s = None
     if w_stop is not None and s_arr[-1] < s_max * (1.0 - 1e-12) - 1e-12:
         switch_s = float(s_arr[-1])
-        tail = _slow_tail(_chart_coeffs(n, m, alpha, beta), switch_s, math.log(w_arr[-1]), s_max)
+        tail = _slow_tail(cc, switch_s, math.log(w_arr[-1]), s_max)
         s_arr, w_arr, g_arr, gs_arr = (np.concatenate(pair) for pair in zip((s_arr, w_arr, g_arr, gs_arr), tail))
 
     ws = g_arr + sigma * w_arr

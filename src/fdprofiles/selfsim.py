@@ -151,10 +151,14 @@ def pde_residual(
     Residuals are computed at (h, dt) and (h/2, dt/2); the empirical order
     is log2 of their ratio and sits near 2 for smooth regions. The relative
     normalization carries a small absolute floor so the check stays finite
-    where both sides vanish.
+    where both sides vanish. A step h or dt that is not finite and positive,
+    or an empty ``radii`` or ``times``, is a ValueError.
     """
     if dt is None:
         dt = h
+    for name, step in (("h", h), ("dt", dt)):
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {step}")
     if ss.regime is Regime.FORWARD and times is None:
         times = (0.8, 1.0, 1.25)
     elif ss.regime is Regime.BACKWARD and times is None:
@@ -162,6 +166,9 @@ def pde_residual(
         times = (0.25 * span, 0.5 * span, 0.7 * span)
     elif times is None:
         times = (-0.2, 0.0, 0.2)
+    for name, values in (("radii", radii), ("times", times)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty: the stencil needs at least one point")
 
     # fail fast if any stencil point leaves the covered range
     _, scale = ss._scales(times)

@@ -257,6 +257,22 @@ class TestPdeCheck:
         assert data["regime"] == data["pde"]["regime"] == "eternal"
 
 
+    @pytest.mark.parametrize("flag, value", [("--h", 0), ("--h", -1e-3), ("--dt", -1)])
+    def test_step_that_is_not_positive_is_a_json_error(self, tmp_path, flag, value):
+        js = tmp_path / "err.json"
+        assert run("pde-check", *PARAMS, flag, value, "--json", js) == 2
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{flag[2:]} must be finite and positive")
+
+    @pytest.mark.parametrize("flag", ["--radii", "--times"])
+    def test_empty_list_is_a_json_error(self, tmp_path, flag):
+        js = tmp_path / "err.json"
+        assert run("pde-check", *PARAMS, flag, "", "--json", js) == 2
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{flag[2:]} is empty")
+
     def test_defaults_come_from_the_library(self, tmp_path):
         js = tmp_path / "pde.json"
         assert run("pde-check", *PARAMS, "--json", js) == 0
@@ -288,6 +304,16 @@ class TestSweep:
         err = json.loads(js.read_text())["error"]
         assert err["type"] == "ValueError"
         assert "integer" in err["message"]
+
+
+    @pytest.mark.parametrize("flag", ["--n-list", "--m-list", "--beta-list", "--eta-list", "--alpha-list"])
+    def test_empty_list_is_a_json_error(self, tmp_path, flag):
+        js = tmp_path / "err.json"
+        lists = {"--n-list": 3, "--m-list": 0.2, flag: ""}
+        assert run("sweep", *(tok for item in lists.items() for tok in item), "--json", js) == 2
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{flag} is empty")
 
 
 class TestThinLayer:

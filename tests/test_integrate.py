@@ -207,10 +207,11 @@ class TestLogChartDirect:
         # for alpha = 0 the closed form w = c*e^(2s) satisfies the chart
         # equation identically: the quadratic terms cancel and the linear
         # coefficients sum to 4
-        from fdprofiles.integrate import _log_rhs
+        from fdprofiles.integrate import _chart_coeffs, _log_rhs
 
         m = mfrac * (n - 2) / n
-        rhs, sigma, _ = _log_rhs(n, m, 0.0, beta)
+        cc = _chart_coeffs(n, m, 0.0, beta)
+        rhs, sigma = _log_rhs(cc), cc.sigma
         w = c * math.exp(2.0 * s)
         ws = 2.0 * w
         dw, dg = rhs(s, w, ws - sigma * w)
@@ -269,26 +270,32 @@ class TestStiffTail:
 
     @pytest.mark.parametrize("alpha", [1.25, -1.0])
     def test_node_s_is_the_quadrature_of_the_manifold_rate(self, solved, alpha):
-        # on the manifold d(log w)/ds = F(log w) = sigma + G(w)/w, so every
-        # tail node sits at s = s* + integral of 1/F from the switch
+        # on the manifold g = G(w) and d(log w)/ds = F(log w) = sigma + G(w)/w, so
+        # every tail node sits at s = s* + integral of 1/F from the switch, with
+        # g_s = G'(w)*w_s; G is summed term by term here, not by Horner's rule
         from scipy.integrate import quad as adaptive_quad
 
-        from fdprofiles.integrate import _chart_coeffs, _g_manifold
+        from fdprofiles.integrate import _chart_coeffs, _manifold_series
 
         lp = solved(3, 0.2, alpha, 1.0).logprofile
         cc = _chart_coeffs(3, 0.2, alpha, 1.0)
-        coeffs = (cc.c_sq, cc.c_g, cc.c_wg, cc.c_w)
+        d = _manifold_series(cc)
 
-        def inv_rate(ly):
-            w = math.exp(ly)
-            return 1.0 / (cc.sigma + _g_manifold(w, *coeffs) / w)
+        def manifold(ly):  # (G, x*G_x, F) at x = 1/w
+            x = math.exp(-ly)
+            g = sum(dk * x**k for k, dk in enumerate(d))
+            return g, sum(k * dk * x**k for k, dk in enumerate(d)), cc.sigma + x * g
 
         i0 = int(np.searchsorted(lp.s, lp.qss_switch_s))
         ly = np.log(lp.w[i0:])
-        pieces = [adaptive_quad(inv_rate, a, b, epsabs=1e-14, epsrel=1e-14)[0] for a, b in zip(ly[:-1], ly[1:])]
+        pieces = [adaptive_quad(lambda y: 1.0 / manifold(y)[2], a, b, epsabs=1e-14, epsrel=1e-14)[0]
+                  for a, b in zip(ly[:-1], ly[1:])]
         ref = lp.qss_switch_s + np.cumsum(pieces)
         assert np.max(np.abs(lp.s[i0 + 1 :] - ref)) <= 1e-12
         assert np.max(np.diff(ly)) <= 0.15 + 1e-12
+        g, xgx, f = np.array([manifold(y) for y in ly[1:]]).T
+        np.testing.assert_allclose(lp.g[i0 + 1 :], g, rtol=1e-14)
+        np.testing.assert_allclose(lp.gs[i0 + 1 :], -xgx * f, rtol=1e-13)
 
     def test_nodes_increase_and_end_exactly_at_s_end(self, solved):
         for alpha in (1.25, 0.5, -1.0):
@@ -309,43 +316,26 @@ class TestStiffTail:
             _slow_tail(cc, 5.0, math.log(5000.0), 40.0)
         assert exc.value.location == 5.0
 
-    def test_manifold_arrays_match_per_node_loop(self, solved):
-        # the vectorized tail values are the scalar formula node by node
-        from fdprofiles.integrate import _chart_coeffs, _g_manifold, _g_manifold_slope
+    @pytest.mark.parametrize("n,m,alpha", [(3, 0.2, 1.25), (3, 0.2, 0.5), (3, 0.2, -1.0), (5, 0.3, 0.5)])
+    def test_tail_matches_radau_oracle(self, solved, n, m, alpha):
+        # the full (w, g) system, stepped by scipy's Radau from the switch node
+        # to w = 1e6, relaxes onto the true manifold: the tail's g and the s
+        # it places each w at must both agree with it
+        from scipy.integrate import solve_ivp
 
-        lp = solved(3, 0.2, 1.25, 1.0).logprofile
-        cc = _chart_coeffs(3, 0.2, 1.25, 1.0)
-        coeffs = (cc.c_sq, cc.c_g, cc.c_wg, cc.c_w)
-        tail = lp.s > lp.qss_switch_s
-        w2 = lp.w[tail]
-        g2 = np.array([_g_manifold(wv, *coeffs) for wv in w2])
-        slope2 = np.array([_g_manifold_slope(wv, gv, cc.c_sq, cc.c_g, cc.c_wg) for wv, gv in zip(w2, g2)])
-        assert np.array_equal(lp.g[tail], g2)
-        assert np.array_equal(lp.gs[tail], slope2 * (g2 + lp.sigma * w2))
-
-    @pytest.mark.parametrize("n,m,alpha", [(5, 0.3, 0.5), (3, 0.2, 1.25), (3, 0.2, -1.0), (3, 0.2, -5.0)])
-    def test_manifold_slope_against_decimal_reference(self, solved, n, m, alpha):
-        # The reference roots the balance and differentiates it in its plain
-        # form, f_w = -c_sq*g^2/w^2 + c_wg*g + c_w, with 400 decimal digits:
-        # enough to absorb the ~2*log10(w) digits that form cancels.
-        from decimal import Decimal, localcontext
-
-        from fdprofiles.integrate import _chart_coeffs, _g_manifold, _g_manifold_slope
+        from fdprofiles.integrate import _chart_coeffs, _log_jac, _log_rhs
 
         lp = solved(n, m, alpha, 1.0).logprofile
         cc = _chart_coeffs(n, m, alpha, 1.0)
-        w = lp.w[lp.s > lp.qss_switch_s]
-        assert w.size > 10 and w.max() < 1e150
-        slope = _g_manifold_slope(w, _g_manifold(w, cc.c_sq, cc.c_g, cc.c_wg, cc.c_w), cc.c_sq, cc.c_g, cc.c_wg)
-        with localcontext() as ctx:
-            ctx.prec = 400
-            c_sq, c_g, c_wg, c_w = (Decimal(c) for c in (cc.c_sq, cc.c_g, cc.c_wg, cc.c_w))
-            for wf, got in zip(w, slope):
-                wd = Decimal(wf)
-                b = c_g + c_wg * wd
-                g = -2 * c_w * wd / (b + (b * b - 4 * c_sq * c_w).sqrt().copy_sign(b))
-                ref = -(-c_sq * g * g / (wd * wd) + c_wg * g + c_w) / (2 * c_sq * g / wd + c_g + c_wg * wd)
-                assert abs(Decimal(float(got)) - ref) <= Decimal(2e-15) * abs(ref)
+        rhs, jac = _log_rhs(cc), _log_jac(cc)
+        i0 = int(np.searchsorted(lp.s, lp.qss_switch_s))
+        tail = np.arange(i0 + 1, lp.s.size)[lp.w[i0 + 1 :] <= 1e6]
+        assert tail.size > 10
+        ref = solve_ivp(lambda s, y: rhs(s, *y), (lp.s[i0], lp.s[tail[-1]]), [lp.w[i0], lp.g[i0]], method="Radau",
+                        t_eval=lp.s[tail], rtol=1e-13, atol=1e-14, jac=lambda s, y: np.reshape(jac(s, *y), (2, 2)))
+        w_ref, g_ref = ref.y
+        assert np.max(np.abs(lp.w[tail] - w_ref) / w_ref) <= 1e-12
+        assert np.max(np.abs(lp.g[tail] - g_ref) / np.abs(g_ref)) <= 1e-12
 
 
 class TestStiffSwitch:
@@ -361,13 +351,14 @@ class TestStiffSwitch:
     def test_matches_radau_oracle(self):
         from scipy.integrate import solve_ivp
 
-        from fdprofiles.integrate import _log_rhs
+        from fdprofiles.integrate import _chart_coeffs, _log_rhs
 
         n, m, beta = 7, 5 / 9, 1.0
         alpha = 2.0 * beta / (1.0 - m)
         lp = solve_profile(P(alpha, n=n, m=m, beta=beta)).logprofile
         assert lp.n_steps < 500  # pure DP5 needs 1449
-        rhs, sigma, _ = _log_rhs(n, m, alpha, beta)
+        cc = _chart_coeffs(n, m, alpha, beta)
+        rhs, sigma = _log_rhs(cc), cc.sigma
         ref = solve_ivp(
             lambda s, y: rhs(s, *y),
             (lp.s_start, 40.0),

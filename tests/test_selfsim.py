@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ class TestResidual:
         ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
         with pytest.raises(OutOfRange):
             pde_residual(ss, radii=(1.0, 1e20), times=(0.0,))
+
+    @pytest.mark.parametrize(
+        "steps, name",
+        [({"h": 0.0}, "h"), ({"h": -1e-3}, "h"), ({"h": math.nan}, "h"), ({"dt": -1.0}, "dt"), ({"dt": math.inf}, "dt")],
+    )
+    def test_step_that_is_not_positive_rejected(self, eternal_wide, steps, name):
+        ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            pde_residual(ss, **steps)
+
+    @pytest.mark.parametrize("grid", ["radii", "times"])
+    def test_empty_grid_rejected(self, eternal_wide, grid):
+        ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
+        with pytest.raises(ValueError, match=f"^{grid} is empty"):
+            pde_residual(ss, **{grid: ()})
 
     @pytest.mark.parametrize("radii, lowest", [((0.0, 1.0), "-0.001"), ((0.0005, 1.0), "-0.0005")])
     def test_stencil_below_origin_rejected(self, eternal_wide, radii, lowest):
