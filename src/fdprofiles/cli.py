@@ -28,8 +28,8 @@ from .errors import HypothesisViolation, ProfileError, RegimeMismatch
 from .integrate import SolveConfig, solve_profile
 from .invariants import run_all_checks
 from .loglimit import limit_convergence
-from .model import Parameters, Regime, check_hypotheses, classify_regime, derived
-from .selfsim import PDE_RADII, RELATION_TOL, build_selfsimilar, pde_residual
+from .model import Parameters, check_hypotheses, classify_regime, derived
+from .selfsim import build_selfsimilar, pde_residual, residual_grid
 
 __all__ = ["main"]
 
@@ -224,22 +224,18 @@ def _cmd_limit(cfg: dict) -> tuple[int, dict]:
 def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
     p = _params_from(cfg)
     report = _base_report(cfg, p)
-    regime = classify_regime(p, RELATION_TOL)
-    if regime is Regime.GENERIC:
-        raise RegimeMismatch(
-            "parameters do not satisfy any of the three self-similar exponent relations"
-        )
+    regime = classify_regime(p)
+    # checked before the solve; only what the flags or the file set, the library owns the defaults
+    stencil = {k: cfg[k] for k in ("radii", "times", "h", "dt") if k in cfg}
+    radii, times, h, dt = residual_grid(regime, cfg.get("T"), **stencil)
     solve_cfg = _solve_config_from(cfg)
     if "r_max" not in cfg:
-        # generous default coverage for the rescaled stencil arguments; an
-        # empty --radii is left for pde_residual to reject by name
-        solve_cfg = dataclasses.replace(solve_cfg, r_max=4.0 * max(cfg.get("radii") or PDE_RADII))
+        # generous default coverage for the rescaled stencil arguments
+        solve_cfg = dataclasses.replace(solve_cfg, r_max=4.0 * max(radii))
     sol = solve_profile(p, solve_cfg)
-    ssim = build_selfsimilar(sol, regime, T=cfg.get("T"))
-    # only what the flags or the file set; pde_residual owns the defaults
-    stats = pde_residual(ssim, **{k: cfg[k] for k in ("radii", "times", "h", "dt") if k in cfg})
+    stats = pde_residual(build_selfsimilar(sol, regime, T=cfg.get("T")), radii, times, h, dt)
     report["pde"] = _jsonable(stats)
-    report["regime"] = report["pde"]["regime"] = regime.value
+    report["pde"]["regime"] = regime.value
     return EXIT_OK, report
 
 
@@ -316,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, help="r-chart relative tolerance (log chart 10x looser; atol = rtol/100)")
     solve.add_argument("--r-max", dest="r_max", type=float)
     solve.add_argument("--s-end", dest="s_end", type=float)
-    solve.add_argument("--override-hypotheses", dest="override_hypotheses", action="store_const", const=True)
     strict = _flag_set()
     strict.add_argument("--strict", action="store_const", const=True, help="exit 3 when the verdict fails")
 

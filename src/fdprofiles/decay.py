@@ -21,9 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EndpointExponentError, HypothesisViolation
+from .errors import HypothesisViolation
 from .integrate import LogProfile, Solution
-from .model import Parameters, check_hypotheses, derived
+from .model import Parameters, derived, require
 
 __all__ = [
     "DecayKind",
@@ -81,15 +81,11 @@ def expected_log_constant(p: Parameters) -> float:
     """The closed-form limit 2*(n-1)*(n-2-n*m)/((1-m)*beta).
 
     At m = (n-2)/(n+2) this reduces to (n-1)*(n-2)/beta identically. The
-    range endpoint m = (n-2)/n is refused: the constant degenerates to zero
-    there and the decay law changes character.
+    range endpoint m = (n-2)/n is refused (the constant degenerates to zero
+    there and the decay law changes character), and so is any p outside the
+    existence range.
     """
-    if p.at_endpoint:
-        raise EndpointExponentError(
-            f"m = {p.m} sits at the endpoint (n-2)/n where the log-corrected decay degenerates"
-        )
-    if not p.beta > 0.0:
-        raise HypothesisViolation(f"decay constant needs beta > 0, got {p.beta}")
+    require(p, "the log-corrected decay constant", "strict_m", "existence_ok")
     return derived(p).a0
 
 
@@ -124,23 +120,10 @@ def log_tail_fit(lp: LogProfile) -> tuple[np.ndarray, np.ndarray, float, float]:
     return (sgrid, vals, *tail_limit_fit(sgrid[window], vals[window]))
 
 
-def _require_strict_interior(p: Parameters) -> None:
-    if p.at_endpoint:
-        raise EndpointExponentError(
-            f"decay estimation refuses the exponent endpoint m = (n-2)/n = {p.m_upper:.16g}"
-        )
-
-
 def estimate_log_decay(sol: Solution) -> DecayEstimate:
     """Extrapolated limit of w_s under the eternal relation (see log_tail_fit)."""
     p = sol.params
-    _require_strict_interior(p)
-    hyp = check_hypotheses(p)
-    if not hyp.log_decay_ok:
-        raise HypothesisViolation(
-            "log-corrected decay needs the eternal relation alpha = 2*beta/(1-m) > 0; "
-            f"got alpha = {p.alpha}, 2*beta/(1-m) = {2.0 * p.beta / (1.0 - p.m):.6g}"
-        )
+    require(p, "log-corrected decay", "strict_m", "log_decay_ok")
     lp = sol.logprofile
     s_end = lp.s_end
     sgrid, vals, a_fit, c_fit = log_tail_fit(lp)
@@ -169,13 +152,7 @@ def estimate_power_decay(sol: Solution) -> DecayEstimate:
     is held as exact state.
     """
     p = sol.params
-    _require_strict_interior(p)
-    hyp = check_hypotheses(p)
-    if not hyp.power_decay_ok:
-        raise HypothesisViolation(
-            f"power decay needs 2*beta/(1-m) > max(alpha, 0); got alpha = {p.alpha}, "
-            f"2*beta/(1-m) = {2.0 * p.beta / (1.0 - p.m):.6g}"
-        )
+    require(p, "power decay", "strict_m", "power_decay_ok")
     if p.alpha == 0.0:
         scales = np.array([1.0])
         values = np.array([p.eta])

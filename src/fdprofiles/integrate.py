@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
-from .model import Parameters, check_hypotheses, exponent_relation
+from .model import Parameters, exponent_relation, require
 from .rk import POSITIVITY_FLOOR, CubicHermite, QuinticHermite, integrate_2d
 from .series import SeriesExpansion, eval_series, seed_within
 
@@ -69,7 +69,6 @@ class SolveConfig:
     r_max: float = 10.0
     s_end: float = 40.0
     tol: float = 1e-10
-    override_hypotheses: bool = False
 
     def __post_init__(self):
         for name in ("r_max", "s_end", "tol"):
@@ -256,64 +255,52 @@ def _r_rhs(n: int, m: float, alpha: float, beta: float):
 
 
 class _ChartCoeffs(NamedTuple):
-    """The (w, g) chart: w_s = g + sigma*w, g_s = c_sq*g^2/w + c_g*g + c_wg*w*g + c_w*w + c_w2*w^2."""
+    """The (w, g) chart: w_s = g + sigma*w, g_s = c_sq*g^2/w + c_g*g + c_wg*w*g + c_w*w."""
 
     sigma: float
     c_sq: float
     c_g: float
     c_wg: float
     c_w: float
-    c_w2: float
 
 
 def _chart_coeffs(n: int, m: float, alpha: float, beta: float) -> _ChartCoeffs:
-    """Coefficients of the (w, g) chart, shared by the full system and the slow tail.
+    """Coefficients of the (w, g) chart (beta > 0), shared by the full system and the slow tail.
 
-    For beta != 0 the w^2 coefficient -(beta*sigma + rho1)/(n-1) vanishes
-    identically by the choice sigma = -rho1/beta and is dropped rather than
-    computed (a rounded near-zero coefficient would be amplified by w^2 over
-    long spans). beta = 0 keeps the general term with the neutral anchor
-    sigma = 2.
+    The w^2 coefficient -(beta*sigma + rho1)/(n-1) vanishes identically by the
+    choice sigma = -rho1/beta and is dropped rather than computed (a rounded
+    near-zero coefficient would be amplified by w^2 over long spans).
     """
-    n1 = float(n - 1)
     one_m = 1.0 - m
     rho1, _ = exponent_relation(m, alpha, beta)
     c_sq = (1.0 - 2.0 * m) / one_m
     c_lin = 2.0 * (n - 2 - n * m) / one_m
     b0 = (n - 2 - (n + 2) * m) / one_m
-    if beta != 0.0:
-        sigma = -rho1 / beta
-        c_w2 = 0.0
-    else:
-        sigma = 2.0
-        c_w2 = -rho1 / n1
+    sigma = -rho1 / beta
     c_g = (2.0 * sigma) * c_sq - b0 - sigma
     c_w = -sigma * sigma * m / one_m - b0 * sigma + c_lin
-    return _ChartCoeffs(sigma, c_sq, c_g, -beta / n1, c_w, c_w2)
+    return _ChartCoeffs(sigma, c_sq, c_g, -beta / float(n - 1), c_w)
 
 
 def _log_rhs(cc: _ChartCoeffs):
     """Right-hand side of the (w, g) system."""
-    sigma, c_sq, c_g, c_wg, c_w, c_w2 = cc
+    sigma, c_sq, c_g, c_wg, c_w = cc
 
     def rhs(s, w, g):
         if w <= 0.0 or not math.isfinite(w):
             return math.nan, math.nan
-        return (
-            g + sigma * w,
-            c_sq * g * g / w + c_g * g + c_wg * w * g + c_w * w + c_w2 * w * w,
-        )
+        return g + sigma * w, c_sq * g * g / w + c_g * g + c_wg * w * g + c_w * w
 
     return rhs
 
 
 def _log_jac(cc: _ChartCoeffs):
     """Jacobian of the (w, g) right-hand side: (dw_s/dw, dw_s/dg, dg_s/dw, dg_s/dg)."""
-    sigma, c_sq, c_g, c_wg, c_w, c_w2 = cc
+    sigma, c_sq, c_g, c_wg, c_w = cc
 
     def jac(s, w, g):
         gw = g / w
-        return sigma, 1.0, -c_sq * gw * gw + c_wg * g + c_w + 2.0 * c_w2 * w, 2.0 * c_sq * gw + c_g + c_wg * w
+        return sigma, 1.0, -c_sq * gw * gw + c_wg * g + c_w, 2.0 * c_sq * gw + c_g + c_wg * w
 
     return jac
 
@@ -454,7 +441,7 @@ def integrate_log(
     s_max: float,
     tol: float = SolveConfig.tol,
 ) -> LogProfile:
-    """Integrate the log chart from (s, w, w_s) to s_max.
+    """Integrate the log chart from (s, w, w_s) to s_max; beta must be positive.
 
     ``tol`` is the r-chart relative tolerance; the log chart's own pair comes
     from ``chart_tolerances``.
@@ -477,6 +464,8 @@ def integrate_log(
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
+    if not beta > 0.0:
+        raise HypothesisViolation(f"log chart requires beta > 0, got {beta}")
     s0, w0, ws0 = start
     cc = _chart_coeffs(n, m, alpha, beta)
     sigma = cc.sigma
@@ -484,7 +473,7 @@ def integrate_log(
     rtol, atol = chart_tolerances("log", tol)
 
     w_stop = None
-    if beta > 0.0 and sigma > _QSS_MIN_SIGMA:
+    if sigma > _QSS_MIN_SIGMA:
         w_stop = _QSS_RATE * max(1.0, sigma) * (n - 1) / beta
         if w0 >= w_stop:
             # already stiff at the start; step explicitly through one
@@ -586,18 +575,11 @@ def _overlap_error(profile: Profile, logprofile: LogProfile, m: float, r_h: floa
 def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solution:
     """Series seed, r-chart, handoff, log chart, and the overlap diagnostic.
 
-    Raises HypothesisViolation when the existence range fails, unless
-    ``config.override_hypotheses`` is set (useful for probing where the
-    solver loses positivity).
+    Raises HypothesisViolation outside the existence range; ``integrate_r``
+    has no gate and probes behaviour there (for example where the solver
+    loses positivity).
     """
-    hyp = check_hypotheses(p)
-    if not (hyp.existence_ok or config.override_hypotheses):
-        bound = p.beta * (p.n - 2) / p.m
-        raise HypothesisViolation(
-            f"existence range requires beta > 0 and alpha <= beta*(n-2)/m = {bound:.6g}; "
-            f"got alpha = {p.alpha}, beta = {p.beta}"
-        )
-
+    require(p, "solve_profile", "existence_ok")
     profile = integrate_r(p.n, p.m, p.alpha, p.beta, p.eta, max(config.r_max, 2.0 * R_HANDOFF), config.tol)
     start = handoff_to_log(profile, R_HANDOFF, p.m)
     logprofile = integrate_log(p.n, p.m, p.alpha, p.beta, start, config.s_end, config.tol)

@@ -22,7 +22,7 @@ from .errors import HypothesisViolation
 from .integrate import (
     R_HANDOFF, LogProfile, Profile, SolveConfig, handoff_to_log, integrate_log, integrate_r, solve_profile,
 )
-from .model import Parameters, check_hypotheses
+from .model import Parameters, check_dimension, require
 
 __all__ = [
     "ConvergenceReport",
@@ -45,9 +45,7 @@ def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: flo
         raise HypothesisViolation(f"log-diffusion limit needs beta > 0 or alpha = 0; got alpha={alpha}, beta={beta}")
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if n != int(n) or n < 3:
-        raise ValueError(f"dimension n must be an integer >= 3, got {n}")
-    return integrate_r(n, 0.0, alpha, beta, eta, r_max)
+    return integrate_r(check_dimension(n), 0.0, alpha, beta, eta, r_max)
 
 
 def log_chart_of_log_equation(n: int, alpha: float, beta: float, eta: float) -> LogProfile:
@@ -89,16 +87,12 @@ def limit_convergence(
     tolerance, u at m = 0; v^(m) is the r-chart ``solve_profile`` computes."""
     if not m_list:
         raise ValueError("m_list is empty: the study needs at least one m")
-    # solve_log_equation raises first where the limit equation itself is inadmissible
-    grid = np.linspace(0.0, r_max, _GRID_POINTS)
-    u_vals = solve_log_equation(n, alpha, beta, eta, r_max).value(grid)
+    # every member is checked before anything is solved, the limit equation's own condition first
     ms = tuple(sorted(m_list, reverse=True))
     for m in ms:
-        p = Parameters(n, m, alpha, beta, eta)
-        if not check_hypotheses(p).existence_ok:
-            raise HypothesisViolation(
-                f"m = {m} leaves the existence range for alpha = {alpha}, beta = {beta}"
-            )
+        require(Parameters(n, m, alpha, beta, eta), f"the m -> 0 study at m = {m}", "limit_ok", "existence_ok")
+    grid = np.linspace(0.0, r_max, _GRID_POINTS)
+    u_vals = solve_log_equation(n, alpha, beta, eta, r_max).value(grid)
 
     sups = []
     for m in ms:

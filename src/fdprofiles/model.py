@@ -16,21 +16,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import EndpointExponentError, HypothesisViolation
+
 __all__ = [
     "REGIME_TOL",
     "Regime",
     "Parameters",
     "DerivedConstants",
     "HypothesisReport",
+    "check_dimension",
     "classify_regime",
     "check_hypotheses",
+    "require",
     "derived",
     "exponent_relation",
 ]
 
-# Relative tolerance for matching the special exponent relations. The regimes
-# are advisory metadata and never gate the solver.
-REGIME_TOL = 1e-12
+# Relative tolerance for matching the special exponent relations, the one
+# every classification, hypothesis check and self-similar build uses. It is
+# loose enough that a relation typed with ten significant digits matches.
+REGIME_TOL = 1e-9
 
 # How close m may come to (n-2)/n before it counts as the range endpoint.
 _ENDPOINT_RTOL = 1e-12
@@ -45,6 +50,13 @@ class Regime(Enum):
     GENERIC = "generic"
 
 
+def check_dimension(n) -> int:
+    """n as an int; a ValueError unless it is a finite integer >= 3."""
+    if not (math.isfinite(n) and n == int(n) and n >= 3):
+        raise ValueError(f"dimension n must be an integer >= 3, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Parameters:
     """Problem data (n, m, alpha, beta, eta) for the radial profile equation."""
@@ -56,9 +68,7 @@ class Parameters:
     eta: float
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 3:
-            raise ValueError(f"dimension n must be an integer >= 3, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_dimension(self.n))
         m_max = (self.n - 2) / self.n
         if not 0.0 < self.m <= m_max:
             raise ValueError(f"m must satisfy 0 < m <= (n-2)/n = {m_max:.16g}, got {self.m}")
@@ -120,11 +130,12 @@ def derived(p: Parameters) -> DerivedConstants:
     return DerivedConstants(k=k, rho1=rho1, a0=a0, b0=b0, b1=b1, b2=b2)
 
 
-def classify_regime(p: Parameters, tol: float = REGIME_TOL) -> Regime:
+def classify_regime(p: Parameters) -> Regime:
     """Match alpha*(1-m) - 2*beta against the three special exponent relations.
 
-    ``tol`` is relative to the size of the relation being tested. The closest
-    matching relation wins; exact ties are reported as GENERIC.
+    A relation matches within REGIME_TOL relative to the size of the terms
+    being compared. The closest matching relation wins; exact ties are
+    reported as GENERIC.
     """
     rho1, scale = exponent_relation(p.m, p.alpha, p.beta)
     residuals = {
@@ -132,7 +143,7 @@ def classify_regime(p: Parameters, tol: float = REGIME_TOL) -> Regime:
         Regime.FORWARD: abs(rho1 + 1.0),
         Regime.BACKWARD: abs(rho1 - 1.0),
     }
-    hits = {reg: res for reg, res in residuals.items() if res <= tol * scale}
+    hits = {reg: res for reg, res in residuals.items() if res <= REGIME_TOL * scale}
     if not hits:
         return Regime.GENERIC
     best = min(hits.values())
@@ -140,15 +151,25 @@ def classify_regime(p: Parameters, tol: float = REGIME_TOL) -> Regime:
     return winners[0] if len(winners) == 1 else Regime.GENERIC
 
 
+# What each HypothesisReport field demands: the message of ``require``.
+_CONDITIONS = {
+    "existence_ok": "the existence range beta > 0 and alpha <= beta*(n-2)/m = {bound:.6g}",
+    "strict_m": "m strictly below the endpoint (n-2)/n = {m_upper:.16g}",
+    "log_decay_ok": "the eternal relation alpha = 2*beta/(1-m) = {eternal:.6g} > 0",
+    "power_decay_ok": "2*beta/(1-m) = {eternal:.6g} > max(alpha, 0)",
+    "limit_ok": "beta > 0 or alpha = 0",
+}
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Which operating-range conditions the parameters satisfy (pure functions of p)."""
+    """Which operating-range conditions the parameters satisfy (pure functions of p; see _CONDITIONS)."""
 
-    existence_ok: bool    # alpha <= beta*(n-2)/m and beta > 0
-    strict_m: bool        # m strictly below (n-2)/n
-    log_decay_ok: bool    # alpha = 2*beta/(1-m) > 0
-    power_decay_ok: bool  # 2*beta/(1-m) > max(alpha, 0)
-    limit_ok: bool        # beta > 0 or alpha = 0
+    existence_ok: bool
+    strict_m: bool
+    log_decay_ok: bool
+    power_decay_ok: bool
+    limit_ok: bool
 
 
 def check_hypotheses(p: Parameters) -> HypothesisReport:
@@ -161,3 +182,20 @@ def check_hypotheses(p: Parameters) -> HypothesisReport:
         power_decay_ok=bool(2.0 * p.beta / (1.0 - p.m) > max(p.alpha, 0.0)),
         limit_ok=bool(p.beta > 0.0 or p.alpha == 0.0),
     )
+
+
+def require(p: Parameters, what: str, *conditions: str) -> HypothesisReport:
+    """The HypothesisReport of p, once every listed field of it holds.
+
+    The first listed condition that fails raises: EndpointExponentError for
+    ``strict_m``, HypothesisViolation for any other. The message names
+    ``what`` needed it and the condition by its field name.
+    """
+    hyp = check_hypotheses(p)
+    for name in conditions:
+        if not getattr(hyp, name):
+            bounds = dict(bound=p.beta * (p.n - 2) / p.m, m_upper=p.m_upper, eternal=2.0 * p.beta / (1.0 - p.m))
+            error = EndpointExponentError if name == "strict_m" else HypothesisViolation
+            raise error(f"{what} needs {_CONDITIONS[name].format(**bounds)} ({name}); "
+                        f"got n = {p.n}, m = {p.m}, alpha = {p.alpha}, beta = {p.beta}")
+    return hyp

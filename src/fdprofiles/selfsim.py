@@ -26,7 +26,7 @@ from .errors import OutOfRange, RegimeMismatch
 from .integrate import Solution
 from .model import Regime, classify_regime
 
-__all__ = ["PDE_RADII", "RELATION_TOL", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "pde_residual"]
+__all__ = ["PDE_RADII", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "residual_grid", "pde_residual"]
 
 
 @dataclass(frozen=True)
@@ -81,33 +81,56 @@ class SelfSimilarSolution:
         return -pref * core
 
 
-# Relative tolerance for matching the exponent relation; looser than
-# REGIME_TOL so that relations typed with few digits still build. The CLI's
-# pde-check classifies with it too, so it accepts what this module builds.
-RELATION_TOL = 1e-9
+def _horizon(regime: Regime, T: float | None) -> float | None:
+    """The finite horizon T > 0 of a backward solution; None for the other regimes."""
+    if regime is Regime.BACKWARD and not (T is not None and math.isfinite(T) and T > 0.0):
+        raise RegimeMismatch(f"backward self-similar solutions need a finite horizon T > 0, got {T}")
+    return T if regime is Regime.BACKWARD else None
 
 
 def build_selfsimilar(sol: Solution, regime: Regime, T: float | None = None) -> SelfSimilarSolution:
     """Validated constructor: the regime must match the parameters' relation."""
-    actual = classify_regime(sol.params, RELATION_TOL)
+    actual = classify_regime(sol.params)
     if regime is Regime.GENERIC or actual is not regime:
         raise RegimeMismatch(
             f"parameters classify as {actual.value}; cannot build a {regime.value} self-similar solution"
         )
-    if regime is Regime.BACKWARD:
-        if T is None or not T > 0.0:
-            raise RegimeMismatch("backward self-similar solutions need a horizon T > 0")
-    else:
-        T = None
     p = sol.params
     return SelfSimilarSolution(
-        regime=regime, solution=sol, n=p.n, m=p.m, alpha=p.alpha, beta=p.beta, T=T
+        regime=regime, solution=sol, n=p.n, m=p.m, alpha=p.alpha, beta=p.beta, T=_horizon(regime, T)
     )
 
 
-# Radii of the default residual stencil; callers that must cover the stencil
-# with a solve (the CLI's r_max) read them from here.
+# Radii of the default residual stencil.
 PDE_RADII = (0.5, 1.0, 2.0, 5.0)
+
+
+def residual_grid(regime: Regime, T: float | None = None, radii=PDE_RADII, times=None, h: float = 1e-3,
+                  dt: float | None = None) -> tuple:
+    """(radii, times, h, dt) of the stencil ``pde_residual`` uses for a ``regime`` solution, checked without a solve.
+
+    ``times`` defaults to three times inside the regime's time range and
+    ``dt`` to h. A generic regime, or a backward one without a finite horizon
+    T > 0, is a RegimeMismatch; a step h or dt that is not finite and
+    positive, or an empty ``radii`` or ``times``, is a ValueError.
+    """
+    if regime is Regime.GENERIC:
+        raise RegimeMismatch("parameters do not satisfy any of the three self-similar exponent relations")
+    T = _horizon(regime, T)
+    dt = h if dt is None else dt
+    for name, step in (("h", h), ("dt", dt)):
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {step}")
+    if times is None and regime is Regime.FORWARD:
+        times = (0.8, 1.0, 1.25)
+    elif times is None and regime is Regime.BACKWARD:
+        times = (0.25 * T, 0.5 * T, 0.7 * T)
+    elif times is None:
+        times = (-0.2, 0.0, 0.2)
+    for name, values in (("radii", radii), ("times", times)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty: the stencil needs at least one point")
+    return radii, times, h, dt
 
 
 @dataclass(frozen=True)
@@ -151,24 +174,10 @@ def pde_residual(
     Residuals are computed at (h, dt) and (h/2, dt/2); the empirical order
     is log2 of their ratio and sits near 2 for smooth regions. The relative
     normalization carries a small absolute floor so the check stays finite
-    where both sides vanish. A step h or dt that is not finite and positive,
-    or an empty ``radii`` or ``times``, is a ValueError.
+    where both sides vanish. The grid's defaults and checks are those of
+    ``residual_grid``.
     """
-    if dt is None:
-        dt = h
-    for name, step in (("h", h), ("dt", dt)):
-        if not (math.isfinite(step) and step > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {step}")
-    if ss.regime is Regime.FORWARD and times is None:
-        times = (0.8, 1.0, 1.25)
-    elif ss.regime is Regime.BACKWARD and times is None:
-        span = ss.T
-        times = (0.25 * span, 0.5 * span, 0.7 * span)
-    elif times is None:
-        times = (-0.2, 0.0, 0.2)
-    for name, values in (("radii", radii), ("times", times)):
-        if len(values) == 0:
-            raise ValueError(f"{name} is empty: the stencil needs at least one point")
+    radii, times, h, dt = residual_grid(ss.regime, ss.T, radii, times, h, dt)
 
     # fail fast if any stencil point leaves the covered range
     _, scale = ss._scales(times)

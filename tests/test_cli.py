@@ -10,6 +10,7 @@ from fdprofiles import (
     Parameters, Regime, SolveConfig, build_selfsimilar, estimate_log_decay, estimate_power_decay, pde_residual,
     run_all_checks, solve_profile,
 )
+from fdprofiles import cli
 from fdprofiles.cli import _jsonable, main
 from fdprofiles.loglimit import limit_convergence
 from fdprofiles.selfsim import PDE_RADII
@@ -46,11 +47,6 @@ class TestSolve:
         assert code == 2
         data = json.loads(report.read_text())
         assert data["error"]["type"] == "HypothesisViolation"
-
-    def test_numerical_failure_exit_code(self, tmp_path):
-        code = run("solve", "--n", 3, "--m", 0.2, "--alpha", 3, "--beta", -1, "--eta", 1,
-                   "--override-hypotheses", "--r-max", 120, "--s-end", 1)
-        assert code == 3
 
     def test_r_handoff_is_rejected(self, tmp_path):
         # the charts always meet at r = 1; neither a flag nor a file key moves the seam
@@ -240,8 +236,8 @@ class TestPdeCheck:
         assert run("pde-check", "--n", 3, "--m", 0.2, "--alpha", 0.7, "--beta", 1, "--eta", 1) == 2
 
     def test_classifies_like_the_library_builds(self, tmp_path):
-        # off the eternal relation by 2.5e-11 relative: beyond REGIME_TOL, within the
-        # tolerance build_selfsimilar accepts
+        # off the eternal relation by 2.5e-11 relative: within REGIME_TOL, the one
+        # tolerance both the CLI and build_selfsimilar classify with
         js = tmp_path / "pde.json"
         args = ("--n", 3, "--m", 0.2, "--alpha", "2.500000000125", "--beta", 1, "--eta", 1)
         assert run("pde-check", *args, "--json", js) == 0
@@ -273,6 +269,20 @@ class TestPdeCheck:
         assert err["type"] == "ValueError"
         assert err["message"].startswith(f"{flag[2:]} is empty")
 
+    BACKWARD = ("--n", 3, "--m", 0.2, "--alpha", 3.75, "--beta", 1, "--eta", 1, "--T", 2)
+
+    @pytest.mark.parametrize("params, flag", [
+        (PARAMS, ("--h", 0)), (PARAMS, ("--dt", -1)), (PARAMS, ("--radii", "")), (PARAMS, ("--times", "")),
+        (BACKWARD, ("--T", -1)), (BACKWARD, ("--T", "inf")),
+    ])
+    def test_bad_stencil_is_rejected_before_the_solve(self, monkeypatch, params, flag):
+        solves = []
+        monkeypatch.setattr(cli, "solve_profile", lambda *a: solves.append(a) or solve_profile(*a))
+        assert run("pde-check", *params, *flag) == 2
+        assert solves == []
+        assert run("pde-check", *params) == 0
+        assert len(solves) == 1
+
     def test_defaults_come_from_the_library(self, tmp_path):
         js = tmp_path / "pde.json"
         assert run("pde-check", *PARAMS, "--json", js) == 0
@@ -281,6 +291,33 @@ class TestPdeCheck:
         stats = pde_residual(build_selfsimilar(sol, Regime.ETERNAL))
         assert (pde["h"], pde["dt"], pde["n_points"]) == (stats.h, stats.dt, stats.n_points)
         assert pde["max_rel_residual"] == stats.max_rel_residual
+
+
+class TestOneTolerance:
+    """Off the eternal relation by 2.5e-11 relative: every subcommand reads it as eternal."""
+
+    ARGS = ("--n", 3, "--m", 0.2, "--alpha", "2.500000000125", "--beta", 1, "--eta", 1)
+
+    def test_decay_is_log_corrected(self, tmp_path):
+        js = tmp_path / "decay.json"
+        assert run("decay", *self.ARGS, "--strict", "--json", js) == 0
+        data = json.loads(js.read_text())
+        assert data["decay"]["kind"] == "log-corrected"
+        assert data["regime"] == "eternal" and data["hypotheses"]["log_decay_ok"] is True
+
+    def test_verify_applies_the_q_identity(self, tmp_path):
+        js = tmp_path / "verify.json"
+        assert run("verify", *self.ARGS, "--strict", "--json", js) == 0
+        entries = json.loads(js.read_text())["invariants"]["entries"]
+        q = [e for e in entries if e["name"] == "q_identity"]
+        assert len(q) == 1 and q[0]["applicable"] and q[0]["passed"]
+
+    def test_regime_agrees_with_the_hypotheses(self, tmp_path):
+        js = tmp_path / "solve.json"
+        assert run("solve", *self.ARGS, "--json", js) == 0
+        data = json.loads(js.read_text())
+        assert data["regime"] == "eternal"
+        assert data["hypotheses"]["log_decay_ok"] is True
 
 
 class TestSweep:
@@ -295,6 +332,13 @@ class TestSweep:
         row = lines[1].split(",")
         assert float(row[5]) == pytest.approx(2.0, rel=1e-12)
         assert float(row[6]) == pytest.approx(2.0, rel=0.01)
+
+    @pytest.mark.parametrize("n", ["inf", "nan"])
+    def test_dimension_that_is_not_finite_is_a_json_error(self, tmp_path, n):
+        js = tmp_path / "err.json"
+        assert run("sweep", "--n-list", n, "--m-list", 0.2, "--json", js) == 2
+        err = json.loads(js.read_text())["error"]
+        assert err == {"type": "ValueError", "message": f"dimension n must be an integer >= 3, got {n}"}
 
     def test_non_integer_dimension_rejected(self, tmp_path):
         js = tmp_path / "err.json"
@@ -350,13 +394,22 @@ class TestThinLayer:
     @pytest.mark.parametrize("command,flag", [
         ("limit", ("--m", 0.2)), ("limit", ("--tol", "1e-6")), ("limit", ("--s-end", 30)),
         ("limit", ("--override-hypotheses",)), ("solve", ("--strict",)), ("pde-check", ("--strict",)),
-        ("sweep", ("--strict",)),
+        ("sweep", ("--strict",)), ("solve", ("--override-hypotheses",)), ("verify", ("--override-hypotheses",)),
     ])
     def test_unread_flag_is_rejected(self, command, flag):
         args = ("--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1) if command == "limit" else PARAMS
         with pytest.raises(SystemExit) as exc:
             run(command, *args, *flag)
         assert exc.value.code == 2
+
+    def test_removed_override_file_key_is_rejected(self, tmp_path):
+        cfgfile = tmp_path / "solve.cfg"
+        cfgfile.write_text("n = 3\nm = 0.2\nalpha = 6\nbeta = 1\neta = 1\noverride-hypotheses = true\n")
+        js = tmp_path / "err.json"
+        assert run("solve", "--config", cfgfile, "--json", js) == 2
+        assert json.loads(js.read_text())["error"] == {
+            "type": "ValueError", "message": "unknown config key 'override-hypotheses'"
+        }
 
     def test_unread_file_key_is_rejected(self, tmp_path):
         cfgfile = tmp_path / "limit.cfg"

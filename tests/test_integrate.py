@@ -136,25 +136,19 @@ class TestGuards:
         with pytest.raises(HypothesisViolation):
             solve_profile(P(6.0))  # bound is beta*(n-2)/m = 5
 
-    def test_override_flag_allows_out_of_range(self):
-        sol = solve_profile(P(5.5), SolveConfig(override_hypotheses=True, r_max=2.5, s_end=2.0))
-        assert sol.profile.r_end == 2.5
-
     def test_positivity_loss_on_gross_violation(self):
         # beta < 0 leaves the existence range entirely; the profile dives
         # below the representable floor at a finite radius
         with pytest.raises(PositivityLoss) as exc:
-            solve_profile(
-                P(3.0, beta=-1.0), SolveConfig(override_hypotheses=True, r_max=120.0, s_end=1.0)
-            )
+            integrate_r(3, 0.2, 3.0, -1.0, 1.0, 120.0)
         assert 0.0 < exc.value.location < 120.0
 
     def test_steep_decay_beyond_existence_bound_stays_positive(self):
         # alpha far above beta*(n-2)/m: the profile plunges but settles on
         # the universal r^(-2/(1-m)) tail instead of vanishing
-        sol = solve_profile(P(50.0), SolveConfig(override_hypotheses=True, r_max=50.0, s_end=1.0))
-        assert np.all(sol.profile.v > 0.0)
-        assert sol.profile.v[-1] < 1e-6
+        prof = integrate_r(3, 0.2, 50.0, 1.0, 1.0, 50.0)
+        assert np.all(prof.v > 0.0)
+        assert prof.v[-1] < 1e-6
 
     def test_dense_eval_out_of_range(self, eternal_n3):
         with pytest.raises(OutOfRange):
@@ -227,6 +221,12 @@ class TestLogChartDirect:
     def test_rejects_m_one(self):
         with pytest.raises(ValueError):
             integrate_log(3, 1.0, 2.0, 1.0, (0.0, 1.0, 2.0), 5.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_rejects_nonpositive_beta(self, beta):
+        # sigma = -rho1/beta anchors the chart
+        with pytest.raises(HypothesisViolation, match="beta > 0"):
+            integrate_log(3, 0.2, 0.0, beta, (0.0, 1.0, 2.0), 5.0)
 
     def test_w_recovers_v(self, eternal_n3):
         lp = eternal_n3.logprofile

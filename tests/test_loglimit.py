@@ -14,6 +14,7 @@ from fdprofiles import (
     solve_log_equation,
     solve_profile,
 )
+from fdprofiles import loglimit
 from fdprofiles.decay import tail_limit_fit
 
 
@@ -132,6 +133,15 @@ class TestLimitConvergence:
         # alpha > beta*(n-2)/m for the largest m in the list
         with pytest.raises(HypothesisViolation):
             limit_convergence(3, 6.0, 1.0, 1.0, m_list=(0.2, 0.1), r_max=5.0)
+
+    @pytest.mark.parametrize("alpha, beta, field", [(6.0, 1.0, "existence_ok"), (1.0, -1.0, "limit_ok")])
+    def test_rejects_before_solving(self, monkeypatch, alpha, beta, field):
+        def no_solve(*args):
+            raise AssertionError("limit_convergence solved before its check")
+
+        monkeypatch.setattr(loglimit, "integrate_r", no_solve)
+        with pytest.raises(HypothesisViolation, match=rf"\({field}\)"):
+            limit_convergence(3, alpha, beta, 1.0, m_list=(0.2, 0.1), r_max=5.0)
 
     def test_rejects_empty_m_list(self):
         with pytest.raises(ValueError, match="m_list is empty"):

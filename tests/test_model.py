@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,13 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdprofiles import (
+    EndpointExponentError,
+    HypothesisReport,
+    HypothesisViolation,
     Parameters,
     Regime,
+    SolveConfig,
     check_hypotheses,
     classify_regime,
     derived,
+    estimate_log_decay,
+    estimate_power_decay,
     expected_log_constant,
+    limit_convergence,
+    solve_log_equation,
+    solve_profile,
 )
+from fdprofiles.model import exponent_relation, require
 
 
 def P(n=3, m=0.2, alpha=2.5, beta=1.0, eta=1.0):
@@ -43,6 +54,17 @@ class TestParameters:
         with pytest.raises(ValueError):
             P(**kwargs)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_dimension_that_is_not_finite(self, n):
+        # one check for the profile equation and for its m -> 0 limit
+        message = f"dimension n must be an integer >= 3, got {n}"
+        with pytest.raises(ValueError) as exc:
+            P(n=n)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            solve_log_equation(n, 1.0, 1.0, 1.0, 5.0)
+        assert str(exc.value) == message
+
 
 class TestClassify:
     def test_eternal(self):
@@ -65,9 +87,11 @@ class TestClassify:
         assert classify_regime(P(alpha=2.5 * (1 + 1e-6))) is Regime.GENERIC
 
     def test_huge_tolerance_tie_is_generic(self):
-        # alpha*(1-m) - 2*beta = -0.5 sits exactly between forward and eternal
-        p = P(alpha=1.875)
-        assert classify_regime(p, tol=1.0) is Regime.GENERIC
+        # at beta = 1e9 the tolerance exceeds 1/2: alpha*(1-m) - 2*beta = -0.5
+        # exactly, as close to forward as to eternal
+        p = P(alpha=(2e9 - 0.5) / 0.8, beta=1e9)
+        assert exponent_relation(p.m, p.alpha, p.beta)[0] == -0.5
+        assert classify_regime(p) is Regime.GENERIC
 
     @settings(max_examples=200)
     @given(
@@ -171,3 +195,42 @@ class TestHypotheses:
         assert not (hyp.log_decay_ok and hyp.power_decay_ok)
         if off < 0.0:
             assert hyp.power_decay_ok and not hyp.log_decay_ok
+
+
+class TestRequire:
+    @pytest.mark.parametrize("field, p", [
+        ("existence_ok", P(alpha=6.0)),
+        ("strict_m", P(m=1 / 3, alpha=1.0)),
+        ("log_decay_ok", P(alpha=1.25)),
+        ("power_decay_ok", P(alpha=2.5)),
+        ("limit_ok", P(alpha=1.0, beta=-1.0)),
+    ])
+    def test_every_condition_has_a_message(self, field, p):
+        with pytest.raises(HypothesisViolation) as exc:
+            require(p, "this study", field)
+        assert type(exc.value) is (EndpointExponentError if field == "strict_m" else HypothesisViolation)
+        assert str(exc.value).startswith("this study needs ")
+        assert f"({field})" in str(exc.value)
+
+    def test_returns_the_report_when_every_condition_holds(self):
+        fields = [f.name for f in dataclasses.fields(HypothesisReport)]
+        assert require(P(), "a solve", "existence_ok", "strict_m") == check_hypotheses(P())
+        with pytest.raises(HypothesisViolation, match=r"\(log_decay_ok\)"):
+            require(P(alpha=1.25), "a decay", *fields)  # the first that fails is named
+
+    @pytest.mark.parametrize("call, error, field", [
+        (lambda: solve_profile(P(alpha=6.0)), HypothesisViolation, "existence_ok"),
+        (lambda: estimate_power_decay(solve_profile(P())), HypothesisViolation, "power_decay_ok"),
+        (lambda: estimate_log_decay(solve_profile(P(m=1 / 3, alpha=3.0), SolveConfig(s_end=25.0))),
+         EndpointExponentError, "strict_m"),
+        (lambda: expected_log_constant(P(m=1 / 3, alpha=3.0)), EndpointExponentError, "strict_m"),
+        (lambda: expected_log_constant(P(alpha=1.0, beta=-1.0)), HypothesisViolation, "existence_ok"),
+        (lambda: limit_convergence(3, 6.0, 1.0, 1.0, m_list=(0.2, 0.1), r_max=5.0),
+         HypothesisViolation, "existence_ok"),
+    ], ids=["solve_profile", "power_decay", "log_decay", "log_constant_endpoint", "log_constant_beta",
+            "limit_convergence"])
+    def test_gated_call_names_the_failed_condition(self, call, error, field):
+        with pytest.raises(HypothesisViolation) as exc:
+            call()
+        assert type(exc.value) is error
+        assert f"({field})" in str(exc.value)
