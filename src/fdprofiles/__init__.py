@@ -56,6 +56,7 @@ from .decay import (
     estimate_log_decay,
     estimate_power_decay,
     expected_log_constant,
+    require_decay_inputs,
 )
 from .loglimit import (
     ConvergenceReport,
@@ -106,6 +107,7 @@ __all__ = [
     "DecayKind",
     "estimate_log_decay",
     "estimate_power_decay",
+    "require_decay_inputs",
     "expected_log_constant",
     "ConvergenceReport",
     "DoubleLimitReport",

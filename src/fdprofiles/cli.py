@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decay import estimate_log_decay, estimate_power_decay
+from .decay import DecayKind, estimate_log_decay, estimate_power_decay, require_decay_inputs
 from .errors import HypothesisViolation, ProfileError, RegimeMismatch
 from .integrate import SolveConfig, solve_profile
 from .invariants import run_all_checks
@@ -200,11 +200,13 @@ def _cmd_verify(cfg: dict) -> tuple[int, dict]:
 
 
 def _cmd_decay(cfg: dict) -> tuple[int, dict]:
-    p, sol, report = _solved(cfg)
+    p = _params_from(cfg)
     kind = cfg.get("kind", "auto")
-    if kind == "auto":
-        kind = "log" if check_hypotheses(p).log_decay_ok else "power"
-    est = estimate_log_decay(sol) if kind == "log" else estimate_power_decay(sol)
+    log = kind == "log" or (kind == "auto" and check_hypotheses(p).log_decay_ok)
+    # the parameters and the log chart's length are checked before the solve
+    require_decay_inputs(p, DecayKind.LOG_CORRECTED if log else DecayKind.POWER, _solve_config_from(cfg).s_end)
+    _, sol, report = _solved(cfg)
+    est = estimate_log_decay(sol) if log else estimate_power_decay(sol)
     report["decay"] = _jsonable(est)
     trace_out = _resolve_path(cfg.get("trace_out"))
     if trace_out is not None:

@@ -29,6 +29,7 @@ __all__ = [
     "DecayKind",
     "DecayEstimate",
     "expected_log_constant",
+    "require_decay_inputs",
     "estimate_log_decay",
     "estimate_power_decay",
     "tail_limit_fit",
@@ -89,6 +90,42 @@ def expected_log_constant(p: Parameters) -> float:
     return derived(p).a0
 
 
+# What each kind needs of the parameters (fields of model.HypothesisReport).
+_NEEDS = {DecayKind.LOG_CORRECTED: ("strict_m", "log_decay_ok"), DecayKind.POWER: ("strict_m", "power_decay_ok")}
+
+
+def require_decay_inputs(p: Parameters, kind: DecayKind, s_end: float) -> None:
+    """Refuse parameters, or a log chart ending at s_end, that ``kind``'s estimator cannot use.
+
+    It needs only the SolveConfig, so a caller can check before it solves;
+    the estimators check again on the chart they get. Raises
+    HypothesisViolation (EndpointExponentError at the endpoint m = (n-2)/n).
+    """
+    what = "log-corrected decay" if kind is DecayKind.LOG_CORRECTED else "power decay"
+    require(p, what, *_NEEDS[kind])
+    _require_chart_length(kind, s_end, p.alpha)
+
+
+def _require_chart_length(kind: DecayKind, s_end: float, alpha: float | None = None) -> None:
+    """Raise HypothesisViolation unless a log chart ending at s_end is long enough for ``kind``.
+
+    The log-corrected trace starts at s = 10 and fits the upper half of the
+    chart, so s_end >= 20; the power plateau reads three decades of r beyond
+    r = 1 (none at alpha = 0, where q = v = eta).
+    """
+    if kind is DecayKind.LOG_CORRECTED and s_end < 2.0 * _TRACE_START:
+        raise HypothesisViolation(
+            f"log chart reaches only s = {s_end:.3g}; need at least {2 * _TRACE_START:.3g}"
+        )
+    if kind is DecayKind.POWER and alpha != 0.0 and _decades(s_end) < 3:
+        raise HypothesisViolation(f"log chart reaches only r = {math.exp(s_end):.3g}; need at least three decades")
+
+
+def _decades(s_end: float) -> int:
+    """Whole decades of r from r = 1 to r = e^s_end; the 1e-9 slack counts a chart end that rounds short."""
+    return int(math.floor(s_end / _LN10 + 1e-9))
+
+
 def tail_limit_fit(s: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Least-squares fit values ~ a + c/s; returns (a, c).
 
@@ -107,10 +144,7 @@ def log_tail_fit(lp: LogProfile) -> tuple[np.ndarray, np.ndarray, float, float]:
     fit window is the upper half of the chart.
     """
     s_end = lp.s_end
-    if s_end < 2.0 * _TRACE_START:
-        raise HypothesisViolation(
-            f"log chart reaches only s = {s_end:.3g}; need at least {2 * _TRACE_START:.3g}"
-        )
+    _require_chart_length(DecayKind.LOG_CORRECTED, s_end)
     # the stop's 1e-9 slack keeps a point at s_end; one it lets past s_end is read at s_end
     sgrid = np.minimum(np.arange(_TRACE_START, s_end + 1e-9, _TRACE_STEP), s_end)
     if s_end - sgrid[-1] > 1e-9:
@@ -123,9 +157,9 @@ def log_tail_fit(lp: LogProfile) -> tuple[np.ndarray, np.ndarray, float, float]:
 def estimate_log_decay(sol: Solution) -> DecayEstimate:
     """Extrapolated limit of w_s under the eternal relation (see log_tail_fit)."""
     p = sol.params
-    require(p, "log-corrected decay", "strict_m", "log_decay_ok")
     lp = sol.logprofile
     s_end = lp.s_end
+    require_decay_inputs(p, DecayKind.LOG_CORRECTED, s_end)
     sgrid, vals, a_fit, c_fit = log_tail_fit(lp)
     expected = expected_log_constant(p)
     raw_last = float(vals[-1])
@@ -152,7 +186,8 @@ def estimate_power_decay(sol: Solution) -> DecayEstimate:
     is held as exact state.
     """
     p = sol.params
-    require(p, "power decay", "strict_m", "power_decay_ok")
+    lp = sol.logprofile
+    require_decay_inputs(p, DecayKind.POWER, lp.s_end)
     if p.alpha == 0.0:
         scales = np.array([1.0])
         values = np.array([p.eta])
@@ -170,13 +205,8 @@ def estimate_power_decay(sol: Solution) -> DecayEstimate:
         )
 
     a = p.alpha / p.beta
-    lp = sol.logprofile
     one_m = 1.0 - p.m
-    n_dec = int(math.floor(lp.s_end / _LN10 + 1e-9))
-    if n_dec < 3:
-        raise HypothesisViolation(
-            f"log chart reaches only r = {math.exp(lp.s_end):.3g}; need at least three decades"
-        )
+    n_dec = _decades(lp.s_end)
     # the 1e-9 slack in n_dec can put the last decade just past s_end; it is read at s_end
     sgrid = np.minimum(np.arange(0, n_dec + 1) * _LN10, lp.s_end)
     w = lp.eval_w(sgrid)

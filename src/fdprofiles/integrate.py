@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, exponent_relation, require
-from .rk import POSITIVITY_FLOOR, CubicHermite, QuinticHermite, integrate_2d
+from .rk import POSITIVITY_FLOOR, CubicHermite, QuinticHermite, SepticHermite, integrate_2d
 from .series import SeriesExpansion, eval_series, seed_within
 
 __all__ = [
@@ -118,19 +118,25 @@ def quad(f, a: float, b, breaks):
 class Profile:
     """Samples (r, v, v') of an r-chart solution with dense evaluation.
 
-    ``ddv`` holds v'' from the equation at each node, so the dense output is
-    quintic Hermite (needed by the finite-difference residual checks). Radii
-    below the first node are served by the origin series.
+    ``ddv`` holds v'' from the equation at each node and ``dddv`` its
+    derivative along the solution (``_r_third_derivative``), so the dense
+    output is septic Hermite, of the order of the chart's DOP853 steps: it is
+    as accurate between the nodes as at them, where the finite-difference
+    residual checks and the identity quadratures read it. Radii below the
+    first node are served by the origin series. ``nfev`` counts right-hand-side
+    calls.
     """
 
     r: np.ndarray
     v: np.ndarray
     dv: np.ndarray
     ddv: np.ndarray
+    dddv: np.ndarray
     series: SeriesExpansion
     rtol: float
     n_steps: int = 0
     n_rejected: int = 0
+    nfev: int = 0
 
     @property
     def r_start(self) -> float:
@@ -142,7 +148,7 @@ class Profile:
 
     @cached_property
     def _value_interp(self):
-        return QuinticHermite(self.r, self.v, self.dv, self.ddv)
+        return SepticHermite(self.r, self.v, self.dv, self.ddv, self.dddv)
 
     def _covered(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float)).copy()
@@ -189,6 +195,7 @@ class LogProfile:
     rtol: float
     n_steps: int = 0
     n_rejected: int = 0
+    nfev: int = 0
     # Log-radius past which the fast mode was slaved to the slow manifold
     # (None when the whole span was integrated with the full system).
     qss_switch_s: float | None = None
@@ -254,6 +261,22 @@ def _r_rhs(n: int, m: float, alpha: float, beta: float):
     return rhs
 
 
+def _r_third_derivative(n: int, m: float, alpha: float, beta: float, r, v, dv, ddv):
+    """v''' at arrays of r-chart nodes: the derivative of the right-hand side along the solution.
+
+    With v'' = F(r, v, v'), v''' = F_r + F_v*v' + F_v'*v''; p = v^(1-m)/(n-1) is
+    the factor of the drift term.
+    """
+    n1 = float(n - 1)
+    one_m = 1.0 - m
+    p = v**one_m / n1
+    slope = dv / v
+    f_r = n1 * dv / (r * r) - p * beta * dv
+    f_v = -one_m * slope * slope - one_m * p * (alpha + beta * r * slope) - p * alpha
+    f_dv = 2.0 * one_m * slope - n1 / r - p * beta * r
+    return f_r + f_v * dv + f_dv * ddv
+
+
 class _ChartCoeffs(NamedTuple):
     """The (w, g) chart: w_s = g + sigma*w, g_s = c_sq*g^2/w + c_g*g + c_wg*w*g + c_w*w."""
 
@@ -310,8 +333,10 @@ def integrate_r(
 ) -> Profile:
     """Integrate the r-chart from the origin seed (``seed_within`` at ``tol``) out to r_max.
 
-    Takes plain scalars rather than Parameters so that m = 0 is accepted: the
-    chart then solves the log-diffusion equation of the singular limit."""
+    The chart takes DOP853 steps (see ``rk``); v''' for the septic dense
+    output is evaluated over all nodes once the solve is done. Takes plain
+    scalars rather than Parameters so that m = 0 is accepted: the chart then
+    solves the log-diffusion equation of the singular limit."""
     if not (0.0 <= m < 1.0 and eta > 0.0):
         raise ValueError(f"r-chart requires 0 <= m < 1 and eta > 0, got m = {m}, eta = {eta}")
     se = seed_within(n, m, alpha, beta, eta, tol)
@@ -320,16 +345,18 @@ def integrate_r(
         raise ValueError(f"r_max = {r_max} must exceed the series handoff {start}")
     v0, dv0 = eval_series(se, start)
     rtol, atol = chart_tolerances("r", tol)
-    path = integrate_2d(_r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True)
+    path = integrate_2d(_r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True, _dop853=True)
     return Profile(
         r=path.t,
         v=path.y,
         dv=path.z,
         ddv=path.fz,
+        dddv=_r_third_derivative(n, m, alpha, beta, path.t, path.y, path.z, path.fz),
         series=se,
         rtol=rtol,
         n_steps=path.n_steps,
         n_rejected=path.n_rejected,
+        nfev=path.nfev,
     )
 
 
@@ -502,6 +529,7 @@ def integrate_log(
         rtol=rtol,
         n_steps=path.n_steps + s_arr.size - path.t.size,  # a tail node counts as a step
         n_rejected=path.n_rejected,
+        nfev=path.nfev,
         qss_switch_s=switch_s,
         stiff_switch_s=path.t_stiff,
     )
@@ -591,6 +619,8 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         "r_rejected": profile.n_rejected,
         "s_steps": logprofile.n_steps,
         "s_rejected": logprofile.n_rejected,
+        "r_nfev": profile.nfev,
+        "s_nfev": logprofile.nfev,
         "overlap_error": overlap,
         "series_r_switch": profile.series.r_start,
         "series_truncation": profile.series.truncation_estimate,

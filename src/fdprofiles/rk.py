@@ -1,4 +1,4 @@
-"""Runge-Kutta stepping for two-state systems: explicit DP5(4), then Radau IIA once stiff.
+"""Runge-Kutta stepping for two-state systems: DOP853 or DP5(4), then Radau IIA once stiff.
 
 Every chart in this package is a second-order scalar ODE reduced to first
 order, so the state always has exactly two components. The hot loops therefore
@@ -6,27 +6,37 @@ work on plain Python floats: at this state size the interpreter overhead of
 array arithmetic dominates the flops, and a float core is roughly an order of
 magnitude faster than wrapping a general-purpose array solver.
 
-One step loop drives two step kinds. Integration starts with Dormand-Prince
-5(4) steps with FSAL and a PI step-size controller. A caller that supplies
-the Jacobian of the right-hand side lets the loop switch, once and for good,
-to steps of the 3-stage Radau IIA method (order 5, L-stable, stiffly
-accurate; Hairer & Wanner, Solving ODEs II, Sec. IV.8) when the problem
-turns stiff: when h*rho(J), the accepted DP5 step times the spectral radius
-of the 2x2 Jacobian, stays above _STIFF_H_RHO for _STIFF_RUN accepted steps
-in a row. The explicit pair is then paying for stability, not accuracy (its
-real-axis stability bound is h*lambda ~ 3.3), and the implicit method takes
-steps set by the tolerance alone. Its simplified Newton iteration costs one
-real and one complex 2x2 solve per iteration and starts from the previous
+One step loop drives three step kinds. By default integration starts with
+Dormand-Prince 5(4) steps with FSAL and a PI step-size controller. A caller
+that supplies the Jacobian of the right-hand side lets the loop switch, once
+and for good, to steps of the 3-stage Radau IIA method (order 5, L-stable,
+stiffly accurate; Hairer & Wanner, Solving ODEs II, Sec. IV.8) when the
+problem turns stiff: when h*rho(J), the accepted DP5 step times the spectral
+radius of the 2x2 Jacobian, stays above _STIFF_H_RHO for _STIFF_RUN accepted
+steps in a row. The explicit pair is then paying for stability, not accuracy
+(its real-axis stability bound is h*lambda ~ 3.3), and the implicit method
+takes steps set by the tolerance alone. Its simplified Newton iteration costs
+one real and one complex 2x2 solve per iteration and starts from the previous
 step's collocation polynomial; the error estimate is Hairer & Wanner's, with
 a predictive (Gustafsson) step-size controller. Without a Jacobian the call
-never switches. The step budget, the final-step clamp, the step-collapse and
-positivity guards, the node store and the early stop are the loop's own;
-only the attempt and the step-size update depend on the step kind.
+never switches.
+
+The r-chart (``integrate.integrate_r``, also at m = 0) instead steps with
+Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
+Sec. II.5), selected by the internal keyword ``_dop853``: at its rtol of 1e-10
+the 8th-order method takes about a third of DP5's steps for fewer right-hand
+side calls, and its nodes carry septic Hermite dense output (``SepticHermite``).
+The log chart keeps DP5 and Radau IIA: its cubic g and quintic w dense output
+are sized to DP5's step lengths, and longer steps would make the interpolants,
+not the nodes, the accuracy floor of the flux identity the charts are checked
+by at r = 20. The step budget, the final-step clamp, the step-collapse and
+positivity guards, the node store and the early stop are the loop's own; only
+the attempt and the step-size update depend on the step kind.
 
 Accepted nodes retain both state components and their derivatives, which is
 enough for quintic Hermite dense output whenever the second component is the
 derivative of the first (value, slope, and curvature known at both ends of
-every step).
+every step); the caller adds the third derivative for the septic.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import numpy as np
 
 from .errors import PositivityLoss, ProfileError, StepUnderflow
 
-__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "QuinticHermite", "CubicHermite"]
+__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "SepticHermite", "QuinticHermite", "CubicHermite"]
 
 # No clamping below this value; clamping would corrupt decay estimation.
 POSITIVITY_FLOOR = 1e-300
@@ -65,6 +75,47 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
+)
+
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5;
+# the coefficients of the authors' code DOP853): nodes _DCi, stage weights _DAi_j (zero
+# entries left out), 8th-order weights _DBj and 5th-order error weights _DE5_j. The
+# 3rd-order estimate of DOP853 is not used (see _dop853_attempt).
+_DC2, _DC3, _DC4, _DC5 = 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726
+_DC6, _DC7, _DC8, _DC9 = 0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513
+_DC10, _DC11, _DC12 = 0.6, 0.8571428571428571, 1.0
+_DA2_1 = 0.05260015195876773
+_DA3_1, _DA3_2 = 0.0197250569845379, 0.0591751709536137
+_DA4_1, _DA4_3 = 0.02958758547680685, 0.08876275643042054
+_DA5_1, _DA5_3, _DA5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_DA6_1, _DA6_4, _DA6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_DA7_1, _DA7_4, _DA7_5, _DA7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_DA8_1, _DA8_4, _DA8_5, _DA8_6, _DA8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023,
+)
+_DA9_1, _DA9_4, _DA9_5, _DA9_6, _DA9_7, _DA9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996,
+)
+_DA10_1, _DA10_4, _DA10_5, _DA10_6, _DA10_7, _DA10_8, _DA10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+)
+_DA11_1, _DA11_4, _DA11_5, _DA11_6, _DA11_7, _DA11_8, _DA11_9, _DA11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+)
+_DA12_1, _DA12_4, _DA12_5, _DA12_6, _DA12_7, _DA12_8, _DA12_9, _DA12_10, _DA12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188, 27.94888452941996,
+    -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+)
+_DB1, _DB6, _DB7, _DB8, _DB9, _DB10, _DB11, _DB12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+_DE5_1, _DE5_6, _DE5_7, _DE5_8, _DE5_9, _DE5_10, _DE5_11, _DE5_12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
 )
 
 # Radau IIA (3 stages, order 5): nodes, error-estimate weights, the eigenvalues
@@ -103,7 +154,7 @@ _SQRT2 = math.sqrt(2.0)
 _STIFF_H_RHO = 0.5
 _STIFF_RUN = 15
 
-# Accepted plus rejected steps (DP5 and Radau together) before StepUnderflow.
+# Accepted plus rejected steps (of every kind together) before StepUnderflow.
 _MAX_STEPS = 1_000_000
 
 _SAFETY = 0.9
@@ -112,6 +163,8 @@ _MAX_FACTOR = 10.0
 # PI controller: h *= SAFETY * err^(-PI_EXP) * err_prev^PI_MEM  (5th-order pair)
 _PI_EXP = 0.17
 _PI_MEM = 0.04
+# DOP853 steps: h *= SAFETY * err^(-DOP_EXP), err the 5th-order estimate (~h^6)
+_DOP_EXP = 1.0 / 6.0
 
 RHS = Callable[[float, float, float], tuple[float, float]]
 # Jacobian of an RHS: (dfy/dy, dfy/dz, dfz/dy, dfz/dz).
@@ -142,7 +195,8 @@ def _rms(a: float, b: float) -> float:
         return math.inf
 
 
-def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol) -> float:
+def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol, order) -> float:
+    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4) for an error estimate of ``order``."""
     scy = atol + rtol * abs(y0)
     scz = atol + rtol * abs(z0)
     d0 = _rms(y0 / scy, z0 / scz)
@@ -161,7 +215,7 @@ def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol) -> float:
     elif math.isinf(d2):
         h1 = h0 * 1e-2
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / (order + 1))
     return min(100.0 * h0, h1, span)
 
 
@@ -212,6 +266,82 @@ def _bracket_crossing(t, h, y0, d0, y1, d1, floor) -> float:
     return t + hi * h
 
 
+def _dop853_attempt(f: RHS, t, y, z, k1y, k1z, h, rtol, atol_y, atol_z) -> tuple[float, float, float]:
+    """One DOP853 step from (t, y, z) with first stage (k1y, k1z): (y_new, z_new, err).
+
+    err is the scaled RMS norm of the 5th-order estimate alone (inf when the
+    new state is not finite, NaN when a stage is). DOP853's own blend with its
+    3rd-order estimate, |h|*E5^2/sqrt(E5^2 + 0.01*E3^2), understates the local
+    error of the 8th-order result on the r-chart's long steps: on six
+    INVARIANT_GRID rows out to r = 25 it let 2% of the accepted steps exceed
+    the tolerance, by up to 3x, and the nodes drifted up to 6.7x further from a
+    tight reference than DP5's. E5 alone bounds the local error there and
+    costs 23% more steps than the blend.
+    """
+    k2y, k2z = f(t + _DC2 * h, y + h * (_DA2_1 * k1y), z + h * (_DA2_1 * k1z))
+    k3y, k3z = f(t + _DC3 * h, y + h * (_DA3_1 * k1y + _DA3_2 * k2y), z + h * (_DA3_1 * k1z + _DA3_2 * k2z))
+    k4y, k4z = f(t + _DC4 * h, y + h * (_DA4_1 * k1y + _DA4_3 * k3y), z + h * (_DA4_1 * k1z + _DA4_3 * k3z))
+    k5y, k5z = f(
+        t + _DC5 * h,
+        y + h * (_DA5_1 * k1y + _DA5_3 * k3y + _DA5_4 * k4y),
+        z + h * (_DA5_1 * k1z + _DA5_3 * k3z + _DA5_4 * k4z),
+    )
+    k6y, k6z = f(
+        t + _DC6 * h,
+        y + h * (_DA6_1 * k1y + _DA6_4 * k4y + _DA6_5 * k5y),
+        z + h * (_DA6_1 * k1z + _DA6_4 * k4z + _DA6_5 * k5z),
+    )
+    k7y, k7z = f(
+        t + _DC7 * h,
+        y + h * (_DA7_1 * k1y + _DA7_4 * k4y + _DA7_5 * k5y + _DA7_6 * k6y),
+        z + h * (_DA7_1 * k1z + _DA7_4 * k4z + _DA7_5 * k5z + _DA7_6 * k6z),
+    )
+    k8y, k8z = f(
+        t + _DC8 * h,
+        y + h * (_DA8_1 * k1y + _DA8_4 * k4y + _DA8_5 * k5y + _DA8_6 * k6y + _DA8_7 * k7y),
+        z + h * (_DA8_1 * k1z + _DA8_4 * k4z + _DA8_5 * k5z + _DA8_6 * k6z + _DA8_7 * k7z),
+    )
+    k9y, k9z = f(
+        t + _DC9 * h,
+        y + h * (_DA9_1 * k1y + _DA9_4 * k4y + _DA9_5 * k5y + _DA9_6 * k6y + _DA9_7 * k7y + _DA9_8 * k8y),
+        z + h * (_DA9_1 * k1z + _DA9_4 * k4z + _DA9_5 * k5z + _DA9_6 * k6z + _DA9_7 * k7z + _DA9_8 * k8z),
+    )
+    k10y, k10z = f(
+        t + _DC10 * h,
+        y + h * (_DA10_1 * k1y + _DA10_4 * k4y + _DA10_5 * k5y + _DA10_6 * k6y
+                 + _DA10_7 * k7y + _DA10_8 * k8y + _DA10_9 * k9y),
+        z + h * (_DA10_1 * k1z + _DA10_4 * k4z + _DA10_5 * k5z + _DA10_6 * k6z
+                 + _DA10_7 * k7z + _DA10_8 * k8z + _DA10_9 * k9z),
+    )
+    k11y, k11z = f(
+        t + _DC11 * h,
+        y + h * (_DA11_1 * k1y + _DA11_4 * k4y + _DA11_5 * k5y + _DA11_6 * k6y
+                 + _DA11_7 * k7y + _DA11_8 * k8y + _DA11_9 * k9y + _DA11_10 * k10y),
+        z + h * (_DA11_1 * k1z + _DA11_4 * k4z + _DA11_5 * k5z + _DA11_6 * k6z
+                 + _DA11_7 * k7z + _DA11_8 * k8z + _DA11_9 * k9z + _DA11_10 * k10z),
+    )
+    k12y, k12z = f(
+        t + h,
+        y + h * (_DA12_1 * k1y + _DA12_4 * k4y + _DA12_5 * k5y + _DA12_6 * k6y + _DA12_7 * k7y
+                 + _DA12_8 * k8y + _DA12_9 * k9y + _DA12_10 * k10y + _DA12_11 * k11y),
+        z + h * (_DA12_1 * k1z + _DA12_4 * k4z + _DA12_5 * k5z + _DA12_6 * k6z + _DA12_7 * k7z
+                 + _DA12_8 * k8z + _DA12_9 * k9z + _DA12_10 * k10z + _DA12_11 * k11z),
+    )
+    by = _DB1 * k1y + _DB6 * k6y + _DB7 * k7y + _DB8 * k8y + _DB9 * k9y + _DB10 * k10y + _DB11 * k11y + _DB12 * k12y
+    bz = _DB1 * k1z + _DB6 * k6z + _DB7 * k7z + _DB8 * k8z + _DB9 * k9z + _DB10 * k10z + _DB11 * k11z + _DB12 * k12z
+    y_new = y + h * by
+    z_new = z + h * bz
+    if not (math.isfinite(y_new) and math.isfinite(z_new)):
+        return y_new, z_new, math.inf
+    scy = atol_y + rtol * max(abs(y), abs(y_new))
+    scz = atol_z + rtol * max(abs(z), abs(z_new))
+    e5y = (_DE5_1 * k1y + _DE5_6 * k6y + _DE5_7 * k7y + _DE5_8 * k8y
+           + _DE5_9 * k9y + _DE5_10 * k10y + _DE5_11 * k11y + _DE5_12 * k12y) / scy
+    e5z = (_DE5_1 * k1z + _DE5_6 * k6z + _DE5_7 * k7z + _DE5_8 * k8z
+           + _DE5_9 * k9z + _DE5_10 * k10z + _DE5_11 * k11z + _DE5_12 * k12z) / scz
+    return y_new, z_new, _rms(h * e5y, h * e5z)
+
+
 def integrate_2d(
     f: RHS,
     t0: float,
@@ -224,6 +354,7 @@ def integrate_2d(
     positive_y: bool = False,
     stop_when_y_above: float | None = None,
     jac: JAC | None = None,
+    _dop853: bool = False,
 ) -> RawPath:
     """Integrate (y, z)' = f(t, y, z) from t0 to t_end, storing every accepted node.
 
@@ -232,7 +363,9 @@ def integrate_2d(
     location. A step-size collapse raises StepUnderflow unless y has already
     fallen below 1e-8*|y0|, which is reported as positivity loss as well
     (steep vanishing profiles exhaust the step size long before y reaches
-    the floor).
+    the floor). Below that level y's error is measured against rtol*|y|
+    alone: far below atol the mixed scale no longer sees y, and a step could
+    cross its zero onto a spurious positive branch.
 
     ``stop_when_y_above`` ends the integration at the first accepted node with
     y above the threshold (overshoot of at most one step); the caller detects
@@ -242,9 +375,14 @@ def integrate_2d(
     to Radau IIA once the problem is measurably stiff (see the module
     docstring); ``RawPath.t_stiff`` records where. Without it the call is
     pure DP5.
+
+    ``_dop853`` (for ``integrate.integrate_r`` alone) steps with DOP853
+    instead of DP5; it takes no Jacobian.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
+    if _dop853 and jac is not None:
+        raise ValueError("DOP853 steps never switch to Radau IIA; pass no Jacobian")
     if rtol <= 0.0 or atol <= 0.0:
         raise ValueError("tolerances must be positive")
 
@@ -261,13 +399,13 @@ def integrate_2d(
     fys = [fy]
     fzs = [fz]
 
-    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol)
+    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol, 5 if _dop853 else 4)
 
     t, y, z = t0, y0, z0
     n_steps = 0
     n_rejected = 0
     nfev = 2
-    # the last attempt was rejected for its error (or, in DP5, a non-finite stage)
+    # the last attempt was rejected for its error (or, in an explicit step, a non-finite stage)
     rejected = False
     # DP5 controller memory and stiffness run
     err_prev = 1e-4
@@ -290,7 +428,18 @@ def integrate_2d(
             raise _step_collapse(t, positive_y, y, y_vanished)
         t_new = t_end if final else t + h
 
-        if J is None:
+        # a positive y that has vanished is held to rtol alone: far below atol the
+        # mixed error scale is blind to it, and a step can pass its zero unseen
+        atol_y = 0.0 if positive_y and y <= y_vanished else atol
+        if _dop853:
+            y_new, z_new, err = _dop853_attempt(f, t, y, z, fy, fz, h, rtol, atol_y, atol)
+            nfev += 11
+            if err <= 1.0:  # the last stage is not the new node's: one more call, accepted steps only
+                fy_new, fz_new = f(t_new, y_new, z_new)
+                nfev += 1
+                if not (math.isfinite(fy_new) and math.isfinite(fz_new)):
+                    err = math.inf
+        elif J is None:
             k1y, k1z = fy, fz
             k2y, k2z = f(t + _C2 * h, y + h * (_A21 * k1y), z + h * (_A21 * k1z))
             k3y, k3z = f(t + _C3 * h, y + h * (_A31 * k1y + _A32 * k2y), z + h * (_A31 * k1z + _A32 * k2z))
@@ -318,7 +467,7 @@ def integrate_2d(
                 nfev += 1
                 err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * fy_new)
                 err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * fz_new)
-                scy = atol + rtol * max(abs(y), abs(y_new))
+                scy = atol_y + rtol * max(abs(y), abs(y_new))
                 scz = atol + rtol * max(abs(z), abs(z_new))
                 err = _rms(err_y / scy, err_z / scz)  # inf past the float range: rejected
             else:
@@ -410,7 +559,7 @@ def integrate_2d(
             ey = (_RE1 * zy0 + _RE2 * zy1 + _RE3 * zy2) / h
             ez = (_RE1 * zz0 + _RE2 * zz1 + _RE3 * zz2) / h
             err_y, err_z = _shifted_solve(mu_r, J, fy + ey, fz + ez)
-            scy = atol + rtol * max(abs(y), abs(y_new))
+            scy = atol_y + rtol * max(abs(y), abs(y_new))
             scz = atol + rtol * max(abs(z), abs(z_new))
             err = math.hypot(err_y / scy, err_z / scz) / _SQRT2
             if rejected and err > 1.0:
@@ -425,7 +574,9 @@ def integrate_2d(
         if err > 1.0:
             n_rejected += 1
             rejected = True
-            if J is None:
+            if _dop853:
+                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-_DOP_EXP))
+            elif J is None:
                 h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-0.2))
             else:
                 h *= max(_MIN_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
@@ -446,7 +597,12 @@ def integrate_2d(
         if stop_when_y_above is not None and y >= stop_when_y_above:
             break
 
-        if J is None:
+        if _dop853:
+            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_DOP_EXP
+            if rejected:
+                factor = min(1.0, factor)
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        elif J is None:
             if jac is not None and not final:
                 jac_t = jac(t, y, z)
                 stiff_run = stiff_run + 1 if h * _spectral_radius(*jac_t) > _STIFF_H_RHO else 0
@@ -558,6 +714,49 @@ class QuinticHermite(_PiecewiseHermite):
             + h * self.ddy[i] * th
             + th * th * (3.0 * self._c3[i] + th * (4.0 * self._c4[i] + th * 5.0 * self._c5[i])) / h
         )
+
+
+class SepticHermite(_PiecewiseHermite):
+    """Piecewise two-point septic Hermite interpolant.
+
+    Built from (value and first three derivatives) at strictly increasing
+    nodes, for the steps of an 8th-order method: interpolation error is
+    O(h^8) per step. Like the quintic it is the Taylor polynomial at the left
+    node plus a correction theta^4*(c4 + c5*theta + c6*theta^2 + c7*theta^3)
+    whose coefficients are combinations of the Taylor defects at the right
+    node, so no coefficient is a difference of large monomial terms.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray, ddy: np.ndarray, dddy: np.ndarray):
+        super().__init__(x, y, dy)
+        self.ddy = np.asarray(ddy, dtype=float)
+        self.dddy = np.asarray(dddy, dtype=float)
+        h = self._h
+        y0, y1 = self.y[:-1], self.y[1:]
+        d0, d1 = self.dy[:-1], self.dy[1:]
+        s0, s1 = self.ddy[:-1], self.ddy[1:]
+        j0, j1 = self.dddy[:-1], self.dddy[1:]
+        # defects at the right node of the left node's Taylor cubic, in units of h^k
+        a = y1 - y0 - h * (d0 + h * (0.5 * s0 + h * j0 / 6.0))
+        b = h * (d1 - d0 - h * (s0 + 0.5 * h * j0))
+        c = h * h * (s1 - s0 - h * j0)
+        d = h**3 * (j1 - j0)
+        self._c4 = 35.0 * a - 15.0 * b + 2.5 * c - d / 6.0
+        self._c5 = 39.0 * b - 84.0 * a - 7.0 * c + 0.5 * d
+        self._c6 = 70.0 * a - 34.0 * b + 6.5 * c - 0.5 * d
+        self._c7 = 10.0 * b - 20.0 * a - 2.0 * c + d / 6.0
+
+    def _value(self, i, th):
+        ht = self._h[i] * th
+        taylor = self.y[i] + ht * (self.dy[i] + ht * (0.5 * self.ddy[i] + ht * self.dddy[i] / 6.0))
+        return taylor + th**4 * (self._c4[i] + th * (self._c5[i] + th * (self._c6[i] + th * self._c7[i])))
+
+    def _derivative(self, i, th):
+        h = self._h[i]
+        ht = h * th
+        taylor = self.dy[i] + ht * (self.ddy[i] + 0.5 * ht * self.dddy[i])
+        tail = 4.0 * self._c4[i] + th * (5.0 * self._c5[i] + th * (6.0 * self._c6[i] + th * 7.0 * self._c7[i]))
+        return taylor + th**3 * tail / h
 
 
 class CubicHermite(_PiecewiseHermite):

@@ -185,6 +185,28 @@ class TestDecay:
         assert d["converged"] is True
         assert trace.read_text().splitlines()[0] == "scale,value"
 
+    @pytest.mark.parametrize("alpha, s_end, need", [
+        (2.5, 10, "need at least 20"),  # log-corrected trace
+        (1.25, 5, "need at least three decades"),  # power plateau
+    ])
+    def test_short_chart_is_rejected_before_the_solve(self, monkeypatch, tmp_path, alpha, s_end, need):
+        solves = []
+        monkeypatch.setattr(cli, "solve_profile", lambda *a: solves.append(a) or solve_profile(*a))
+        js = tmp_path / "err.json"
+        args = ("--n", 3, "--m", 0.2, "--alpha", alpha, "--beta", 1, "--eta", 1)
+        assert run("decay", *args, "--s-end", s_end, "--json", js) == 2
+        assert solves == []
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "HypothesisViolation" and need in err["message"]
+        assert run("decay", *args) == 0
+        assert len(solves) == 1
+
+    def test_endpoint_is_rejected_before_the_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "solve_profile", lambda *a: solves.append(a) or solve_profile(*a))
+        assert run("decay", "--n", 3, "--m", 1 / 3, "--alpha", 3, "--beta", 1, "--eta", 1, "--s-end", 25) == 2
+        assert solves == []
+
 
 class TestVerify:
     def test_all_invariants_in_report(self, tmp_path):

@@ -14,6 +14,7 @@ from fdprofiles import (
     estimate_log_decay,
     estimate_power_decay,
     expected_log_constant,
+    require_decay_inputs,
     solve_profile,
 )
 
@@ -227,3 +228,36 @@ class TestA0Consistency:
     def test_derived_constant_equals_estimator_target(self, eternal_n3):
         est = estimate_log_decay(eternal_n3)
         assert est.expected == derived(eternal_n3.params).a0
+
+
+class TestRequiredChartLength:
+    """require_decay_inputs states what each estimator needs of the SolveConfig."""
+
+    @pytest.mark.parametrize("kind, alpha, short, enough", [
+        (DecayKind.LOG_CORRECTED, 2.5, 19.99, 20.0),
+        (DecayKind.POWER, 1.25, 3.0 * math.log(10.0) * (1.0 - 1e-6), 3.0 * math.log(10.0)),
+    ])
+    def test_bound(self, kind, alpha, short, enough):
+        p = Parameters(3, 0.2, alpha, 1.0, 1.0)
+        with pytest.raises(HypothesisViolation, match="log chart reaches only"):
+            require_decay_inputs(p, kind, short)
+        require_decay_inputs(p, kind, enough)
+
+    def test_power_at_alpha_zero_reads_no_decades(self):
+        require_decay_inputs(Parameters(3, 0.2, 0.0, 1.0, 1.0), DecayKind.POWER, 1.0)
+
+    @pytest.mark.parametrize("kind, estimate, alpha, s_end", [
+        (DecayKind.LOG_CORRECTED, estimate_log_decay, 2.5, 15.0),
+        (DecayKind.POWER, estimate_power_decay, 1.25, 6.0),
+    ])
+    def test_estimators_apply_the_same_bound(self, solved, kind, estimate, alpha, s_end):
+        sol = solved(3, 0.2, alpha, 1.0, s_end=s_end)
+        with pytest.raises(HypothesisViolation) as from_estimator:
+            estimate(sol)
+        with pytest.raises(HypothesisViolation) as from_config:
+            require_decay_inputs(sol.params, kind, s_end)
+        assert str(from_estimator.value) == str(from_config.value)
+
+    def test_parameters_checked_first(self):
+        with pytest.raises(EndpointExponentError):
+            require_decay_inputs(Parameters(3, 1 / 3, 3.0, 1.0, 1.0), DecayKind.LOG_CORRECTED, 5.0)

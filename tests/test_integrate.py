@@ -188,6 +188,64 @@ class TestGuards:
             integrate_r(3, m, 1.0, 1.0, eta, 10.0)
 
 
+class TestRChartOracle:
+    """The DOP853 r-chart and its septic dense output against solve_ivp(DOP853, rtol=1e-13) to r = 25."""
+
+    # (INVARIANT_GRID row, bound on the relative error of v, bound on the error
+    # of v' relative to max|v'|), at the nodes and at the midpoints between them.
+    # The bounds sit near 10x the errors measured under the default tol.
+    ROWS = [
+        ((3, 0.2, 2.5, 1.0, 1.0), 3e-11, 1e-11),
+        ((4, 1 / 3, 3.0, 1.0, 1.0), 8e-11, 2e-11),
+        ((5, 0.5, 4.0, 1.0, 1.0), 6e-11, 9e-11),
+        ((5, 3 / 7, 7.0, 2.0, 1.0), 2e-11, 6e-11),
+        ((5, 3 / 7, -0.5, 2.0, 1.0), 3e-14, 8e-10),
+        ((6, 0.4, -1.0, 1.0, 1.0), 7e-14, 2e-11),
+    ]
+
+    @pytest.mark.parametrize("row, v_bound, dv_bound", ROWS)
+    def test_nodes_and_midpoints(self, row, v_bound, dv_bound):
+        from scipy.integrate import solve_ivp
+
+        from fdprofiles.integrate import _r_rhs
+        from fdprofiles.series import seed_within
+
+        n, m, alpha, beta, eta = row
+        prof = integrate_r(n, m, alpha, beta, eta, 25.0)
+        rhs = _r_rhs(n, m, alpha, beta)
+        start = seed_within(n, m, alpha, beta, eta, SolveConfig.tol).r_start
+        ref = solve_ivp(
+            lambda r, y: rhs(r, *y), (start, 25.0), eval_series(prof.series, start),
+            method="DOP853", rtol=1e-13, atol=1e-300, dense_output=True,
+        )
+        assert prof.r_start == start and prof.r_end == 25.0
+        mid = 0.5 * (prof.r[:-1] + prof.r[1:])
+        for radii, (v, dv) in ((prof.r, (prof.v, prof.dv)), (mid, prof.eval(mid))):
+            v_ref, dv_ref = ref.sol(radii)
+            assert np.max(np.abs(v - v_ref) / v_ref) < v_bound
+            assert np.max(np.abs(dv - dv_ref)) < dv_bound * np.max(np.abs(dv_ref))
+
+    def test_third_derivative_is_the_derivative_of_the_equation(self):
+        # v''' at the nodes against a central difference of v'' = F(r, v, v')
+        # along the dense output
+        from fdprofiles.integrate import _r_rhs
+
+        n, m, alpha, beta = 4, 1 / 3, 3.0, 1.0
+        prof = integrate_r(n, m, alpha, beta, 1.0, 10.0)
+        rhs = _r_rhs(n, m, alpha, beta)
+        h = 1e-4
+        for i in range(5, prof.r.size - 1, 7):
+            r = prof.r[i]
+            (vp, dvp), (vm, dvm) = prof.eval(r + h), prof.eval(r - h)
+            fd = (rhs(r + h, vp, dvp)[1] - rhs(r - h, vm, dvm)[1]) / (2.0 * h)
+            assert prof.dddv[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_cost_is_reported(self):
+        sol = solve_profile(P(2.5))
+        assert sol.diagnostics["r_nfev"] == sol.profile.nfev > 11 * sol.profile.n_steps
+        assert sol.diagnostics["s_nfev"] == sol.logprofile.nfev > 0
+
+
 class TestLogChartDirect:
     @settings(max_examples=60)
     @given(

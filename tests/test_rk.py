@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from fdprofiles import rk
 from fdprofiles.errors import PositivityLoss, StepUnderflow
-from fdprofiles.rk import CubicHermite, QuinticHermite, integrate_2d
+from fdprofiles.rk import CubicHermite, QuinticHermite, SepticHermite, integrate_2d
 
 
 def test_exponential_growth():
@@ -243,3 +243,100 @@ def test_dense_output_between_integration_nodes():
     xs = np.linspace(0.0, 6.0, 777)
     assert np.max(np.abs(interp.value(xs) - np.sin(xs))) < 1e-8
     assert np.max(np.abs(interp.derivative(xs) - np.cos(xs))) < 1e-7
+
+
+def test_dop853_tableau_matches_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    a, b, c, e5 = np.zeros((12, 12)), np.zeros(12), np.zeros(12), np.zeros(13)
+    for name, value in vars(rk).items():
+        if name.startswith("_DA"):
+            i, j = map(int, name[3:].split("_"))
+            a[i - 1, j - 1] = value
+        elif name.startswith("_DB"):
+            b[int(name[3:]) - 1] = value
+        elif name.startswith("_DC"):
+            c[int(name[3:]) - 1] = value
+        elif name.startswith("_DE5_"):
+            e5[int(name[5:]) - 1] = value
+    assert np.array_equal(a, ref.A[:12, :12])
+    assert np.array_equal(b, ref.B)
+    assert np.array_equal(c, ref.C[:12])
+    assert np.array_equal(e5, ref.E5)
+
+
+def test_dop853_converges_with_order_eight():
+    # y = 1/(1+t) solves y'' = 2y^3 with y(0) = 1, y'(0) = -1
+    steps, errs = [], []
+    for rtol in (1e-6, 1e-8, 1e-10, 1e-12):
+        path = integrate_2d(lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, rtol, rtol, _dop853=True)
+        steps.append(path.n_steps)
+        errs.append(abs(path.y[-1] - 0.25))
+    slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
+    assert -9.5 < slope < -7.0
+    # far fewer steps than DP5 at the same tolerance
+    assert 2 * steps[-1] < integrate_2d(lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12).n_steps
+
+
+def test_dop853_nfev_counts_every_rhs_call():
+    calls = 0
+
+    def f(t, y, z):
+        nonlocal calls
+        calls += 1
+        return z, -y
+
+    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11, _dop853=True)
+    assert path.nfev == calls
+    # 11 stages per attempt and the new node's derivative on every accepted one
+    assert path.nfev == 2 + 12 * path.n_steps + 11 * path.n_rejected
+    assert np.allclose(path.fz, -path.y, rtol=0.0, atol=1e-15)
+
+
+def test_dop853_guards():
+    with pytest.raises(PositivityLoss) as exc:
+        integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True, _dop853=True)
+    assert exc.value.location == pytest.approx(1.0, abs=1e-2)
+
+    def f(t, y, z):
+        return (math.nan, math.nan) if t > 0.5 else (1.0, 0.0)
+
+    with pytest.raises(StepUnderflow) as exc:
+        integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-12, _dop853=True)
+    assert exc.value.location == pytest.approx(0.5, abs=1e-2)
+
+
+@pytest.mark.parametrize("dop853", [False, True])
+def test_vanished_positive_y_is_held_to_rtol(dop853):
+    # y = (1 - t)^5 solves y'' = 0.8*y'^2/y (the (1-m)*v'^2/v term of the
+    # r-chart at m = 0.2) and vanishes at t = 1; far below atol the mixed error
+    # scale let DP5 step past the zero onto a spurious positive branch
+    def f(t, y, z):
+        return (math.nan, math.nan) if y <= 0.0 else (z, 0.8 * z * z / y)
+
+    with pytest.raises(PositivityLoss) as exc:
+        integrate_2d(f, 0.0, 1.0, -5.0, 3.0, 1e-10, 1e-12, positive_y=True, _dop853=dop853)
+    assert exc.value.location == pytest.approx(1.0, abs=1e-6)
+
+
+septic_coeffs = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8)
+
+
+@settings(max_examples=100)
+@given(c=septic_coeffs, xq=st.floats(0.0, 2.0))
+def test_septic_hermite_reproduces_septics(c, xq):
+    poly = np.polynomial.Polynomial(c)
+    d1, d2, d3 = poly.deriv(1), poly.deriv(2), poly.deriv(3)
+    x = np.array([0.0, 0.6, 1.1, 2.0])
+    interp = SepticHermite(x, poly(x), d1(x), d2(x), d3(x))
+    scale = 1.0 + float(np.max(np.abs(poly(x))))
+    assert interp.value(xq) == pytest.approx(float(poly(xq)), abs=1e-10 * scale)
+    assert interp.derivative(xq) == pytest.approx(float(d1(xq)), abs=1e-9 * scale)
+
+
+def test_septic_dense_output_between_integration_nodes():
+    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12, _dop853=True)
+    interp = SepticHermite(path.t, path.y, path.z, -path.y, -path.z)
+    xs = np.linspace(0.0, 6.0, 777)
+    assert np.max(np.abs(interp.value(xs) - np.sin(xs))) < 1e-9
+    assert np.max(np.abs(interp.derivative(xs) - np.cos(xs))) < 1e-9

@@ -147,6 +147,21 @@ class TestResidual:
         with pytest.raises(OutOfRange, match=f"stencil reaches r = {lowest};"):
             pde_residual(ss, radii=radii, times=(0.0,))
 
+    @pytest.mark.parametrize("regime, T, t_lo, t_hi", [
+        (Regime.ETERNAL, None, -0.2, 0.2), (Regime.FORWARD, None, 0.8, 1.25), (Regime.BACKWARD, 2.0, 0.5, 1.4),
+    ])
+    def test_value_has_the_same_bits_alone_or_in_an_array(
+        self, eternal_wide, forward_sol, backward_sol, regime, T, t_lo, t_hi
+    ):
+        # the stencil's h/2 residual turns one last-bit difference into ~1% of itself
+        sol = {Regime.ETERNAL: eternal_wide, Regime.FORWARD: forward_sol}.get(regime, backward_sol)
+        ss = build_selfsimilar(sol, regime, T=T)
+        r = np.linspace(0.5, 5.0, 11)
+        times = np.linspace(t_lo, t_hi, 41)
+        for evaluate in (ss.value, ss.time_derivative_chain):
+            grid = evaluate(r[None, :], times[:, None])
+            assert np.array_equal(grid, [[evaluate(float(x), float(t)) for x in r] for t in times])
+
     @pytest.mark.parametrize(
         "regime, T, times",
         [
