@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, exponent_relation, require
-from .rk import POSITIVITY_FLOOR, CubicHermite, QuinticHermite, SepticHermite, integrate_2d
+from .rk import POSITIVITY_FLOOR, Hermite, integrate_2d
 from .series import SeriesExpansion, eval_series, seed_within
 
 __all__ = [
@@ -148,7 +148,7 @@ class Profile:
 
     @cached_property
     def _value_interp(self):
-        return SepticHermite(self.r, self.v, self.dv, self.ddv, self.dddv)
+        return Hermite(self.r, self.v, self.dv, self.ddv, self.dddv)
 
     def _covered(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float)).copy()
@@ -213,7 +213,7 @@ class LogProfile:
 
     @cached_property
     def _w_interp(self):
-        return QuinticHermite(self.s, self.w, self.ws, self.wss)
+        return Hermite(self.s, self.w, self.ws, self.wss)
 
     @cached_property
     def _g_interp(self):
@@ -223,7 +223,7 @@ class LogProfile:
         # rtol 1e-13 on the eternal decay grid, a quintic g was 10-57x less
         # accurate between the stiff nodes and moved the n = 7, m = 5/9 decay
         # value by 2.9e-8.
-        return CubicHermite(self.s, self.g, self.gs)
+        return Hermite(self.s, self.g, self.gs)
 
     def _check(self, s):
         arr = np.asarray(s, dtype=float)
@@ -333,8 +333,10 @@ def integrate_r(
 ) -> Profile:
     """Integrate the r-chart from the origin seed (``seed_within`` at ``tol``) out to r_max.
 
-    The chart takes DOP853 steps (see ``rk``); v''' for the septic dense
-    output is evaluated over all nodes once the solve is done. Takes plain
+    The chart passes no Jacobian, so it takes DOP853 steps (see ``rk``): at
+    its rtol of 1e-10 the 8th-order method takes about a third of DP5's steps
+    for fewer right-hand side calls. v''' for the septic dense output is
+    evaluated over all nodes once the solve is done. Takes plain
     scalars rather than Parameters so that m = 0 is accepted: the chart then
     solves the log-diffusion equation of the singular limit."""
     if not (0.0 <= m < 1.0 and eta > 0.0):
@@ -345,7 +347,7 @@ def integrate_r(
         raise ValueError(f"r_max = {r_max} must exceed the series handoff {start}")
     v0, dv0 = eval_series(se, start)
     rtol, atol = chart_tolerances("r", tol)
-    path = integrate_2d(_r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True, _dop853=True)
+    path = integrate_2d(_r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True)
     return Profile(
         r=path.t,
         v=path.y,
@@ -478,8 +480,12 @@ def integrate_log(
 
     The fast mode g relaxes at a rate that grows like beta*w/(n-1), so the
     chart turns stiff as w grows. Its analytic Jacobian goes to integrate_2d,
-    which hands the (w, g) system from DP5 to Radau IIA once the explicit
-    steps are bound by stability (``stiff_switch_s``).
+    which therefore takes DP5 steps and hands the (w, g) system to Radau IIA
+    once the explicit steps are bound by stability (``stiff_switch_s``). DP5,
+    not DOP853, leads in: the cubic g and quintic w dense output are sized to
+    DP5's step lengths, and longer steps would make the interpolants, not the
+    nodes, the accuracy floor of the flux identity the charts are checked by
+    at r = 20.
 
     When w grows exponentially (sigma > 0, i.e. alpha < 2*beta/(1-m)) the fast
     mode makes the system stiffer without bound, so once its relaxation rate

@@ -13,6 +13,7 @@ I' = r^(n-1)*u under scipy, is kept in the tests as the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +85,14 @@ def limit_convergence(
     """Solve v^(m) for each m and measure sup |v^(m) - u| on [0, r_max].
 
     u and every v^(m) come from the same ``integrate_r`` at its default
-    tolerance, u at m = 0; v^(m) is the r-chart ``solve_profile`` computes."""
+    tolerance, u at m = 0; v^(m) is the r-chart ``solve_profile`` computes.
+    An empty ``m_list`` or an ``r_max`` that is not finite and positive is a
+    ValueError, and an inadmissible member a HypothesisViolation, before
+    anything is solved."""
     if not m_list:
         raise ValueError("m_list is empty: the study needs at least one m")
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise ValueError(f"r_max must be finite and positive, got {r_max}")
     # every member is checked before anything is solved, the limit equation's own condition first
     ms = tuple(sorted(m_list, reverse=True))
     for m in ms:

@@ -1,4 +1,4 @@
-"""Runge-Kutta stepping for two-state systems: DOP853 or DP5(4), then Radau IIA once stiff.
+"""Runge-Kutta stepping for two-state systems: DOP853, or DP5(4) then Radau IIA once stiff.
 
 Every chart in this package is a second-order scalar ODE reduced to first
 order, so the state always has exactly two components. The hot loops therefore
@@ -6,50 +6,45 @@ work on plain Python floats: at this state size the interpreter overhead of
 array arithmetic dominates the flops, and a float core is roughly an order of
 magnitude faster than wrapping a general-purpose array solver.
 
-One step loop drives three step kinds. By default integration starts with
-Dormand-Prince 5(4) steps with FSAL and a PI step-size controller. A caller
-that supplies the Jacobian of the right-hand side lets the loop switch, once
-and for good, to steps of the 3-stage Radau IIA method (order 5, L-stable,
-stiffly accurate; Hairer & Wanner, Solving ODEs II, Sec. IV.8) when the
-problem turns stiff: when h*rho(J), the accepted DP5 step times the spectral
-radius of the 2x2 Jacobian, stays above _STIFF_H_RHO for _STIFF_RUN accepted
-steps in a row. The explicit pair is then paying for stability, not accuracy
-(its real-axis stability bound is h*lambda ~ 3.3), and the implicit method
-takes steps set by the tolerance alone. Its simplified Newton iteration costs
-one real and one complex 2x2 solve per iteration and starts from the previous
-step's collocation polynomial; the error estimate is Hairer & Wanner's, with
-a predictive (Gustafsson) step-size controller. Without a Jacobian the call
-never switches.
-
-The r-chart (``integrate.integrate_r``, also at m = 0) instead steps with
-Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
-Sec. II.5), selected by the internal keyword ``_dop853``: at its rtol of 1e-10
-the 8th-order method takes about a third of DP5's steps for fewer right-hand
-side calls, and its nodes carry septic Hermite dense output (``SepticHermite``).
-The log chart keeps DP5 and Radau IIA: its cubic g and quintic w dense output
-are sized to DP5's step lengths, and longer steps would make the interpolants,
-not the nodes, the accuracy floor of the flux identity the charts are checked
-by at r = 20. The step budget, the final-step clamp, the step-collapse and
-positivity guards, the node store and the early stop are the loop's own; only
-the attempt and the step-size update depend on the step kind.
+One step loop drives three step kinds, and the Jacobian of the right-hand side
+decides which. A call without one cannot turn stiff and takes Dormand-Prince
+8(5,3) steps throughout (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
+Sec. II.5). A call with one starts with Dormand-Prince 5(4) steps with FSAL
+and a PI step-size controller, and switches, once and for good, to steps of
+the 3-stage Radau IIA method (order 5, L-stable, stiffly accurate; Hairer &
+Wanner, Solving ODEs II, Sec. IV.8) when the problem turns stiff: when h*rho(J),
+the accepted DP5 step times the spectral radius of the 2x2 Jacobian, stays
+above _STIFF_H_RHO for _STIFF_RUN accepted steps in a row. The explicit pair
+is then paying for stability, not accuracy (its real-axis stability bound is
+h*lambda ~ 3.3), and the implicit method takes steps set by the tolerance
+alone. Its simplified Newton iteration costs one real and one complex 2x2
+solve per iteration and starts from the previous step's collocation
+polynomial; the error estimate is Hairer & Wanner's, with a predictive
+(Gustafsson) step-size controller. Which chart takes which kind, and why, is
+``integrate``'s to say. The step budget, the final-step clamp, the
+step-collapse and positivity guards, the node store and the early stop are
+the loop's own; only the attempt and the step-size update depend on the step
+kind.
 
 Accepted nodes retain both state components and their derivatives, which is
-enough for quintic Hermite dense output whenever the second component is the
-derivative of the first (value, slope, and curvature known at both ends of
-every step); the caller adds the third derivative for the septic.
+enough for quintic Hermite dense output (``Hermite``) whenever the second
+component is the derivative of the first (value, slope, and curvature known
+at both ends of every step); the caller adds the third derivative for the
+septic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import PositivityLoss, ProfileError, StepUnderflow
 
-__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "SepticHermite", "QuinticHermite", "CubicHermite"]
+__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "Hermite"]
 
 # No clamping below this value; clamping would corrupt decay estimation.
 POSITIVITY_FLOOR = 1e-300
@@ -160,11 +155,13 @@ _MAX_STEPS = 1_000_000
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# PI controller: h *= SAFETY * err^(-PI_EXP) * err_prev^PI_MEM  (5th-order pair)
-_PI_EXP = 0.17
-_PI_MEM = 0.04
-# DOP853 steps: h *= SAFETY * err^(-DOP_EXP), err the 5th-order estimate (~h^6)
-_DOP_EXP = 1.0 / 6.0
+# Explicit step-size update, (exp, mem, exp_rejected) per step kind:
+# h *= SAFETY * err^-exp * err_prev^mem after an accepted step and
+# h *= SAFETY * err^-exp_rejected after a rejected one. DP5 is PI-controlled;
+# DOP853's err is its 5th-order estimate (~h^6), with no memory (err_prev^0.0
+# is exactly 1.0).
+_DP5_CONTROL = (0.17, 0.04, 0.2)
+_DOP853_CONTROL = (1.0 / 6.0, 0.0, 1.0 / 6.0)
 
 RHS = Callable[[float, float, float], tuple[float, float]]
 # Jacobian of an RHS: (dfy/dy, dfy/dz, dfz/dy, dfz/dz).
@@ -255,7 +252,7 @@ def _step_collapse(t, positive_y, y, y_vanished) -> ProfileError:
 
 def _bracket_crossing(t, h, y0, d0, y1, d1, floor) -> float:
     """Bisect the step's cubic Hermite interpolant for the first floor crossing."""
-    piece = CubicHermite(np.array([0.0, h]), np.array([y0, y1]), np.array([d0, d1]))
+    piece = Hermite(np.array([0.0, h]), np.array([y0, y1]), np.array([d0, d1]))
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -354,7 +351,6 @@ def integrate_2d(
     positive_y: bool = False,
     stop_when_y_above: float | None = None,
     jac: JAC | None = None,
-    _dop853: bool = False,
 ) -> RawPath:
     """Integrate (y, z)' = f(t, y, z) from t0 to t_end, storing every accepted node.
 
@@ -371,18 +367,13 @@ def integrate_2d(
     y above the threshold (overshoot of at most one step); the caller detects
     the early stop by comparing the final node against t_end.
 
-    ``jac`` is the Jacobian of f. With it, the integration switches from DP5
-    to Radau IIA once the problem is measurably stiff (see the module
-    docstring); ``RawPath.t_stiff`` records where. Without it the call is
-    pure DP5.
-
-    ``_dop853`` (for ``integrate.integrate_r`` alone) steps with DOP853
-    instead of DP5; it takes no Jacobian.
+    ``jac`` is the Jacobian of f and sets the step kind (see the module
+    docstring): without it every step is DOP853; with it the integration
+    takes DP5 steps and switches to Radau IIA once the problem is measurably
+    stiff, and ``RawPath.t_stiff`` records where.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    if _dop853 and jac is not None:
-        raise ValueError("DOP853 steps never switch to Radau IIA; pass no Jacobian")
     if rtol <= 0.0 or atol <= 0.0:
         raise ValueError("tolerances must be positive")
 
@@ -399,7 +390,10 @@ def integrate_2d(
     fys = [fy]
     fzs = [fz]
 
-    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol, 5 if _dop853 else 4)
+    # without a Jacobian the call cannot turn stiff and takes the higher order
+    dop853 = jac is None
+    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol, 5 if dop853 else 4)
+    exp, mem, exp_rejected = _DOP853_CONTROL if dop853 else _DP5_CONTROL
 
     t, y, z = t0, y0, z0
     n_steps = 0
@@ -407,7 +401,7 @@ def integrate_2d(
     nfev = 2
     # the last attempt was rejected for its error (or, in an explicit step, a non-finite stage)
     rejected = False
-    # DP5 controller memory and stiffness run
+    # explicit controller memory and stiffness run
     err_prev = 1e-4
     stiff_run = 0
     # Radau IIA state: the iteration matrix's Jacobian (None while DP5 steps),
@@ -431,7 +425,7 @@ def integrate_2d(
         # a positive y that has vanished is held to rtol alone: far below atol the
         # mixed error scale is blind to it, and a step can pass its zero unseen
         atol_y = 0.0 if positive_y and y <= y_vanished else atol
-        if _dop853:
+        if dop853:
             y_new, z_new, err = _dop853_attempt(f, t, y, z, fy, fz, h, rtol, atol_y, atol)
             nfev += 11
             if err <= 1.0:  # the last stage is not the new node's: one more call, accepted steps only
@@ -574,10 +568,8 @@ def integrate_2d(
         if err > 1.0:
             n_rejected += 1
             rejected = True
-            if _dop853:
-                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-_DOP_EXP))
-            elif J is None:
-                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-0.2))
+            if J is None:
+                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-exp_rejected))
             else:
                 h *= max(_MIN_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
             continue
@@ -597,12 +589,7 @@ def integrate_2d(
         if stop_when_y_above is not None and y >= stop_when_y_above:
             break
 
-        if _dop853:
-            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_DOP_EXP
-            if rejected:
-                factor = min(1.0, factor)
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        elif J is None:
+        if J is None:
             if jac is not None and not final:
                 jac_t = jac(t, y, z)
                 stiff_run = stiff_run + 1 if h * _spectral_radius(*jac_t) > _STIFF_H_RHO else 0
@@ -610,7 +597,7 @@ def integrate_2d(
                     # hand over with the current h and the Jacobian just evaluated
                     J, t_stiff, rejected = jac_t, t, False
                     continue
-            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-_PI_EXP) * err_prev**_PI_MEM
+            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-exp * err_prev**mem
             if rejected:
                 factor = min(1.0, factor)
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -644,27 +631,88 @@ def integrate_2d(
     )
 
 
-class _PiecewiseHermite:
-    """Two-point Hermite pieces on strictly increasing nodes.
+# The theta^k correction of a k-derivative Hermite piece: row l, applied to the
+# right node's Taylor defects e_i (in units of h^i/i!), gives the coefficient of
+# theta^(k+l). It is the inverse of A[i][l] = C(k+l, i), which is unimodular,
+# so every entry is an exact integer.
+_CORRECTION = {
+    2: ((3, -1), (-2, 1)),
+    3: ((10, -4, 1), (-15, 7, -2), (6, -3, 1)),
+    4: ((35, -15, 5, -1), (-84, 39, -14, 3), (70, -34, 13, -3), (-20, 10, -4, 1)),
+}
+# Per k: C(j, i) for j > i in row i, column j, which maps the left node's Taylor
+# coefficients past the i-th to the rest of the Taylor polynomial's i-th
+# derivative at theta = 1 (in units of h^i/i!), and the correction table as an array.
+_HERMITE_TABLES = {
+    k: (np.array([[math.comb(j, i) * (j > i) for j in range(k)] for i in range(k)], dtype=float),
+        np.array(rows, dtype=float))
+    for k, rows in _CORRECTION.items()
+}
 
-    Subclasses define ``_value(i, theta)`` and ``_derivative(i, theta)`` on
-    piece i at fraction theta; ``value`` and ``derivative`` look the pieces up
-    and return a float for a scalar query and an array otherwise.
+
+class Hermite:
+    """Piecewise two-point Hermite interpolant of degree 2k - 1 from k derivatives.
+
+    ``Hermite(x, y, dy, ...)`` takes the value and the first k - 1 derivatives
+    (k = 2, 3 or 4) at strictly increasing nodes; the interpolation error is
+    O(h^(2k)) per piece. On piece i at fraction theta it is the left node's
+    Taylor polynomial of degree k - 1 plus a correction theta^k*(c_k + ... +
+    c_(2k-1)*theta^(k-1)) whose coefficients are combinations of the Taylor
+    defects at the right node (``_CORRECTION``), so no coefficient is a
+    difference of large monomial terms. ``value`` and ``derivative`` return a
+    float for a scalar query and an array otherwise, with the same bits.
     """
 
-    def __init__(self, x, y, dy):
+    def __init__(self, x, *derivatives):
         self.x = np.asarray(x, dtype=float)
-        if self.x.ndim != 1 or self.x.size < 2 or np.any(np.diff(self.x) <= 0):
+        if self.x.ndim != 1 or self.x.size < 2:
             raise ValueError("nodes must be a strictly increasing 1-d array")
-        self.y = np.asarray(y, dtype=float)
-        self.dy = np.asarray(dy, dtype=float)
-        self._h = np.diff(self.x)
+        h = self._h = np.diff(self.x)
+        if np.any(h <= 0):
+            raise ValueError("nodes must be a strictly increasing 1-d array")
+        k = len(derivatives)
+        if k not in _CORRECTION:
+            raise ValueError(f"Hermite takes 2, 3 or 4 derivative arrays, got {k}")
+        binom, table = _HERMITE_TABLES[k]
+        # row j: h^j/j!, the unit of the j-th derivative's Taylor coefficient
+        unit = [np.ones_like(h)]
+        for j in range(1, k):
+            unit.append(unit[-1] * h / j)
+        unit = np.array(unit)
+        d = np.array(derivatives, dtype=float)
+        taylor = d[:, :-1] * unit
+        # each derivative is differenced across the piece first: at the right node
+        # the value defect is a small difference of two large numbers
+        defects = np.diff(d) * unit - np.einsum("ij,jp->ip", binom, taylor)
+        correction = np.einsum("li,ip->lp", table, defects)
+        # coefficients of theta^0 .. theta^(2k-1), one column per piece
+        self._coef = np.concatenate((taylor, correction))
+
+    @cached_property
+    def _dcoef(self):
+        return self._coef[1:] * np.arange(1.0, self._coef.shape[0])[:, None]
+
+    @staticmethod
+    def _horner(coef, i, th):
+        """sum_j coef[j, i]*th^j."""
+        c = np.take(coef, i, axis=1)
+        out = c[-1]
+        for row in c[-2::-1]:
+            out = out * th + row
+        return out
+
+    def _value(self, i, th):
+        return self._horner(self._coef, i, th)
+
+    def _derivative(self, i, th):
+        return self._horner(self._dcoef, i, th) / self._h[i]
 
     def _at(self, piece, xq):
         xq = np.asarray(xq, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
-        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
+        # the piece whose left node is the last node <= xq; the end pieces extend outward
+        i = np.searchsorted(self.x[1:-1], xq, side="right")
         out = piece(i, (xq - self.x[i]) / self._h[i])
         return float(out[0]) if scalar else out
 
@@ -673,105 +721,3 @@ class _PiecewiseHermite:
 
     def derivative(self, xq):
         return self._at(self._derivative, xq)
-
-
-class QuinticHermite(_PiecewiseHermite):
-    """Piecewise two-point quintic Hermite interpolant.
-
-    Built from (value, first derivative, second derivative) at strictly
-    increasing nodes. Interpolation error is O(h^6) per step, and the
-    differentiated interpolant stays C1 across nodes, so finite-difference
-    stencils applied downstream see a smooth function.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray, ddy: np.ndarray):
-        super().__init__(x, y, dy)
-        self.ddy = np.asarray(ddy, dtype=float)
-        h = self._h
-        y0, y1 = self.y[:-1], self.y[1:]
-        d0, d1 = self.dy[:-1], self.dy[1:]
-        s0, s1 = self.ddy[:-1], self.ddy[1:]
-        a = y1 - y0 - h * d0 - 0.5 * h * h * s0
-        b = h * (d1 - d0) - h * h * s0
-        c = h * h * (s1 - s0)
-        self._c5 = 0.5 * c - 3.0 * b + 6.0 * a
-        self._c4 = 7.0 * b - 15.0 * a - c
-        self._c3 = 10.0 * a - 4.0 * b + 0.5 * c
-
-    def _value(self, i, th):
-        h = self._h[i]
-        return (
-            self.y[i]
-            + h * self.dy[i] * th
-            + 0.5 * h * h * self.ddy[i] * th * th
-            + th**3 * (self._c3[i] + th * (self._c4[i] + th * self._c5[i]))
-        )
-
-    def _derivative(self, i, th):
-        h = self._h[i]
-        return (
-            self.dy[i]
-            + h * self.ddy[i] * th
-            + th * th * (3.0 * self._c3[i] + th * (4.0 * self._c4[i] + th * 5.0 * self._c5[i])) / h
-        )
-
-
-class SepticHermite(_PiecewiseHermite):
-    """Piecewise two-point septic Hermite interpolant.
-
-    Built from (value and first three derivatives) at strictly increasing
-    nodes, for the steps of an 8th-order method: interpolation error is
-    O(h^8) per step. Like the quintic it is the Taylor polynomial at the left
-    node plus a correction theta^4*(c4 + c5*theta + c6*theta^2 + c7*theta^3)
-    whose coefficients are combinations of the Taylor defects at the right
-    node, so no coefficient is a difference of large monomial terms.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray, ddy: np.ndarray, dddy: np.ndarray):
-        super().__init__(x, y, dy)
-        self.ddy = np.asarray(ddy, dtype=float)
-        self.dddy = np.asarray(dddy, dtype=float)
-        h = self._h
-        y0, y1 = self.y[:-1], self.y[1:]
-        d0, d1 = self.dy[:-1], self.dy[1:]
-        s0, s1 = self.ddy[:-1], self.ddy[1:]
-        j0, j1 = self.dddy[:-1], self.dddy[1:]
-        # defects at the right node of the left node's Taylor cubic, in units of h^k
-        a = y1 - y0 - h * (d0 + h * (0.5 * s0 + h * j0 / 6.0))
-        b = h * (d1 - d0 - h * (s0 + 0.5 * h * j0))
-        c = h * h * (s1 - s0 - h * j0)
-        d = h**3 * (j1 - j0)
-        self._c4 = 35.0 * a - 15.0 * b + 2.5 * c - d / 6.0
-        self._c5 = 39.0 * b - 84.0 * a - 7.0 * c + 0.5 * d
-        self._c6 = 70.0 * a - 34.0 * b + 6.5 * c - 0.5 * d
-        self._c7 = 10.0 * b - 20.0 * a - 2.0 * c + d / 6.0
-
-    def _value(self, i, th):
-        ht = self._h[i] * th
-        taylor = self.y[i] + ht * (self.dy[i] + ht * (0.5 * self.ddy[i] + ht * self.dddy[i] / 6.0))
-        return taylor + th**4 * (self._c4[i] + th * (self._c5[i] + th * (self._c6[i] + th * self._c7[i])))
-
-    def _derivative(self, i, th):
-        h = self._h[i]
-        ht = h * th
-        taylor = self.dy[i] + ht * (self.ddy[i] + 0.5 * ht * self.dddy[i])
-        tail = 4.0 * self._c4[i] + th * (5.0 * self._c5[i] + th * (6.0 * self._c6[i] + th * 7.0 * self._c7[i]))
-        return taylor + th**3 * tail / h
-
-
-class CubicHermite(_PiecewiseHermite):
-    """Piecewise cubic Hermite interpolant from (value, derivative) nodes."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray):
-        super().__init__(x, y, dy)
-        h = self._h
-        a = self.y[1:] - self.y[:-1] - h * self.dy[:-1]
-        b = h * (self.dy[1:] - self.dy[:-1])
-        self._c3 = b - 2.0 * a
-        self._c2 = 3.0 * a - b
-
-    def _value(self, i, th):
-        return self.y[i] + self._h[i] * self.dy[i] * th + th * th * (self._c2[i] + th * self._c3[i])
-
-    def _derivative(self, i, th):
-        return self.dy[i] + th * (2.0 * self._c2[i] + 3.0 * th * self._c3[i]) / self._h[i]

@@ -128,8 +128,12 @@ def residual_grid(regime: Regime, T: float | None = None, radii=PDE_RADII, times
 
     ``times`` defaults to three times inside the regime's time range and
     ``dt`` to h. A generic regime, or a backward one without a finite horizon
-    T > 0, is a RegimeMismatch; a step h or dt that is not finite and
-    positive, or an empty ``radii`` or ``times``, is a ValueError.
+    T > 0, is a RegimeMismatch. A ValueError is a step h or dt that is not
+    finite and positive; an empty ``radii`` or ``times``, or one with a value
+    that is not finite; a radius whose stencil reaches r <= 0; and a forward
+    or backward time whose t -/+ dt leaves the regime's time range. Whether
+    the solution covers the stencil's largest radius needs the solve, and is
+    ``pde_residual``'s to check.
     """
     if regime is Regime.GENERIC:
         raise RegimeMismatch("parameters do not satisfy any of the three self-similar exponent relations")
@@ -147,6 +151,14 @@ def residual_grid(regime: Regime, T: float | None = None, radii=PDE_RADII, times
     for name, values in (("radii", radii), ("times", times)):
         if len(values) == 0:
             raise ValueError(f"{name} is empty: the stencil needs at least one point")
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"{name} must be finite, got {tuple(values)}")
+    if not min(radii) > h:
+        raise ValueError(f"stencil reaches r = {min(radii) - h:.4g}; every radius must exceed h = {h:.4g}")
+    if regime is Regime.FORWARD and not min(times) - dt > 0.0:
+        raise ValueError(f"stencil reaches t = {min(times) - dt:.4g}; forward solutions live on t > 0")
+    if regime is Regime.BACKWARD and not max(times) + dt < T:
+        raise ValueError(f"stencil reaches t = {max(times) + dt:.4g}; backward solutions live on t < T = {T:.4g}")
     return radii, times, h, dt
 
 
@@ -203,8 +215,6 @@ def pde_residual(
         raise OutOfRange(
             f"stencil reaches r = {r_need:.4g} which exceeds the covered range {ss.solution.r_cover:.4g}"
         )
-    if not min(radii) > h:
-        raise OutOfRange(f"stencil reaches r = {min(radii) - h:.4g}; every radius must exceed h = {h:.4g}")
 
     eps_scale = 1e-12 * ss.solution.params.eta
     full, chain = _max_residual(ss, radii, times, h, dt, eps_scale)

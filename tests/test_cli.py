@@ -10,7 +10,7 @@ from fdprofiles import (
     Parameters, Regime, SolveConfig, build_selfsimilar, estimate_log_decay, estimate_power_decay, pde_residual,
     run_all_checks, solve_profile,
 )
-from fdprofiles import cli
+from fdprofiles import cli, loglimit
 from fdprofiles.cli import _jsonable, main
 from fdprofiles.loglimit import limit_convergence
 from fdprofiles.selfsim import PDE_RADII
@@ -238,6 +238,15 @@ class TestLimit:
         assert lim["r_max"] == cr.r_max
 
 
+    @pytest.mark.parametrize("r_max", ["inf", "nan", 0, -1])
+    def test_r_max_that_is_not_finite_and_positive_is_rejected_before_the_solve(self, monkeypatch, tmp_path, r_max):
+        monkeypatch.setattr(loglimit, "integrate_r", lambda *a: pytest.fail("limit solved before its check"))
+        js = tmp_path / "err.json"
+        assert run("limit", "--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1, "--r-max", r_max, "--json", js) == 2
+        err = json.loads(js.read_text())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("r_max must be finite and positive")
+
     def test_empty_m_list_is_a_json_error(self, tmp_path):
         js = tmp_path / "err.json"
         assert run("limit", "--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1, "--m-list", "", "--json", js) == 2
@@ -296,6 +305,8 @@ class TestPdeCheck:
     @pytest.mark.parametrize("params, flag", [
         (PARAMS, ("--h", 0)), (PARAMS, ("--dt", -1)), (PARAMS, ("--radii", "")), (PARAMS, ("--times", "")),
         (BACKWARD, ("--T", -1)), (BACKWARD, ("--T", "inf")),
+        (PARAMS, ("--radii", "nan")), (PARAMS, ("--radii", "1 -2")), (PARAMS, ("--times", "nan")),
+        (BACKWARD, ("--times", "1.9995")),
     ])
     def test_bad_stencil_is_rejected_before_the_solve(self, monkeypatch, params, flag):
         solves = []

@@ -181,13 +181,15 @@ class TestGaussLegendre:
         got = invariants.quad(lambda x: np.polynomial.polynomial.polyval(x, coeffs), 0.0, 2.0, breaks)
         assert got == pytest.approx(exact, rel=1e-14)
 
+    # the 1e-14 reference reaches roundoff on some pieces, which quadpack reports
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_flux_integral_matches_adaptive_quadrature(self, grid):
+        # a 1e-10 request is 3.4e-11 off the 1e-14 reference, a third of the bound
         for sol, radii, _ in grid:
-            n, eta = sol.params.n, sol.params.eta
+            n = sol.params.n
             for r in radii:
                 ref, _ = adaptive_quad(
-                    lambda rho: rho ** (n - 1) * sol.v(rho),
-                    0.0, r, epsabs=1e-10 * eta * r**n, epsrel=1e-10, limit=200,
+                    lambda rho: rho ** (n - 1) * sol.v(rho), 0.0, r, epsabs=1e-14, epsrel=1e-14, limit=5000
                 )
                 assert invariants._flux_integral(sol, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
 

@@ -143,6 +143,15 @@ class TestLimitConvergence:
         with pytest.raises(HypothesisViolation, match=rf"\({field}\)"):
             limit_convergence(3, alpha, beta, 1.0, m_list=(0.2, 0.1), r_max=5.0)
 
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan, 0.0, -5.0])
+    def test_rejects_r_max_that_is_not_finite_and_positive(self, monkeypatch, r_max):
+        def no_solve(*args):
+            raise AssertionError("limit_convergence solved before its check")
+
+        monkeypatch.setattr(loglimit, "integrate_r", no_solve)
+        with pytest.raises(ValueError, match="r_max must be finite and positive"):
+            limit_convergence(3, 1.0, 1.0, 1.0, m_list=(0.2, 0.1), r_max=r_max)
+
     def test_rejects_empty_m_list(self):
         with pytest.raises(ValueError, match="m_list is empty"):
             limit_convergence(3, 1.0, 1.0, 1.0, m_list=())

@@ -8,7 +8,10 @@ from scipy.integrate import solve_ivp
 
 from fdprofiles import rk
 from fdprofiles.errors import PositivityLoss, StepUnderflow
-from fdprofiles.rk import CubicHermite, QuinticHermite, SepticHermite, integrate_2d
+from fdprofiles.rk import Hermite, integrate_2d
+
+# A call with a Jacobian takes DP5 steps; a zero Jacobian never trips the switch to Radau IIA.
+_DP5 = {"jac": lambda t, y, z: (0.0, 0.0, 0.0, 0.0)}
 
 
 def test_exponential_growth():
@@ -51,7 +54,7 @@ def test_agrees_with_scipy_on_nonlinear_system():
 
 def test_positivity_loss_located():
     with pytest.raises(PositivityLoss) as exc:
-        integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True)
+        integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True, **_DP5)
     assert exc.value.location == pytest.approx(1.0, abs=1e-2)
 
 
@@ -62,7 +65,7 @@ def test_step_underflow_at_unreachable_point():
         return 1.0, 0.0
 
     with pytest.raises(StepUnderflow) as exc:
-        integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-12)
+        integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-12, **_DP5)
     assert exc.value.location == pytest.approx(0.5, abs=1e-2)
 
 
@@ -101,7 +104,7 @@ def test_nfev_counts_every_rhs_call():
         calls += 1
         return z, -y
 
-    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11)
+    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11, **_DP5)
     assert path.nfev == calls
     assert path.t_stiff is None
 
@@ -165,7 +168,7 @@ def test_jacobian_switch_saves_steps_on_stiff_problem():
 
     stiff = integrate_2d(counted, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
     assert stiff.nfev == calls
-    explicit = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10)
+    explicit = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, **_DP5)
     assert explicit.t_stiff is None
     assert 10 * stiff.n_steps <= explicit.n_steps
     # DP5 runs identically up to the switch node
@@ -209,37 +212,43 @@ def test_spectral_radius(a, b, c, d):
     assert rk._spectral_radius(a, b, c, d) == pytest.approx(max(abs(np.linalg.eigvals([[a, b], [c, d]]))))
 
 
-coeffs = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)
-
-
+@pytest.mark.parametrize("k", [2, 3, 4])
 @settings(max_examples=100)
-@given(c=coeffs, xq=st.floats(0.0, 2.0))
-def test_quintic_hermite_reproduces_quintics(c, xq):
-    poly = np.polynomial.Polynomial(c)
-    dpoly = poly.deriv()
-    ddpoly = dpoly.deriv()
+@given(c=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8), xq=st.floats(0.0, 2.0))
+def test_hermite_reproduces_polynomials(k, c, xq):
+    # k derivatives reproduce every polynomial of degree 2k - 1
+    poly = np.polynomial.Polynomial(c[: 2 * k])
     x = np.array([0.0, 0.6, 1.1, 2.0])
-    interp = QuinticHermite(x, poly(x), dpoly(x), ddpoly(x))
+    interp = Hermite(x, *(poly.deriv(j)(x) for j in range(k)))
     scale = 1.0 + float(np.max(np.abs(poly(x))))
     assert interp.value(xq) == pytest.approx(float(poly(xq)), abs=1e-10 * scale)
-    assert interp.derivative(xq) == pytest.approx(float(dpoly(xq)), abs=1e-9 * scale)
+    assert interp.derivative(xq) == pytest.approx(float(poly.deriv()(xq)), abs=1e-9 * scale)
 
 
-@settings(max_examples=100)
-@given(c=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), xq=st.floats(0.0, 2.0))
-def test_cubic_hermite_reproduces_cubics(c, xq):
-    poly = np.polynomial.Polynomial(c)
-    dpoly = poly.deriv()
-    x = np.array([0.0, 0.7, 1.4, 2.0])
-    interp = CubicHermite(x, poly(x), dpoly(x))
-    scale = 1.0 + float(np.max(np.abs(poly(x))))
-    assert interp.value(xq) == pytest.approx(float(poly(xq)), abs=1e-10 * scale)
-    assert interp.derivative(xq) == pytest.approx(float(dpoly(xq)), abs=1e-9 * scale)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hermite_correction_table_is_the_exact_inverse(k):
+    a = np.array([[math.comb(k + l, i) for l in range(k)] for i in range(k)], dtype=float)
+    assert np.array_equal(np.array(rk._CORRECTION[k], dtype=float), np.rint(np.linalg.inv(a)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hermite_scalar_and_array_queries_have_the_same_bits(k):
+    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12)
+    interp = Hermite(path.t, *(path.y, path.z, -path.y, -path.z)[:k])
+    xs = np.random.default_rng(k).uniform(0.0, 6.0, 200)
+    for evaluate in (interp.value, interp.derivative):
+        assert np.array_equal(evaluate(xs), [evaluate(float(x)) for x in xs])
+
+
+@pytest.mark.parametrize("derivatives", [1, 5])
+def test_hermite_rejects_an_unsupported_order(derivatives):
+    with pytest.raises(ValueError, match="2, 3 or 4 derivative arrays"):
+        Hermite([0.0, 1.0], *([[0.0, 1.0]] * derivatives))
 
 
 def test_dense_output_between_integration_nodes():
-    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12)
-    interp = QuinticHermite(path.t, path.y, path.z, -path.y)
+    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12, **_DP5)
+    interp = Hermite(path.t, path.y, path.z, -path.y)
     xs = np.linspace(0.0, 6.0, 777)
     assert np.max(np.abs(interp.value(xs) - np.sin(xs))) < 1e-8
     assert np.max(np.abs(interp.derivative(xs) - np.cos(xs))) < 1e-7
@@ -269,13 +278,14 @@ def test_dop853_converges_with_order_eight():
     # y = 1/(1+t) solves y'' = 2y^3 with y(0) = 1, y'(0) = -1
     steps, errs = [], []
     for rtol in (1e-6, 1e-8, 1e-10, 1e-12):
-        path = integrate_2d(lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, rtol, rtol, _dop853=True)
+        path = integrate_2d(lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, rtol, rtol)
         steps.append(path.n_steps)
         errs.append(abs(path.y[-1] - 0.25))
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert -9.5 < slope < -7.0
     # far fewer steps than DP5 at the same tolerance
-    assert 2 * steps[-1] < integrate_2d(lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12).n_steps
+    dp5 = integrate_2d(lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12, **_DP5)
+    assert 2 * steps[-1] < dp5.n_steps
 
 
 def test_dop853_nfev_counts_every_rhs_call():
@@ -286,7 +296,7 @@ def test_dop853_nfev_counts_every_rhs_call():
         calls += 1
         return z, -y
 
-    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11, _dop853=True)
+    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11)
     assert path.nfev == calls
     # 11 stages per attempt and the new node's derivative on every accepted one
     assert path.nfev == 2 + 12 * path.n_steps + 11 * path.n_rejected
@@ -295,14 +305,14 @@ def test_dop853_nfev_counts_every_rhs_call():
 
 def test_dop853_guards():
     with pytest.raises(PositivityLoss) as exc:
-        integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True, _dop853=True)
+        integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True)
     assert exc.value.location == pytest.approx(1.0, abs=1e-2)
 
     def f(t, y, z):
         return (math.nan, math.nan) if t > 0.5 else (1.0, 0.0)
 
     with pytest.raises(StepUnderflow) as exc:
-        integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-12, _dop853=True)
+        integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-12)
     assert exc.value.location == pytest.approx(0.5, abs=1e-2)
 
 
@@ -315,28 +325,13 @@ def test_vanished_positive_y_is_held_to_rtol(dop853):
         return (math.nan, math.nan) if y <= 0.0 else (z, 0.8 * z * z / y)
 
     with pytest.raises(PositivityLoss) as exc:
-        integrate_2d(f, 0.0, 1.0, -5.0, 3.0, 1e-10, 1e-12, positive_y=True, _dop853=dop853)
+        integrate_2d(f, 0.0, 1.0, -5.0, 3.0, 1e-10, 1e-12, positive_y=True, **({} if dop853 else _DP5))
     assert exc.value.location == pytest.approx(1.0, abs=1e-6)
 
 
-septic_coeffs = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8)
-
-
-@settings(max_examples=100)
-@given(c=septic_coeffs, xq=st.floats(0.0, 2.0))
-def test_septic_hermite_reproduces_septics(c, xq):
-    poly = np.polynomial.Polynomial(c)
-    d1, d2, d3 = poly.deriv(1), poly.deriv(2), poly.deriv(3)
-    x = np.array([0.0, 0.6, 1.1, 2.0])
-    interp = SepticHermite(x, poly(x), d1(x), d2(x), d3(x))
-    scale = 1.0 + float(np.max(np.abs(poly(x))))
-    assert interp.value(xq) == pytest.approx(float(poly(xq)), abs=1e-10 * scale)
-    assert interp.derivative(xq) == pytest.approx(float(d1(xq)), abs=1e-9 * scale)
-
-
 def test_septic_dense_output_between_integration_nodes():
-    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12, _dop853=True)
-    interp = SepticHermite(path.t, path.y, path.z, -path.y, -path.z)
+    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12)
+    interp = Hermite(path.t, path.y, path.z, -path.y, -path.z)
     xs = np.linspace(0.0, 6.0, 777)
     assert np.max(np.abs(interp.value(xs) - np.sin(xs))) < 1e-9
     assert np.max(np.abs(interp.derivative(xs) - np.cos(xs))) < 1e-9

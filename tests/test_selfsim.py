@@ -12,6 +12,7 @@ from fdprofiles import (
     build_selfsimilar,
     pde_residual,
 )
+from fdprofiles.selfsim import residual_grid
 
 
 @pytest.fixture(scope="module")
@@ -144,8 +145,25 @@ class TestResidual:
     @pytest.mark.parametrize("radii, lowest", [((0.0, 1.0), "-0.001"), ((0.0005, 1.0), "-0.0005")])
     def test_stencil_below_origin_rejected(self, eternal_wide, radii, lowest):
         ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
-        with pytest.raises(OutOfRange, match=f"stencil reaches r = {lowest};"):
+        with pytest.raises(ValueError, match=f"stencil reaches r = {lowest};"):
             pde_residual(ss, radii=radii, times=(0.0,))
+
+    @pytest.mark.parametrize("grid, values", [
+        ("radii", (math.nan,)), ("radii", (1.0, math.inf)), ("times", (math.nan,)), ("times", (0.0, -math.inf)),
+    ])
+    def test_grid_that_is_not_finite_rejected(self, grid, values):
+        # checked without a solve: residual_grid needs the regime alone
+        with pytest.raises(ValueError, match=f"^{grid} must be finite"):
+            residual_grid(Regime.ETERNAL, **{grid: values})
+
+    @pytest.mark.parametrize("regime, T, times, reach", [
+        (Regime.FORWARD, None, (0.0005, 1.0), "t = -0.0005; forward"),
+        (Regime.FORWARD, None, (0.001,), "t = 0; forward"),
+        (Regime.BACKWARD, 2.0, (1.0, 1.9995), "t = 2.001; backward"),
+    ])
+    def test_time_stencil_outside_the_regime_rejected(self, regime, T, times, reach):
+        with pytest.raises(ValueError, match=f"stencil reaches {reach}"):
+            residual_grid(regime, T, times=times)
 
     @pytest.mark.parametrize("regime, T, t_lo, t_hi", [
         (Regime.ETERNAL, None, -0.2, 0.2), (Regime.FORWARD, None, 0.8, 1.25), (Regime.BACKWARD, 2.0, 0.5, 1.4),
