@@ -199,6 +199,9 @@ class LogProfile:
     # Log-radius past which the fast mode was slaved to the slow manifold
     # (None when the whole span was integrated with the full system).
     qss_switch_s: float | None = None
+    # |g - G(w)|/|G| at that switch node (|g| where G = 0): the jump the
+    # handover puts into g.
+    qss_gap: float | None = None
     # Log-radius where the full system went from DP5 to Radau IIA (None when
     # DP5 stepped it to its end).
     stiff_switch_s: float | None = None
@@ -377,23 +380,30 @@ def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float
 
 
 # Slave g to the slow manifold once the fast relaxation rate beta*w/(n-1)
-# exceeds this multiple of max(1, sigma). Past that point the terms of the
-# manifold series in 1/w shrink by a factor of order (k + |c_g|)/_QSS_RATE
-# from term k to term k+1: up to ~2e-2 per term at n = 10, m near 0.
-_QSS_RATE = 1000.0
+# exceeds this multiple of max(1, sigma), or later where the series needs it
+# (``_qss_switch``). Past that point the terms of the manifold series in 1/w
+# shrink by a factor of order (k + |c_g|)/_QSS_RATE from term k to term k+1:
+# up to ~0.3 per term at n = 10, m near 0. At 1000 the Radau IIA stretch up
+# to the switch cost ~40% of the log chart's right-hand side calls.
+_QSS_RATE = 100.0
 _QSS_MIN_SIGMA = 0.02
-# Terms d_0..d_7 of the manifold series. By that fall-off the first term left
-# out is at most 1.7e-15 of G at the switch on n = 3..10 (worst at n = 10 with
-# sigma near _QSS_MIN_SIGMA; 6 terms would leave 4.5e-12 there).
-_SERIES_TERMS = 8
+# Terms d_0..d_24 of the manifold series. At the rate above, 24 terms bring
+# the first one left out below 2^-53 of d_0 on n = 3..10 (worst at n = 10 with
+# m near 0 and sigma near _QSS_MIN_SIGMA). From n = 12 on that takes more
+# terms than this (beyond n = 23 not even 60 do), and ``_qss_switch`` moves
+# the switch out to where d_25*w^-25 is that small.
+_SERIES_TERMS = 25
 # The tail's nodes are at most _QSS_DLY apart in log w, steps of about
-# _QSS_DLY/sigma in s, where the quintic dense output of w is accurate.
-_QSS_DLY = 0.15
+# _QSS_DLY/sigma in s, where the quintic dense output of w is accurate. The
+# switch can fall below r = 20, where the invariant checks read the chart:
+# there the flux identity's mismatch stays within 1.8x of the Radau-stepped
+# chart's at this spacing, and rose up to 36x at 0.15.
+_QSS_DLY = 0.08
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
-def _manifold_series(cc: _ChartCoeffs) -> list[float]:
-    """Coefficients d_k of the slow manifold g = G(w) = sum of d_k*w^(-k), k < _SERIES_TERMS (beta > 0).
+def _manifold_series(cc: _ChartCoeffs, terms: int = _SERIES_TERMS) -> list[float]:
+    """Coefficients d_0..d_(terms-1) of the slow manifold g = G(w) = sum of d_k*w^(-k) (beta > 0).
 
     Substituting G into G'(w)*(G + sigma*w) = g_s and matching powers of w gives
     d_0 = -c_w/c_wg and d_(j+1) = ([G'G]_j - j*sigma*d_j - c_sq*[G^2]_(j-1) - c_g*d_j)/c_wg,
@@ -401,32 +411,51 @@ def _manifold_series(cc: _ChartCoeffs) -> list[float]:
     -(k + c_sq)*d_k*d_(j-1-k) over k < j.
     """
     d = [-cc.c_w / cc.c_wg]
-    for j in range(_SERIES_TERMS - 1):
+    for j in range(terms - 1):
         conv = sum((k + cc.c_sq) * d[k] * d[j - 1 - k] for k in range(j))
         d.append(-(conv + (j * cc.sigma + cc.c_g) * d[j]) / cc.c_wg)
     return d
 
 
-def _slow_tail(cc: _ChartCoeffs, s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
+def _qss_switch(cc: _ChartCoeffs, n: int, beta: float) -> tuple[list[float], float]:
+    """The tail's series d_0..d_(_SERIES_TERMS-1) and the w past which g is slaved to it.
+
+    That w is the larger of the rate rule, beta*w/(n-1) = _QSS_RATE*max(1, sigma),
+    and the smallest w at which the first term left out, |d_K|*w^(-K) with
+    K = _SERIES_TERMS, is at most 2^-53*|d_0|. G there lies within 0.82..1.34
+    of d_0 (n = 3..30, sigma up to 30), so that term is below 2^-52 of G.
+    """
+    *d, d_out = _manifold_series(cc, _SERIES_TERMS + 1)
+    w_rate = _QSS_RATE * max(1.0, cc.sigma) * (n - 1) / beta
+    # d_0 = 0 makes every d_k vanish (g = 0 is then invariant)
+    w_series = (abs(d_out) / (2.0**-53 * abs(d[0]))) ** (1.0 / _SERIES_TERMS) if d_out else 0.0
+    return d, max(w_rate, w_series)
+
+
+def _horner(d: list[float], x):
+    """G = sum of d_k*x^k by Horner's rule."""
+    g = d[-1]
+    for dk in d[-2::-1]:
+        g = g * x + dk
+    return g
+
+
+def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
     """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
 
-    On the manifold g = G, a polynomial in x = 1/w (``_manifold_series``), so
-    d(log w)/ds = F = sigma + x*G and g_s = G'(w)*w_s = -x*G_x*F, where neither
-    can overflow or cancel. Then s = s0 + integral of 1/F from ly0. A cumulative
+    On the manifold g = G, the polynomial in x = 1/w with coefficients ``d``
+    (``_manifold_series``), so d(log w)/ds = F = sigma + x*G and
+    g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel. Then
+    s = s0 + integral of 1/F from ly0. A cumulative
     Gauss-Legendre sweep over nodes _QSS_DLY apart in log w brackets s_end,
     Newton's method on that piece finds log w there, and a second sweep gives
     the s of k equal pieces up to it.
     """
-    sigma = cc.sigma
-    d = _manifold_series(cc)[::-1]
 
     def inv_rate(ly):
         # 1/F with F = sigma + x*G at x = e^(-ly), G by Horner's rule
         x = np.exp(-ly)
-        g = d[0]
-        for dk in d[1:]:
-            g = g * x + dk
-        f = sigma + x * g
+        f = sigma + x * _horner(d, x)
         if not np.all(f > 0.0):
             raise ProfileError("log w stops growing on the slow manifold", s0)
         return 1.0 / f
@@ -454,8 +483,8 @@ def _slow_tail(cc: _ChartCoeffs, s0: float, ly0: float, s_end: float) -> tuple[n
     s[-1] = s_end
     # G and G_x at the nodes by one Horner loop; g_s = G'(w)*w_s = -x*G_x*F
     x = np.exp(-ly[1:])
-    g, gx = d[0], 0.0
-    for dk in d[1:]:
+    g, gx = d[-1], 0.0
+    for dk in d[-2::-1]:
         gx = gx * x + g
         g = g * x + dk
     return s[1:], np.exp(ly[1:]), g, -x * gx * (sigma + x * g)
@@ -492,8 +521,11 @@ def integrate_log(
     passes a threshold the integration continues on the slow manifold: g is
     the chart's own manifold series in 1/w, built once from the chart
     coefficients, and the scalar equation left for log w is autonomous, so
-    ``_slow_tail`` places its nodes by quadrature instead of stepping it. At
-    the switch the series and the integrated g agree to 2e-14..4e-13.
+    ``_slow_tail`` places its nodes by quadrature instead of stepping it.
+    ``qss_gap`` records the jump this puts into g: |g - G(w)|/|G| at the
+    switch node reads 1.5e-14..1.9e-12 on the invariant grid (n <= 6) and up
+    to 3.3e-10 at n = 20, inside the chart's rtol of 1e-9. It is the stepped
+    g's error off the manifold that the true solution has long relaxed onto.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
@@ -507,7 +539,7 @@ def integrate_log(
 
     w_stop = None
     if sigma > _QSS_MIN_SIGMA:
-        w_stop = _QSS_RATE * max(1.0, sigma) * (n - 1) / beta
+        d, w_stop = _qss_switch(cc, n, beta)
         if w0 >= w_stop:
             # already stiff at the start; step explicitly through one
             # relaxation scale before slaving
@@ -516,10 +548,13 @@ def integrate_log(
         _log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=_log_jac(cc)
     )
     s_arr, w_arr, g_arr, gs_arr = path.t, path.y, path.z, path.fz
-    switch_s = None
+    switch_s = gap = None
     if w_stop is not None and s_arr[-1] < s_max * (1.0 - 1e-12) - 1e-12:
         switch_s = float(s_arr[-1])
-        tail = _slow_tail(cc, switch_s, math.log(w_arr[-1]), s_max)
+        # where G is exactly 0 (alpha = 0 can round c_w to 0) the gap is read absolute
+        g_manifold = _horner(d, 1.0 / w_arr[-1])
+        gap = float(abs(g_arr[-1] - g_manifold) / (abs(g_manifold) or 1.0))
+        tail = _slow_tail(sigma, d, switch_s, math.log(w_arr[-1]), s_max)
         s_arr, w_arr, g_arr, gs_arr = (np.concatenate(pair) for pair in zip((s_arr, w_arr, g_arr, gs_arr), tail))
 
     ws = g_arr + sigma * w_arr
@@ -537,6 +572,7 @@ def integrate_log(
         n_rejected=path.n_rejected,
         nfev=path.nfev,
         qss_switch_s=switch_s,
+        qss_gap=gap,
         stiff_switch_s=path.t_stiff,
     )
 
@@ -620,6 +656,7 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
     overlap = _overlap_error(profile, logprofile, p.m, R_HANDOFF)
     diagnostics = {
         "qss_switch_s": logprofile.qss_switch_s,
+        "qss_gap": logprofile.qss_gap,
         "stiff_switch_s": logprofile.stiff_switch_s,
         "r_steps": profile.n_steps,
         "r_rejected": profile.n_rejected,

@@ -418,7 +418,9 @@ def integrate_2d(
         final = h >= (t_end - t) * (1.0 - 1e-12)
         if final:
             h = t_end - t
-        if h < 1e-14 * max(abs(t), 1e-6 * span):
+        # the step has collapsed once it is below ~50 ulps of t; near t = 0,
+        # where |t| sets no scale (the log chart starts at s = 0), below 1e-20
+        if h < 1e-14 * max(abs(t), 1e-6):
             raise _step_collapse(t, positive_y, y, y_vanished)
         t_new = t_end if final else t + h
 

@@ -150,6 +150,12 @@ class TestGuards:
         assert np.all(prof.v > 0.0)
         assert prof.v[-1] < 1e-6
 
+    def test_r_chart_reaches_1e17(self):
+        # a step-collapse floor scaled by r_max would exceed the first step here
+        sol = solve_profile(P(2.5), SolveConfig(r_max=1e17))
+        assert sol.profile.r_end == 1e17
+        assert sol.diagnostics["overlap_error"] < 1e-9
+
     def test_dense_eval_out_of_range(self, eternal_n3):
         with pytest.raises(OutOfRange):
             eternal_n3.v(10.0 * eternal_n3.r_cover)
@@ -317,6 +323,7 @@ class TestStiffTail:
 
     def test_eternal_never_switches(self, eternal_n3):
         assert eternal_n3.logprofile.qss_switch_s is None
+        assert eternal_n3.diagnostics["qss_gap"] is None
 
     def test_overflow_is_a_located_profile_error(self):
         # w grows like e^(1.2 s) and leaves the float range near s = 591;
@@ -361,20 +368,54 @@ class TestStiffTail:
             assert np.all(np.diff(lp.s) > 0.0)
             assert lp.s[-1] == 40.0
         # a tail shorter than one node spacing still ends exactly at s_end
-        lp = solve_profile(P(1.25), SolveConfig(s_end=6.8)).logprofile
-        assert lp.qss_switch_s is not None and lp.s[-2] == lp.qss_switch_s
-        assert lp.s[-1] == 6.8
+        full = solved(3, 0.2, 1.25, 1.0).logprofile
+        i0 = int(np.searchsorted(full.s, full.qss_switch_s))
+        s_end = full.qss_switch_s + 0.5 * (full.s[i0 + 1] - full.s[i0])
+        lp = solve_profile(P(1.25), SolveConfig(s_end=s_end)).logprofile
+        assert lp.qss_switch_s == full.qss_switch_s and lp.s[-2] == lp.qss_switch_s
+        assert lp.s[-1] == s_end
 
     def test_stalled_manifold_is_a_profile_error(self):
-        # a manifold rate F <= 0 would never reach s_end
-        from fdprofiles.integrate import _chart_coeffs, _slow_tail
+        # a manifold rate F = sigma + G/w <= 0 would never reach s_end: here
+        # G = -1e4 at w = 5e3 gives F = 1 - 2 = -1
+        from fdprofiles.integrate import _slow_tail
 
-        cc = _chart_coeffs(3, 0.2, 1.25, 1.0)._replace(c_w=-1e6)
         with pytest.raises(ProfileError, match="stops growing") as exc:
-            _slow_tail(cc, 5.0, math.log(5000.0), 40.0)
+            _slow_tail(1.0, [-1e4], 5.0, math.log(5000.0), 40.0)
         assert exc.value.location == 5.0
 
-    @pytest.mark.parametrize("n,m,alpha", [(3, 0.2, 1.25), (3, 0.2, 0.5), (3, 0.2, -1.0), (5, 0.3, 0.5)])
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_first_omitted_series_term_is_below_rounding_at_the_switch(self, n):
+        # sigma near _QSS_MIN_SIGMA and near 3, m near 0 and at the endpoint
+        # (n-2)/n: at the switch the first term the tail leaves out of G is
+        # below 2^-52 of G, and through n = 10 the rate rule alone gets it there
+        from fdprofiles.integrate import _QSS_RATE, _SERIES_TERMS, _chart_coeffs, _manifold_series, _qss_switch
+
+        for mfrac in (1e-3, 1.0):
+            m = mfrac * (n - 2) / n
+            for sigma in (0.021, 2.99):
+                cc = _chart_coeffs(n, m, (2.0 - sigma) / (1.0 - m), 1.0)
+                d, w = _qss_switch(cc, n, 1.0)
+                d_out = _manifold_series(cc, _SERIES_TERMS + 1)[-1]
+                g = sum(dk * w ** -k for k, dk in enumerate(d))
+                assert abs(d_out) * w**-_SERIES_TERMS <= 2.0**-52 * abs(g)
+                if n <= 10:
+                    assert w == _QSS_RATE * max(1.0, cc.sigma) * (n - 1)
+
+    @pytest.mark.parametrize("alpha", [1.25, 0.5, -1.0])
+    def test_qss_gap_is_the_jump_in_g_at_the_switch(self, solved, alpha):
+        from fdprofiles.integrate import _chart_coeffs, _manifold_series
+
+        sol = solved(3, 0.2, alpha, 1.0)
+        lp = sol.logprofile
+        i0 = int(np.searchsorted(lp.s, lp.qss_switch_s))
+        g = sum(dk * lp.w[i0] ** -k for k, dk in enumerate(_manifold_series(_chart_coeffs(3, 0.2, alpha, 1.0))))
+        assert sol.diagnostics["qss_gap"] == lp.qss_gap == pytest.approx(abs(lp.g[i0] - g) / abs(g), abs=1e-15)
+        assert lp.qss_gap < 1e-11
+
+    @pytest.mark.parametrize(
+        "n,m,alpha", [(3, 0.2, 1.25), (3, 0.2, 0.5), (3, 0.2, -1.0), (5, 0.3, 0.5), (10, 0.016, 1.0), (30, 0.02, 1.0)]
+    )
     def test_tail_matches_radau_oracle(self, solved, n, m, alpha):
         # the full (w, g) system, stepped by scipy's Radau from the switch node
         # to w = 1e6, relaxes onto the true manifold: the tail's g and the s

@@ -184,6 +184,14 @@ class TestDoubleLimit:
         assert rep.rel_err_m_side < 0.02
         assert rep.rel_err_log_side < 0.02
 
+    def test_m_side_is_the_default_solve_bit_for_bit(self):
+        # the m side reads the log chart alone, so its r-chart stops past the seam
+        from fdprofiles.decay import estimate_log_decay
+
+        rep = double_limit_check(3, 1.0)
+        full = [solve_profile(Parameters(3, m, 2.0 / (1.0 - m), 1.0, 1.0)) for m in rep.m_values]
+        assert rep.a0_measured == tuple(estimate_log_decay(sol).extrapolated for sol in full)
+
     def test_gap_shrinks_along_the_family(self):
         rep = double_limit_check(3, 1.0)
         gaps = [abs(a - rep.target) for a in rep.a0_measured]

@@ -82,6 +82,25 @@ def test_overflowing_start_slope_is_step_underflow_at_start(f, y0, z0):
     assert exc.value.location == 0.0
 
 
+def test_step_collapse_floor_does_not_grow_with_the_span():
+    # y = log t from t = 1e-4 out to 1e17: the first step is ~1e-5 long, far
+    # below a floor scaled by the span (1e-20*span = 1e-3), yet t + h resolves it
+    path = integrate_2d(lambda t, y, z: (1.0 / t, 0.0), 1e-4, math.log(1e-4), 0.0, 1e17, 1e-10, 1e-12)
+    assert path.t[-1] == 1e17
+    assert path.y[-1] == pytest.approx(math.log(1e17), rel=1e-9)
+
+
+@pytest.mark.parametrize("dop853", [False, True])
+def test_step_collapse_at_t_zero(dop853):
+    # no step out of t = 0 succeeds: the guard still fires there, at once
+    def f(t, y, z):
+        return (math.nan, math.nan) if t > 0.0 else (1.0, 0.0)
+
+    with pytest.raises(StepUnderflow, match="step size underflow") as exc:
+        integrate_2d(f, 0.0, 1.0, 0.0, 40.0, 1e-9, 1e-12, **({} if dop853 else _DP5))
+    assert exc.value.location == 0.0
+
+
 def test_early_stop_threshold():
     path = integrate_2d(
         lambda t, y, z: (y, 0.0), 0.0, 1.0, 0.0, 20.0, 1e-9, 1e-12, stop_when_y_above=100.0
