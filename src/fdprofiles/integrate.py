@@ -182,12 +182,19 @@ class LogProfile:
     g = w_s - sigma*w is the integrated decay residual (see module docstring);
     it is exact state, not a difference of large numbers. v is recoverable as
     v = (w * e^(-2s))^(1/(1-m)).
+
+    ``wsss`` holds w_sss at the nodes of the DOP853 stretch, the first
+    ``wsss.size`` nodes, up to the first switch (to Radau IIA or to the slow
+    tail). There w is septic Hermite, of the order of the steps, and w_s is
+    its derivative. Past that node w is quintic and w_s is g + sigma*w, and g
+    is cubic on the whole chart.
     """
 
     s: np.ndarray
     w: np.ndarray
     ws: np.ndarray
     wss: np.ndarray
+    wsss: np.ndarray
     g: np.ndarray
     gs: np.ndarray
     sigma: float
@@ -202,8 +209,8 @@ class LogProfile:
     # |g - G(w)|/|G| at that switch node (|g| where G = 0): the jump the
     # handover puts into g.
     qss_gap: float | None = None
-    # Log-radius where the full system went from DP5 to Radau IIA (None when
-    # DP5 stepped it to its end).
+    # Log-radius where the full system went from DOP853 to Radau IIA (None
+    # when DOP853 stepped it to its end).
     stiff_switch_s: float | None = None
 
     @property
@@ -215,8 +222,17 @@ class LogProfile:
         return float(self.s[-1])
 
     @cached_property
-    def _w_interp(self):
-        return Hermite(self.s, self.w, self.ws, self.wss)
+    def _w_explicit(self):
+        k = self.wsss.size
+        return Hermite(self.s[:k], self.w[:k], self.ws[:k], self.wss[:k], self.wsss)
+
+    @cached_property
+    def _w_stiff(self):
+        # Quintic, not septic: on the Radau IIA stretch a septic w, with w_sss
+        # from the right-hand side, was 1.3-3.1x less accurate between the
+        # nodes against a Radau reference at rtol 1e-13 on the eternal decay grid.
+        k = self.wsss.size - 1
+        return Hermite(self.s[k:], self.w[k:], self.ws[k:], self.wss[k:])
 
     @cached_property
     def _g_interp(self):
@@ -236,20 +252,39 @@ class LogProfile:
             raise OutOfRange(f"log chart covers [{lo:.6g}, {hi:.6g}], requested {s}")
         return np.clip(arr, lo, hi)
 
+    def _by_stretch(self, sq, explicit, past):
+        """``explicit(sq)`` on the DOP853 stretch and ``past(sq)`` beyond its last node."""
+        below = sq <= self.s[self.wsss.size - 1]
+        if np.all(below):
+            return explicit(sq)
+        if not np.any(below):
+            return past(sq)
+        out = np.empty_like(sq)
+        out[below] = explicit(sq[below])
+        out[~below] = past(sq[~below])
+        return out
+
+    def _w(self, sq):
+        # the quintic piece is built on first use: there is none when DOP853 reached s_end
+        return self._by_stretch(sq, self._w_explicit.value, lambda x: self._w_stiff.value(x))
+
     def eval_w(self, s):
-        return self._w_interp.value(self._check(s))
+        return self._w(self._check(s))
 
     def eval_g(self, s):
         return self._g_interp.value(self._check(s))
 
     def eval_ws(self, s):
-        sq = self._check(s)
-        return self._g_interp.value(sq) + self.sigma * self._w_interp.value(sq)
+        return self._by_stretch(
+            self._check(s),
+            self._w_explicit.derivative,
+            lambda x: self._g_interp.value(x) + self.sigma * self._w_stiff.value(x),
+        )
 
     def eval_v(self, s):
         """Profile value v at log-radius s."""
         sq = self._check(s)
-        return (self._w_interp.value(sq) * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
+        return (self._w(sq) * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
 
 
 def _r_rhs(n: int, m: float, alpha: float, beta: float):
@@ -336,12 +371,11 @@ def integrate_r(
 ) -> Profile:
     """Integrate the r-chart from the origin seed (``seed_within`` at ``tol``) out to r_max.
 
-    The chart passes no Jacobian, so it takes DOP853 steps (see ``rk``): at
-    its rtol of 1e-10 the 8th-order method takes about a third of DP5's steps
-    for fewer right-hand side calls. v''' for the septic dense output is
-    evaluated over all nodes once the solve is done. Takes plain
-    scalars rather than Parameters so that m = 0 is accepted: the chart then
-    solves the log-diffusion equation of the singular limit."""
+    The chart passes no Jacobian, so it takes DOP853 steps throughout (see
+    ``rk``); v''' for the septic dense output is evaluated over all nodes
+    once the solve is done. Takes plain scalars rather than Parameters so
+    that m = 0 is accepted: the chart then solves the log-diffusion equation
+    of the singular limit."""
     if not (0.0 <= m < 1.0 and eta > 0.0):
         raise ValueError(f"r-chart requires 0 <= m < 1 and eta > 0, got m = {m}, eta = {eta}")
     se = seed_within(n, m, alpha, beta, eta, tol)
@@ -509,11 +543,11 @@ def integrate_log(
 
     The fast mode g relaxes at a rate that grows like beta*w/(n-1), so the
     chart turns stiff as w grows. Its analytic Jacobian goes to integrate_2d,
-    which therefore takes DP5 steps and hands the (w, g) system to Radau IIA
-    once the explicit steps are bound by stability (``stiff_switch_s``). DP5,
-    not DOP853, leads in: the cubic g and quintic w dense output are sized to
-    DP5's step lengths, and longer steps would make the interpolants, not the
-    nodes, the accuracy floor of the flux identity the charts are checked by
+    which takes DOP853 steps and hands the (w, g) system to Radau IIA once the
+    explicit steps are bound by stability (``stiff_switch_s``). Up to the
+    first switch w is septic Hermite, with w_sss = g_ss + sigma*w_ss and
+    g_ss = J.(w_s, g_s) from the Jacobian, so the dense output keeps the
+    8th-order accuracy of the nodes where the flux identity reads the chart
     at r = 20.
 
     When w grows exponentially (sigma > 0, i.e. alpha < 2*beta/(1-m)) the fast
@@ -544,8 +578,9 @@ def integrate_log(
             # already stiff at the start; step explicitly through one
             # relaxation scale before slaving
             w_stop = 2.0 * w0
+    jac = _log_jac(cc)
     path = integrate_2d(
-        _log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=_log_jac(cc)
+        _log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=jac
     )
     s_arr, w_arr, g_arr, gs_arr = path.t, path.y, path.z, path.fz
     switch_s = gap = None
@@ -558,11 +593,16 @@ def integrate_log(
         s_arr, w_arr, g_arr, gs_arr = (np.concatenate(pair) for pair in zip((s_arr, w_arr, g_arr, gs_arr), tail))
 
     ws = g_arr + sigma * w_arr
+    wss = gs_arr + sigma * ws
+    # the DOP853 stretch ends at the first switch, to Radau IIA or to the tail
+    k = path.t.size if path.t_stiff is None else int(np.searchsorted(path.t, path.t_stiff)) + 1
+    _, _, dgs_dw, dgs_dg = jac(None, w_arr[:k], g_arr[:k])
     return LogProfile(
         s=s_arr,
         w=w_arr,
         ws=ws,
-        wss=gs_arr + sigma * ws,
+        wss=wss,
+        wsss=dgs_dw * ws[:k] + dgs_dg * gs_arr[:k] + sigma * wss[:k],
         g=g_arr,
         gs=gs_arr,
         sigma=sigma,

@@ -1,4 +1,4 @@
-"""Runge-Kutta stepping for two-state systems: DOP853, or DP5(4) then Radau IIA once stiff.
+"""Runge-Kutta stepping for two-state systems: DOP853, then Radau IIA once stiff.
 
 Every chart in this package is a second-order scalar ODE reduced to first
 order, so the state always has exactly two components. The hot loops therefore
@@ -6,25 +6,22 @@ work on plain Python floats: at this state size the interpreter overhead of
 array arithmetic dominates the flops, and a float core is roughly an order of
 magnitude faster than wrapping a general-purpose array solver.
 
-One step loop drives three step kinds, and the Jacobian of the right-hand side
-decides which. A call without one cannot turn stiff and takes Dormand-Prince
-8(5,3) steps throughout (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
-Sec. II.5). A call with one starts with Dormand-Prince 5(4) steps with FSAL
-and a PI step-size controller, and switches, once and for good, to steps of
-the 3-stage Radau IIA method (order 5, L-stable, stiffly accurate; Hairer &
-Wanner, Solving ODEs II, Sec. IV.8) when the problem turns stiff: when h*rho(J),
-the accepted DP5 step times the spectral radius of the 2x2 Jacobian, stays
-above _STIFF_H_RHO for _STIFF_RUN accepted steps in a row. The explicit pair
-is then paying for stability, not accuracy (its real-axis stability bound is
-h*lambda ~ 3.3), and the implicit method takes steps set by the tolerance
-alone. Its simplified Newton iteration costs one real and one complex 2x2
-solve per iteration and starts from the previous step's collocation
-polynomial; the error estimate is Hairer & Wanner's, with a predictive
-(Gustafsson) step-size controller. Which chart takes which kind, and why, is
-``integrate``'s to say. The step budget, the final-step clamp, the
-step-collapse and positivity guards, the node store and the early stop are
-the loop's own; only the attempt and the step-size update depend on the step
-kind.
+One step loop drives two step kinds. Every call starts with Dormand-Prince
+8(5,3) steps (DOP853; Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5).
+A call that passes the Jacobian of the right-hand side can turn stiff: it
+switches, once and for good, to steps of the 3-stage Radau IIA method (order
+5, L-stable, stiffly accurate; Hairer & Wanner, Solving ODEs II, Sec. IV.8)
+when h*rho(J), the accepted DOP853 step times the spectral radius of the 2x2
+Jacobian, stays above _STIFF_H_RHO for _STIFF_RUN accepted steps in a row.
+The explicit method is then paying for stability, not accuracy, and the
+implicit method takes steps set by the tolerance alone. Its simplified Newton
+iteration costs one real and one complex 2x2 solve per iteration and starts
+from the previous step's collocation polynomial; the error estimate is Hairer
+& Wanner's, with a predictive (Gustafsson) step-size controller. Which chart
+passes a Jacobian, and why, is ``integrate``'s to say. The step budget, the
+final-step clamp, the step-collapse and positivity guards, the node store and
+the early stop are the loop's own; only the attempt and the step-size update
+depend on the step kind.
 
 Accepted nodes retain both state components and their derivatives, which is
 enough for quintic Hermite dense output (``Hermite``) whenever the second
@@ -48,29 +45,6 @@ __all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "Hermite"]
 
 # No clamping below this value; clamping would corrupt decay estimation.
 POSITIVITY_FLOOR = 1e-300
-
-# Dormand-Prince 5(4) tableau.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5;
 # the coefficients of the authors' code DOP853): nodes _DCi, stage weights _DAi_j (zero
@@ -141,11 +115,12 @@ _NEWTON_MAXITER = 6
 _SQRT2 = math.sqrt(2.0)
 
 # Hand over to Radau IIA once h*rho(J) > _STIFF_H_RHO on _STIFF_RUN accepted
-# DP5 steps in a row. A DP5 step that resolves a decaying mode to the log
-# chart's default rtol has h*|lambda| of a few hundredths, so a sustained 0.5
-# (a seventh of the real-axis stability bound 3.3) means the fast mode has
-# died out and only stability holds the step down; the run length keeps a
-# transient from tripping the switch.
+# DOP853 steps in a row. A sustained h*rho(J) of 0.5, well inside DOP853's
+# real-axis stability bound of 6.39, means the fast mode has died out and
+# stability, not accuracy, holds the step down; the run length keeps a
+# transient from tripping the switch. At 1.0 the log chart saved 3% more
+# right-hand side calls, but its worst Barenblatt error rose from 2.8e-9 to
+# 8.9e-9: the explicit stretch is where the septic dense output is read.
 _STIFF_H_RHO = 0.5
 _STIFF_RUN = 15
 
@@ -155,13 +130,8 @@ _MAX_STEPS = 1_000_000
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# Explicit step-size update, (exp, mem, exp_rejected) per step kind:
-# h *= SAFETY * err^-exp * err_prev^mem after an accepted step and
-# h *= SAFETY * err^-exp_rejected after a rejected one. DP5 is PI-controlled;
-# DOP853's err is its 5th-order estimate (~h^6), with no memory (err_prev^0.0
-# is exactly 1.0).
-_DP5_CONTROL = (0.17, 0.04, 0.2)
-_DOP853_CONTROL = (1.0 / 6.0, 0.0, 1.0 / 6.0)
+# DOP853's err is its 5th-order estimate (~h^6): h *= SAFETY * err^-_DOP853_EXP.
+_DOP853_EXP = 1.0 / 6.0
 
 RHS = Callable[[float, float, float], tuple[float, float]]
 # Jacobian of an RHS: (dfy/dy, dfy/dz, dfz/dy, dfz/dz).
@@ -180,7 +150,7 @@ class RawPath:
     n_steps: int
     n_rejected: int
     nfev: int
-    # Node from which Radau IIA took over (None when DP5 ran the whole span).
+    # Node from which Radau IIA took over (None when DOP853 ran the whole span).
     t_stiff: float | None = None
 
 
@@ -192,8 +162,8 @@ def _rms(a: float, b: float) -> float:
         return math.inf
 
 
-def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol, order) -> float:
-    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4) for an error estimate of ``order``."""
+def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol) -> float:
+    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4) for DOP853's 5th-order estimate."""
     scy = atol + rtol * abs(y0)
     scz = atol + rtol * abs(z0)
     d0 = _rms(y0 / scy, z0 / scz)
@@ -212,7 +182,7 @@ def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol, order) -> floa
     elif math.isinf(d2):
         h1 = h0 * 1e-2
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** _DOP853_EXP
     return min(100.0 * h0, h1, span)
 
 
@@ -272,8 +242,8 @@ def _dop853_attempt(f: RHS, t, y, z, k1y, k1z, h, rtol, atol_y, atol_z) -> tuple
     error of the 8th-order result on the r-chart's long steps: on six
     INVARIANT_GRID rows out to r = 25 it let 2% of the accepted steps exceed
     the tolerance, by up to 3x, and the nodes drifted up to 6.7x further from a
-    tight reference than DP5's. E5 alone bounds the local error there and
-    costs 23% more steps than the blend.
+    tight reference than those of a Dormand-Prince 5(4) pair. E5 alone bounds
+    the local error there and costs 23% more steps than the blend.
     """
     k2y, k2z = f(t + _DC2 * h, y + h * (_DA2_1 * k1y), z + h * (_DA2_1 * k1z))
     k3y, k3z = f(t + _DC3 * h, y + h * (_DA3_1 * k1y + _DA3_2 * k2y), z + h * (_DA3_1 * k1z + _DA3_2 * k2z))
@@ -367,10 +337,11 @@ def integrate_2d(
     y above the threshold (overshoot of at most one step); the caller detects
     the early stop by comparing the final node against t_end.
 
-    ``jac`` is the Jacobian of f and sets the step kind (see the module
-    docstring): without it every step is DOP853; with it the integration
-    takes DP5 steps and switches to Radau IIA once the problem is measurably
-    stiff, and ``RawPath.t_stiff`` records where.
+    ``jac`` is the Jacobian of f. Every step is DOP853 until, with ``jac``,
+    the problem is measurably stiff (see the module docstring); the
+    integration then switches to Radau IIA, and ``RawPath.t_stiff`` records
+    where. Up to that node a call with ``jac`` takes the same steps as one
+    without.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -390,10 +361,7 @@ def integrate_2d(
     fys = [fy]
     fzs = [fz]
 
-    # without a Jacobian the call cannot turn stiff and takes the higher order
-    dop853 = jac is None
-    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol, 5 if dop853 else 4)
-    exp, mem, exp_rejected = _DOP853_CONTROL if dop853 else _DP5_CONTROL
+    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol)
 
     t, y, z = t0, y0, z0
     n_steps = 0
@@ -401,10 +369,9 @@ def integrate_2d(
     nfev = 2
     # the last attempt was rejected for its error (or, in an explicit step, a non-finite stage)
     rejected = False
-    # explicit controller memory and stiffness run
-    err_prev = 1e-4
+    # accepted DOP853 steps in a row with h*rho(J) > _STIFF_H_RHO
     stiff_run = 0
-    # Radau IIA state: the iteration matrix's Jacobian (None while DP5 steps),
+    # Radau IIA state: the iteration matrix's Jacobian (None while DOP853 steps),
     # the last accepted step's (t, h, y, z, Q of y, Q of z) and controller memory
     J = None
     t_stiff = None
@@ -427,7 +394,7 @@ def integrate_2d(
         # a positive y that has vanished is held to rtol alone: far below atol the
         # mixed error scale is blind to it, and a step can pass its zero unseen
         atol_y = 0.0 if positive_y and y <= y_vanished else atol
-        if dop853:
+        if J is None:
             y_new, z_new, err = _dop853_attempt(f, t, y, z, fy, fz, h, rtol, atol_y, atol)
             nfev += 11
             if err <= 1.0:  # the last stage is not the new node's: one more call, accepted steps only
@@ -435,39 +402,6 @@ def integrate_2d(
                 nfev += 1
                 if not (math.isfinite(fy_new) and math.isfinite(fz_new)):
                     err = math.inf
-        elif J is None:
-            k1y, k1z = fy, fz
-            k2y, k2z = f(t + _C2 * h, y + h * (_A21 * k1y), z + h * (_A21 * k1z))
-            k3y, k3z = f(t + _C3 * h, y + h * (_A31 * k1y + _A32 * k2y), z + h * (_A31 * k1z + _A32 * k2z))
-            k4y, k4z = f(
-                t + _C4 * h,
-                y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
-                z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z),
-            )
-            k5y, k5z = f(
-                t + _C5 * h,
-                y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-                z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z),
-            )
-            k6y, k6z = f(
-                t + h,
-                y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
-                z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z),
-            )
-            nfev += 5
-            y_new = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-            z_new = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-            # a non-finite stage makes err non-finite, and err = inf cuts h by _MIN_FACTOR
-            if math.isfinite(y_new) and math.isfinite(z_new):
-                fy_new, fz_new = f(t_new, y_new, z_new)
-                nfev += 1
-                err_y = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * fy_new)
-                err_z = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * fz_new)
-                scy = atol_y + rtol * max(abs(y), abs(y_new))
-                scz = atol + rtol * max(abs(z), abs(z_new))
-                err = _rms(err_y / scy, err_z / scz)  # inf past the float range: rejected
-            else:
-                err = math.inf
         else:
             # Newton start: the last step's collocation polynomial at this step's nodes.
             if poly is None:
@@ -571,7 +505,7 @@ def integrate_2d(
             n_rejected += 1
             rejected = True
             if J is None:
-                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-exp_rejected))
+                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-_DOP853_EXP))
             else:
                 h *= max(_MIN_FACTOR, safety * _radau_factor(h, h_old, err, err_old))
             continue
@@ -599,11 +533,10 @@ def integrate_2d(
                     # hand over with the current h and the Jacobian just evaluated
                     J, t_stiff, rejected = jac_t, t, False
                     continue
-            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-exp * err_prev**mem
+            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_DOP853_EXP
             if rejected:
                 factor = min(1.0, factor)
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-4)
         else:
             poly = (
                 ts[-2], h, ys[-2], zs[-2],

@@ -83,7 +83,7 @@ class TestSolve:
         for key in ("k", "rho1", "a0", "b0", "b1", "b2"):
             assert key in data["derived"]
         assert data["regime"] == "eternal"
-        # the eternal log chart is handed to Radau IIA once DP5 is stability-bound
+        # the eternal log chart is handed to Radau IIA once DOP853 is stability-bound
         assert 0.0 < data["diagnostics"]["stiff_switch_s"] < 40.0
         assert data["diagnostics"]["qss_switch_s"] is None
 

@@ -34,8 +34,9 @@ FROZEN_A = {1.25: 3.0663182351, 0.5: 1.4708822673, -1.0: 0.5394185343}
 # estimate_log_decay(...).extrapolated under the default SolveConfig on the
 # decay grid of scripts/run_decay_grid.py (alpha = 2*beta/(1-m)), and
 # estimate_power_decay(...).extrapolated for n=3, m=0.2, beta=eta=1 at the
-# default and tenfold tightened tolerances, as computed by the pure DP5(4)
-# log chart; the Radau IIA continuation must reproduce them.
+# default and tenfold tightened tolerances, as first computed by a log chart
+# stepped with Dormand-Prince 5(4) alone; the DOP853 chart with its Radau IIA
+# continuation must reproduce them.
 PINNED_LOG = {
     (3, 0.2, 1.0): 1.998365057624805,
     (4, 1 / 3, 1.0): 5.998003089052348,

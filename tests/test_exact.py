@@ -84,16 +84,19 @@ def test_w_tends_to_one_over_kappa(solved, n, m, beta, eta):
     assert abs(kappa * lp.w[-1] - 1.0) <= 7e-10
 
 
-# the cubic w_s of the log chart's DP5 stretch (ROADMAP item 2) is the accuracy floor at r = 20
-FLUX_AT_R20 = pytest.mark.xfail(
-    strict=True,
-    reason="flux_identity reads Solution.dv at r = 20, where it is 4.2e-8 off the exact v': "
-    "mismatch 2.1e-8 against the 1e-8 threshold",
-)
+@pytest.mark.parametrize("n,m,beta,eta", ROWS)
+def test_dv_on_the_explicit_stretch(solved, n, m, beta, eta):
+    # the flux identity reads Solution.dv at r = 20, on the log chart's DOP853
+    # stretch, where w is septic Hermite and w_s its derivative
+    sol = solved(n, m, n * beta, beta, eta)
+    lp = sol.logprofile
+    s_edge = lp.s[lp.wsss.size - 1]
+    assert sol.profile.r_end < 20.0 < math.exp(s_edge)
+    assert rel(sol.dv(20.0), barenblatt(n, m, beta, eta, 20.0)[1]) <= 3e-11
+    radii = np.exp(np.linspace(math.log(10.5), s_edge, 401))
+    assert rel(sol.dv(radii), barenblatt(n, m, beta, eta, radii)[1]) <= 3e-8
 
 
-@pytest.mark.parametrize(
-    "n,m,beta,eta", [pytest.param(*row, marks=FLUX_AT_R20) if row == (7, 5 / 7, 1.0, 1.0) else row for row in ROWS]
-)
+@pytest.mark.parametrize("n,m,beta,eta", ROWS)
 def test_invariant_checks_pass(solved, n, m, beta, eta):
     assert run_all_checks(solved(n, m, n * beta, beta, eta)).overall

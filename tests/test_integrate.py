@@ -438,7 +438,7 @@ class TestStiffTail:
 
 
 class TestStiffSwitch:
-    """The full (w, g) system goes from DP5 to Radau IIA once stability-bound."""
+    """The full (w, g) system goes from DOP853 to Radau IIA once stability-bound."""
 
     def test_switch_recorded(self, eternal_n3):
         lp = eternal_n3.logprofile
@@ -455,7 +455,7 @@ class TestStiffSwitch:
         n, m, beta = 7, 5 / 9, 1.0
         alpha = 2.0 * beta / (1.0 - m)
         lp = solve_profile(P(alpha, n=n, m=m, beta=beta)).logprofile
-        assert lp.n_steps < 500  # pure DP5 needs 1449
+        assert lp.n_steps < 500  # DOP853 alone needs 792
         cc = _chart_coeffs(n, m, alpha, beta)
         rhs, sigma = _log_rhs(cc), cc.sigma
         ref = solve_ivp(

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as adaptive_quad
 from test_acceptance import INVARIANT_GRID
 
@@ -153,6 +156,21 @@ class TestRunAll:
         rep = run_all_checks(solved(*NEAR_ENDPOINT))
         assert rep.overall
         assert rep.entry("q_identity").worst_margin > 0.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(3, 7),
+        mfrac=st.floats(0.0, 1.0),
+        log_beta=st.floats(math.log(0.2), math.log(5.0)),
+        afrac=st.floats(0.0, 1.0),
+    )
+    def test_all_pass_across_the_admissible_range_at_eta_one(self, n, mfrac, log_beta, afrac):
+        # m in [0.02, 0.98*(n-2)/n], beta log-uniform on [0.2, 5], alpha in [-2*beta, beta*(n-2)/m]
+        m = 0.02 + mfrac * (0.98 * (n - 2) / n - 0.02)
+        beta = math.exp(log_beta)
+        bound = beta * (n - 2) / m
+        alpha = bound - (1.0 - afrac) * (bound + 2.0 * beta)  # exactly the bound at afrac = 1
+        assert run_all_checks(solve_profile(Parameters(n=n, m=m, alpha=alpha, beta=beta, eta=1.0))).overall
 
 
 # Eternal case close to m = (n-2)/n, at the default SolveConfig.

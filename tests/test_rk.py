@@ -10,8 +10,9 @@ from fdprofiles import rk
 from fdprofiles.errors import PositivityLoss, StepUnderflow
 from fdprofiles.rk import Hermite, integrate_2d
 
-# A call with a Jacobian takes DP5 steps; a zero Jacobian never trips the switch to Radau IIA.
-_DP5 = {"jac": lambda t, y, z: (0.0, 0.0, 0.0, 0.0)}
+# A zero Jacobian never trips the switch to Radau IIA: the call takes DOP853 steps
+# throughout, through the loop's Jacobian branch.
+_ZERO_JAC = {"jac": lambda t, y, z: (0.0, 0.0, 0.0, 0.0)}
 
 
 def test_exponential_growth():
@@ -54,7 +55,7 @@ def test_agrees_with_scipy_on_nonlinear_system():
 
 def test_positivity_loss_located():
     with pytest.raises(PositivityLoss) as exc:
-        integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True, **_DP5)
+        integrate_2d(lambda t, y, z: (-1.0, 0.0), 0.0, 1.0, 0.0, 10.0, 1e-9, 1e-12, positive_y=True, **_ZERO_JAC)
     assert exc.value.location == pytest.approx(1.0, abs=1e-2)
 
 
@@ -65,7 +66,7 @@ def test_step_underflow_at_unreachable_point():
         return 1.0, 0.0
 
     with pytest.raises(StepUnderflow) as exc:
-        integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-12, **_DP5)
+        integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-12, **_ZERO_JAC)
     assert exc.value.location == pytest.approx(0.5, abs=1e-2)
 
 
@@ -90,14 +91,14 @@ def test_step_collapse_floor_does_not_grow_with_the_span():
     assert path.y[-1] == pytest.approx(math.log(1e17), rel=1e-9)
 
 
-@pytest.mark.parametrize("dop853", [False, True])
-def test_step_collapse_at_t_zero(dop853):
+@pytest.mark.parametrize("with_jac", [False, True])
+def test_step_collapse_at_t_zero(with_jac):
     # no step out of t = 0 succeeds: the guard still fires there, at once
     def f(t, y, z):
         return (math.nan, math.nan) if t > 0.0 else (1.0, 0.0)
 
     with pytest.raises(StepUnderflow, match="step size underflow") as exc:
-        integrate_2d(f, 0.0, 1.0, 0.0, 40.0, 1e-9, 1e-12, **({} if dop853 else _DP5))
+        integrate_2d(f, 0.0, 1.0, 0.0, 40.0, 1e-9, 1e-12, **(_ZERO_JAC if with_jac else {}))
     assert exc.value.location == 0.0
 
 
@@ -123,7 +124,7 @@ def test_nfev_counts_every_rhs_call():
         calls += 1
         return z, -y
 
-    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11, **_DP5)
+    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11, **_ZERO_JAC)
     assert path.nfev == calls
     assert path.t_stiff is None
 
@@ -187,10 +188,10 @@ def test_jacobian_switch_saves_steps_on_stiff_problem():
 
     stiff = integrate_2d(counted, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
     assert stiff.nfev == calls
-    explicit = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, **_DP5)
+    explicit = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10)
     assert explicit.t_stiff is None
     assert 10 * stiff.n_steps <= explicit.n_steps
-    # DP5 runs identically up to the switch node
+    # DOP853 runs identically up to the switch node
     k = int(np.searchsorted(stiff.t, stiff.t_stiff)) + 1
     for attr in ("t", "y", "z", "fy", "fz"):
         assert np.array_equal(getattr(stiff, attr)[:k], getattr(explicit, attr)[:k])
@@ -218,8 +219,8 @@ def test_radau_honours_early_stop_and_positivity():
 def test_step_budget_is_shared_by_both_step_kinds(monkeypatch):
     f, jac = _prothero_robinson(-1e4)
     full = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
-    dp5_steps = int(np.searchsorted(full.t, full.t_stiff))
-    for budget, in_radau in ((dp5_steps - 2, False), (full.n_steps + full.n_rejected - 5, True)):
+    explicit_steps = int(np.searchsorted(full.t, full.t_stiff))
+    for budget, in_radau in ((explicit_steps - 2, False), (full.n_steps + full.n_rejected - 5, True)):
         monkeypatch.setattr(rk, "_MAX_STEPS", budget)
         with pytest.raises(StepUnderflow, match=f"step budget of {budget} exhausted") as exc:
             integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
@@ -266,7 +267,7 @@ def test_hermite_rejects_an_unsupported_order(derivatives):
 
 
 def test_dense_output_between_integration_nodes():
-    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12, **_DP5)
+    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12, **_ZERO_JAC)
     interp = Hermite(path.t, path.y, path.z, -path.y)
     xs = np.linspace(0.0, 6.0, 777)
     assert np.max(np.abs(interp.value(xs) - np.sin(xs))) < 1e-8
@@ -302,9 +303,20 @@ def test_dop853_converges_with_order_eight():
         errs.append(abs(path.y[-1] - 0.25))
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert -9.5 < slope < -7.0
-    # far fewer steps than DP5 at the same tolerance
-    dp5 = integrate_2d(lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12, **_DP5)
-    assert 2 * steps[-1] < dp5.n_steps
+
+
+def test_jacobian_that_never_trips_the_switch_changes_nothing():
+    # y'' = 2y^3 with y = 1/(1+t) is not stiff: its true Jacobian adds only the
+    # stiffness test, and the steps are those of the call without one
+    def f(t, y, z):
+        return z, 2.0 * y**3
+
+    plain = integrate_2d(f, 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12)
+    with_jac = integrate_2d(f, 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12, jac=lambda t, y, z: (0.0, 1.0, 6.0 * y * y, 0.0))
+    assert with_jac.t_stiff is None
+    for attr in ("t", "y", "z", "fy", "fz"):
+        assert np.array_equal(getattr(with_jac, attr), getattr(plain, attr))
+    assert (with_jac.n_steps, with_jac.n_rejected, with_jac.nfev) == (plain.n_steps, plain.n_rejected, plain.nfev)
 
 
 def test_dop853_nfev_counts_every_rhs_call():
@@ -335,16 +347,16 @@ def test_dop853_guards():
     assert exc.value.location == pytest.approx(0.5, abs=1e-2)
 
 
-@pytest.mark.parametrize("dop853", [False, True])
-def test_vanished_positive_y_is_held_to_rtol(dop853):
+@pytest.mark.parametrize("with_jac", [False, True])
+def test_vanished_positive_y_is_held_to_rtol(with_jac):
     # y = (1 - t)^5 solves y'' = 0.8*y'^2/y (the (1-m)*v'^2/v term of the
     # r-chart at m = 0.2) and vanishes at t = 1; far below atol the mixed error
-    # scale let DP5 step past the zero onto a spurious positive branch
+    # scale let an explicit step pass the zero onto a spurious positive branch
     def f(t, y, z):
         return (math.nan, math.nan) if y <= 0.0 else (z, 0.8 * z * z / y)
 
     with pytest.raises(PositivityLoss) as exc:
-        integrate_2d(f, 0.0, 1.0, -5.0, 3.0, 1e-10, 1e-12, positive_y=True, **({} if dop853 else _DP5))
+        integrate_2d(f, 0.0, 1.0, -5.0, 3.0, 1e-10, 1e-12, positive_y=True, **(_ZERO_JAC if with_jac else {}))
     assert exc.value.location == pytest.approx(1.0, abs=1e-6)
 
 
