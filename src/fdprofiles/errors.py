@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ProfileError(Exception):
     """Base class for solver and analysis failures.
@@ -35,3 +37,10 @@ class RegimeMismatch(ProfileError):
 
 class OutOfRange(ProfileError):
     """Evaluation requested outside the covered radial range."""
+
+    @classmethod
+    def outside(cls, what: str, lo: float, hi: float, query) -> "OutOfRange":
+        """The error for a ``query`` not within [lo, hi], located at the query farthest out (NaN if any)."""
+        lowest, highest = float(np.min(query)), float(np.max(query))
+        worst = lowest if lo - lowest > highest - hi else highest
+        return cls(f"{what} covers [{lo:.6g}, {hi:.6g}], requested a point outside", worst)

@@ -153,7 +153,7 @@ class Profile:
     def _covered(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float)).copy()
         if not np.all((arr >= 0.0) & (arr <= self.r_end * (1.0 + _RANGE_SLACK))):
-            raise OutOfRange(f"profile covers [0, {self.r_end:.6g}], requested {r}")
+            raise OutOfRange.outside("profile", 0.0, self.r_end, arr)
         np.clip(arr, 0.0, self.r_end, out=arr)
         return arr, arr < self.r_start
 
@@ -249,7 +249,7 @@ class LogProfile:
         lo, hi = self.s_start, self.s_end
         slack = _RANGE_SLACK * max(1.0, abs(lo), abs(hi))
         if not np.all((arr >= lo - slack) & (arr <= hi + slack)):
-            raise OutOfRange(f"log chart covers [{lo:.6g}, {hi:.6g}], requested {s}")
+            raise OutOfRange.outside("log chart", lo, hi, arr)
         return np.clip(arr, lo, hi)
 
     def _by_stretch(self, sq, explicit, past):
@@ -641,7 +641,7 @@ class Solution:
         """``rows`` outputs: ``on_r(radii)`` where the r-chart reaches, ``on_log(log r, radii)`` beyond."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all((arr >= 0.0) & (arr <= self.r_cover * (1.0 + _RANGE_SLACK))):
-            raise OutOfRange(f"solution covers [0, {self.r_cover:.6g}], requested {r}")
+            raise OutOfRange.outside("solution", 0.0, self.r_cover, arr)
         in_r = arr <= self.profile.r_end
         rest = ~in_r
         out = np.empty((rows, *arr.shape))
@@ -674,8 +674,10 @@ class Solution:
 
 
 def _overlap_error(profile: Profile, logprofile: LogProfile, m: float, r_h: float) -> float:
-    """Max relative disagreement of w between the charts on [r_h, 2*r_h]."""
+    """Max relative disagreement of w between the charts on [r_h, 2*r_h], as far as both reach."""
     hi = min(2.0 * r_h, profile.r_end)
+    if logprofile.s_end < math.log(hi):
+        hi = math.exp(logprofile.s_end)
     rs = np.geomspace(r_h, hi, 33)
     w_r, _ = _w_q(rs, *profile.eval(rs), m)
     w_s = logprofile.eval_w(np.log(rs))

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import Solution, quad
+from .integrate import Solution, _w_q, quad
 from .model import check_hypotheses, derived
 
 __all__ = [
@@ -94,106 +95,87 @@ def _exact_decay(p) -> bool:
     return hyp.log_decay_ok and hyp.strict_m
 
 
-def check_pointwise(sol: Solution) -> InvariantReport:
-    """Sign and positivity facts at every stored sample of both charts.
+class _Nodes(NamedTuple):
+    """The nodes of both charts, the first ``seam`` of them the r-chart's: r, w and g = r*w_r - sigma*w.
 
-    Checked (when their hypotheses apply): h1 = v + k*r*v' > 0 and the
-    matching monotonicity of w1 = r^2*v^(2k); v' has the sign opposite to
-    alpha; 0 < v <= eta for alpha > 0; h = v + (1-m)/2*r*v' > 0 and w
-    increasing for 2*beta/(1-m) >= alpha > 0.
+    On the r-chart w and g come from (v, v'); on the log chart they are its
+    state, where g is exact.
+    """
+
+    r: np.ndarray
+    w: np.ndarray
+    g: np.ndarray
+    seam: int
+
+    def increments(self, x):
+        """Increments of ``x`` between neighbouring nodes of one chart, with the radius each ends at."""
+        within = np.arange(1, self.r.size) != self.seam
+        return np.diff(x)[within], self.r[1:][within]
+
+
+def _nodes(sol: Solution) -> _Nodes:
+    prof, lp = sol.profile, sol.logprofile
+    w, q = _w_q(prof.r, prof.v, prof.dv, sol.params.m)
+    return _Nodes(
+        r=np.concatenate([prof.r, np.exp(lp.s)]),
+        w=np.concatenate([w, lp.w]),
+        g=np.concatenate([q - lp.sigma * w, lp.g]),
+        seam=prof.r.size,
+    )
+
+
+def check_pointwise(sol: Solution) -> InvariantReport:
+    """Sign and positivity facts at the stored nodes of both charts.
+
+    Every entry but one reads the nodes of both charts (``_nodes``), where
+    r*v'/v = (g/w + sigma - 2)/(1-m): v' has the sign opposite to alpha;
+    0 < v <= eta for alpha > 0; h1 = v + k*r*v' > 0, as h1/v = k*g/((1-m)*w);
+    and for 2*beta/(1-m) >= alpha > 0, h = v + (1-m)/2*r*v' > 0, as
+    h/v = (g/w + sigma)/2, and w increasing between the nodes of each chart.
+    ``w1_increasing``, the monotonicity of w1 = r^2*v^(2k) that h1 > 0
+    implies, reads the r-chart nodes alone: on the log chart
+    d(log w1)/ds = 2*h1/v, which ``h1_positive`` reads from the exact g.
     """
     p = sol.params
     eps = _eps(sol)
-    dc = derived(p)
-    prof, lp = sol.profile, sol.logprofile
+    sigma = sol.logprofile.sigma
     one_m = 1.0 - p.m
-
-    # every r-chart node lies at or beyond r_start > 0
-    r, v = prof.r, prof.v
-    rdv_v = r * prof.dv / v
-    rlog = np.exp(lp.s)
+    nodes = _nodes(sol)
+    r, w = nodes.r, nodes.w
+    gw = nodes.g / w
+    rdv_v = (gw + sigma - 2.0) / one_m
 
     entries = []
-
-    # sign of v'
     if p.alpha == 0.0:
-        entries.append(
-            _from_margins(
-                "dv_sign",
-                eps - np.abs(rdv_v),
-                r,
-                eps,
-                note="alpha = 0: derivative must vanish identically",
-            )
-        )
+        note = "alpha = 0: derivative must vanish identically"
+        entries.append(_from_margins("dv_sign", eps - np.abs(rdv_v), r, eps, note=note))
     else:
-        sign = -math.copysign(1.0, p.alpha)
-        entries.append(_from_margins("dv_sign", sign * rdv_v, r, eps))
+        entries.append(_from_margins("dv_sign", -math.copysign(1.0, p.alpha) * rdv_v, r, eps))
 
-    # v bounded by its center value when alpha > 0
     if p.alpha > 0.0:
-        margins = np.minimum((p.eta - v) / p.eta, v / p.eta)
-        entries.append(_from_margins("v_between_0_eta", margins, r, eps))
+        v = (w / r / r) ** (1.0 / one_m)
+        entries.append(_from_margins("v_between_0_eta", np.minimum((p.eta - v) / p.eta, v / p.eta), r, eps))
     else:
         entries.append(_na("v_between_0_eta", "needs alpha > 0"))
 
-    # h1 > 0 and w1 monotone need alpha != 0, beta != 0, m*alpha/beta <= n-2
-    h1_ok = p.alpha != 0.0 and p.beta != 0.0 and p.m * p.alpha / p.beta <= p.n - 2
-    if h1_ok:
-        k = dc.k
-        h1_r = 1.0 + k * rdv_v
-        # same quantity on the log chart, where it is held as exact state:
-        # h1/v = k*g / ((1-m)*w)
-        h1_s = k * lp.g / (one_m * lp.w)
-        entries.append(
-            _from_margins(
-                "h1_positive",
-                np.concatenate([h1_r, h1_s]),
-                np.concatenate([r, rlog]),
-                eps,
-            )
-        )
-        lnw1 = 2.0 * np.log(r) + 2.0 * k * np.log(v)
-        entries.append(
-            _from_margins(
-                "w1_increasing",
-                np.diff(lnw1),
-                r[1:],
-                eps,
-                note="discrete monotonicity of log(r^2 v^2k) between r-chart samples",
-            )
-        )
+    if p.alpha != 0.0 and p.beta != 0.0 and p.m * p.alpha / p.beta <= p.n - 2:
+        k = derived(p).k
+        prof = sol.profile
+        lnw1 = 2.0 * np.log(prof.r) + 2.0 * k * np.log(prof.v)
+        note = "discrete monotonicity of log(r^2 v^2k) between r-chart samples"
+        entries.append(_from_margins("h1_positive", k * gw / one_m, r, eps))
+        entries.append(_from_margins("w1_increasing", np.diff(lnw1), prof.r[1:], eps, note=note))
     else:
         note = "needs alpha != 0, beta != 0 and m*alpha/beta <= n-2"
-        entries.append(_na("h1_positive", note))
-        entries.append(_na("w1_increasing", note))
+        entries += [_na("h1_positive", note), _na("w1_increasing", note)]
 
-    # h > 0 and w increasing need 2*beta/(1-m) >= alpha > 0
     if p.alpha > 0.0 and 2.0 * p.beta / one_m >= p.alpha:
-        h_r = 1.0 + 0.5 * one_m * rdv_v
-        h_s = 0.5 * lp.ws / lp.w
-        entries.append(
-            _from_margins(
-                "h_positive",
-                np.concatenate([h_r, h_s]),
-                np.concatenate([r, rlog]),
-                eps,
-            )
-        )
-        lnw_r = 2.0 * np.log(r) + one_m * np.log(v)
-        entries.append(
-            _from_margins(
-                "w_increasing",
-                np.concatenate([np.diff(lnw_r), np.diff(np.log(lp.w))]),
-                np.concatenate([r[1:], rlog[1:]]),
-                eps,
-                note="discrete monotonicity of log(r^2 v^(1-m)) within each chart",
-            )
-        )
+        note = "discrete monotonicity of log(r^2 v^(1-m)) within each chart"
+        entries.append(_from_margins("h_positive", 0.5 * (gw + sigma), r, eps))
+        entries.append(_from_margins("w_increasing", *nodes.increments(np.log(w)), eps, note=note))
     else:
         note = "needs 2*beta/(1-m) >= alpha > 0"
-        entries.append(_na("h_positive", note))
-        entries.append(_na("w_increasing", note))
+        entries += [_na("h_positive", note), _na("w_increasing", note)]
 
     return InvariantReport.collect(entries)
 
@@ -204,9 +186,11 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
     Applicable only for alpha = 2*beta/(1-m) > 0 with m strictly interior.
     For b0 >= 0 the bound is r*w_r/w <= (1-m)*sqrt(b1)/m (sharp at the
     origin exactly when m = (n-2)/(n+2)); for b0 < 0 it is
-    p = m/(1-m) * r*w_r/w <= b2. Positivity and empirical boundedness of
-    w_s on s >= 0 are reported, as is unbounded growth of w (w_s bounded
-    below by a0/2 on the last half of the log chart).
+    p = m/(1-m) * r*w_r/w <= b2. The slope bound reads the nodes of both
+    charts, where r*w_r/w = g/w + sigma (``_nodes``). Positivity and
+    empirical boundedness of w_s on s >= 0 are reported, as is unbounded
+    growth of w (w_s bounded below by a0/2 on the last half of the log
+    chart); these read the log chart alone.
     """
     p = sol.params
     eps = _eps(sol)
@@ -215,35 +199,19 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
         return InvariantReport.collect(_na(nm, _EXACT_DECAY_NOTE) for nm in names)
 
     dc = derived(p)
-    prof, lp = sol.profile, sol.logprofile
+    lp = sol.logprofile
     one_m = 1.0 - p.m
+    nodes = _nodes(sol)
+    ratio = nodes.g / nodes.w + lp.sigma
 
-    ratio = np.concatenate([2.0 + one_m * prof.r * prof.dv / prof.v, lp.ws / lp.w])
-    locs = np.concatenate([prof.r, np.exp(lp.s)])
-
-    entries = []
     if dc.b0 >= 0.0:
         bound = one_m * math.sqrt(dc.b1) / p.m
-        entries.append(
-            _from_margins(
-                "slope_ratio_bound",
-                (bound - ratio) / bound,
-                locs,
-                eps,
-                note=f"r*w_r/w <= (1-m)*sqrt(b1)/m = {bound:.6g} (b0 >= 0 branch)",
-            )
-        )
+        margins = (bound - ratio) / bound
+        note = f"r*w_r/w <= (1-m)*sqrt(b1)/m = {bound:.6g} (b0 >= 0 branch)"
     else:
-        pvals = (p.m / one_m) * ratio
-        entries.append(
-            _from_margins(
-                "slope_ratio_bound",
-                (dc.b2 - pvals) / dc.b2,
-                locs,
-                eps,
-                note=f"p = m/(1-m)*r*w_r/w <= b2 = {dc.b2:.6g} (b0 < 0 branch)",
-            )
-        )
+        margins = (dc.b2 - (p.m / one_m) * ratio) / dc.b2
+        note = f"p = m/(1-m)*r*w_r/w <= b2 = {dc.b2:.6g} (b0 < 0 branch)"
+    entries = [_from_margins("slope_ratio_bound", margins, nodes.r, eps, note=note)]
 
     ws_max = float(np.max(lp.ws))
     entries.append(

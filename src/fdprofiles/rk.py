@@ -350,7 +350,7 @@ def integrate_2d(
 
     fy, fz = f(t0, y0, z0)
     if not (math.isfinite(fy) and math.isfinite(fz)):
-        raise ValueError(f"right-hand side not finite at the starting point t={t0}")
+        raise ProfileError("right-hand side not finite at the starting point", t0)
 
     span = t_end - t0
     y_vanished = max(1e-8 * abs(y0), 1e3 * POSITIVITY_FLOOR)

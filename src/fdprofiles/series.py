@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, ProfileError
 from .model import Parameters
 
 __all__ = ["SeriesExpansion", "seed_within", "expand_at_origin", "eval_series", "series_residual"]
@@ -64,7 +64,11 @@ def _residual(n, m, alpha, beta, eta, c2, r: float) -> float:
 
 def _seed(n, m, alpha, beta, eta, r_switch: float | None) -> SeriesExpansion:
     """Order-2 origin expansion from plain scalars; m = 0 is the log-diffusion limit."""
-    c2 = -alpha * eta ** (2.0 - m) / (2.0 * n * (n - 1))
+    try:
+        c2 = -alpha * eta ** (2.0 - m) / (2.0 * n * (n - 1))
+    except OverflowError:
+        msg = "the origin seed's c2 = -alpha*eta^(2-m)/(2n(n-1)) overflows the float range"
+        raise ProfileError(msg, 0.0) from None
     if r_switch is None:
         if c2 == 0.0:
             r_switch = math.inf
@@ -97,7 +101,7 @@ def eval_series(se: SeriesExpansion, r):
     """Evaluate (v, v') of the expansion; valid only for 0 <= r <= r_switch."""
     arr = np.asarray(r, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= se.r_switch * (1.0 + 1e-12))):
-        raise OutOfRange(f"series is valid on [0, {se.r_switch:.6g}], requested r={r}")
+        raise OutOfRange.outside("series", 0.0, se.r_switch, arr)
     v = se.eta + se.c2 * arr * arr
     dv = 2.0 * se.c2 * arr
     if arr.ndim == 0:

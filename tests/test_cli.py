@@ -66,6 +66,19 @@ class TestSolve:
         assert code == 3
         assert json.loads(report.read_text())["error"]["type"] == "ProfileError"
 
+    @pytest.mark.parametrize("eta", [1e100, 1e300])
+    def test_float_overflow_at_large_eta_is_a_numerical_exit(self, tmp_path, eta):
+        report = tmp_path / "r.json"
+        code = run("verify", "--n", 3, "--m", 0.2, "--alpha", 2.5, "--beta", 1, "--eta", eta, "--json", report)
+        assert code == 3
+        error = json.loads(report.read_text())["error"]
+        assert error["type"] == "ProfileError" and "(at " in error["message"]
+
+    def test_short_log_chart_verifies(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert run("verify", *PARAMS, "--s-end", 0.5, "--strict", "--json", report) == 0
+        assert json.loads(report.read_text())["diagnostics"]["overlap_error"] < 1e-10
+
     def test_deterministic_outputs(self, tmp_path):
         csv = tmp_path / "run.csv"
         js = tmp_path / "run.json"

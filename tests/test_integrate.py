@@ -17,6 +17,7 @@ from fdprofiles import (
     handoff_to_log,
     integrate_log,
     integrate_r,
+    run_all_checks,
     solve_profile,
 )
 from fdprofiles.integrate import chart_tolerances
@@ -161,6 +162,19 @@ class TestGuards:
             eternal_n3.v(10.0 * eternal_n3.r_cover)
         with pytest.raises(OutOfRange):
             eternal_n3.profile.eval(-1.0)
+
+    def test_out_of_range_names_the_farthest_query(self, eternal_n3):
+        sol = eternal_n3
+        s_end = sol.logprofile.s_end
+        for evaluate, query, worst in (
+            (sol.v, np.linspace(0.0, 2.0 * sol.r_cover, 33), 2.0 * sol.r_cover),
+            (sol.profile.eval, np.linspace(-2.0, 1.0, 33), -2.0),
+            (sol.logprofile.eval_w, np.linspace(0.0, s_end + 1.0, 33), s_end + 1.0),
+        ):
+            with pytest.raises(OutOfRange) as exc:
+                evaluate(query)
+            assert exc.value.location == worst
+            assert str(exc.value).count("(at ") == 1 and "[0. " not in str(exc.value)
 
     def test_dense_eval_rejects_nan(self, eternal_n3):
         sol = eternal_n3
@@ -494,3 +508,23 @@ def test_admissible_solves_are_well_behaved(n, mfrac, afrac, beta, eta):
     elif alpha < 0:
         assert np.all(prof.dv[prof.r > 0] > 0)
     assert sol.diagnostics["overlap_error"] < 10.0 * max(sol.profile.rtol, sol.logprofile.rtol)
+
+
+class TestShortLogChart:
+    @pytest.mark.parametrize("s_end", [0.5, 0.01])
+    def test_overlap_read_where_both_charts_reach(self, s_end):
+        # the log chart ends below r = 2*R_HANDOFF, inside the r-chart's reach
+        sol = solve_profile(P(2.5), SolveConfig(s_end=s_end))
+        assert sol.diagnostics["overlap_error"] < 1e-10
+        assert run_all_checks(sol).overall
+
+
+class TestLargeEta:
+    @pytest.mark.parametrize("eta", [1e100, 1e300])
+    def test_overflow_is_a_located_profile_error(self, eta):
+        # eta = 1e100 overflows the r-chart's right-hand side at the seed,
+        # eta = 1e300 the seed's own c2 = -alpha*eta^(2-m)/(2n(n-1))
+        with pytest.raises(ProfileError) as exc:
+            solve_profile(P(2.5, eta=eta))
+        assert not isinstance(exc.value, HypothesisViolation)
+        assert exc.value.location is not None

@@ -67,6 +67,19 @@ class TestPointwise:
         assert entry.location == pytest.approx(prof.r[idx])
         assert not rep.overall
 
+    def test_corrupted_log_chart_node_detected_with_location(self, eternal_n3):
+        # past the r-chart's end only the log chart holds the profile: g = 3w
+        # there makes r*v'/v = (g/w + sigma - 2)/(1-m) positive although alpha > 0
+        lp = eternal_n3.logprofile
+        idx = (np.searchsorted(lp.s, math.log(eternal_n3.profile.r_end)) + lp.s.size) // 2
+        bad_g = lp.g.copy()
+        bad_g[idx] = 3.0 * lp.w[idx]
+        bad_sol = dataclasses.replace(eternal_n3, logprofile=dataclasses.replace(lp, g=bad_g))
+        entry = check_pointwise(bad_sol).entry("dv_sign")
+        assert not entry.passed
+        assert entry.location == pytest.approx(math.exp(lp.s[idx]))
+        assert entry.location > eternal_n3.profile.r_end
+
     def test_margins_stable_under_tighter_tolerance(self, solved):
         for factor in (1.0, 0.1):
             p = Parameters(3, 0.2, 2.5, 1.0, 1.0)
@@ -171,6 +184,13 @@ class TestRunAll:
         bound = beta * (n - 2) / m
         alpha = bound - (1.0 - afrac) * (bound + 2.0 * beta)  # exactly the bound at afrac = 1
         assert run_all_checks(solve_profile(Parameters(n=n, m=m, alpha=alpha, beta=beta, eta=1.0))).overall
+
+    @pytest.mark.parametrize("row", INVARIANT_GRID, ids=str)
+    def test_all_pass_with_the_r_chart_ending_past_the_seam(self, solved, row):
+        # the shortest r-chart solve_profile takes: the log chart alone covers r > 2
+        sol = solved(*row, r_max=2.0 * integrate.R_HANDOFF)
+        assert sol.profile.r_end == 2.0 * integrate.R_HANDOFF
+        assert run_all_checks(sol).overall
 
 
 # Eternal case close to m = (n-2)/n, at the default SolveConfig.
