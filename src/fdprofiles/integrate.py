@@ -33,7 +33,7 @@ import numpy as np
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, exponent_relation, require
 from .rk import POSITIVITY_FLOOR, Hermite, integrate_2d
-from .series import SeriesExpansion, eval_series, seed_within
+from .series import SeriesExpansion, eval_series, seed_within, series_derivatives
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -62,11 +62,14 @@ class SolveConfig:
     """Numerical options for a full two-chart solve.
 
     ``tol`` is the r-chart's relative tolerance; ``chart_tolerances`` derives
-    every chart's (rtol, atol) from it. The log chart runs from s = 0
-    (r = R_HANDOFF) to ``s_end``.
+    every chart's (rtol, atol) from it. The r-chart runs from the origin
+    series' handoff to ``r_max``, by default to 2*R_HANDOFF: past the seam it
+    only doubles the log chart, which takes over at r = R_HANDOFF and runs
+    from s = 0 to ``s_end``. ``solve_profile`` never stops it short of
+    2*R_HANDOFF, where the overlap of the charts is read.
     """
 
-    r_max: float = 10.0
+    r_max: float = 2.0 * R_HANDOFF
     s_end: float = 40.0
     tol: float = 1e-10
 
@@ -123,8 +126,9 @@ class Profile:
     output is septic Hermite, of the order of the chart's DOP853 steps: it is
     as accurate between the nodes as at them, where the finite-difference
     residual checks and the identity quadratures read it. Radii below the
-    first node are served by the origin series. ``nfev`` counts right-hand-side
-    calls.
+    first node are served by the origin series, and so are those past the
+    last one when the series is exact there (``r_reach``). ``nfev`` counts
+    right-hand-side calls.
     """
 
     r: np.ndarray
@@ -150,28 +154,36 @@ class Profile:
     def _value_interp(self):
         return Hermite(self.r, self.v, self.dv, self.ddv, self.dddv)
 
+    @property
+    def r_reach(self) -> float:
+        """Largest radius served: the chart's end, or past it where the origin series is exact (alpha = 0)."""
+        return max(self.r_end, self.series.r_switch)
+
     def _covered(self, r):
+        """Radii in [0, r_reach], the same clipped into the chart, and where the series serves them."""
         arr = np.atleast_1d(np.asarray(r, dtype=float)).copy()
-        if not np.all((arr >= 0.0) & (arr <= self.r_end * (1.0 + _RANGE_SLACK))):
-            raise OutOfRange.outside("profile", 0.0, self.r_end, arr)
-        np.clip(arr, 0.0, self.r_end, out=arr)
-        return arr, arr < self.r_start
+        if not np.all((arr >= 0.0) & (arr <= self.r_reach * (1.0 + _RANGE_SLACK))):
+            raise OutOfRange.outside("profile", 0.0, self.r_reach, arr)
+        np.clip(arr, 0.0, self.r_reach, out=arr)
+        if self.r_reach == self.r_end:
+            return arr, arr, arr < self.r_start
+        return arr, np.minimum(arr, self.r_end), (arr < self.r_start) | (arr > self.r_end)
 
     def value(self, r) -> np.ndarray:
-        """Dense v alone at radii in [0, r_end], as an array even for a scalar ``r``."""
-        arr, inner = self._covered(r)
-        v = self._value_interp.value(arr)
-        if inner.any():
-            v[inner] = eval_series(self.series, arr[inner])[0]
+        """Dense v alone at radii in [0, r_reach], as an array even for a scalar ``r``."""
+        arr, on_chart, on_series = self._covered(r)
+        v = self._value_interp.value(on_chart)
+        if on_series.any():
+            v[on_series] = series_derivatives(self.series, arr[on_series], 0)[0]
         return v
 
     def eval(self, r):
-        """Dense (v, v') at radii in [0, r_end]."""
-        arr, inner = self._covered(r)
-        v = self._value_interp.value(arr)
-        dv = self._value_interp.derivative(arr)
-        if inner.any():
-            v[inner], dv[inner] = eval_series(self.series, arr[inner])
+        """Dense (v, v') at radii in [0, r_reach]."""
+        arr, on_chart, on_series = self._covered(r)
+        v = self._value_interp.value(on_chart)
+        dv = self._value_interp.derivative(on_chart)
+        if on_series.any():
+            v[on_series], dv[on_series] = series_derivatives(self.series, arr[on_series], 1)
         return (float(v[0]), float(dv[0])) if np.ndim(r) == 0 else (v, dv)
 
 
@@ -369,19 +381,21 @@ def _log_jac(cc: _ChartCoeffs):
 def integrate_r(
     n: int, m: float, alpha: float, beta: float, eta: float, r_max: float, tol: float = SolveConfig.tol
 ) -> Profile:
-    """Integrate the r-chart from the origin seed (``seed_within`` at ``tol``) out to r_max.
+    """Integrate the r-chart from the origin series (``seed_within`` at ``tol``) out to r_max.
 
-    The chart passes no Jacobian, so it takes DOP853 steps throughout (see
+    The series is exact to ``tol`` up to its handoff, at most r = 0.5 and
+    never past r_max/2, so the chart always has a stretch to step; it
+    passes no Jacobian, so it takes DOP853 steps throughout (see
     ``rk``); v''' for the septic dense output is evaluated over all nodes
     once the solve is done. Takes plain scalars rather than Parameters so
     that m = 0 is accepted: the chart then solves the log-diffusion equation
     of the singular limit."""
     if not (0.0 <= m < 1.0 and eta > 0.0):
         raise ValueError(f"r-chart requires 0 <= m < 1 and eta > 0, got m = {m}, eta = {eta}")
+    if not r_max > 0.0:
+        raise ValueError(f"r-chart requires r_max > 0, got {r_max}")
     se = seed_within(n, m, alpha, beta, eta, tol)
-    start = se.r_start
-    if r_max <= start:
-        raise ValueError(f"r_max = {r_max} must exceed the series handoff {start}")
+    start = min(se.r_start, 0.5 * r_max)
     v0, dv0 = eval_series(se, start)
     rtol, atol = chart_tolerances("r", tol)
     path = integrate_2d(_r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True)
@@ -397,6 +411,12 @@ def integrate_r(
         n_rejected=path.n_rejected,
         nfev=path.nfev,
     )
+
+
+def radius(s):
+    """r = e^s, infinite where it passes the float range (s > 709.78) instead of overflowing."""
+    with np.errstate(over="ignore"):
+        return np.exp(s)
 
 
 def _w_q(r, v, dv, m):
@@ -622,9 +642,9 @@ class Solution:
     """Combined two-chart solution with dense evaluation across both charts.
 
     Immutable after construction and safe to share read-only. Dense queries
-    prefer the (tighter-tolerance) r-chart wherever it reaches and switch to
-    the log chart beyond, so a finite-difference stencil evaluated inside one
-    chart never straddles the seam.
+    prefer the (tighter-tolerance) r-chart wherever it reaches (``r_reach``)
+    and switch to the log chart beyond, so a finite-difference stencil
+    evaluated inside one chart never straddles the seam.
     """
 
     params: Parameters
@@ -635,14 +655,14 @@ class Solution:
     @property
     def r_cover(self) -> float:
         """Largest radius served by dense evaluation."""
-        return max(self.profile.r_end, math.exp(self.logprofile.s_end))
+        return max(self.profile.r_end, float(radius(self.logprofile.s_end)))
 
     def _by_chart(self, r, on_r, on_log, rows):
         """``rows`` outputs: ``on_r(radii)`` where the r-chart reaches, ``on_log(log r, radii)`` beyond."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all((arr >= 0.0) & (arr <= self.r_cover * (1.0 + _RANGE_SLACK))):
             raise OutOfRange.outside("solution", 0.0, self.r_cover, arr)
-        in_r = arr <= self.profile.r_end
+        in_r = arr <= self.profile.r_reach
         rest = ~in_r
         out = np.empty((rows, *arr.shape))
         if in_r.any():
@@ -707,7 +727,7 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         "r_nfev": profile.nfev,
         "s_nfev": logprofile.nfev,
         "overlap_error": overlap,
-        "series_r_switch": profile.series.r_start,
+        "series_r_switch": profile.r_start,
         "series_truncation": profile.series.truncation_estimate,
     }
     return Solution(

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import Solution, _w_q, quad
+from .integrate import Solution, _w_q, quad, radius
 from .model import check_hypotheses, derived
+from .series import eval_series, series_moments
 
 __all__ = [
     "InvariantEntry",
@@ -98,8 +99,10 @@ def _exact_decay(p) -> bool:
 class _Nodes(NamedTuple):
     """The nodes of both charts, the first ``seam`` of them the r-chart's: r, w and g = r*w_r - sigma*w.
 
-    On the r-chart w and g come from (v, v'); on the log chart they are its
-    state, where g is exact.
+    The r-chart's side starts with samples of the origin series at
+    r_start*2^-k, k = 12..1, so that the radii it alone covers are read too.
+    There w and g come from (v, v'); on the log chart they are its state,
+    where g is exact.
     """
 
     r: np.ndarray
@@ -113,14 +116,21 @@ class _Nodes(NamedTuple):
         return np.diff(x)[within], self.r[1:][within]
 
 
+# Samples of the series segment [0, r_start] in the node view, as fractions of r_start.
+_SERIES_SAMPLES = 2.0 ** -np.arange(12.0, 0.0, -1.0)
+
+
 def _nodes(sol: Solution) -> _Nodes:
     prof, lp = sol.profile, sol.logprofile
-    w, q = _w_q(prof.r, prof.v, prof.dv, sol.params.m)
+    inner = _SERIES_SAMPLES * prof.r_start
+    v, dv = (np.concatenate(pair) for pair in zip(eval_series(prof.series, inner), (prof.v, prof.dv)))
+    r = np.concatenate([inner, prof.r])
+    w, q = _w_q(r, v, dv, sol.params.m)
     return _Nodes(
-        r=np.concatenate([prof.r, np.exp(lp.s)]),
+        r=np.concatenate([r, radius(lp.s)]),
         w=np.concatenate([w, lp.w]),
         g=np.concatenate([q - lp.sigma * w, lp.g]),
-        seam=prof.r.size,
+        seam=r.size,
     )
 
 
@@ -133,7 +143,8 @@ def check_pointwise(sol: Solution) -> InvariantReport:
     and for 2*beta/(1-m) >= alpha > 0, h = v + (1-m)/2*r*v' > 0, as
     h/v = (g/w + sigma)/2, and w increasing between the nodes of each chart.
     ``w1_increasing``, the monotonicity of w1 = r^2*v^(2k) that h1 > 0
-    implies, reads the r-chart nodes alone: on the log chart
+    implies, reads the r-chart's side alone (its nodes and the series
+    samples): on the log chart
     d(log w1)/ds = 2*h1/v, which ``h1_positive`` reads from the exact g.
     """
     p = sol.params
@@ -160,11 +171,11 @@ def check_pointwise(sol: Solution) -> InvariantReport:
 
     if p.alpha != 0.0 and p.beta != 0.0 and p.m * p.alpha / p.beta <= p.n - 2:
         k = derived(p).k
-        prof = sol.profile
-        lnw1 = 2.0 * np.log(prof.r) + 2.0 * k * np.log(prof.v)
-        note = "discrete monotonicity of log(r^2 v^2k) between r-chart samples"
+        lnr = np.log(r[: nodes.seam])
+        lnw1 = 2.0 * lnr + 2.0 * k * (np.log(w[: nodes.seam]) - 2.0 * lnr) / one_m
+        note = "discrete monotonicity of log(r^2 v^2k) between r-chart and series samples"
         entries.append(_from_margins("h1_positive", k * gw / one_m, r, eps))
-        entries.append(_from_margins("w1_increasing", np.diff(lnw1), prof.r[1:], eps, note=note))
+        entries.append(_from_margins("w1_increasing", np.diff(lnw1), r[1 : nodes.seam], eps, note=note))
     else:
         note = "needs alpha != 0, beta != 0 and m*alpha/beta <= n-2"
         entries += [_na("h1_positive", note), _na("w1_increasing", note)]
@@ -218,7 +229,7 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
         _from_margins(
             "ws_positive_bounded",
             lp.ws / max(ws_max, 1e-300),
-            np.exp(lp.s),
+            radius(lp.s),
             eps,
             note=f"w_s > 0 on s >= 0; attained max {ws_max:.6g}",
         )
@@ -232,7 +243,7 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
             _from_margins(
                 "w_unbounded",
                 lp.ws[late] / dc.a0 - 0.5,
-                np.exp(lp.s[late]),
+                radius(lp.s[late]),
                 eps,
                 note=f"w_s >= a0/2 = {0.5 * dc.a0:.6g} on the last half of the log chart (s_end >= 40)",
             )
@@ -263,15 +274,37 @@ def _identity_entry(name, residual, scale, radii, quad_tol, rtol) -> InvariantEn
 
 
 def _breaks(sol: Solution) -> np.ndarray:
-    """Piece ends of the dense output: series segment, r-chart nodes, log-chart nodes beyond."""
-    rlog = np.exp(sol.logprofile.s)
-    return np.concatenate(([0.0], sol.profile.r, rlog[rlog > sol.profile.r_end]))
+    """Piece ends of the dense output past the origin series: r-chart nodes, log-chart nodes beyond."""
+    rlog = radius(sol.logprofile.s)
+    return np.concatenate((sol.profile.r, rlog[rlog > sol.profile.r_end]))
+
+
+def _from_origin(sol: Solution, r, on_series, beyond):
+    """``on_series(min(r, r_start))`` plus ``beyond(r_start, radii past it)``, for every radius in ``r`` at once.
+
+    On [0, r_start] the dense output is the origin series, a polynomial in
+    y = scale*rho^2 that the identities integrate term by term; past it they
+    take ``quad`` on the pieces of the dense output.
+    """
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    r_start = sol.profile.r_start
+    out = on_series(np.minimum(radii, r_start))
+    past = radii > r_start
+    if past.any():
+        out[past] += beyond(r_start, radii[past])
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def _flux_integral(sol: Solution, r):
     """Integral of rho^(n-1) * v(rho) over [0, r], for every radius in ``r`` at once."""
     n = sol.params.n
-    return quad(lambda rho: rho ** (n - 1) * sol.v(rho), 0.0, r, _breaks(sol))
+    se = sol.profile.series
+    return _from_origin(
+        sol,
+        r,
+        lambda h: series_moments(se.eta * np.asarray(se.coeffs), se.scale, n, h),
+        lambda lo, ends: quad(lambda rho: rho ** (n - 1) * sol.v(rho), lo, ends, _breaks(sol)),
+    )
 
 
 def _q_integral(sol: Solution, r):
@@ -279,31 +312,32 @@ def _q_integral(sol: Solution, r):
 
     The integrand is rho^edge times the smooth factor v^m * (a0 - q), with
     edge = b0 - 1 + 2m/(1-m) = p1 - 1 and p1 = (n-2-nm)/(1-m) > 0. On the
-    series segment [0, h], h = min(r, r_start), the smooth factor is
-    s0 + (smooth(h) - s0)*(rho/h)^2 up to O(rho^4), s0 = eta^m * a0, and is
-    integrated in closed form (in u = rho^p1 it is a polynomial of degree
-    ~2/p1, beyond a quadrature rule as m -> (n-2)/n). Beyond r_start the
-    substitution u = rho^p1 removes the rho^edge factor.
+    series segment the smooth factor is a0*v^m - 2*rho^2*v - (1-m)*rho^3*v',
+    a series in y = scale*rho^2 read off the origin series' a_k and the L_k
+    of v^m, and is integrated term by term. Beyond it the substitution
+    u = rho^p1 removes the rho^edge factor.
     """
     p = sol.params
     dc = derived(p)
     mexp = p.m / (1.0 - p.m)
     p1 = (p.n - 2 - p.n * p.m) / (1.0 - p.m)
+    se = sol.profile.series
 
     def smooth_part(rho):
         w, q = sol.w_q(rho)
         return (w / (rho * rho)) ** mexp * (dc.a0 - q)
 
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    r_start = sol.profile.r_start
-    h = np.minimum(radii, r_start)
-    s0 = p.eta**p.m * dc.a0
-    out = s0 * h**p1 / p1 + (smooth_part(h) - s0) * h**p1 / (p1 + 2.0)
-    beyond = radii > r_start
-    if beyond.any():
-        u_ends = radii[beyond] ** p1
-        out[beyond] += quad(lambda u: smooth_part(u ** (1.0 / p1)), r_start**p1, u_ends, _breaks(sol) ** p1) / p1
-    return float(out[0]) if np.ndim(r) == 0 else out
+    # v^m = eta^m*(1 + m*L(y)) and rho^2*v, rho^3*v' are eta^m times the a_k and 2k*a_k shifted by one power of y
+    a = np.asarray(se.coeffs)
+    coeffs = dc.a0 * p.m * np.asarray(se.log_coeffs)
+    coeffs[0] = dc.a0
+    coeffs[1:] -= 2.0 * (1.0 + (1.0 - p.m) * np.arange(a.size - 1)) * a[:-1]
+    return _from_origin(
+        sol,
+        r,
+        lambda h: series_moments(p.eta**p.m * coeffs, se.scale, p1, h),
+        lambda lo, ends: quad(lambda u: smooth_part(u ** (1.0 / p1)), lo**p1, ends**p1, _breaks(sol) ** p1) / p1,
+    )
 
 
 def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
@@ -311,9 +345,9 @@ def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantRepo
 
     Compares (n-1)*v^(m-1)*v' against
     -beta*r*v + (n*beta - alpha)/r^(n-1) * integral of rho^(n-1)*v(rho),
-    with the integral taken by Gauss-Legendre on the pieces of the dense
-    output. ``quad_tol`` is the floor of the mismatch threshold
-    100*max(quad_tol, rtol).
+    with the integral taken term by term on the origin series and by
+    Gauss-Legendre on the pieces of the dense output beyond. ``quad_tol`` is
+    the floor of the mismatch threshold 100*max(quad_tol, rtol).
     """
     p = sol.params
     radii = _identity_radii(sol)
@@ -332,7 +366,7 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
 
     r^b0 * q * w^((2m-1)/(1-m)) must equal beta/(n-1) times the integral of
     rho^(b0-1) * w^(m/(1-m)) * (a0 - q) from the origin, taken as in
-    ``_q_integral`` (closed form on the series segment, Gauss-Legendre on
+    ``_q_integral`` (term by term on the origin series, Gauss-Legendre on
     the dense output's pieces beyond); the boundary factor itself must
     decay to zero as r -> 0. ``quad_tol`` is the floor of the mismatch
     threshold 100*max(quad_tol, rtol).

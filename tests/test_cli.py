@@ -79,6 +79,13 @@ class TestSolve:
         assert run("verify", *PARAMS, "--s-end", 0.5, "--strict", "--json", report) == 0
         assert json.loads(report.read_text())["diagnostics"]["overlap_error"] < 1e-10
 
+    def test_log_chart_past_the_float_range_of_r_verifies(self, tmp_path):
+        # s_end = 800 puts the chart's end at r = e^800, beyond the largest float
+        report = tmp_path / "r.json"
+        assert run("verify", *PARAMS, "--s-end", 800, "--strict", "--json", report) == 0
+        entries = json.loads(report.read_text())["invariants"]["entries"]
+        assert {e["location"] for e in entries if e["name"] == "w_unbounded"} == {"inf"}
+
     def test_deterministic_outputs(self, tmp_path):
         csv = tmp_path / "run.csv"
         js = tmp_path / "run.json"

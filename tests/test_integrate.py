@@ -201,6 +201,14 @@ class TestGuards:
         with pytest.raises(ValueError, match=field):
             SolveConfig(**kwargs)
 
+    def test_r_chart_shorter_than_the_series_handoff(self):
+        # the series would hand off at r = 0.5; below that r_max moves the handoff to r_max/2
+        prof = integrate_r(3, 0.2, 2.5, 1.0, 1.0, 0.3)
+        assert prof.r_start == 0.15 and prof.r_end == 0.3
+        assert prof.v[-1] == pytest.approx(eval_series(prof.series, 0.3)[0], rel=1e-13)
+        with pytest.raises(ValueError, match="r_max > 0"):
+            integrate_r(3, 0.2, 2.5, 1.0, 1.0, 0.0)
+
     @pytest.mark.parametrize("m,eta", [(1.0, 1.0), (-0.1, 1.0), (0.2, -1.0), (0.2, 0.0)])
     def test_r_chart_rejects_m_and_eta_out_of_range(self, m, eta):
         # eta < 0 would otherwise reach a complex eta**(2-m) in the seed
@@ -517,6 +525,18 @@ class TestShortLogChart:
         sol = solve_profile(P(2.5), SolveConfig(s_end=s_end))
         assert sol.diagnostics["overlap_error"] < 1e-10
         assert run_all_checks(sol).overall
+
+
+class TestLogChartPastTheFloatRange:
+    def test_radii_beyond_the_float_range_are_infinite(self):
+        # e^s overflows for s > 709.78: r_cover and the checks' node radii read
+        # inf there instead of raising OverflowError or warning
+        sol = solve_profile(P(2.5), SolveConfig(s_end=800.0))
+        assert sol.logprofile.s_end == 800.0
+        assert sol.r_cover == math.inf
+        assert run_all_checks(sol).overall
+        with pytest.raises(OutOfRange):
+            sol.v(math.inf)
 
 
 class TestLargeEta:

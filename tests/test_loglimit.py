@@ -63,11 +63,14 @@ class TestLogEquation:
     )
     def test_dense_output_between_nodes(self, n, alpha, beta, eta):
         # an independent route: the once-integrated (u, I) system, I' = r^(n-1)*u,
-        # from the same seed under scipy, far tighter; read at nodes and midpoints
+        # from the same seed under scipy, far tighter; read at nodes and midpoints.
+        # I(r0) is the origin series integrated term by term: u = eta*sum a_k*y^k
+        # with y = scale*r^2
         r_max = 10.0
         prof = solve_log_equation(n, alpha, beta, eta, r_max)
-        r0, c2 = prof.r_start, prof.series.c2
-        i0 = eta * r0**n / n + c2 * r0 ** (n + 2) / (n + 2)
+        r0, se = prof.r_start, prof.series
+        y0 = se.scale * r0 * r0
+        i0 = eta * r0**n * sum(a * y0**k / (2 * k + n) for k, a in enumerate(se.coeffs))
 
         def rhs(r, y):
             u, acc = y

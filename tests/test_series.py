@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fdprofiles import OutOfRange, Parameters, eval_series, expand_at_origin, series_residual
+from fdprofiles.series import seed_within
 
 
 def P(alpha, n=3, m=0.2, beta=1.0, eta=1.0):
@@ -58,6 +60,16 @@ class TestCoefficient:
         se = expand_at_origin(p)
         assert curvature_by_finite_difference(p) == pytest.approx(se.c2, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "n,m,alpha,beta,eta",
+        [(3, 0.2, 2.5, 1.0, 1.0), (4, 0.3, 1.5, 1.0, 2.0), (7, 0.0, -3.0, 0.5, 1e3), (10, 0.79, 20.0, 2.0, 3.0)],
+    )
+    def test_first_coefficient_in_closed_form(self, n, m, alpha, beta, eta):
+        # c_1, the coefficient of x = r^2, from the coefficient list itself, m = 0 included
+        se = seed_within(n, m, alpha, beta, eta, 1e-10)
+        c1 = se.eta * se.scale * se.coeffs[1]
+        assert c1 == pytest.approx(-alpha * eta ** (2.0 - m) / (2 * n * (n - 1)), rel=1e-14)
+
     def test_nontrivial_eta_and_m(self):
         p = P(1.5, n=4, m=0.3, eta=2.0)
         se = expand_at_origin(p)
@@ -83,8 +95,12 @@ class TestEval:
     def test_polynomial_values(self):
         se = expand_at_origin(P(2.5), r_switch=0.02)
         v, dv = eval_series(se, 0.01)
-        assert v == pytest.approx(0.9999792, abs=1e-7)
-        assert dv == pytest.approx(-0.0041667, abs=1e-7)
+        # c2 = -5/24 and, by hand from the recurrence, c4 = (2*L_2 + 0.8*c2^2)/2
+        # with L_2 = 4.5*5/24/40; the r^6 term is below 1e-14 and 6*c6*r^5 below 1e-11
+        c2 = -5.0 / 24.0
+        c4 = (2.0 * 4.5 * 5.0 / 24.0 / 40.0 + 0.8 * c2 * c2) / 2.0
+        assert v == pytest.approx(1.0 + c2 * 1e-4 + c4 * 1e-8, abs=1e-13)
+        assert dv == pytest.approx(2.0 * c2 * 0.01 + 4.0 * c4 * 1e-6, abs=1e-11)
 
     def test_constant_series_valid_everywhere(self):
         se = expand_at_origin(P(0.0))
@@ -103,11 +119,25 @@ class TestEval:
 
 
 class TestResidual:
-    def test_second_order_in_radius(self):
-        p = P(2.5)
-        se = expand_at_origin(p, r_switch=0.01)
-        ratio = series_residual(p, se, 1e-3) / series_residual(p, se, 1e-4)
-        assert ratio == pytest.approx(100.0, rel=0.2)
+    # (n, m, alpha, beta, eta): the eternal workhorse, alpha < 0, a slowly
+    # converging series (handoff below the cap), large and small eta
+    ROWS = [
+        (3, 0.2, 2.5, 1.0, 1.0),
+        (4, 1 / 3, -2.0, 1.0, 1.0),
+        (5, 0.01, 10.0, 2.0, 3.0),
+        (3, 0.02, 50.0 * math.e, math.e, 1.0),
+        (3, 0.2, 2.5, 1.0, 1e6),
+        (6, 0.5, 4.0, 1.0, 1e-6),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_full_series_at_rounding_level(self, row):
+        # measured at most 5.4e-15 of (|alpha| + beta)*eta over (0, r_switch]
+        p = Parameters(*row)
+        se = expand_at_origin(p)
+        scale = (abs(p.alpha) + p.beta) * p.eta
+        for r in np.linspace(0.0, se.r_switch, 201)[1:]:
+            assert abs(series_residual(p, se, r)) <= 5e-14 * scale
 
     def test_truncation_estimate_below_default_budget(self):
         se = expand_at_origin(P(2.5))
