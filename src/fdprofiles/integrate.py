@@ -33,7 +33,7 @@ import numpy as np
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, exponent_relation, require
 from .rk import POSITIVITY_FLOOR, Hermite, integrate_2d
-from .series import SeriesExpansion, eval_series, seed_within, series_derivatives
+from .series import SeriesExpansion, eval_series, horner, seed_within, series_derivatives
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -123,11 +123,11 @@ class Profile:
 
     ``ddv`` holds v'' from the equation at each node and ``dddv`` its
     derivative along the solution (``_r_third_derivative``), so the dense
-    output is septic Hermite, of the order of the chart's DOP853 steps: it is
-    as accurate between the nodes as at them, where the finite-difference
-    residual checks and the identity quadratures read it. Radii below the
-    first node are served by the origin series, and so are those past the
-    last one when the series is exact there (``r_reach``). ``nfev`` counts
+    output is septic Hermite, of the order of the chart's DOP853 steps, for
+    the finite-difference residual checks and the identity quadratures that
+    read it between the nodes. Radii below the first node are served by the
+    origin series, and so are those past the last one when the series is
+    the exact constant (alpha = 0, ``r_reach``). ``nfev`` counts
     right-hand-side calls.
     """
 
@@ -156,8 +156,8 @@ class Profile:
 
     @property
     def r_reach(self) -> float:
-        """Largest radius served: the chart's end, or past it where the origin series is exact (alpha = 0)."""
-        return max(self.r_end, self.series.r_switch)
+        """Largest radius served: the chart's end, or every radius where the origin series is the exact constant (alpha = 0)."""
+        return math.inf if math.isinf(self.series.r_switch) else self.r_end
 
     def _covered(self, r):
         """Radii in [0, r_reach], the same clipped into the chart, and where the series serves them."""
@@ -486,14 +486,6 @@ def _qss_switch(cc: _ChartCoeffs, n: int, beta: float) -> tuple[list[float], flo
     return d, max(w_rate, w_series)
 
 
-def _horner(d: list[float], x):
-    """G = sum of d_k*x^k by Horner's rule."""
-    g = d[-1]
-    for dk in d[-2::-1]:
-        g = g * x + dk
-    return g
-
-
 def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
     """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
 
@@ -509,7 +501,7 @@ def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float
     def inv_rate(ly):
         # 1/F with F = sigma + x*G at x = e^(-ly), G by Horner's rule
         x = np.exp(-ly)
-        f = sigma + x * _horner(d, x)
+        f = sigma + x * horner(d, x)
         if not np.all(f > 0.0):
             raise ProfileError("log w stops growing on the slow manifold", s0)
         return 1.0 / f
@@ -607,7 +599,7 @@ def integrate_log(
     if w_stop is not None and s_arr[-1] < s_max * (1.0 - 1e-12) - 1e-12:
         switch_s = float(s_arr[-1])
         # where G is exactly 0 (alpha = 0 can round c_w to 0) the gap is read absolute
-        g_manifold = _horner(d, 1.0 / w_arr[-1])
+        g_manifold = horner(d, 1.0 / w_arr[-1])
         gap = float(abs(g_arr[-1] - g_manifold) / (abs(g_manifold) or 1.0))
         tail = _slow_tail(sigma, d, switch_s, math.log(w_arr[-1]), s_max)
         s_arr, w_arr, g_arr, gs_arr = (np.concatenate(pair) for pair in zip((s_arr, w_arr, g_arr, gs_arr), tail))

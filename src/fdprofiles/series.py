@@ -99,7 +99,9 @@ def _coefficients(n, m, alpha, beta, terms: int) -> tuple[list[float], list[floa
     a, lc = [1.0], [0.0]
     for k in range(1, terms):
         lc.append(-(alpha + 2.0 * (k - 1) * beta) * a[k - 1] / ((n - 1) * 2.0 * k * (2.0 * k + n - 2.0)))
-        conv = sum((k - j - m * j) * a[j] * lc[k - j] for j in range(1, k))
+        # the sum starts at -0.0, which adds nothing even to a signed zero, so
+        # a_1 = L_1 keeps the sign of an alpha whose L_1 underflows
+        conv = sum(((k - j - m * j) * a[j] * lc[k - j] for j in range(1, k)), -0.0)
         a.append((k * lc[k] + conv) / k)
     return a, lc
 
@@ -135,38 +137,33 @@ def expand_at_origin(p: Parameters, r_switch: float | None = None) -> SeriesExpa
     return seed_within(p.n, p.m, p.alpha, p.beta, p.eta, _ROUNDING, r_switch)
 
 
-def _horner(c: list[float], y):
-    """sum of c[k]*y^k by Horner's rule, element by element, so that the bits do not depend on y's shape.
+def horner(c: list[float], y):
+    """sum of c[k]*y^k by Horner's rule, on a float or element by element on an array.
 
-    Up to 16 elements a loop on floats beats array operations, which cost
-    per call whatever their size.
+    Both are the same IEEE operations in the same order, so the bits of a
+    value do not depend on the shape it is asked for in.
     """
-    if np.ndim(y) == 0 or y.size <= 16:
-        out = []
-        for x in np.ravel(y).tolist():
-            p = c[-1]
-            for ck in c[-2::-1]:
-                p = p * x + ck
-            out.append(p)
-        return out[0] if np.ndim(y) == 0 else np.array(out).reshape(y.shape)
-    p = np.full(y.shape, c[-1])
+    p = c[-1]
     for ck in c[-2::-1]:
-        p *= y
-        p += ck
+        p = p * y + ck
     return p
 
 
 def series_derivatives(se: SeriesExpansion, r, order: int) -> list:
     """[v, v', v''][:order + 1] of the series at radii r, for callers that checked 0 <= r <= r_switch."""
+    if math.isinf(se.r_switch):
+        # alpha = 0: v = eta exactly, also where scale*r*r would overflow
+        const = [np.full(np.shape(r), se.eta)] + [np.zeros(np.shape(r))] * order
+        return [float(x) for x in const] if np.ndim(r) == 0 else const
     a, da, dda = se._polys
     y = se.scale * r * r
-    out = [se.eta * _horner(a, y)]
+    out = [se.eta * horner(a, y)]
     if order >= 1:
         # d/dr = 2*scale*r * d/dy; the scale goes in before eta, so no product overflows
-        dp = _horner(da, y)
+        dp = horner(da, y)
         out.append(2.0 * r * se.scale * dp * se.eta)
     if order >= 2:
-        out.append(2.0 * se.scale * (dp + 2.0 * y * _horner(dda, y)) * se.eta)
+        out.append(2.0 * se.scale * (dp + 2.0 * y * horner(dda, y)) * se.eta)
     return out
 
 
@@ -184,7 +181,7 @@ def series_moments(coeffs, scale: float, e: float, h):
     """Integrals over [0, h] of rho^(e-1) * sum of coeffs[k]*(scale*rho^2)^k (e > 0), term by term."""
     h = np.asarray(h, dtype=float)
     c = np.asarray(coeffs, dtype=float)
-    return h**e * _horner((c / (e + 2.0 * np.arange(c.size))).tolist(), scale * h * h)
+    return h**e * horner((c / (e + 2.0 * np.arange(c.size))).tolist(), scale * h * h)
 
 
 def series_residual(p: Parameters, se: SeriesExpansion, r: float) -> float:

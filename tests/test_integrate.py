@@ -52,6 +52,15 @@ class TestConstantSolution:
         rr = np.linspace(0.0, 9.0, 50)
         assert np.max(np.abs(sol.v(rr) - 1.0)) < 1e-13
 
+    def test_series_serves_every_radius(self):
+        # past r ~ 1.3e154, scale*r^2 overflows: the constant series must not evaluate a polynomial there
+        prof = integrate_r(3, 0.2, 0.0, 1.0, 1.0, 2.0)
+        assert prof.r_reach == math.inf
+        assert prof.eval(1e170) == (1.0, 0.0)
+        assert np.all(prof.value(np.array([0.1, 1e170, 1e300])) == 1.0)
+        sol = solve_profile(P(0.0), SolveConfig(s_end=354.0))
+        assert sol.v(math.exp(354.0)) == 1.0 and sol.dv(math.exp(354.0)) == 0.0
+
 
 class TestMonotonicity:
     def test_decreasing_positive_for_positive_alpha(self, eternal_n3):
@@ -206,6 +215,10 @@ class TestGuards:
         prof = integrate_r(3, 0.2, 2.5, 1.0, 1.0, 0.3)
         assert prof.r_start == 0.15 and prof.r_end == 0.3
         assert prof.v[-1] == pytest.approx(eval_series(prof.series, 0.3)[0], rel=1e-13)
+        # the series is exact to r = 0.5, but the profile serves only up to the chart's end
+        assert prof.r_reach == 0.3
+        with pytest.raises(OutOfRange):
+            prof.eval(0.4)
         with pytest.raises(ValueError, match="r_max > 0"):
             integrate_r(3, 0.2, 2.5, 1.0, 1.0, 0.0)
 
@@ -542,9 +555,19 @@ class TestLogChartPastTheFloatRange:
 class TestLargeEta:
     @pytest.mark.parametrize("eta", [1e100, 1e300])
     def test_overflow_is_a_located_profile_error(self, eta):
-        # eta = 1e100 overflows the r-chart's right-hand side at the seed,
-        # eta = 1e300 the seed's own c2 = -alpha*eta^(2-m)/(2n(n-1))
+        # both overflow the origin series' coefficients eta^(1+k(1-m))*a_k, k < 16,
+        # before the r-chart's first right-hand side
         with pytest.raises(ProfileError) as exc:
             solve_profile(P(2.5, eta=eta))
         assert not isinstance(exc.value, HypothesisViolation)
         assert exc.value.location is not None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the charts' atol is not scaled by eta")
+def test_small_eta_flux_identity_at_the_default_r_max():
+    # A random admissible family (fuzz draw 95 of default_rng(3)) at eta = 3.5e-6. With
+    # r_max = 2 the inaccurate log chart serves r = 5 and the flux identity misses by 3.1e-7
+    # against 1e-8; with r_max = 10 the r-chart serves it and the identity holds.
+    p = Parameters(3, 0.17113160403548824, -0.32090123901909906, 0.8538090482164935, 3.5425788115774093e-06)
+    assert run_all_checks(solve_profile(p, SolveConfig(r_max=10.0))).overall
+    assert run_all_checks(solve_profile(p)).entry("flux_identity").passed
