@@ -84,15 +84,25 @@ class SolveConfig:
         return replace(self, tol=self.tol * factor)
 
 
+# rtol of each chart as a multiple of the r-chart's ``tol``; "r_stiff" is the
+# r-chart's Radau IIA stretch.
+_RTOL_FACTOR = {"r": 1.0, "r_stiff": 0.1, "log": 10.0}
+
+
 def chart_tolerances(chart: str, tol: float) -> tuple[float, float]:
-    """(rtol, atol) of the "r" or "log" chart for the r-chart relative tolerance ``tol``.
+    """(rtol, atol) of the "r", "r_stiff" or "log" chart for the r-chart relative tolerance ``tol``.
 
     The log chart runs 10x looser than the r-chart because its span is much
-    longer (s_end = 40 reaches r ~ 2.4e17). Every chart's absolute tolerance
-    is 1/100 of its relative one in the mixed error scale atol + rtol*|y| of
-    the step control (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4).
+    longer (s_end = 40 reaches r ~ 2.4e17). The r-chart's Radau IIA stretch
+    ("r_stiff") runs 10x tighter than its DOP853 steps: at the chart's own
+    pair its nodes stayed within rtol but were up to 25x less accurate than
+    the DOP853 steps they replace (on the alpha < 0 INVARIANT_GRID rows to
+    r = 25, against a tight reference). Every chart's absolute
+    tolerance is 1/100 of its relative one in the mixed error scale
+    atol + rtol*|y| of the step control (Hairer, Norsett & Wanner, Solving
+    ODEs I, Sec. II.4).
     """
-    rtol = tol * 10.0 if chart == "log" else tol
+    rtol = tol * _RTOL_FACTOR[chart]
     return rtol, rtol * 1e-2
 
 
@@ -117,18 +127,33 @@ def quad(f, a: float, b, breaks):
     return float(out) if out.ndim == 0 else out
 
 
+def _by_stretch(x, last, explicit, past):
+    """``explicit(x)`` on a chart's DOP853 stretch, up to its last node ``last``, and ``past(x)`` beyond it."""
+    below = x <= last
+    if np.all(below):
+        return explicit(x)
+    if not np.any(below):
+        return past(x)
+    out = np.empty_like(x)
+    out[below] = explicit(x[below])
+    out[~below] = past(x[~below])
+    return out
+
+
 @dataclass(frozen=True)
 class Profile:
     """Samples (r, v, v') of an r-chart solution with dense evaluation.
 
-    ``ddv`` holds v'' from the equation at each node and ``dddv`` its
-    derivative along the solution (``_r_third_derivative``), so the dense
-    output is septic Hermite, of the order of the chart's DOP853 steps, for
-    the finite-difference residual checks and the identity quadratures that
-    read it between the nodes. Radii below the first node are served by the
-    origin series, and so are those past the last one when the series is
-    the exact constant (alpha = 0, ``r_reach``). ``nfev`` counts
-    right-hand-side calls.
+    ``ddv`` holds v'' from the equation at each node. ``dddv`` holds its
+    derivative along the solution (``_r_third_derivative``) at the nodes of
+    the DOP853 stretch, the first ``dddv.size`` nodes, up to the switch to
+    Radau IIA (``stiff_switch_r``; every node when there is none). There
+    the dense output is septic Hermite, of the order of the steps, for the
+    finite-difference residual checks and the identity quadratures that read
+    it between the nodes. Past that node it is quintic. Radii below the first
+    node are served by the origin series, and so are those past the last one
+    when the series is the exact constant (alpha = 0, ``r_reach``). ``nfev``
+    counts right-hand-side calls.
     """
 
     r: np.ndarray
@@ -141,6 +166,9 @@ class Profile:
     n_steps: int = 0
     n_rejected: int = 0
     nfev: int = 0
+    # Radius where the chart went from DOP853 to Radau IIA (None when DOP853
+    # stepped it to its end).
+    stiff_switch_r: float | None = None
 
     @property
     def r_start(self) -> float:
@@ -151,8 +179,29 @@ class Profile:
         return float(self.r[-1])
 
     @cached_property
-    def _value_interp(self):
-        return Hermite(self.r, self.v, self.dv, self.ddv, self.dddv)
+    def _v_explicit(self):
+        k = self.dddv.size
+        return Hermite(self.r[:k], self.v[:k], self.dv[:k], self.ddv[:k], self.dddv)
+
+    @cached_property
+    def _v_stiff(self):
+        # Quintic, not septic: on the Radau IIA stretch of the four alpha < 0
+        # INVARIANT_GRID rows to r = 25 a septic v, with v''' from the
+        # equation, was 1.0-1.4x less accurate between the nodes in v and
+        # 1.4-3.3x in v' against solve_ivp(DOP853, rtol=1e-13), and on a
+        # large-eta row (3, 0.129, -2.52, 2.02, eta = 2.5e4) 230x and 1400x.
+        k = self.dddv.size - 1
+        return Hermite(self.r[k:], self.v[k:], self.dv[k:], self.ddv[k:])
+
+    def _v(self, rq):
+        if self.stiff_switch_r is None:  # DOP853 reached r_max: there is no quintic piece
+            return self._v_explicit.value(rq)
+        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.value, self._v_stiff.value)
+
+    def _dv(self, rq):
+        if self.stiff_switch_r is None:
+            return self._v_explicit.derivative(rq)
+        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.derivative, self._v_stiff.derivative)
 
     @property
     def r_reach(self) -> float:
@@ -172,7 +221,7 @@ class Profile:
     def value(self, r) -> np.ndarray:
         """Dense v alone at radii in [0, r_reach], as an array even for a scalar ``r``."""
         arr, on_chart, on_series = self._covered(r)
-        v = self._value_interp.value(on_chart)
+        v = self._v(on_chart)
         if on_series.any():
             v[on_series] = series_derivatives(self.series, arr[on_series], 0)[0]
         return v
@@ -180,8 +229,8 @@ class Profile:
     def eval(self, r):
         """Dense (v, v') at radii in [0, r_reach]."""
         arr, on_chart, on_series = self._covered(r)
-        v = self._value_interp.value(on_chart)
-        dv = self._value_interp.derivative(on_chart)
+        v = self._v(on_chart)
+        dv = self._dv(on_chart)
         if on_series.any():
             v[on_series], dv[on_series] = series_derivatives(self.series, arr[on_series], 1)
         return (float(v[0]), float(dv[0])) if np.ndim(r) == 0 else (v, dv)
@@ -264,21 +313,9 @@ class LogProfile:
             raise OutOfRange.outside("log chart", lo, hi, arr)
         return np.clip(arr, lo, hi)
 
-    def _by_stretch(self, sq, explicit, past):
-        """``explicit(sq)`` on the DOP853 stretch and ``past(sq)`` beyond its last node."""
-        below = sq <= self.s[self.wsss.size - 1]
-        if np.all(below):
-            return explicit(sq)
-        if not np.any(below):
-            return past(sq)
-        out = np.empty_like(sq)
-        out[below] = explicit(sq[below])
-        out[~below] = past(sq[~below])
-        return out
-
     def _w(self, sq):
         # the quintic piece is built on first use: there is none when DOP853 reached s_end
-        return self._by_stretch(sq, self._w_explicit.value, lambda x: self._w_stiff.value(x))
+        return _by_stretch(sq, self.s[self.wsss.size - 1], self._w_explicit.value, lambda x: self._w_stiff.value(x))
 
     def eval_w(self, s):
         return self._w(self._check(s))
@@ -287,8 +324,9 @@ class LogProfile:
         return self._g_interp.value(self._check(s))
 
     def eval_ws(self, s):
-        return self._by_stretch(
+        return _by_stretch(
             self._check(s),
+            self.s[self.wsss.size - 1],
             self._w_explicit.derivative,
             lambda x: self._g_interp.value(x) + self.sigma * self._w_stiff.value(x),
         )
@@ -311,19 +349,31 @@ def _r_rhs(n: int, m: float, alpha: float, beta: float):
     return rhs
 
 
-def _r_third_derivative(n: int, m: float, alpha: float, beta: float, r, v, dv, ddv):
-    """v''' at arrays of r-chart nodes: the derivative of the right-hand side along the solution.
+def _r_jac(n: int, m: float, alpha: float, beta: float):
+    """Jacobian (0, 1, F_v, F_v') of the r-chart's right-hand side (v', F), at floats or at arrays of nodes.
 
-    With v'' = F(r, v, v'), v''' = F_r + F_v*v' + F_v'*v''; p = v^(1-m)/(n-1) is
-    the factor of the drift term.
+    p = v^(1-m)/(n-1) is the factor of the drift term.
     """
     n1 = float(n - 1)
     one_m = 1.0 - m
-    p = v**one_m / n1
-    slope = dv / v
-    f_r = n1 * dv / (r * r) - p * beta * dv
-    f_v = -one_m * slope * slope - one_m * p * (alpha + beta * r * slope) - p * alpha
-    f_dv = 2.0 * one_m * slope - n1 / r - p * beta * r
+
+    def jac(r, v, dv):
+        p = v**one_m / n1
+        slope = dv / v
+        f_v = -one_m * slope * slope - one_m * p * (alpha + beta * r * slope) - p * alpha
+        return 0.0, 1.0, f_v, 2.0 * one_m * slope - n1 / r - p * beta * r
+
+    return jac
+
+
+def _r_third_derivative(n: int, m: float, alpha: float, beta: float, r, v, dv, ddv):
+    """v''' at arrays of r-chart nodes: the derivative of the right-hand side along the solution.
+
+    With v'' = F(r, v, v'), v''' = F_r + F_v*v' + F_v'*v'', F_v and F_v' from ``_r_jac``.
+    """
+    n1 = float(n - 1)
+    _, _, f_v, f_dv = _r_jac(n, m, alpha, beta)(r, v, dv)
+    f_r = n1 * dv / (r * r) - v ** (1.0 - m) / n1 * beta * dv
     return f_r + f_v * dv + f_dv * ddv
 
 
@@ -384,12 +434,18 @@ def integrate_r(
     """Integrate the r-chart from the origin series (``seed_within`` at ``tol``) out to r_max.
 
     The series is exact to ``tol`` up to its handoff, at most r = 0.5 and
-    never past r_max/2, so the chart always has a stretch to step; it
-    passes no Jacobian, so it takes DOP853 steps throughout (see
-    ``rk``); v''' for the septic dense output is evaluated over all nodes
-    once the solve is done. Takes plain scalars rather than Parameters so
-    that m = 0 is accepted: the chart then solves the log-diffusion equation
-    of the singular limit."""
+    never past r_max/2, so the chart always has a stretch to step. The
+    chart passes its Jacobian (``_r_jac``), so ``rk`` hands it from DOP853
+    to Radau IIA once it is stiff (``stiff_switch_r``), at the tighter pair
+    ``chart_tolerances("r_stiff", tol)``. The fast rate, about
+    beta*r*v^(1-m)/(n-1), grows like r^(1 - alpha*(1-m)/beta) where v
+    behaves like r^(-alpha/beta), so it rises without bound for every
+    alpha < 0 and for 0 < alpha < beta/(1-m). On the INVARIANT_GRID rows to
+    r = 25 the chart switches exactly on the four with alpha < 0. Where it
+    does not switch, the nodes are those of DOP853 alone. v''' for the septic dense output is evaluated over the
+    DOP853 stretch once the solve is done. Takes plain scalars rather than
+    Parameters so that m = 0 is accepted: the chart then solves the
+    log-diffusion equation of the singular limit."""
     if not (0.0 <= m < 1.0 and eta > 0.0):
         raise ValueError(f"r-chart requires 0 <= m < 1 and eta > 0, got m = {m}, eta = {eta}")
     if not r_max > 0.0:
@@ -398,18 +454,24 @@ def integrate_r(
     start = min(se.r_start, 0.5 * r_max)
     v0, dv0 = eval_series(se, start)
     rtol, atol = chart_tolerances("r", tol)
-    path = integrate_2d(_r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True)
+    path = integrate_2d(
+        _r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True,
+        jac=_r_jac(n, m, alpha, beta), stiff_tol=chart_tolerances("r_stiff", tol),
+    )
+    # the DOP853 stretch, where v is septic, ends at the switch node
+    k = path.t.size if path.t_stiff is None else int(np.searchsorted(path.t, path.t_stiff)) + 1
     return Profile(
         r=path.t,
         v=path.y,
         dv=path.z,
         ddv=path.fz,
-        dddv=_r_third_derivative(n, m, alpha, beta, path.t, path.y, path.z, path.fz),
+        dddv=_r_third_derivative(n, m, alpha, beta, path.t[:k], path.y[:k], path.z[:k], path.fz[:k]),
         series=se,
         rtol=rtol,
         n_steps=path.n_steps,
         n_rejected=path.n_rejected,
         nfev=path.nfev,
+        stiff_switch_r=path.t_stiff,
     )
 
 
@@ -629,6 +691,30 @@ def integrate_log(
     )
 
 
+class ChartNodes(NamedTuple):
+    """The nodes of both charts, the first ``seam`` of them the r-chart's: r, w and g = r*w_r - sigma*w.
+
+    The r-chart's side starts with samples of the origin series at
+    r_start*2^-k, k = 12..1, so that the radii it alone covers are read too.
+    There w and g come from (v, v'); on the log chart they are its state,
+    where g is exact.
+    """
+
+    r: np.ndarray
+    w: np.ndarray
+    g: np.ndarray
+    seam: int
+
+    def increments(self, x):
+        """Increments of ``x`` between neighbouring nodes of one chart, with the radius each ends at."""
+        within = np.arange(1, self.r.size) != self.seam
+        return np.diff(x)[within], self.r[1:][within]
+
+
+# Samples of the series segment [0, r_start] in the node view, as fractions of r_start.
+_SERIES_SAMPLES = 2.0 ** -np.arange(12.0, 0.0, -1.0)
+
+
 @dataclass(frozen=True)
 class Solution:
     """Combined two-chart solution with dense evaluation across both charts.
@@ -636,13 +722,28 @@ class Solution:
     Immutable after construction and safe to share read-only. Dense queries
     prefer the (tighter-tolerance) r-chart wherever it reaches (``r_reach``)
     and switch to the log chart beyond, so a finite-difference stencil
-    evaluated inside one chart never straddles the seam.
+    evaluated inside one chart never straddles the seam. ``nodes``, the
+    node view the pointwise checks read, is built once on first use.
     """
 
     params: Parameters
     profile: Profile
     logprofile: LogProfile
     diagnostics: dict
+
+    @cached_property
+    def nodes(self) -> ChartNodes:
+        prof, lp = self.profile, self.logprofile
+        inner = _SERIES_SAMPLES * prof.r_start
+        v, dv = (np.concatenate(pair) for pair in zip(eval_series(prof.series, inner), (prof.v, prof.dv)))
+        r = np.concatenate([inner, prof.r])
+        w, q = _w_q(r, v, dv, self.params.m)
+        return ChartNodes(
+            r=np.concatenate([r, radius(lp.s)]),
+            w=np.concatenate([w, lp.w]),
+            g=np.concatenate([q - lp.sigma * w, lp.g]),
+            seam=r.size,
+        )
 
     @property
     def r_cover(self) -> float:
@@ -712,6 +813,7 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         "qss_switch_s": logprofile.qss_switch_s,
         "qss_gap": logprofile.qss_gap,
         "stiff_switch_s": logprofile.stiff_switch_s,
+        "r_stiff_switch": profile.stiff_switch_r,
         "r_steps": profile.n_steps,
         "r_rejected": profile.n_rejected,
         "s_steps": logprofile.n_steps,

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import Solution, _w_q, quad, radius
+from .integrate import Solution, quad, radius
 from .model import check_hypotheses, derived
-from .series import eval_series, series_moments
+from .series import series_moments
 
 __all__ = [
     "InvariantEntry",
@@ -96,48 +95,10 @@ def _exact_decay(p) -> bool:
     return hyp.log_decay_ok and hyp.strict_m
 
 
-class _Nodes(NamedTuple):
-    """The nodes of both charts, the first ``seam`` of them the r-chart's: r, w and g = r*w_r - sigma*w.
-
-    The r-chart's side starts with samples of the origin series at
-    r_start*2^-k, k = 12..1, so that the radii it alone covers are read too.
-    There w and g come from (v, v'); on the log chart they are its state,
-    where g is exact.
-    """
-
-    r: np.ndarray
-    w: np.ndarray
-    g: np.ndarray
-    seam: int
-
-    def increments(self, x):
-        """Increments of ``x`` between neighbouring nodes of one chart, with the radius each ends at."""
-        within = np.arange(1, self.r.size) != self.seam
-        return np.diff(x)[within], self.r[1:][within]
-
-
-# Samples of the series segment [0, r_start] in the node view, as fractions of r_start.
-_SERIES_SAMPLES = 2.0 ** -np.arange(12.0, 0.0, -1.0)
-
-
-def _nodes(sol: Solution) -> _Nodes:
-    prof, lp = sol.profile, sol.logprofile
-    inner = _SERIES_SAMPLES * prof.r_start
-    v, dv = (np.concatenate(pair) for pair in zip(eval_series(prof.series, inner), (prof.v, prof.dv)))
-    r = np.concatenate([inner, prof.r])
-    w, q = _w_q(r, v, dv, sol.params.m)
-    return _Nodes(
-        r=np.concatenate([r, radius(lp.s)]),
-        w=np.concatenate([w, lp.w]),
-        g=np.concatenate([q - lp.sigma * w, lp.g]),
-        seam=r.size,
-    )
-
-
 def check_pointwise(sol: Solution) -> InvariantReport:
     """Sign and positivity facts at the stored nodes of both charts.
 
-    Every entry but one reads the nodes of both charts (``_nodes``), where
+    Every entry but one reads the nodes of both charts (``Solution.nodes``), where
     r*v'/v = (g/w + sigma - 2)/(1-m): v' has the sign opposite to alpha;
     0 < v <= eta for alpha > 0; h1 = v + k*r*v' > 0, as h1/v = k*g/((1-m)*w);
     and for 2*beta/(1-m) >= alpha > 0, h = v + (1-m)/2*r*v' > 0, as
@@ -151,7 +112,7 @@ def check_pointwise(sol: Solution) -> InvariantReport:
     eps = _eps(sol)
     sigma = sol.logprofile.sigma
     one_m = 1.0 - p.m
-    nodes = _nodes(sol)
+    nodes = sol.nodes
     r, w = nodes.r, nodes.w
     gw = nodes.g / w
     rdv_v = (gw + sigma - 2.0) / one_m
@@ -198,7 +159,7 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
     For b0 >= 0 the bound is r*w_r/w <= (1-m)*sqrt(b1)/m (sharp at the
     origin exactly when m = (n-2)/(n+2)); for b0 < 0 it is
     p = m/(1-m) * r*w_r/w <= b2. The slope bound reads the nodes of both
-    charts, where r*w_r/w = g/w + sigma (``_nodes``). Positivity and
+    charts, where r*w_r/w = g/w + sigma (``Solution.nodes``). Positivity and
     empirical boundedness of w_s on s >= 0 are reported, as is unbounded
     growth of w (w_s bounded below by a0/2 on the last half of the log
     chart); these read the log chart alone.
@@ -212,7 +173,7 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
     dc = derived(p)
     lp = sol.logprofile
     one_m = 1.0 - p.m
-    nodes = _nodes(sol)
+    nodes = sol.nodes
     ratio = nodes.g / nodes.w + lp.sigma
 
     if dc.b0 >= 0.0:

@@ -17,8 +17,10 @@ The explicit method is then paying for stability, not accuracy, and the
 implicit method takes steps set by the tolerance alone. Its simplified Newton
 iteration costs one real and one complex 2x2 solve per iteration and starts
 from the previous step's collocation polynomial; the error estimate is Hairer
-& Wanner's, with a predictive (Gustafsson) step-size controller. Which chart
-passes a Jacobian, and why, is ``integrate``'s to say. The step budget, the
+& Wanner's, with a predictive (Gustafsson) step-size controller. Both charts
+of ``integrate`` pass a Jacobian. The r-chart turns stiff only where its
+profile grows or decays slowly, and its Radau IIA stretch runs at its own,
+tighter tolerance pair (``stiff_tol``). The step budget, the
 final-step clamp, the step-collapse and positivity guards, the node store and
 the early stop are the loop's own; only the attempt and the step-size update
 depend on the step kind.
@@ -321,6 +323,7 @@ def integrate_2d(
     positive_y: bool = False,
     stop_when_y_above: float | None = None,
     jac: JAC | None = None,
+    stiff_tol: tuple[float, float] | None = None,
 ) -> RawPath:
     """Integrate (y, z)' = f(t, y, z) from t0 to t_end, storing every accepted node.
 
@@ -341,11 +344,12 @@ def integrate_2d(
     the problem is measurably stiff (see the module docstring); the
     integration then switches to Radau IIA, and ``RawPath.t_stiff`` records
     where. Up to that node a call with ``jac`` takes the same steps as one
-    without.
+    without. ``stiff_tol``, an (rtol, atol) pair, replaces the tolerances
+    from that node on (by default they stay as they are).
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    if rtol <= 0.0 or atol <= 0.0:
+    if rtol <= 0.0 or atol <= 0.0 or (stiff_tol is not None and min(stiff_tol) <= 0.0):
         raise ValueError("tolerances must be positive")
 
     fy, fz = f(t0, y0, z0)
@@ -376,8 +380,7 @@ def integrate_2d(
     J = None
     t_stiff = None
     poly = None
-    h_old = err_old = None
-    newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol**0.5))
+    h_old = err_old = newton_tol = None
 
     while t < t_end:
         if n_steps + n_rejected >= _MAX_STEPS:
@@ -532,6 +535,9 @@ def integrate_2d(
                 if stiff_run >= _STIFF_RUN:
                     # hand over with the current h and the Jacobian just evaluated
                     J, t_stiff, rejected = jac_t, t, False
+                    if stiff_tol is not None:
+                        rtol, atol = stiff_tol
+                    newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol**0.5))
                     continue
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_DOP853_EXP
             if rejected:

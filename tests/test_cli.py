@@ -107,6 +107,16 @@ class TestSolve:
         assert 0.0 < data["diagnostics"]["stiff_switch_s"] < 40.0
         assert data["diagnostics"]["qss_switch_s"] is None
 
+    def test_report_carries_the_r_chart_switch(self, tmp_path):
+        # fuzz draw 46 of default_rng(3) turns stiff on the r-chart; the eternal row does not
+        js = tmp_path / "report.json"
+        assert run("solve", "--n", 3, "--m", 0.1293485945439273, "--alpha", -2.515003384336588,
+                   "--beta", 2.023106548992026, "--eta", 24961.53343951476, "--json", js) == 0
+        diag = json.loads(js.read_text())["diagnostics"]
+        assert 0.0 < diag["r_stiff_switch"] < 2.0 and diag["r_steps"] < 2000
+        assert run("solve", *PARAMS, "--json", js) == 0
+        assert json.loads(js.read_text())["diagnostics"]["r_stiff_switch"] is None
+
 
 class TestTolerance:
     def test_default_tol_is_the_flag_default(self, tmp_path):

@@ -20,7 +20,10 @@ from fdprofiles import (
     run_all_checks,
     solve_profile,
 )
-from fdprofiles.integrate import chart_tolerances
+from fdprofiles.integrate import _r_rhs, chart_tolerances
+from fdprofiles.rk import integrate_2d
+from test_acceptance import INVARIANT_GRID
+from test_exact import ROWS as BARENBLATT
 
 
 def P(alpha, n=3, m=0.2, beta=1.0, eta=1.0):
@@ -140,6 +143,10 @@ class TestTolerancePolicy:
         assert chart_tolerances("r", 1e-10) == (1e-10, 1e-12)
         assert chart_tolerances("log", 1e-10)[0] == 1e-9
 
+    def test_r_chart_radau_stretch_is_ten_times_tighter(self):
+        rtol, atol = chart_tolerances("r", 1e-10)
+        assert chart_tolerances("r_stiff", 1e-10) == pytest.approx((rtol / 10.0, atol / 10.0), rel=1e-15)
+
 
 class TestGuards:
     def test_existence_range_enforced(self):
@@ -230,7 +237,10 @@ class TestGuards:
 
 
 class TestRChartOracle:
-    """The DOP853 r-chart and its septic dense output against solve_ivp(DOP853, rtol=1e-13) to r = 25."""
+    """The r-chart and its dense output against solve_ivp(DOP853, rtol=1e-13) to r = 25.
+
+    The last four rows (alpha < 0) switch to Radau IIA between r = 6 and 12.
+    """
 
     # (INVARIANT_GRID row, bound on the relative error of v, bound on the error
     # of v' relative to max|v'|), at the nodes and at the midpoints between them.
@@ -242,6 +252,8 @@ class TestRChartOracle:
         ((5, 3 / 7, 7.0, 2.0, 1.0), 2e-11, 6e-11),
         ((5, 3 / 7, -0.5, 2.0, 1.0), 3e-14, 8e-10),
         ((6, 0.4, -1.0, 1.0, 1.0), 7e-14, 2e-11),
+        ((3, 0.2, -1.0, 1.0, 1.0), 3.5e-13, 4e-11),
+        ((4, 1 / 3, -2.0, 1.0, 1.0), 1e-12, 1.3e-11),
     ]
 
     @pytest.mark.parametrize("row, v_bound, dv_bound", ROWS)
@@ -285,6 +297,55 @@ class TestRChartOracle:
         sol = solve_profile(P(2.5))
         assert sol.diagnostics["r_nfev"] == sol.profile.nfev > 11 * sol.profile.n_steps
         assert sol.diagnostics["s_nfev"] == sol.logprofile.nfev > 0
+
+
+class TestRChartStiffSwitch:
+    """The r-chart passes its Jacobian and goes over to Radau IIA where it turns stiff (alpha < 0)."""
+
+    @staticmethod
+    def explicit_path(prof, n, m, alpha, beta):
+        # the same chart from the same start without a Jacobian: DOP853 throughout
+        return integrate_2d(
+            _r_rhs(n, m, alpha, beta), prof.r_start, prof.v[0], prof.dv[0], prof.r_end,
+            *chart_tolerances("r", SolveConfig.tol), positive_y=True,
+        )
+
+    @pytest.mark.parametrize(
+        "row", [g for g in INVARIANT_GRID if g[2] >= 0.0] + [(n, m, n * beta, beta, eta) for n, m, beta, eta in BARENBLATT]
+    )
+    @pytest.mark.parametrize("r_max", [SolveConfig.r_max, 25.0])
+    def test_no_switch_keeps_the_explicit_nodes(self, solved, row, r_max):
+        sol = solved(*row, r_max=r_max)
+        prof = sol.profile
+        assert prof.stiff_switch_r is None and sol.diagnostics["r_stiff_switch"] is None
+        assert prof.dddv.size == prof.r.size
+        path = self.explicit_path(prof, *row[:4])
+        for got, ref in ((prof.r, path.t), (prof.v, path.y), (prof.dv, path.z), (prof.ddv, path.fz)):
+            assert np.array_equal(got, ref)
+        assert (prof.n_steps, prof.n_rejected) == (path.n_steps, path.n_rejected)
+
+    @pytest.mark.parametrize("row", [g for g in INVARIANT_GRID if g[2] < 0.0])
+    def test_negative_alpha_switches(self, solved, row):
+        sol = solved(*row, r_max=25.0)
+        prof = sol.profile
+        switch = prof.stiff_switch_r
+        assert switch is not None and sol.diagnostics["r_stiff_switch"] == switch
+        assert 5.0 < switch < 15.0 and switch in prof.r
+        # DOP853 runs as without a Jacobian up to the switch node, where the septic v ends
+        k = int(np.searchsorted(prof.r, switch)) + 1
+        assert prof.dddv.size == k
+        path = self.explicit_path(prof, *row[:4])
+        assert np.array_equal(prof.r[:k], path.t[:k]) and np.array_equal(prof.v[:k], path.y[:k])
+        assert prof.r[k] != path.t[k]
+
+    def test_large_eta_runaway_is_cheap(self):
+        # fuzz draw 46 of default_rng(3): DOP853 alone takes 278,336 steps to r = 2,
+        # held down by stability past r = 0.05
+        p = Parameters(3, 0.1293485945439273, -2.515003384336588, 2.023106548992026, 24961.53343951476)
+        sol = solve_profile(p)
+        assert sol.diagnostics["r_stiff_switch"] is not None
+        assert sol.profile.n_steps < 2000
+        assert run_all_checks(sol).overall
 
 
 class TestLogChartDirect:

@@ -163,6 +163,22 @@ class TestRunAll:
         assert len(names) == len(set(names))
         assert "flux_identity" in names and "slope_ratio_bound" in names
 
+    def test_node_view_is_built_once_per_solution(self, monkeypatch):
+        built = []
+        original = integrate.ChartNodes
+
+        def counted(**fields):
+            built.append(fields["seam"])
+            return original(**fields)
+
+        monkeypatch.setattr(integrate, "ChartNodes", counted)
+        sol = solve_profile(Parameters(n=3, m=0.2, alpha=2.5, beta=1.0, eta=1.0))
+        merged = run_all_checks(sol)
+        # both checks that read the nodes apply on the eternal row, and share one view
+        singles = [e for check in (check_pointwise, check_slope_bounds) for e in check(sol).entries]
+        assert len(built) == 1 and all(e.applicable for e in singles)
+        assert singles == [merged.entry(e.name) for e in singles]
+
     def test_all_pass_near_range_endpoint(self, solved):
         # p1 = (n-2-nm)/(1-m) = 0.0297: the q integral's series piece is
         # taken in closed form, at the unchanged 1e-7 threshold

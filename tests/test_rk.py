@@ -198,6 +198,21 @@ def test_jacobian_switch_saves_steps_on_stiff_problem():
     assert stiff.t[k] != explicit.t[k]
 
 
+def test_stiff_tolerances_take_over_at_the_switch():
+    f, jac = _prothero_robinson(-1e4)
+    loose = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-6, 1e-8, jac=jac)
+    tight = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-6, 1e-8, jac=jac, stiff_tol=(1e-9, 1e-11))
+    # the same DOP853 steps up to the switch, the tighter pair past it
+    assert tight.t_stiff == loose.t_stiff is not None
+    k = int(np.searchsorted(tight.t, tight.t_stiff)) + 1
+    assert np.array_equal(tight.t[:k], loose.t[:k]) and np.array_equal(tight.y[:k], loose.y[:k])
+    assert tight.n_steps > loose.n_steps
+    past = tight.t > tight.t_stiff
+    assert np.max(np.abs(tight.z[past] - np.exp(-tight.t[past])) / np.exp(-tight.t[past])) < 1e-8
+    with pytest.raises(ValueError, match="positive"):
+        integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-6, 1e-8, jac=jac, stiff_tol=(1e-9, 0.0))
+
+
 def test_non_stiff_problem_never_switches_with_jacobian():
     path = integrate_2d(
         lambda t, y, z: (z, -y), 0.0, 1.0, 0.0, 20.0, 1e-10, 1e-12, jac=lambda t, y, z: (0.0, 1.0, -1.0, 0.0)
