@@ -128,7 +128,12 @@ def quad(f, a: float, b, breaks):
 
 
 def _by_stretch(x, last, explicit, past):
-    """``explicit(x)`` on a chart's DOP853 stretch, up to its last node ``last``, and ``past(x)`` beyond it."""
+    """``explicit(x)`` on a chart's DOP853 stretch, up to its last node ``last``, and ``past(x)`` beyond it.
+
+    ``last`` is None when the stretch is the whole chart.
+    """
+    if last is None:
+        return explicit(x)
     below = x <= last
     if np.all(below):
         return explicit(x)
@@ -194,14 +199,11 @@ class Profile:
         return Hermite(self.r[k:], self.v[k:], self.dv[k:], self.ddv[k:])
 
     def _v(self, rq):
-        if self.stiff_switch_r is None:  # DOP853 reached r_max: there is no quintic piece
-            return self._v_explicit.value(rq)
-        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.value, self._v_stiff.value)
+        # the quintic piece is built on first use: there is none when DOP853 reached r_max
+        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.value, lambda x: self._v_stiff.value(x))
 
     def _dv(self, rq):
-        if self.stiff_switch_r is None:
-            return self._v_explicit.derivative(rq)
-        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.derivative, self._v_stiff.derivative)
+        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.derivative, lambda x: self._v_stiff.derivative(x))
 
     @property
     def r_reach(self) -> float:
@@ -442,10 +444,11 @@ def integrate_r(
     behaves like r^(-alpha/beta), so it rises without bound for every
     alpha < 0 and for 0 < alpha < beta/(1-m). On the INVARIANT_GRID rows to
     r = 25 the chart switches exactly on the four with alpha < 0. Where it
-    does not switch, the nodes are those of DOP853 alone. v''' for the septic dense output is evaluated over the
-    DOP853 stretch once the solve is done. Takes plain scalars rather than
-    Parameters so that m = 0 is accepted: the chart then solves the
-    log-diffusion equation of the singular limit."""
+    does not switch, the nodes are those of DOP853 alone. v''' for the
+    septic dense output is evaluated over the DOP853 stretch once the solve
+    is done. Takes plain scalars rather than Parameters so that m = 0 is
+    accepted: the chart then solves the log-diffusion equation of the
+    singular limit."""
     if not (0.0 <= m < 1.0 and eta > 0.0):
         raise ValueError(f"r-chart requires 0 <= m < 1 and eta > 0, got m = {m}, eta = {eta}")
     if not r_max > 0.0:
