@@ -128,12 +128,7 @@ def quad(f, a: float, b, breaks):
 
 
 def _by_stretch(x, last, explicit, past):
-    """``explicit(x)`` on a chart's DOP853 stretch, up to its last node ``last``, and ``past(x)`` beyond it.
-
-    ``last`` is None when the stretch is the whole chart.
-    """
-    if last is None:
-        return explicit(x)
+    """``explicit(x)`` on a chart's DOP853 stretch, up to its last node ``last``, and ``past(x)`` beyond it."""
     below = x <= last
     if np.all(below):
         return explicit(x)
@@ -152,13 +147,13 @@ class Profile:
     ``ddv`` holds v'' from the equation at each node. ``dddv`` holds its
     derivative along the solution (``_r_third_derivative``) at the nodes of
     the DOP853 stretch, the first ``dddv.size`` nodes, up to the switch to
-    Radau IIA (``stiff_switch_r``; every node when there is none). There
-    the dense output is septic Hermite, of the order of the steps, for the
-    finite-difference residual checks and the identity quadratures that read
-    it between the nodes. Past that node it is quintic. Radii below the first
-    node are served by the origin series, and so are those past the last one
-    when the series is the exact constant (alpha = 0, ``r_reach``). ``nfev``
-    counts right-hand-side calls.
+    Radau IIA (``stiff_switch_r``; every node when there is none). The dense
+    output is one ``Hermite`` of all four: septic over that stretch, of the
+    order of the steps, for the finite-difference residual checks and the
+    identity quadratures that read it between the nodes, and quintic past
+    it. Radii below the first node are served by the origin series, and so
+    are those past the last one when the series is the exact constant
+    (alpha = 0, ``r_reach``). ``nfev`` counts right-hand-side calls.
     """
 
     r: np.ndarray
@@ -184,26 +179,13 @@ class Profile:
         return float(self.r[-1])
 
     @cached_property
-    def _v_explicit(self):
-        k = self.dddv.size
-        return Hermite(self.r[:k], self.v[:k], self.dv[:k], self.ddv[:k], self.dddv)
-
-    @cached_property
-    def _v_stiff(self):
-        # Quintic, not septic: on the Radau IIA stretch of the four alpha < 0
-        # INVARIANT_GRID rows to r = 25 a septic v, with v''' from the
-        # equation, was 1.0-1.4x less accurate between the nodes in v and
-        # 1.4-3.3x in v' against solve_ivp(DOP853, rtol=1e-13), and on a
+    def _v_interp(self):
+        # Quintic, not septic, past the switch: on the Radau IIA stretch of the
+        # four alpha < 0 INVARIANT_GRID rows to r = 25 a septic v, with v'''
+        # from the equation, was 1.0-1.4x less accurate between the nodes in v
+        # and 1.4-3.3x in v' against solve_ivp(DOP853, rtol=1e-13), and on a
         # large-eta row (3, 0.129, -2.52, 2.02, eta = 2.5e4) 230x and 1400x.
-        k = self.dddv.size - 1
-        return Hermite(self.r[k:], self.v[k:], self.dv[k:], self.ddv[k:])
-
-    def _v(self, rq):
-        # the quintic piece is built on first use: there is none when DOP853 reached r_max
-        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.value, lambda x: self._v_stiff.value(x))
-
-    def _dv(self, rq):
-        return _by_stretch(rq, self.stiff_switch_r, self._v_explicit.derivative, lambda x: self._v_stiff.derivative(x))
+        return Hermite(self.r, self.v, self.dv, self.ddv, self.dddv)
 
     @property
     def r_reach(self) -> float:
@@ -223,7 +205,7 @@ class Profile:
     def value(self, r) -> np.ndarray:
         """Dense v alone at radii in [0, r_reach], as an array even for a scalar ``r``."""
         arr, on_chart, on_series = self._covered(r)
-        v = self._v(on_chart)
+        v = self._v_interp.value(on_chart)
         if on_series.any():
             v[on_series] = series_derivatives(self.series, arr[on_series], 0)[0]
         return v
@@ -231,8 +213,8 @@ class Profile:
     def eval(self, r):
         """Dense (v, v') at radii in [0, r_reach]."""
         arr, on_chart, on_series = self._covered(r)
-        v = self._v(on_chart)
-        dv = self._dv(on_chart)
+        v = self._v_interp.value(on_chart)
+        dv = self._v_interp.derivative(on_chart)
         if on_series.any():
             v[on_series], dv[on_series] = series_derivatives(self.series, arr[on_series], 1)
         return (float(v[0]), float(dv[0])) if np.ndim(r) == 0 else (v, dv)
@@ -248,9 +230,9 @@ class LogProfile:
 
     ``wsss`` holds w_sss at the nodes of the DOP853 stretch, the first
     ``wsss.size`` nodes, up to the first switch (to Radau IIA or to the slow
-    tail). There w is septic Hermite, of the order of the steps, and w_s is
-    its derivative. Past that node w is quintic and w_s is g + sigma*w, and g
-    is cubic on the whole chart.
+    tail). w is one ``Hermite`` of all four: septic over that stretch, of
+    the order of the steps, where w_s is its derivative, and quintic past
+    it, where w_s is g + sigma*w. g is cubic on the whole chart.
     """
 
     s: np.ndarray
@@ -285,17 +267,12 @@ class LogProfile:
         return float(self.s[-1])
 
     @cached_property
-    def _w_explicit(self):
-        k = self.wsss.size
-        return Hermite(self.s[:k], self.w[:k], self.ws[:k], self.wss[:k], self.wsss)
-
-    @cached_property
-    def _w_stiff(self):
-        # Quintic, not septic: on the Radau IIA stretch a septic w, with w_sss
-        # from the right-hand side, was 1.3-3.1x less accurate between the
-        # nodes against a Radau reference at rtol 1e-13 on the eternal decay grid.
-        k = self.wsss.size - 1
-        return Hermite(self.s[k:], self.w[k:], self.ws[k:], self.wss[k:])
+    def _w_interp(self):
+        # Quintic, not septic, past the switch: on the Radau IIA stretch a
+        # septic w, with w_sss from the right-hand side, was 1.3-3.1x less
+        # accurate between the nodes against a Radau reference at rtol 1e-13
+        # on the eternal decay grid.
+        return Hermite(self.s, self.w, self.ws, self.wss, self.wsss)
 
     @cached_property
     def _g_interp(self):
@@ -315,12 +292,8 @@ class LogProfile:
             raise OutOfRange.outside("log chart", lo, hi, arr)
         return np.clip(arr, lo, hi)
 
-    def _w(self, sq):
-        # the quintic piece is built on first use: there is none when DOP853 reached s_end
-        return _by_stretch(sq, self.s[self.wsss.size - 1], self._w_explicit.value, lambda x: self._w_stiff.value(x))
-
     def eval_w(self, s):
-        return self._w(self._check(s))
+        return self._w_interp.value(self._check(s))
 
     def eval_g(self, s):
         return self._g_interp.value(self._check(s))
@@ -329,14 +302,14 @@ class LogProfile:
         return _by_stretch(
             self._check(s),
             self.s[self.wsss.size - 1],
-            self._w_explicit.derivative,
-            lambda x: self._g_interp.value(x) + self.sigma * self._w_stiff.value(x),
+            self._w_interp.derivative,
+            lambda x: self._g_interp.value(x) + self.sigma * self._w_interp.value(x),
         )
 
     def eval_v(self, s):
         """Profile value v at log-radius s."""
         sq = self._check(s)
-        return (self._w(sq) * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
+        return (self._w_interp.value(sq) * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
 
 
 def _r_rhs(n: int, m: float, alpha: float, beta: float):
@@ -462,7 +435,7 @@ def integrate_r(
         jac=_r_jac(n, m, alpha, beta), stiff_tol=chart_tolerances("r_stiff", tol),
     )
     # the DOP853 stretch, where v is septic, ends at the switch node
-    k = path.t.size if path.t_stiff is None else int(np.searchsorted(path.t, path.t_stiff)) + 1
+    k = path.n_explicit
     return Profile(
         r=path.t,
         v=path.y,
@@ -672,7 +645,7 @@ def integrate_log(
     ws = g_arr + sigma * w_arr
     wss = gs_arr + sigma * ws
     # the DOP853 stretch ends at the first switch, to Radau IIA or to the tail
-    k = path.t.size if path.t_stiff is None else int(np.searchsorted(path.t, path.t_stiff)) + 1
+    k = path.n_explicit
     _, _, dgs_dw, dgs_dg = jac(None, w_arr[:k], g_arr[:k])
     return LogProfile(
         s=s_arr,

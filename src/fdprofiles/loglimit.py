@@ -141,8 +141,7 @@ def double_limit_check(n: int, beta: float, eta: float = 1.0) -> DoubleLimitRepo
     for m in ms:
         alpha = 2.0 * beta / (1.0 - m)
         p = Parameters(n, m, alpha, beta, eta)
-        # the estimate reads the log chart alone, so the r-chart stops past the seam
-        measured.append(estimate_log_decay(solve_profile(p, SolveConfig(r_max=2.0 * R_HANDOFF))).extrapolated)
+        measured.append(estimate_log_decay(solve_profile(p)).extrapolated)
     m_prev, m_last = ms[-2], ms[-1]
     a_prev, a_last = measured[-2], measured[-1]
     slope = (a_prev - a_last) / (m_prev - m_last)

@@ -25,11 +25,12 @@ final-step clamp, the step-collapse and positivity guards, the node store and
 the early stop are the loop's own; only the attempt and the step-size update
 depend on the step kind.
 
-Accepted nodes retain both state components and their derivatives, which is
-enough for quintic Hermite dense output (``Hermite``) whenever the second
-component is the derivative of the first (value, slope, and curvature known
-at both ends of every step); the caller adds the third derivative for the
-septic.
+Accepted nodes retain both state components and the second one's
+derivative, which is enough for quintic Hermite dense output (``Hermite``)
+whenever the second component is the derivative of the first (value, slope,
+and curvature known at both ends of every step). The caller adds the third
+derivative over the DOP853 stretch, the first ``RawPath.n_explicit`` nodes,
+and one ``Hermite`` is then septic there and quintic past the switch.
 """
 
 from __future__ import annotations
@@ -142,18 +143,23 @@ JAC = Callable[[float, float, float], tuple[float, float, float, float]]
 
 @dataclass(frozen=True)
 class RawPath:
-    """Accepted nodes of one integration: states and their derivatives."""
+    """Accepted nodes of one integration: the states (y, z) and z' = fz."""
 
     t: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    fy: np.ndarray
     fz: np.ndarray
     n_steps: int
     n_rejected: int
     nfev: int
-    # Node from which Radau IIA took over (None when DOP853 ran the whole span).
-    t_stiff: float | None = None
+    # DOP853's nodes, up to and including the one from which Radau IIA took over
+    # (every node when DOP853 ran the whole span).
+    n_explicit: int
+
+    @property
+    def t_stiff(self) -> float | None:
+        """Node from which Radau IIA took over (None when DOP853 ran the whole span)."""
+        return None if self.n_explicit == self.t.size else float(self.t[self.n_explicit - 1])
 
 
 def _rms(a: float, b: float) -> float:
@@ -342,10 +348,11 @@ def integrate_2d(
 
     ``jac`` is the Jacobian of f. Every step is DOP853 until, with ``jac``,
     the problem is measurably stiff (see the module docstring); the
-    integration then switches to Radau IIA, and ``RawPath.t_stiff`` records
-    where. Up to that node a call with ``jac`` takes the same steps as one
-    without. ``stiff_tol``, an (rtol, atol) pair, replaces the tolerances
-    from that node on (by default they stay as they are).
+    integration then switches to Radau IIA, and ``RawPath.n_explicit``
+    counts the nodes up to and including that one (``RawPath.t_stiff``).
+    Up to that node a call with ``jac`` takes the same steps as one without.
+    ``stiff_tol``, an (rtol, atol) pair, replaces the tolerances from that
+    node on (by default they stay as they are).
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -362,7 +369,6 @@ def integrate_2d(
     ts = [t0]
     ys = [y0]
     zs = [z0]
-    fys = [fy]
     fzs = [fz]
 
     h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol)
@@ -378,7 +384,7 @@ def integrate_2d(
     # Radau IIA state: the iteration matrix's Jacobian (None while DOP853 steps),
     # the last accepted step's (t, h, y, z, Q of y, Q of z) and controller memory
     J = None
-    t_stiff = None
+    n_explicit = None
     poly = None
     h_old = err_old = newton_tol = None
 
@@ -522,7 +528,6 @@ def integrate_2d(
         ts.append(t)
         ys.append(y)
         zs.append(z)
-        fys.append(fy)
         fzs.append(fz)
         n_steps += 1
         if stop_when_y_above is not None and y >= stop_when_y_above:
@@ -534,7 +539,7 @@ def integrate_2d(
                 stiff_run = stiff_run + 1 if h * _spectral_radius(*jac_t) > _STIFF_H_RHO else 0
                 if stiff_run >= _STIFF_RUN:
                     # hand over with the current h and the Jacobian just evaluated
-                    J, t_stiff, rejected = jac_t, t, False
+                    J, n_explicit, rejected = jac_t, len(ts), False
                     if stiff_tol is not None:
                         rtol, atol = stiff_tol
                     newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol**0.5))
@@ -563,12 +568,11 @@ def integrate_2d(
         t=np.asarray(ts),
         y=np.asarray(ys),
         z=np.asarray(zs),
-        fy=np.asarray(fys),
         fz=np.asarray(fzs),
         n_steps=n_steps,
         n_rejected=n_rejected,
         nfev=nfev,
-        t_stiff=t_stiff,
+        n_explicit=len(ts) if n_explicit is None else n_explicit,
     )
 
 
@@ -591,6 +595,18 @@ _HERMITE_TABLES = {
 }
 
 
+def _fill_pieces(coef, d, unit):
+    """Write the 2k Hermite coefficients of each piece between the nodes of ``d``, k derivative rows, into ``coef``."""
+    k = d.shape[0]
+    binom, table = _HERMITE_TABLES[k]
+    taylor = d[:, :-1] * unit
+    # each derivative is differenced across the piece first: at the right node
+    # the value defect is a small difference of two large numbers
+    defects = np.diff(d) * unit - np.einsum("ij,jp->ip", binom, taylor)
+    coef[:k] = taylor
+    coef[k:] = np.einsum("li,ip->lp", table, defects)
+
+
 class Hermite:
     """Piecewise two-point Hermite interpolant of degree 2k - 1 from k derivatives.
 
@@ -602,6 +618,11 @@ class Hermite:
     defects at the right node (``_CORRECTION``), so no coefficient is a
     difference of large monomial terms. ``value`` and ``derivative`` return a
     float for a scalar query and an array otherwise, with the same bits.
+
+    For k = 3 or 4 the last array may cover only the first j >= 2 nodes; the
+    pieces past node j - 1 then come from the first k - 1 arrays alone, of
+    degree 2k - 3, with the bits of the interpolant built on that stretch
+    (their two top coefficients are zero, which leaves Horner's sum unchanged).
     """
 
     def __init__(self, x, *derivatives):
@@ -614,20 +635,22 @@ class Hermite:
         k = len(derivatives)
         if k not in _CORRECTION:
             raise ValueError(f"Hermite takes 2, 3 or 4 derivative arrays, got {k}")
-        binom, table = _HERMITE_TABLES[k]
-        # row j: h^j/j!, the unit of the j-th derivative's Taylor coefficient
+        n = self.x.size
+        j = len(derivatives[-1])  # nodes the last array covers
+        if any(len(a) != n for a in derivatives[:-1]) or not (j == n or (2 <= j < n and k > 2)):
+            raise ValueError("each derivative array must cover every node; the last may cover the first j >= 2, k > 2")
+        # row i: h^i/i!, the unit of the i-th derivative's Taylor coefficient
         unit = [np.ones_like(h)]
-        for j in range(1, k):
-            unit.append(unit[-1] * h / j)
+        for i in range(1, k):
+            unit.append(unit[-1] * h / i)
         unit = np.array(unit)
-        d = np.array(derivatives, dtype=float)
-        taylor = d[:, :-1] * unit
-        # each derivative is differenced across the piece first: at the right node
-        # the value defect is a small difference of two large numbers
-        defects = np.diff(d) * unit - np.einsum("ij,jp->ip", binom, taylor)
-        correction = np.einsum("li,ip->lp", table, defects)
-        # coefficients of theta^0 .. theta^(2k-1), one column per piece
-        self._coef = np.concatenate((taylor, correction))
+        # coefficients of theta^0 .. theta^(2k-1), one column per piece: from all k
+        # arrays up to node j - 1, from the first k - 1 past it (two top rows zero)
+        coef = self._coef = np.zeros((2 * k, n - 1))
+        _fill_pieces(coef[:, : j - 1], np.array([a[:j] for a in derivatives], dtype=float), unit[:, : j - 1])
+        if j < n:
+            past = np.array(derivatives[:-1], dtype=float)[:, j - 1 :]
+            _fill_pieces(coef[:-2, j - 1 :], past, unit[:-1, j - 1 :])
 
     @cached_property
     def _dcoef(self):

@@ -21,7 +21,7 @@ from fdprofiles import (
     solve_profile,
 )
 from fdprofiles.integrate import _r_rhs, chart_tolerances
-from fdprofiles.rk import integrate_2d
+from fdprofiles.rk import Hermite, integrate_2d
 from test_acceptance import INVARIANT_GRID
 from test_exact import ROWS as BARENBLATT
 
@@ -337,6 +337,30 @@ class TestRChartStiffSwitch:
         path = self.explicit_path(prof, *row[:4])
         assert np.array_equal(prof.r[:k], path.t[:k]) and np.array_equal(prof.v[:k], path.y[:k])
         assert prof.r[k] != path.t[k]
+
+    @staticmethod
+    def stretches(x, y, dy, ddy, dddy, q):
+        """(queries, standalone interpolant) on each side of the last DOP853 node: septic, then quintic."""
+        k = dddy.size
+        out = [(q[q < x[k - 1]], Hermite(x[:k], y[:k], dy[:k], ddy[:k], dddy))]
+        if k < x.size:
+            out.append((q[q > x[k - 1]], Hermite(x[k - 1 :], y[k - 1 :], dy[k - 1 :], ddy[k - 1 :])))
+        return out
+
+    @pytest.mark.parametrize("row", [g for g in INVARIANT_GRID if g[2] < 0.0] + [(3, 0.2, 2.5, 1.0, 1.0)])
+    def test_dense_output_has_the_bits_of_each_stretch(self, solved, row):
+        # one interpolant per chart: the septic and the quintic built on their own stretch, bit for bit
+        sol = solved(*row, r_max=25.0)
+        prof, lp = sol.profile, sol.logprofile
+        r_sides = self.stretches(prof.r, prof.v, prof.dv, prof.ddv, prof.dddv, np.linspace(prof.r_start, prof.r_end, 2001))
+        assert len(r_sides) == 1 + (row[2] < 0.0)
+        for rq, interp in r_sides:
+            v, dv = prof.eval(rq)
+            assert rq.size and np.array_equal(v, interp.value(rq)) and np.array_equal(dv, interp.derivative(rq))
+        s_sides = self.stretches(lp.s, lp.w, lp.ws, lp.wss, lp.wsss, np.linspace(lp.s_start, lp.s_end, 3001))
+        assert len(s_sides) == 2
+        for sq, interp in s_sides:
+            assert sq.size and np.array_equal(lp.eval_w(sq), interp.value(sq))
 
     def test_large_eta_runaway_is_cheap(self):
         # fuzz draw 46 of default_rng(3): DOP853 alone takes 278,336 steps to r = 2,

@@ -112,7 +112,6 @@ def test_early_stop_threshold():
 
 def test_nodes_store_derivatives():
     path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 1.0, 0.0, 1.0, 1e-9, 1e-11)
-    assert np.allclose(path.fy, path.z)
     assert np.allclose(path.fz, -path.y)
 
 
@@ -126,7 +125,7 @@ def test_nfev_counts_every_rhs_call():
 
     path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11, **_ZERO_JAC)
     assert path.nfev == calls
-    assert path.t_stiff is None
+    assert path.t_stiff is None and path.n_explicit == path.t.size
 
 
 def _radau_alone(monkeypatch, f, jac, t0, y0, z0, t_end, rtol):
@@ -189,11 +188,12 @@ def test_jacobian_switch_saves_steps_on_stiff_problem():
     stiff = integrate_2d(counted, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
     assert stiff.nfev == calls
     explicit = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10)
-    assert explicit.t_stiff is None
+    assert explicit.t_stiff is None and explicit.n_explicit == explicit.t.size
     assert 10 * stiff.n_steps <= explicit.n_steps
     # DOP853 runs identically up to the switch node
-    k = int(np.searchsorted(stiff.t, stiff.t_stiff)) + 1
-    for attr in ("t", "y", "z", "fy", "fz"):
+    k = stiff.n_explicit
+    assert stiff.t_stiff == stiff.t[k - 1]
+    for attr in ("t", "y", "z", "fz"):
         assert np.array_equal(getattr(stiff, attr)[:k], getattr(explicit, attr)[:k])
     assert stiff.t[k] != explicit.t[k]
 
@@ -204,7 +204,7 @@ def test_stiff_tolerances_take_over_at_the_switch():
     tight = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-6, 1e-8, jac=jac, stiff_tol=(1e-9, 1e-11))
     # the same DOP853 steps up to the switch, the tighter pair past it
     assert tight.t_stiff == loose.t_stiff is not None
-    k = int(np.searchsorted(tight.t, tight.t_stiff)) + 1
+    k = tight.n_explicit
     assert np.array_equal(tight.t[:k], loose.t[:k]) and np.array_equal(tight.y[:k], loose.y[:k])
     assert tight.n_steps > loose.n_steps
     past = tight.t > tight.t_stiff
@@ -234,7 +234,7 @@ def test_radau_honours_early_stop_and_positivity():
 def test_step_budget_is_shared_by_both_step_kinds(monkeypatch):
     f, jac = _prothero_robinson(-1e4)
     full = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
-    explicit_steps = int(np.searchsorted(full.t, full.t_stiff))
+    explicit_steps = full.n_explicit - 1
     for budget, in_radau in ((explicit_steps - 2, False), (full.n_steps + full.n_rejected - 5, True)):
         monkeypatch.setattr(rk, "_MAX_STEPS", budget)
         with pytest.raises(StepUnderflow, match=f"step budget of {budget} exhausted") as exc:
@@ -279,6 +279,35 @@ def test_hermite_scalar_and_array_queries_have_the_same_bits(k):
 def test_hermite_rejects_an_unsupported_order(derivatives):
     with pytest.raises(ValueError, match="2, 3 or 4 derivative arrays"):
         Hermite([0.0, 1.0], *([[0.0, 1.0]] * derivatives))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_hermite_with_a_short_last_array_is_two_interpolants(k):
+    # the last array covers the first j nodes: degree 2k - 1 up to node j - 1, 2k - 3 past it
+    path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12)
+    x, d = path.t, (path.y, path.z, -path.y, -path.z)[:k]
+    j = x.size // 2
+    interp = Hermite(x, *d[:-1], d[-1][:j])
+    head = Hermite(x[:j], *(a[:j] for a in d))
+    tail = Hermite(x[j - 1 :], *(a[j - 1 :] for a in d[:-1]))
+    xs = np.random.default_rng(k).uniform(x[0], x[-1], 400)
+    below, past = xs[xs < x[j - 1]], xs[xs > x[j - 1]]
+    assert below.size and past.size
+    for method in ("value", "derivative"):
+        evaluate = getattr(interp, method)
+        assert np.array_equal(evaluate(below), getattr(head, method)(below))
+        assert np.array_equal(evaluate(past), getattr(tail, method)(past))
+        assert np.array_equal(evaluate(xs), [evaluate(float(q)) for q in xs])
+    assert np.array_equal(interp.value(x[:-1]), d[0][:-1])
+    assert interp.value(x[-1]) == pytest.approx(d[0][-1], abs=1e-14)
+
+
+@pytest.mark.parametrize("k,short", [(3, 1), (4, 0), (2, 2), (3, 6)])
+def test_hermite_rejects_a_last_array_it_cannot_use(k, short):
+    # a short last array needs at least two nodes and k > 2; none may be longer
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="the last may cover the first j >= 2"):
+        Hermite(x, *([x] * (k - 1)), np.ones(short))
 
 
 def test_dense_output_between_integration_nodes():
@@ -329,7 +358,7 @@ def test_jacobian_that_never_trips_the_switch_changes_nothing():
     plain = integrate_2d(f, 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12)
     with_jac = integrate_2d(f, 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12, jac=lambda t, y, z: (0.0, 1.0, 6.0 * y * y, 0.0))
     assert with_jac.t_stiff is None
-    for attr in ("t", "y", "z", "fy", "fz"):
+    for attr in ("t", "y", "z", "fz"):
         assert np.array_equal(getattr(with_jac, attr), getattr(plain, attr))
     assert (with_jac.n_steps, with_jac.n_rejected, with_jac.nfev) == (plain.n_steps, plain.n_rejected, plain.nfev)
 
