@@ -106,27 +106,6 @@ def chart_tolerances(chart: str, tol: float) -> tuple[float, float]:
     return rtol, rtol * 1e-2
 
 
-# Gauss-Legendre rule on [-1, 1]; 8 points are exact to degree 15.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-
-def quad(f, a: float, b, breaks):
-    """Integrals of the vectorized ``f`` from ``a`` to every upper limit in ``b`` (a float for scalar ``b``).
-
-    One Gauss-Legendre rule per piece of [a, max(b)] cut at every upper limit and at every entry
-    of ``breaks`` inside it, summed cumulatively. A repeated cut only adds an empty piece
-    (np.unique would import numpy.ma, ~15 ms on a first call).
-    """
-    ends = np.asarray(b, dtype=float)
-    breaks = np.asarray(breaks, dtype=float)
-    x = np.sort(np.concatenate(([a], breaks[(breaks > a) & (breaks < ends.max())], ends.ravel())))
-    half = 0.5 * np.diff(x)
-    nodes = (x[:-1] + half)[:, None] + half[:, None] * _GL_X
-    cum = np.concatenate(([0.0], np.cumsum(half * (f(nodes.ravel()).reshape(nodes.shape) @ _GL_W))))
-    out = cum[np.searchsorted(x, ends)]
-    return float(out) if out.ndim == 0 else out
-
-
 def _by_stretch(x, last, explicit, past):
     """``explicit(x)`` on a chart's DOP853 stretch, up to its last node ``last``, and ``past(x)`` beyond it."""
     below = x <= last
@@ -491,6 +470,19 @@ _SERIES_TERMS = 25
 # there the flux identity's mismatch stays within 1.8x of the Radau-stepped
 # chart's at this spacing, and rose up to 36x at 0.15.
 _QSS_DLY = 0.08
+# The tail takes Phi, the integral of G/F in x = 1/w (``_slow_tail``), from
+# one Chebyshev interpolant of G/F at this many Lobatto points of
+# [0, 1/w_switch]. Near sigma = _QSS_MIN_SIGMA, F = sigma + x*G vanishes
+# just left of that interval (at x = -0.13/w_switch for n = 10, m = 0.0008,
+# sigma = 0.021), where 32 points left 1.3e-9 in the tail's s. At 64 the
+# nodes' s stay within 3.3e-13 of an adaptive quadrature of 1/F for n up
+# to 30, m from 0 to (n-2)/n and sigma from 0.021 to 2.99.
+_PHI_POINTS = 64
+_CHEB_T = np.polynomial.chebyshev.chebpts2(_PHI_POINTS)
+# Values at _CHEB_T -> Chebyshev coefficients of the antiderivative that vanishes at t = -1
+_CHEB_ANTIDERIVATIVE = np.polynomial.chebyshev.chebint(
+    np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB_T, _PHI_POINTS - 1)), lbnd=-1.0, axis=0
+)
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
@@ -524,54 +516,76 @@ def _qss_switch(cc: _ChartCoeffs, n: int, beta: float) -> tuple[list[float], flo
     return d, max(w_rate, w_series)
 
 
+def _clenshaw(c: list[float], t):
+    """sum of c[k]*T_k(t) by Clenshaw's rule, on a float or element by element on an array."""
+    b1 = b2 = 0.0
+    t2 = 2.0 * t
+    for ck in c[:0:-1]:
+        b1, b2 = t2 * b1 - b2 + ck, b1
+    return t * b1 - b2 + c[0]
+
+
 def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
     """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
 
     On the manifold g = G, the polynomial in x = 1/w with coefficients ``d``
     (``_manifold_series``), so d(log w)/ds = F = sigma + x*G and
-    g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel. Then
-    s = s0 + integral of 1/F from ly0. A cumulative
-    Gauss-Legendre sweep over nodes _QSS_DLY apart in log w brackets s_end,
-    Newton's method on that piece finds log w there, and a second sweep gives
-    the s of k equal pieces up to it.
+    g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel. As
+    1/F = (1 - x*G/F)/sigma and d(log w) = -dx/x, the manifold keeps
+
+        sigma*s = log w + Phi(1/w) - log C,  Phi(x) = integral of G/F from 0 to x,
+
+    with C = lim w*e^(-sigma*s), so log C is read at the switch node. Phi
+    comes from one Chebyshev interpolant of G/F on [0, 1/w_switch] at
+    ``_PHI_POINTS`` Lobatto points, integrated by a constant matrix and
+    summed by Clenshaw's rule. Newton's method on the relation, whose
+    derivative in log w is sigma/F, finds log w at s_end; k equal pieces of
+    at most _QSS_DLY in log w lead up to it, and each node's s is explicit.
     """
+    x0 = math.exp(-ly0)
+    # G/F at the points of [0, x0], the last x0 itself
+    x = 0.5 * x0 * (_CHEB_T + 1.0)
+    g = horner(d, x)
+    f = sigma + x * g
+    if not np.all(f > 0.0):
+        raise ProfileError("log w stops growing on the slow manifold", s0)
+    # Phi(x) = sum of c_k*T_k(2x/x0 - 1); the c_k fall geometrically, and
+    # those below rounding of the largest are dropped
+    c = 0.5 * x0 * (_CHEB_ANTIDERIVATIVE @ (g / f))
+    c = c[: np.flatnonzero(np.abs(c) >= 2.0**-53 * np.abs(c).max())[-1] + 1].tolist()
+    log_c = ly0 + _clenshaw(c, 1.0) - sigma * s0
 
-    def inv_rate(ly):
-        # 1/F with F = sigma + x*G at x = e^(-ly), G by Horner's rule
-        x = np.exp(-ly)
-        f = sigma + x * horner(d, x)
-        if not np.all(f > 0.0):
-            raise ProfileError("log w stops growing on the slow manifold", s0)
-        return 1.0 / f
-
-    # F relaxes monotonically to sigma, so ly_top lies past s_end; every
-    # stored value, up to w_ss ~ sigma^2*w, must stay finite
+    # Newton for log w at s_end. F moves monotonically from F(x0) to sigma, so
+    # holding F at F(x0) and setting Phi = 0 both over- or both undershoot,
+    # the relation is convex or concave to match, and Newton from the nearer
+    # of the two moves to the root from that side, inside the fitted interval
+    f0 = float(f[-1])
+    near = min if f0 > sigma else max
+    end = near(ly0 + f0 * (s_end - s0), sigma * s_end + log_c)
+    for _ in range(8):
+        x = math.exp(-end)
+        res = end + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c - sigma * s_end
+        end = max(end - res * (sigma + x * horner(d, x)) / sigma, ly0)
+        if abs(res) <= 1e-15 * end:
+            break
+    # every stored value, up to w_ss ~ sigma^2*w, must stay finite
     ly_max = _LOG_FLOAT_MAX - 2.0 * math.log(max(1.0, sigma))
-    ly_top = ly0 + (s_end - s0) * max(1.0 / inv_rate(ly0), sigma) + 2.0 * _QSS_DLY
-    if ly_top > ly_max:
+    if not end <= ly_max:
         raise ProfileError(
             "w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end",
             s0 + (ly_max - ly0) / sigma,
         )
-    ly = ly0 + _QSS_DLY * np.arange(math.ceil((ly_top - ly0) / _QSS_DLY) + 1)
-    s = s0 + quad(inv_rate, ly0, ly, ())
-    k = min(int(np.searchsorted(s, s_end)), ly.size - 1)
-    # Newton for log w at s_end from the piece's end; F' = O(1/w) makes
-    # three steps reach rounding
-    end = ly[k]
-    for _ in range(3):
-        end -= (s[k - 1] + quad(inv_rate, ly[k - 1], end, ()) - s_end) / inv_rate(end)
     # k equal pieces up to it, none longer than _QSS_DLY and none a sliver
-    ly = np.linspace(ly0, end, k + 1)
-    s = s0 + quad(inv_rate, ly0, ly, ())
+    ly = np.linspace(ly0, end, max(1, math.ceil((end - ly0) / _QSS_DLY)) + 1)[1:]
+    x = np.exp(-ly)
+    s = (ly + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c) / sigma
     s[-1] = s_end
     # G and G_x at the nodes by one Horner loop; g_s = G'(w)*w_s = -x*G_x*F
-    x = np.exp(-ly[1:])
     g, gx = d[-1], 0.0
     for dk in d[-2::-1]:
         gx = gx * x + g
         g = g * x + dk
-    return s[1:], np.exp(ly[1:]), g, -x * gx * (sigma + x * g)
+    return s, np.exp(ly), g, -x * gx * (sigma + x * g)
 
 
 def integrate_log(
@@ -605,7 +619,10 @@ def integrate_log(
     passes a threshold the integration continues on the slow manifold: g is
     the chart's own manifold series in 1/w, built once from the chart
     coefficients, and the scalar equation left for log w is autonomous, so
-    ``_slow_tail`` places its nodes by quadrature instead of stepping it.
+    nothing is stepped: on the manifold log w - sigma*s + Phi(1/w) is the
+    constant log C, with Phi the integral of G/F in x = 1/w, and
+    ``_slow_tail`` places its nodes from that relation, with Phi from one
+    Chebyshev interpolant of G/F built at the switch.
     ``qss_gap`` records the jump this puts into g: |g - G(w)|/|G| at the
     switch node reads 1.5e-14..1.9e-12 on the invariant grid (n <= 6) and up
     to 3.3e-10 at n = 20, inside the chart's rtol of 1e-9. It is the stepped

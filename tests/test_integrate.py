@@ -460,7 +460,7 @@ class TestStiffTail:
         # g_s = G'(w)*w_s; G is summed term by term here, not by Horner's rule
         from scipy.integrate import quad as adaptive_quad
 
-        from fdprofiles.integrate import _chart_coeffs, _manifold_series
+        from fdprofiles.integrate import _QSS_DLY, _chart_coeffs, _manifold_series
 
         lp = solved(3, 0.2, alpha, 1.0).logprofile
         cc = _chart_coeffs(3, 0.2, alpha, 1.0)
@@ -477,10 +477,54 @@ class TestStiffTail:
                   for a, b in zip(ly[:-1], ly[1:])]
         ref = lp.qss_switch_s + np.cumsum(pieces)
         assert np.max(np.abs(lp.s[i0 + 1 :] - ref)) <= 1e-12
-        assert np.max(np.diff(ly)) <= 0.15 + 1e-12
+        assert np.max(np.diff(ly)) <= _QSS_DLY + 1e-12
         g, xgx, f = np.array([manifold(y) for y in ly[1:]]).T
         np.testing.assert_allclose(lp.g[i0 + 1 :], g, rtol=1e-14)
         np.testing.assert_allclose(lp.gs[i0 + 1 :], -xgx * f, rtol=1e-13)
+
+    # the 1e-14 reference reaches roundoff on some intervals, which quadpack reports
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("n", [3, 6, 10, 20, 30])
+    def test_node_s_on_the_edges_of_the_tail(self, n):
+        # the tail alone, from _qss_switch's switch w over s in [0, 40], with m
+        # near 0, midway and near the endpoint (n-2)/n and sigma near
+        # _QSS_MIN_SIGMA, near 3 and between: every node sits at the adaptive
+        # quadrature of 1/F from the switch. At sigma = 0.021 F vanishes just
+        # left of x = 0, and a 32-point interpolant of G/F misses by 1e-9 at
+        # n = 10 and 1e-7 at n = 30.
+        from scipy.integrate import quad as adaptive_quad
+
+        from fdprofiles.integrate import _chart_coeffs, _qss_switch, _slow_tail
+
+        for mfrac in (1e-3, 0.5, 0.999):
+            m = mfrac * (n - 2) / n
+            for sigma in (0.021, 0.05, 1.0, 2.99):
+                cc = _chart_coeffs(n, m, (2.0 - sigma) / (1.0 - m), 1.0)
+                d, w_switch = _qss_switch(cc, n, 1.0)
+                s, w, _, _ = _slow_tail(cc.sigma, d, 0.0, math.log(w_switch), 40.0)
+
+                def inv_rate(ly):
+                    x = math.exp(-ly)
+                    return 1.0 / (cc.sigma + x * sum(dk * x**k for k, dk in enumerate(d)))
+
+                checked = sorted(set(np.linspace(0, s.size - 1, 40).astype(int)))
+                ref = [adaptive_quad(inv_rate, math.log(w_switch), math.log(w[i]), epsabs=1e-14, epsrel=1e-14,
+                                     limit=200)[0] for i in checked]
+                assert s[-1] == 40.0
+                assert np.max(np.abs(s[checked] - ref)) <= 1e-11, (m, sigma)
+
+    def test_overflow_boundary_is_where_the_last_node_leaves_the_float_range(self):
+        # w grows like e^(3.33 s) on (4, 1/3, alpha = -2): at s_end = 212.5 the
+        # last node and its w_ss are finite, and at s_end = 213 the last log w
+        # would pass the float range less the room w_ss needs
+        p = P(-2.0, n=4, m=1.0 / 3.0)
+        lp = solve_profile(p, SolveConfig(s_end=212.5)).logprofile
+        assert lp.s[-1] == 212.5
+        assert np.all(np.isfinite(lp.wss))
+        with warnings.catch_warnings(), pytest.raises(ProfileError, match="overflows") as exc:
+            warnings.simplefilter("error")
+            solve_profile(p, SolveConfig(s_end=213.0))
+        assert 212.5 < exc.value.location < 213.0
 
     def test_nodes_increase_and_end_exactly_at_s_end(self, solved):
         for alpha in (1.25, 0.5, -1.0):

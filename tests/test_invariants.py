@@ -295,8 +295,8 @@ class TestGaussLegendre:
 
         eight = integrals()
         x16, w16 = np.polynomial.legendre.leggauss(16)
-        monkeypatch.setattr(integrate, "_GL_X", x16)
-        monkeypatch.setattr(integrate, "_GL_W", w16)
+        monkeypatch.setattr(invariants, "_GL_X", x16)
+        monkeypatch.setattr(invariants, "_GL_W", w16)
         np.testing.assert_allclose(eight, integrals(), rtol=1e-13, atol=0.0)
 
     def test_one_sweep_matches_a_rule_per_radius(self, grid, monkeypatch):
@@ -307,8 +307,8 @@ class TestGaussLegendre:
             for r in np.atleast_1d(b):
                 x = np.concatenate(([a], breaks[(breaks > a) & (breaks < r)], [r]))
                 half = 0.5 * np.diff(x)
-                nodes = (x[:-1] + half)[:, None] + half[:, None] * integrate._GL_X
-                out.append(half @ (f(nodes.ravel()).reshape(nodes.shape) @ integrate._GL_W))
+                nodes = (x[:-1] + half)[:, None] + half[:, None] * invariants._GL_X
+                out.append(half @ (f(nodes.ravel()).reshape(nodes.shape) @ invariants._GL_W))
             return np.array(out)
 
         def integrals():
