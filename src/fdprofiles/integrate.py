@@ -294,9 +294,10 @@ class LogProfile:
 def _r_rhs(n: int, m: float, alpha: float, beta: float):
     n1 = float(n - 1)
     one_m = 1.0 - m
+    inf = math.inf
 
     def rhs(r, v, dv):
-        if v <= 0.0 or not math.isfinite(v):
+        if not 0.0 < v < inf:
             return math.nan, math.nan
         return dv, one_m * dv * dv / v - n1 * dv / r - v**one_m * (alpha * v + beta * r * dv) / n1
 
@@ -347,24 +348,28 @@ def _chart_coeffs(n: int, m: float, alpha: float, beta: float) -> _ChartCoeffs:
     The w^2 coefficient -(beta*sigma + rho1)/(n-1) vanishes identically by the
     choice sigma = -rho1/beta and is dropped rather than computed (a rounded
     near-zero coefficient would be amplified by w^2 over long spans).
+    For the same reason c_w = -sigma^2*m/(1-m) - b0*sigma + 2*(n-2-nm)/(1-m)
+    is computed in its factored form (2 - sigma)*(m*sigma + n-2-nm)/(1-m):
+    it is then exactly 0 at alpha = 0, where sigma = 2 and g = 0 is invariant,
+    instead of a rounding residue that G and the switch would read as signal.
     """
     one_m = 1.0 - m
     rho1, _ = exponent_relation(m, alpha, beta)
     c_sq = (1.0 - 2.0 * m) / one_m
-    c_lin = 2.0 * (n - 2 - n * m) / one_m
     b0 = (n - 2 - (n + 2) * m) / one_m
     sigma = -rho1 / beta
     c_g = (2.0 * sigma) * c_sq - b0 - sigma
-    c_w = -sigma * sigma * m / one_m - b0 * sigma + c_lin
+    c_w = (2.0 - sigma) * (m * sigma + n - 2 - n * m) / one_m
     return _ChartCoeffs(sigma, c_sq, c_g, -beta / float(n - 1), c_w)
 
 
 def _log_rhs(cc: _ChartCoeffs):
     """Right-hand side of the (w, g) system."""
     sigma, c_sq, c_g, c_wg, c_w = cc
+    inf = math.inf
 
     def rhs(s, w, g):
-        if w <= 0.0 or not math.isfinite(w):
+        if not 0.0 < w < inf:
             return math.nan, math.nan
         return g + sigma * w, c_sq * g * g / w + c_g * g + c_wg * w * g + c_w * w
 
@@ -450,25 +455,31 @@ def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float
     return (math.log(r_h), *_w_q(r_h, v, dv, m))
 
 
-# Slave g to the slow manifold once the fast relaxation rate beta*w/(n-1)
-# exceeds this multiple of max(1, sigma), or later where the series needs it
-# (``_qss_switch``). Past that point the terms of the manifold series in 1/w
-# shrink by a factor of order (k + |c_g|)/_QSS_RATE from term k to term k+1:
-# up to ~0.3 per term at n = 10, m near 0. At 1000 the Radau IIA stretch up
-# to the switch cost ~40% of the log chart's right-hand side calls.
-_QSS_RATE = 100.0
+# Slave g to the slow manifold once the fast mode has relaxed below rounding,
+# or later where the series needs it (``_qss_switch``). g relaxes at the rate
+# -dg_s/dg, about beta*w/(n-1), while w grows like e^(sigma*s), so by the w
+# where beta*w/(n-1) = _QSS_RELAX*max(1, sigma) an offset off the manifold has
+# decayed through about _QSS_RELAX*max(1, sigma)/sigma >= _QSS_RELAX e-folds,
+# and 53*ln(2) = 36.7 of them bring it below 2^-53. Integrated over the
+# stepped nodes the rate reads at least 37.4 on n = 3..30, m across its range
+# and sigma from 0.021 to 2.99 (36.69 at 37). At the 100 used before it read
+# at least 91.7, and 28-47 of the 56-152 stepped nodes of each sigma > 0.02
+# chart of the INVARIANT_GRID and power rows went to that margin; the tail
+# places them now.
+_QSS_RELAX = 40.0
 _QSS_MIN_SIGMA = 0.02
-# Terms d_0..d_24 of the manifold series. At the rate above, 24 terms bring
-# the first one left out below 2^-53 of d_0 on n = 3..10 (worst at n = 10 with
-# m near 0 and sigma near _QSS_MIN_SIGMA). From n = 12 on that takes more
-# terms than this (beyond n = 23 not even 60 do), and ``_qss_switch`` moves
-# the switch out to where d_25*w^-25 is that small.
+# Terms d_0..d_24 of the manifold series. ``_qss_switch`` waits until the
+# first one left out is below 2^-53 of d_0, which moves the switch past the
+# relaxation bound on 4 of the 11 INVARIANT_GRID rows with sigma > 0.02, on
+# 3-8 of 16 charts with m and sigma across their ranges for each n = 3..10,
+# and on 12-14 of 16 from n = 11 on.
 _SERIES_TERMS = 25
 # The tail's nodes are at most _QSS_DLY apart in log w, steps of about
 # _QSS_DLY/sigma in s, where the quintic dense output of w is accurate. The
-# switch can fall below r = 20, where the invariant checks read the chart:
-# there the flux identity's mismatch stays within 1.8x of the Radau-stepped
-# chart's at this spacing, and rose up to 36x at 0.15.
+# switch can fall below r = 20, where the invariant checks read the chart: on
+# the four alpha < 0 INVARIANT_GRID rows it falls at r = 8.3-15.7, and at
+# r_max = 2 their flux identity's mismatch reads 1.3e-12..1.8e-12, 8-13x that
+# of a chart Radau-stepped to its end; at 0.15 it rose to 2.1e-11..1.2e-10.
 _QSS_DLY = 0.08
 # The tail takes Phi, the integral of G/F in x = 1/w (``_slow_tail``), from
 # one Chebyshev interpolant of G/F at this many Lobatto points of
@@ -504,16 +515,17 @@ def _manifold_series(cc: _ChartCoeffs, terms: int = _SERIES_TERMS) -> list[float
 def _qss_switch(cc: _ChartCoeffs, n: int, beta: float) -> tuple[list[float], float]:
     """The tail's series d_0..d_(_SERIES_TERMS-1) and the w past which g is slaved to it.
 
-    That w is the larger of the rate rule, beta*w/(n-1) = _QSS_RATE*max(1, sigma),
-    and the smallest w at which the first term left out, |d_K|*w^(-K) with
+    That w is the larger of the relaxation bound, beta*w/(n-1) =
+    _QSS_RELAX*max(1, sigma), past which the fast mode has decayed below
+    rounding, and the smallest w at which the first term left out, |d_K|*w^(-K) with
     K = _SERIES_TERMS, is at most 2^-53*|d_0|. G there lies within 0.82..1.34
     of d_0 (n = 3..30, sigma up to 30), so that term is below 2^-52 of G.
     """
     *d, d_out = _manifold_series(cc, _SERIES_TERMS + 1)
-    w_rate = _QSS_RATE * max(1.0, cc.sigma) * (n - 1) / beta
+    w_relax = _QSS_RELAX * max(1.0, cc.sigma) * (n - 1) / beta
     # d_0 = 0 makes every d_k vanish (g = 0 is then invariant)
     w_series = (abs(d_out) / (2.0**-53 * abs(d[0]))) ** (1.0 / _SERIES_TERMS) if d_out else 0.0
-    return d, max(w_rate, w_series)
+    return d, max(w_relax, w_series)
 
 
 def _clenshaw(c: list[float], t):
@@ -580,11 +592,17 @@ def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float
     x = np.exp(-ly)
     s = (ly + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c) / sigma
     s[-1] = s_end
-    # G and G_x at the nodes by one Horner loop; g_s = G'(w)*w_s = -x*G_x*F
-    g, gx = d[-1], 0.0
+    # G and G_x at the nodes by one Horner loop, in place: at these node
+    # counts a new array per operation costs more than the arithmetic, and
+    # summing only the terms that rounding still sees did not pay for its
+    # slicing; g_s = G'(w)*w_s = -x*G_x*F
+    g = np.full_like(x, d[-1])
+    gx = np.zeros_like(x)
     for dk in d[-2::-1]:
-        gx = gx * x + g
-        g = g * x + dk
+        gx *= x
+        gx += g
+        g *= x
+        g += dk
     return s, np.exp(ly), g, -x * gx * (sigma + x * g)
 
 
@@ -615,8 +633,8 @@ def integrate_log(
     at r = 20.
 
     When w grows exponentially (sigma > 0, i.e. alpha < 2*beta/(1-m)) the fast
-    mode makes the system stiffer without bound, so once its relaxation rate
-    passes a threshold the integration continues on the slow manifold: g is
+    mode makes the system stiffer without bound, so once it has relaxed below
+    rounding (``_QSS_RELAX``) the integration continues on the slow manifold: g is
     the chart's own manifold series in 1/w, built once from the chart
     coefficients, and the scalar equation left for log w is autonomous, so
     nothing is stepped: on the manifold log w - sigma*s + Phi(1/w) is the
@@ -624,9 +642,10 @@ def integrate_log(
     ``_slow_tail`` places its nodes from that relation, with Phi from one
     Chebyshev interpolant of G/F built at the switch.
     ``qss_gap`` records the jump this puts into g: |g - G(w)|/|G| at the
-    switch node reads 1.5e-14..1.9e-12 on the invariant grid (n <= 6) and up
-    to 3.3e-10 at n = 20, inside the chart's rtol of 1e-9. It is the stepped
-    g's error off the manifold that the true solution has long relaxed onto.
+    switch node reads 5.1e-14..2.7e-12 on the invariant grid (n <= 6; exactly
+    0 at alpha = 0, where g = G = 0) and up to 3.2e-10 for n up to 30, inside
+    the chart's rtol of 1e-9. It is the stepped g's error off the manifold
+    that the true solution has long relaxed onto.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
@@ -653,7 +672,7 @@ def integrate_log(
     switch_s = gap = None
     if w_stop is not None and s_arr[-1] < s_max * (1.0 - 1e-12) - 1e-12:
         switch_s = float(s_arr[-1])
-        # where G is exactly 0 (alpha = 0 can round c_w to 0) the gap is read absolute
+        # where G is exactly 0 (alpha = 0, where c_w = 0) the gap is read absolute
         g_manifold = horner(d, 1.0 / w_arr[-1])
         gap = float(abs(g_arr[-1] - g_manifold) / (abs(g_manifold) or 1.0))
         tail = _slow_tail(sigma, d, switch_s, math.log(w_arr[-1]), s_max)

@@ -397,6 +397,17 @@ class TestLogChartDirect:
         assert dw == pytest.approx(ws, rel=1e-12)
         assert wss == pytest.approx(4.0 * w, rel=1e-12, abs=1e-12 * w)
 
+    @pytest.mark.parametrize("n,mfrac,beta", [(3, 0.5, 1.0), (4, 1e-3, 0.3), (5, 0.999, 2.0), (7, 0.3, 1.7), (30, 1.0, 5.0)])
+    def test_c_w_vanishes_exactly_at_alpha_zero(self, n, mfrac, beta):
+        # c_w = (2 - sigma)*(m*sigma + n-2-nm)/(1-m), and sigma = 2 exactly at
+        # alpha = 0: the manifold g = 0 is then exact, not rounding noise
+        from fdprofiles.integrate import _chart_coeffs, _manifold_series
+
+        cc = _chart_coeffs(n, mfrac * (n - 2) / n, 0.0, beta)
+        assert cc.sigma == 2.0
+        assert cc.c_w == 0.0
+        assert not any(_manifold_series(cc))
+
     def test_supports_m_zero(self):
         lp = integrate_log(3, 0.0, 2.0, 1.0, (0.0, 1.0, 2.5), 5.0)
         assert lp.s_end == 5.0
@@ -552,8 +563,10 @@ class TestStiffTail:
     def test_first_omitted_series_term_is_below_rounding_at_the_switch(self, n):
         # sigma near _QSS_MIN_SIGMA and near 3, m near 0 and at the endpoint
         # (n-2)/n: at the switch the first term the tail leaves out of G is
-        # below 2^-52 of G, and through n = 10 the rate rule alone gets it there
-        from fdprofiles.integrate import _QSS_RATE, _SERIES_TERMS, _chart_coeffs, _manifold_series, _qss_switch
+        # below 2^-52 of G. The switch is the relaxation bound
+        # beta*w/(n-1) = _QSS_RELAX*max(1, sigma), or past it the w where that
+        # term falls to 2^-53 of d_0
+        from fdprofiles.integrate import _QSS_RELAX, _SERIES_TERMS, _chart_coeffs, _manifold_series, _qss_switch
 
         for mfrac in (1e-3, 1.0):
             m = mfrac * (n - 2) / n
@@ -563,8 +576,39 @@ class TestStiffTail:
                 d_out = _manifold_series(cc, _SERIES_TERMS + 1)[-1]
                 g = sum(dk * w ** -k for k, dk in enumerate(d))
                 assert abs(d_out) * w**-_SERIES_TERMS <= 2.0**-52 * abs(g)
-                if n <= 10:
-                    assert w == _QSS_RATE * max(1.0, cc.sigma) * (n - 1)
+                w_relax = _QSS_RELAX * max(1.0, cc.sigma) * (n - 1)
+                assert w >= w_relax
+                if w > w_relax:
+                    assert abs(d_out) * w**-_SERIES_TERMS == pytest.approx(2.0**-53 * abs(d[0]), rel=1e-12)
+
+    # s_end = 40/sigma takes w about as far as sigma = 1 does at the default 40,
+    # so every family reaches its switch
+    @pytest.mark.parametrize("n", [3, 6, 10, 20, 30])
+    def test_fast_mode_has_relaxed_at_the_switch(self, n):
+        # over the stepped nodes from s = 0 to the switch, the fast mode's rate
+        # -dg_s/dg, integrated in s, takes an offset off the manifold through
+        # at least 53*ln(2) e-folds, below rounding of g; m and sigma as in
+        # test_node_s_on_the_edges_of_the_tail
+        from fdprofiles.integrate import _chart_coeffs, _log_jac
+
+        for mfrac in (1e-3, 0.5, 0.999):
+            m = mfrac * (n - 2) / n
+            for sigma in (0.021, 0.05, 1.0, 2.99):
+                alpha = (2.0 - sigma) / (1.0 - m)
+                lp = solve_profile(P(alpha, n=n, m=m), SolveConfig(s_end=40.0 / sigma)).logprofile
+                assert lp.qss_switch_s is not None and lp.s_start == 0.0
+                k = int(np.searchsorted(lp.s, lp.qss_switch_s)) + 1
+                rate = -_log_jac(_chart_coeffs(n, m, alpha, 1.0))(None, lp.w[:k], lp.g[:k])[3]
+                efolds = np.sum(0.5 * (rate[1:] + rate[:-1]) * np.diff(lp.s[:k]))
+                assert efolds >= 53.0 * math.log(2.0), (m, sigma)
+
+    @pytest.mark.parametrize("row", [row for row in INVARIANT_GRID if row[2] == 0.0])
+    def test_alpha_zero_has_no_gap(self, solved, row):
+        # at alpha = 0, c_w = 0 exactly: g = 0 stays invariant and so does G
+        lp = solved(*row).logprofile
+        assert lp.qss_switch_s is not None
+        assert lp.qss_gap == 0.0
+        assert np.all(lp.g == 0.0)
 
     @pytest.mark.parametrize("alpha", [1.25, 0.5, -1.0])
     def test_qss_gap_is_the_jump_in_g_at_the_switch(self, solved, alpha):
