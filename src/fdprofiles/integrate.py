@@ -132,7 +132,8 @@ class Profile:
     identity quadratures that read it between the nodes, and quintic past
     it. Radii below the first node are served by the origin series, and so
     are those past the last one when the series is the exact constant
-    (alpha = 0, ``r_reach``). ``nfev`` counts right-hand-side calls.
+    (alpha = 0, ``r_reach``). ``nfev`` counts right-hand-side calls and
+    ``n_newton`` the Radau IIA stretch's simplified Newton iterations.
     """
 
     r: np.ndarray
@@ -145,6 +146,7 @@ class Profile:
     n_steps: int = 0
     n_rejected: int = 0
     nfev: int = 0
+    n_newton: int = 0
     # Radius where the chart went from DOP853 to Radau IIA (None when DOP853
     # stepped it to its end).
     stiff_switch_r: float | None = None
@@ -211,7 +213,8 @@ class LogProfile:
     ``wsss.size`` nodes, up to the first switch (to Radau IIA or to the slow
     tail). w is one ``Hermite`` of all four: septic over that stretch, of
     the order of the steps, where w_s is its derivative, and quintic past
-    it, where w_s is g + sigma*w. g is cubic on the whole chart.
+    it, where w_s is g + sigma*w. g is cubic on the whole chart. ``nfev``
+    and ``n_newton`` count as on ``Profile``.
     """
 
     s: np.ndarray
@@ -227,6 +230,7 @@ class LogProfile:
     n_steps: int = 0
     n_rejected: int = 0
     nfev: int = 0
+    n_newton: int = 0
     # Log-radius past which the fast mode was slaved to the slow manifold
     # (None when the whole span was integrated with the full system).
     qss_switch_s: float | None = None
@@ -431,6 +435,7 @@ def integrate_r(
         n_steps=path.n_steps,
         n_rejected=path.n_rejected,
         nfev=path.nfev,
+        n_newton=path.n_newton,
         stiff_switch_r=path.t_stiff,
     )
 
@@ -697,6 +702,7 @@ def integrate_log(
         n_steps=path.n_steps + s_arr.size - path.t.size,  # a tail node counts as a step
         n_rejected=path.n_rejected,
         nfev=path.nfev,
+        n_newton=path.n_newton,
         qss_switch_s=switch_s,
         qss_gap=gap,
         stiff_switch_s=path.t_stiff,
@@ -832,6 +838,8 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
         "s_rejected": logprofile.n_rejected,
         "r_nfev": profile.nfev,
         "s_nfev": logprofile.nfev,
+        "r_newton": profile.n_newton,
+        "s_newton": logprofile.n_newton,
         "overlap_error": overlap,
         "series_r_switch": profile.r_start,
         "series_truncation": profile.series.truncation_estimate,

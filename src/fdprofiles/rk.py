@@ -16,17 +16,22 @@ Jacobian, stays above _STIFF_H_RHO for _STIFF_RUN accepted steps in a row.
 The explicit method is then paying for stability, not accuracy, and the
 implicit method takes steps set by the tolerance alone. Its simplified Newton
 iteration costs one real and one complex 2x2 solve per iteration and starts
-from the previous step's collocation polynomial. J and h are fixed within an
-attempt, so the diagonal and determinant of mu*I - J for both shifts are
-formed once per attempt and the solves are written out inline (a helper call
-per solve gave half the saving back). The error estimate is Hairer & Wanner's,
-with a predictive (Gustafsson) step-size controller. Both charts
-of ``integrate`` pass a Jacobian. The r-chart turns stiff only where its
-profile grows or decays slowly, and its Radau IIA stretch runs at its own,
-tighter tolerance pair (``stiff_tol``). The step budget, the
-final-step clamp, the step-collapse and positivity guards, the node store and
-the early stop are the loop's own; only the attempt and the step-size update
-depend on the step kind.
+from the previous step's collocation polynomial. It stops once its estimated
+remaining error is below _NEWTON_KAPPA times the step's error scale, the
+kappa*Tol of Hairer & Wanner; ``RawPath.n_newton`` counts its iterations.
+J and h are fixed within an attempt, so the diagonal and determinant of
+mu*I - J for both shifts are formed once per attempt and the solves are
+written out inline (a helper call per solve gave half the saving back). The
+error estimate is Hairer & Wanner's, with a predictive (Gustafsson)
+step-size controller whose safety factor grows as fewer iterations are
+needed. Both charts of ``integrate`` pass a Jacobian. The r-chart turns
+stiff only where its profile grows or decays slowly, and its Radau IIA
+stretch runs at its own, tighter tolerance pair (``stiff_tol``). The step
+budget, the final-step clamp, the step-collapse and positivity guards, the
+node store and the early stop are the loop's own; only the attempt and the
+step-size update depend on the step kind. A step collapse is raised at once
+where the step falls below ~50 ulps of t, and where it stays below
+1e-12*|t| for 100 accepted steps in a row, rather than after the budget.
 
 Accepted nodes retain both state components and the second one's
 derivative, which is enough for quintic Hermite dense output (``Hermite``)
@@ -115,6 +120,12 @@ _P00, _P01, _P02 = 13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0,
 _P10, _P11, _P12 = 13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6
 _P20, _P21, _P22 = 1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0
 _NEWTON_MAXITER = 6
+# Newton stops once its estimated remaining error is below _NEWTON_KAPPA in the
+# error estimate's scaled norm, where 1 is the tolerance (Hairer & Wanner IV.8
+# take kappa between 1e-2 and 1e-1). On the decay workload's log charts 5e-3
+# and 1e-2 ran equally fast, but at 1e-2 the order-five convergence slope of
+# y'' = 2y^3 reads -4.65, near its test bound of -4.5, and -5.04 at 5e-3.
+_NEWTON_KAPPA = 5e-3
 # the RMS norm of k scaled components is hypot(...)/sqrt(k); sqrt(6) is _S6
 _SQRT2 = math.sqrt(2.0)
 
@@ -125,11 +136,22 @@ _SQRT2 = math.sqrt(2.0)
 # transient from tripping the switch. At 1.0 the log chart saved 3% more
 # right-hand side calls, but its worst Barenblatt error rose from 2.8e-9 to
 # 8.9e-9: the explicit stretch is where the septic dense output is read.
+# Handing over only where the first Radau IIA attempt predicts a lower cost
+# per unit t than DOP853's step at 12 calls was measured and not adopted: on
+# the log chart DOP853 then runs up to the slow-manifold switch, whose jump in
+# g grows 10-1500x (to 1.1e-11 on the power rows), and on the r-chart it
+# needs a revert, a filtered error estimate and a re-probe schedule to win
+# 12-17% on the four alpha < 0 grid rows, two of them a few % slower.
 _STIFF_H_RHO = 0.5
 _STIFF_RUN = 15
 
 # Accepted plus rejected steps (of every kind together) before StepUnderflow.
 _MAX_STEPS = 1_000_000
+# A step collapse that persists: _COLLAPSE_RUN accepted steps in a row shorter
+# than _COLLAPSE_H*|t| raise StepUnderflow where they set in, not after
+# _MAX_STEPS. At that length a solve would need some 1e12 steps to double t.
+_COLLAPSE_H = 1e-12
+_COLLAPSE_RUN = 100
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -153,6 +175,8 @@ class RawPath:
     n_steps: int
     n_rejected: int
     nfev: int
+    # simplified Newton iterations of the Radau IIA attempts (0 when DOP853 ran the whole span)
+    n_newton: int
     # DOP853's nodes, up to and including the one from which Radau IIA took over
     # (every node when DOP853 ran the whole span).
     n_explicit: int
@@ -213,11 +237,11 @@ def _radau_factor(h, h_old, err, err_old) -> float:
     return min(1.0, h / h_old * (err_old / err) ** 0.25) * err**-0.25
 
 
-def _step_collapse(t, positive_y, y, y_vanished) -> ProfileError:
+def _step_collapse(t, positive_y, y, y_vanished, what="step size underflow") -> ProfileError:
     """The error for a step size that fell below resolution at t."""
     if positive_y and y <= y_vanished:
         return PositivityLoss("profile vanishes faster than the integrator can resolve", t)
-    return StepUnderflow("step size underflow", t)
+    return StepUnderflow(what, t)
 
 
 def _bracket_crossing(t, h, y0, d0, y1, d1, floor) -> float:
@@ -369,6 +393,9 @@ def integrate_2d(
     n_steps = 0
     n_rejected = 0
     nfev = 2
+    n_newton = 0
+    # accepted steps in a row shorter than _COLLAPSE_H*|t|
+    collapsed = 0
     # the last attempt was rejected for its error (or, in an explicit step, a non-finite stage)
     rejected = False
     # accepted DOP853 steps in a row with h*rho(J) > _STIFF_H_RHO
@@ -429,6 +456,9 @@ def integrate_2d(
             # the Radau matrix: one real and one complex 2x2 solve per iteration,
             # (mu*I - J)^-1 (r1, r2) = (q*r1 + J01*r2, J10*r1 + p*r2)/det with
             # p = mu - J00, q = mu - J11 and det = p*q - J01*J10 fixed for the attempt.
+            # It stops once rate/(1 - rate)*norm, the remaining error it predicts,
+            # is below newton_tol = _NEWTON_KAPPA in the scaled norm, and gives up
+            # when the rate says it cannot get there within _NEWTON_MAXITER.
             mu_r = _MU_REAL / h
             mu_c = _MU_COMPLEX / h
             j00, j01, j10, j11 = J
@@ -445,6 +475,7 @@ def integrate_2d(
             n_iter = 0
             while n_iter < _NEWTON_MAXITER:
                 n_iter += 1
+                n_newton += 1
                 f0y, f0z = f(t + _RC1 * h, y + zy0, z + zz0)
                 f1y, f1z = f(t + _RC2 * h, y + zy1, z + zz1)
                 f2y, f2z = f(t_new, y + zy2, z + zz2)
@@ -529,6 +560,12 @@ def integrate_2d(
                 "profile crossed the positivity floor",
                 _bracket_crossing(t, h, y, fy, y_new, fy_new, POSITIVITY_FLOOR),
             )
+        collapsed = collapsed + 1 if h < _COLLAPSE_H * abs(t) else 0
+        if collapsed >= _COLLAPSE_RUN:
+            raise _step_collapse(
+                t, positive_y, y, y_vanished,
+                f"step size below {_COLLAPSE_H:g}*|t| on {_COLLAPSE_RUN} accepted steps in a row",
+            )
         t, y, z, fy, fz = t_new, y_new, z_new, fy_new, fz_new
         ts.append(t)
         ys.append(y)
@@ -547,7 +584,7 @@ def integrate_2d(
                     J, n_explicit, rejected = jac_t, len(ts), False
                     if stiff_tol is not None:
                         rtol, atol = stiff_tol
-                    newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol**0.5))
+                    newton_tol = max(10.0 * math.ulp(1.0) / rtol, _NEWTON_KAPPA)
                     continue
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-_DOP853_EXP
             if rejected:
@@ -577,6 +614,7 @@ def integrate_2d(
         n_steps=n_steps,
         n_rejected=n_rejected,
         nfev=nfev,
+        n_newton=n_newton,
         n_explicit=len(ts) if n_explicit is None else n_explicit,
     )
 

@@ -114,8 +114,10 @@ class TestSolve:
                    "--beta", 2.023106548992026, "--eta", 24961.53343951476, "--json", js) == 0
         diag = json.loads(js.read_text())["diagnostics"]
         assert 0.0 < diag["r_stiff_switch"] < 2.0 and diag["r_steps"] < 2000
+        assert diag["r_newton"] > 0
         assert run("solve", *PARAMS, "--json", js) == 0
-        assert json.loads(js.read_text())["diagnostics"]["r_stiff_switch"] is None
+        diag = json.loads(js.read_text())["diagnostics"]
+        assert diag["r_stiff_switch"] is None and diag["r_newton"] == 0 and diag["s_newton"] > 0
 
 
 class TestTolerance:

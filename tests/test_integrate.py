@@ -297,6 +297,9 @@ class TestRChartOracle:
         sol = solve_profile(P(2.5))
         assert sol.diagnostics["r_nfev"] == sol.profile.nfev > 11 * sol.profile.n_steps
         assert sol.diagnostics["s_nfev"] == sol.logprofile.nfev > 0
+        # the eternal log chart turns stiff, and its r-chart does not
+        assert sol.diagnostics["r_newton"] == sol.profile.n_newton == 0
+        assert sol.diagnostics["s_newton"] == sol.logprofile.n_newton > 0
 
 
 class TestRChartStiffSwitch:

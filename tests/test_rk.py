@@ -242,6 +242,55 @@ def test_step_budget_is_shared_by_both_step_kinds(monkeypatch):
         assert (exc.value.location > full.t_stiff) is in_radau
 
 
+def _pr_with_jacobian_off_by_a_tenth():
+    # Prothero-Robinson at lam = -1e8 with a Jacobian 10% off: the simplified
+    # Newton iteration then contracts by about 0.1 per iteration, so its stop,
+    # not the exactness of a linear solve, sets what it leaves in each step
+    f, _ = _prothero_robinson(-1e8)
+    path = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=lambda t, y, z: (-0.9e8, 0.0, 0.0, -1.0))
+    return path, 1e-10 + 1e-8 * abs(path.y[-1])
+
+
+def _cubic():
+    # y'' = 2y^3, y(0) = 1, y'(0) = -1
+    path = integrate_2d(
+        lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, 1e-8, 1e-8,
+        jac=lambda t, y, z: (0.0, 1.0, 6.0 * y * y, 0.0),
+    )
+    return path, 1e-8 + 1e-8 * abs(path.y[-1])
+
+
+@pytest.mark.parametrize(
+    "solve,c",
+    [
+        # measured gaps: 1.24 and 0.48 kappa*scale
+        (_pr_with_jacobian_off_by_a_tenth, 12.0),
+        (_cubic, 5.0),
+    ],
+    ids=["prothero_robinson", "cubic"],
+)
+def test_newton_stop_leaves_kappa_times_tol(monkeypatch, solve, c):
+    # Radau IIA from the first node, at kappa and at kappa/100
+    monkeypatch.setattr(rk, "_STIFF_RUN", 1)
+    monkeypatch.setattr(rk, "_STIFF_H_RHO", -1.0)
+    kappa = rk._NEWTON_KAPPA
+    path, scale = solve()
+    monkeypatch.setattr(rk, "_NEWTON_KAPPA", kappa / 100.0)
+    tight, _ = solve()
+    assert path.t_stiff == path.t[1] and tight.t_stiff == tight.t[1]
+    assert abs(path.y[-1] - tight.y[-1]) <= c * kappa * scale
+
+
+def test_persistent_step_collapse_is_raised_where_it_sets_in(monkeypatch):
+    # DOP853 without a Jacobian on y' = lam*(y - cos t) - sin t from t = 1: stability
+    # holds its steps near 6e-13 < 1e-12*t, so it would grind through the whole budget
+    lam = -1e13
+    monkeypatch.setattr(rk, "_MAX_STEPS", 10_000)
+    with pytest.raises(StepUnderflow, match=r"below 1e-12\*\|t\| on 100 accepted steps in a row") as exc:
+        integrate_2d(lambda t, y, z: (lam * (y - math.cos(t)) - math.sin(t), -z), 1.0, math.cos(1.0), 1.0, 2.0, 1e-9, 1e-12)
+    assert exc.value.location == pytest.approx(1.0, rel=1e-9)
+
+
 @pytest.mark.parametrize("a,b,c,d", [(-3.0, 1.0, 0.5, -2.0), (0.0, 1.0, -4.0, 0.0), (1.0, 2.0, 3.0, 4.0)])
 def test_spectral_radius(a, b, c, d):
     assert rk._spectral_radius(a, b, c, d) == pytest.approx(max(abs(np.linalg.eigvals([[a, b], [c, d]]))))

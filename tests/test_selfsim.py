@@ -12,6 +12,7 @@ from fdprofiles import (
     build_selfsimilar,
     pde_residual,
 )
+from fdprofiles import selfsim
 from fdprofiles.selfsim import residual_grid
 
 
@@ -216,3 +217,38 @@ class TestResidual:
         assert stats.max_rel_residual == pytest.approx(full, rel=1e-6)
         assert stats.max_rel_residual_half == pytest.approx(half, rel=1e-6)
         assert stats.chain_rule_max_rel_diff == pytest.approx(chain, rel=1e-6)
+
+    @pytest.mark.parametrize("regime, T", [(Regime.ETERNAL, None), (Regime.FORWARD, None), (Regime.BACKWARD, 2.0)])
+    def test_stacked_stencil_has_the_bits_of_per_call_evaluation(
+        self, eternal_wide, forward_sol, backward_sol, regime, T, monkeypatch
+    ):
+        sol = {Regime.ETERNAL: eternal_wide, Regime.FORWARD: forward_sol}.get(regime, backward_sol)
+        ss = build_selfsimilar(sol, regime, T=T)
+        calls = {"v": 0, "dv": 0}
+        for name in calls:
+            def counted(self, r, _method=getattr(type(sol), name), _name=name):
+                calls[_name] += 1
+                return _method(self, r)
+            monkeypatch.setattr(type(sol), name, counted)
+        stats = pde_residual(ss)
+        # one v and one dv call per stencil, at h and at h/2
+        assert calls == {"v": 2, "dv": 2}
+
+        def per_call(ss, radii, times, h, dt, eps_scale):
+            # the stencil read through value and time_derivative_chain, one call per stencil row
+            r = np.asarray(radii, dtype=float)[None, :]
+            t = np.asarray(times, dtype=float)[:, None]
+            u_t = (ss.value(r, t + dt) - ss.value(r, t - dt)) / (2.0 * dt)
+            f0 = selfsim._pow(ss.value(r, t), ss.m)
+            fp = selfsim._pow(ss.value(r + h, t), ss.m)
+            fm = selfsim._pow(ss.value(r - h, t), ss.m)
+            lap = (fp - 2.0 * f0 + fm) / (h * h) + (ss.n - 1) / r * (fp - fm) / (2.0 * h)
+            rhs = (ss.n - 1) / ss.m * lap
+            resid = np.abs(u_t - rhs) / (np.abs(u_t) + np.abs(rhs) + eps_scale)
+            chain = ss.time_derivative_chain(r, t)
+            chain_gap = np.abs(u_t - chain) / (np.abs(u_t) + np.abs(chain) + eps_scale)
+            return float(np.max(resid)), float(np.max(chain_gap))
+
+        monkeypatch.setattr(selfsim, "_max_residual", per_call)
+        assert stats == pde_residual(ss)
+        assert calls == {"v": 2 + 12, "dv": 2 + 2}
