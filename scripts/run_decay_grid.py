@@ -11,6 +11,7 @@ import sys
 import time
 
 from fdprofiles import Parameters, SolveConfig, estimate_log_decay, solve_profile
+from fdprofiles.model import eternal_alpha
 
 GRID = [
     (3, 0.2, 1.0),
@@ -33,8 +34,7 @@ def main() -> int:
     print(f"{'n':>2} {'m':>8} {'beta':>5} {'expected':>10} {'raw':>10} "
           f"{'fit':>10} {'raw rel':>9} {'fit rel':>9} {'time':>7}")
     for n, m, beta in GRID:
-        alpha = 2.0 * beta / (1.0 - m)
-        p = Parameters(n=n, m=m, alpha=alpha, beta=beta, eta=args.eta)
+        p = Parameters(n=n, m=m, alpha=eternal_alpha(m, beta), beta=beta, eta=args.eta)
         t0 = time.perf_counter()
         sol = solve_profile(p, SolveConfig(s_end=args.s_end))
         est = estimate_log_decay(sol)

@@ -28,7 +28,7 @@ from .errors import HypothesisViolation, ProfileError, RegimeMismatch
 from .integrate import SolveConfig, solve_profile
 from .invariants import run_all_checks
 from .loglimit import limit_convergence
-from .model import Parameters, check_hypotheses, classify_regime, derived
+from .model import Parameters, check_hypotheses, classify_regime, derived, eternal_alpha
 from .selfsim import build_selfsimilar, pde_residual, residual_grid
 
 __all__ = ["main"]
@@ -255,7 +255,7 @@ def _sweep_grid(cfg: dict):
         raise ValueError(f"{', '.join(empty)} is empty: the sweep needs at least one value in each list")
     # alpha None stands for the eternal relation alpha = 2*beta/(1-m) at each point
     grid = itertools.product(ns, ms, betas, etas, (None,) if alphas == "eternal" else alphas)
-    return [(n, m, 2.0 * beta / (1.0 - m) if alpha is None else alpha, beta, eta)
+    return [(n, m, eternal_alpha(m, beta) if alpha is None else alpha, beta, eta)
             for n, m, beta, eta, alpha in grid]
 
 
@@ -268,14 +268,13 @@ def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
     summary = []
     for point in _sweep_grid(cfg):
         p = Parameters(*point)  # rejects a non-integer n
-        hyp = check_hypotheses(p)
         sol = solve_profile(p, _solve_config_from(cfg))
         rep = run_all_checks(sol)
         n_app = sum(1 for e in rep.entries if e.applicable)
         n_pass = sum(1 for e in rep.entries if e.applicable and e.passed)
         a0_expected = math.nan
         a0_measured = math.nan
-        if hyp.log_decay_ok and hyp.strict_m:
+        if check_hypotheses(p).exact_decay_ok:
             est = estimate_log_decay(sol)
             a0_expected, a0_measured = est.expected, est.extrapolated
         row = (*dataclasses.astuple(p), a0_expected, a0_measured, n_pass, n_app)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .integrate import LogProfile, Solution
-from .model import Parameters, derived, require
+from .model import EXACT_DECAY, Parameters, derived, require
 
 __all__ = [
     "DecayKind",
@@ -91,7 +91,7 @@ def expected_log_constant(p: Parameters) -> float:
 
 
 # What each kind needs of the parameters (fields of model.HypothesisReport).
-_NEEDS = {DecayKind.LOG_CORRECTED: ("strict_m", "log_decay_ok"), DecayKind.POWER: ("strict_m", "power_decay_ok")}
+_NEEDS = {DecayKind.LOG_CORRECTED: EXACT_DECAY, DecayKind.POWER: ("strict_m", "power_decay_ok")}
 
 
 def require_decay_inputs(p: Parameters, kind: DecayKind, s_end: float) -> None:

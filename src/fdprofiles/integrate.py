@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
-from .model import Parameters, exponent_relation, require
+from .model import Parameters, chart_constants, exponent_relation, require
 from .rk import POSITIVITY_FLOOR, Hermite, integrate_2d
 from .series import SeriesExpansion, eval_series, horner, seed_within, series_derivatives
 
@@ -360,7 +360,7 @@ def _chart_coeffs(n: int, m: float, alpha: float, beta: float) -> _ChartCoeffs:
     one_m = 1.0 - m
     rho1, _ = exponent_relation(m, alpha, beta)
     c_sq = (1.0 - 2.0 * m) / one_m
-    b0 = (n - 2 - (n + 2) * m) / one_m
+    _, b0 = chart_constants(n, m, beta)
     sigma = -rho1 / beta
     c_g = (2.0 * sigma) * c_sq - b0 - sigma
     c_w = (2.0 - sigma) * (m * sigma + n - 2 - n * m) / one_m
@@ -815,17 +815,25 @@ def _overlap_error(profile: Profile, logprofile: LogProfile, m: float, r_h: floa
     return float(np.max(np.abs(w_r - w_s) / np.abs(w_s)))
 
 
+def _chart_chain(n: int, m: float, alpha: float, beta: float, eta: float,
+                 config: SolveConfig) -> tuple[Profile, LogProfile]:
+    """Origin series and r-chart to max(r_max, 2*R_HANDOFF), handoff at R_HANDOFF, log chart to s_end.
+
+    Plain scalars, so that the m = 0 log-diffusion limit shares it; the callers validate."""
+    profile = integrate_r(n, m, alpha, beta, eta, max(config.r_max, 2.0 * R_HANDOFF), config.tol)
+    start = handoff_to_log(profile, R_HANDOFF, m)
+    return profile, integrate_log(n, m, alpha, beta, start, config.s_end, config.tol)
+
+
 def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solution:
-    """Series seed, r-chart, handoff, log chart, and the overlap diagnostic.
+    """Series seed, r-chart, handoff, log chart (``_chart_chain``), and the overlap diagnostic.
 
     Raises HypothesisViolation outside the existence range; ``integrate_r``
     has no gate and probes behaviour there (for example where the solver
     loses positivity).
     """
     require(p, "solve_profile", "existence_ok")
-    profile = integrate_r(p.n, p.m, p.alpha, p.beta, p.eta, max(config.r_max, 2.0 * R_HANDOFF), config.tol)
-    start = handoff_to_log(profile, R_HANDOFF, p.m)
-    logprofile = integrate_log(p.n, p.m, p.alpha, p.beta, start, config.s_end, config.tol)
+    profile, logprofile = _chart_chain(p.n, p.m, p.alpha, p.beta, p.eta, config)
     overlap = _overlap_error(profile, logprofile, p.m, R_HANDOFF)
     diagnostics = {
         "qss_switch_s": logprofile.qss_switch_s,

@@ -89,26 +89,24 @@ def _eps(sol: Solution) -> float:
 _EXACT_DECAY_NOTE = "needs alpha = 2*beta/(1-m) > 0 and m < (n-2)/n"
 
 
-def _exact_decay(p) -> bool:
-    """The exact-decay hypotheses: the eternal relation alpha = 2*beta/(1-m) > 0, m strictly interior."""
-    hyp = check_hypotheses(p)
-    return hyp.log_decay_ok and hyp.strict_m
-
-
 def check_pointwise(sol: Solution) -> InvariantReport:
     """Sign and positivity facts at the stored nodes of both charts.
 
     Every entry but one reads the nodes of both charts (``Solution.nodes``), where
     r*v'/v = (g/w + sigma - 2)/(1-m): v' has the sign opposite to alpha;
     0 < v <= eta for alpha > 0; h1 = v + k*r*v' > 0, as h1/v = k*g/((1-m)*w);
-    and for 2*beta/(1-m) >= alpha > 0, h = v + (1-m)/2*r*v' > 0, as
-    h/v = (g/w + sigma)/2, and w increasing between the nodes of each chart.
-    ``w1_increasing``, the monotonicity of w1 = r^2*v^(2k) that h1 > 0
-    implies, reads the r-chart's side alone (its nodes and the series
-    samples): on the log chart
-    d(log w1)/ds = 2*h1/v, which ``h1_positive`` reads from the exact g.
+    and h = v + (1-m)/2*r*v' > 0, as h/v = (g/w + sigma)/2, with w increasing
+    between the nodes of each chart. ``w1_increasing``, the monotonicity of
+    w1 = r^2*v^(2k) that h1 > 0 implies, reads the r-chart's side alone (its
+    nodes and the series samples): on the log chart d(log w1)/ds = 2*h1/v,
+    which ``h1_positive`` reads from the exact g.
+
+    Applicability is ``model.check_hypotheses``'s: h1 and w1 need alpha != 0
+    and ``existence_ok``; h and w need alpha > 0 and ``power_decay_ok`` or
+    ``log_decay_ok`` (the eternal relation, matched to REGIME_TOL).
     """
     p = sol.params
+    hyp = check_hypotheses(p)
     eps = _eps(sol)
     sigma = sol.logprofile.sigma
     one_m = 1.0 - p.m
@@ -130,7 +128,7 @@ def check_pointwise(sol: Solution) -> InvariantReport:
     else:
         entries.append(_na("v_between_0_eta", "needs alpha > 0"))
 
-    if p.alpha != 0.0 and p.beta != 0.0 and p.m * p.alpha / p.beta <= p.n - 2:
+    if p.alpha != 0.0 and hyp.existence_ok:
         k = derived(p).k
         lnr = np.log(r[: nodes.seam])
         lnw1 = 2.0 * lnr + 2.0 * k * (np.log(w[: nodes.seam]) - 2.0 * lnr) / one_m
@@ -138,15 +136,15 @@ def check_pointwise(sol: Solution) -> InvariantReport:
         entries.append(_from_margins("h1_positive", k * gw / one_m, r, eps))
         entries.append(_from_margins("w1_increasing", np.diff(lnw1), r[1 : nodes.seam], eps, note=note))
     else:
-        note = "needs alpha != 0, beta != 0 and m*alpha/beta <= n-2"
+        note = "needs alpha != 0 and existence_ok"
         entries += [_na("h1_positive", note), _na("w1_increasing", note)]
 
-    if p.alpha > 0.0 and 2.0 * p.beta / one_m >= p.alpha:
+    if p.alpha > 0.0 and (hyp.power_decay_ok or hyp.log_decay_ok):
         note = "discrete monotonicity of log(r^2 v^(1-m)) within each chart"
         entries.append(_from_margins("h_positive", 0.5 * (gw + sigma), r, eps))
         entries.append(_from_margins("w_increasing", *nodes.increments(np.log(w)), eps, note=note))
     else:
-        note = "needs 2*beta/(1-m) >= alpha > 0"
+        note = "needs alpha > 0 and power_decay_ok or log_decay_ok"
         entries += [_na("h_positive", note), _na("w_increasing", note)]
 
     return InvariantReport.collect(entries)
@@ -166,7 +164,7 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
     """
     p = sol.params
     eps = _eps(sol)
-    if not _exact_decay(p):
+    if not check_hypotheses(p).exact_decay_ok:
         names = ("slope_ratio_bound", "ws_positive_bounded", "w_unbounded")
         return InvariantReport.collect(_na(nm, _EXACT_DECAY_NOTE) for nm in names)
 
@@ -356,7 +354,7 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
     threshold 100*max(quad_tol, rtol).
     """
     p = sol.params
-    if not _exact_decay(p):
+    if not check_hypotheses(p).exact_decay_ok:
         return InvariantReport.collect(_na(nm, _EXACT_DECAY_NOTE) for nm in ("q_identity", "q_boundary_decay"))
     dc = derived(p)
     radii = _identity_radii(sol)

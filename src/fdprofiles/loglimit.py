@@ -6,8 +6,9 @@ As m -> 0 the profile equation turns into
 
 valid for beta > 0 or alpha = 0. Its radial form is the r-chart's equation
 at m = 0, so u comes from the same ``integrate_r`` (origin seed included)
-that produces every v^(m), and the log chart with m = 0 continues it to large
-radii. An independent route, the once-integrated (u, I) system with
+that produces every v^(m), and the chain of both charts that
+``solve_profile`` runs, taken at m = 0, continues it in the log chart to
+large radii. An independent route, the once-integrated (u, I) system with
 I' = r^(n-1)*u under scipy, is kept in the tests as the reference.
 """
 
@@ -20,10 +21,8 @@ import numpy as np
 
 from .decay import estimate_log_decay, log_tail_fit
 from .errors import HypothesisViolation
-from .integrate import (
-    R_HANDOFF, LogProfile, Profile, SolveConfig, handoff_to_log, integrate_log, integrate_r, solve_profile,
-)
-from .model import Parameters, check_dimension, require
+from .integrate import LogProfile, Profile, SolveConfig, _chart_chain, integrate_r, solve_profile
+from .model import Parameters, chart_constants, check_dimension, eternal_alpha, require
 
 __all__ = [
     "ConvergenceReport",
@@ -40,22 +39,26 @@ _GRID_POINTS = 1001
 _DOUBLE_LIMIT_MS = (0.2, 0.1, 0.05, 0.02)
 
 
-def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: float) -> Profile:
-    """Radial solution of the log-diffusion equation on [0, r_max]: the r-chart at m = 0, default tolerance."""
+def _log_equation_dimension(n, alpha: float, beta: float, eta: float) -> int:
+    """n as an int, once the log-diffusion equation is posed: beta > 0 or alpha = 0, eta > 0, integer n >= 3."""
     if not (beta > 0.0 or alpha == 0.0):
         raise HypothesisViolation(f"log-diffusion limit needs beta > 0 or alpha = 0; got alpha={alpha}, beta={beta}")
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    return integrate_r(check_dimension(n), 0.0, alpha, beta, eta, r_max)
+    return check_dimension(n)
+
+
+def solve_log_equation(n: int, alpha: float, beta: float, eta: float, r_max: float) -> Profile:
+    """Radial solution of the log-diffusion equation on [0, r_max]: the r-chart at m = 0, default tolerance."""
+    return integrate_r(_log_equation_dimension(n, alpha, beta, eta), 0.0, alpha, beta, eta, r_max)
 
 
 def log_chart_of_log_equation(n: int, alpha: float, beta: float, eta: float) -> LogProfile:
     """Continue the log-diffusion solution in the m = 0 log chart (w = r^2 u).
 
-    Hands off at R_HANDOFF and runs to the main solve's default s_end at its tolerances."""
-    prof = solve_log_equation(n, alpha, beta, eta, 2.0 * R_HANDOFF)
-    start = handoff_to_log(prof, R_HANDOFF, 0.0)
-    return integrate_log(n, 0.0, alpha, beta, start, SolveConfig.s_end)
+    The chain of both charts at m = 0 and the default SolveConfig: the r-chart
+    to 2*R_HANDOFF, the handoff at R_HANDOFF and the log chart to s_end."""
+    return _chart_chain(_log_equation_dimension(n, alpha, beta, eta), 0.0, alpha, beta, eta, SolveConfig())[1]
 
 
 @dataclass(frozen=True)
@@ -135,19 +138,18 @@ class DoubleLimitReport:
 
 
 def double_limit_check(n: int, beta: float, eta: float = 1.0) -> DoubleLimitReport:
-    target = 2.0 * (n - 1) * (n - 2) / beta
+    target, _ = chart_constants(n, 0.0, beta)
     ms = _DOUBLE_LIMIT_MS
     measured = []
     for m in ms:
-        alpha = 2.0 * beta / (1.0 - m)
-        p = Parameters(n, m, alpha, beta, eta)
+        p = Parameters(n, m, eternal_alpha(m, beta), beta, eta)
         measured.append(estimate_log_decay(solve_profile(p)).extrapolated)
     m_prev, m_last = ms[-2], ms[-1]
     a_prev, a_last = measured[-2], measured[-1]
     slope = (a_prev - a_last) / (m_prev - m_last)
     a0_extrap = a_last - m_last * slope
 
-    lp = log_chart_of_log_equation(n, 2.0 * beta, beta, eta)
+    lp = log_chart_of_log_equation(n, eternal_alpha(0.0, beta), beta, eta)
     _, _, log_side, _ = log_tail_fit(lp)
 
     return DoubleLimitReport(

@@ -24,12 +24,15 @@ __all__ = [
     "Parameters",
     "DerivedConstants",
     "HypothesisReport",
+    "EXACT_DECAY",
     "check_dimension",
     "classify_regime",
     "check_hypotheses",
     "require",
     "derived",
     "exponent_relation",
+    "eternal_alpha",
+    "chart_constants",
 ]
 
 # Relative tolerance for matching the special exponent relations, the one
@@ -117,14 +120,26 @@ def exponent_relation(m: float, alpha: float, beta: float) -> tuple[float, float
     return alpha * one_m - 2.0 * beta, max(1.0, abs(alpha) * one_m + 2.0 * abs(beta))
 
 
+def eternal_alpha(m: float, beta: float) -> float:
+    """The alpha of the eternal relation alpha*(1-m) = 2*beta; plain scalars, so m = 0 is accepted."""
+    return 2.0 * beta / (1.0 - m)
+
+
+def chart_constants(n: int, m: float, beta: float) -> tuple[float, float]:
+    """(a0, b0): the log-corrected decay limit of w_s (NaN when beta = 0) and the
+    log chart's w_s coefficient (module ``integrate``); plain scalars, so m = 0 is accepted."""
+    one_m = 1.0 - m
+    a0 = 2.0 * (n - 2 - n * m) * (n - 1) / (one_m * beta) if beta != 0.0 else math.nan
+    return a0, (n - 2 - (n + 2) * m) / one_m
+
+
 def derived(p: Parameters) -> DerivedConstants:
     """Evaluate all derived constants in closed form."""
     one_m = 1.0 - p.m
     gap = p.n - 2 - p.n * p.m  # zero exactly at the range endpoint
     k = p.beta / p.alpha if p.alpha != 0.0 else None
     rho1, _ = exponent_relation(p.m, p.alpha, p.beta)
-    a0 = 2.0 * gap * (p.n - 1) / (one_m * p.beta) if p.beta != 0.0 else math.nan
-    b0 = (p.n - 2 - (p.n + 2) * p.m) / one_m
+    a0, b0 = chart_constants(p.n, p.m, p.beta)
     b1 = 2.0 * p.m * gap / (one_m * one_m)
     b2 = max(3.0 * p.m / one_m, math.sqrt(b1 + b0 * b0) + abs(b0))
     return DerivedConstants(k=k, rho1=rho1, a0=a0, b0=b0, b1=b1, b2=b2)
@@ -151,6 +166,10 @@ def classify_regime(p: Parameters) -> Regime:
     return winners[0] if len(winners) == 1 else Regime.GENERIC
 
 
+# The exact-decay hypotheses of the slope bounds, the q identity and the log-corrected
+# decay law: HypothesisReport fields that must all hold, in the order ``require`` tests them.
+EXACT_DECAY = ("strict_m", "log_decay_ok")
+
 # What each HypothesisReport field demands: the message of ``require``.
 _CONDITIONS = {
     "existence_ok": "the existence range beta > 0 and alpha <= beta*(n-2)/m = {bound:.6g}",
@@ -171,17 +190,28 @@ class HypothesisReport:
     power_decay_ok: bool
     limit_ok: bool
 
+    @property
+    def exact_decay_ok(self) -> bool:
+        """The exact-decay hypotheses: every field named in EXACT_DECAY holds."""
+        return all(getattr(self, name) for name in EXACT_DECAY)
+
+
+def _verdicts(p: Parameters) -> tuple[HypothesisReport, dict]:
+    """The HypothesisReport of p and the bounds it was decided on, which ``require`` quotes."""
+    rho1, scale = exponent_relation(p.m, p.alpha, p.beta)
+    bounds = dict(bound=p.beta * (p.n - 2) / p.m, m_upper=p.m_upper, eternal=eternal_alpha(p.m, p.beta))
+    return HypothesisReport(
+        existence_ok=bool(p.beta > 0.0 and p.alpha <= bounds["bound"]),
+        strict_m=not p.at_endpoint,
+        log_decay_ok=bool(abs(rho1) <= REGIME_TOL * scale and p.alpha > 0.0),
+        power_decay_ok=bool(bounds["eternal"] > max(p.alpha, 0.0)),
+        limit_ok=bool(p.beta > 0.0 or p.alpha == 0.0),
+    ), bounds
+
 
 def check_hypotheses(p: Parameters) -> HypothesisReport:
     """The operating-range conditions; the eternal relation is matched to REGIME_TOL."""
-    rho1, scale = exponent_relation(p.m, p.alpha, p.beta)
-    return HypothesisReport(
-        existence_ok=bool(p.beta > 0.0 and p.alpha <= p.beta * (p.n - 2) / p.m),
-        strict_m=not p.at_endpoint,
-        log_decay_ok=bool(abs(rho1) <= REGIME_TOL * scale and p.alpha > 0.0),
-        power_decay_ok=bool(2.0 * p.beta / (1.0 - p.m) > max(p.alpha, 0.0)),
-        limit_ok=bool(p.beta > 0.0 or p.alpha == 0.0),
-    )
+    return _verdicts(p)[0]
 
 
 def require(p: Parameters, what: str, *conditions: str) -> HypothesisReport:
@@ -191,10 +221,9 @@ def require(p: Parameters, what: str, *conditions: str) -> HypothesisReport:
     ``strict_m``, HypothesisViolation for any other. The message names
     ``what`` needed it and the condition by its field name.
     """
-    hyp = check_hypotheses(p)
+    hyp, bounds = _verdicts(p)
     for name in conditions:
         if not getattr(hyp, name):
-            bounds = dict(bound=p.beta * (p.n - 2) / p.m, m_upper=p.m_upper, eternal=2.0 * p.beta / (1.0 - p.m))
             error = EndpointExponentError if name == "strict_m" else HypothesisViolation
             raise error(f"{what} needs {_CONDITIONS[name].format(**bounds)} ({name}); "
                         f"got n = {p.n}, m = {p.m}, alpha = {p.alpha}, beta = {p.beta}")

@@ -21,6 +21,7 @@ from fdprofiles import (
     solve_profile,
 )
 from fdprofiles import integrate, invariants
+from fdprofiles.model import REGIME_TOL
 
 
 class TestPointwise:
@@ -85,6 +86,60 @@ class TestPointwise:
             p = Parameters(3, 0.2, 2.5, 1.0, 1.0)
             sol = solve_profile(p, SolveConfig(r_max=25.0).tightened(factor))
             assert check_pointwise(sol).overall
+
+
+# alpha = beta*(n-2)/m exactly, where m*alpha/beta rounds above n-2
+EXISTENCE_BOUND_ROWS = [
+    (5, 0.08067719033842377, 37.185231506149805, 1.0, 1.0),
+    (16, 0.7330431507290887, 19.098466421895527, 1.0, 1.0),
+]
+# alpha inside the eternal relation's REGIME_TOL band, above 2*beta/(1-m)
+ETERNAL_ABOVE_ROW = (3, 0.2, 2.500000000125, 1.0, 1.0)
+# REGIME_TOL*scale/(1-m): the alpha width of the eternal match at n = 3, m = 0.2, beta = 1 (scale = 4)
+_ETERNAL_BAND = REGIME_TOL * 4.0 / 0.8
+BOUNDARY_ROWS = [
+    *EXISTENCE_BOUND_ROWS,
+    (3, 0.2, 5.0, 1.0, 1.0),  # the existence bound, exact in floating point
+    ETERNAL_ABOVE_ROW,
+    *((3, 0.2, 2.5 + f * _ETERNAL_BAND, 1.0, 1.0) for f in (0.5, -0.5, 2.0, -2.0)),
+    (4, 1 / 3, 3.0, 1.0, 1.0),  # eternal, 2*beta/(1-m) rounds below alpha
+    (3, 0.2, 0.0, 1.0, 1.0),
+    (3, 1 / 3, 3.0, 1.0, 1.0),  # the endpoint m, eternal and on the existence bound
+    (4, 0.5, -1.0, 1.0, 1.0),
+]
+
+
+def _model_verdicts(p):
+    """Each entry's applicability as ``model.check_hypotheses`` decides it (at the default s_end)."""
+    hyp = check_hypotheses(p)
+    h1 = p.alpha != 0.0 and hyp.existence_ok
+    h = p.alpha > 0.0 and (hyp.power_decay_ok or hyp.log_decay_ok)
+    exact = hyp.exact_decay_ok
+    return {
+        "dv_sign": True, "v_between_0_eta": p.alpha > 0.0, "h1_positive": h1, "w1_increasing": h1,
+        "h_positive": h, "w_increasing": h, "slope_ratio_bound": exact, "ws_positive_bounded": exact,
+        "w_unbounded": exact, "flux_identity": True, "q_identity": exact, "q_boundary_decay": exact,
+    }
+
+
+class TestApplicability:
+    @pytest.mark.parametrize("row", EXISTENCE_BOUND_ROWS, ids=str)
+    def test_h1_applies_on_the_existence_bound(self, solved, row):
+        rep = check_pointwise(solved(*row))
+        for name in ("h1_positive", "w1_increasing"):
+            assert rep.entry(name).applicable and rep.entry(name).passed, name
+
+    def test_h_applies_inside_the_eternal_band(self, solved):
+        assert check_hypotheses(Parameters(*ETERNAL_ABOVE_ROW)).log_decay_ok
+        rep = check_pointwise(solved(*ETERNAL_ABOVE_ROW))
+        for name in ("h_positive", "w_increasing"):
+            assert rep.entry(name).applicable and rep.entry(name).passed, name
+
+    @pytest.mark.parametrize("row", BOUNDARY_ROWS, ids=str)
+    def test_every_entry_applies_as_model_decides(self, solved, row):
+        rep = run_all_checks(solved(*row))
+        assert {e.name: e.applicable for e in rep.entries} == _model_verdicts(Parameters(*row))
+        assert rep.overall
 
 
 class TestSlopeBounds:
@@ -217,8 +272,7 @@ NEAR_ENDPOINT = (3, _M_NEAR_END, 4.0 / (1.0 - _M_NEAR_END), 2.0)
 def _with_radii(sol):
     """(solution, radii both identities use there, whether the q identity applies)."""
     radii = invariants._IDENTITY_RADII[invariants._IDENTITY_RADII <= sol.r_cover]
-    hyp = check_hypotheses(sol.params)
-    return sol, radii, hyp.log_decay_ok and hyp.strict_m
+    return sol, radii, check_hypotheses(sol.params).exact_decay_ok
 
 
 @pytest.fixture(scope="module")

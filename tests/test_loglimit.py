@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from fdprofiles import (
     HypothesisViolation,
+    LogProfile,
     Parameters,
     SolveConfig,
     double_limit_check,
@@ -14,7 +16,7 @@ from fdprofiles import (
     solve_log_equation,
     solve_profile,
 )
-from fdprofiles import loglimit
+from fdprofiles import integrate, loglimit
 from fdprofiles.decay import tail_limit_fit
 
 
@@ -99,6 +101,16 @@ class TestLogEquation:
         r = 1000.0
         u, _ = prof.eval(r)
         assert r * r * u / math.log(r) == pytest.approx(4.0, rel=0.25)
+
+    def test_log_chart_has_the_bits_of_the_hand_built_composition(self):
+        # the reference: the r-chart at m = 0 to r = 2, the handoff at r = 1, the log chart to s = 40
+        prof = integrate.integrate_r(3, 0.0, 2.0, 1.0, 1.0, 2.0)
+        start = integrate.handoff_to_log(prof, 1.0, 0.0)
+        ref = integrate.integrate_log(3, 0.0, 2.0, 1.0, start, 40.0)
+        lp = log_chart_of_log_equation(3, 2, 1, 1)
+        for field in dataclasses.fields(LogProfile):
+            got, want = getattr(lp, field.name), getattr(ref, field.name)
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
 
 
 class TestCrossSolverAgreement:
@@ -194,6 +206,11 @@ class TestDoubleLimit:
         rep = double_limit_check(3, 1.0)
         full = [solve_profile(Parameters(3, m, 2.0 / (1.0 - m), 1.0, 1.0)) for m in rep.m_values]
         assert rep.a0_measured == tuple(estimate_log_decay(sol).extrapolated for sol in full)
+
+    def test_beta_zero_is_refused_as_a_hypothesis(self):
+        # the m = 0 target 2*(n-1)*(n-2)/beta is NaN there, and the first solve refuses beta = 0
+        with pytest.raises(HypothesisViolation, match="existence_ok"):
+            double_limit_check(3, 0.0)
 
     def test_gap_shrinks_along_the_family(self):
         rep = double_limit_check(3, 1.0)
