@@ -33,7 +33,7 @@ import numpy as np
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, chart_constants, exponent_relation, require
 from .rk import POSITIVITY_FLOOR, Hermite, integrate_2d
-from .series import SeriesExpansion, eval_series, horner, seed_within, series_derivatives
+from .series import SeriesExpansion, eval_series, horner, seed_within
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -126,14 +126,14 @@ class Profile:
     ``ddv`` holds v'' from the equation at each node. ``dddv`` holds its
     derivative along the solution (``_r_third_derivative``) at the nodes of
     the DOP853 stretch, the first ``dddv.size`` nodes, up to the switch to
-    Radau IIA (``stiff_switch_r``; every node when there is none). The dense
+    Radau IIA (``stiff_switch``; every node when there is none). The dense
     output is one ``Hermite`` of all four: septic over that stretch, of the
     order of the steps, for the finite-difference residual checks and the
     identity quadratures that read it between the nodes, and quintic past
     it. Radii below the first node are served by the origin series, and so
     are those past the last one when the series is the exact constant
-    (alpha = 0, ``r_reach``). ``nfev`` counts right-hand-side calls and
-    ``n_newton`` the Radau IIA stretch's simplified Newton iterations.
+    (alpha = 0, ``r_reach``). ``eval`` reads the dense output. The step
+    counters and ``stiff_switch`` are ``RawPath.counters``.
     """
 
     r: np.ndarray
@@ -147,9 +147,7 @@ class Profile:
     n_rejected: int = 0
     nfev: int = 0
     n_newton: int = 0
-    # Radius where the chart went from DOP853 to Radau IIA (None when DOP853
-    # stepped it to its end).
-    stiff_switch_r: float | None = None
+    stiff_switch: float | None = None
 
     @property
     def r_start(self) -> float:
@@ -183,22 +181,16 @@ class Profile:
             return arr, arr, arr < self.r_start
         return arr, np.minimum(arr, self.r_end), (arr < self.r_start) | (arr > self.r_end)
 
-    def value(self, r) -> np.ndarray:
-        """Dense v alone at radii in [0, r_reach], as an array even for a scalar ``r``."""
+    def eval(self, r, order: int = 1) -> tuple:
+        """Dense (v, v')[:order + 1] at radii in [0, r_reach]: floats for a scalar ``r``, arrays otherwise."""
         arr, on_chart, on_series = self._covered(r)
-        v = self._v_interp.value(on_chart)
+        out = [self._v_interp.value(on_chart)]
+        if order >= 1:
+            out.append(self._v_interp.derivative(on_chart))
         if on_series.any():
-            v[on_series] = series_derivatives(self.series, arr[on_series], 0)[0]
-        return v
-
-    def eval(self, r):
-        """Dense (v, v') at radii in [0, r_reach]."""
-        arr, on_chart, on_series = self._covered(r)
-        v = self._v_interp.value(on_chart)
-        dv = self._v_interp.derivative(on_chart)
-        if on_series.any():
-            v[on_series], dv[on_series] = series_derivatives(self.series, arr[on_series], 1)
-        return (float(v[0]), float(dv[0])) if np.ndim(r) == 0 else (v, dv)
+            for x, x_series in zip(out, eval_series(self.series, arr[on_series], order)):
+                x[on_series] = x_series
+        return tuple(float(x[0]) for x in out) if np.ndim(r) == 0 else tuple(out)
 
 
 @dataclass(frozen=True)
@@ -213,8 +205,9 @@ class LogProfile:
     ``wsss.size`` nodes, up to the first switch (to Radau IIA or to the slow
     tail). w is one ``Hermite`` of all four: septic over that stretch, of
     the order of the steps, where w_s is its derivative, and quintic past
-    it, where w_s is g + sigma*w. g is cubic on the whole chart. ``nfev``
-    and ``n_newton`` count as on ``Profile``.
+    it, where w_s is g + sigma*w. g is cubic on the whole chart. The
+    counters and ``stiff_switch`` are as on ``Profile``, except that each
+    node of the slow tail counts as a step.
     """
 
     s: np.ndarray
@@ -237,9 +230,7 @@ class LogProfile:
     # |g - G(w)|/|G| at that switch node (|g| where G = 0): the jump the
     # handover puts into g.
     qss_gap: float | None = None
-    # Log-radius where the full system went from DOP853 to Radau IIA (None
-    # when DOP853 stepped it to its end).
-    stiff_switch_s: float | None = None
+    stiff_switch: float | None = None
 
     @property
     def s_start(self) -> float:
@@ -399,7 +390,7 @@ def integrate_r(
     The series is exact to ``tol`` up to its handoff, at most r = 0.5 and
     never past r_max/2, so the chart always has a stretch to step. The
     chart passes its Jacobian (``_r_jac``), so ``rk`` hands it from DOP853
-    to Radau IIA once it is stiff (``stiff_switch_r``), at the tighter pair
+    to Radau IIA once it is stiff (``stiff_switch``), at the tighter pair
     ``chart_tolerances("r_stiff", tol)``. The fast rate, about
     beta*r*v^(1-m)/(n-1), grows like r^(1 - alpha*(1-m)/beta) where v
     behaves like r^(-alpha/beta), so it rises without bound for every
@@ -432,11 +423,7 @@ def integrate_r(
         dddv=_r_third_derivative(n, m, alpha, beta, path.t[:k], path.y[:k], path.z[:k], path.fz[:k]),
         series=se,
         rtol=rtol,
-        n_steps=path.n_steps,
-        n_rejected=path.n_rejected,
-        nfev=path.nfev,
-        n_newton=path.n_newton,
-        stiff_switch_r=path.t_stiff,
+        **path.counters,
     )
 
 
@@ -631,7 +618,7 @@ def integrate_log(
     The fast mode g relaxes at a rate that grows like beta*w/(n-1), so the
     chart turns stiff as w grows. Its analytic Jacobian goes to integrate_2d,
     which takes DOP853 steps and hands the (w, g) system to Radau IIA once the
-    explicit steps are bound by stability (``stiff_switch_s``). Up to the
+    explicit steps are bound by stability (``stiff_switch``). Up to the
     first switch w is septic Hermite, with w_sss = g_ss + sigma*w_ss and
     g_ss = J.(w_s, g_s) from the Jacobian, so the dense output keeps the
     8th-order accuracy of the nodes where the flux identity reads the chart
@@ -699,13 +686,10 @@ def integrate_log(
         sigma=sigma,
         m=m,
         rtol=rtol,
-        n_steps=path.n_steps + s_arr.size - path.t.size,  # a tail node counts as a step
-        n_rejected=path.n_rejected,
-        nfev=path.nfev,
-        n_newton=path.n_newton,
         qss_switch_s=switch_s,
         qss_gap=gap,
-        stiff_switch_s=path.t_stiff,
+        # a tail node counts as a step
+        **path.counters | {"n_steps": path.n_steps + s_arr.size - path.t.size},
     )
 
 
@@ -785,7 +769,7 @@ class Solution:
 
     def v(self, r):
         """Profile value v(r) across both charts."""
-        return self._by_chart(r, self.profile.value, lambda s, _: self.logprofile.eval_v(s), 1)
+        return self._by_chart(r, lambda rr: self.profile.eval(rr, 0)[0], lambda s, _: self.logprofile.eval_v(s), 1)
 
     def dv(self, r):
         """Radial derivative v'(r) across both charts."""
@@ -838,20 +822,14 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
     diagnostics = {
         "qss_switch_s": logprofile.qss_switch_s,
         "qss_gap": logprofile.qss_gap,
-        "stiff_switch_s": logprofile.stiff_switch_s,
-        "r_stiff_switch": profile.stiff_switch_r,
-        "r_steps": profile.n_steps,
-        "r_rejected": profile.n_rejected,
-        "s_steps": logprofile.n_steps,
-        "s_rejected": logprofile.n_rejected,
-        "r_nfev": profile.nfev,
-        "s_nfev": logprofile.nfev,
-        "r_newton": profile.n_newton,
-        "s_newton": logprofile.n_newton,
         "overlap_error": overlap,
         "series_r_switch": profile.r_start,
         "series_truncation": profile.series.truncation_estimate,
     }
+    for chart, prefix, switch_key in ((profile, "r", "r_stiff_switch"), (logprofile, "s", "stiff_switch_s")):
+        diagnostics[switch_key] = chart.stiff_switch
+        for field in ("n_steps", "n_rejected", "nfev", "n_newton"):  # r_steps, ..., r_newton; s_steps, ...
+            diagnostics[f"{prefix}_{field.removeprefix('n_')}"] = getattr(chart, field)
     return Solution(
         params=p,
         profile=profile,

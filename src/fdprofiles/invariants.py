@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import Solution, radius
-from .model import check_hypotheses, derived
+from .model import check_hypotheses, derived, q_identity_exponent
 from .series import series_moments
 
 __all__ = [
@@ -256,9 +256,9 @@ def quad(f, a: float, b, breaks):
 
 
 def _breaks(sol: Solution) -> np.ndarray:
-    """Piece ends of the dense output past the origin series: r-chart nodes, log-chart nodes beyond."""
+    """Piece ends of the dense output past the origin series: r-chart nodes, log-chart nodes past r_reach (the seam)."""
     rlog = radius(sol.logprofile.s)
-    return np.concatenate((sol.profile.r, rlog[rlog > sol.profile.r_end]))
+    return np.concatenate((sol.profile.r, rlog[rlog > sol.profile.r_reach]))
 
 
 def _from_origin(sol: Solution, r, on_series, beyond):
@@ -302,7 +302,7 @@ def _q_integral(sol: Solution, r):
     p = sol.params
     dc = derived(p)
     mexp = p.m / (1.0 - p.m)
-    p1 = (p.n - 2 - p.n * p.m) / (1.0 - p.m)
+    p1 = q_identity_exponent(p.n, p.m)
     se = sol.profile.series
 
     def smooth_part(rho):

@@ -101,11 +101,11 @@ def limit_convergence(
     for m in ms:
         require(Parameters(n, m, alpha, beta, eta), f"the m -> 0 study at m = {m}", "limit_ok", "existence_ok")
     grid = np.linspace(0.0, r_max, _GRID_POINTS)
-    u_vals = solve_log_equation(n, alpha, beta, eta, r_max).value(grid)
+    u_vals = solve_log_equation(n, alpha, beta, eta, r_max).eval(grid, 0)[0]
 
     sups = []
     for m in ms:
-        v_vals = integrate_r(n, m, alpha, beta, eta, r_max).value(grid)
+        v_vals = integrate_r(n, m, alpha, beta, eta, r_max).eval(grid, 0)[0]
         sups.append(float(np.max(np.abs(v_vals - u_vals))))
 
     monotone = all(sups[i + 1] <= 1.05 * sups[i] for i in range(len(sups) - 1))

@@ -186,6 +186,12 @@ class RawPath:
         """Node from which Radau IIA took over (None when DOP853 ran the whole span)."""
         return None if self.n_explicit == self.t.size else float(self.t[self.n_explicit - 1])
 
+    @property
+    def counters(self) -> dict:
+        """The step counters and the switch node (``stiff_switch``), under the names of the chart records."""
+        return dict(n_steps=self.n_steps, n_rejected=self.n_rejected, nfev=self.nfev, n_newton=self.n_newton,
+                    stiff_switch=self.t_stiff)
+
 
 def _rms(a: float, b: float) -> float:
     """RMS norm of two scaled components; inf once a square leaves the float range."""

@@ -64,40 +64,35 @@ class SelfSimilarSolution:
     T: float | None = None
 
     def _scales(self, t):
-        """(prefactor, argument scale) at time(s) t."""
+        """(prefactor, argument scale, divisor of the chain rule's du/dt: t, T - t or 1) at time(s) t."""
         t = np.asarray(t, dtype=float)
         if self.regime is Regime.FORWARD:
             if np.any(t <= 0.0):
                 raise OutOfRange(f"forward self-similar solutions live on t > 0, got t = {np.min(t)}")
-            return _pow(t, -self.alpha), _pow(t, -self.beta)
+            return _pow(t, -self.alpha), _pow(t, -self.beta), t
         if self.regime is Regime.BACKWARD:
             if np.any(t >= self.T):
                 raise OutOfRange(
                     f"backward self-similar solutions live on t < T = {self.T}, got t = {np.max(t)}"
                 )
             tt = self.T - t
-            return _pow(tt, self.alpha), _pow(tt, self.beta)
-        return _exp(-self.alpha * t), _exp(-self.beta * t)
+            return _pow(tt, self.alpha), _pow(tt, self.beta), tt
+        return _exp(-self.alpha * t), _exp(-self.beta * t), np.ones_like(t)
 
     def value(self, x_abs, t):
         """u(|x|, t); array arguments broadcast against each other."""
-        pref, scale = self._scales(t)
+        pref, scale, _ = self._scales(t)
         return pref * self.solution.v(x_abs * scale)
 
     def time_derivative_chain(self, x_abs, t):
         """du/dt in closed form from (v, v') via the chain rule."""
-        pref, scale = self._scales(t)
+        pref, scale, div = self._scales(t)
         arg = x_abs * scale
-        return self._chain(t, pref, arg, self.solution.v(arg), self.solution.dv(arg))
+        return self._chain(pref, div, arg, self.solution.v(arg), self.solution.dv(arg))
 
-    def _chain(self, t, pref, arg, v, dv):
-        """du/dt at time(s) t from the prefactor there and (v, v') at the scaled argument."""
-        core = self.alpha * v + self.beta * arg * dv
-        if self.regime is Regime.FORWARD:
-            return -pref / t * core
-        if self.regime is Regime.BACKWARD:
-            return -pref / (self.T - t) * core
-        return -pref * core
+    def _chain(self, pref, div, arg, v, dv):
+        """du/dt from the prefactor and the divisor of ``_scales`` and (v, v') at the scaled argument."""
+        return -pref / div * (self.alpha * v + self.beta * arg * dv)
 
 
 def _horizon(regime: Regime, T: float | None) -> float | None:
@@ -186,7 +181,7 @@ def _max_residual(ss: SelfSimilarSolution, radii, times, h, dt, eps_scale):
     """
     r = np.asarray(radii, dtype=float)[None, :]
     t = np.asarray(times, dtype=float)[:, None]
-    pref, scale = ss._scales(np.stack([t + dt, t - dt, t]))
+    pref, scale, div = ss._scales(np.stack([t + dt, t - dt, t]))
     centre = r * scale[2]
     v = ss.solution.v(np.stack([r * scale[0], r * scale[1], centre, (r + h) * scale[2], (r - h) * scale[2]]))
     u_later, u_earlier, u0, u_right, u_left = pref[[0, 1, 2, 2, 2]] * v
@@ -197,7 +192,7 @@ def _max_residual(ss: SelfSimilarSolution, radii, times, h, dt, eps_scale):
     lap = (fp - 2.0 * f0 + fm) / (h * h) + (ss.n - 1) / r * (fp - fm) / (2.0 * h)
     rhs = (ss.n - 1) / ss.m * lap
     resid = np.abs(u_t - rhs) / (np.abs(u_t) + np.abs(rhs) + eps_scale)
-    chain = ss._chain(t, pref[2], centre, v[2], ss.solution.dv(centre))
+    chain = ss._chain(pref[2], div[2], centre, v[2], ss.solution.dv(centre))
     chain_gap = np.abs(u_t - chain) / (np.abs(u_t) + np.abs(chain) + eps_scale)
     return float(np.max(resid)), float(np.max(chain_gap))
 
@@ -220,7 +215,7 @@ def pde_residual(
     radii, times, h, dt = residual_grid(ss.regime, ss.T, radii, times, h, dt)
 
     # fail fast if any stencil point leaves the covered range
-    _, scale = ss._scales(times)
+    _, scale, _ = ss._scales(times)
     r_need = (max(radii) + 2.0 * h) * float(np.max(scale))
     if r_need > ss.solution.r_cover:
         raise OutOfRange(

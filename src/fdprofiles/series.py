@@ -40,7 +40,6 @@ __all__ = [
     "SeriesExpansion",
     "seed_within",
     "expand_at_origin",
-    "series_derivatives",
     "eval_series",
     "series_moments",
     "series_residual",
@@ -106,8 +105,8 @@ def _coefficients(n, m, alpha, beta, terms: int) -> tuple[list[float], list[floa
     return a, lc
 
 
-def seed_within(n, m, alpha, beta, eta, rtol: float, r_switch: float | None = None) -> SeriesExpansion:
-    """Origin series on [0, r_switch], by default where its first terms left out fall below rtol*eta.
+def seed_within(n, m, alpha, beta, eta, rtol: float) -> SeriesExpansion:
+    """Origin series on [0, r_switch], where its first terms left out fall below rtol*eta.
 
     Terms a_j*y^j and 2j*a_j*y^j (those of v and r*v') for j = _TERMS and
     _TERMS + 1 must be at most rtol; r_switch is capped at _R_CAP.
@@ -118,23 +117,18 @@ def seed_within(n, m, alpha, beta, eta, rtol: float, r_switch: float | None = No
         raise ProfileError(msg, 0.0)
     a, lc = _coefficients(n, m, alpha, beta, _TERMS + 2)
     left_out = [(j, abs(a[j])) for j in (_TERMS, _TERMS + 1) if a[j] != 0.0]
-    if r_switch is None:
-        if not left_out:
-            r_switch = math.inf
-        else:
-            y_h = min((rtol / (2.0 * j * aj)) ** (1.0 / j) for j, aj in left_out)
-            r_switch = min(_R_CAP, math.sqrt(y_h / scale))
-    r_switch = float(r_switch)
-    est = 0.0
-    if math.isfinite(r_switch) and left_out:
+    r_switch, est = math.inf, 0.0
+    if left_out:
+        y_h = min((rtol / (2.0 * j * aj)) ** (1.0 / j) for j, aj in left_out)
+        r_switch = min(_R_CAP, math.sqrt(y_h / scale))
         y = scale * r_switch * r_switch
         est = eta * max(aj * y**j for j, aj in left_out)
     return SeriesExpansion(eta, scale, tuple(a[:_TERMS]), tuple(lc[:_TERMS]), r_switch, est)
 
 
-def expand_at_origin(p: Parameters, r_switch: float | None = None) -> SeriesExpansion:
-    """The origin series of p, by default on the radius where it is exact to rounding."""
-    return seed_within(p.n, p.m, p.alpha, p.beta, p.eta, _ROUNDING, r_switch)
+def expand_at_origin(p: Parameters) -> SeriesExpansion:
+    """The origin series of p, on the radius where it is exact to rounding."""
+    return seed_within(p.n, p.m, p.alpha, p.beta, p.eta, _ROUNDING)
 
 
 def horner(c: list[float], y):
@@ -149,32 +143,27 @@ def horner(c: list[float], y):
     return p
 
 
-def series_derivatives(se: SeriesExpansion, r, order: int) -> list:
-    """[v, v', v''][:order + 1] of the series at radii r, for callers that checked 0 <= r <= r_switch."""
-    if math.isinf(se.r_switch):
-        # alpha = 0: v = eta exactly, also where scale*r*r would overflow
-        const = [np.full(np.shape(r), se.eta)] + [np.zeros(np.shape(r))] * order
-        return [float(x) for x in const] if np.ndim(r) == 0 else const
-    a, da, dda = se._polys
-    y = se.scale * r * r
-    out = [se.eta * horner(a, y)]
-    if order >= 1:
-        # d/dr = 2*scale*r * d/dy; the scale goes in before eta, so no product overflows
-        dp = horner(da, y)
-        out.append(2.0 * r * se.scale * dp * se.eta)
-    if order >= 2:
-        out.append(2.0 * se.scale * (dp + 2.0 * y * horner(dda, y)) * se.eta)
-    return out
-
-
-def eval_series(se: SeriesExpansion, r):
-    """Evaluate (v, v') of the expansion; valid only for 0 <= r <= r_switch."""
+def eval_series(se: SeriesExpansion, r, order: int = 1) -> tuple:
+    """(v, v', v'')[:order + 1] of the series at radii 0 <= r <= r_switch: floats for a scalar r, arrays otherwise."""
     arr = np.asarray(r, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= se.r_switch * (1.0 + 1e-12))):
         raise OutOfRange.outside("series", 0.0, se.r_switch, arr)
     if arr.ndim == 0:
-        return tuple(series_derivatives(se, float(arr), 1))
-    return tuple(series_derivatives(se, arr, 1))
+        arr = float(arr)
+    if math.isinf(se.r_switch):
+        # alpha = 0: v = eta exactly, also where scale*r*r would overflow
+        const = [np.full(np.shape(arr), se.eta)] + [np.zeros(np.shape(arr))] * order
+        return tuple(float(x) for x in const) if np.ndim(arr) == 0 else tuple(const)
+    a, da, dda = se._polys
+    y = se.scale * arr * arr
+    out = [se.eta * horner(a, y)]
+    if order >= 1:
+        # d/dr = 2*scale*r * d/dy; the scale goes in before eta, so no product overflows
+        dp = horner(da, y)
+        out.append(2.0 * arr * se.scale * dp * se.eta)
+    if order >= 2:
+        out.append(2.0 * se.scale * (dp + 2.0 * y * horner(dda, y)) * se.eta)
+    return tuple(out)
 
 
 def series_moments(coeffs, scale: float, e: float, h):
@@ -185,14 +174,14 @@ def series_moments(coeffs, scale: float, e: float, h):
 
 
 def series_residual(p: Parameters, se: SeriesExpansion, r: float) -> float:
-    """Residual of the radial equation on the truncated series at radius r > 0.
+    """Residual of the radial equation on the truncated series at radius 0 < r <= r_switch.
 
     (n-1)/m * Delta(v^m) with the factor m cancelled, so that m = 0 gives the
     log-diffusion operator (n-1) * Delta(log v). It is of the size of the
     terms left out: at rounding level up to the r_switch of
     ``expand_at_origin``.
     """
-    v, dv, ddv = series_derivatives(se, float(r), 2)
+    v, dv, ddv = eval_series(se, r, 2)
     vm1 = v ** (p.m - 1.0)
     lap = vm1 * ddv + (p.m - 1.0) * v ** (p.m - 2.0) * dv * dv + (p.n - 1) / r * vm1 * dv
     return float((p.n - 1) * lap + p.alpha * v + p.beta * r * dv)

@@ -93,7 +93,7 @@ class TestEval:
         assert v == 1.0 and dv == 0.0
 
     def test_polynomial_values(self):
-        se = expand_at_origin(P(2.5), r_switch=0.02)
+        se = expand_at_origin(P(2.5))
         v, dv = eval_series(se, 0.01)
         # c2 = -5/24 and, by hand from the recurrence, c4 = (2*L_2 + 0.8*c2^2)/2
         # with L_2 = 4.5*5/24/40; the r^6 term is below 1e-14 and 6*c6*r^5 below 1e-11
