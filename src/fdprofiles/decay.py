@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .integrate import LogProfile, Solution
-from .model import EXACT_DECAY, Parameters, derived, power_proxy_exponent, require
+from .model import EXACT_DECAY, Parameters, derived, require
 
 __all__ = [
     "DecayKind",
@@ -217,7 +217,7 @@ def estimate_power_decay(sol: Solution) -> DecayEstimate:
 
     drift = float(abs(q[-1] - q[-2]) / abs(q[-1]))
     extrapolated = float(np.mean(q[-3:]))
-    p0 = power_proxy_exponent(p.m, p.alpha, p.beta)
+    p0 = 2.0 - 0.5 * a * one_m
     # r^p0 * q'/q with q'/q = g / ((1-m)*w*r)
     proxy = np.exp((p0 - 1.0) * sgrid) * g / (one_m * w)
     absP = np.abs(proxy)

@@ -675,6 +675,8 @@ def integrate_log(
     # the DOP853 stretch ends at the first switch, to Radau IIA or to the tail
     k = path.n_explicit
     _, _, dgs_dw, dgs_dg = jac(None, w_arr[:k], g_arr[:k])
+    counters = path.counters
+    counters["n_steps"] += s_arr.size - path.t.size  # a tail node counts as a step
     return LogProfile(
         s=s_arr,
         w=w_arr,
@@ -688,8 +690,7 @@ def integrate_log(
         rtol=rtol,
         qss_switch_s=switch_s,
         qss_gap=gap,
-        # a tail node counts as a step
-        **path.counters | {"n_steps": path.n_steps + s_arr.size - path.t.size},
+        **counters,
     )
 
 
@@ -822,14 +823,20 @@ def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solutio
     diagnostics = {
         "qss_switch_s": logprofile.qss_switch_s,
         "qss_gap": logprofile.qss_gap,
+        "stiff_switch_s": logprofile.stiff_switch,
+        "r_stiff_switch": profile.stiff_switch,
+        "r_steps": profile.n_steps,
+        "r_rejected": profile.n_rejected,
+        "s_steps": logprofile.n_steps,
+        "s_rejected": logprofile.n_rejected,
+        "r_nfev": profile.nfev,
+        "s_nfev": logprofile.nfev,
+        "r_newton": profile.n_newton,
+        "s_newton": logprofile.n_newton,
         "overlap_error": overlap,
         "series_r_switch": profile.r_start,
         "series_truncation": profile.series.truncation_estimate,
     }
-    for chart, prefix, switch_key in ((profile, "r", "r_stiff_switch"), (logprofile, "s", "stiff_switch_s")):
-        diagnostics[switch_key] = chart.stiff_switch
-        for field in ("n_steps", "n_rejected", "nfev", "n_newton"):  # r_steps, ..., r_newton; s_steps, ...
-            diagnostics[f"{prefix}_{field.removeprefix('n_')}"] = getattr(chart, field)
     return Solution(
         params=p,
         profile=profile,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import Solution, radius
-from .model import check_hypotheses, derived, q_identity_exponent
+from .model import check_hypotheses, derived
 from .series import series_moments
 
 __all__ = [
@@ -262,18 +262,23 @@ def _breaks(sol: Solution) -> np.ndarray:
 
 
 def _from_origin(sol: Solution, r, on_series, beyond):
-    """``on_series(min(r, r_start))`` plus ``beyond(r_start, radii past it)``, for every radius in ``r`` at once.
+    """``on_series`` where the origin series serves, plus ``beyond(r_start, radii)`` past it, for every radius in ``r``.
 
-    On [0, r_start] the dense output is the origin series, a polynomial in
-    y = scale*rho^2 that the identities integrate term by term; past it they
-    take ``quad`` on the pieces of the dense output.
+    On [0, r_start], and past r_end too when the series is the exact
+    constant (alpha = 0, ``r_reach``), the dense output is the origin series,
+    a polynomial in y = scale*rho^2 that the identities integrate term by
+    term; in between they take ``quad`` on the pieces of the dense output.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
-    r_start = sol.profile.r_start
-    out = on_series(np.minimum(radii, r_start))
-    past = radii > r_start
+    pr = sol.profile
+    out = on_series(np.minimum(radii, pr.r_start))
+    if pr.r_reach > pr.r_end:
+        tail = radii > pr.r_end
+        out[tail] += on_series(radii[tail]) - on_series(pr.r_end)
+        radii = np.minimum(radii, pr.r_end)
+    past = radii > pr.r_start
     if past.any():
-        out[past] += beyond(r_start, radii[past])
+        out[past] += beyond(pr.r_start, radii[past])
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -302,7 +307,7 @@ def _q_integral(sol: Solution, r):
     p = sol.params
     dc = derived(p)
     mexp = p.m / (1.0 - p.m)
-    p1 = q_identity_exponent(p.n, p.m)
+    p1 = (p.n - 2 - p.n * p.m) / (1.0 - p.m)
     se = sol.profile.series
 
     def smooth_part(rho):

@@ -33,8 +33,6 @@ __all__ = [
     "exponent_relation",
     "eternal_alpha",
     "chart_constants",
-    "q_identity_exponent",
-    "power_proxy_exponent",
 ]
 
 # Relative tolerance for matching the special exponent relations, the one
@@ -133,16 +131,6 @@ def chart_constants(n: int, m: float, beta: float) -> tuple[float, float]:
     one_m = 1.0 - m
     a0 = 2.0 * (n - 2 - n * m) * (n - 1) / (one_m * beta) if beta != 0.0 else math.nan
     return a0, (n - 2 - (n + 2) * m) / one_m
-
-
-def q_identity_exponent(n: int, m: float) -> float:
-    """p1 = (n-2-nm)/(1-m), the power rho^p1 the q identity integrates in; plain scalars, so m = 0 is accepted."""
-    return (n - 2 - n * m) / (1.0 - m)
-
-
-def power_proxy_exponent(m: float, alpha: float, beta: float) -> float:
-    """p0 = 2 - (alpha/2beta)*(1-m) of the power-decay proxy r^p0 * q'/q; plain scalars, so m = 0 is accepted."""
-    return 2.0 - 0.5 * (alpha / beta) * (1.0 - m)
 
 
 def derived(p: Parameters) -> DerivedConstants:
