@@ -166,8 +166,12 @@ def _base_report(cfg: dict, p: Parameters | None) -> dict:
     return report
 
 
-def _strict_exit(cfg: dict, ok: bool) -> int:
-    return EXIT_NUMERICAL if cfg.get("strict") and not ok else EXIT_OK
+def _strict_exit(cfg: dict, command: str, failed: str) -> int:
+    """Exit 3 under --strict when ``failed`` names what failed, and say so on stderr."""
+    if not (cfg.get("strict") and failed):
+        return EXIT_OK
+    print(f"fdprofiles: {command} failed: {failed}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def _solved(cfg: dict):
@@ -196,7 +200,8 @@ def _cmd_verify(cfg: dict) -> tuple[int, dict]:
     _, sol, report = _solved(cfg)
     rep = run_all_checks(sol)
     report["invariants"] = _jsonable(rep)
-    return _strict_exit(cfg, rep.overall), report
+    failed = ", ".join(e.name for e in rep.entries if e.applicable and not e.passed)
+    return _strict_exit(cfg, "verify", failed), report
 
 
 def _cmd_decay(cfg: dict) -> tuple[int, dict]:
@@ -211,7 +216,7 @@ def _cmd_decay(cfg: dict) -> tuple[int, dict]:
     trace_out = _resolve_path(cfg.get("trace_out"))
     if trace_out is not None:
         _write_csv(trace_out, "scale,value", zip(est.scales, est.values))
-    return _strict_exit(cfg, est.converged), report
+    return _strict_exit(cfg, "decay", "" if est.converged else "the estimate did not converge"), report
 
 
 def _cmd_limit(cfg: dict) -> tuple[int, dict]:
@@ -220,7 +225,7 @@ def _cmd_limit(cfg: dict) -> tuple[int, dict]:
     # only what the flags or the file set; limit_convergence owns the defaults
     cr = limit_convergence(*params, **{k: cfg[k] for k in ("m_list", "r_max") if k in cfg})
     report["limit"] = _jsonable(cr)
-    return _strict_exit(cfg, cr.monotone), report
+    return _strict_exit(cfg, "limit", "" if cr.monotone else "the sup-norm errors are not monotone in m"), report
 
 
 def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
@@ -378,9 +383,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"fdprofiles: i/o error: {exc}", file=sys.stderr)
             return EXIT_IO
-    if code != EXIT_OK:
-        err = report.get("error", {})
-        print(f"fdprofiles: {err.get('type', 'error')}: {err.get('message', '')}", file=sys.stderr)
+    if "error" in report:
+        print(f"fdprofiles: {report['error']['type']}: {report['error']['message']}", file=sys.stderr)
     return code
 
 

@@ -14,6 +14,7 @@ mismatch, so pass/fail is margin >= -eps (pointwise) or margin >= 0
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -213,11 +214,9 @@ def check_slope_bounds(sol: Solution) -> InvariantReport:
 
 
 # Radii at which both integral identities are checked (those within reach).
-# ``quad``'s 8-point rule is exact to degree 15, so on each r-chart piece
-# (septic Hermite in r) the flux integrand rho^(n-1)*v, of degree n + 6, is
-# integrated exactly for n <= 9. Beyond that the rule is not exact but the
-# pieces are smooth: on the n = 10 row of tests/test_exact.py the 8- and
-# 16-point rules agree to 2.2e-16 at every radius.
+# ``_moment`` gives ``quad`` max(8, ceil((p+7)/2)) points for rho^(p-1) times
+# a smooth factor, so on each r-chart piece (septic Hermite in r) the flux
+# integrand rho^(n-1)*v, of degree n + 6, is integrated exactly at every n.
 _IDENTITY_RADII = np.array([0.5, 1.0, 5.0, 20.0])
 
 
@@ -232,25 +231,29 @@ def _identity_entry(name, residual, scale, radii, quad_tol, rtol) -> InvariantEn
     return _from_margins(name, tol_eff - mismatches, radii, 0.0, note=f"relative mismatch vs threshold {tol_eff:.3g}")
 
 
-# Gauss-Legendre rule on [-1, 1]; 8 points are exact to degree 15.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+@functools.cache
+def _rule(points: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; exact to degree 2*points - 1."""
+    return np.polynomial.legendre.leggauss(points)
 
 
-def quad(f, a: float, b, breaks):
+def quad(f, a: float, b, breaks, points: int):
     """Integrals of the vectorized ``f`` from ``a`` to every upper limit in ``b`` (a float for scalar ``b``).
 
     The rule of both integral identities, which read every radius off one
-    sweep: one Gauss-Legendre rule per piece of [a, max(b)] cut at every
-    upper limit and at every entry of ``breaks`` inside it (the pieces of the
-    dense output), summed cumulatively. A repeated cut only adds an empty
-    piece (np.unique would import numpy.ma, ~15 ms on a first call).
+    sweep: one ``points``-point Gauss-Legendre rule per piece of [a, max(b)]
+    cut at every upper limit and at every entry of ``breaks`` inside it (the
+    pieces of the dense output), summed cumulatively. A repeated cut only
+    adds an empty piece (np.unique would import numpy.ma, ~15 ms on a first
+    call).
     """
+    gl_x, gl_w = _rule(points)
     ends = np.asarray(b, dtype=float)
     breaks = np.asarray(breaks, dtype=float)
     x = np.sort(np.concatenate(([a], breaks[(breaks > a) & (breaks < ends.max())], ends.ravel())))
     half = 0.5 * np.diff(x)
-    nodes = (x[:-1] + half)[:, None] + half[:, None] * _GL_X
-    cum = np.concatenate(([0.0], np.cumsum(half * (f(nodes.ravel()).reshape(nodes.shape) @ _GL_W))))
+    nodes = (x[:-1] + half)[:, None] + half[:, None] * gl_x
+    cum = np.concatenate(([0.0], np.cumsum(half * (f(nodes.ravel()).reshape(nodes.shape) @ gl_w))))
     out = cum[np.searchsorted(x, ends)]
     return float(out) if out.ndim == 0 else out
 
@@ -261,48 +264,39 @@ def _breaks(sol: Solution) -> np.ndarray:
     return np.concatenate((sol.profile.r, rlog[rlog > sol.profile.r_reach]))
 
 
-def _from_origin(sol: Solution, r, on_series, beyond):
-    """``on_series`` where the origin series serves, plus ``beyond(r_start, radii)`` past it, for every radius in ``r``.
+def _moment(sol: Solution, r, p: float, smooth, coeffs):
+    """Integral of rho^(p-1) * smooth(rho) over [0, r] (p > 0), for every radius in ``r`` at once.
 
-    On [0, r_start], and past r_end too when the series is the exact
-    constant (alpha = 0, ``r_reach``), the dense output is the origin series,
-    a polynomial in y = scale*rho^2 that the identities integrate term by
-    term; in between they take ``quad`` on the pieces of the dense output.
+    On [0, r_start] the dense output is the origin series, where ``smooth``
+    is the sum of coeffs[k]*(scale*rho^2)^k, integrated term by term. Past
+    r_start one cumulative ``quad`` sweep runs over the pieces of the dense
+    output with max(8, ceil((p+7)/2)) points, exact on a septic r-chart piece
+    times rho^(p-1) for an integer p, and on the exact constant at alpha = 0.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
-    pr = sol.profile
-    out = on_series(np.minimum(radii, pr.r_start))
-    if pr.r_reach > pr.r_end:
-        tail = radii > pr.r_end
-        out[tail] += on_series(radii[tail]) - on_series(pr.r_end)
-        radii = np.minimum(radii, pr.r_end)
-    past = radii > pr.r_start
+    lo = sol.profile.r_start
+    out = series_moments(coeffs, sol.profile.series.scale, p, np.minimum(radii, lo))
+    past = radii > lo
     if past.any():
-        out[past] += beyond(pr.r_start, radii[past])
+        points = max(8, math.ceil((p + 7) / 2))
+        out[past] += quad(lambda rho: rho ** (p - 1) * smooth(rho), lo, radii[past], _breaks(sol), points)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def _flux_integral(sol: Solution, r):
     """Integral of rho^(n-1) * v(rho) over [0, r], for every radius in ``r`` at once."""
-    n = sol.params.n
     se = sol.profile.series
-    return _from_origin(
-        sol,
-        r,
-        lambda h: series_moments(se.eta * np.asarray(se.coeffs), se.scale, n, h),
-        lambda lo, ends: quad(lambda rho: rho ** (n - 1) * sol.v(rho), lo, ends, _breaks(sol)),
-    )
+    return _moment(sol, r, sol.params.n, sol.v, se.eta * np.asarray(se.coeffs))
 
 
 def _q_integral(sol: Solution, r):
     """Integral of rho^(b0-1) * w^(m/(1-m)) * (a0 - q) over [0, r], for every radius in ``r`` at once.
 
-    The integrand is rho^edge times the smooth factor v^m * (a0 - q), with
-    edge = b0 - 1 + 2m/(1-m) = p1 - 1 and p1 = (n-2-nm)/(1-m) > 0. On the
-    series segment the smooth factor is a0*v^m - 2*rho^2*v - (1-m)*rho^3*v',
-    a series in y = scale*rho^2 read off the origin series' a_k and the L_k
-    of v^m, and is integrated term by term. Beyond it the substitution
-    u = rho^p1 removes the rho^edge factor.
+    The integrand is rho^(p1-1) times the smooth factor v^m * (a0 - q), as
+    b0 - 1 + 2m/(1-m) = p1 - 1 with p1 = (n-2-nm)/(1-m) > 0, and ``_moment``
+    takes it with p = p1. On the series segment the smooth factor is
+    a0*v^m - 2*rho^2*v - (1-m)*rho^3*v', a series in y = scale*rho^2 read off
+    the origin series' a_k and the L_k of v^m.
     """
     p = sol.params
     dc = derived(p)
@@ -319,12 +313,7 @@ def _q_integral(sol: Solution, r):
     coeffs = dc.a0 * p.m * np.asarray(se.log_coeffs)
     coeffs[0] = dc.a0
     coeffs[1:] -= 2.0 * (1.0 + (1.0 - p.m) * np.arange(a.size - 1)) * a[:-1]
-    return _from_origin(
-        sol,
-        r,
-        lambda h: series_moments(p.eta**p.m * coeffs, se.scale, p1, h),
-        lambda lo, ends: quad(lambda u: smooth_part(u ** (1.0 / p1)), lo**p1, ends**p1, _breaks(sol) ** p1) / p1,
-    )
+    return _moment(sol, r, p1, smooth_part, p.eta**p.m * coeffs)
 
 
 def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
@@ -365,23 +354,24 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
     radii = _identity_radii(sol)
     wexp = (2.0 * p.m - 1.0) / (1.0 - p.m)
 
-    def lhs_at(r):
+    def log_lhs_at(r):
+        # the factor in logs: r^b0 alone underflows at large n
         w, q = sol.w_q(r)
-        return r**dc.b0 * q * w**wexp
+        return dc.b0 * math.log(r) + math.log(abs(q)) + wexp * math.log(w)
 
-    lhs = lhs_at(radii)
+    w, q = sol.w_q(radii)
+    lhs = radii**dc.b0 * q * w**wexp
     rhs = p.beta / (p.n - 1) * _q_integral(sol, radii)
     entries = [_identity_entry("q_identity", lhs - rhs, np.abs(lhs) + np.abs(rhs), radii, quad_tol,
                                sol.logprofile.rtol)]
 
-    lhs_outer = abs(lhs_at(1e-3))
-    lhs_inner = abs(lhs_at(1e-4))
+    decay = log_lhs_at(1e-3) - log_lhs_at(1e-4)
     entries.append(
         InvariantEntry(
             name="q_boundary_decay",
             applicable=True,
-            passed=bool(lhs_inner < lhs_outer),
-            worst_margin=math.log(lhs_outer / max(lhs_inner, 1e-300)),
+            passed=bool(decay > 0.0),
+            worst_margin=decay,
             location=1e-4,
             note="|r^b0 q w^((2m-1)/(1-m))| decreasing toward 0 as r -> 0",
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from fdprofiles import (
 )
 from fdprofiles import cli, loglimit
 from fdprofiles.cli import _jsonable, main
+from fdprofiles.invariants import InvariantReport
 from fdprofiles.loglimit import limit_convergence
 from fdprofiles.selfsim import PDE_RADII
 
@@ -176,13 +178,15 @@ class TestConfigFile:
             "n": 3, "m": 0.2, "alpha": 6.0, "beta": 1.0, "eta": 1.0
         }
 
-    def test_strict_from_file(self, tmp_path):
+    def test_strict_from_file(self, tmp_path, capsys):
         # s_end = 8 leaves the power plateau short of converging
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("n = 3\nm = 0.2\nalpha = 1.25\nbeta = 1\neta = 1\ns-end = 8\n")
         assert run("decay", "--config", cfgfile) == 0
+        assert capsys.readouterr().err == ""
         cfgfile.write_text(cfgfile.read_text() + "strict = true\n")
         assert run("decay", "--config", cfgfile) == 3
+        assert capsys.readouterr().err == "fdprofiles: decay failed: the estimate did not converge\n"
 
     def test_flags_override_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -248,6 +252,22 @@ class TestVerify:
         assert inv["overall"] is True
         names = {e["name"] for e in inv["entries"]}
         assert {"dv_sign", "h1_positive", "flux_identity", "q_identity"} <= names
+
+    def test_strict_failure_names_the_failing_entries(self, monkeypatch, capsys, tmp_path):
+        def failing(sol):
+            entries = run_all_checks(sol).entries
+            return InvariantReport.collect(
+                dataclasses.replace(e, passed=False) if e.name in ("flux_identity", "q_identity") else e
+                for e in entries
+            )
+
+        monkeypatch.setattr(cli, "run_all_checks", failing)
+        js = tmp_path / "verify.json"
+        assert run("verify", *PARAMS, "--strict", "--json", js) == 3
+        assert capsys.readouterr().err == "fdprofiles: verify failed: flux_identity, q_identity\n"
+        # the report is the verdict itself, with no error entry
+        data = json.loads(js.read_text())
+        assert "error" not in data and data["invariants"]["overall"] is False
 
 
 class TestLimit:

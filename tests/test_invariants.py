@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fdprofiles import (
     solve_profile,
 )
 from fdprofiles import integrate, invariants
-from fdprofiles.model import REGIME_TOL
+from fdprofiles.model import REGIME_TOL, eternal_alpha
 
 
 class TestPointwise:
@@ -177,14 +178,24 @@ class TestSlopeBounds:
 
 
 class TestFluxIdentity:
-    # at n = 25 the flux integrand rho^24 * eta past the r-chart has degree
-    # 24, beyond the 8-point rule, so it must be integrated term by term there
-    @pytest.mark.parametrize("n", [3, 25])
-    def test_constant_solution_balances_exactly(self, solved, n):
-        rep = check_flux_identity(solved(n, 0.2, 0.0, 1.0))
+    # the r-chart's pieces grow long at alpha = 0, and the flux integrand
+    # rho^(n-1) * eta has degree n - 1: an 8-point rule is exact only to n = 16
+    @pytest.mark.parametrize(
+        "n, r_max",
+        [(3, None), (25, None), (40, None), (60, None), (200, None), (25, 25.0), (30, 25.0), (200, 25.0)],
+        ids=["3", "25", "40", "60", "200", "25-r_max25", "30-r_max25", "200-r_max25"],
+    )
+    def test_constant_solution_balances_exactly(self, solved, n, r_max):
+        rep = check_flux_identity(solved(n, 0.2, 0.0, 1.0, **({} if r_max is None else {"r_max": r_max})))
         assert rep.overall
         # both sides vanish; mismatch is pure rounding, far inside threshold
         assert rep.entry("flux_identity").worst_margin > 0.0
+
+    # rho^199 times a septic r-chart piece needs 103 points to be exact
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    @pytest.mark.parametrize("mfrac", [0.1, 0.5, 0.99])
+    def test_holds_at_n_200(self, solved, alpha, mfrac):
+        assert check_flux_identity(solved(200, mfrac * 198 / 200, alpha, 1.0)).overall
 
     @pytest.mark.parametrize("alpha", [2.5, 1.25, -1.0])
     def test_holds_along_computed_solutions(self, solved, alpha):
@@ -211,6 +222,16 @@ class TestQIdentity:
     def test_boundary_factor_decreases(self, eternal_n3):
         entry = check_q_identity(eternal_n3).entry("q_boundary_decay")
         assert entry.worst_margin > 0.5  # roughly a power law in r
+
+    # at n = 200, r^b0 underflows at r = 1e-4 and a power of the log chart's
+    # last radius e^40 overflows; neither may be taken
+    @pytest.mark.parametrize("m", [0.099, 0.495])
+    def test_eternal_rows_at_n_200_raise_no_warning(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_profile(Parameters(n=200, m=m, alpha=eternal_alpha(m, 1.0), beta=1.0, eta=1.0))
+            rep = check_q_identity(sol)
+        assert all(e.applicable and e.passed for e in rep.entries)
 
 
 class TestRunAll:
@@ -289,8 +310,21 @@ class TestGaussLegendre:
         coeffs = np.arange(1.0, 17.0)
         exact = np.polynomial.polynomial.polyval(2.0, np.polynomial.polynomial.polyint(coeffs))
         breaks = np.array([-1.0, 0.3, 0.7, 1.1, 2.5])
-        got = invariants.quad(lambda x: np.polynomial.polynomial.polyval(x, coeffs), 0.0, 2.0, breaks)
+        got = invariants.quad(lambda x: np.polynomial.polynomial.polyval(x, coeffs), 0.0, 2.0, breaks, 8)
         assert got == pytest.approx(exact, rel=1e-14)
+
+    def test_moment_is_exact_for_a_septic_at_p_40(self, solved):
+        # rho^39 times a septic has degree 46, and the rule _moment picks for
+        # p = 40 is exact for it. The alpha = 0 r-chart has pieces as long as
+        # [1.6, 11.6], where 8 points are 1e-3 off.
+        sol = solved(3, 0.2, 0.0, 1.0, r_max=25.0)
+        septic = np.arange(1.0, 9.0)
+        lo = sol.profile.r_start
+        radii = invariants._IDENTITY_RADII
+        got = invariants._moment(sol, radii, 40, lambda x: np.polynomial.polynomial.polyval(x, septic), np.zeros(1))
+        powers = 40 + np.arange(septic.size)
+        exact = [np.sum(septic * (r**powers - lo**powers) / powers) for r in radii]
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
 
     # the 1e-14 reference reaches roundoff on some pieces, which quadpack reports
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -340,7 +374,7 @@ class TestGaussLegendre:
                 checked += 1
         assert checked >= 24
 
-    def test_8_and_16_points_agree(self, grid, monkeypatch):
+    def test_each_rule_agrees_with_eight_more_points(self, grid, monkeypatch):
         def integrals():
             out = []
             for sol, radii, eternal in grid:
@@ -350,22 +384,22 @@ class TestGaussLegendre:
                         out.append(invariants._q_integral(sol, r))
             return out
 
-        eight = integrals()
-        x16, w16 = np.polynomial.legendre.leggauss(16)
-        monkeypatch.setattr(invariants, "_GL_X", x16)
-        monkeypatch.setattr(invariants, "_GL_W", w16)
-        np.testing.assert_allclose(eight, integrals(), rtol=1e-13, atol=0.0)
+        chosen = integrals()
+        rule = invariants._rule
+        monkeypatch.setattr(invariants, "_rule", lambda points: rule(points + 8))
+        np.testing.assert_allclose(chosen, integrals(), rtol=1e-13, atol=0.0)
 
     def test_one_sweep_matches_a_rule_per_radius(self, grid, monkeypatch):
         # both identities read every radius off one cumulative sweep; the
         # reference integrates [a, r] afresh for each radius r
-        def per_radius(f, a, b, breaks):
+        def per_radius(f, a, b, breaks, points):
+            gl_x, gl_w = invariants._rule(points)
             out = []
             for r in np.atleast_1d(b):
                 x = np.concatenate(([a], breaks[(breaks > a) & (breaks < r)], [r]))
                 half = 0.5 * np.diff(x)
-                nodes = (x[:-1] + half)[:, None] + half[:, None] * invariants._GL_X
-                out.append(half @ (f(nodes.ravel()).reshape(nodes.shape) @ invariants._GL_W))
+                nodes = (x[:-1] + half)[:, None] + half[:, None] * gl_x
+                out.append(half @ (f(nodes.ravel()).reshape(nodes.shape) @ gl_w))
             return np.array(out)
 
         def integrals():
@@ -381,7 +415,7 @@ class TestGaussLegendre:
         for got, ref in zip(swept, integrals()):
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
-    def test_grid_has_a_non_integer_substitution_power(self, grid):
-        # n = 5, m = 3/7: u = rho^p1 with p1 = (n-2-nm)/(1-m) = 1.5
+    def test_grid_has_a_non_integer_moment_power(self, grid):
+        # n = 5, m = 3/7: the q integral is a moment of rho^(p1-1) with p1 = (n-2-nm)/(1-m) = 1.5
         p1s = [(p.n - 2 - p.n * p.m) / (1.0 - p.m) for p in (s.params for s, _, e in grid if e)]
         assert any(p1 == pytest.approx(1.5, rel=1e-14) for p1 in p1s)
