@@ -39,8 +39,19 @@ class OutOfRange(ProfileError):
     """Evaluation requested outside the covered radial range."""
 
     @classmethod
-    def outside(cls, what: str, lo: float, hi: float, query) -> "OutOfRange":
-        """The error for a ``query`` not within [lo, hi], located at the query farthest out (NaN if any)."""
-        lowest, highest = float(np.min(query)), float(np.max(query))
-        worst = lowest if lo - lowest > highest - hi else highest
-        return cls(f"{what} covers [{lo:.6g}, {hi:.6g}], requested a point outside", worst)
+    def clip(cls, what: str, query, lo: float, hi: float) -> np.ndarray:
+        """``query`` as a float array clipped into [lo, hi]; hi may be infinite.
+
+        A point within 1e-12*|bound| of a bound is served as that bound. Any
+        other point outside, NaN included, raises, located at the query
+        farthest out (NaN if any).
+        """
+        arr = np.asarray(query, dtype=float)
+        # NaN if any; an empty query reads [hi, lo] and is served as it is
+        lowest, highest = float(arr.min(initial=hi)), float(arr.max(initial=lo))
+        if lo <= lowest and highest <= hi:
+            return arr
+        if not (lo - 1e-12 * abs(lo) <= lowest and highest <= hi + 1e-12 * abs(hi)):
+            worst = lowest if lo - lowest > highest - hi else highest
+            raise cls(f"{what} covers [{lo:.6g}, {hi:.6g}], requested a point outside", worst)
+        return np.minimum(np.maximum(arr, lo), hi)

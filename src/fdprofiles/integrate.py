@@ -49,8 +49,6 @@ __all__ = [
     "solve_profile",
 ]
 
-_RANGE_SLACK = 1e-12
-
 # The radius where the r-chart hands off to the log chart (s = 0). Every
 # log-chart bound and trace downstream (decay traces, power-plateau decades,
 # slope checks) is stated for r >= 1 and read from s = 0.
@@ -106,16 +104,21 @@ def chart_tolerances(chart: str, tol: float) -> tuple[float, float]:
     return rtol, rtol * 1e-2
 
 
-def _by_stretch(x, last, explicit, past):
-    """``explicit(x)`` on a chart's DOP853 stretch, up to its last node ``last``, and ``past(x)`` beyond it."""
-    below = x <= last
-    if np.all(below):
-        return explicit(x)
-    if not np.any(below):
-        return past(x)
-    out = np.empty_like(x)
-    out[below] = explicit(x[below])
-    out[~below] = past(x[~below])
+def _split(x, mask, on, off) -> tuple:
+    """The tuple of arrays that ``on`` gives where ``mask`` holds and ``off`` gives elsewhere.
+
+    Each function sees only its own points, and when one side is empty the
+    other's tuple is returned as it is.
+    """
+    if mask.all():
+        return on(x)
+    if not mask.any():
+        return off(x)
+    rest = ~mask
+    parts = on(x[mask]), off(x[rest])
+    out = tuple(np.empty(x.shape) for _ in parts[0])
+    for y, y_on, y_off in zip(out, *parts):
+        y[mask], y[rest] = y_on, y_off
     return out
 
 
@@ -171,26 +174,17 @@ class Profile:
         """Largest radius served: the chart's end, or every radius where the origin series is the exact constant (alpha = 0)."""
         return math.inf if math.isinf(self.series.r_switch) else self.r_end
 
-    def _covered(self, r):
-        """Radii in [0, r_reach], the same clipped into the chart, and where the series serves them."""
-        arr = np.atleast_1d(np.asarray(r, dtype=float)).copy()
-        if not np.all((arr >= 0.0) & (arr <= self.r_reach * (1.0 + _RANGE_SLACK))):
-            raise OutOfRange.outside("profile", 0.0, self.r_reach, arr)
-        np.clip(arr, 0.0, self.r_reach, out=arr)
-        if self.r_reach == self.r_end:
-            return arr, arr, arr < self.r_start
-        return arr, np.minimum(arr, self.r_end), (arr < self.r_start) | (arr > self.r_end)
-
     def eval(self, r, order: int = 1) -> tuple:
-        """Dense (v, v')[:order + 1] at radii in [0, r_reach]: floats for a scalar ``r``, arrays otherwise."""
-        arr, on_chart, on_series = self._covered(r)
-        out = [self._v_interp.value(on_chart)]
-        if order >= 1:
-            out.append(self._v_interp.derivative(on_chart))
-        if on_series.any():
-            for x, x_series in zip(out, eval_series(self.series, arr[on_series], order)):
-                x[on_series] = x_series
-        return tuple(float(x[0]) for x in out) if np.ndim(r) == 0 else tuple(out)
+        """Dense (v, v')[:order + 1] at radii in [0, r_reach]: floats for a scalar ``r``, arrays otherwise.
+
+        The chart serves [r_start, r_end], v' the derivative of its v, and the origin series every other radius.
+        """
+        arr = np.atleast_1d(OutOfRange.clip("profile", r, 0.0, self.r_reach))
+        h = self._v_interp
+        out = _split(arr, (arr >= self.r_start) & (arr <= self.r_end),
+                     lambda x: (h.value(x), h.derivative(x)) if order else (h.value(x),),
+                     lambda x: eval_series(self.series, x, order))
+        return tuple(float(x[0]) for x in out) if np.ndim(r) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -204,10 +198,12 @@ class LogProfile:
     ``wsss`` holds w_sss at the nodes of the DOP853 stretch, the first
     ``wsss.size`` nodes, up to the first switch (to Radau IIA or to the slow
     tail). w is one ``Hermite`` of all four: septic over that stretch, of
-    the order of the steps, where w_s is its derivative, and quintic past
-    it, where w_s is g + sigma*w. g is cubic on the whole chart. The
-    counters and ``stiff_switch`` are as on ``Profile``, except that each
-    node of the slow tail counts as a step.
+    the order of the steps, and quintic past it. g is cubic on the whole
+    chart. Wherever the chart was stepped, by DOP853 or by Radau IIA, w_s is
+    the derivative of w; only on the slow tail, past ``qss_switch_s``, where
+    g is exact manifold state, is it g + sigma*w. The counters and
+    ``stiff_switch`` are as on ``Profile``, except that each node of the
+    slow tail counts as a step.
     """
 
     s: np.ndarray
@@ -258,31 +254,26 @@ class LogProfile:
         # value by 2.9e-8.
         return Hermite(self.s, self.g, self.gs)
 
-    def _check(self, s):
-        arr = np.asarray(s, dtype=float)
-        lo, hi = self.s_start, self.s_end
-        slack = _RANGE_SLACK * max(1.0, abs(lo), abs(hi))
-        if not np.all((arr >= lo - slack) & (arr <= hi + slack)):
-            raise OutOfRange.outside("log chart", lo, hi, arr)
-        return np.clip(arr, lo, hi)
+    def _clip(self, s):
+        return OutOfRange.clip("log chart", s, self.s_start, self.s_end)
 
     def eval_w(self, s):
-        return self._w_interp.value(self._check(s))
+        return self._w_interp.value(self._clip(s))
 
     def eval_g(self, s):
-        return self._g_interp.value(self._check(s))
+        return self._g_interp.value(self._clip(s))
 
     def eval_ws(self, s):
-        return _by_stretch(
-            self._check(s),
-            self.s[self.wsss.size - 1],
-            self._w_interp.derivative,
-            lambda x: self._g_interp.value(x) + self.sigma * self._w_interp.value(x),
-        )
+        """w_s: the derivative of w wherever the chart was stepped, g + sigma*w on the slow tail."""
+        sq = self._clip(s)
+        w, g = self._w_interp, self._g_interp
+        (ws,) = _split(sq, sq <= (self.s_end if self.qss_switch_s is None else self.qss_switch_s),
+                       lambda x: (w.derivative(x),), lambda x: (g.value(x) + self.sigma * w.value(x),))
+        return ws
 
     def eval_v(self, s):
         """Profile value v at log-radius s."""
-        sq = self._check(s)
+        sq = self._clip(s)
         return (self._w_interp.value(sq) * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
 
 
@@ -725,8 +716,10 @@ class Solution:
     Immutable after construction and safe to share read-only. Dense queries
     prefer the (tighter-tolerance) r-chart wherever it reaches (``r_reach``)
     and switch to the log chart beyond, so a finite-difference stencil
-    evaluated inside one chart never straddles the seam. ``nodes``, the
-    node view the pointwise checks read, is built once on first use.
+    evaluated inside one chart never straddles the seam. Each chart's v' is
+    the derivative of its dense v or w, except on the log chart's slow tail
+    (``LogProfile``). ``nodes``, the node view the pointwise checks read,
+    is built once on first use.
     """
 
     params: Parameters
@@ -753,39 +746,30 @@ class Solution:
         """Largest radius served by dense evaluation."""
         return max(self.profile.r_end, float(radius(self.logprofile.s_end)))
 
-    def _by_chart(self, r, on_r, on_log, rows):
-        """``rows`` outputs: ``on_r(radii)`` where the r-chart reaches, ``on_log(log r, radii)`` beyond."""
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if not np.all((arr >= 0.0) & (arr <= self.r_cover * (1.0 + _RANGE_SLACK))):
-            raise OutOfRange.outside("solution", 0.0, self.r_cover, arr)
-        in_r = arr <= self.profile.r_reach
-        rest = ~in_r
-        out = np.empty((rows, *arr.shape))
-        if in_r.any():
-            out[:, in_r] = on_r(arr[in_r])
-        if rest.any():
-            out[:, rest] = on_log(np.log(arr[rest]), arr[rest])
-        out = out[:, 0].tolist() if np.ndim(r) == 0 else list(out)
-        return out[0] if rows == 1 else tuple(out)
+    def _by_chart(self, r, on_r, on_log) -> tuple:
+        """The tuples ``on_r(radii)`` where the r-chart reaches and ``on_log(log r, radii)`` beyond, joined."""
+        arr = np.atleast_1d(OutOfRange.clip("solution", r, 0.0, self.r_cover))
+        out = _split(arr, arr <= self.profile.r_reach, on_r, lambda rr: on_log(np.log(rr), rr))
+        return tuple(float(x[0]) for x in out) if np.ndim(r) == 0 else out
 
     def v(self, r):
         """Profile value v(r) across both charts."""
-        return self._by_chart(r, lambda rr: self.profile.eval(rr, 0)[0], lambda s, _: self.logprofile.eval_v(s), 1)
+        return self._by_chart(r, lambda rr: self.profile.eval(rr, 0), lambda s, _: (self.logprofile.eval_v(s),))[0]
 
     def dv(self, r):
         """Radial derivative v'(r) across both charts."""
         lp = self.logprofile
 
         def on_log(s, rr):
-            return lp.eval_v(s) * (lp.eval_ws(s) / lp.eval_w(s) - 2.0) / ((1.0 - self.params.m) * rr)
+            return (lp.eval_v(s) * (lp.eval_ws(s) / lp.eval_w(s) - 2.0) / ((1.0 - self.params.m) * rr),)
 
-        return self._by_chart(r, lambda rr: self.profile.eval(rr)[1], on_log, 1)
+        return self._by_chart(r, lambda rr: self.profile.eval(rr)[1:], on_log)[0]
 
     def w_q(self, r):
         """(w, q) = (r^2 v^(1-m), r w_r) at radius r, from whichever chart covers it."""
         lp = self.logprofile
         return self._by_chart(
-            r, lambda rr: _w_q(rr, *self.profile.eval(rr), self.params.m), lambda s, _: (lp.eval_w(s), lp.eval_ws(s)), 2
+            r, lambda rr: _w_q(rr, *self.profile.eval(rr), self.params.m), lambda s, _: (lp.eval_w(s), lp.eval_ws(s))
         )
 
 

@@ -145,9 +145,7 @@ def horner(c: list[float], y):
 
 def eval_series(se: SeriesExpansion, r, order: int = 1) -> tuple:
     """(v, v', v'')[:order + 1] of the series at radii 0 <= r <= r_switch: floats for a scalar r, arrays otherwise."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= se.r_switch * (1.0 + 1e-12))):
-        raise OutOfRange.outside("series", 0.0, se.r_switch, arr)
+    arr = OutOfRange.clip("series", r, 0.0, se.r_switch)
     if arr.ndim == 0:
         arr = float(arr)
     if math.isinf(se.r_switch):

@@ -148,6 +148,19 @@ class TestTolerancePolicy:
         assert chart_tolerances("r_stiff", 1e-10) == pytest.approx((rtol / 10.0, atol / 10.0), rel=1e-15)
 
 
+# Every dense reader of a solution, with the upper bound of what it serves
+_READERS = {
+    "eval_series": lambda sol: (lambda r: eval_series(sol.profile.series, r), sol.profile.series.r_switch),
+    "Profile.eval": lambda sol: (sol.profile.eval, sol.profile.r_reach),
+    "LogProfile.eval_w": lambda sol: (sol.logprofile.eval_w, sol.logprofile.s_end),
+    "LogProfile.eval_g": lambda sol: (sol.logprofile.eval_g, sol.logprofile.s_end),
+    "LogProfile.eval_ws": lambda sol: (sol.logprofile.eval_ws, sol.logprofile.s_end),
+    "Solution.v": lambda sol: (sol.v, sol.r_cover),
+    "Solution.dv": lambda sol: (sol.dv, sol.r_cover),
+    "Solution.w_q": lambda sol: (sol.w_q, sol.r_cover),
+}
+
+
 class TestGuards:
     def test_existence_range_enforced(self):
         with pytest.raises(HypothesisViolation):
@@ -201,6 +214,27 @@ class TestGuards:
                 evaluate(np.array([0.5, math.nan]))
         with pytest.raises(OutOfRange):
             eval_series(sol.profile.series, math.nan)
+
+    def test_empty_query_reads_empty(self, eternal_n3):
+        sol, none = eternal_n3, np.array([])
+        for out in (sol.v(none), sol.w_q(none)[1], sol.profile.eval(none)[1], sol.logprofile.eval_ws(none)):
+            assert out.shape == (0,)
+
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_one_slack_policy(self, solved, eternal_n3, reader):
+        # 1e-12 of the upper bound is served as the bound; past it, below the
+        # lower bound (by 1e-13) and at NaN the query raises, located there
+        read, hi = _READERS[reader](eternal_n3)
+        assert read(hi * (1.0 + 1e-13)) == read(hi)
+        for query in (hi * (1.0 + 1e-9), -1e-13, math.nan):
+            with pytest.raises(OutOfRange) as exc:
+                read(query)
+            assert exc.value.location == query or math.isnan(query) and math.isnan(exc.value.location)
+        # at alpha = 0 the series is the exact constant, and it serves every radius
+        read, hi = _READERS[reader](solved(3, 0.2, 0.0, 1.0))
+        assert math.isinf(hi) == (reader in ("eval_series", "Profile.eval"))
+        if math.isinf(hi):
+            assert read(1e170) == read(0.0) == (1.0, 0.0)
 
     @pytest.mark.parametrize(
         "field,kwargs",

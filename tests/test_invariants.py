@@ -207,6 +207,41 @@ class TestFluxIdentity:
         rep = check_flux_identity(solved(5, 0.5, 4.0, 1.0, r_max=25.0))
         assert rep.overall
 
+    # The log chart serves r = 5 at the default r_max. With w_s read as
+    # g + sigma*w past the DOP853 stretch, each row's flux margin there read
+    # -2.8e-9 to -3.2e-7; w_s is the derivative of the Hermite w wherever the
+    # chart was stepped.
+    @pytest.mark.parametrize(
+        "n, m, alpha",
+        [(40, 0.095, 200.0), (100, 0.098, 500.0), (100, 0.49, 100.0)]
+        + [(n, m, eternal_alpha(m, 1.0)) for n, m in ((60, 0.957), (100, 0.9702), (150, 0.9768))]
+        + [(n, m, (n - 2) / m) for n, m in ((40, 0.095), (100, 0.098), (200, 0.495), (200, 0.099))],
+    )
+    def test_holds_where_the_log_chart_serves_at_large_n(self, solved, n, m, alpha):
+        assert run_all_checks(solved(n, m, alpha, 1.0)).overall
+
+    # about 10x the errors read here; w_s as g + sigma*w past the DOP853
+    # stretch read 1.3e-7 and 5.6e-7
+    @pytest.mark.parametrize("n, m, alpha, bound", [(40, 0.095, 200.0, 1.2e-8), (100, 0.098, 500.0, 8.4e-8)])
+    def test_log_chart_slope_at_large_n(self, solved, n, m, alpha, bound):
+        r = np.geomspace(1.0, 20.0, 600)
+        ref = solve_profile(Parameters(n, m, alpha, 1.0, 1.0), SolveConfig().tightened(1e-3)).dv(r)
+        assert np.max(np.abs(solved(n, m, alpha, 1.0).dv(r) - ref) / np.abs(ref)) < bound
+
+
+# radii ** (n-1) in the check and rho^(n-1) in _moment's cumulative sweep pass
+# the float range at r = 20 from n = 238 on
+@pytest.mark.parametrize(
+    "n",
+    [237, pytest.param(238, marks=pytest.mark.xfail(
+        strict=True, raises=RuntimeWarning, reason="the flux identity's powers of r overflow at n >= 238"))],
+)
+def test_flux_identity_stays_in_the_float_range(n):
+    sol = solve_profile(Parameters(n, 0.2, 1.0, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_flux_identity(sol).overall
+
 
 class TestQIdentity:
     def test_holds_on_eternal_case(self, eternal_n3):
