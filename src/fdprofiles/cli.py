@@ -6,6 +6,10 @@ sorted. Every JSON report embeds the resolved configuration and the derived
 constants for provenance. Exit codes: 0 success, 2 hypothesis violation or
 invalid configuration, 3 numerical failure (any other ProfileError, or a
 non-converged estimate under --strict), 4 I/O errors.
+
+Only the solver layers are imported here; each command imports the analysis
+layer it runs, so a ``solve`` process never loads the invariant checks, the
+decay fits, the m -> 0 studies or the self-similar solutions.
 """
 
 from __future__ import annotations
@@ -23,13 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decay import DecayKind, estimate_log_decay, estimate_power_decay, require_decay_inputs
 from .errors import HypothesisViolation, ProfileError, RegimeMismatch
 from .integrate import SolveConfig, solve_profile
-from .invariants import run_all_checks
-from .loglimit import limit_convergence
 from .model import Parameters, check_hypotheses, classify_regime, derived, eternal_alpha
-from .selfsim import build_selfsimilar, pde_residual, residual_grid
 
 __all__ = ["main"]
 
@@ -197,6 +197,8 @@ def _cmd_solve(cfg: dict) -> tuple[int, dict]:
 
 
 def _cmd_verify(cfg: dict) -> tuple[int, dict]:
+    from .invariants import run_all_checks
+
     _, sol, report = _solved(cfg)
     rep = run_all_checks(sol)
     report["invariants"] = _jsonable(rep)
@@ -205,6 +207,8 @@ def _cmd_verify(cfg: dict) -> tuple[int, dict]:
 
 
 def _cmd_decay(cfg: dict) -> tuple[int, dict]:
+    from .decay import DecayKind, estimate_log_decay, estimate_power_decay, require_decay_inputs
+
     p = _params_from(cfg)
     kind = cfg.get("kind", "auto")
     log = kind == "log" or (kind == "auto" and check_hypotheses(p).log_decay_ok)
@@ -220,6 +224,8 @@ def _cmd_decay(cfg: dict) -> tuple[int, dict]:
 
 
 def _cmd_limit(cfg: dict) -> tuple[int, dict]:
+    from .loglimit import limit_convergence
+
     params = _required(cfg, _LIMIT_PARAMS)
     report = _base_report(cfg, None)
     # only what the flags or the file set; limit_convergence owns the defaults
@@ -229,6 +235,8 @@ def _cmd_limit(cfg: dict) -> tuple[int, dict]:
 
 
 def _cmd_pde_check(cfg: dict) -> tuple[int, dict]:
+    from .selfsim import build_selfsimilar, pde_residual, residual_grid
+
     p = _params_from(cfg)
     report = _base_report(cfg, p)
     regime = classify_regime(p)
@@ -269,6 +277,9 @@ _SWEEP_COLUMNS = ("n", "m", "alpha", "beta", "eta", "a0_expected", "a0_measured"
 
 
 def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
+    from .decay import estimate_log_decay
+    from .invariants import run_all_checks
+
     report = _base_report(cfg, None)
     summary = []
     for point in _sweep_grid(cfg):

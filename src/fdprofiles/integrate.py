@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -472,12 +472,19 @@ _QSS_DLY = 0.08
 # nodes' s stay within 3.3e-13 of an adaptive quadrature of 1/F for n up
 # to 30, m from 0 to (n-2)/n and sigma from 0.021 to 2.99.
 _PHI_POINTS = 64
-_CHEB_T = np.polynomial.chebyshev.chebpts2(_PHI_POINTS)
-# Values at _CHEB_T -> Chebyshev coefficients of the antiderivative that vanishes at t = -1
-_CHEB_ANTIDERIVATIVE = np.polynomial.chebyshev.chebint(
-    np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB_T, _PHI_POINTS - 1)), lbnd=-1.0, axis=0
-)
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+
+@cache
+def _chebyshev_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The Lobatto points t of [-1, 1] and the matrix that takes values at t to the
+    Chebyshev coefficients of the antiderivative vanishing at t = -1.
+
+    Built on the first slow tail, so numpy.polynomial loads only where one runs.
+    """
+    t = np.polynomial.chebyshev.chebpts2(_PHI_POINTS)
+    vander = np.polynomial.chebyshev.chebvander(t, _PHI_POINTS - 1)
+    return t, np.polynomial.chebyshev.chebint(np.linalg.inv(vander), lbnd=-1.0, axis=0)
 
 
 def _manifold_series(cc: _ChartCoeffs, terms: int = _SERIES_TERMS) -> list[float]:
@@ -538,15 +545,16 @@ def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float
     at most _QSS_DLY in log w lead up to it, and each node's s is explicit.
     """
     x0 = math.exp(-ly0)
+    cheb_t, cheb_antiderivative = _chebyshev_rule()
     # G/F at the points of [0, x0], the last x0 itself
-    x = 0.5 * x0 * (_CHEB_T + 1.0)
+    x = 0.5 * x0 * (cheb_t + 1.0)
     g = horner(d, x)
     f = sigma + x * g
     if not np.all(f > 0.0):
         raise ProfileError("log w stops growing on the slow manifold", s0)
     # Phi(x) = sum of c_k*T_k(2x/x0 - 1); the c_k fall geometrically, and
     # those below rounding of the largest are dropped
-    c = 0.5 * x0 * (_CHEB_ANTIDERIVATIVE @ (g / f))
+    c = 0.5 * x0 * (cheb_antiderivative @ (g / f))
     c = c[: np.flatnonzero(np.abs(c) >= 2.0**-53 * np.abs(c).max())[-1] + 1].tolist()
     log_c = ly0 + _clenshaw(c, 1.0) - sigma * s0
 
@@ -743,8 +751,8 @@ class Solution:
 
     @property
     def r_cover(self) -> float:
-        """Largest radius served by dense evaluation."""
-        return max(self.profile.r_end, float(radius(self.logprofile.s_end)))
+        """Largest radius served by dense evaluation: every radius at alpha = 0 (``Profile.r_reach``)."""
+        return max(self.profile.r_reach, float(radius(self.logprofile.s_end)))
 
     def _by_chart(self, r, on_r, on_log) -> tuple:
         """The tuples ``on_r(radii)`` where the r-chart reaches and ``on_log(log r, radii)`` beyond, joined."""

@@ -11,7 +11,7 @@ from fdprofiles import (
     Parameters, Regime, SolveConfig, build_selfsimilar, estimate_log_decay, estimate_power_decay, pde_residual,
     run_all_checks, solve_profile,
 )
-from fdprofiles import cli, loglimit
+from fdprofiles import cli, invariants, loglimit
 from fdprofiles.cli import _jsonable, main
 from fdprofiles.invariants import InvariantReport
 from fdprofiles.loglimit import limit_convergence
@@ -261,7 +261,7 @@ class TestVerify:
                 for e in entries
             )
 
-        monkeypatch.setattr(cli, "run_all_checks", failing)
+        monkeypatch.setattr(invariants, "run_all_checks", failing)
         js = tmp_path / "verify.json"
         assert run("verify", *PARAMS, "--strict", "--json", js) == 3
         assert capsys.readouterr().err == "fdprofiles: verify failed: flux_identity, q_identity\n"
@@ -513,10 +513,33 @@ class TestOutdirEnv:
         assert (tmp_path / "rel.csv").exists()
 
 
-def test_cli_import_loads_no_scipy():
+def _imported(*args) -> set[str]:
+    """The modules a fresh ``python -X importtime *args`` imports past start-up."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fdprofiles.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True,
+                         timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+
+
+def _package(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "fdprofiles"}
+
+
+class TestImportSet:
+    """A process loads only the layers it runs (fresh interpreters)."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert _package(_imported("-c", "import fdprofiles")) == {"fdprofiles"}
+
+    def test_cli_import_loads_the_solver_layers_only(self):
+        modules = _imported("-c", "import fdprofiles.cli")
+        solver = {"errors", "model", "series", "rk", "integrate", "cli"}
+        assert _package(modules) == {"fdprofiles", *(f"fdprofiles.{name}" for name in solver)}
+        assert not {m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")}
+
+    def test_solve_process_loads_no_analysis_layer(self):
+        modules = _package(_imported("-m", "fdprofiles", "solve", *map(str, PARAMS)))
+        analysis = {f"fdprofiles.{name}" for name in ("invariants", "decay", "loglimit", "selfsim")}
+        assert "fdprofiles.integrate" in modules and not modules & analysis

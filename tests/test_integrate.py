@@ -192,6 +192,12 @@ class TestGuards:
         with pytest.raises(OutOfRange):
             eternal_n3.profile.eval(-1.0)
 
+    def test_solution_serves_every_radius_at_alpha_zero(self, solved):
+        # past the log chart's end the r-chart's series still serves the exact constant
+        sol = solved(3, 0.2, 0.0, 1.0)
+        assert 1e18 > math.exp(sol.logprofile.s_end)
+        assert sol.v(1e18) == 1.0 and sol.dv(1e18) == 0.0
+
     def test_out_of_range_names_the_farthest_query(self, eternal_n3):
         sol = eternal_n3
         s_end = sol.logprofile.s_end
@@ -230,11 +236,13 @@ class TestGuards:
             with pytest.raises(OutOfRange) as exc:
                 read(query)
             assert exc.value.location == query or math.isnan(query) and math.isnan(exc.value.location)
-        # at alpha = 0 the series is the exact constant, and it serves every radius
+        # at alpha = 0 the series is the exact constant, and it serves every
+        # radius, also through Solution (w_q's r^2 overflows at 1e170)
         read, hi = _READERS[reader](solved(3, 0.2, 0.0, 1.0))
-        assert math.isinf(hi) == (reader in ("eval_series", "Profile.eval"))
-        if math.isinf(hi):
-            assert read(1e170) == read(0.0) == (1.0, 0.0)
+        assert math.isinf(hi) == (not reader.startswith("LogProfile"))
+        constant = {"eval_series": (1.0, 0.0), "Profile.eval": (1.0, 0.0), "Solution.v": 1.0, "Solution.dv": 0.0}
+        if reader in constant:
+            assert read(1e170) == read(0.0) == constant[reader]
 
     @pytest.mark.parametrize(
         "field,kwargs",
