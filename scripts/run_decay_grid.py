@@ -2,8 +2,10 @@
 """Measure the log-corrected decay limit across the reference grid.
 
 Prints one row per parameter set: the closed-form constant, the raw slope at
-the end of the log chart, the tail-fit extrapolation, and their relative
-gaps. The conformal rows (m = (n-2)/(n+2)) also show (n-1)(n-2)/beta.
+the end of the log chart, the tail-fit extrapolation, their relative gaps,
+and where the log chart went to the slow-manifold tail (its s, and the jump
+qss_gap that put into g; "-" where it did not). The conformal rows
+(m = (n-2)/(n+2)) also show (n-1)(n-2)/beta.
 """
 
 import argparse
@@ -32,7 +34,7 @@ def main() -> int:
 
     rows = []
     print(f"{'n':>2} {'m':>8} {'beta':>5} {'expected':>10} {'raw':>10} "
-          f"{'fit':>10} {'raw rel':>9} {'fit rel':>9} {'time':>7}")
+          f"{'fit':>10} {'raw rel':>9} {'fit rel':>9} {'switch s':>8} {'qss_gap':>9} {'time':>7}")
     for n, m, beta in GRID:
         p = Parameters(n=n, m=m, alpha=eternal_alpha(m, beta), beta=beta, eta=args.eta)
         t0 = time.perf_counter()
@@ -40,16 +42,18 @@ def main() -> int:
         est = estimate_log_decay(sol)
         dt = time.perf_counter() - t0
         raw_rel = abs(est.raw_last - est.expected) / est.expected
+        switch, gap = sol.diagnostics["qss_switch_s"], sol.diagnostics["qss_gap"]
         print(f"{n:>2} {m:>8.5f} {beta:>5.2f} {est.expected:>10.6f} {est.raw_last:>10.6f} "
               f"{est.extrapolated:>10.6f} {raw_rel:>9.2e} {est.rel_error_vs_expected:>9.2e} "
-              f"{dt:>6.2f}s")
-        rows.append((n, m, beta, est.expected, est.raw_last, est.extrapolated))
+              f"{'-' if switch is None else format(switch, '.3f'):>8} "
+              f"{'-' if gap is None else format(gap, '.2e'):>9} {dt:>6.2f}s")
+        rows.append((n, m, beta, est.expected, est.raw_last, est.extrapolated, switch, gap))
 
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write("n,m,beta,expected,raw_last,extrapolated\n")
+            fh.write("n,m,beta,expected,raw_last,extrapolated,qss_switch_s,qss_gap\n")
             for row in rows:
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+                fh.write(",".join("" if x is None else format(x, ".17g") for x in row) + "\n")
     return 0
 
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
-from .model import Parameters, chart_constants, exponent_relation, require
+from .model import Parameters, at_endpoint, chart_constants, exponent_relation, require
 from .rk import POSITIVITY_FLOOR, Hermite, integrate_2d
 from .series import SeriesExpansion, eval_series, horner, seed_within
 
@@ -201,7 +202,8 @@ class LogProfile:
     the order of the steps, and quintic past it. g is cubic on the whole
     chart. Wherever the chart was stepped, by DOP853 or by Radau IIA, w_s is
     the derivative of w; only on the slow tail, past ``qss_switch_s``, where
-    g is exact manifold state, is it g + sigma*w. The counters and
+    g is exact manifold state, is it g + sigma*w (on an eternal chart, whose
+    sigma is zero to rounding, g itself up to that rounding). The counters and
     ``stiff_switch`` are as on ``Profile``, except that each node of the
     slow tail counts as a step.
     """
@@ -448,14 +450,28 @@ def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float
 # and sigma from 0.021 to 2.99 (36.69 at 37). At the 100 used before it read
 # at least 91.7, and 28-47 of the 56-152 stepped nodes of each sigma > 0.02
 # chart of the INVARIANT_GRID and power rows went to that margin; the tail
-# places them now.
+# places them now. At sigma = 0, where w grows like d_0*s, the switch
+# (``_qss_switch``) reads at least 106 integrated e-folds on n = 3..30, m
+# across its range and beta from 0.25 to 4.
 _QSS_RELAX = 40.0
 _QSS_MIN_SIGMA = 0.02
+# A chart is eternal, and its tail takes the sigma = 0 relation, where
+# |sigma| <= _SIGMA_ZERO = 2^-50 = 8.9e-16. sigma = -rho1/beta, and rho1 is
+# the rounded difference alpha*(1-m) - 2*beta of two terms near 2*beta, so
+# an eternal alpha leaves sigma at a few units of rounding: at most 3.6e-16
+# for eternal_alpha(m, beta) over n = 3..30, m across its range and beta
+# from 0.1 to 10. Dropping it moves log w on the tail by |sigma|*(s_end -
+# s_switch), at most 3.6e-14 at s_end = 40, against the chart's rtol of
+# 1e-9. The alpha = 2.500000000125 row (sigma = 1e-10) keeps its Radau IIA
+# steps, and so does the endpoint m = (n-2)/n, where d_0 = a0 = 0.
+_SIGMA_ZERO = 2.0**-50
 # Terms d_0..d_24 of the manifold series. ``_qss_switch`` waits until the
-# first one left out is below 2^-53 of d_0, which moves the switch past the
+# first two left out are below 2^-53 of d_0, which moves the switch past the
 # relaxation bound on 4 of the 11 INVARIANT_GRID rows with sigma > 0.02, on
 # 3-8 of 16 charts with m and sigma across their ranges for each n = 3..10,
-# and on 12-14 of 16 from n = 11 on.
+# and on 12-14 of 16 from n = 11 on. Reading the second term as well moved
+# the switch of 2 of 468 sigma > 0.02 charts (n = 25 and 26 at the endpoint
+# m, sigma = 1), by 0.7% and 4.8% in w; no tested row.
 _SERIES_TERMS = 25
 # The tail's nodes are at most _QSS_DLY apart in log w, steps of about
 # _QSS_DLY/sigma in s, where the quintic dense output of w is accurate. The
@@ -464,6 +480,14 @@ _SERIES_TERMS = 25
 # r_max = 2 their flux identity's mismatch reads 1.3e-12..1.8e-12, 8-13x that
 # of a chart Radau-stepped to its end; at 0.15 it rose to 2.1e-11..1.2e-10.
 _QSS_DLY = 0.08
+# At sigma = 0 the tail's nodes are at most _ETERNAL_DLY apart in log w,
+# steps of about _ETERNAL_DLY*s in s, and w_s = g between them is the cubic
+# Hermite of the nodes' g. Midway between the tail's nodes, against the full
+# system stepped from the switch node at rtol 1e-13, w_s read up to 1.6e-7
+# at 0.08, 1.1e-8 at 0.04, 7.0e-10 at 0.02 and 6.1e-11 at 0.01 (the eternal
+# decay grid and n = 3 at m = 0.1 and 0.02): 0.02 is the widest spacing
+# inside the chart's rtol of 1e-9.
+_ETERNAL_DLY = 0.02
 # The tail takes Phi, the integral of G/F in x = 1/w (``_slow_tail``), from
 # one Chebyshev interpolant of G/F at this many Lobatto points of
 # [0, 1/w_switch]. Near sigma = _QSS_MIN_SIGMA, F = sigma + x*G vanishes
@@ -496,25 +520,62 @@ def _manifold_series(cc: _ChartCoeffs, terms: int = _SERIES_TERMS) -> list[float
     -(k + c_sq)*d_k*d_(j-1-k) over k < j.
     """
     d = [-cc.c_w / cc.c_wg]
+    weighted = []  # (k + c_sq)*d_k
     for j in range(terms - 1):
-        conv = sum((k + cc.c_sq) * d[k] * d[j - 1 - k] for k in range(j))
+        conv = sum(map(mul, weighted, reversed(d[:j])))
+        weighted.append((j + cc.c_sq) * d[j])
         d.append(-(conv + (j * cc.sigma + cc.c_g) * d[j]) / cc.c_wg)
     return d
+
+
+def _reciprocal_series(d: list[float]) -> list[float]:
+    """Coefficients e_0..e_(len(d)-1) of 1/G = sum of e_k*x^k, for G = sum of d_k*x^k with d_0 != 0.
+
+    e_0 = 1/d_0 and e_k = -(d_1*e_(k-1) + ... + d_k*e_0)/d_0.
+    """
+    e = [1.0 / d[0]]
+    for k in range(1, len(d)):
+        e.append(-sum(map(mul, d[1 : k + 1], reversed(e))) / d[0])
+    return e
 
 
 def _qss_switch(cc: _ChartCoeffs, n: int, beta: float) -> tuple[list[float], float]:
     """The tail's series d_0..d_(_SERIES_TERMS-1) and the w past which g is slaved to it.
 
-    That w is the larger of the relaxation bound, beta*w/(n-1) =
-    _QSS_RELAX*max(1, sigma), past which the fast mode has decayed below
-    rounding, and the smallest w at which the first term left out, |d_K|*w^(-K) with
-    K = _SERIES_TERMS, is at most 2^-53*|d_0|. G there lies within 0.82..1.34
-    of d_0 (n = 3..30, sigma up to 30), so that term is below 2^-52 of G.
+    That w is the larger of the relaxation bound, past which the fast mode
+    has decayed below rounding, and the smallest w at which each of the
+    first two terms left out, |d_K|*w^(-K) and |d_(K+1)|*w^(-K-1) with
+    K = _SERIES_TERMS, is at most 2^-53*|d_0|. G there lies within
+    0.82..1.34 of d_0 (n = 3..30, sigma up to 30), so those terms are below
+    2^-52 of G. Two terms, not one: on the Yamabe rows, m = (n-2)/(n+2) at
+    sigma = 0, every odd d_k vanishes, and d_K alone would read 0.
+
+    The relaxation bound is beta*w/(n-1) = _QSS_RELAX*max(1, sigma) for
+    sigma > 0 (``_QSS_RELAX``). At sigma = 0 (an eternal chart, ``cc``
+    taken with sigma exactly 0) w grows like d_0*s instead, so the rate
+    beta*w/(n-1) integrates to about beta*w^2/(2*(n-1)*d_0), and the bound
+    is w = sqrt(4*_QSS_RELAX*d_0*(n-1)/beta), where that integral reaches
+    2*_QSS_RELAX. The tail's relation then reads 1/G = sum of e_k*x^k
+    (``_reciprocal_series``), whose first two terms left out must be below
+    2^-53*|e_0| at the switch as well.
     """
-    *d, d_out = _manifold_series(cc, _SERIES_TERMS + 1)
-    w_relax = _QSS_RELAX * max(1.0, cc.sigma) * (n - 1) / beta
-    # d_0 = 0 makes every d_k vanish (g = 0 is then invariant)
-    w_series = (abs(d_out) / (2.0**-53 * abs(d[0]))) ** (1.0 / _SERIES_TERMS) if d_out else 0.0
+    *d, d_k, d_k1 = _manifold_series(cc, _SERIES_TERMS + 2)
+    if cc.sigma:
+        w_relax = _QSS_RELAX * max(1.0, cc.sigma) * (n - 1) / beta
+    else:
+        w_relax = math.sqrt(4.0 * _QSS_RELAX * d[0] * (n - 1) / beta)
+    if not d[0]:
+        # d_0 = 0 makes every d_k vanish (g = 0 is then invariant)
+        return d, w_relax
+    omitted = [(d[0], d_k, d_k1)]
+    if not cc.sigma:
+        *e, e_k, e_k1 = _reciprocal_series([*d, d_k, d_k1])
+        omitted.append((e[0], e_k, e_k1))
+    w_series = max(
+        (abs(c) / (2.0**-53 * abs(c0))) ** (1.0 / k)
+        for c0, *cs in omitted
+        for k, c in enumerate(cs, _SERIES_TERMS)
+    )
     return d, max(w_relax, w_series)
 
 
@@ -527,13 +588,10 @@ def _clenshaw(c: list[float], t):
     return t * b1 - b2 + c[0]
 
 
-def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
-    """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
+def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: float, ly_max: float):
+    """The tail's relation at sigma > 0: s as a function of log w, and log w at s_end.
 
-    On the manifold g = G, the polynomial in x = 1/w with coefficients ``d``
-    (``_manifold_series``), so d(log w)/ds = F = sigma + x*G and
-    g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel. As
-    1/F = (1 - x*G/F)/sigma and d(log w) = -dx/x, the manifold keeps
+    As 1/F = (1 - x*G/F)/sigma and d(log w) = -dx/x, the manifold keeps
 
         sigma*s = log w + Phi(1/w) - log C,  Phi(x) = integral of G/F from 0 to x,
 
@@ -541,8 +599,7 @@ def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float
     comes from one Chebyshev interpolant of G/F on [0, 1/w_switch] at
     ``_PHI_POINTS`` Lobatto points, integrated by a constant matrix and
     summed by Clenshaw's rule. Newton's method on the relation, whose
-    derivative in log w is sigma/F, finds log w at s_end; k equal pieces of
-    at most _QSS_DLY in log w lead up to it, and each node's s is explicit.
+    derivative in log w is sigma/F, finds log w at s_end.
     """
     x0 = math.exp(-ly0)
     cheb_t, cheb_antiderivative = _chebyshev_rule()
@@ -558,6 +615,10 @@ def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float
     c = c[: np.flatnonzero(np.abs(c) >= 2.0**-53 * np.abs(c).max())[-1] + 1].tolist()
     log_c = ly0 + _clenshaw(c, 1.0) - sigma * s0
 
+    def place(ly, x):
+        return (ly + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c) / sigma
+
+    _require_float_range(place, ly_max, s_end)
     # Newton for log w at s_end. F moves monotonically from F(x0) to sigma, so
     # holding F at F(x0) and setting Phi = 0 both over- or both undershoot,
     # the relation is convex or concave to match, and Newton from the nearer
@@ -571,17 +632,78 @@ def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float
         end = max(end - res * (sigma + x * horner(d, x)) / sigma, ly0)
         if abs(res) <= 1e-15 * end:
             break
+    return place, end
+
+
+def _eternal_relation(d: list[float], s0: float, ly0: float, s_end: float, ly_max: float):
+    """The tail's relation at sigma = 0: s as a function of log w, and log w at s_end.
+
+    Here d(log w)/ds = x*G with x = 1/w, so ds = -dx/(x^2*G). With
+    1/G = sum of e_k*x^k (``_reciprocal_series``) that integrates in closed
+    form from the switch node (s0, x0):
+
+        s = s0 + e_0*(1/x - 1/x0) + e_1*log(x0/x) + P(x0) - P(x),
+        P(x) = sum over k >= 2 of e_k*x^(k-1)/(k-1),
+
+    so no interpolant is built. Newton's method in log w, where
+    ds/d(log w) = 1/(x*G), finds log w at s_end. s is convex in log w
+    wherever G + x*G_x > 0, so Newton moves down to the root from above it,
+    and from below it steps past the root once; from w0 + G(x0)*(s_end - s0)
+    it took at most 6 steps on n = 3..30, m across its range, beta from 0.25
+    to 4 and s_end up to 1e8.
+    """
+    x0 = math.exp(-ly0)
+    g0 = horner(d, x0)
+    if not g0 > 0.0:
+        raise ProfileError("log w stops growing on the slow manifold", s0)
+    e = _reciprocal_series(d)
+    # P(x) = x*sum of p_j*x^j with p_j = e_(j+2)/(j+1)
+    p = [ek / k for k, ek in enumerate(e[2:], 1)]
+    base = s0 - e[0] / x0 - e[1] * ly0 + x0 * horner(p, x0)
+
+    def place(ly, x):
+        return base + e[0] / x + e[1] * ly - x * horner(p, x)
+
+    _require_float_range(place, ly_max, s_end)
+    end = min(math.log(1.0 / x0 + g0 * (s_end - s0)), ly_max)
+    for _ in range(16):
+        x = math.exp(-end)
+        step = (place(end, x) - s_end) * x * horner(d, x)
+        end = min(max(end - step, ly0), ly_max)
+        if abs(step) <= 1e-15 * max(1.0, abs(end)):
+            break
+    return place, end
+
+
+def _require_float_range(place, ly_max: float, s_end: float) -> None:
+    """Raise a located ProfileError if log w on the manifold passes ly_max before s_end."""
+    s_max = place(ly_max, math.exp(-ly_max))
+    if not s_end <= s_max:
+        raise ProfileError("w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end", s_max)
+
+
+def _slow_tail(sigma: float, d: list[float], s0: float, ly0: float, s_end: float) -> tuple[np.ndarray, ...]:
+    """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
+
+    On the manifold g = G, the polynomial in x = 1/w with coefficients ``d``
+    (``_manifold_series``), so d(log w)/ds = F = sigma + x*G and
+    g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel. Each
+    node's s is explicit in its log w: ``_power_relation`` for sigma > 0,
+    ``_eternal_relation`` for sigma = 0, each of which also finds log w at
+    s_end. k equal pieces of at most _QSS_DLY in log w (_ETERNAL_DLY at
+    sigma = 0) lead up to it.
+    """
     # every stored value, up to w_ss ~ sigma^2*w, must stay finite
     ly_max = _LOG_FLOAT_MAX - 2.0 * math.log(max(1.0, sigma))
-    if not end <= ly_max:
-        raise ProfileError(
-            "w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end",
-            s0 + (ly_max - ly0) / sigma,
-        )
-    # k equal pieces up to it, none longer than _QSS_DLY and none a sliver
-    ly = np.linspace(ly0, end, max(1, math.ceil((end - ly0) / _QSS_DLY)) + 1)[1:]
+    if sigma:
+        place, end = _power_relation(sigma, d, s0, ly0, s_end, ly_max)
+    else:
+        place, end = _eternal_relation(d, s0, ly0, s_end, ly_max)
+    # k equal pieces up to it, none longer than the spacing and none a sliver
+    dly = _QSS_DLY if sigma else _ETERNAL_DLY
+    ly = np.linspace(ly0, end, max(1, math.ceil((end - ly0) / dly)) + 1)[1:]
     x = np.exp(-ly)
-    s = (ly + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c) / sigma
+    s = place(ly, x)
     s[-1] = s_end
     # G and G_x at the nodes by one Horner loop, in place: at these node
     # counts a new array per operation costs more than the arithmetic, and
@@ -623,20 +745,24 @@ def integrate_log(
     8th-order accuracy of the nodes where the flux identity reads the chart
     at r = 20.
 
-    When w grows exponentially (sigma > 0, i.e. alpha < 2*beta/(1-m)) the fast
+    When w grows without bound, exponentially for sigma > _QSS_MIN_SIGMA
+    (alpha < 2*beta/(1-m)) and like a0*s on the eternal relation (sigma zero
+    to rounding, ``_SIGMA_ZERO``, short of the endpoint m = (n-2)/n), the fast
     mode makes the system stiffer without bound, so once it has relaxed below
-    rounding (``_QSS_RELAX``) the integration continues on the slow manifold: g is
-    the chart's own manifold series in 1/w, built once from the chart
-    coefficients, and the scalar equation left for log w is autonomous, so
-    nothing is stepped: on the manifold log w - sigma*s + Phi(1/w) is the
-    constant log C, with Phi the integral of G/F in x = 1/w, and
-    ``_slow_tail`` places its nodes from that relation, with Phi from one
-    Chebyshev interpolant of G/F built at the switch.
-    ``qss_gap`` records the jump this puts into g: |g - G(w)|/|G| at the
-    switch node reads 5.1e-14..2.7e-12 on the invariant grid (n <= 6; exactly
-    0 at alpha = 0, where g = G = 0) and up to 3.2e-10 for n up to 30, inside
-    the chart's rtol of 1e-9. It is the stepped g's error off the manifold
-    that the true solution has long relaxed onto.
+    rounding (``_QSS_RELAX``, ``_qss_switch``) the integration continues on the
+    slow manifold: g is the chart's own manifold series in 1/w, built once
+    from the chart coefficients, and the scalar equation left for log w is
+    autonomous, so nothing is stepped. ``_slow_tail`` places the nodes from a
+    closed-form relation between s and log w: for sigma > 0, log w - sigma*s
+    + Phi(1/w) is the constant log C, with Phi the integral of G/F in
+    x = 1/w from one Chebyshev interpolant of G/F built at the switch; at
+    sigma = 0, s is the integral of 1/(x^2*G), term by term in the series
+    of 1/G. ``qss_gap`` records the jump this puts into g: |g - G(w)|/|G| at
+    the switch node reads 5.1e-14..2.7e-12 on the sigma > 0 invariant grid
+    rows (n <= 6; exactly 0 at alpha = 0, where g = G = 0) and up to 3.2e-10
+    for n up to 30, and 3.8e-11..2.3e-10 on eternal charts (n = 3..200),
+    inside the chart's rtol of 1e-9. It is the stepped g's error off the
+    manifold that the true solution has long relaxed onto.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
@@ -649,8 +775,11 @@ def integrate_log(
     rtol, atol = chart_tolerances("log", tol)
 
     w_stop = None
-    if sigma > _QSS_MIN_SIGMA:
-        d, w_stop = _qss_switch(cc, n, beta)
+    # sigma = 0 to rounding: the eternal relation, whose tail drops sigma
+    eternal = abs(sigma) <= _SIGMA_ZERO and not at_endpoint(n, m)
+    tail_sigma = 0.0 if eternal else sigma
+    if eternal or sigma > _QSS_MIN_SIGMA:
+        d, w_stop = _qss_switch(cc._replace(sigma=tail_sigma), n, beta)
         if w0 >= w_stop:
             # already stiff at the start; step explicitly through one
             # relaxation scale before slaving
@@ -666,7 +795,7 @@ def integrate_log(
         # where G is exactly 0 (alpha = 0, where c_w = 0) the gap is read absolute
         g_manifold = horner(d, 1.0 / w_arr[-1])
         gap = float(abs(g_arr[-1] - g_manifold) / (abs(g_manifold) or 1.0))
-        tail = _slow_tail(sigma, d, switch_s, math.log(w_arr[-1]), s_max)
+        tail = _slow_tail(tail_sigma, d, switch_s, math.log(w_arr[-1]), s_max)
         s_arr, w_arr, g_arr, gs_arr = (np.concatenate(pair) for pair in zip((s_arr, w_arr, g_arr, gs_arr), tail))
 
     ws = g_arr + sigma * w_arr

@@ -237,25 +237,31 @@ def _rule(points: int):
     return np.polynomial.legendre.leggauss(points)
 
 
-def quad(f, a: float, b, breaks, points: int):
-    """Integrals of the vectorized ``f`` from ``a`` to every upper limit in ``b`` (a float for scalar ``b``).
+def quad(f, a: float, b, breaks, points: int, p: float = 1.0):
+    """Integrals of rho^(p-1)*f(rho) from ``a`` to each upper limit r in ``b``, over r^(p-1) (a float for scalar ``b``).
 
     The rule of both integral identities, which read every radius off one
     sweep: one ``points``-point Gauss-Legendre rule per piece of [a, max(b)]
     cut at every upper limit and at every entry of ``breaks`` inside it (the
-    pieces of the dense output), summed cumulatively. A repeated cut only
-    adds an empty piece (np.unique would import numpy.ma, ~15 ms on a first
-    call).
+    pieces of the dense output). Each piece k, with right end x_k, is
+    integrated as J_k, the integral of (rho/x_k)^(p-1) * f, and the integral
+    to r over r^(p-1) is the sum of J_k*(x_k/r)^(p-1) over the pieces up to
+    r. For p >= 1 no factor exceeds 1, so no power of r leaves the float
+    range however large p is; p = 1 gives the plain integrals. A repeated
+    cut only adds an empty piece (np.unique would import numpy.ma, ~15 ms on
+    a first call).
     """
     gl_x, gl_w = _rule(points)
     ends = np.asarray(b, dtype=float)
     breaks = np.asarray(breaks, dtype=float)
     x = np.sort(np.concatenate(([a], breaks[(breaks > a) & (breaks < ends.max())], ends.ravel())))
     half = 0.5 * np.diff(x)
+    right = x[1:]
     nodes = (x[:-1] + half)[:, None] + half[:, None] * gl_x
-    cum = np.concatenate(([0.0], np.cumsum(half * (f(nodes.ravel()).reshape(nodes.shape) @ gl_w))))
-    out = cum[np.searchsorted(x, ends)]
-    return float(out) if out.ndim == 0 else out
+    pieces = half * ((f(nodes.ravel()).reshape(nodes.shape) * (nodes / right[:, None]) ** (p - 1)) @ gl_w)
+    ratio = right / ends.reshape(-1, 1)
+    out = np.where(ratio <= 1.0, np.minimum(ratio, 1.0) ** (p - 1), 0.0) @ pieces
+    return float(out[0]) if ends.ndim == 0 else out
 
 
 def _breaks(sol: Solution) -> np.ndarray:
@@ -265,32 +271,35 @@ def _breaks(sol: Solution) -> np.ndarray:
 
 
 def _moment(sol: Solution, r, p: float, smooth, coeffs):
-    """Integral of rho^(p-1) * smooth(rho) over [0, r] (p > 0), for every radius in ``r`` at once.
+    """Integral of rho^(p-1) * smooth(rho) over [0, r], over r^(p-1) (p > 0), for every radius in ``r`` at once.
 
     On [0, r_start] the dense output is the origin series, where ``smooth``
     is the sum of coeffs[k]*(scale*rho^2)^k, integrated term by term. Past
-    r_start one cumulative ``quad`` sweep runs over the pieces of the dense
-    output with max(8, ceil((p+7)/2)) points, exact on a septic r-chart piece
-    times rho^(p-1) for an integer p, and on the exact constant at alpha = 0.
+    r_start one ``quad`` sweep runs over the pieces of the dense output with
+    max(8, ceil((p+7)/2)) points, exact on a septic r-chart piece times
+    rho^(p-1) for an integer p, and on the exact constant at alpha = 0. The
+    scaling by r^(p-1) is taken piece by piece, with factors at most 1 for
+    p >= 1, so the moment stays in the float range at any n.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     lo = sol.profile.r_start
-    out = series_moments(coeffs, sol.profile.series.scale, p, np.minimum(radii, lo))
+    h = np.minimum(radii, lo)
+    out = series_moments(coeffs, sol.profile.series.scale, p, h) * (h / radii) ** (p - 1)
     past = radii > lo
     if past.any():
         points = max(8, math.ceil((p + 7) / 2))
-        out[past] += quad(lambda rho: rho ** (p - 1) * smooth(rho), lo, radii[past], _breaks(sol), points)
+        out[past] += quad(smooth, lo, radii[past], _breaks(sol), points, p)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def _flux_integral(sol: Solution, r):
-    """Integral of rho^(n-1) * v(rho) over [0, r], for every radius in ``r`` at once."""
+    """Integral of rho^(n-1) * v(rho) over [0, r], over r^(n-1), for every radius in ``r`` at once."""
     se = sol.profile.series
     return _moment(sol, r, sol.params.n, sol.v, se.eta * np.asarray(se.coeffs))
 
 
 def _q_integral(sol: Solution, r):
-    """Integral of rho^(b0-1) * w^(m/(1-m)) * (a0 - q) over [0, r], for every radius in ``r`` at once.
+    """Integral of rho^(b0-1) * w^(m/(1-m)) * (a0 - q) over [0, r], over r^(p1-1), for every radius in ``r`` at once.
 
     The integrand is rho^(p1-1) times the smooth factor v^m * (a0 - q), as
     b0 - 1 + 2m/(1-m) = p1 - 1 with p1 = (n-2-nm)/(1-m) > 0, and ``_moment``
@@ -322,8 +331,9 @@ def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantRepo
     Compares (n-1)*v^(m-1)*v' against
     -beta*r*v + (n*beta - alpha)/r^(n-1) * integral of rho^(n-1)*v(rho),
     with the integral taken term by term on the origin series and by
-    Gauss-Legendre on the pieces of the dense output beyond. ``quad_tol`` is
-    the floor of the mismatch threshold 100*max(quad_tol, rtol).
+    Gauss-Legendre on the pieces of the dense output beyond, already over
+    r^(n-1) (``_flux_integral``). ``quad_tol`` is the floor of the mismatch
+    threshold 100*max(quad_tol, rtol).
     """
     p = sol.params
     radii = _identity_radii(sol)
@@ -331,7 +341,7 @@ def check_flux_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantRepo
     v = sol.v(radii)
     lhs = (n - 1) * v ** (p.m - 1.0) * sol.dv(radii)
     term1 = -p.beta * radii * v
-    term2 = (n * p.beta - p.alpha) / radii ** (n - 1) * _flux_integral(sol, radii)
+    term2 = (n * p.beta - p.alpha) * _flux_integral(sol, radii)
     scale = np.abs(lhs) + np.abs(term1) + np.abs(term2)
     entry = _identity_entry("flux_identity", lhs - term1 - term2, scale, radii, quad_tol, sol.profile.rtol)
     return InvariantReport.collect([entry])
@@ -343,9 +353,10 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
     r^b0 * q * w^((2m-1)/(1-m)) must equal beta/(n-1) times the integral of
     rho^(b0-1) * w^(m/(1-m)) * (a0 - q) from the origin, taken as in
     ``_q_integral`` (term by term on the origin series, Gauss-Legendre on
-    the dense output's pieces beyond); the boundary factor itself must
-    decay to zero as r -> 0. ``quad_tol`` is the floor of the mismatch
-    threshold 100*max(quad_tol, rtol).
+    the dense output's pieces beyond). Both sides are compared over
+    r^(p1-1), the scale of ``_q_integral``: r^b0/r^(p1-1) = r^((1-3m)/(1-m)).
+    The boundary factor itself must decay to zero as r -> 0. ``quad_tol`` is
+    the floor of the mismatch threshold 100*max(quad_tol, rtol).
     """
     p = sol.params
     if not check_hypotheses(p).exact_decay_ok:
@@ -360,7 +371,7 @@ def check_q_identity(sol: Solution, quad_tol: float = 1e-10) -> InvariantReport:
         return dc.b0 * math.log(r) + math.log(abs(q)) + wexp * math.log(w)
 
     w, q = sol.w_q(radii)
-    lhs = radii**dc.b0 * q * w**wexp
+    lhs = radii ** ((1.0 - 3.0 * p.m) / (1.0 - p.m)) * q * w**wexp
     rhs = p.beta / (p.n - 1) * _q_integral(sol, radii)
     entries = [_identity_entry("q_identity", lhs - rhs, np.abs(lhs) + np.abs(rhs), radii, quad_tol,
                                sol.logprofile.rtol)]

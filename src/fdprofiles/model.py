@@ -33,6 +33,7 @@ __all__ = [
     "exponent_relation",
     "eternal_alpha",
     "chart_constants",
+    "at_endpoint",
 ]
 
 # Relative tolerance for matching the special exponent relations, the one
@@ -91,7 +92,7 @@ class Parameters:
     @property
     def at_endpoint(self) -> bool:
         """True when m sits (up to rounding) at (n-2)/n."""
-        return self.m_upper - self.m <= _ENDPOINT_RTOL * self.m_upper
+        return at_endpoint(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,12 @@ def exponent_relation(m: float, alpha: float, beta: float) -> tuple[float, float
 def eternal_alpha(m: float, beta: float) -> float:
     """The alpha of the eternal relation alpha*(1-m) = 2*beta; plain scalars, so m = 0 is accepted."""
     return 2.0 * beta / (1.0 - m)
+
+
+def at_endpoint(n: int, m: float) -> bool:
+    """True when m sits (up to rounding) at (n-2)/n; plain scalars, so m = 0 is accepted."""
+    m_upper = (n - 2) / n
+    return m_upper - m <= _ENDPOINT_RTOL * m_upper
 
 
 def chart_constants(n: int, m: float, beta: float) -> tuple[float, float]:

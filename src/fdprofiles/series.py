@@ -165,10 +165,13 @@ def eval_series(se: SeriesExpansion, r, order: int = 1) -> tuple:
 
 
 def series_moments(coeffs, scale: float, e: float, h):
-    """Integrals over [0, h] of rho^(e-1) * sum of coeffs[k]*(scale*rho^2)^k (e > 0), term by term."""
+    """Integrals over [0, h] of rho^(e-1) * sum of coeffs[k]*(scale*rho^2)^k (e > 0), term by term, each over h^(e-1).
+
+    Scaled so that no power of h is taken: h^e alone leaves the float range at large e.
+    """
     h = np.asarray(h, dtype=float)
     c = np.asarray(coeffs, dtype=float)
-    return h**e * horner((c / (e + 2.0 * np.arange(c.size))).tolist(), scale * h * h)
+    return h * horner((c / (e + 2.0 * np.arange(c.size))).tolist(), scale * h * h)
 
 
 def series_residual(p: Parameters, se: SeriesExpansion, r: float) -> float:

@@ -105,9 +105,11 @@ class TestSolve:
         for key in ("k", "rho1", "a0", "b0", "b1", "b2"):
             assert key in data["derived"]
         assert data["regime"] == "eternal"
-        # the eternal log chart is handed to Radau IIA once DOP853 is stability-bound
-        assert 0.0 < data["diagnostics"]["stiff_switch_s"] < 40.0
-        assert data["diagnostics"]["qss_switch_s"] is None
+        # the eternal log chart is handed to Radau IIA once DOP853 is stability-bound,
+        # and to the sigma = 0 slow tail once its fast mode has relaxed
+        diag = data["diagnostics"]
+        assert 0.0 < diag["stiff_switch_s"] < diag["qss_switch_s"] < 40.0
+        assert diag["qss_gap"] < 1e-9
 
     def test_report_carries_the_r_chart_switch(self, tmp_path):
         # fuzz draw 46 of default_rng(3) turns stiff on the r-chart; the eternal row does not
@@ -543,3 +545,10 @@ class TestImportSet:
         modules = _package(_imported("-m", "fdprofiles", "solve", *map(str, PARAMS)))
         analysis = {f"fdprofiles.{name}" for name in ("invariants", "decay", "loglimit", "selfsim")}
         assert "fdprofiles.integrate" in modules and not modules & analysis
+
+    def test_eternal_solve_loads_no_chebyshev_rule(self, tmp_path):
+        # the sigma = 0 tail places its nodes in closed form, with no interpolant
+        js = tmp_path / "report.json"
+        modules = _imported("-m", "fdprofiles", "solve", *map(str, PARAMS), "--json", str(js))
+        assert json.loads(js.read_text())["diagnostics"]["qss_switch_s"] is not None
+        assert not {m for m in modules if m.startswith("numpy.polynomial")}

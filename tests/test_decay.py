@@ -17,6 +17,19 @@ from fdprofiles import (
     require_decay_inputs,
     solve_profile,
 )
+from fdprofiles.decay import log_tail_fit, tail_limit_fit
+from fdprofiles.integrate import (
+    R_HANDOFF,
+    _chart_coeffs,
+    _log_jac,
+    _log_rhs,
+    _manifold_series,
+    chart_tolerances,
+    handoff_to_log,
+    integrate_r,
+)
+from fdprofiles.model import eternal_alpha
+from fdprofiles.rk import integrate_2d
 
 # (n, m, beta, alpha = 2*beta/(1-m), limit of w_s)
 ETERNAL_GRID = [
@@ -223,6 +236,94 @@ class TestPowerDecay:
         for alpha in (1.25, 0.5, -1.0):
             p0 = 2.0 - 0.5 * alpha * 0.8
             assert 1.0 < p0 < 3.0 - alpha * 0.8
+
+
+def _stepped_reference(n, m, beta, stops, factor=1e-3):
+    """Nodes (s, w, w_s) of the eternal chart stepped through to the last stop, with no slow tail.
+
+    Both charts run at ``factor`` times the default tolerances, and the log
+    chart is stepped by ``rk.integrate_2d`` directly, with no stop on w, in
+    stretches that each end exactly at the next of ``stops``.
+    """
+    alpha = eternal_alpha(m, beta)
+    tol = SolveConfig().tightened(factor).tol
+    s0, w0, ws0 = handoff_to_log(integrate_r(n, m, alpha, beta, 1.0, 2.0 * R_HANDOFF, tol), R_HANDOFF, m)
+    cc = _chart_coeffs(n, m, alpha, beta)
+    rtol, atol = chart_tolerances("log", tol)
+    s, w, g = [np.array([s0])], [np.array([w0])], [np.array([ws0 - cc.sigma * w0])]
+    for stop in stops:
+        path = integrate_2d(_log_rhs(cc), s[-1][-1], w[-1][-1], g[-1][-1], stop, rtol, atol, positive_y=True,
+                            jac=_log_jac(cc))
+        s.append(path.t[1:])
+        w.append(path.y[1:])
+        g.append(path.z[1:])
+    s, w, g = (np.concatenate(x) for x in (s, w, g))
+    return s, w, g + cc.sigma * w
+
+
+class TestEternalTail:
+    """The sigma = 0 slow tail against witnesses that do not read the manifold series.
+
+    On the tail w_s = G(w), whose leading coefficient d_0 is a0 by algebra,
+    so the decay check there could read its answer off the formula. The
+    witnesses step the full (w, g) system through to s_end instead.
+    """
+
+    @pytest.mark.parametrize("n,m,beta", [*PINNED_LOG, (3, 0.1, 1.0), (3, 0.02, 1.0)])
+    def test_tail_matches_a_chart_stepped_to_the_end(self, solved, n, m, beta):
+        # against a reference at 1e-3 times the tolerances, stepped to each
+        # trace point of the log-decay fit and on to s_end = 40: w and w_s at
+        # the reference's nodes on [0.5, 39.5], and the fitted a0. The stepped
+        # Radau IIA stretch of (3, 0.1) reads 6.2e-11 in w and 2.1e-9 in w_s,
+        # as it did before the tail, so the bounds over the whole chart are
+        # 1e-10 and 3e-9; past the switch w_s is within 1e-9. The a0 of a chart
+        # stepped to s_end at the default tolerances read up to 6.4e-10 off
+        lp = solved(n, m, eternal_alpha(m, beta), beta).logprofile
+        sgrid, _, a_fit, _ = log_tail_fit(lp)
+        s, w, ws = _stepped_reference(n, m, beta, sgrid)
+        assert lp.qss_switch_s is not None and s[-1] == lp.s_end == 40.0
+        inside = (s >= 0.5) & (s <= 39.5)
+        tail = inside & (s >= lp.qss_switch_s)
+        err_w = np.abs(lp.eval_w(s) - w) / w
+        err_ws = np.abs(lp.eval_ws(s) - ws) / ws
+        assert np.max(err_w[inside]) <= 1e-10
+        assert np.max(err_ws[inside]) <= 3e-9
+        assert np.max(err_ws[tail]) <= 1e-9
+        at = np.searchsorted(s, sgrid)
+        assert np.array_equal(s[at], sgrid)
+        window = sgrid >= 0.5 * lp.s_end - 1e-9
+        a_ref, _ = tail_limit_fit(sgrid[window], ws[at][window])
+        assert abs(a_fit - a_ref) <= 2e-10 * a_ref
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_series_leading_term_is_the_log_constant(self, n):
+        for mfrac in (1e-3, 0.5, 0.999):
+            m = mfrac * (n - 2) / n
+            for beta in (0.5, 1.0, 2.0):
+                alpha = eternal_alpha(m, beta)
+                d0 = _manifold_series(_chart_coeffs(n, m, alpha, beta)._replace(sigma=0.0))[0]
+                assert d0 == pytest.approx(expected_log_constant(Parameters(n, m, alpha, beta, 1.0)), rel=1e-13)
+
+    @pytest.mark.parametrize("n,m,alpha", [(7, 5 / 7, 7.0), (3, 0.2, 2.500000000125)])
+    def test_no_tail_at_the_endpoint_or_off_the_relation(self, solved, n, m, alpha):
+        # the endpoint m = (n-2)/n has a0 = 0; alpha = 2.500000000125 puts
+        # sigma at -1e-10, zero to REGIME_TOL but not to rounding: both step
+        # through to s_end with Radau IIA
+        lp = solved(n, m, alpha, 1.0).logprofile
+        assert lp.qss_switch_s is None and lp.qss_gap is None
+        assert lp.stiff_switch is not None and lp.s_end == 40.0
+
+    def test_sigma_at_rounding_gives_the_same_limit(self, solved):
+        # the alphas next to 2.5 put sigma at 2.2e-16 and -4.4e-16; each chart
+        # steps with its own sigma and takes the sigma = 0 tail
+        sigmas, limits = [], []
+        for alpha in (np.nextafter(2.5, 2.0), 2.5, np.nextafter(2.5, 3.0)):
+            sol = solved(3, 0.2, float(alpha), 1.0)
+            assert sol.logprofile.qss_switch_s is not None
+            sigmas.append(sol.logprofile.sigma)
+            limits.append(estimate_log_decay(sol).extrapolated)
+        assert sigmas == [2.0**-52, 0.0, -(2.0**-51)]
+        assert max(limits) - min(limits) <= 1e-13 * limits[1]
 
 
 class TestA0Consistency:

@@ -21,6 +21,7 @@ from fdprofiles import (
     solve_profile,
 )
 from fdprofiles.integrate import _r_rhs, chart_tolerances
+from fdprofiles.model import eternal_alpha
 from fdprofiles.rk import Hermite, integrate_2d
 from test_acceptance import INVARIANT_GRID
 from test_exact import ROWS as BARENBLATT
@@ -497,9 +498,13 @@ class TestStiffTail:
         d2 = np.diff(lnw, 2)
         assert np.max(np.abs(d2)) < 1e-4
 
-    def test_eternal_never_switches(self, eternal_n3):
-        assert eternal_n3.logprofile.qss_switch_s is None
-        assert eternal_n3.diagnostics["qss_gap"] is None
+    def test_eternal_chart_switches_after_radau(self, eternal_n3):
+        # w grows like a0*s at sigma = 0: the chart turns stiff, goes to Radau
+        # IIA, and then to the sigma = 0 tail once the fast mode has relaxed
+        lp = eternal_n3.logprofile
+        assert lp.stiff_switch < lp.qss_switch_s < lp.s_end
+        assert eternal_n3.diagnostics["qss_switch_s"] == lp.qss_switch_s
+        assert eternal_n3.diagnostics["qss_gap"] < 1e-9
 
     def test_overflow_is_a_located_profile_error(self):
         # w grows like e^(1.2 s) and leaves the float range near s = 591;
@@ -509,18 +514,20 @@ class TestStiffTail:
             solve_profile(P(1.0), SolveConfig(s_end=2000.0))
         assert 500.0 < exc.value.location < 700.0
 
-    @pytest.mark.parametrize("alpha", [1.25, -1.0])
+    @pytest.mark.parametrize("alpha", [1.25, -1.0, 2.5])
     def test_node_s_is_the_quadrature_of_the_manifold_rate(self, solved, alpha):
         # on the manifold g = G(w) and d(log w)/ds = F(log w) = sigma + G(w)/w, so
         # every tail node sits at s = s* + integral of 1/F from the switch, with
-        # g_s = G'(w)*w_s; G is summed term by term here, not by Horner's rule
+        # g_s = G'(w)*w_s; G is summed term by term here, not by Horner's rule.
+        # alpha = 2.5 is eternal, sigma = 0, with nodes _ETERNAL_DLY apart
         from scipy.integrate import quad as adaptive_quad
 
-        from fdprofiles.integrate import _QSS_DLY, _chart_coeffs, _manifold_series
+        from fdprofiles.integrate import _ETERNAL_DLY, _QSS_DLY, _chart_coeffs, _manifold_series
 
         lp = solved(3, 0.2, alpha, 1.0).logprofile
         cc = _chart_coeffs(3, 0.2, alpha, 1.0)
         d = _manifold_series(cc)
+        spacing = _QSS_DLY if cc.sigma else _ETERNAL_DLY
 
         def manifold(ly):  # (G, x*G_x, F) at x = 1/w
             x = math.exp(-ly)
@@ -533,7 +540,7 @@ class TestStiffTail:
                   for a, b in zip(ly[:-1], ly[1:])]
         ref = lp.qss_switch_s + np.cumsum(pieces)
         assert np.max(np.abs(lp.s[i0 + 1 :] - ref)) <= 1e-12
-        assert np.max(np.diff(ly)) <= _QSS_DLY + 1e-12
+        assert np.max(np.diff(ly)) <= spacing + 1e-12
         g, xgx, f = np.array([manifold(y) for y in ly[1:]]).T
         np.testing.assert_allclose(lp.g[i0 + 1 :], g, rtol=1e-14)
         np.testing.assert_allclose(lp.gs[i0 + 1 :], -xgx * f, rtol=1e-13)
@@ -544,8 +551,9 @@ class TestStiffTail:
     def test_node_s_on_the_edges_of_the_tail(self, n):
         # the tail alone, from _qss_switch's switch w over s in [0, 40], with m
         # near 0, midway and near the endpoint (n-2)/n and sigma near
-        # _QSS_MIN_SIGMA, near 3 and between: every node sits at the adaptive
-        # quadrature of 1/F from the switch. At sigma = 0.021 F vanishes just
+        # _QSS_MIN_SIGMA, near 3, between and 0 (the eternal relation, its
+        # sigma set to exactly 0 as integrate_log does): every node sits at
+        # the adaptive quadrature of 1/F from the switch. At sigma = 0.021 F vanishes just
         # left of x = 0, and a 32-point interpolant of G/F misses by 1e-9 at
         # n = 10 and 1e-7 at n = 30.
         from scipy.integrate import quad as adaptive_quad
@@ -554,8 +562,8 @@ class TestStiffTail:
 
         for mfrac in (1e-3, 0.5, 0.999):
             m = mfrac * (n - 2) / n
-            for sigma in (0.021, 0.05, 1.0, 2.99):
-                cc = _chart_coeffs(n, m, (2.0 - sigma) / (1.0 - m), 1.0)
+            for sigma in (0.021, 0.05, 1.0, 2.99, 0.0):
+                cc = _chart_coeffs(n, m, (2.0 - sigma) / (1.0 - m), 1.0)._replace(sigma=sigma)
                 d, w_switch = _qss_switch(cc, n, 1.0)
                 s, w, _, _ = _slow_tail(cc.sigma, d, 0.0, math.log(w_switch), 40.0)
 
@@ -603,28 +611,55 @@ class TestStiffTail:
         with pytest.raises(ProfileError, match="stops growing") as exc:
             _slow_tail(1.0, [-1e4], 5.0, math.log(5000.0), 40.0)
         assert exc.value.location == 5.0
+        # at sigma = 0, F = G/w: G = 1 - 2e4/w is -3 at w = 5e3
+        with pytest.raises(ProfileError, match="stops growing") as exc:
+            _slow_tail(0.0, [1.0, -2e4], 5.0, math.log(5000.0), 40.0)
+        assert exc.value.location == 5.0
 
     @pytest.mark.parametrize("n", range(3, 31))
     def test_first_omitted_series_term_is_below_rounding_at_the_switch(self, n):
         # sigma near _QSS_MIN_SIGMA and near 3, m near 0 and at the endpoint
-        # (n-2)/n: at the switch the first term the tail leaves out of G is
-        # below 2^-52 of G. The switch is the relaxation bound
-        # beta*w/(n-1) = _QSS_RELAX*max(1, sigma), or past it the w where that
-        # term falls to 2^-53 of d_0
-        from fdprofiles.integrate import _QSS_RELAX, _SERIES_TERMS, _chart_coeffs, _manifold_series, _qss_switch
+        # (n-2)/n, and sigma = 0 with m near 0, at the Yamabe exponent
+        # (n-2)/(n+2) and near the endpoint: at the switch each of the first
+        # two terms the tail leaves out of G (and at sigma = 0 of 1/G, whose
+        # series places the nodes) is below 2^-52 of the sum. The switch is
+        # the relaxation bound, beta*w/(n-1) = _QSS_RELAX*max(1, sigma) or at
+        # sigma = 0 w = sqrt(4*_QSS_RELAX*d_0*(n-1)/beta), or past it the w
+        # where the largest of those terms falls to 2^-53 of the first. On the
+        # Yamabe rows b0 = 0 and at sigma = 0 every odd d_k vanishes, d_K
+        # among them, so the first omitted term alone would read 0
+        from fdprofiles.integrate import (
+            _QSS_RELAX,
+            _SERIES_TERMS,
+            _chart_coeffs,
+            _manifold_series,
+            _qss_switch,
+            _reciprocal_series,
+        )
 
-        for mfrac in (1e-3, 1.0):
-            m = mfrac * (n - 2) / n
-            for sigma in (0.021, 2.99):
+        K = _SERIES_TERMS
+        rows = [(mfrac * (n - 2) / n, sigma) for mfrac in (1e-3, 1.0) for sigma in (0.021, 2.99)]
+        rows += [(m, 0.0) for m in (1e-3 * (n - 2) / n, (n - 2) / (n + 2), 0.999 * (n - 2) / n)]
+        for m, sigma in rows:
+            if sigma:
                 cc = _chart_coeffs(n, m, (2.0 - sigma) / (1.0 - m), 1.0)
-                d, w = _qss_switch(cc, n, 1.0)
-                d_out = _manifold_series(cc, _SERIES_TERMS + 1)[-1]
-                g = sum(dk * w ** -k for k, dk in enumerate(d))
-                assert abs(d_out) * w**-_SERIES_TERMS <= 2.0**-52 * abs(g)
+            else:
+                cc = _chart_coeffs(n, m, eternal_alpha(m, 1.0), 1.0)._replace(sigma=0.0)
+            d, w = _qss_switch(cc, n, 1.0)
+            full = _manifold_series(cc, K + 2)
+            assert full[:K] == d
+            series = [full] + ([_reciprocal_series(full)] if not sigma else [])
+            for c in series:
+                value = sum(ck * w**-k for k, ck in enumerate(c[:K]))
+                assert max(abs(c[K]) * w**-K, abs(c[K + 1]) * w ** -(K + 1)) <= 2.0**-52 * abs(value), (m, sigma)
+            if sigma:
                 w_relax = _QSS_RELAX * max(1.0, cc.sigma) * (n - 1)
-                assert w >= w_relax
-                if w > w_relax:
-                    assert abs(d_out) * w**-_SERIES_TERMS == pytest.approx(2.0**-53 * abs(d[0]), rel=1e-12)
+            else:
+                w_relax = math.sqrt(4.0 * _QSS_RELAX * d[0] * (n - 1))
+            assert w >= w_relax
+            if w > w_relax:
+                largest = max(abs(c[k]) * w**-k / abs(c[0]) for c in series for k in (K, K + 1))
+                assert largest == pytest.approx(2.0**-53, rel=1e-12), (m, sigma)
 
     # s_end = 40/sigma takes w about as far as sigma = 1 does at the default 40,
     # so every family reaches its switch
@@ -646,6 +681,24 @@ class TestStiffTail:
                 rate = -_log_jac(_chart_coeffs(n, m, alpha, 1.0))(None, lp.w[:k], lp.g[:k])[3]
                 efolds = np.sum(0.5 * (rate[1:] + rate[:-1]) * np.diff(lp.s[:k]))
                 assert efolds >= 53.0 * math.log(2.0), (m, sigma)
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_fast_mode_has_relaxed_at_the_eternal_switch(self, n):
+        # as above on the eternal relation, sigma = 0, where w grows like a0*s:
+        # m near 0, midway and near the endpoint (n-2)/n, where a0 is small
+        # and the switch falls as late as s = 500, so s_end = 600
+        from fdprofiles.integrate import _chart_coeffs, _log_jac
+
+        for mfrac in (1e-3, 0.5, 0.999):
+            m = mfrac * (n - 2) / n
+            for beta in (0.25, 1.0, 4.0):
+                alpha = eternal_alpha(m, beta)
+                lp = solve_profile(P(alpha, n=n, m=m, beta=beta), SolveConfig(s_end=600.0)).logprofile
+                assert lp.qss_switch_s is not None and lp.qss_gap < 1e-9, (m, beta)
+                k = int(np.searchsorted(lp.s, lp.qss_switch_s)) + 1
+                rate = -_log_jac(_chart_coeffs(n, m, alpha, beta))(None, lp.w[:k], lp.g[:k])[3]
+                efolds = np.sum(0.5 * (rate[1:] + rate[:-1]) * np.diff(lp.s[:k]))
+                assert efolds >= 53.0 * math.log(2.0), (m, beta)
 
     @pytest.mark.parametrize("row", [row for row in INVARIANT_GRID if row[2] == 0.0])
     def test_alpha_zero_has_no_gap(self, solved, row):

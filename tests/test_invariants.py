@@ -231,11 +231,7 @@ class TestFluxIdentity:
 
 # radii ** (n-1) in the check and rho^(n-1) in _moment's cumulative sweep pass
 # the float range at r = 20 from n = 238 on
-@pytest.mark.parametrize(
-    "n",
-    [237, pytest.param(238, marks=pytest.mark.xfail(
-        strict=True, raises=RuntimeWarning, reason="the flux identity's powers of r overflow at n >= 238"))],
-)
+@pytest.mark.parametrize("n", [237, 238])
 def test_flux_identity_stays_in_the_float_range(n):
     sol = solve_profile(Parameters(n, 0.2, 1.0, 1.0, 1.0))
     with warnings.catch_warnings():
@@ -358,7 +354,7 @@ class TestGaussLegendre:
         radii = invariants._IDENTITY_RADII
         got = invariants._moment(sol, radii, 40, lambda x: np.polynomial.polynomial.polyval(x, septic), np.zeros(1))
         powers = 40 + np.arange(septic.size)
-        exact = [np.sum(septic * (r**powers - lo**powers) / powers) for r in radii]
+        exact = [np.sum(septic * (r**powers - lo**powers) / powers) / r**39 for r in radii]
         np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
 
     # the 1e-14 reference reaches roundoff on some pieces, which quadpack reports
@@ -371,7 +367,7 @@ class TestGaussLegendre:
                 ref, _ = adaptive_quad(
                     lambda rho: rho ** (n - 1) * sol.v(rho), 0.0, r, epsabs=1e-14, epsrel=1e-14, limit=5000
                 )
-                assert invariants._flux_integral(sol, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                assert invariants._flux_integral(sol, r) == pytest.approx(ref / r ** (n - 1), rel=1e-12, abs=0.0)
 
     # the 1e-14 reference reaches roundoff on some pieces, which quadpack reports
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -405,7 +401,7 @@ class TestGaussLegendre:
                     ref += adaptive_quad(
                         lambda rho: rho**edge * smooth_part(rho), seam, r, epsabs=1e-14, epsrel=1e-14, limit=5000
                     )[0]
-                assert invariants._q_integral(sol, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
+                assert invariants._q_integral(sol, r) == pytest.approx(ref / r**edge, rel=1e-9, abs=0.0)
                 checked += 1
         assert checked >= 24
 
@@ -425,16 +421,17 @@ class TestGaussLegendre:
         np.testing.assert_allclose(chosen, integrals(), rtol=1e-13, atol=0.0)
 
     def test_one_sweep_matches_a_rule_per_radius(self, grid, monkeypatch):
-        # both identities read every radius off one cumulative sweep; the
-        # reference integrates [a, r] afresh for each radius r
-        def per_radius(f, a, b, breaks, points):
+        # both identities read every radius off one sweep; the reference
+        # integrates rho^(p-1)*f over [a, r] afresh for each radius r and
+        # divides by r^(p-1) (n <= 6 here, so no power leaves the float range)
+        def per_radius(f, a, b, breaks, points, p):
             gl_x, gl_w = invariants._rule(points)
             out = []
             for r in np.atleast_1d(b):
                 x = np.concatenate(([a], breaks[(breaks > a) & (breaks < r)], [r]))
                 half = 0.5 * np.diff(x)
                 nodes = (x[:-1] + half)[:, None] + half[:, None] * gl_x
-                out.append(half @ (f(nodes.ravel()).reshape(nodes.shape) @ gl_w))
+                out.append(half @ ((nodes ** (p - 1) * f(nodes.ravel()).reshape(nodes.shape)) @ gl_w) / r ** (p - 1))
             return np.array(out)
 
         def integrals():

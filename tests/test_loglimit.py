@@ -95,6 +95,14 @@ class TestLogEquation:
         # the raw ratio w/s lags the slope but heads the same way
         assert lp.eval_w(40.0) / 40.0 == pytest.approx(4.0, rel=0.15)
 
+    def test_log_chart_takes_the_eternal_tail(self):
+        # alpha = 2*beta is the eternal relation at m = 0, so sigma = 0 and
+        # the chart goes to the slow manifold once its fast mode has relaxed
+        lp = log_chart_of_log_equation(3, 2.0, 1.0, 1.0)
+        assert lp.sigma == 0.0
+        assert lp.stiff_switch < lp.qss_switch_s < lp.s_end
+        assert lp.qss_gap < 1e-9
+
     def test_direct_path_shows_log_growth(self):
         # without the log chart: r^2 u / log r at moderately large radius
         prof = solve_log_equation(3, 2.0, 1.0, 1.0, 1000.0)
