@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, at_endpoint, chart_constants, exponent_relation, require
-from .rk import POSITIVITY_FLOOR, Hermite, integrate_2d
+from .rk import POSITIVITY_FLOOR, Hermite, RawPath, hermite_piece, integrate_2d
 from .series import SeriesExpansion, eval_series, horner, seed_within
 
 __all__ = [
@@ -127,6 +127,13 @@ def _split(x, mask, on, off) -> tuple:
 class Profile:
     """Samples (r, v, v') of an r-chart solution with dense evaluation.
 
+    ``head`` is the ``RawPath`` that ``integrate_r`` stepped: the whole chart,
+    or with ``pause_past`` the chart up to its first node past that radius,
+    with the step loop's state. ``path``, the whole chart, resumes the loop
+    (``RawPath.resumed``) on the first read that needs it: the node arrays,
+    the counters, ``stiff_switch``, ``r_end`` and ``eval``. That read raises
+    a ``ProfileError`` met past the pause.
+
     ``ddv`` holds v'' from the equation at each node. ``dddv`` holds its
     derivative along the solution (``_r_third_derivative``) at the nodes of
     the DOP853 stretch, the first ``dddv.size`` nodes, up to the switch to
@@ -137,26 +144,39 @@ class Profile:
     it. Radii below the first node are served by the origin series, and so
     are those past the last one when the series is the exact constant
     (alpha = 0, ``r_reach``). ``eval`` reads the dense output, built on its
-    first read; ``eval_point`` builds only the piece it reads. The step
-    counters and ``stiff_switch`` are ``RawPath.counters``.
+    first read; ``eval_point`` builds only the piece it reads, from the head
+    where the head reaches. The step counters are ``RawPath.counters``.
     """
 
-    r: np.ndarray
-    v: np.ndarray
-    dv: np.ndarray
-    ddv: np.ndarray
-    dddv: np.ndarray
+    head: RawPath
     series: SeriesExpansion
     rtol: float
-    n_steps: int = 0
-    n_rejected: int = 0
-    nfev: int = 0
-    n_newton: int = 0
-    stiff_switch: float | None = None
+    # (n, m, alpha, beta) of the chart's equation, which v''' reads
+    equation: tuple[int, float, float, float]
+
+    @cached_property
+    def path(self) -> RawPath:
+        return self.head.resumed()
+
+    # the whole chart's nodes, counters and switch node
+    r = property(lambda self: self.path.t)
+    v = property(lambda self: self.path.y)
+    dv = property(lambda self: self.path.z)
+    ddv = property(lambda self: self.path.fz)
+    n_steps = property(lambda self: self.path.n_steps)
+    n_rejected = property(lambda self: self.path.n_rejected)
+    nfev = property(lambda self: self.path.nfev)
+    n_newton = property(lambda self: self.path.n_newton)
+    stiff_switch = property(lambda self: self.path.t_stiff)
+
+    @cached_property
+    def dddv(self) -> np.ndarray:
+        k = self.path.n_explicit  # the DOP853 stretch, where v is septic, ends at the switch node
+        return _r_third_derivative(*self.equation, self.r[:k], self.v[:k], self.dv[:k], self.ddv[:k])
 
     @property
     def r_start(self) -> float:
-        return float(self.r[0])
+        return float(self.head.t[0])
 
     @property
     def r_end(self) -> float:
@@ -172,15 +192,21 @@ class Profile:
         return Hermite(self.r, self.v, self.dv, self.ddv, self.dddv)
 
     def eval_point(self, r: float) -> tuple[float, float]:
-        """(v, v') at one radius with the bits of ``eval(r)``; in the chart from the one piece that brackets r,
-        built alone by the rule of ``_v_interp`` (septic while both its nodes are on the DOP853 stretch)."""
-        if not self.r_start <= r <= self.r_end:
+        """(v, v') at one radius with the bits of ``eval(r)``. Short of the head's last node it reads the one piece
+        that brackets r, built alone on Python floats (``rk.hermite_piece``) by the rule of ``_v_interp``: septic
+        while both its nodes are on the DOP853 stretch, with their v''' as ``dddv`` takes it."""
+        head = self.head
+        if not head.t[0] <= r < head.t[-1]:
             return self.eval(r)
-        i = int(np.searchsorted(self.r[1:-1], r, side="right"))  # the piece Hermite picks
-        nodes = slice(i, i + 2)
-        rows = (self.v, self.dv, self.ddv, self.dddv)[: 4 if i + 2 <= self.dddv.size else 3]
-        piece = Hermite(self.r[nodes], *(a[nodes] for a in rows))
-        return piece.value(r), piece.derivative(r)
+        i = int(np.searchsorted(head.t[1:-1], r, side="right"))  # the piece Hermite picks
+        nodes = [a[i : i + 2] for a in (head.t, head.y, head.z, head.fz)]
+        if i + 2 <= head.n_explicit:
+            nodes.append(_r_third_derivative(*self.equation, *nodes))
+        (x0, x1), *rows = (a.tolist() for a in nodes)
+        h = x1 - x0
+        coef = hermite_piece(h, *zip(*rows))
+        th = (float(r) - x0) / h
+        return horner(coef, th), horner([j * c for j, c in enumerate(coef[1:], 1)], th) / h
 
     @property
     def r_reach(self) -> float:
@@ -388,7 +414,8 @@ def _log_jac(cc: _ChartCoeffs):
 
 
 def integrate_r(
-    n: int, m: float, alpha: float, beta: float, eta: float, r_max: float, tol: float = SolveConfig.tol
+    n: int, m: float, alpha: float, beta: float, eta: float, r_max: float, tol: float = SolveConfig.tol, *,
+    pause_past: float = math.inf,
 ) -> Profile:
     """Integrate the r-chart from the origin series (``seed_within`` at ``tol``) out to r_max.
 
@@ -402,9 +429,11 @@ def integrate_r(
     alpha < 0 and for 0 < alpha < beta/(1-m). On the INVARIANT_GRID rows to
     r = 25 the chart switches exactly on the four with alpha < 0. Where it
     does not switch, the nodes are those of DOP853 alone. v''' for the
-    septic dense output is evaluated over the DOP853 stretch once the solve
-    is done. Takes plain scalars rather than Parameters so that m = 0 is
-    accepted: the chart then solves the log-diffusion equation of the
+    septic dense output is evaluated over the DOP853 stretch on its first
+    read. With ``pause_past`` the chart is stepped only to its first node
+    past that radius here, and the rest on the first read that needs it
+    (``Profile``). Takes plain scalars rather than Parameters so that m = 0
+    is accepted: the chart then solves the log-diffusion equation of the
     singular limit."""
     if not (0.0 <= m < 1.0 and eta > 0.0):
         raise ValueError(f"r-chart requires 0 <= m < 1 and eta > 0, got m = {m}, eta = {eta}")
@@ -416,20 +445,9 @@ def integrate_r(
     rtol, atol = chart_tolerances("r", tol)
     path = integrate_2d(
         _r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True,
-        jac=_r_jac(n, m, alpha, beta), stiff_tol=chart_tolerances("r_stiff", tol),
+        jac=_r_jac(n, m, alpha, beta), stiff_tol=chart_tolerances("r_stiff", tol), pause_past=pause_past,
     )
-    # the DOP853 stretch, where v is septic, ends at the switch node
-    k = path.n_explicit
-    return Profile(
-        r=path.t,
-        v=path.y,
-        dv=path.z,
-        ddv=path.fz,
-        dddv=_r_third_derivative(n, m, alpha, beta, path.t[:k], path.y[:k], path.z[:k], path.fz[:k]),
-        series=se,
-        rtol=rtol,
-        **path.counters,
-    )
+    return Profile(head=path, series=se, rtol=rtol, equation=(n, m, alpha, beta))
 
 
 def radius(s):
@@ -448,7 +466,8 @@ def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float
     """Exact chart change at radius r_h: (s, w, w_s) from (v, v').
 
     (v, v') come from the one r-chart piece that brackets r_h (``Profile.eval_point``),
-    so a solve builds the chart's full dense output only when a caller reads it.
+    read from the nodes stepped so far, so a solve neither steps the r-chart past
+    r_h nor builds its full dense output unless a caller reads them.
     """
     v, dv = profile.eval_point(r_h)
     if v <= 0.0:
@@ -883,7 +902,9 @@ class Solution:
     the derivative of its dense v or w, except on the log chart's slow tail
     (``LogProfile``). ``nodes``, the node view the pointwise checks read,
     and ``diagnostics`` are built from the two chart records on first use,
-    so a solve whose caller reads neither pays for neither.
+    so a solve whose caller reads neither pays for neither. Either one, and
+    any dense read the r-chart serves, first steps the r-chart past the
+    handoff (``Profile``), and raises a ``ProfileError`` met there.
     """
 
     params: Parameters
@@ -959,13 +980,19 @@ class Solution:
 
 
 def _overlap_error(profile: Profile, logprofile: LogProfile, m: float, r_h: float) -> float:
-    """Max relative disagreement of w between the charts on [r_h, 2*r_h], as far as both reach."""
+    """Max relative disagreement of w between the charts on [r_h, 2*r_h], as far as both reach.
+
+    inf where either chart's v or w there is not positive and finite, whose w is not defined.
+    """
     hi = min(2.0 * r_h, profile.r_end)
     if logprofile.s_end < math.log(hi):
         hi = math.exp(logprofile.s_end)
     rs = np.geomspace(r_h, hi, 33)
-    w_r, _ = _w_q(rs, *profile.eval(rs), m)
+    v, dv = profile.eval(rs)
     w_s = logprofile.eval_w(np.log(rs))
+    if not np.all((0.0 < v) & (v < math.inf) & (0.0 < w_s) & (w_s < math.inf)):
+        return math.inf
+    w_r, _ = _w_q(rs, v, dv, m)
     return float(np.max(np.abs(w_r - w_s) / np.abs(w_s)))
 
 
@@ -973,8 +1000,11 @@ def _chart_chain(n: int, m: float, alpha: float, beta: float, eta: float,
                  config: SolveConfig) -> tuple[Profile, LogProfile]:
     """Origin series and r-chart to max(r_max, 2*R_HANDOFF), handoff at R_HANDOFF, log chart to s_end.
 
+    The r-chart is stepped to its first node past R_HANDOFF, where the handoff
+    reads it, and the rest on the first read that needs it (``Profile``).
     Plain scalars, so that the m = 0 log-diffusion limit shares it; the callers validate."""
-    profile = integrate_r(n, m, alpha, beta, eta, max(config.r_max, 2.0 * R_HANDOFF), config.tol)
+    profile = integrate_r(n, m, alpha, beta, eta, max(config.r_max, 2.0 * R_HANDOFF), config.tol,
+                          pause_past=R_HANDOFF)
     start = handoff_to_log(profile, R_HANDOFF, m)
     return profile, integrate_log(n, m, alpha, beta, start, config.s_end, config.tol)
 
@@ -982,7 +1012,9 @@ def _chart_chain(n: int, m: float, alpha: float, beta: float, eta: float,
 def solve_profile(p: Parameters, config: SolveConfig = SolveConfig()) -> Solution:
     """Series seed, r-chart, handoff and log chart (``_chart_chain``).
 
-    The overlap diagnostic waits for the first read of ``Solution.diagnostics``.
+    The r-chart past its first node beyond R_HANDOFF waits for the first read
+    that needs it (``Profile``), and so does a ``ProfileError`` there; the
+    overlap diagnostic waits for the first read of ``Solution.diagnostics``.
     Raises HypothesisViolation outside the existence range; ``integrate_r``
     has no gate and probes behaviour there (for example where the solver
     loses positivity).

@@ -28,8 +28,8 @@ needed. Both charts of ``integrate`` pass a Jacobian. The r-chart turns
 stiff only where its profile grows or decays slowly, and its Radau IIA
 stretch runs at its own, tighter tolerance pair (``stiff_tol``). The step
 budget, the final-step clamp, the step-collapse and positivity guards, the
-node store and the early stop are the loop's own; only the attempt and the
-step-size update depend on the step kind. A step collapse is raised at once
+node store, the early stop and the pause (``pause_past``) are the loop's own;
+only the attempt and the step-size update depend on the step kind. A step collapse is raised at once
 where the step falls below ~50 ulps of t, and where it stays below
 1e-12*|t| for 100 accepted steps in a row, rather than after the budget.
 
@@ -44,15 +44,16 @@ and one ``Hermite`` is then septic there and quintic past the switch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import PositivityLoss, ProfileError, StepUnderflow
+from .series import horner
 
-__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "Hermite"]
+__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "Hermite", "hermite_piece"]
 
 # No clamping below this value; clamping would corrupt decay estimation.
 POSITIVITY_FLOOR = 1e-300
@@ -166,7 +167,7 @@ JAC = Callable[[float, float, float], tuple[float, float, float, float]]
 
 @dataclass(frozen=True)
 class RawPath:
-    """Accepted nodes of one integration: the states (y, z) and z' = fz."""
+    """Accepted nodes of one integration, or of its head up to a pause: the states (y, z) and z' = fz."""
 
     t: np.ndarray
     y: np.ndarray
@@ -180,6 +181,16 @@ class RawPath:
     # DOP853's nodes, up to and including the one from which Radau IIA took over
     # (every node when DOP853 ran the whole span).
     n_explicit: int
+    # the step loop's state at a pause (``integrate_2d``'s ``pause_past``), None when it ran to its end
+    paused: tuple | None = field(default=None, repr=False, compare=False)
+
+    def resumed(self) -> RawPath:
+        """The whole path: this one, or the step loop resumed from its pause with the steps of an uninterrupted
+        run. The pause is kept, so each call steps the rest anew and raises anew what the first raised."""
+        if self.paused is None:
+            return self
+        return _step_loop(math.inf, self.t.tolist(), self.y.tolist(), self.z.tolist(), self.fz.tolist(),
+                          *self.paused)
 
     @property
     def t_stiff(self) -> float | None:
@@ -252,11 +263,11 @@ def _step_collapse(t, positive_y, y, y_vanished, what="step size underflow") -> 
 
 def _bracket_crossing(t, h, y0, d0, y1, d1, floor) -> float:
     """Bisect the step's cubic Hermite interpolant for the first floor crossing."""
-    piece = Hermite(np.array([0.0, h]), np.array([y0, y1]), np.array([d0, d1]))
+    coef = hermite_piece(h, (y0, d0), (y1, d1))
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if piece._value(0, mid) - floor > 0.0:
+        if horner(coef, mid) - floor > 0.0:
             lo = mid
         else:
             hi = mid
@@ -352,6 +363,7 @@ def integrate_2d(
     stop_when_y_above: float | None = None,
     jac: JAC | None = None,
     stiff_tol: tuple[float, float] | None = None,
+    pause_past: float = math.inf,
 ) -> RawPath:
     """Integrate (y, z)' = f(t, y, z) from t0 to t_end, storing every accepted node.
 
@@ -375,6 +387,11 @@ def integrate_2d(
     Up to that node a call with ``jac`` takes the same steps as one without.
     ``stiff_tol``, an (rtol, atol) pair, replaces the tolerances from that
     node on (by default they stay as they are).
+
+    With ``pause_past`` the loop stops at its first node strictly past it
+    and returns that head of the path with the loop's state (``paused``);
+    ``RawPath.resumed`` steps on from there to the nodes and counters of a
+    call without the pause, and raises any error met past it.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -385,35 +402,32 @@ def integrate_2d(
     if not (math.isfinite(fy) and math.isfinite(fz)):
         raise ProfileError("right-hand side not finite at the starting point", t0)
 
-    span = t_end - t0
+    h = _initial_step(f, t0, y0, z0, fy, fz, t_end - t0, rtol, atol)
     y_vanished = max(1e-8 * abs(y0), 1e3 * POSITIVITY_FLOOR)
+    return _step_loop(pause_past, [t0], [y0], [z0], [fz], f, jac, t_end, positive_y, stop_when_y_above, stiff_tol,
+                      y_vanished, t0, y0, z0, fy, fz, h, rtol, atol)
 
-    ts = [t0]
-    ys = [y0]
-    zs = [z0]
-    fzs = [fz]
 
-    h = _initial_step(f, t0, y0, z0, fy, fz, span, rtol, atol)
+def _step_loop(pause_past, ts, ys, zs, fzs, f, jac, t_end, positive_y, stop_when_y_above, stiff_tol, y_vanished,
+               t, y, z, fy, fz, h, rtol, atol, n_steps=0, n_rejected=0, nfev=2, n_newton=0, collapsed=0,
+               rejected=False, stiff_run=0, J=None, n_explicit=None, poly=None, h_old=None, err_old=None,
+               newton_tol=None) -> RawPath:
+    """``integrate_2d``'s step loop from the nodes so far; a pause packs the arguments after ``fzs``.
 
-    t, y, z = t0, y0, z0
-    n_steps = 0
-    n_rejected = 0
-    nfev = 2
-    n_newton = 0
-    # accepted steps in a row shorter than _COLLAPSE_H*|t|
-    collapsed = 0
-    # the last attempt was rejected for its error (or, in an explicit step, a non-finite stage)
-    rejected = False
-    # accepted DOP853 steps in a row with h*rho(J) > _STIFF_H_RHO
-    stiff_run = 0
-    # Radau IIA state: the iteration matrix's Jacobian (None while DOP853 steps),
-    # the last accepted step's (t, h, y, z, Q of y, Q of z) and controller memory
-    J = None
-    n_explicit = None
-    poly = None
-    h_old = err_old = newton_tol = None
-
+    ``collapsed``: accepted steps in a row shorter than _COLLAPSE_H*|t|.
+    ``rejected``: the last attempt was rejected for its error (or, in an
+    explicit step, a non-finite stage). ``stiff_run``: accepted DOP853 steps
+    in a row with h*rho(J) > _STIFF_H_RHO. Radau IIA state: the iteration
+    matrix's Jacobian ``J`` (None while DOP853 steps), ``poly``, the last
+    accepted step's (t, h, y, z, Q of y, Q of z), and the controller memory.
+    """
+    paused = None
     while t < t_end:
+        if t > pause_past:
+            paused = (f, jac, t_end, positive_y, stop_when_y_above, stiff_tol, y_vanished, t, y, z, fy, fz, h,
+                      rtol, atol, n_steps, n_rejected, nfev, n_newton, collapsed, rejected, stiff_run, J,
+                      n_explicit, poly, h_old, err_old, newton_tol)
+            break
         if n_steps + n_rejected >= _MAX_STEPS:
             raise StepUnderflow(f"step budget of {_MAX_STEPS} exhausted", t)
         final = h >= (t_end - t) * (1.0 - 1e-12)
@@ -622,6 +636,7 @@ def integrate_2d(
         nfev=nfev,
         n_newton=n_newton,
         n_explicit=len(ts) if n_explicit is None else n_explicit,
+        paused=paused,
     )
 
 
@@ -659,6 +674,37 @@ def _fill_pieces(coef, d, unit):
     defects = np.diff(d) * unit - np.add.reduce(binom[:, :, None] * taylor, axis=1, initial=0.0)
     coef[:k] = taylor
     coef[k:] = np.add.reduce(table[:, :, None] * defects, axis=1, initial=0.0)
+
+
+# The same tables as nested lists of floats, for one piece on Python floats.
+_FLOAT_TABLES = {k: (binom.tolist(), table.tolist()) for k, (binom, table) in _HERMITE_TABLES.items()}
+
+
+def _dot(row, x) -> float:
+    """sum of row[j]*x[j] from 0.0 in column order, as ``_fill_pieces`` sums it."""
+    out = 0.0
+    for a, b in zip(row, x):
+        out += a * b
+    return out
+
+
+def hermite_piece(h: float, left, right) -> list[float]:
+    """The 2k coefficients of one ``Hermite`` piece of length h on Python floats, k = len(left).
+
+    ``left`` and ``right`` hold the value and the first k - 1 derivatives at
+    the piece's nodes. The operations are those of ``Hermite.__init__`` and
+    ``_fill_pieces`` on one column, in their order, so the coefficients have
+    ``Hermite``'s bits, and ``series.horner`` at theta reads its value
+    (the derivative: the coefficients times their power, over h) with
+    ``Hermite``'s bits too, making no numpy call.
+    """
+    binom, table = _FLOAT_TABLES[len(left)]
+    unit = [1.0]
+    for i in range(1, len(left)):
+        unit.append(unit[-1] * h / i)
+    taylor = [a * u for a, u in zip(left, unit)]
+    defects = [(b - a) * u - _dot(row, taylor) for a, b, u, row in zip(left, right, unit, binom)]
+    return taylor + [_dot(row, defects) for row in table]
 
 
 class Hermite:
@@ -715,11 +761,7 @@ class Hermite:
     @staticmethod
     def _horner(coef, i, th):
         """sum_j coef[j, i]*th^j."""
-        c = np.take(coef, i, axis=1)
-        out = c[-1]
-        for row in c[-2::-1]:
-            out = out * th + row
-        return out
+        return horner(np.take(coef, i, axis=1), th)
 
     def _value(self, i, th):
         return self._horner(self._coef, i, th)

@@ -552,3 +552,18 @@ class TestImportSet:
         modules = _imported("-m", "fdprofiles", "solve", *map(str, PARAMS), "--json", str(js))
         assert json.loads(js.read_text())["diagnostics"]["qss_switch_s"] is not None
         assert not {m for m in modules if m.startswith("numpy.polynomial")}
+
+
+def test_overlap_past_positive_v_is_inf_without_a_warning(tmp_path):
+    # ROADMAP item 1's large-eta row: the dense v that the overlap diagnostic reads
+    # is not positive there, and the report says inf instead of warning to stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    js = tmp_path / "report.json"
+    args = ("verify", "--n", "4", "--m", "0.06292", "--alpha", "-1.6982", "--beta", "1", "--eta", "1.63e11",
+            "--strict", "--json", str(js))
+    out = subprocess.run([sys.executable, "-m", "fdprofiles", *args], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 3
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("fdprofiles: verify failed: "), out.stderr
+    assert json.loads(js.read_text())["diagnostics"]["overlap_error"] == "inf"

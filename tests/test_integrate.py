@@ -14,6 +14,8 @@ from fdprofiles import (
     PositivityLoss,
     ProfileError,
     SolveConfig,
+    estimate_log_decay,
+    estimate_power_decay,
     eval_series,
     handoff_to_log,
     integrate_log,
@@ -152,6 +154,59 @@ class TestDeferredReads:
         r = np.concatenate([[0.0, 0.5 * prof.r_start], prof.r, 0.5 * (prof.r[1:] + prof.r[:-1])])
         v, dv = prof.eval(r)
         assert [prof.eval_point(x) for x in r] == list(zip(v, dv))
+
+    @pytest.mark.parametrize(
+        "row,r_max",
+        [(row, r_max) for r_max in (2.0, 25.0) for row in INVARIANT_GRID]
+        + [(dataclasses.astuple(STIFF_BEFORE_HANDOFF), 2.0)],
+    )
+    def test_resumed_chart_is_the_uninterrupted_one(self, row, r_max):
+        # STIFF_BEFORE_HANDOFF turns stiff at r = 0.05, before the pause, and the
+        # grid row (4, 1/3, -2) at r = 7.7, after it (at r_max 25)
+        eager = integrate_r(*row, r_max)
+        lazy = integrate_r(*row, r_max, pause_past=R_HANDOFF)
+        head = lazy.head
+        assert head.t[-1] > R_HANDOFF and head.t[-2] <= R_HANDOFF
+        assert np.array_equal(head.t, eager.r[: head.t.size])
+        r = np.sort(np.concatenate([eager.r, 0.5 * (eager.r[1:] + eager.r[:-1])]))
+        # the head's pieces, each read alone before the chart is resumed
+        on_head = r[r < head.t[-1]]
+        assert [lazy.eval_point(x) for x in on_head] == list(zip(*eager.eval(on_head)))
+        assert "path" not in lazy.__dict__
+        for got, ref in zip((lazy.r, lazy.v, lazy.dv, lazy.ddv, lazy.dddv),
+                            (eager.r, eager.v, eager.dv, eager.ddv, eager.dddv)):
+            assert np.array_equal(got, ref)
+        assert lazy.path.counters == eager.path.counters
+        assert lazy.stiff_switch == eager.stiff_switch
+        for got, ref in zip(lazy.eval(r), eager.eval(r)):
+            assert np.array_equal(got, ref)
+
+    def test_switch_after_the_pause_is_kept(self):
+        prof = integrate_r(4, 1 / 3, -2.0, 1.0, 1.0, 25.0, pause_past=R_HANDOFF)
+        assert prof.head.t_stiff is None and 7.0 < prof.stiff_switch < 8.0
+
+    @pytest.mark.parametrize("alpha", [2.5, 1.25])
+    def test_solve_and_decay_step_the_r_chart_no_further_than_the_handoff(self, alpha):
+        sol = solve_profile(P(alpha))
+        (estimate_log_decay if alpha == 2.5 else estimate_power_decay)(sol)
+        head = sol.profile.head
+        assert head.paused is not None and head.t[-2] <= R_HANDOFF < head.t[-1]
+        assert "path" not in sol.profile.__dict__
+        assert sol.profile.r_end == SolveConfig.r_max  # the first read that needs the rest steps it
+        assert "path" in sol.profile.__dict__
+
+    def test_error_past_the_pause_is_raised_on_the_first_read(self):
+        # outside the existence range, which only solve_profile gates
+        row = (5, 0.5, 12.0, 1.0, 1.0)
+        with pytest.raises(PositivityLoss) as eager:
+            integrate_r(*row, 25.0)
+        assert eager.value.location == pytest.approx(15.47, abs=0.01)
+        prof = integrate_r(*row, 25.0, pause_past=R_HANDOFF)
+        assert prof.head.t[-1] > R_HANDOFF
+        for _ in range(2):  # each read raises it anew
+            with pytest.raises(PositivityLoss) as lazy:
+                prof.eval(2.0)
+            assert str(lazy.value) == str(eager.value) and lazy.value.location == eager.value.location
 
     def test_replaced_profile_reports_its_own_counters(self):
         sol = solve_profile(P(2.5))

@@ -61,7 +61,7 @@ class TestPointwise:
         bad_dv = prof.dv.copy()
         bad_dv[idx] = -bad_dv[idx]
         bad_sol = dataclasses.replace(
-            eternal_n3, profile=dataclasses.replace(prof, dv=bad_dv)
+            eternal_n3, profile=dataclasses.replace(prof, head=dataclasses.replace(prof.path, z=bad_dv))
         )
         rep = check_pointwise(bad_sol)
         entry = rep.entry("dv_sign")

@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 
 from fdprofiles import rk
 from fdprofiles.errors import PositivityLoss, StepUnderflow
-from fdprofiles.rk import Hermite, integrate_2d
+from fdprofiles.rk import Hermite, hermite_piece, integrate_2d
+from fdprofiles.series import horner
 
 # A zero Jacobian never trips the switch to Radau IIA: the call takes DOP853 steps
 # throughout, through the loop's Jacobian branch.
@@ -367,6 +368,29 @@ def test_hermite_piece_built_alone_has_the_bits_of_the_whole(k):
         xq = x[i] + np.array([0.0, 0.3, 0.5, 0.9]) * (x[i + 1] - x[i])
         assert np.array_equal(piece.value(xq), whole.value(xq)), i
         assert np.array_equal(piece.derivative(xq), whole.derivative(xq)), i
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_float_piece_has_the_bits_of_hermite(k):
+    # each piece built on Python floats from its two nodes and read by Horner's
+    # rule, against the same piece of one numpy interpolant of 40 (with a short
+    # last array for k > 2), on data spread over 20 decades
+    rng = np.random.default_rng(10 + k)
+    x = np.cumsum(rng.uniform(0.1, 2.0, 41))
+    d = [rng.standard_normal(x.size) * 10.0 ** rng.integers(-10, 10, x.size) for _ in range(k)]
+    j = x.size if k == 2 else 25
+    whole = Hermite(x, *d[:-1], d[-1][:j])
+    for i in range(x.size - 1):
+        rows = d if i + 2 <= j else d[:-1]
+        (x0, x1), *nodes = (a[i : i + 2].tolist() for a in (x, *rows))
+        h = x1 - x0
+        coef = hermite_piece(h, *zip(*nodes))
+        dcoef = [p * c for p, c in enumerate(coef[1:], 1)]
+        # the left node, the midpoint and theta = 0.3 and 0.9; the right node on the last piece
+        for xq in [x0 + th * h for th in (0.0, 0.3, 0.5, 0.9)] + [x1] * (i == x.size - 2):
+            th = (xq - x0) / h
+            assert horner(coef, th) == whole.value(xq), (i, xq)
+            assert horner(dcoef, th) / h == whole.derivative(xq), (i, xq)
 
 
 @pytest.mark.parametrize("k,short", [(3, 1), (4, 0), (2, 2), (3, 6)])
