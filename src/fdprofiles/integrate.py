@@ -462,17 +462,17 @@ def _w_q(r, v, dv, m):
     return w, w * (2.0 + (1.0 - m) * r * dv / v)
 
 
-def handoff_to_log(profile: Profile, r_h: float, m: float) -> tuple[float, float, float]:
-    """Exact chart change at radius r_h: (s, w, w_s) from (v, v').
+def handoff_to_log(profile: Profile, m: float) -> tuple[float, float, float]:
+    """Exact chart change at the seam R_HANDOFF: (s, w, w_s) from (v, v').
 
-    (v, v') come from the one r-chart piece that brackets r_h (``Profile.eval_point``),
+    (v, v') come from the one r-chart piece that brackets the seam (``Profile.eval_point``),
     read from the nodes stepped so far, so a solve neither steps the r-chart past
-    r_h nor builds its full dense output unless a caller reads them.
+    the first node beyond it nor builds its full dense output unless a caller reads them.
     """
-    v, dv = profile.eval_point(r_h)
+    v, dv = profile.eval_point(R_HANDOFF)
     if v <= 0.0:
-        raise ProfileError(f"cannot hand off at r = {r_h}: v = {v} is not positive")
-    return (math.log(r_h), *_w_q(r_h, v, dv, m))
+        raise ProfileError(f"cannot hand off at r = {R_HANDOFF}: v = {v} is not positive")
+    return (math.log(R_HANDOFF), *_w_q(R_HANDOFF, v, dv, m))
 
 
 # Slave g to the slow manifold once the fast mode has relaxed below rounding,
@@ -790,10 +790,11 @@ def integrate_log(
     (alpha < 2*beta/(1-m)) and like a0*s on the eternal relation (sigma zero
     to rounding, ``_SIGMA_ZERO``, short of the endpoint m = (n-2)/n), the fast
     mode makes the system stiffer without bound, so once it has relaxed below
-    rounding (``_QSS_RELAX``, ``_qss_switch``) the integration continues on the
-    slow manifold: g is the chart's own manifold series in 1/w, built once
-    from the chart coefficients, and the scalar equation left for log w is
-    autonomous, so nothing is stepped. ``_slow_tail`` places the nodes from a
+    rounding (``_QSS_RELAX``, ``_qss_switch``), where the step loop pauses
+    (``pause_above``), the integration continues on the slow manifold: g is
+    the chart's own manifold series in 1/w, built once from the chart
+    coefficients, and the scalar equation left for log w is autonomous, so
+    nothing is stepped. ``_slow_tail`` places the nodes from a
     closed-form relation between s and log w: for sigma > 0, log w - sigma*s
     + Phi(1/w) is the constant log C, with Phi the integral of G/F in
     x = 1/w from one Chebyshev interpolant of G/F built at the switch; at
@@ -815,23 +816,19 @@ def integrate_log(
     g0 = ws0 - sigma * w0
     rtol, atol = chart_tolerances("log", tol)
 
-    w_stop = None
+    w_stop = math.inf
     # sigma = 0 to rounding: the eternal relation, whose tail drops sigma
     eternal = abs(sigma) <= _SIGMA_ZERO and not at_endpoint(n, m)
     tail_sigma = 0.0 if eternal else sigma
     if eternal or sigma > _QSS_MIN_SIGMA:
         d, e, w_stop = _qss_switch(cc._replace(sigma=tail_sigma), n, beta)
-        if w0 >= w_stop:
-            # already stiff at the start; step explicitly through one
-            # relaxation scale before slaving
+        if w0 >= w_stop:  # already stiff at the start: step through one relaxation scale before slaving
             w_stop = 2.0 * w0
     jac = _log_jac(cc)
-    path = integrate_2d(
-        _log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, stop_when_y_above=w_stop, jac=jac
-    )
+    path = integrate_2d(_log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, jac=jac, pause_above=w_stop)
     s_arr, w_arr, g_arr, gs_arr = path.t, path.y, path.z, path.fz
     switch_s = gap = None
-    if w_stop is not None and s_arr[-1] < s_max * (1.0 - 1e-12) - 1e-12:
+    if path.paused is not None:
         switch_s = float(s_arr[-1])
         # where G is exactly 0 (alpha = 0, where c_w = 0) the gap is read absolute
         g_manifold = horner(d, 1.0 / w_arr[-1])
@@ -928,7 +925,7 @@ class Solution:
             "s_nfev": lp.nfev,
             "r_newton": prof.n_newton,
             "s_newton": lp.n_newton,
-            "overlap_error": _overlap_error(prof, lp, self.params.m, R_HANDOFF),
+            "overlap_error": _overlap_error(prof, lp, self.params.m),
             "series_r_switch": prof.r_start,
             "series_truncation": prof.series.truncation_estimate,
         }
@@ -979,15 +976,15 @@ class Solution:
         )
 
 
-def _overlap_error(profile: Profile, logprofile: LogProfile, m: float, r_h: float) -> float:
-    """Max relative disagreement of w between the charts on [r_h, 2*r_h], as far as both reach.
+def _overlap_error(profile: Profile, logprofile: LogProfile, m: float) -> float:
+    """Max relative disagreement of w between the charts on [1, 2]*R_HANDOFF, as far as both reach.
 
     inf where either chart's v or w there is not positive and finite, whose w is not defined.
     """
-    hi = min(2.0 * r_h, profile.r_end)
+    hi = min(2.0 * R_HANDOFF, profile.r_end)
     if logprofile.s_end < math.log(hi):
         hi = math.exp(logprofile.s_end)
-    rs = np.geomspace(r_h, hi, 33)
+    rs = np.geomspace(R_HANDOFF, hi, 33)
     v, dv = profile.eval(rs)
     w_s = logprofile.eval_w(np.log(rs))
     if not np.all((0.0 < v) & (v < math.inf) & (0.0 < w_s) & (w_s < math.inf)):
@@ -1005,7 +1002,7 @@ def _chart_chain(n: int, m: float, alpha: float, beta: float, eta: float,
     Plain scalars, so that the m = 0 log-diffusion limit shares it; the callers validate."""
     profile = integrate_r(n, m, alpha, beta, eta, max(config.r_max, 2.0 * R_HANDOFF), config.tol,
                           pause_past=R_HANDOFF)
-    start = handoff_to_log(profile, R_HANDOFF, m)
+    start = handoff_to_log(profile, m)
     return profile, integrate_log(n, m, alpha, beta, start, config.s_end, config.tol)
 
 

@@ -28,10 +28,11 @@ needed. Both charts of ``integrate`` pass a Jacobian. The r-chart turns
 stiff only where its profile grows or decays slowly, and its Radau IIA
 stretch runs at its own, tighter tolerance pair (``stiff_tol``). The step
 budget, the final-step clamp, the step-collapse and positivity guards, the
-node store, the early stop and the pause (``pause_past``) are the loop's own;
-only the attempt and the step-size update depend on the step kind. A step collapse is raised at once
-where the step falls below ~50 ulps of t, and where it stays below
-1e-12*|t| for 100 accepted steps in a row, rather than after the budget.
+node store and the pause, its one early exit (``pause_past`` defers the
+r-chart, ``pause_above`` starts the log chart's slow tail), are the loop's
+own; only the attempt and the step-size update depend on the step kind. A
+step collapse is raised at once where the step falls below ~50 ulps of t,
+and where it stays below 1e-12*|t| for 100 accepted steps in a row.
 
 Accepted nodes retain both state components and the second one's
 derivative, which is enough for quintic Hermite dense output (``Hermite``)
@@ -181,7 +182,7 @@ class RawPath:
     # DOP853's nodes, up to and including the one from which Radau IIA took over
     # (every node when DOP853 ran the whole span).
     n_explicit: int
-    # the step loop's state at a pause (``integrate_2d``'s ``pause_past``), None when it ran to its end
+    # the step loop's state at a pause (``pause_past`` or ``pause_above``), None when it ran to its end
     paused: tuple | None = field(default=None, repr=False, compare=False)
 
     def resumed(self) -> RawPath:
@@ -189,8 +190,8 @@ class RawPath:
         run. The pause is kept, so each call steps the rest anew and raises anew what the first raised."""
         if self.paused is None:
             return self
-        return _step_loop(math.inf, self.t.tolist(), self.y.tolist(), self.z.tolist(), self.fz.tolist(),
-                          *self.paused)
+        return _step_loop(math.inf, math.inf, self.t.tolist(), self.y.tolist(), self.z.tolist(),
+                          self.fz.tolist(), *self.paused)
 
     @property
     def t_stiff(self) -> float | None:
@@ -360,10 +361,10 @@ def integrate_2d(
     atol: float,
     *,
     positive_y: bool = False,
-    stop_when_y_above: float | None = None,
     jac: JAC | None = None,
     stiff_tol: tuple[float, float] | None = None,
     pause_past: float = math.inf,
+    pause_above: float = math.inf,
 ) -> RawPath:
     """Integrate (y, z)' = f(t, y, z) from t0 to t_end, storing every accepted node.
 
@@ -376,10 +377,6 @@ def integrate_2d(
     alone: far below atol the mixed scale no longer sees y, and a step could
     cross its zero onto a spurious positive branch.
 
-    ``stop_when_y_above`` ends the integration at the first accepted node with
-    y above the threshold (overshoot of at most one step); the caller detects
-    the early stop by comparing the final node against t_end.
-
     ``jac`` is the Jacobian of f. Every step is DOP853 until, with ``jac``,
     the problem is measurably stiff (see the module docstring); the
     integration then switches to Radau IIA, and ``RawPath.n_explicit``
@@ -388,8 +385,9 @@ def integrate_2d(
     ``stiff_tol``, an (rtol, atol) pair, replaces the tolerances from that
     node on (by default they stay as they are).
 
-    With ``pause_past`` the loop stops at its first node strictly past it
-    and returns that head of the path with the loop's state (``paused``);
+    With ``pause_past`` or ``pause_above`` the loop pauses at its first node
+    before t_end with t > ``pause_past`` or y >= ``pause_above`` and returns
+    that head of the path with the loop's state (``paused``);
     ``RawPath.resumed`` steps on from there to the nodes and counters of a
     call without the pause, and raises any error met past it.
     """
@@ -404,11 +402,11 @@ def integrate_2d(
 
     h = _initial_step(f, t0, y0, z0, fy, fz, t_end - t0, rtol, atol)
     y_vanished = max(1e-8 * abs(y0), 1e3 * POSITIVITY_FLOOR)
-    return _step_loop(pause_past, [t0], [y0], [z0], [fz], f, jac, t_end, positive_y, stop_when_y_above, stiff_tol,
+    return _step_loop(pause_past, pause_above, [t0], [y0], [z0], [fz], f, jac, t_end, positive_y, stiff_tol,
                       y_vanished, t0, y0, z0, fy, fz, h, rtol, atol)
 
 
-def _step_loop(pause_past, ts, ys, zs, fzs, f, jac, t_end, positive_y, stop_when_y_above, stiff_tol, y_vanished,
+def _step_loop(pause_past, pause_above, ts, ys, zs, fzs, f, jac, t_end, positive_y, stiff_tol, y_vanished,
                t, y, z, fy, fz, h, rtol, atol, n_steps=0, n_rejected=0, nfev=2, n_newton=0, collapsed=0,
                rejected=False, stiff_run=0, J=None, n_explicit=None, poly=None, h_old=None, err_old=None,
                newton_tol=None) -> RawPath:
@@ -423,10 +421,10 @@ def _step_loop(pause_past, ts, ys, zs, fzs, f, jac, t_end, positive_y, stop_when
     """
     paused = None
     while t < t_end:
-        if t > pause_past:
-            paused = (f, jac, t_end, positive_y, stop_when_y_above, stiff_tol, y_vanished, t, y, z, fy, fz, h,
-                      rtol, atol, n_steps, n_rejected, nfev, n_newton, collapsed, rejected, stiff_run, J,
-                      n_explicit, poly, h_old, err_old, newton_tol)
+        if t > pause_past or y >= pause_above:
+            paused = (f, jac, t_end, positive_y, stiff_tol, y_vanished, t, y, z, fy, fz, h, rtol, atol, n_steps,
+                      n_rejected, nfev, n_newton, collapsed, rejected, stiff_run, J, n_explicit, poly, h_old, err_old,
+                      newton_tol)
             break
         if n_steps + n_rejected >= _MAX_STEPS:
             raise StepUnderflow(f"step budget of {_MAX_STEPS} exhausted", t)
@@ -592,8 +590,6 @@ def _step_loop(pause_past, ts, ys, zs, fzs, f, jac, t_end, positive_y, stop_when
         zs.append(z)
         fzs.append(fz)
         n_steps += 1
-        if stop_when_y_above is not None and y >= stop_when_y_above:
-            break
 
         if J is None:
             if jac is not None and not final:
@@ -758,28 +754,19 @@ class Hermite:
     def _dcoef(self):
         return self._coef[1:] * np.arange(1.0, self._coef.shape[0])[:, None]
 
-    @staticmethod
-    def _horner(coef, i, th):
-        """sum_j coef[j, i]*th^j."""
-        return horner(np.take(coef, i, axis=1), th)
-
-    def _value(self, i, th):
-        return self._horner(self._coef, i, th)
-
-    def _derivative(self, i, th):
-        return self._horner(self._dcoef, i, th) / self._h[i]
-
-    def _at(self, piece, xq):
+    def _at(self, coef, xq, derivative):
         xq = np.asarray(xq, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
         # the piece whose left node is the last node <= xq; the end pieces extend outward
         i = np.searchsorted(self.x[1:-1], xq, side="right")
-        out = piece(i, (xq - self.x[i]) / self._h[i])
+        out = horner(np.take(coef, i, axis=1), (xq - self.x[i]) / self._h[i])
+        if derivative:
+            out = out / self._h[i]
         return float(out[0]) if scalar else out
 
     def value(self, xq):
-        return self._at(self._value, xq)
+        return self._at(self._coef, xq, False)
 
     def derivative(self, xq):
-        return self._at(self._derivative, xq)
+        return self._at(self._dcoef, xq, True)

@@ -447,6 +447,39 @@ class TestSweep:
         assert err["message"].startswith(f"{flag} is empty")
 
 
+class TestExitPaths:
+    def test_missing_parameters_exit_2(self, capsys):
+        assert run("verify", "--n", 3) == 2
+        assert capsys.readouterr().err == (
+            "fdprofiles: ValueError: missing required parameter(s): m, alpha, beta, eta\n"
+        )
+
+    def test_sweep_without_n_or_m_exits_2(self, capsys):
+        assert run("sweep", "--alpha-list", "eternal") == 2
+        assert "sweep needs n/m values" in capsys.readouterr().err
+
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("# the eternal row\n\nn = 3\nm = 0.2\n   \n# alpha on the relation\n"
+                           "alpha = 2.5\nbeta = 1\neta = 1\n")
+        js = tmp_path / "report.json"
+        assert run("solve", "--config", cfgfile, "--json", js) == 0
+        assert json.loads(js.read_text())["regime"] == "eternal"
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n = 3\nm 0.2\n")
+        assert run("solve", "--config", cfgfile) == 2
+        assert "malformed config line: 'm 0.2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--json", "--out", "--config"])
+    def test_path_that_cannot_be_opened_exits_4(self, tmp_path, capsys, flag):
+        missing = tmp_path / "no_such_dir" / "file"
+        assert run("solve", *PARAMS, flag, missing) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("fdprofiles: i/o error: ") and err.count("\n") == 1 and str(missing) in err
+
+
 class TestThinLayer:
     """Each report section is the library call's own result; each subcommand takes only the flags it reads."""
 

@@ -122,6 +122,11 @@ class TestLogDecay:
         assert est.scales[-1] == sol.logprofile.s_end
         assert np.all(np.diff(est.scales) > 0)
 
+    def test_trace_ends_at_a_chart_end_between_steps(self, solved):
+        # s_end = 42: the step points stop at 40 and the chart end is appended
+        est = estimate_log_decay(solved(3, 0.2, 2.5, 1.0, s_end=42.0))
+        assert est.scales[-2:].tolist() == [40.0, 42.0]
+
     def test_slower_alternative_estimator(self, eternal_n3):
         # w(s)/s approaches the same limit but lags behind w_s(s)
         est = estimate_log_decay(eternal_n3)
@@ -247,7 +252,7 @@ def _stepped_reference(n, m, beta, stops, factor=1e-3):
     """
     alpha = eternal_alpha(m, beta)
     tol = SolveConfig().tightened(factor).tol
-    s0, w0, ws0 = handoff_to_log(integrate_r(n, m, alpha, beta, 1.0, 2.0 * R_HANDOFF, tol), R_HANDOFF, m)
+    s0, w0, ws0 = handoff_to_log(integrate_r(n, m, alpha, beta, 1.0, 2.0 * R_HANDOFF, tol), m)
     cc = _chart_coeffs(n, m, alpha, beta)
     rtol, atol = chart_tolerances("log", tol)
     s, w, g = [np.array([s0])], [np.array([w0])], [np.array([ws0 - cc.sigma * w0])]

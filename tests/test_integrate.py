@@ -94,17 +94,17 @@ class TestHandoff:
     def test_constant_profile_values(self):
         p = P(0.0)
         prof = integrate_r(p.n, p.m, p.alpha, p.beta, p.eta, 3.0)
-        s, w, ws = handoff_to_log(prof, 1.0, p.m)
+        s, w, ws = handoff_to_log(prof, p.m)
         assert s == 0.0
         assert w == pytest.approx(1.0, rel=1e-13)  # eta^(1-m) with eta = 1
         assert ws == pytest.approx(2.0, rel=1e-13)
 
     def test_log_radius_zero_at_unit_handoff(self, eternal_n3):
-        s, _, _ = handoff_to_log(eternal_n3.profile, 1.0, 0.2)
+        s, _, _ = handoff_to_log(eternal_n3.profile, 0.2)
         assert s == 0.0
 
     def test_positive_slope_at_large_handoff(self, eternal_n3):
-        _, w, ws = handoff_to_log(eternal_n3.profile, 10.0, 0.2)
+        w, ws = eternal_n3.w_q(10.0)
         assert w > 0 and ws > 0
 
 
@@ -134,7 +134,7 @@ class TestDeferredReads:
         later.w_q(np.geomspace(1e-3, 1e3, 61))  # both dense outputs built before the first read
         assert list(first.diagnostics.items()) == list(later.diagnostics.items())
         prof, lp = first.profile, first.logprofile
-        assert first.diagnostics["overlap_error"] == _overlap_error(prof, lp, row[1], R_HANDOFF)
+        assert first.diagnostics["overlap_error"] == _overlap_error(prof, lp, row[1])
         assert first.diagnostics["r_steps"] == prof.n_steps and first.diagnostics["s_nfev"] == lp.nfev
 
     @pytest.mark.parametrize("r_max", [2.0, 25.0])
@@ -143,7 +143,7 @@ class TestDeferredReads:
             prof = integrate_r(n, m, alpha, beta, eta, r_max)
             v, dv = prof.eval(R_HANDOFF)
             assert prof.eval_point(R_HANDOFF) == (v, dv)
-            assert handoff_to_log(prof, R_HANDOFF, m) == (0.0, *_w_q(R_HANDOFF, v, dv, m))
+            assert handoff_to_log(prof, m) == (0.0, *_w_q(R_HANDOFF, v, dv, m))
 
     def test_handoff_on_a_chart_stiff_before_it(self):
         prof = solve_profile(STIFF_BEFORE_HANDOFF).profile

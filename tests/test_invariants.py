@@ -39,6 +39,10 @@ class TestPointwise:
             "w_increasing",
         }
 
+    def test_unknown_entry_name_is_a_key_error(self, eternal_n3):
+        with pytest.raises(KeyError, match="nope"):
+            check_pointwise(eternal_n3).entry("nope")
+
     def test_alpha_zero_special_case(self, solved):
         rep = check_pointwise(solved(3, 0.2, 0.0, 1.0))
         assert rep.overall

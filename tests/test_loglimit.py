@@ -60,6 +60,10 @@ class TestLogEquation:
         with pytest.raises(HypothesisViolation):
             solve_log_equation(3, 1.0, -1.0, 1.0, 10.0)
 
+    def test_eta_that_is_not_positive_is_rejected(self):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            solve_log_equation(3, 1.0, 1.0, 0.0, 10.0)
+
     @pytest.mark.parametrize(
         "n,alpha,beta,eta", [(3, 2.0, 1.0, 1.0), (3, 1.0, 1.0, 1.0), (3, -1.0, 1.0, 1.0), (4, 2.0, 1.0, 0.5)]
     )
@@ -113,7 +117,7 @@ class TestLogEquation:
     def test_log_chart_has_the_bits_of_the_hand_built_composition(self):
         # the reference: the r-chart at m = 0 to r = 2, the handoff at r = 1, the log chart to s = 40
         prof = integrate.integrate_r(3, 0.0, 2.0, 1.0, 1.0, 2.0)
-        start = integrate.handoff_to_log(prof, 1.0, 0.0)
+        start = integrate.handoff_to_log(prof, 0.0)
         ref = integrate.integrate_log(3, 0.0, 2.0, 1.0, start, 40.0)
         lp = log_chart_of_log_equation(3, 2, 1, 1)
         for field in dataclasses.fields(LogProfile):

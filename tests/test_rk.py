@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fdprofiles import rk
-from fdprofiles.errors import PositivityLoss, StepUnderflow
+from fdprofiles.errors import PositivityLoss, ProfileError, StepUnderflow
 from fdprofiles.rk import Hermite, hermite_piece, integrate_2d
 from fdprofiles.series import horner
 
@@ -104,10 +104,9 @@ def test_step_collapse_at_t_zero(with_jac):
 
 
 def test_early_stop_threshold():
-    path = integrate_2d(
-        lambda t, y, z: (y, 0.0), 0.0, 1.0, 0.0, 20.0, 1e-9, 1e-12, stop_when_y_above=100.0
-    )
-    assert path.y[-1] >= 100.0
+    path = integrate_2d(lambda t, y, z: (y, 0.0), 0.0, 1.0, 0.0, 20.0, 1e-9, 1e-12, pause_above=100.0)
+    assert path.paused is not None
+    assert path.y[-1] >= 100.0 and path.y[-2] < 100.0
     assert path.t[-1] < 20.0
 
 
@@ -223,13 +222,33 @@ def test_non_stiff_problem_never_switches_with_jacobian():
 
 def test_radau_honours_early_stop_and_positivity():
     f, jac = _prothero_robinson(-1e4)
-    path = integrate_2d(f, 0.0, 0.0, 1.0, 20.0, 1e-9, 1e-12, jac=jac, stop_when_y_above=0.9)
-    assert path.t_stiff is not None
+    path = integrate_2d(f, 0.0, 0.0, 1.0, 20.0, 1e-9, 1e-12, jac=jac, pause_above=0.9)
+    assert path.paused is not None and path.t_stiff is not None
     assert path.y[-1] >= 0.9 and path.t[-1] < 20.0
     # y follows sin t, which reaches zero at pi
     with pytest.raises(PositivityLoss) as exc:
         integrate_2d(f, 0.0, 1.0, 1.0, 10.0, 1e-9, 1e-12, positive_y=True, jac=jac)
     assert exc.value.location == pytest.approx(math.pi, abs=1e-2)
+
+
+@pytest.mark.parametrize("problem", ["exponential", "prothero_robinson"])
+def test_path_paused_on_y_resumes_to_the_uninterrupted_one(problem):
+    # DOP853 throughout on y' = y; on Prothero-Robinson Radau IIA takes over before the pause at y = 0.9
+    if problem == "exponential":
+        f, y0, z0, kw, level = (lambda t, y, z: (y, 0.0)), 1.0, 0.0, {}, 100.0
+    else:
+        f, jac = _prothero_robinson(-1e4)
+        y0, z0, kw, level = 0.0, 1.0, {"jac": jac}, 0.9
+    whole = integrate_2d(f, 0.0, y0, z0, 20.0, 1e-9, 1e-12, **kw)
+    head = integrate_2d(f, 0.0, y0, z0, 20.0, 1e-9, 1e-12, pause_above=level, **kw)
+    assert head.paused is not None and head.y[-1] >= level > head.y[-2]
+    assert (head.t_stiff is not None) == (problem == "prothero_robinson")
+    assert np.array_equal(head.t, whole.t[: head.t.size])
+    resumed = head.resumed()
+    assert resumed.paused is None
+    for name in ("t", "y", "z", "fz"):
+        assert np.array_equal(getattr(resumed, name), getattr(whole, name)), name
+    assert resumed.counters == whole.counters and resumed.n_explicit == whole.n_explicit
 
 
 def test_step_budget_is_shared_by_both_step_kinds(monkeypatch):
@@ -323,6 +342,12 @@ def test_hermite_scalar_and_array_queries_have_the_same_bits(k):
     xs = np.random.default_rng(k).uniform(0.0, 6.0, 200)
     for evaluate in (interp.value, interp.derivative):
         assert np.array_equal(evaluate(xs), [evaluate(float(x)) for x in xs])
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]]])
+def test_hermite_rejects_nodes_that_are_not_strictly_increasing_or_not_1d(x):
+    with pytest.raises(ValueError, match="strictly increasing 1-d array"):
+        Hermite(x, np.zeros_like(x), np.zeros_like(x))
 
 
 @pytest.mark.parametrize("derivatives", [1, 5])
@@ -467,6 +492,18 @@ def test_dop853_nfev_counts_every_rhs_call():
     # 11 stages per attempt and the new node's derivative on every accepted one
     assert path.nfev == 2 + 12 * path.n_steps + 11 * path.n_rejected
     assert np.allclose(path.fz, -path.y, rtol=0.0, atol=1e-15)
+
+
+def test_rhs_not_finite_at_the_start_is_located_there():
+    with pytest.raises(ProfileError, match="not finite at the starting point") as exc:
+        integrate_2d(lambda t, y, z: (math.inf, 0.0), 0.5, 1.0, 0.0, 1.0, 1e-9, 1e-12)
+    assert exc.value.location == 0.5
+
+
+@pytest.mark.parametrize("t_end", [0.5, 0.0])
+def test_span_that_does_not_advance_is_rejected(t_end):
+    with pytest.raises(ValueError, match="t_end must exceed t0"):
+        integrate_2d(lambda t, y, z: (y, 0.0), 0.5, 1.0, 0.0, t_end, 1e-9, 1e-12)
 
 
 def test_dop853_guards():
