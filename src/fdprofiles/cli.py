@@ -65,8 +65,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def _jsonable(obj):
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, float) and not math.isfinite(obj):

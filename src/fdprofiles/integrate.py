@@ -628,8 +628,8 @@ def _clenshaw(c: list[float], t):
     return t * b1 - b2 + c[0]
 
 
-def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: float, ly_max: float):
-    """The tail's relation at sigma > 0: s as a function of log w, and log w at s_end.
+def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: float):
+    """The tail's relation at sigma > 0: s as a function of log w, and a start for log w at s_end.
 
     As 1/F = (1 - x*G/F)/sigma and d(log w) = -dx/x, the manifold keeps
 
@@ -638,8 +638,11 @@ def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: 
     with C = lim w*e^(-sigma*s), so log C is read at the switch node. Phi
     comes from one Chebyshev interpolant of G/F on [0, 1/w_switch] at
     ``_PHI_POINTS`` Lobatto points, integrated by a constant matrix and
-    summed by Clenshaw's rule. Newton's method on the relation, whose
-    derivative in log w is sigma/F, finds log w at s_end.
+    summed by Clenshaw's rule. The start is the nearer to the root of two
+    guesses: F moves monotonically from F(x0) to sigma, so holding F at
+    F(x0) and setting Phi = 0 both over- or both undershoot, s is concave or
+    convex in log w to match, and Newton's method in ``_slow_tail`` moves to
+    the root from that side, inside the fitted interval.
     """
     x0 = math.exp(-ly0)
     cheb_t, cheb_antiderivative = _chebyshev_rule()
@@ -658,25 +661,13 @@ def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: 
     def place(ly, x):
         return (ly + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c) / sigma
 
-    _require_float_range(place, ly_max, s_end)
-    # Newton for log w at s_end. F moves monotonically from F(x0) to sigma, so
-    # holding F at F(x0) and setting Phi = 0 both over- or both undershoot,
-    # the relation is convex or concave to match, and Newton from the nearer
-    # of the two moves to the root from that side, inside the fitted interval
     f0 = float(f[-1])
     near = min if f0 > sigma else max
-    end = near(ly0 + f0 * (s_end - s0), sigma * s_end + log_c)
-    for _ in range(8):
-        x = math.exp(-end)
-        res = end + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c - sigma * s_end
-        end = max(end - res * (sigma + x * horner(d, x)) / sigma, ly0)
-        if abs(res) <= 1e-15 * end:
-            break
-    return place, end
+    return place, near(ly0 + f0 * (s_end - s0), sigma * s_end + log_c)
 
 
-def _eternal_relation(d: list[float], e: list[float], s0: float, ly0: float, s_end: float, ly_max: float):
-    """The tail's relation at sigma = 0: s as a function of log w, and log w at s_end.
+def _eternal_relation(d: list[float], e: list[float], s0: float, ly0: float, s_end: float):
+    """The tail's relation at sigma = 0: s as a function of log w, and a start for log w at s_end.
 
     Here d(log w)/ds = x*G with x = 1/w, so ds = -dx/(x^2*G). With
     1/G = sum of e_k*x^k (``_reciprocal_series`` of ``d``, as ``_qss_switch``
@@ -685,12 +676,11 @@ def _eternal_relation(d: list[float], e: list[float], s0: float, ly0: float, s_e
         s = s0 + e_0*(1/x - 1/x0) + e_1*log(x0/x) + P(x0) - P(x),
         P(x) = sum over k >= 2 of e_k*x^(k-1)/(k-1),
 
-    so no interpolant is built. Newton's method in log w, where
-    ds/d(log w) = 1/(x*G), finds log w at s_end. s is convex in log w
-    wherever G + x*G_x > 0, so Newton moves down to the root from above it,
-    and from below it steps past the root once; from w0 + G(x0)*(s_end - s0)
-    it took at most 6 steps on n = 3..30, m across its range, beta from 0.25
-    to 4 and s_end up to 1e8.
+    so no interpolant is built. s is convex in log w wherever
+    G + x*G_x > 0, so Newton's method in ``_slow_tail`` moves down to the
+    root from above it, and from below it steps past the root once; from the
+    start w0 + G(x0)*(s_end - s0) it took at most 6 steps on n = 3..30, m
+    across its range, beta from 0.25 to 4 and s_end up to 1e8.
     """
     x0 = math.exp(-ly0)
     g0 = horner(d, x0)
@@ -703,22 +693,7 @@ def _eternal_relation(d: list[float], e: list[float], s0: float, ly0: float, s_e
     def place(ly, x):
         return base + e[0] / x + e[1] * ly - x * horner(p, x)
 
-    _require_float_range(place, ly_max, s_end)
-    end = min(math.log(1.0 / x0 + g0 * (s_end - s0)), ly_max)
-    for _ in range(16):
-        x = math.exp(-end)
-        step = (place(end, x) - s_end) * x * horner(d, x)
-        end = min(max(end - step, ly0), ly_max)
-        if abs(step) <= 1e-15 * max(1.0, abs(end)):
-            break
-    return place, end
-
-
-def _require_float_range(place, ly_max: float, s_end: float) -> None:
-    """Raise a located ProfileError if log w on the manifold passes ly_max before s_end."""
-    s_max = place(ly_max, math.exp(-ly_max))
-    if not s_end <= s_max:
-        raise ProfileError("w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end", s_max)
+    return place, math.log(1.0 / x0 + g0 * (s_end - s0))
 
 
 def _slow_tail(sigma: float, d: list[float], e: list[float] | None, s0: float, ly0: float,
@@ -730,16 +705,29 @@ def _slow_tail(sigma: float, d: list[float], e: list[float] | None, s0: float, l
     d(log w)/ds = F = sigma + x*G and
     g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel. Each
     node's s is explicit in its log w: ``_power_relation`` for sigma > 0,
-    ``_eternal_relation`` for sigma = 0, each of which also finds log w at
-    s_end. k equal pieces of at most _QSS_DLY in log w (_ETERNAL_DLY at
-    sigma = 0) lead up to it.
+    ``_eternal_relation`` for sigma = 0, each with a start for log w at
+    s_end. One Newton loop serves both: ds/d(log w) = 1/F, so each step is
+    (s(log w) - s_end)*F, kept within [ly0, ly_max]. A located ProfileError
+    is raised first if the manifold passes ly_max before s_end. k equal
+    pieces of at most _QSS_DLY in log w (_ETERNAL_DLY at sigma = 0) lead up
+    to log w at s_end.
     """
+    if sigma:
+        place, end = _power_relation(sigma, d, s0, ly0, s_end)
+    else:
+        place, end = _eternal_relation(d, e, s0, ly0, s_end)
     # every stored value, up to w_ss ~ sigma^2*w, must stay finite
     ly_max = _LOG_FLOAT_MAX - 2.0 * math.log(max(1.0, sigma))
-    if sigma:
-        place, end = _power_relation(sigma, d, s0, ly0, s_end, ly_max)
-    else:
-        place, end = _eternal_relation(d, e, s0, ly0, s_end, ly_max)
+    s_max = place(ly_max, math.exp(-ly_max))
+    if not s_end <= s_max:
+        raise ProfileError("w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end", s_max)
+    end = min(end, ly_max)
+    for _ in range(16):
+        x = math.exp(-end)
+        step = (place(end, x) - s_end) * (sigma + x * horner(d, x))
+        end = min(max(end - step, ly0), ly_max)
+        if abs(step) <= 1e-15 * max(1.0, abs(end)):
+            break
     # k equal pieces up to it, none longer than the spacing and none a sliver
     dly = _QSS_DLY if sigma else _ETERNAL_DLY
     ly = np.linspace(ly0, end, max(1, math.ceil((end - ly0) / dly)) + 1)[1:]

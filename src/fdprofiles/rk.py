@@ -370,10 +370,11 @@ def integrate_2d(
 
     With ``positive_y`` the first component is monitored against
     POSITIVITY_FLOOR; a crossing raises PositivityLoss with the bracketed
-    location. A step-size collapse raises StepUnderflow unless y has already
-    fallen below 1e-8*|y0|, which is reported as positivity loss as well
-    (steep vanishing profiles exhaust the step size long before y reaches
-    the floor). Below that level y's error is measured against rtol*|y|
+    location, and a y0 at or below the floor raises it at t0 (an error scale
+    of rtol*|y| underflows to 0 for a subnormal y). A step-size collapse
+    raises StepUnderflow unless y has already fallen below 1e-8*|y0|, which
+    is reported as positivity loss as well (steep vanishing profiles exhaust
+    the step size long before y reaches the floor). Below that level y's error is measured against rtol*|y|
     alone: far below atol the mixed scale no longer sees y, and a step could
     cross its zero onto a spurious positive branch.
 
@@ -395,6 +396,8 @@ def integrate_2d(
         raise ValueError("t_end must exceed t0")
     if rtol <= 0.0 or atol <= 0.0 or (stiff_tol is not None and min(stiff_tol) <= 0.0):
         raise ValueError("tolerances must be positive")
+    if positive_y and y0 <= POSITIVITY_FLOOR:
+        raise PositivityLoss("profile starts at or below the positivity floor", t0)
 
     fy, fz = f(t0, y0, z0)
     if not (math.isfinite(fy) and math.isfinite(fz)):

@@ -210,7 +210,10 @@ def pde_residual(
     is log2 of their ratio and sits near 2 for smooth regions. The relative
     normalization carries a small absolute floor so the check stays finite
     where both sides vanish. The grid's defaults and checks are those of
-    ``residual_grid``.
+    ``residual_grid``. A stencil that leaves the solution's covered range
+    is an OutOfRange; one whose h/2 leaves a radius, or whose dt/2 leaves a
+    time, on its centre in floating point is a ValueError, as both sides of
+    the PDE would read 0 there (or NaN, once h*h underflows).
     """
     radii, times, h, dt = residual_grid(ss.regime, ss.T, radii, times, h, dt)
 
@@ -221,6 +224,11 @@ def pde_residual(
         raise OutOfRange(
             f"stencil reaches r = {r_need:.4g} which exceeds the covered range {ss.solution.r_cover:.4g}"
         )
+    # the half-step stencil must move off every centre, or both sides of the PDE read 0
+    for name, step, centres in (("h", h, radii), ("dt", dt, times)):
+        for c in centres:
+            if c - 0.5 * step == c or c + 0.5 * step == c:
+                raise ValueError(f"{name}/2 = {0.5 * step:.4g} leaves {c:.4g} on its centre; use a larger {name}")
 
     eps_scale = 1e-12 * ss.solution.params.eta
     full, chain = _max_residual(ss, radii, times, h, dt, eps_scale)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fdprofiles import (
@@ -448,6 +449,21 @@ class TestSweep:
 
 
 class TestExitPaths:
+    @pytest.mark.parametrize("args", [
+        ("solve", "--n", 3, "--m", 0.2, "--alpha", 2.5, "--beta", 1, "--eta", 1e-315),
+        ("limit", "--n", 3, "--alpha", 1, "--beta", 1, "--eta", 1e-315),
+    ])
+    def test_subnormal_eta_is_a_positivity_loss(self, capsys, args):
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fdprofiles: PositivityLoss: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("step", [("--h", 1e-17), ("--h", 1e-300), ("--dt", 1e-300)])
+    def test_pde_step_below_resolution_exits_2(self, capsys, step):
+        assert run("pde-check", *PARAMS, *step) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fdprofiles: ValueError: {step[0][2:]}/2 = ") and err.count("\n") == 1, err
+
     def test_missing_parameters_exit_2(self, capsys):
         assert run("verify", "--n", 3) == 2
         assert capsys.readouterr().err == (
@@ -585,6 +601,16 @@ class TestImportSet:
         modules = _imported("-m", "fdprofiles", "solve", *map(str, PARAMS), "--json", str(js))
         assert json.loads(js.read_text())["diagnostics"]["qss_switch_s"] is not None
         assert not {m for m in modules if m.startswith("numpy.polynomial")}
+
+
+@pytest.mark.parametrize("value, expected", [
+    (np.float64("inf"), "inf"), (np.float64("-inf"), "-inf"), (np.float32("nan"), None),
+    (np.bool_(True), True), (np.int64(7), 7), (np.float64(0.5), 0.5),
+])
+def test_numpy_scalars_are_strict_json(value, expected):
+    out = _jsonable({"x": value, "xs": [value]})
+    assert out == {"x": expected, "xs": [expected]}
+    json.dumps(out, allow_nan=False)
 
 
 def test_overlap_past_positive_v_is_inf_without_a_warning(tmp_path):

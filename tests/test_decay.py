@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,6 +186,16 @@ class TestPowerDecay:
     def test_direction_reported_for_negative_alpha(self, solved):
         est = estimate_power_decay(solved(3, 0.2, -1.0, 1.0))
         assert est.direction == "nonincreasing"
+
+    def test_direction_mixed_when_q_turns(self, solved):
+        # w scaled by e^((1-m)*0.01*sin s) scales q by e^(0.01*sin s): at the decades
+        # s = 0, 2.3, 4.6, 6.9 q then rises, falls and rises again
+        sol = solved(3, 0.2, 1.25, 1.0)
+        lp = sol.logprofile
+        bumped = SimpleNamespace(s_end=lp.s_end, rtol=lp.rtol, eval_g=lp.eval_g,
+                                 eval_w=lambda s: lp.eval_w(s) * np.exp((1.0 - 0.2) * 0.01 * np.sin(s)))
+        est = estimate_power_decay(SimpleNamespace(params=sol.params, logprofile=bumped))
+        assert est.direction == "mixed"
 
     @pytest.mark.parametrize("alpha", [1.25, -1.0])
     def test_dual_tolerance_agreement(self, alpha):

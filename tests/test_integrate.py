@@ -234,6 +234,14 @@ class TestOverlap:
         tol = max(sol.profile.rtol, sol.logprofile.rtol)
         assert sol.diagnostics["overlap_error"] < 10.0 * tol
 
+    def test_overlap_past_positive_v_is_inf_in_process(self):
+        # at eta = 1.63e11 the r-chart's v turns negative on [1, 2]; w is then
+        # not defined there and the overlap reads inf, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_profile(Parameters(4, 0.06292, -1.6982, 1.0, 1.63e11))
+            assert sol.diagnostics["overlap_error"] == math.inf
+
     def test_halving_tolerance_reduces_overlap_error(self):
         p = P(2.5)
         base = solve_profile(p, SolveConfig())

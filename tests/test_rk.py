@@ -519,6 +519,67 @@ def test_dop853_guards():
     assert exc.value.location == pytest.approx(0.5, abs=1e-2)
 
 
+def test_dop853_rejects_a_step_whose_new_node_is_not_finite():
+    # call 14 is the first attempt's new node (2 start calls, 11 stages, then
+    # the node's own derivative); it reads NaN, so the attempt is rejected and h shrinks
+    calls = 0
+
+    def f(t, y, z):
+        nonlocal calls
+        calls += 1
+        return (math.nan, math.nan) if calls == 14 else (z, -y)
+
+    clean = integrate_2d(lambda t, y, z: (z, -y), 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11)
+    path = integrate_2d(f, 0.0, 1.0, 0.0, 6.0, 1e-9, 1e-11)
+    assert clean.n_rejected == 0 and path.n_rejected == 1
+    assert path.nfev == calls == 2 + 12 * path.n_steps + 11 * path.n_rejected + 1
+    assert path.t[1] == pytest.approx(rk._MIN_FACTOR * clean.t[1], rel=1e-12)
+    assert path.y[-1] == pytest.approx(math.cos(6.0), abs=1e-9)
+
+
+def test_radau_newton_on_a_stage_that_is_not_finite_rejects_and_halves_h():
+    # the first call past the switch node is the first Radau IIA stage; it reads NaN
+    f, jac = _prothero_robinson(-1e4)
+    times = []
+
+    def logged(t, y, z):
+        times.append(t)
+        return f(t, y, z)
+
+    clean = integrate_2d(logged, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
+    first_stage = max(i for i, t in enumerate(times) if t == clean.t_stiff) + 1
+    calls = 0
+
+    def poisoned(t, y, z):
+        nonlocal calls
+        calls += 1
+        return (math.nan, math.nan) if calls == first_stage + 1 else f(t, y, z)
+
+    path = integrate_2d(poisoned, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
+    k = clean.n_explicit
+    assert path.n_explicit == k and path.t_stiff == clean.t_stiff
+    assert path.t[k] - path.t[k - 1] == pytest.approx(0.5 * (clean.t[k] - clean.t[k - 1]), rel=1e-12)
+    assert path.n_rejected == clean.n_rejected + 1
+    assert path.nfev == calls
+    assert np.max(np.abs(path.y - np.sin(path.t))) < 1e-8
+
+
+@pytest.mark.parametrize("err_old", [None, 0.5])
+def test_radau_factor_at_zero_error_is_the_largest(err_old):
+    assert rk._radau_factor(0.1, 0.2, 0.0, err_old) == rk._MAX_FACTOR
+
+
+@pytest.mark.parametrize("y0", [1e-320, rk.POSITIVITY_FLOOR, 5e-324])
+def test_start_at_or_below_the_positivity_floor_is_located_at_t0(y0):
+    # below ~2.5e-314 the error scale rtol*|y| underflows to 0
+    with pytest.raises(PositivityLoss, match="starts at or below the positivity floor") as exc:
+        integrate_2d(lambda t, y, z: (z, 0.0), 0.5, y0, 0.0, 1.0, 1e-9, 1e-12, positive_y=True)
+    assert exc.value.location == 0.5
+    # a y0 above the floor is stepped
+    path = integrate_2d(lambda t, y, z: (z, 0.0), 0.5, 1e-290, 0.0, 1.0, 1e-9, 1e-12, positive_y=True)
+    assert path.t[-1] == 1.0 and path.y[-1] == 1e-290
+
+
 @pytest.mark.parametrize("with_jac", [False, True])
 def test_vanished_positive_y_is_held_to_rtol(with_jac):
     # y = (1 - t)^5 solves y'' = 0.8*y'^2/y (the (1-m)*v'^2/v term of the

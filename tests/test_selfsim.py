@@ -128,6 +128,15 @@ class TestResidual:
         with pytest.raises(OutOfRange):
             pde_residual(ss, radii=(1.0, 1e20), times=(0.0,))
 
+    @pytest.mark.parametrize("steps, name, centre", [
+        ({"h": 1e-17}, "h", "0.5"), ({"h": 1e-300}, "h", "0.5"), ({"dt": 1e-300}, "dt", "-0.2"),
+    ])
+    def test_step_that_leaves_a_centre_in_place_rejected(self, eternal_wide, steps, name, centre):
+        # r -/+ h/2 rounds to r (or t -/+ dt/2 to t): both sides of the PDE would read 0, or NaN
+        ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
+        with pytest.raises(ValueError, match=f"^{name}/2 = .* leaves {centre} on its centre"):
+            pde_residual(ss, **steps)
+
     @pytest.mark.parametrize(
         "steps, name",
         [({"h": 0.0}, "h"), ({"h": -1e-3}, "h"), ({"h": math.nan}, "h"), ({"dt": -1.0}, "dt"), ({"dt": math.inf}, "dt")],
