@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from enum import Enum
 from pathlib import Path
@@ -302,6 +303,11 @@ def _cmd_sweep(cfg: dict) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
+# argparse's negative-number pattern has no exponent (Python 3.10-3.13), so it would
+# read the -1e-1 of "--alpha -1e-1" as an option; each subcommand's parser uses this one
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _flag_set(param_names=()) -> argparse.ArgumentParser:
     """A parent parser, holding --n/--m/--alpha/--beta/--eta for the names given."""
     group = argparse.ArgumentParser(add_help=False)
@@ -336,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: limit would read a stray --m as --m-list
         p = sub.add_parser(name, help=summary, parents=[io, *parents], allow_abbrev=False)
         p.set_defaults(func=func, parser=p)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         return p
 
     p_solve = add("solve", _cmd_solve, "solve the profile and write samples", params, solve)

@@ -77,6 +77,9 @@ class SolveConfig:
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"SolveConfig.{name} must be finite and positive, got {val}")
+        # the pointwise checks' slack, 100 times the log chart's rtol of 10*tol, would reach 1 and pass anything
+        if not self.tol < 1e-3:
+            raise ValueError(f"SolveConfig.tol must be below 0.001, got {self.tol}")
 
     def tightened(self, factor: float) -> "SolveConfig":
         """Same run with every chart's tolerances scaled by ``factor``."""
@@ -134,25 +137,23 @@ class Profile:
     the counters, ``stiff_switch``, ``r_end`` and ``eval``. That read raises
     a ``ProfileError`` met past the pause.
 
-    ``ddv`` holds v'' from the equation at each node. ``dddv`` holds its
-    derivative along the solution (``_r_third_derivative``) at the nodes of
-    the DOP853 stretch, the first ``dddv.size`` nodes, up to the switch to
-    Radau IIA (``stiff_switch``; every node when there is none). The dense
-    output is one ``Hermite`` of all four: septic over that stretch, of the
-    order of the steps, for the finite-difference residual checks and the
-    identity quadratures that read it between the nodes, and quintic past
-    it. Radii below the first node are served by the origin series, and so
-    are those past the last one when the series is the exact constant
-    (alpha = 0, ``r_reach``). ``eval`` reads the dense output, built on its
-    first read; ``eval_point`` builds only the piece it reads, from the head
-    where the head reaches. The step counters are ``RawPath.counters``.
+    ``ddv`` holds v'' from the equation at each node, ``dddv`` v''' as the
+    step loop records it (``RawPath.fzz``) at the nodes of the DOP853 stretch,
+    the first ``dddv.size`` nodes, up to the switch to Radau IIA
+    (``stiff_switch``; every node when there is none). The dense output is one
+    ``Hermite`` of all four: septic over that stretch, of the order of the
+    steps, for the finite-difference residual checks and the identity
+    quadratures that read it between the nodes, and quintic past it. Radii
+    below the first node are served by the origin series, and so are those
+    past the last one when the series is the exact constant (alpha = 0,
+    ``r_reach``). ``eval`` reads the dense output, built on its first read;
+    ``eval_point`` builds only the piece it reads, from the head where the
+    head reaches. The step counters are ``RawPath.counters``.
     """
 
     head: RawPath
     series: SeriesExpansion
     rtol: float
-    # (n, m, alpha, beta) of the chart's equation, which v''' reads
-    equation: tuple[int, float, float, float]
 
     @cached_property
     def path(self) -> RawPath:
@@ -163,16 +164,12 @@ class Profile:
     v = property(lambda self: self.path.y)
     dv = property(lambda self: self.path.z)
     ddv = property(lambda self: self.path.fz)
+    dddv = property(lambda self: self.path.fzz)
     n_steps = property(lambda self: self.path.n_steps)
     n_rejected = property(lambda self: self.path.n_rejected)
     nfev = property(lambda self: self.path.nfev)
     n_newton = property(lambda self: self.path.n_newton)
     stiff_switch = property(lambda self: self.path.t_stiff)
-
-    @cached_property
-    def dddv(self) -> np.ndarray:
-        k = self.path.n_explicit  # the DOP853 stretch, where v is septic, ends at the switch node
-        return _r_third_derivative(*self.equation, self.r[:k], self.v[:k], self.dv[:k], self.ddv[:k])
 
     @property
     def r_start(self) -> float:
@@ -194,15 +191,13 @@ class Profile:
     def eval_point(self, r: float) -> tuple[float, float]:
         """(v, v') at one radius with the bits of ``eval(r)``. Short of the head's last node it reads the one piece
         that brackets r, built alone on Python floats (``rk.hermite_piece``) by the rule of ``_v_interp``: septic
-        while both its nodes are on the DOP853 stretch, with their v''' as ``dddv`` takes it."""
+        while both its nodes are on the DOP853 stretch, with the v''' the step loop recorded there."""
         head = self.head
         if not head.t[0] <= r < head.t[-1]:
             return self.eval(r)
         i = int(np.searchsorted(head.t[1:-1], r, side="right"))  # the piece Hermite picks
-        nodes = [a[i : i + 2] for a in (head.t, head.y, head.z, head.fz)]
-        if i + 2 <= head.n_explicit:
-            nodes.append(_r_third_derivative(*self.equation, *nodes))
-        (x0, x1), *rows = (a.tolist() for a in nodes)
+        arrays = (head.t, head.y, head.z, head.fz, head.fzz)[: 5 if i + 2 <= head.fzz.size else 4]
+        (x0, x1), *rows = (a[i : i + 2].tolist() for a in arrays)
         h = x1 - x0
         coef = hermite_piece(h, *zip(*rows))
         th = (float(r) - x0) / h
@@ -234,7 +229,8 @@ class LogProfile:
     it is exact state, not a difference of large numbers. v is recoverable as
     v = (w * e^(-2s))^(1/(1-m)).
 
-    ``wsss`` holds w_sss at the nodes of the DOP853 stretch, the first
+    ``wsss`` holds w_sss = g_ss + sigma*w_ss, g_ss as the step loop records
+    it (``RawPath.fzz``), at the nodes of the DOP853 stretch, the first
     ``wsss.size`` nodes, up to the first switch (to Radau IIA or to the slow
     tail). w is one ``Hermite`` of all four: septic over that stretch, of
     the order of the steps, and quintic past it. g is cubic on the whole
@@ -331,7 +327,7 @@ def _r_rhs(n: int, m: float, alpha: float, beta: float):
 
 
 def _r_jac(n: int, m: float, alpha: float, beta: float):
-    """Jacobian (0, 1, F_v, F_v') of the r-chart's right-hand side (v', F), at floats or at arrays of nodes.
+    """Jacobian (0, 1, F_v, F_v') of the r-chart's right-hand side (v', F), then F_r.
 
     p = v^(1-m)/(n-1) is the factor of the drift term.
     """
@@ -342,20 +338,9 @@ def _r_jac(n: int, m: float, alpha: float, beta: float):
         p = v**one_m / n1
         slope = dv / v
         f_v = -one_m * slope * slope - one_m * p * (alpha + beta * r * slope) - p * alpha
-        return 0.0, 1.0, f_v, 2.0 * one_m * slope - n1 / r - p * beta * r
+        return 0.0, 1.0, f_v, 2.0 * one_m * slope - n1 / r - p * beta * r, n1 * dv / (r * r) - p * beta * dv
 
     return jac
-
-
-def _r_third_derivative(n: int, m: float, alpha: float, beta: float, r, v, dv, ddv):
-    """v''' at arrays of r-chart nodes: the derivative of the right-hand side along the solution.
-
-    With v'' = F(r, v, v'), v''' = F_r + F_v*v' + F_v'*v'', F_v and F_v' from ``_r_jac``.
-    """
-    n1 = float(n - 1)
-    _, _, f_v, f_dv = _r_jac(n, m, alpha, beta)(r, v, dv)
-    f_r = n1 * dv / (r * r) - v ** (1.0 - m) / n1 * beta * dv
-    return f_r + f_v * dv + f_dv * ddv
 
 
 class _ChartCoeffs(NamedTuple):
@@ -403,12 +388,12 @@ def _log_rhs(cc: _ChartCoeffs):
 
 
 def _log_jac(cc: _ChartCoeffs):
-    """Jacobian of the (w, g) right-hand side: (dw_s/dw, dw_s/dg, dg_s/dw, dg_s/dg)."""
+    """Jacobian of the (w, g) right-hand side, (dw_s/dw, dw_s/dg, dg_s/dw, dg_s/dg), then dg_s/ds = 0."""
     sigma, c_sq, c_g, c_wg, c_w = cc
 
     def jac(s, w, g):
         gw = g / w
-        return sigma, 1.0, -c_sq * gw * gw + c_wg * g + c_w, 2.0 * c_sq * gw + c_g + c_wg * w
+        return sigma, 1.0, -c_sq * gw * gw + c_wg * g + c_w, 2.0 * c_sq * gw + c_g + c_wg * w, 0.0
 
     return jac
 
@@ -428,10 +413,10 @@ def integrate_r(
     behaves like r^(-alpha/beta), so it rises without bound for every
     alpha < 0 and for 0 < alpha < beta/(1-m). On the INVARIANT_GRID rows to
     r = 25 the chart switches exactly on the four with alpha < 0. Where it
-    does not switch, the nodes are those of DOP853 alone. v''' for the
-    septic dense output is evaluated over the DOP853 stretch on its first
-    read. With ``pause_past`` the chart is stepped only to its first node
-    past that radius here, and the rest on the first read that needs it
+    does not switch, the nodes are those of DOP853 alone. The step loop
+    records v''' for the septic dense output over the DOP853 stretch. With
+    ``pause_past`` the chart is stepped only to its first node past that
+    radius here, and the rest on the first read that needs it
     (``Profile``). Takes plain scalars rather than Parameters so that m = 0
     is accepted: the chart then solves the log-diffusion equation of the
     singular limit."""
@@ -447,7 +432,7 @@ def integrate_r(
         _r_rhs(n, m, alpha, beta), start, v0, dv0, r_max, rtol, atol, positive_y=True,
         jac=_r_jac(n, m, alpha, beta), stiff_tol=chart_tolerances("r_stiff", tol), pause_past=pause_past,
     )
-    return Profile(head=path, series=se, rtol=rtol, equation=(n, m, alpha, beta))
+    return Profile(head=path, series=se, rtol=rtol)
 
 
 def radius(s):
@@ -770,9 +755,9 @@ def integrate_log(
     which takes DOP853 steps and hands the (w, g) system to Radau IIA once the
     explicit steps are bound by stability (``stiff_switch``). Up to the
     first switch w is septic Hermite, with w_sss = g_ss + sigma*w_ss and
-    g_ss = J.(w_s, g_s) from the Jacobian, so the dense output keeps the
-    8th-order accuracy of the nodes where the flux identity reads the chart
-    at r = 20.
+    g_ss = J.(w_s, g_s) as the step loop records it (``RawPath.fzz``), so
+    the dense output keeps the 8th-order accuracy of the nodes where the
+    flux identity reads the chart at r = 20.
 
     When w grows without bound, exponentially for sigma > _QSS_MIN_SIGMA
     (alpha < 2*beta/(1-m)) and like a0*s on the eternal relation (sigma zero
@@ -812,8 +797,8 @@ def integrate_log(
         d, e, w_stop = _qss_switch(cc._replace(sigma=tail_sigma), n, beta)
         if w0 >= w_stop:  # already stiff at the start: step through one relaxation scale before slaving
             w_stop = 2.0 * w0
-    jac = _log_jac(cc)
-    path = integrate_2d(_log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, jac=jac, pause_above=w_stop)
+    path = integrate_2d(_log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, jac=_log_jac(cc),
+                        pause_above=w_stop)
     s_arr, w_arr, g_arr, gs_arr = path.t, path.y, path.z, path.fz
     switch_s = gap = None
     if path.paused is not None:
@@ -830,9 +815,6 @@ def integrate_log(
                            float(s_arr[long_pieces[0]]))
     ws = g_arr + sigma * w_arr
     wss = gs_arr + sigma * ws
-    # the DOP853 stretch ends at the first switch, to Radau IIA or to the tail
-    k = path.n_explicit
-    _, _, dgs_dw, dgs_dg = jac(None, w_arr[:k], g_arr[:k])
     counters = path.counters
     counters["n_steps"] += s_arr.size - path.t.size  # a tail node counts as a step
     return LogProfile(
@@ -840,7 +822,8 @@ def integrate_log(
         w=w_arr,
         ws=ws,
         wss=wss,
-        wsss=dgs_dw * ws[:k] + dgs_dg * gs_arr[:k] + sigma * wss[:k],
+        # g_ss on the DOP853 stretch, which ends at the first switch, to Radau IIA or to the tail
+        wsss=path.fzz + sigma * wss[: path.fzz.size],
         g=g_arr,
         gs=gs_arr,
         sigma=sigma,

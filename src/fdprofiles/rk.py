@@ -37,8 +37,8 @@ and where it stays below 1e-12*|t| for 100 accepted steps in a row.
 Accepted nodes retain both state components and the second one's
 derivative, which is enough for quintic Hermite dense output (``Hermite``)
 whenever the second component is the derivative of the first (value, slope,
-and curvature known at both ends of every step). The caller adds the third
-derivative over the DOP853 stretch, the first ``RawPath.n_explicit`` nodes,
+and curvature known at both ends of every step). With ``jac`` the loop also
+records z'' = f_z,t + f_z,y*f_y + f_z,z*f_z at DOP853's nodes (``RawPath.fzz``),
 and one ``Hermite`` is then septic there and quintic past the switch.
 """
 
@@ -162,8 +162,8 @@ _MAX_FACTOR = 10.0
 _DOP853_EXP = 1.0 / 6.0
 
 RHS = Callable[[float, float, float], tuple[float, float]]
-# Jacobian of an RHS: (dfy/dy, dfy/dz, dfz/dy, dfz/dz).
-JAC = Callable[[float, float, float], tuple[float, float, float, float]]
+# Jacobian of an RHS and the time partial of fz: (dfy/dy, dfy/dz, dfz/dy, dfz/dz, dfz/dt).
+JAC = Callable[[float, float, float], tuple[float, float, float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -174,14 +174,13 @@ class RawPath:
     y: np.ndarray
     z: np.ndarray
     fz: np.ndarray
+    # z'' at DOP853's nodes, up to and including the one from which Radau IIA took over (none without ``jac``)
+    fzz: np.ndarray
     n_steps: int
     n_rejected: int
     nfev: int
     # simplified Newton iterations of the Radau IIA attempts (0 when DOP853 ran the whole span)
     n_newton: int
-    # DOP853's nodes, up to and including the one from which Radau IIA took over
-    # (every node when DOP853 ran the whole span).
-    n_explicit: int
     # the step loop's state at a pause (``pause_past`` or ``pause_above``), None when it ran to its end
     paused: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -191,7 +190,10 @@ class RawPath:
         if self.paused is None:
             return self
         return _step_loop(math.inf, math.inf, self.t.tolist(), self.y.tolist(), self.z.tolist(),
-                          self.fz.tolist(), *self.paused)
+                          self.fz.tolist(), self.fzz.tolist(), *self.paused)
+
+    # DOP853's nodes, up to and including the switch node (every node when DOP853 ran the whole span)
+    n_explicit = property(lambda self: self.fzz.size or self.t.size)
 
     @property
     def t_stiff(self) -> float | None:
@@ -235,6 +237,11 @@ def _initial_step(f: RHS, t0, y0, z0, fy0, fz0, span, rtol, atol) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** _DOP853_EXP
     return min(100.0 * h0, h1, span)
+
+
+def _z_second(jac_t, fy, fz) -> float:
+    """z'' = dfz/dt + dfz/dy*fy + dfz/dz*fz from ``jac``'s five partials, summed in that order."""
+    return jac_t[4] + jac_t[2] * fy + jac_t[3] * fz
 
 
 def _spectral_radius(a, b, c, d) -> float:
@@ -378,10 +385,10 @@ def integrate_2d(
     alone: far below atol the mixed scale no longer sees y, and a step could
     cross its zero onto a spurious positive branch.
 
-    ``jac`` is the Jacobian of f. Every step is DOP853 until, with ``jac``,
-    the problem is measurably stiff (see the module docstring); the
-    integration then switches to Radau IIA, and ``RawPath.n_explicit``
-    counts the nodes up to and including that one (``RawPath.t_stiff``).
+    ``jac`` is the Jacobian of f and dfz/dt (``JAC``). Every step is DOP853
+    until, with ``jac``, the problem is measurably stiff (see the module
+    docstring); the integration then switches to Radau IIA, and ``RawPath.fzz``
+    holds z'' at the nodes up to and including that one (``RawPath.t_stiff``).
     Up to that node a call with ``jac`` takes the same steps as one without.
     ``stiff_tol``, an (rtol, atol) pair, replaces the tolerances from that
     node on (by default they stay as they are).
@@ -405,15 +412,16 @@ def integrate_2d(
 
     h = _initial_step(f, t0, y0, z0, fy, fz, t_end - t0, rtol, atol)
     y_vanished = max(1e-8 * abs(y0), 1e3 * POSITIVITY_FLOOR)
-    return _step_loop(pause_past, pause_above, [t0], [y0], [z0], [fz], f, jac, t_end, positive_y, stiff_tol,
+    fzzs = [] if jac is None else [_z_second(jac(t0, y0, z0), fy, fz)]
+    return _step_loop(pause_past, pause_above, [t0], [y0], [z0], [fz], fzzs, f, jac, t_end, positive_y, stiff_tol,
                       y_vanished, t0, y0, z0, fy, fz, h, rtol, atol)
 
 
-def _step_loop(pause_past, pause_above, ts, ys, zs, fzs, f, jac, t_end, positive_y, stiff_tol, y_vanished,
+def _step_loop(pause_past, pause_above, ts, ys, zs, fzs, fzzs, f, jac, t_end, positive_y, stiff_tol, y_vanished,
                t, y, z, fy, fz, h, rtol, atol, n_steps=0, n_rejected=0, nfev=2, n_newton=0, collapsed=0,
-               rejected=False, stiff_run=0, J=None, n_explicit=None, poly=None, h_old=None, err_old=None,
+               rejected=False, stiff_run=0, J=None, poly=None, h_old=None, err_old=None,
                newton_tol=None) -> RawPath:
-    """``integrate_2d``'s step loop from the nodes so far; a pause packs the arguments after ``fzs``.
+    """``integrate_2d``'s step loop from the nodes so far; a pause packs the arguments after ``fzzs``.
 
     ``collapsed``: accepted steps in a row shorter than _COLLAPSE_H*|t|.
     ``rejected``: the last attempt was rejected for its error (or, in an
@@ -426,8 +434,7 @@ def _step_loop(pause_past, pause_above, ts, ys, zs, fzs, f, jac, t_end, positive
     while t < t_end:
         if t > pause_past or y >= pause_above:
             paused = (f, jac, t_end, positive_y, stiff_tol, y_vanished, t, y, z, fy, fz, h, rtol, atol, n_steps,
-                      n_rejected, nfev, n_newton, collapsed, rejected, stiff_run, J, n_explicit, poly, h_old, err_old,
-                      newton_tol)
+                      n_rejected, nfev, n_newton, collapsed, rejected, stiff_run, J, poly, h_old, err_old, newton_tol)
             break
         if n_steps + n_rejected >= _MAX_STEPS:
             raise StepUnderflow(f"step budget of {_MAX_STEPS} exhausted", t)
@@ -482,7 +489,7 @@ def _step_loop(pause_past, pause_above, ts, ys, zs, fzs, f, jac, t_end, positive
             # when the rate says it cannot get there within _NEWTON_MAXITER.
             mu_r = _MU_REAL / h
             mu_c = _MU_COMPLEX / h
-            j00, j01, j10, j11 = J
+            j00, j01, j10, j11, _ = J
             p_r = mu_r - j00
             q_r = mu_r - j11
             det_r = p_r * q_r - j01 * j10
@@ -595,12 +602,13 @@ def _step_loop(pause_past, pause_above, ts, ys, zs, fzs, f, jac, t_end, positive
         n_steps += 1
 
         if J is None:
-            if jac is not None and not final:
+            if jac is not None:
                 jac_t = jac(t, y, z)
-                stiff_run = stiff_run + 1 if h * _spectral_radius(*jac_t) > _STIFF_H_RHO else 0
+                fzzs.append(_z_second(jac_t, fy, fz))
+                stiff_run = stiff_run + 1 if h * _spectral_radius(*jac_t[:4]) > _STIFF_H_RHO else 0
                 if stiff_run >= _STIFF_RUN:
                     # hand over with the current h and the Jacobian just evaluated
-                    J, n_explicit, rejected = jac_t, len(ts), False
+                    J, rejected = jac_t, False
                     if stiff_tol is not None:
                         rtol, atol = stiff_tol
                     newton_tol = max(10.0 * math.ulp(1.0) / rtol, _NEWTON_KAPPA)
@@ -630,11 +638,11 @@ def _step_loop(pause_past, pause_above, ts, ys, zs, fzs, f, jac, t_end, positive
         y=np.asarray(ys),
         z=np.asarray(zs),
         fz=np.asarray(fzs),
+        fzz=np.asarray(fzzs, dtype=float),
         n_steps=n_steps,
         n_rejected=n_rejected,
         nfev=nfev,
         n_newton=n_newton,
-        n_explicit=len(ts) if n_explicit is None else n_explicit,
         paused=paused,
     )
 

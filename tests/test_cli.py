@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -463,6 +464,32 @@ class TestExitPaths:
         assert run("pde-check", *PARAMS, *step) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"fdprofiles: ValueError: {step[0][2:]}/2 = ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("tol", ["0.9", "1e-1", "1e-3"])
+    def test_tol_that_passes_every_check_exits_2(self, capsys, tol):
+        # at --tol 0.9 (4, 1/3, -2, 1, 1) verified with dv_sign at -29
+        assert run("verify", "--n", 4, "--m", "0.3333333333333333", "--alpha", -2, "--beta", 1, "--eta", 1,
+                   "--tol", tol, "--strict") == 2
+        assert capsys.readouterr().err.startswith("fdprofiles: ValueError: SolveConfig.tol must be below 0.001")
+
+    def test_every_float_flag_takes_a_negative_value_in_scientific_notation(self):
+        parser = cli.build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        seen = 0
+        for command, p in sub.choices.items():
+            for action in p._actions:
+                if action.type in (float, cli._parse_floats, cli._alpha_choice):
+                    args = vars(parser.parse_args([command, action.option_strings[0], "-1e-1"]))
+                    assert args[action.dest] in (-0.1, (-0.1,)), (command, action.dest)
+                    seen += 1
+        assert seen >= 40  # the five parameters, the SolveConfig fields and each command's own
+
+    def test_negative_values_in_scientific_notation_run(self, tmp_path):
+        js = tmp_path / "report.json"
+        assert run("solve", "--n", 3, "--m", 0.2, "--alpha", "-2.5e-1", "--beta", 1, "--eta", 1, "--json", js) == 0
+        assert json.loads(js.read_text())["config"]["alpha"] == -0.25
+        assert run("pde-check", *PARAMS, "--times", "-2e-1", "--json", js) == 0
+        assert json.loads(js.read_text())["config"]["times"] == [-0.2]
 
     def test_missing_parameters_exit_2(self, capsys):
         assert run("verify", "--n", 3) == 2

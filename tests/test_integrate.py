@@ -256,6 +256,15 @@ class TestTolerancePolicy:
             assert sol.profile.rtol == cfg.tol
             assert sol.logprofile.rtol == pytest.approx(10.0 * cfg.tol, rel=1e-15)
 
+    @pytest.mark.parametrize("tol", [1e-3, 0.1, 0.9, 10.0])
+    def test_tol_at_which_the_checks_cannot_fail_is_rejected(self, tol):
+        # the pointwise slack, 100 times the log chart's rtol of 10*tol, reaches 1 at tol = 1e-3
+        with pytest.raises(ValueError, match="SolveConfig.tol must be below 0.001"):
+            SolveConfig(tol=tol)
+        with pytest.raises(ValueError, match="SolveConfig.tol must be below 0.001"):
+            SolveConfig(tol=1e-4).tightened(tol / 1e-4)
+        assert SolveConfig(tol=9.9e-4).tol == 9.9e-4
+
     def test_absolute_is_a_hundredth_of_relative(self):
         for chart in ("r", "log"):
             rtol, atol = chart_tolerances(chart, 1e-10)
@@ -875,7 +884,7 @@ class TestStiffTail:
         tail = np.arange(i0 + 1, lp.s.size)[lp.w[i0 + 1 :] <= 1e6]
         assert tail.size > 10
         ref = solve_ivp(lambda s, y: rhs(s, *y), (lp.s[i0], lp.s[tail[-1]]), [lp.w[i0], lp.g[i0]], method="Radau",
-                        t_eval=lp.s[tail], rtol=1e-13, atol=1e-14, jac=lambda s, y: np.reshape(jac(s, *y), (2, 2)))
+                        t_eval=lp.s[tail], rtol=1e-13, atol=1e-14, jac=lambda s, y: np.reshape(jac(s, *y)[:4], (2, 2)))
         w_ref, g_ref = ref.y
         assert np.max(np.abs(lp.w[tail] - w_ref) / w_ref) <= 1e-12
         assert np.max(np.abs(lp.g[tail] - g_ref) / np.abs(g_ref)) <= 1e-12

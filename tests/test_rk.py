@@ -13,7 +13,7 @@ from fdprofiles.series import horner
 
 # A zero Jacobian never trips the switch to Radau IIA: the call takes DOP853 steps
 # throughout, through the loop's Jacobian branch.
-_ZERO_JAC = {"jac": lambda t, y, z: (0.0, 0.0, 0.0, 0.0)}
+_ZERO_JAC = {"jac": lambda t, y, z: (0.0, 0.0, 0.0, 0.0, 0.0)}
 
 
 def test_exponential_growth():
@@ -143,7 +143,7 @@ def test_radau_converges_with_order_five(monkeypatch):
         return z, 2.0 * y**3
 
     def jac(t, y, z):
-        return 0.0, 1.0, 6.0 * y * y, 0.0
+        return 0.0, 1.0, 6.0 * y * y, 0.0, 0.0
 
     steps, errs = [], []
     for rtol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
@@ -161,7 +161,7 @@ def _prothero_robinson(lam):
         return lam * (y - math.sin(t)) + math.cos(t), -z
 
     def jac(t, y, z):
-        return lam, 0.0, 0.0, -1.0
+        return lam, 0.0, 0.0, -1.0, 0.0
 
     return f, jac
 
@@ -215,9 +215,33 @@ def test_stiff_tolerances_take_over_at_the_switch():
 
 def test_non_stiff_problem_never_switches_with_jacobian():
     path = integrate_2d(
-        lambda t, y, z: (z, -y), 0.0, 1.0, 0.0, 20.0, 1e-10, 1e-12, jac=lambda t, y, z: (0.0, 1.0, -1.0, 0.0)
+        lambda t, y, z: (z, -y), 0.0, 1.0, 0.0, 20.0, 1e-10, 1e-12, jac=lambda t, y, z: (0.0, 1.0, -1.0, 0.0, 0.0)
     )
     assert path.t_stiff is None
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_fzz_is_z_second_derivative_on_every_dop853_node(forced):
+    # y'' = -y, and y'' = t - y, whose f_z has the time partial 1: z'' = -z and 1 - z
+    def f(t, y, z):
+        return z, t - y if forced else -y
+
+    path = integrate_2d(f, 0.0, 1.0, 0.0, 20.0, 1e-10, 1e-12,
+                        jac=lambda t, y, z: (0.0, 1.0, -1.0, 0.0, 1.0 if forced else 0.0))
+    assert path.t_stiff is None and path.fzz.size == path.n_explicit == path.t.size
+    assert np.array_equal(path.fzz, (1.0 if forced else 0.0) - path.z)
+    # without jac the same nodes and no z''
+    plain = integrate_2d(f, 0.0, 1.0, 0.0, 20.0, 1e-10, 1e-12)
+    assert np.array_equal(plain.t, path.t) and plain.fzz.size == 0 and plain.n_explicit == plain.t.size
+
+
+def test_fzz_follows_the_derivative_of_fz_up_to_the_stiff_switch():
+    # Prothero-Robinson: f_z = -z = -e^(-t), so z'' = e^(-t), recorded up to and including the switch node
+    f, jac = _prothero_robinson(-1e4)
+    path = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=jac)
+    k = path.n_explicit
+    assert path.t_stiff == path.t[k - 1] and path.fzz.size == k < path.t.size
+    assert np.max(np.abs(path.fzz - np.exp(-path.t[:k])) / np.exp(-path.t[:k])) < 1e-7
 
 
 def test_radau_honours_early_stop_and_positivity():
@@ -246,7 +270,7 @@ def test_path_paused_on_y_resumes_to_the_uninterrupted_one(problem):
     assert np.array_equal(head.t, whole.t[: head.t.size])
     resumed = head.resumed()
     assert resumed.paused is None
-    for name in ("t", "y", "z", "fz"):
+    for name in ("t", "y", "z", "fz", "fzz"):
         assert np.array_equal(getattr(resumed, name), getattr(whole, name)), name
     assert resumed.counters == whole.counters and resumed.n_explicit == whole.n_explicit
 
@@ -267,7 +291,7 @@ def _pr_with_jacobian_off_by_a_tenth():
     # Newton iteration then contracts by about 0.1 per iteration, so its stop,
     # not the exactness of a linear solve, sets what it leaves in each step
     f, _ = _prothero_robinson(-1e8)
-    path = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=lambda t, y, z: (-0.9e8, 0.0, 0.0, -1.0))
+    path = integrate_2d(f, 0.0, 0.0, 1.0, 10.0, 1e-8, 1e-10, jac=lambda t, y, z: (-0.9e8, 0.0, 0.0, -1.0, 0.0))
     return path, 1e-10 + 1e-8 * abs(path.y[-1])
 
 
@@ -275,7 +299,7 @@ def _cubic():
     # y'' = 2y^3, y(0) = 1, y'(0) = -1
     path = integrate_2d(
         lambda t, y, z: (z, 2.0 * y**3), 0.0, 1.0, -1.0, 3.0, 1e-8, 1e-8,
-        jac=lambda t, y, z: (0.0, 1.0, 6.0 * y * y, 0.0),
+        jac=lambda t, y, z: (0.0, 1.0, 6.0 * y * y, 0.0, 0.0),
     )
     return path, 1e-8 + 1e-8 * abs(path.y[-1])
 
@@ -472,7 +496,8 @@ def test_jacobian_that_never_trips_the_switch_changes_nothing():
         return z, 2.0 * y**3
 
     plain = integrate_2d(f, 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12)
-    with_jac = integrate_2d(f, 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12, jac=lambda t, y, z: (0.0, 1.0, 6.0 * y * y, 0.0))
+    with_jac = integrate_2d(f, 0.0, 1.0, -1.0, 3.0, 1e-12, 1e-12,
+                            jac=lambda t, y, z: (0.0, 1.0, 6.0 * y * y, 0.0, 0.0))
     assert with_jac.t_stiff is None
     for attr in ("t", "y", "z", "fz"):
         assert np.array_equal(getattr(with_jac, attr), getattr(plain, attr))
