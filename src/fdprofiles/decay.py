@@ -209,8 +209,7 @@ def estimate_power_decay(sol: Solution) -> DecayEstimate:
     n_dec = _decades(lp.s_end)
     # the 1e-9 slack in n_dec can put the last decade just past s_end; it is read at s_end
     sgrid = np.minimum(np.arange(0, n_dec + 1) * _LN10, lp.s_end)
-    w = lp.eval_w(sgrid)
-    g = lp.eval_g(sgrid)
+    w, g = lp.eval(sgrid, "w", "g")
     logq = a * sgrid + (np.log(w) - 2.0 * sgrid) / one_m
     q = np.exp(logq)
     scales = np.exp(sgrid)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, at_endpoint, chart_constants, exponent_relation, require
-from .rk import POSITIVITY_FLOOR, Hermite, RawPath, hermite_piece, integrate_2d
+from .rk import POSITIVITY_FLOOR, Hermite, RawPath, hermite_at, integrate_2d
 from .series import SeriesExpansion, eval_series, horner, seed_within
 
 __all__ = [
@@ -146,7 +146,8 @@ class Profile:
     quadratures that read it between the nodes, and quintic past it. Radii
     below the first node are served by the origin series, and so are those
     past the last one when the series is the exact constant (alpha = 0,
-    ``r_reach``). ``eval`` reads the dense output, built on its first read;
+    ``r_reach``). ``eval`` reads the dense output, whose table of pieces is
+    built on the first read of more than a few points (``rk.Hermite``);
     ``eval_point`` builds only the piece it reads, from the head where the
     head reaches. The step counters are ``RawPath.counters``.
     """
@@ -190,18 +191,12 @@ class Profile:
 
     def eval_point(self, r: float) -> tuple[float, float]:
         """(v, v') at one radius with the bits of ``eval(r)``. Short of the head's last node it reads the one piece
-        that brackets r, built alone on Python floats (``rk.hermite_piece``) by the rule of ``_v_interp``: septic
+        that brackets r, built alone on Python floats by the rule of ``_v_interp`` (``rk.hermite_at``): septic
         while both its nodes are on the DOP853 stretch, with the v''' the step loop recorded there."""
         head = self.head
         if not head.t[0] <= r < head.t[-1]:
             return self.eval(r)
-        i = int(np.searchsorted(head.t[1:-1], r, side="right"))  # the piece Hermite picks
-        arrays = (head.t, head.y, head.z, head.fz, head.fzz)[: 5 if i + 2 <= head.fzz.size else 4]
-        (x0, x1), *rows = (a[i : i + 2].tolist() for a in arrays)
-        h = x1 - x0
-        coef = hermite_piece(h, *zip(*rows))
-        th = (float(r) - x0) / h
-        return horner(coef, th), horner([j * c for j, c in enumerate(coef[1:], 1)], th) / h
+        return hermite_at(head.t, (head.y, head.z, head.fz, head.fzz), float(r))
 
     @property
     def r_reach(self) -> float:
@@ -229,26 +224,31 @@ class LogProfile:
     it is exact state, not a difference of large numbers. v is recoverable as
     v = (w * e^(-2s))^(1/(1-m)).
 
-    ``wsss`` holds w_sss = g_ss + sigma*w_ss, g_ss as the step loop records
-    it (``RawPath.fzz``), at the nodes of the DOP853 stretch, the first
-    ``wsss.size`` nodes, up to the first switch (to Radau IIA or to the slow
-    tail). w is one ``Hermite`` of all four: septic over that stretch, of
-    the order of the steps, and quintic past it. g is cubic on the whole
-    chart. Wherever the chart was stepped, by DOP853 or by Radau IIA, w_s is
-    the derivative of w; only on the slow tail, past ``qss_switch_s``, where
-    g is exact manifold state, is it g + sigma*w (on an eternal chart, whose
-    sigma is zero to rounding, g itself up to that rounding). The counters and
-    ``stiff_switch`` are as on ``Profile``, except that each node of the
-    slow tail counts as a step.
+    ``head`` is the ``RawPath`` that ``integrate_log`` stepped: (s, w, g, g_s)
+    at its nodes, up to the switch node ``qss_switch_s`` where there is a slow
+    tail (``tail``, plain numbers: ``_Tail``), over the whole chart where
+    there is none. The node arrays ``s``, ``w``, ``ws``, ``wss``, ``g`` and
+    ``gs`` hold the stepped nodes and then the tail's, which are placed on
+    the first read of any of them (``_Tail.nodes``). ``wsss`` holds w_sss =
+    g_ss + sigma*w_ss, g_ss as the step loop records it (``RawPath.fzz``), at
+    the nodes of the DOP853 stretch, the first ``wsss.size`` nodes, up to the
+    first switch (to Radau IIA or to the slow tail).
+
+    Dense reads (``eval``) up to ``qss_switch_s`` come from the stepped nodes:
+    w is one ``Hermite`` of w, w_s, w_ss and w_sss there, septic over the
+    DOP853 stretch, of the order of the steps, and quintic past it, w_s is
+    its derivative, and g is cubic. Past ``qss_switch_s`` they come from the
+    tail's relation, inverted at each point (``_Tail.w``), with g = G(w) on
+    the manifold (``_Tail.g``), where g is exact state, and w_s = g + sigma*w
+    (on an eternal chart, whose sigma is zero to rounding, g itself up to
+    that rounding). A read of several parts inverts each point once. The
+    counters and ``stiff_switch`` are as on ``Profile``, except that each
+    piece of the slow tail between its nodes counts as a step, whether the
+    nodes are placed or not.
     """
 
-    s: np.ndarray
-    w: np.ndarray
-    ws: np.ndarray
-    wss: np.ndarray
-    wsss: np.ndarray
-    g: np.ndarray
-    gs: np.ndarray
+    head: RawPath
+    tail: _Tail | None
     sigma: float
     m: float
     rtol: float
@@ -264,13 +264,40 @@ class LogProfile:
     qss_gap: float | None = None
     stiff_switch: float | None = None
 
+    @cached_property
+    def _stepped(self) -> tuple[np.ndarray, ...]:
+        """w_s, w_ss and w_sss at the stepped nodes, w_sss on the DOP853 stretch."""
+        head, sigma = self.head, self.sigma
+        ws = head.z + sigma * head.y
+        wss = head.fz + sigma * ws
+        return ws, wss, head.fzz + sigma * wss[: head.fzz.size]
+
+    @cached_property
+    def _nodes(self) -> tuple[np.ndarray, ...]:
+        """(s, w, g, g_s, w_s, w_ss) at every node: the stepped ones, then the tail's, placed here."""
+        head = self.head
+        nodes = (head.t, head.y, head.z, head.fz, *self._stepped[:2])
+        if self.tail is None:
+            return nodes
+        s, w, g, gs = self.tail.nodes()
+        ws = g + self.sigma * w
+        return tuple(np.concatenate(pair) for pair in zip(nodes, (s, w, g, gs, ws, gs + self.sigma * ws)))
+
+    s = property(lambda self: self._nodes[0])
+    w = property(lambda self: self._nodes[1])
+    g = property(lambda self: self._nodes[2])
+    gs = property(lambda self: self._nodes[3])
+    ws = property(lambda self: self._nodes[4])
+    wss = property(lambda self: self._nodes[5])
+    wsss = property(lambda self: self._stepped[2])
+
     @property
     def s_start(self) -> float:
-        return float(self.s[0])
+        return float(self.head.t[0])
 
     @property
     def s_end(self) -> float:
-        return float(self.s[-1])
+        return float(self.head.t[-1]) if self.tail is None else self.tail.s_end
 
     @cached_property
     def _w_interp(self):
@@ -278,7 +305,7 @@ class LogProfile:
         # septic w, with w_sss from the right-hand side, was 1.3-3.1x less
         # accurate between the nodes against a Radau reference at rtol 1e-13
         # on the eternal decay grid.
-        return Hermite(self.s, self.w, self.ws, self.wss, self.wsss)
+        return Hermite(self.head.t, self.head.y, *self._stepped)
 
     @cached_property
     def _g_interp(self):
@@ -288,29 +315,65 @@ class LogProfile:
         # rtol 1e-13 on the eternal decay grid, a quintic g was 10-57x less
         # accurate between the stiff nodes and moved the n = 7, m = 5/9 decay
         # value by 2.9e-8.
-        return Hermite(self.s, self.g, self.gs)
+        return Hermite(self.head.t, self.head.z, self.head.fz)
 
     def _clip(self, s):
         return OutOfRange.clip("log chart", s, self.s_start, self.s_end)
 
+    def _read_stepped(self, part: str, s):
+        if part == "g":
+            return self._g_interp.value(s)
+        return self._w_interp.value(s) if part == "w" else self._w_interp.derivative(s)
+
+    def _read_tail(self, s, parts) -> tuple:
+        tail = self.tail
+        if s.ndim == 0:
+            w = tail.w(float(s))
+        elif s.size <= _TAIL_SHORT_READ:
+            w = np.array([tail.w(x) for x in s.tolist()])
+        else:
+            w = tail.w(s)
+        got = {"w": w}
+        if "g" in parts or "ws" in parts:
+            g = got["g"] = tail.g(w)
+            got["ws"] = g + self.sigma * w
+        return tuple(got[p] for p in parts)
+
+    def eval(self, s, *parts: str) -> tuple:
+        """The ``parts`` named, of "w", "g", "ws" (w_s) and "v", at log-radii s: floats for a scalar s, arrays else.
+
+        Up to ``qss_switch_s`` they are read off the stepped nodes, past it from
+        the tail's relation, with one inversion per point for all of them. A
+        tail read of at most _TAIL_SHORT_READ points is made point by point on
+        floats, a longer one element by element on arrays, with the same bits.
+        """
+        sq = self._clip(s)
+        reads = [p for p in ("w", "g", "ws") if p in parts or (p == "w" and "v" in parts)]
+
+        def stepped(x):
+            return tuple(self._read_stepped(p, x) for p in reads)
+
+        if self.tail is None:
+            got = dict(zip(reads, stepped(sq)))
+        else:
+            got = dict(zip(reads, _split(sq, sq <= self.qss_switch_s, stepped, lambda x: self._read_tail(x, reads))))
+        if "v" in parts:
+            got["v"] = (got["w"] * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
+        return tuple(got[p] for p in parts)
+
     def eval_w(self, s):
-        return self._w_interp.value(self._clip(s))
+        return self.eval(s, "w")[0]
 
     def eval_g(self, s):
-        return self._g_interp.value(self._clip(s))
+        return self.eval(s, "g")[0]
 
     def eval_ws(self, s):
         """w_s: the derivative of w wherever the chart was stepped, g + sigma*w on the slow tail."""
-        sq = self._clip(s)
-        w, g = self._w_interp, self._g_interp
-        (ws,) = _split(sq, sq <= (self.s_end if self.qss_switch_s is None else self.qss_switch_s),
-                       lambda x: (w.derivative(x),), lambda x: (g.value(x) + self.sigma * w.value(x),))
-        return ws
+        return self.eval(s, "ws")[0]
 
     def eval_v(self, s):
         """Profile value v at log-radius s."""
-        sq = self._clip(s)
-        return (self._w_interp.value(sq) * np.exp(-2.0 * sq)) ** (1.0 / (1.0 - self.m))
+        return self.eval(s, "v")[0]
 
 
 def _r_rhs(n: int, m: float, alpha: float, beta: float):
@@ -493,20 +556,22 @@ _SIGMA_ZERO = 2.0**-50
 # the switch of 2 of 468 sigma > 0.02 charts (n = 25 and 26 at the endpoint
 # m, sigma = 1), by 0.7% and 4.8% in w; no tested row.
 _SERIES_TERMS = 25
-# The tail's nodes are at most _QSS_DLY apart in log w, steps of about
-# _QSS_DLY/sigma in s, where the quintic dense output of w is accurate. The
-# switch can fall below r = 20, where the invariant checks read the chart: on
-# the four alpha < 0 INVARIANT_GRID rows it falls at r = 8.3-15.7, and at
-# r_max = 2 their flux identity's mismatch reads 1.3e-12..1.8e-12, 8-13x that
-# of a chart Radau-stepped to its end; at 0.15 it rose to 2.1e-11..1.2e-10.
+# The tail's nodes, placed for the node readers (the checks, the breaks of
+# their quadratures and ``solve --log-out``), are at most _QSS_DLY apart in
+# log w, steps of about _QSS_DLY/sigma in s. The spacing was set when a
+# quintic Hermite of the nodes served the dense reads: on the four alpha < 0
+# INVARIANT_GRID rows, whose switch falls at r = 8.3-15.7, below r = 20 where
+# the flux identity reads the chart, its mismatch at r_max = 2 read
+# 1.2e-12..2.0e-12, 2.1e-11..1.2e-10 at 0.15. Read from the tail's relation
+# between the same breaks it reads 3.7e-15..4.6e-14.
 _QSS_DLY = 0.08
 # At sigma = 0 the tail's nodes are at most _ETERNAL_DLY apart in log w,
-# steps of about _ETERNAL_DLY*s in s, and w_s = g between them is the cubic
-# Hermite of the nodes' g. Midway between the tail's nodes, against the full
-# system stepped from the switch node at rtol 1e-13, w_s read up to 1.6e-7
-# at 0.08, 1.1e-8 at 0.04, 7.0e-10 at 0.02 and 6.1e-11 at 0.01 (the eternal
-# decay grid and n = 3 at m = 0.1 and 0.02): 0.02 is the widest spacing
-# inside the chart's rtol of 1e-9.
+# steps of about _ETERNAL_DLY*s in s. The spacing was set when w_s between
+# them was the cubic Hermite of the nodes' g: midway between the nodes,
+# against the full system stepped from the switch node at rtol 1e-13, w_s
+# read up to 1.6e-7 at 0.08, 1.1e-8 at 0.04, 7.0e-10 at 0.02 and 6.1e-11 at
+# 0.01 (the eternal decay grid and n = 3 at m = 0.1 and 0.02). Read from the
+# tail's relation it reads at most 1.1e-12 there; the node readers keep 0.02.
 _ETERNAL_DLY = 0.02
 # The tail takes Phi, the integral of G/F in x = 1/w (``_slow_tail``), from
 # one Chebyshev interpolant of G/F at this many Lobatto points of
@@ -517,8 +582,19 @@ _ETERNAL_DLY = 0.02
 # to 30, m from 0 to (n-2)/n and sigma from 0.021 to 2.99.
 _PHI_POINTS = 64
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
-# The longest piece the dense output of w takes: its quintic pieces form h^2/2.
-# An eternal chart's tail pieces reach it near s = 6.7e155.
+# Tail reads of at most this many points are made one point at a time on
+# floats, longer ones element by element on arrays, with the same bits. On
+# the tails of (3, 0.2, alpha = 2.5, 1.25, -1) and (6, 0.25, 8/3) a point
+# took 12-30 us on floats, and an array read 300-650 us up to 32 points,
+# almost all of it the fixed cost of its numpy calls in each Newton step:
+# the two broke even at 20-26 points (2-core sandbox, 10th percentile of 150).
+_TAIL_SHORT_READ = 24
+# Newton steps ``_Tail._invert`` takes at most; every start measured converged in 6.
+_NEWTON_STEPS = 16
+# The longest piece between the log chart's nodes: a quintic Hermite piece of
+# them forms h^2/2. An eternal chart's tail pieces reach it near s = 6.7e155;
+# only a chart longer than _H_MAX can, and ``integrate_log`` places its nodes
+# to find the first such piece.
 _H_MAX = math.sqrt(np.finfo(float).max)
 
 
@@ -613,8 +689,86 @@ def _clenshaw(c: list[float], t):
     return t * b1 - b2 + c[0]
 
 
-def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: float):
-    """The tail's relation at sigma > 0: s as a function of log w, and a start for log w at s_end.
+# exp and log element by element from the C library, as on floats: numpy's
+# vectorized exp and log round some elements differently in the last bit,
+# depending on the CPU's SIMD level and the array's length. So a tail read
+# has the same bits alone or in an array.
+def _elementwise(f, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _exp(x):
+    return _elementwise(math.exp, x)
+
+
+def _log(x):
+    return _elementwise(math.log, x)
+
+
+class _Ops(NamedTuple):
+    """log and the lesser and greater of two, on floats or element by element on arrays."""
+
+    log: object
+    lesser: object
+    greater: object
+
+
+_FLOATS = _Ops(math.log, min, max)
+_ARRAYS = _Ops(_log, np.minimum, np.maximum)
+
+
+class _PowerRelation(NamedTuple):
+    """The tail's relation at sigma > 0, s as a function of log w (``_power_relation``), as plain numbers.
+
+    ``c`` holds the Chebyshev coefficients of Phi on [0, x0], x0 = 1/w at the
+    switch node (s0, ly0), and f0 the rate F there.
+    """
+
+    sigma: float
+    c: tuple[float, ...]
+    x0: float
+    log_c: float
+    s0: float
+    ly0: float
+    f0: float
+
+    def place(self, ly, x):
+        return (ly + _clenshaw(self.c, 2.0 * x / self.x0 - 1.0) - self.log_c) / self.sigma
+
+    def start(self, s, ops: _Ops):
+        """A start for log w at s: F moves monotonically from F(x0) to sigma, so holding F at F(x0) and
+        setting Phi = 0 both over- or both undershoot, and the nearer of the two is taken."""
+        near = ops.lesser if self.f0 > self.sigma else ops.greater
+        return near(self.ly0 + self.f0 * (s - self.s0), self.sigma * s + self.log_c)
+
+
+class _EternalRelation(NamedTuple):
+    """The tail's relation at sigma = 0, s as a function of log w (``_eternal_relation``), as plain numbers.
+
+    s = base + e0/x + e1*log w - P(x), with x = 1/w and ``p`` the coefficients
+    of P(x)/x; x0 and g0 are x and G at the switch node (s0, log w0).
+    """
+
+    e0: float
+    e1: float
+    p: tuple[float, ...]
+    base: float
+    s0: float
+    x0: float
+    g0: float
+
+    def place(self, ly, x):
+        return self.base + self.e0 / x + self.e1 * ly - x * horner(self.p, x)
+
+    def start(self, s, ops: _Ops):
+        """A start for log w at s: w0 + G(x0)*(s - s0), from which Newton's method took at most 6 steps on
+        n = 3..30, m across its range, beta from 0.25 to 4 and s up to 1e8."""
+        return ops.log(1.0 / self.x0 + self.g0 * (s - self.s0))
+
+
+def _power_relation(sigma: float, d: tuple[float, ...], s0: float, ly0: float) -> _PowerRelation:
+    """The tail's relation at sigma > 0: s as a function of log w.
 
     As 1/F = (1 - x*G/F)/sigma and d(log w) = -dx/x, the manifold keeps
 
@@ -623,11 +777,10 @@ def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: 
     with C = lim w*e^(-sigma*s), so log C is read at the switch node. Phi
     comes from one Chebyshev interpolant of G/F on [0, 1/w_switch] at
     ``_PHI_POINTS`` Lobatto points, integrated by a constant matrix and
-    summed by Clenshaw's rule. The start is the nearer to the root of two
-    guesses: F moves monotonically from F(x0) to sigma, so holding F at
-    F(x0) and setting Phi = 0 both over- or both undershoot, s is concave or
-    convex in log w to match, and Newton's method in ``_slow_tail`` moves to
-    the root from that side, inside the fitted interval.
+    summed by Clenshaw's rule. From ``start``, s is concave or convex in
+    log w to match the side the start errs on, and Newton's method
+    (``_Tail._invert``) moves to the root from that side, inside the fitted
+    interval.
     """
     x0 = math.exp(-ly0)
     cheb_t, cheb_antiderivative = _chebyshev_rule()
@@ -640,19 +793,13 @@ def _power_relation(sigma: float, d: list[float], s0: float, ly0: float, s_end: 
     # Phi(x) = sum of c_k*T_k(2x/x0 - 1); the c_k fall geometrically, and
     # those below rounding of the largest are dropped
     c = 0.5 * x0 * (cheb_antiderivative @ (g / f))
-    c = c[: np.flatnonzero(np.abs(c) >= 2.0**-53 * np.abs(c).max())[-1] + 1].tolist()
+    c = tuple(c[: np.flatnonzero(np.abs(c) >= 2.0**-53 * np.abs(c).max())[-1] + 1].tolist())
     log_c = ly0 + _clenshaw(c, 1.0) - sigma * s0
-
-    def place(ly, x):
-        return (ly + _clenshaw(c, 2.0 * x / x0 - 1.0) - log_c) / sigma
-
-    f0 = float(f[-1])
-    near = min if f0 > sigma else max
-    return place, near(ly0 + f0 * (s_end - s0), sigma * s_end + log_c)
+    return _PowerRelation(sigma, c, x0, log_c, s0, ly0, float(f[-1]))
 
 
-def _eternal_relation(d: list[float], e: list[float], s0: float, ly0: float, s_end: float):
-    """The tail's relation at sigma = 0: s as a function of log w, and a start for log w at s_end.
+def _eternal_relation(d: tuple[float, ...], e: list[float], s0: float, ly0: float) -> _EternalRelation:
+    """The tail's relation at sigma = 0: s as a function of log w.
 
     Here d(log w)/ds = x*G with x = 1/w, so ds = -dx/(x^2*G). With
     1/G = sum of e_k*x^k (``_reciprocal_series`` of ``d``, as ``_qss_switch``
@@ -662,75 +809,131 @@ def _eternal_relation(d: list[float], e: list[float], s0: float, ly0: float, s_e
         P(x) = sum over k >= 2 of e_k*x^(k-1)/(k-1),
 
     so no interpolant is built. s is convex in log w wherever
-    G + x*G_x > 0, so Newton's method in ``_slow_tail`` moves down to the
-    root from above it, and from below it steps past the root once; from the
-    start w0 + G(x0)*(s_end - s0) it took at most 6 steps on n = 3..30, m
-    across its range, beta from 0.25 to 4 and s_end up to 1e8.
+    G + x*G_x > 0, so Newton's method (``_Tail._invert``) moves down to the
+    root from above it, and from below it steps past the root once.
     """
     x0 = math.exp(-ly0)
     g0 = horner(d, x0)
     if not g0 > 0.0:
         raise ProfileError("log w stops growing on the slow manifold", s0)
     # P(x) = x*sum of p_j*x^j with p_j = e_(j+2)/(j+1)
-    p = [ek / k for k, ek in enumerate(e[2:], 1)]
+    p = tuple(ek / k for k, ek in enumerate(e[2:], 1))
     base = s0 - e[0] / x0 - e[1] * ly0 + x0 * horner(p, x0)
+    return _EternalRelation(e[0], e[1], p, base, s0, x0, g0)
 
-    def place(ly, x):
-        return base + e[0] / x + e[1] * ly - x * horner(p, x)
 
-    return place, math.log(1.0 / x0 + g0 * (s_end - s0))
+class _Tail(NamedTuple):
+    """The slow-manifold tail after the switch node, as plain numbers: s as a function of log w, and back.
+
+    On the manifold g = G, the polynomial in x = 1/w with coefficients ``d``
+    (``_manifold_series``), so d(log w)/ds = F = sigma + x*G and
+    g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel.
+    ``relation`` gives s explicitly in log w; ``w`` inverts it at any s of
+    the tail, and ``nodes`` places the tail's nodes for the node readers:
+    ``pieces`` equal pieces of at most _QSS_DLY in log w (_ETERNAL_DLY at
+    sigma = 0) from the switch node (ly0) up to log w at s_end (``ly_end``).
+    """
+
+    sigma: float
+    d: tuple[float, ...]
+    relation: _PowerRelation | _EternalRelation
+    ly0: float
+    ly_max: float
+    s_end: float
+    ly_end: float
+    pieces: int
+
+    def _step(self, ly, x, s):
+        """Newton's step for log w at s from ly, x = e^(-ly): ds/d(log w) = 1/F, so it is (s(ly) - s)*F."""
+        return (self.relation.place(ly, x) - s) * (self.sigma + x * horner(self.d, x))
+
+    def _invert(self, s):
+        """log w at s, by Newton's method from the relation's start, each step kept within [ly0, ly_max]: a float
+        for a float s, element by element on an array, with the same operations. Each point stops on its own,
+        once its step is below 1e-15 of log w."""
+        lo, hi = self.ly0, self.ly_max
+        if np.ndim(s) == 0:
+            s = float(s)
+            ly = min(self.relation.start(s, _FLOATS), hi)
+            for _ in range(_NEWTON_STEPS):
+                step = self._step(ly, math.exp(-ly), s)
+                ly = min(max(ly - step, lo), hi)
+                if abs(step) <= 1e-15 * max(1.0, abs(ly)):
+                    break
+            return ly
+        out = np.minimum(self.relation.start(s, _ARRAYS), hi)
+        going, ly = np.arange(s.size), out
+        for _ in range(_NEWTON_STEPS):
+            step = self._step(ly, _exp(-ly), s)
+            ly = np.minimum(np.maximum(ly - step, lo), hi)
+            out[going] = ly
+            on = ~(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(ly)))
+            if not on.any():
+                break
+            going, ly, s = going[on], ly[on], s[on]
+        return out
+
+    def w(self, s):
+        """w at s from one inversion: a float for a float s, element by element on an array, with the same bits.
+
+        At s_end log w is ``ly_end``, which ``_invert`` gave when the tail was set up.
+        """
+        if np.ndim(s) == 0:
+            s = float(s)
+            return math.exp(self.ly_end if s == self.s_end else self._invert(s))
+        return _exp(self._invert(s))
+
+    def g(self, w):
+        """g = G(w) on the manifold, on a float or element by element on an array."""
+        return horner(self.d, 1.0 / w)
+
+    def nodes(self) -> tuple[np.ndarray, ...]:
+        """Nodes (s, w, g, g_s) of the tail after the switch node, the last at s_end."""
+        ly = np.linspace(self.ly0, self.ly_end, self.pieces + 1)[1:]
+        x = np.exp(-ly)
+        s = self.relation.place(ly, x)
+        s[-1] = self.s_end
+        # G and G_x at the nodes by one Horner loop, in place: at these node
+        # counts a new array per operation costs more than the arithmetic, and
+        # summing only the terms that rounding still sees did not pay for its
+        # slicing; g_s = G'(w)*w_s = -x*G_x*F
+        d = self.d
+        g = np.full_like(x, d[-1])
+        gx = np.zeros_like(x)
+        for dk in d[-2::-1]:
+            gx *= x
+            gx += g
+            g *= x
+            g += dk
+        return s, np.exp(ly), g, -x * gx * (self.sigma + x * g)
+
+
+def _tail(sigma: float, d: list[float], e: list[float] | None, s0: float, ly0: float, s_end: float) -> _Tail:
+    """The slow tail after (s0, log w = ly0) up to s_end: its relation (``_power_relation`` for sigma > 0,
+    ``_eternal_relation`` for sigma = 0), log w at s_end and the number of node pieces.
+
+    A located ProfileError is raised first if the manifold passes ly_max, where w or the w_ss of the nodes
+    would leave the float range, before s_end.
+    """
+    d, s_end = tuple(d), float(s_end)
+    relation = _power_relation(sigma, d, s0, ly0) if sigma else _eternal_relation(d, e, s0, ly0)
+    # every stored value, up to w_ss ~ sigma^2*w, must stay finite
+    ly_max = _LOG_FLOAT_MAX - 2.0 * math.log(max(1.0, sigma))
+    s_max = relation.place(ly_max, math.exp(-ly_max))
+    if not s_end <= s_max:
+        raise ProfileError("w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end", s_max)
+    # _invert reads neither ly_end nor pieces, which follow from it
+    tail = _Tail(sigma, d, relation, ly0, ly_max, s_end, ly_end=ly0, pieces=0)
+    end = tail._invert(s_end)
+    # k equal pieces up to it, none longer than the spacing and none a sliver
+    dly = _QSS_DLY if sigma else _ETERNAL_DLY
+    return tail._replace(ly_end=end, pieces=max(1, math.ceil((end - ly0) / dly)))
 
 
 def _slow_tail(sigma: float, d: list[float], e: list[float] | None, s0: float, ly0: float,
                s_end: float) -> tuple[np.ndarray, ...]:
-    """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end.
-
-    On the manifold g = G, the polynomial in x = 1/w with coefficients ``d``
-    (``_manifold_series``; ``e`` is that of 1/G at sigma = 0), so
-    d(log w)/ds = F = sigma + x*G and
-    g_s = G'(w)*w_s = -x*G_x*F, where neither can overflow or cancel. Each
-    node's s is explicit in its log w: ``_power_relation`` for sigma > 0,
-    ``_eternal_relation`` for sigma = 0, each with a start for log w at
-    s_end. One Newton loop serves both: ds/d(log w) = 1/F, so each step is
-    (s(log w) - s_end)*F, kept within [ly0, ly_max]. A located ProfileError
-    is raised first if the manifold passes ly_max before s_end. k equal
-    pieces of at most _QSS_DLY in log w (_ETERNAL_DLY at sigma = 0) lead up
-    to log w at s_end.
-    """
-    if sigma:
-        place, end = _power_relation(sigma, d, s0, ly0, s_end)
-    else:
-        place, end = _eternal_relation(d, e, s0, ly0, s_end)
-    # every stored value, up to w_ss ~ sigma^2*w, must stay finite
-    ly_max = _LOG_FLOAT_MAX - 2.0 * math.log(max(1.0, sigma))
-    s_max = place(ly_max, math.exp(-ly_max))
-    if not s_end <= s_max:
-        raise ProfileError("w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end", s_max)
-    end = min(end, ly_max)
-    for _ in range(16):
-        x = math.exp(-end)
-        step = (place(end, x) - s_end) * (sigma + x * horner(d, x))
-        end = min(max(end - step, ly0), ly_max)
-        if abs(step) <= 1e-15 * max(1.0, abs(end)):
-            break
-    # k equal pieces up to it, none longer than the spacing and none a sliver
-    dly = _QSS_DLY if sigma else _ETERNAL_DLY
-    ly = np.linspace(ly0, end, max(1, math.ceil((end - ly0) / dly)) + 1)[1:]
-    x = np.exp(-ly)
-    s = place(ly, x)
-    s[-1] = s_end
-    # G and G_x at the nodes by one Horner loop, in place: at these node
-    # counts a new array per operation costs more than the arithmetic, and
-    # summing only the terms that rounding still sees did not pay for its
-    # slicing; g_s = G'(w)*w_s = -x*G_x*F
-    g = np.full_like(x, d[-1])
-    gx = np.zeros_like(x)
-    for dk in d[-2::-1]:
-        gx *= x
-        gx += g
-        g *= x
-        g += dk
-    return s, np.exp(ly), g, -x * gx * (sigma + x * g)
+    """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end (``_Tail``)."""
+    return _tail(sigma, d, e, s0, ly0, s_end).nodes()
 
 
 def integrate_log(
@@ -767,17 +970,20 @@ def integrate_log(
     (``pause_above``), the integration continues on the slow manifold: g is
     the chart's own manifold series in 1/w, built once from the chart
     coefficients, and the scalar equation left for log w is autonomous, so
-    nothing is stepped. ``_slow_tail`` places the nodes from a
-    closed-form relation between s and log w: for sigma > 0, log w - sigma*s
-    + Phi(1/w) is the constant log C, with Phi the integral of G/F in
-    x = 1/w from one Chebyshev interpolant of G/F built at the switch; at
-    sigma = 0, s is the integral of 1/(x^2*G), term by term in the series
-    of 1/G. ``qss_gap`` records the jump this puts into g: |g - G(w)|/|G| at
-    the switch node reads 5.1e-14..2.7e-12 on the sigma > 0 invariant grid
-    rows (n <= 6; exactly 0 at alpha = 0, where g = G = 0) and up to 3.2e-10
-    for n up to 30, and 3.8e-11..2.3e-10 on eternal charts (n = 3..200),
-    inside the chart's rtol of 1e-9. It is the stepped g's error off the
-    manifold that the true solution has long relaxed onto.
+    nothing is stepped. The tail (``_tail``) is a closed-form relation
+    between s and log w: for sigma > 0, log w - sigma*s + Phi(1/w) is the
+    constant log C, with Phi the integral of G/F in x = 1/w from one
+    Chebyshev interpolant of G/F built at the switch; at sigma = 0, s is the
+    integral of 1/(x^2*G), term by term in the series of 1/G. Here it is set
+    up, log w at s_max found and the tail's node pieces counted; dense reads
+    past the switch invert the relation at their own points, and its nodes
+    are placed (``_slow_tail``) only when a node reader asks for them
+    (``LogProfile``). ``qss_gap`` records the jump this puts into g:
+    |g - G(w)|/|G| at the switch node reads 5.1e-14..2.7e-12 on the sigma > 0
+    invariant grid rows (n <= 6; exactly 0 at alpha = 0, where g = G = 0) and
+    up to 3.2e-10 for n up to 30, and 3.8e-11..2.3e-10 on eternal charts
+    (n = 3..200), inside the chart's rtol of 1e-9. It is the stepped g's
+    error off the manifold that the true solution has long relaxed onto.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"log chart requires 0 <= m < 1, got {m}")
@@ -799,40 +1005,25 @@ def integrate_log(
             w_stop = 2.0 * w0
     path = integrate_2d(_log_rhs(cc), s0, w0, g0, s_max, rtol, atol, positive_y=True, jac=_log_jac(cc),
                         pause_above=w_stop)
-    s_arr, w_arr, g_arr, gs_arr = path.t, path.y, path.z, path.fz
-    switch_s = gap = None
-    if path.paused is not None:
-        switch_s = float(s_arr[-1])
-        # where G is exactly 0 (alpha = 0, where c_w = 0) the gap is read absolute
-        g_manifold = horner(d, 1.0 / w_arr[-1])
-        gap = float(abs(g_arr[-1] - g_manifold) / (abs(g_manifold) or 1.0))
-        tail = _slow_tail(tail_sigma, d, e, switch_s, math.log(w_arr[-1]), s_max)
-        s_arr, w_arr, g_arr, gs_arr = (np.concatenate(pair) for pair in zip((s_arr, w_arr, g_arr, gs_arr), tail))
-
-    long_pieces = np.flatnonzero(np.diff(s_arr) > _H_MAX)
-    if long_pieces.size:
-        raise ProfileError("log-chart nodes too far apart for the dense output of w; lower s_end",
-                           float(s_arr[long_pieces[0]]))
-    ws = g_arr + sigma * w_arr
-    wss = gs_arr + sigma * ws
+    switch_s = gap = tail = None
     counters = path.counters
-    counters["n_steps"] += s_arr.size - path.t.size  # a tail node counts as a step
-    return LogProfile(
-        s=s_arr,
-        w=w_arr,
-        ws=ws,
-        wss=wss,
-        # g_ss on the DOP853 stretch, which ends at the first switch, to Radau IIA or to the tail
-        wsss=path.fzz + sigma * wss[: path.fzz.size],
-        g=g_arr,
-        gs=gs_arr,
-        sigma=sigma,
-        m=m,
-        rtol=rtol,
-        qss_switch_s=switch_s,
-        qss_gap=gap,
-        **counters,
-    )
+    if path.paused is not None:
+        switch_s = float(path.t[-1])
+        # where G is exactly 0 (alpha = 0, where c_w = 0) the gap is read absolute
+        g_manifold = horner(d, 1.0 / path.y[-1])
+        gap = float(abs(path.z[-1] - g_manifold) / (abs(g_manifold) or 1.0))
+        tail = _tail(tail_sigma, d, e, switch_s, math.log(path.y[-1]), s_max)
+        counters["n_steps"] += tail.pieces  # a tail node counts as a step
+    # the step loop's state at the switch is not kept: past it the tail serves the chart
+    lp = LogProfile(head=replace(path, paused=None), tail=tail, sigma=sigma, m=m, rtol=rtol, qss_switch_s=switch_s,
+                    qss_gap=gap, **counters)
+    # no piece is longer than the chart, so only a chart longer than _H_MAX places its nodes here
+    if s_max - s0 > _H_MAX:
+        long_pieces = np.flatnonzero(np.diff(lp.s) > _H_MAX)
+        if long_pieces.size:
+            raise ProfileError("log-chart nodes too far apart for the dense output of w; lower s_end",
+                               float(lp.s[long_pieces[0]]))
+    return lp
 
 
 class ChartNodes(NamedTuple):
@@ -935,16 +1126,16 @@ class Solution:
         lp = self.logprofile
 
         def on_log(s, rr):
-            return (lp.eval_v(s) * (lp.eval_ws(s) / lp.eval_w(s) - 2.0) / ((1.0 - self.params.m) * rr),)
+            v, w, ws = lp.eval(s, "v", "w", "ws")
+            return (v * (ws / w - 2.0) / ((1.0 - self.params.m) * rr),)
 
         return self._by_chart(r, lambda rr: self.profile.eval(rr)[1:], on_log)[0]
 
     def w_q(self, r):
         """(w, q) = (r^2 v^(1-m), r w_r) at radius r, from whichever chart covers it."""
         lp = self.logprofile
-        return self._by_chart(
-            r, lambda rr: _w_q(rr, *self.profile.eval(rr), self.params.m), lambda s, _: (lp.eval_w(s), lp.eval_ws(s))
-        )
+        return self._by_chart(r, lambda rr: _w_q(rr, *self.profile.eval(rr), self.params.m),
+                              lambda s, _: lp.eval(s, "w", "ws"))
 
 
 def _overlap_error(profile: Profile, logprofile: LogProfile, m: float) -> float:

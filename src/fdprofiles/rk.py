@@ -54,7 +54,7 @@ import numpy as np
 from .errors import PositivityLoss, ProfileError, StepUnderflow
 from .series import horner
 
-__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "Hermite", "hermite_piece"]
+__all__ = ["POSITIVITY_FLOOR", "RawPath", "integrate_2d", "Hermite", "hermite_piece", "hermite_at"]
 
 # No clamping below this value; clamping would corrupt decay estimation.
 POSITIVITY_FLOOR = 1e-300
@@ -714,6 +714,37 @@ def hermite_piece(h: float, left, right) -> list[float]:
     return taylor + [_dot(row, defects) for row in table]
 
 
+def hermite_at(x, derivatives, xq: float) -> tuple[float, float]:
+    """(value, derivative) at xq of the ``Hermite`` of nodes ``x`` and ``derivatives``, with its bits.
+
+    Only the piece Hermite picks for xq is built, on Python floats
+    (``hermite_piece``): from all k arrays while both its nodes are among
+    the first j the last array covers, from the first k - 1 past them.
+    """
+    i = int(np.searchsorted(x[1:-1], xq, side="right"))
+    rows = derivatives if i + 2 <= len(derivatives[-1]) else derivatives[:-1]
+    (x0, x1), *nodes = (a[i : i + 2].tolist() for a in (x, *rows))
+    h = x1 - x0
+    coef = hermite_piece(h, *zip(*nodes))
+    th = (xq - x0) / h
+    return horner(coef, th), horner([p * c for p, c in enumerate(coef[1:], 1)], th) / h
+
+
+# Points a Hermite serves piece by piece (``hermite_at``) before it builds its
+# whole table. On the 80-113 stepped nodes of the log charts of (3, 0.2, alpha)
+# and (6, 0.25, 8/3), one point so read took 15-18 us for k = 4 and 12-13 us
+# for k = 2 (2-core sandbox, 10th percentile of 300), and building the table
+# and reading a point from it 4.5 and 3.3 times as long, the constructor's
+# checks aside: a read alone breaks even near 4 points. But when a long read
+# follows, the short one is lost: the flux identity reads v at its 4 radii
+# before its quadrature, and at a budget of 4 the invariant grid's checks at
+# r_max = 25 ran 3% slower than with every table built at once. At 2 they run
+# as fast, and a decay readout's one or two points on the stepped stretch
+# still build no table. Every short read counts against the budget; once it
+# is spent the next read builds the table.
+_SHORT_READ = 2
+
+
 class Hermite:
     """Piecewise two-point Hermite interpolant of degree 2k - 1 from k derivatives.
 
@@ -730,6 +761,11 @@ class Hermite:
     pieces past node j - 1 then come from the first k - 1 arrays alone, of
     degree 2k - 3, with the bits of the interpolant built on that stretch
     (their two top coefficients are zero, which leaves Horner's sum unchanged).
+
+    The table of every piece's coefficients is built on the first read that
+    finds the short-read budget (``_SHORT_READ`` points) spent. Until then a
+    read builds only the pieces its points land in, on Python floats
+    (``hermite_at``), with the table's bits.
     """
 
     def __init__(self, x, *derivatives):
@@ -746,6 +782,13 @@ class Hermite:
         j = len(derivatives[-1])  # nodes the last array covers
         if any(len(a) != n for a in derivatives[:-1]) or not (j == n or (2 <= j < n and k > 2)):
             raise ValueError("each derivative array must cover every node; the last may cover the first j >= 2, k > 2")
+        self._d = tuple(np.asarray(a, dtype=float) for a in derivatives)
+        self._short_budget = _SHORT_READ
+
+    @cached_property
+    def _coef(self):
+        h, d = self._h, self._d
+        k, n, j = len(d), self.x.size, d[-1].size
         # row i: h^i/i!, the unit of the i-th derivative's Taylor coefficient; the
         # last only on the pieces that use it, up to node j - 1 (past it h may be long)
         unit = np.empty((k, n - 1))
@@ -755,20 +798,25 @@ class Hermite:
         unit[-1, : j - 1] = unit[-2, : j - 1] * h[: j - 1] / (k - 1)
         # coefficients of theta^0 .. theta^(2k-1), one column per piece: from all k
         # arrays up to node j - 1, from the first k - 1 past it (two top rows zero)
-        coef = self._coef = np.zeros((2 * k, n - 1))
-        _fill_pieces(coef[:, : j - 1], np.array([a[:j] for a in derivatives], dtype=float), unit[:, : j - 1])
+        coef = np.zeros((2 * k, n - 1))
+        _fill_pieces(coef[:, : j - 1], np.array([a[:j] for a in d]), unit[:, : j - 1])
         if j < n:
-            past = np.array(derivatives[:-1], dtype=float)[:, j - 1 :]
-            _fill_pieces(coef[:-2, j - 1 :], past, unit[:-1, j - 1 :])
+            _fill_pieces(coef[:-2, j - 1 :], np.array(d[:-1])[:, j - 1 :], unit[:-1, j - 1 :])
+        return coef
 
     @cached_property
     def _dcoef(self):
         return self._coef[1:] * np.arange(1.0, self._coef.shape[0])[:, None]
 
-    def _at(self, coef, xq, derivative):
+    def _at(self, xq, derivative):
         xq = np.asarray(xq, dtype=float)
+        if "_coef" not in self.__dict__ and xq.size <= self._short_budget:
+            self._short_budget -= xq.size
+            out = [hermite_at(self.x, self._d, q)[derivative] for q in xq.ravel().tolist()]
+            return out[0] if xq.ndim == 0 else np.array(out).reshape(xq.shape)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
+        coef = self._dcoef if derivative else self._coef
         # the piece whose left node is the last node <= xq; the end pieces extend outward
         i = np.searchsorted(self.x[1:-1], xq, side="right")
         out = horner(np.take(coef, i, axis=1), (xq - self.x[i]) / self._h[i])
@@ -777,7 +825,7 @@ class Hermite:
         return float(out[0]) if scalar else out
 
     def value(self, xq):
-        return self._at(self._coef, xq, False)
+        return self._at(xq, False)
 
     def derivative(self, xq):
-        return self._at(self._dcoef, xq, True)
+        return self._at(xq, True)

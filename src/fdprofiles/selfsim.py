@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, RegimeMismatch
-from .integrate import Solution
+from .integrate import Solution, _exp
 from .model import Regime, classify_regime
 
 __all__ = ["PDE_RADII", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "residual_grid", "pde_residual"]
@@ -34,16 +34,12 @@ __all__ = ["PDE_RADII", "SelfSimilarSolution", "ResidualStats", "build_selfsimil
 # SIMD level and the array's length, and the residual's h/2 stencil amplifies
 # one such bit of u^m by about 4*(n-1)/(m*h^2), to ~1% of the reported
 # residual. So a point gets the same bits alone or in an array, on any CPU.
+# ``integrate._exp`` is the exponential, shared with the log chart's tail reads.
 _POW = np.frompyfunc(math.pow, 2, 1)
-_EXP = np.frompyfunc(math.exp, 1, 1)
 
 
 def _pow(x, p):
     return np.asarray(_POW(x, p), dtype=float)
-
-
-def _exp(x):
-    return np.asarray(_EXP(x), dtype=float)
 
 
 @dataclass(frozen=True)

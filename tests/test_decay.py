@@ -192,8 +192,11 @@ class TestPowerDecay:
         # s = 0, 2.3, 4.6, 6.9 q then rises, falls and rises again
         sol = solved(3, 0.2, 1.25, 1.0)
         lp = sol.logprofile
-        bumped = SimpleNamespace(s_end=lp.s_end, rtol=lp.rtol, eval_g=lp.eval_g,
-                                 eval_w=lambda s: lp.eval_w(s) * np.exp((1.0 - 0.2) * 0.01 * np.sin(s)))
+        def bumped_eval(s, *parts):
+            return tuple(x * np.exp((1.0 - 0.2) * 0.01 * np.sin(s)) if p == "w" else x
+                         for p, x in zip(parts, lp.eval(s, *parts)))
+
+        bumped = SimpleNamespace(s_end=lp.s_end, rtol=lp.rtol, eval=bumped_eval)
         est = estimate_power_decay(SimpleNamespace(params=sol.params, logprofile=bumped))
         assert est.direction == "mixed"
 
@@ -293,11 +296,16 @@ class TestEternalTail:
         # Radau IIA stretch of (3, 0.1) reads 6.2e-11 in w and 2.1e-9 in w_s,
         # as it did before the tail, so the bounds over the whole chart are
         # 1e-10 and 3e-9; past the switch w_s is within 1e-9. The a0 of a chart
-        # stepped to s_end at the default tolerances read up to 6.4e-10 off
+        # stepped to s_end at the default tolerances read up to 6.4e-10 off.
+        # The tail's w and w_s between its nodes come from its relation, so the
+        # midpoints of the tail's pieces are stops of the reference as well.
         lp = solved(n, m, eternal_alpha(m, beta), beta).logprofile
         sgrid, _, a_fit, _ = log_tail_fit(lp)
-        s, w, ws = _stepped_reference(n, m, beta, sgrid)
+        tail_nodes = lp.s[lp.s >= lp.qss_switch_s]
+        mid = 0.5 * (tail_nodes[1:] + tail_nodes[:-1])
+        s, w, ws = _stepped_reference(n, m, beta, np.union1d(sgrid, mid))
         assert lp.qss_switch_s is not None and s[-1] == lp.s_end == 40.0
+        assert mid.size > 20 and np.all(np.isin(mid[mid <= 39.5], s))
         inside = (s >= 0.5) & (s <= 39.5)
         tail = inside & (s >= lp.qss_switch_s)
         err_w = np.abs(lp.eval_w(s) - w) / w

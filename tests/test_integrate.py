@@ -216,6 +216,42 @@ class TestDeferredReads:
         new = dataclasses.replace(sol, profile=prof)
         assert new.diagnostics["r_steps"] == prof.n_steps and new.diagnostics["r_nfev"] == prof.nfev
 
+    @pytest.mark.parametrize("alpha", [2.5, 1.25, -1.0])
+    def test_decay_readouts_place_no_tail_node_and_build_no_log_chart_table(self, alpha):
+        # the estimators read a few points, off the stepped nodes' pieces and the tail's relation
+        from fdprofiles.decay import log_tail_fit
+
+        sol = solve_profile(P(alpha))
+        lp = sol.logprofile
+        if alpha == 2.5:
+            estimate_log_decay(sol)
+            log_tail_fit(lp)
+        else:
+            estimate_power_decay(sol)
+        assert lp.tail is not None and not {"s", "w", "g", "gs", "_nodes"} & set(vars(lp))
+        interps = [vars(lp)[name] for name in ("_w_interp", "_g_interp") if name in vars(lp)]
+        assert interps and not any("_coef" in vars(h) for h in interps)
+
+    @pytest.mark.parametrize("alpha", [2.5, 1.25, -1.0, 0.0])
+    def test_tail_nodes_placed_on_demand_are_those_of_the_slow_tail(self, alpha):
+        # the decay readouts first, then the node readers: the stepped nodes and then, bit for bit, the
+        # nodes _slow_tail places from the switch node, one for each step the counters count
+        from fdprofiles.integrate import _chart_coeffs, _qss_switch, _slow_tail
+
+        sol = solve_profile(P(alpha))
+        lp = sol.logprofile
+        if alpha == 2.5:
+            estimate_log_decay(sol)
+        else:
+            estimate_power_decay(sol)
+        head, sigma = lp.head, lp.tail.sigma
+        d, e, _ = _qss_switch(_chart_coeffs(3, 0.2, alpha, 1.0)._replace(sigma=sigma), 3, 1.0)
+        tail = _slow_tail(sigma, d, e, lp.qss_switch_s, math.log(head.y[-1]), 40.0)
+        for got, stepped, placed in zip((lp.s, lp.w, lp.g, lp.gs), (head.t, head.y, head.z, head.fz), tail):
+            assert np.array_equal(got, np.concatenate([stepped, placed]))
+        assert lp.s.size == lp.n_steps + 1 == sol.diagnostics["s_steps"] + 1
+        assert np.array_equal(lp.ws, lp.g + lp.sigma * lp.w) and np.array_equal(lp.wss, lp.gs + lp.sigma * lp.ws)
+
 
 class TestOverlap:
     GRID = [
@@ -532,10 +568,15 @@ class TestRChartStiffSwitch:
         for rq, interp in r_sides:
             v, dv = prof.eval(rq)
             assert rq.size and np.array_equal(v, interp.value(rq)) and np.array_equal(dv, interp.derivative(rq))
-        s_sides = self.stretches(lp.s, lp.w, lp.ws, lp.wss, lp.wsss, np.linspace(lp.s_start, lp.s_end, 3001))
+        # the log chart's nodes are interpolated up to the slow tail's switch, which the tail's relation serves past
+        k = lp.head.t.size
+        sq = np.linspace(lp.s_start, lp.s_end, 3001)
+        s_sides = self.stretches(lp.s[:k], lp.w[:k], lp.ws[:k], lp.wss[:k], lp.wsss, sq[sq <= lp.qss_switch_s])
         assert len(s_sides) == 2
-        for sq, interp in s_sides:
-            assert sq.size and np.array_equal(lp.eval_w(sq), interp.value(sq))
+        for q, interp in s_sides:
+            assert q.size and np.array_equal(lp.eval_w(q), interp.value(q))
+        past = sq[sq > lp.qss_switch_s]
+        assert past.size and np.array_equal(lp.eval_w(past), lp.tail.w(past))
 
     def test_large_eta_runaway_is_cheap(self):
         # fuzz draw 46 of default_rng(3): DOP853 alone takes 278,336 steps to r = 2,
@@ -888,6 +929,63 @@ class TestStiffTail:
         w_ref, g_ref = ref.y
         assert np.max(np.abs(lp.w[tail] - w_ref) / w_ref) <= 1e-12
         assert np.max(np.abs(lp.g[tail] - g_ref) / np.abs(g_ref)) <= 1e-12
+
+
+# an eternal chart, two power charts and alpha = 0, where g = 0 on the tail
+TAIL_ROWS = [(3, 0.2, 2.5, 1.0), (6, 0.25, eternal_alpha(0.25, 1.0), 1.0), (3, 0.2, 1.25, 1.0),
+             (3, 0.2, -1.0, 1.0), (3, 0.2, 0.0, 1.0)]
+
+
+class TestTailReads:
+    """Reads past ``qss_switch_s`` come from the tail's relation, one inversion per point."""
+
+    @pytest.mark.parametrize("row", TAIL_ROWS)
+    def test_a_point_has_the_same_bits_alone_and_in_short_and_long_arrays(self, row):
+        # on the stepped stretch and on the tail, each read on a chart of its own, so
+        # that no table is built before it: alone a point is read on floats, a short
+        # array point by point, a long one element by element on arrays
+        from fdprofiles.integrate import _TAIL_SHORT_READ
+
+        def chart():
+            return solve_profile(P(row[2], n=row[0], m=row[1], beta=row[3])).logprofile
+
+        switch = chart().qss_switch_s
+        points = np.array([0.0, 0.5 * switch, switch, np.nextafter(switch, 40.0), 0.5 * (switch + 40.0), 39.0, 40.0])
+        filler = np.linspace(0.0, 40.0, 4 * _TAIL_SHORT_READ)
+        assert np.sum(filler > switch) > _TAIL_SHORT_READ
+        for part in ("w", "g", "ws"):
+            alone = [chart().eval(float(x), part)[0] for x in points]
+            assert all(type(x) is float for x in alone)
+            short = chart().eval(points, part)[0]
+            long = chart().eval(np.concatenate([filler, points]), part)[0][filler.size :]
+            assert np.array_equal(short, alone) and np.array_equal(long, alone), part
+
+    @pytest.mark.parametrize("row", TAIL_ROWS)
+    def test_reads_at_the_tail_nodes_are_within_4_ulps_of_them(self, row):
+        # g to 4 ulps; w to 4 ulps of log w, the tail's own variable: a node's s is
+        # rounded, and at sigma*s ~ 100 an ulp of s moves w by ~100 of its ulps
+        lp = solve_profile(P(row[2], n=row[0], m=row[1], beta=row[3])).logprofile
+        k = lp.head.t.size
+        s, w, g, ws = lp.s[k:], lp.w[k:], lp.g[k:], lp.ws[k:]
+        assert s.size > 40
+        rw, rg, rws = lp.eval(s, "w", "g", "ws")
+        dw = 4.0 * w * np.spacing(np.log(w))
+        assert np.all(np.abs(rw - w) <= dw)
+        assert np.all(np.abs(rg - g) <= 4.0 * np.spacing(np.abs(g)))
+        assert np.all(np.abs(rws - ws) <= abs(lp.sigma) * dw + 4.0 * np.spacing(np.abs(g)))
+        # at s_end the read takes the last node's log w, which the tail was set up with
+        assert lp.eval_w(40.0) == math.exp(lp.tail.ly_end) and np.exp(lp.tail.ly_end) == w[-1]
+
+    @pytest.mark.parametrize("row", TAIL_ROWS)
+    def test_reads_on_the_two_sides_of_the_switch_meet(self, row):
+        # one ulp of s either side: w meets to rounding, and g jumps by qss_gap, the
+        # stepped g's distance from the manifold at the switch node (0 at alpha = 0)
+        lp = solve_profile(P(row[2], n=row[0], m=row[1], beta=row[3])).logprofile
+        switch = lp.qss_switch_s
+        (w0, g0, ws0), (w1, g1, ws1) = (lp.eval(np.nextafter(switch, s), "w", "g", "ws") for s in (0.0, 40.0))
+        assert abs(w1 - w0) <= 1e-14 * w1
+        assert abs(g1 - g0) <= (lp.qss_gap + 1e-14) * abs(g1)
+        assert abs(ws1 - ws0) <= abs(g1 - g0) + abs(lp.sigma) * abs(w1 - w0) + 1e-14 * abs(ws1)
 
 
 class TestStiffSwitch:

@@ -75,12 +75,15 @@ class TestPointwise:
 
     def test_corrupted_log_chart_node_detected_with_location(self, eternal_n3):
         # past the r-chart's end only the log chart holds the profile: g = 3w
-        # there makes r*v'/v = (g/w + sigma - 2)/(1-m) positive although alpha > 0
+        # there makes r*v'/v = (g/w + sigma - 2)/(1-m) positive although alpha > 0;
+        # the node is a stepped one, whose g the chart's head holds
         lp = eternal_n3.logprofile
-        idx = (np.searchsorted(lp.s, math.log(eternal_n3.profile.r_end)) + lp.s.size) // 2
-        bad_g = lp.g.copy()
-        bad_g[idx] = 3.0 * lp.w[idx]
-        bad_sol = dataclasses.replace(eternal_n3, logprofile=dataclasses.replace(lp, g=bad_g))
+        head = lp.head
+        idx = (np.searchsorted(head.t, math.log(eternal_n3.profile.r_end)) + head.t.size) // 2
+        bad_g = head.z.copy()
+        bad_g[idx] = 3.0 * head.y[idx]
+        bad_lp = dataclasses.replace(lp, head=dataclasses.replace(head, z=bad_g))
+        bad_sol = dataclasses.replace(eternal_n3, logprofile=bad_lp)
         entry = check_pointwise(bad_sol).entry("dv_sign")
         assert not entry.passed
         assert entry.location == pytest.approx(math.exp(lp.s[idx]))

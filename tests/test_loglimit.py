@@ -120,9 +120,17 @@ class TestLogEquation:
         start = integrate.handoff_to_log(prof, 0.0)
         ref = integrate.integrate_log(3, 0.0, 2.0, 1.0, start, 40.0)
         lp = log_chart_of_log_equation(3, 2, 1, 1)
+
+        def same(got, want):
+            if dataclasses.is_dataclass(want):  # the stepped head, a RawPath
+                return all(same(getattr(got, f.name), getattr(want, f.name)) for f in dataclasses.fields(want)
+                           if f.compare)
+            return np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
         for field in dataclasses.fields(LogProfile):
-            got, want = getattr(lp, field.name), getattr(ref, field.name)
-            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
+            assert same(getattr(lp, field.name), getattr(ref, field.name)), field.name
+        for name in ("s", "w", "ws", "wss", "wsss", "g", "gs"):
+            assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
 
 
 class TestCrossSolverAgreement:

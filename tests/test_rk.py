@@ -362,10 +362,43 @@ def test_hermite_correction_table_is_the_exact_inverse(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_hermite_scalar_and_array_queries_have_the_same_bits(k):
     path = integrate_2d(lambda t, y, z: (z, -y), 0.0, 0.0, 1.0, 6.0, 1e-10, 1e-12)
-    interp = Hermite(path.t, *(path.y, path.z, -path.y, -path.z)[:k])
-    xs = np.random.default_rng(k).uniform(0.0, 6.0, 200)
-    for evaluate in (interp.value, interp.derivative):
-        assert np.array_equal(evaluate(xs), [evaluate(float(x)) for x in xs])
+    x, d = path.t, (path.y, path.z, -path.y, -path.z)[:k]
+    # for k > 2 the last array stops at node j - 1, the seam past which the pieces are two degrees lower
+    j = x.size if k == 2 else x.size // 2
+
+    def fresh():
+        return Hermite(x, *d[:-1], d[-1][:j])
+
+    built = fresh()
+    rng = np.random.default_rng(k)
+    xs = rng.uniform(0.0, 6.0, 200)
+    for evaluate in (built.value, built.derivative):
+        assert np.array_equal(evaluate(xs), [evaluate(float(q)) for q in xs])
+    assert "_coef" in built.__dict__
+    # short reads on a table not yet built, piece by piece on floats: the end pieces, also
+    # past the nodes where they extend outward, and both sides of the seam, each node included
+    seam = x[j - 1]
+    points = [x[0] - 0.1, x[0], 0.5 * (x[0] + x[1]), x[j - 2], 0.5 * (x[j - 2] + seam), seam,
+              0.5 * (seam + x[min(j, x.size - 1)]), x[-2], 0.5 * (x[-2] + x[-1]), x[-1], x[-1] + 0.1]
+    for method in ("value", "derivative"):
+        ref = getattr(built, method)
+        for q in points:
+            interp = fresh()
+            got = getattr(interp, method)(q)
+            assert type(got) is float and got == ref(q), (method, q)
+            assert "_coef" not in interp.__dict__
+        for size in range(1, rk._SHORT_READ + 1):
+            q = rng.choice(points, size)
+            interp = fresh()
+            got = getattr(interp, method)(q)
+            assert np.array_equal(got, ref(q)) and got.shape == q.shape, (method, q)
+            assert "_coef" not in interp.__dict__
+        # the budget counts every short read: once it is spent the next read builds the table
+        interp = fresh()
+        assert [getattr(interp, method)(q) for q in points[: rk._SHORT_READ]] == list(ref(points[: rk._SHORT_READ]))
+        assert "_coef" not in interp.__dict__
+        assert getattr(interp, method)(points[-1]) == ref(points[-1])
+        assert "_coef" in interp.__dict__
 
 
 @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]]])
