@@ -34,7 +34,7 @@ import numpy as np
 from .errors import HypothesisViolation, OutOfRange, ProfileError
 from .model import Parameters, at_endpoint, chart_constants, exponent_relation, require
 from .rk import POSITIVITY_FLOOR, Hermite, RawPath, hermite_at, integrate_2d
-from .series import SeriesExpansion, eval_series, horner, seed_within
+from .series import SeriesExpansion, eval_series, horner, libm_exp, libm_log, seed_within
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -330,9 +330,9 @@ class LogProfile:
         if s.ndim == 0:
             w = tail.w(float(s))
         elif s.size <= _TAIL_SHORT_READ:
-            w = np.array([tail.w(x) for x in s.tolist()])
+            w = np.array([tail.w(x) for x in s.ravel().tolist()]).reshape(s.shape)
         else:
-            w = tail.w(s)
+            w = tail.w(s.ravel()).reshape(s.shape)
         got = {"w": w}
         if "g" in parts or "ws" in parts:
             g = got["g"] = tail.g(w)
@@ -573,7 +573,7 @@ _QSS_DLY = 0.08
 # 0.01 (the eternal decay grid and n = 3 at m = 0.1 and 0.02). Read from the
 # tail's relation it reads at most 1.1e-12 there; the node readers keep 0.02.
 _ETERNAL_DLY = 0.02
-# The tail takes Phi, the integral of G/F in x = 1/w (``_slow_tail``), from
+# The tail takes Phi, the integral of G/F in x = 1/w (``_power_relation``), from
 # one Chebyshev interpolant of G/F at this many Lobatto points of
 # [0, 1/w_switch]. Near sigma = _QSS_MIN_SIGMA, F = sigma + x*G vanishes
 # just left of that interval (at x = -0.13/w_switch for n = 10, m = 0.0008,
@@ -591,6 +591,16 @@ _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 _TAIL_SHORT_READ = 24
 # Newton steps ``_Tail._invert`` takes at most; every start measured converged in 6.
 _NEWTON_STEPS = 16
+# A tail read stops after a point's first Newton step of at most this much in
+# log w. The error that step leaves is about K*step^2 <= 9e-18*K in log w,
+# below the rounding of s(log w) itself, with K = |dF/d(log w)|/(2F): it
+# tends to 1/2 on an eternal tail and to 0 on a power one, and the ratio of
+# a step to the square of the one before read at most 0.67 on the tails of
+# n = 3..30, m across its range, sigma from 0.021 to 2.99 and 0, to s = 40
+# and 1e6. A step below 1e-15 of log w to confirm the stop, as the last
+# node's log w takes (``_tail``), cost an eternal tail's points a fourth step
+# each: one more exp and one more evaluation of the relation.
+_NEWTON_STOP = 3e-9
 # The longest piece between the log chart's nodes: a quintic Hermite piece of
 # them forms h^2/2. An eternal chart's tail pieces reach it near s = 6.7e155;
 # only a chart longer than _H_MAX can, and ``integrate_log`` places its nodes
@@ -689,35 +699,6 @@ def _clenshaw(c: list[float], t):
     return t * b1 - b2 + c[0]
 
 
-# exp and log element by element from the C library, as on floats: numpy's
-# vectorized exp and log round some elements differently in the last bit,
-# depending on the CPU's SIMD level and the array's length. So a tail read
-# has the same bits alone or in an array.
-def _elementwise(f, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _exp(x):
-    return _elementwise(math.exp, x)
-
-
-def _log(x):
-    return _elementwise(math.log, x)
-
-
-class _Ops(NamedTuple):
-    """log and the lesser and greater of two, on floats or element by element on arrays."""
-
-    log: object
-    lesser: object
-    greater: object
-
-
-_FLOATS = _Ops(math.log, min, max)
-_ARRAYS = _Ops(_log, np.minimum, np.maximum)
-
-
 class _PowerRelation(NamedTuple):
     """The tail's relation at sigma > 0, s as a function of log w (``_power_relation``), as plain numbers.
 
@@ -736,11 +717,13 @@ class _PowerRelation(NamedTuple):
     def place(self, ly, x):
         return (ly + _clenshaw(self.c, 2.0 * x / self.x0 - 1.0) - self.log_c) / self.sigma
 
-    def start(self, s, ops: _Ops):
-        """A start for log w at s: F moves monotonically from F(x0) to sigma, so holding F at F(x0) and
-        setting Phi = 0 both over- or both undershoot, and the nearer of the two is taken."""
-        near = ops.lesser if self.f0 > self.sigma else ops.greater
-        return near(self.ly0 + self.f0 * (s - self.s0), self.sigma * s + self.log_c)
+    def start(self, s):
+        """A start for log w at s, a float or an array: F moves monotonically from F(x0) to sigma, so holding
+        F at F(x0) and setting Phi = 0 both over- or both undershoot, and the nearer of the two is taken."""
+        held, free = self.ly0 + self.f0 * (s - self.s0), self.sigma * s + self.log_c
+        if np.ndim(s):
+            return np.minimum(held, free) if self.f0 > self.sigma else np.maximum(held, free)
+        return min(held, free) if self.f0 > self.sigma else max(held, free)
 
 
 class _EternalRelation(NamedTuple):
@@ -761,10 +744,10 @@ class _EternalRelation(NamedTuple):
     def place(self, ly, x):
         return self.base + self.e0 / x + self.e1 * ly - x * horner(self.p, x)
 
-    def start(self, s, ops: _Ops):
-        """A start for log w at s: w0 + G(x0)*(s - s0), from which Newton's method took at most 6 steps on
-        n = 3..30, m across its range, beta from 0.25 to 4 and s up to 1e8."""
-        return ops.log(1.0 / self.x0 + self.g0 * (s - self.s0))
+    def start(self, s):
+        """A start for log w at s, a float or an array: w0 + G(x0)*(s - s0), from which Newton's method took
+        at most 6 steps on n = 3..30, m across its range, beta from 0.25 to 4 and s up to 1e8."""
+        return libm_log(1.0 / self.x0 + self.g0 * (s - self.s0))
 
 
 def _power_relation(sigma: float, d: tuple[float, ...], s0: float, ly0: float) -> _PowerRelation:
@@ -849,39 +832,38 @@ class _Tail(NamedTuple):
 
     def _invert(self, s):
         """log w at s, by Newton's method from the relation's start, each step kept within [ly0, ly_max]: a float
-        for a float s, element by element on an array, with the same operations. Each point stops on its own,
-        once its step is below 1e-15 of log w."""
+        for a float s, element by element on a 1-d array, with the same operations. Each point stops on its
+        own, after its first step of at most _NEWTON_STOP."""
         lo, hi = self.ly0, self.ly_max
         if np.ndim(s) == 0:
-            s = float(s)
-            ly = min(self.relation.start(s, _FLOATS), hi)
+            ly = min(self.relation.start(s), hi)
             for _ in range(_NEWTON_STEPS):
                 step = self._step(ly, math.exp(-ly), s)
                 ly = min(max(ly - step, lo), hi)
-                if abs(step) <= 1e-15 * max(1.0, abs(ly)):
+                if abs(step) <= _NEWTON_STOP:
                     break
             return ly
-        out = np.minimum(self.relation.start(s, _ARRAYS), hi)
+        out = np.minimum(self.relation.start(s), hi)
         going, ly = np.arange(s.size), out
         for _ in range(_NEWTON_STEPS):
-            step = self._step(ly, _exp(-ly), s)
+            step = self._step(ly, libm_exp(-ly), s)
             ly = np.minimum(np.maximum(ly - step, lo), hi)
             out[going] = ly
-            on = ~(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(ly)))
+            on = ~(np.abs(step) <= _NEWTON_STOP)
             if not on.any():
                 break
             going, ly, s = going[on], ly[on], s[on]
         return out
 
     def w(self, s):
-        """w at s from one inversion: a float for a float s, element by element on an array, with the same bits.
-
-        At s_end log w is ``ly_end``, which ``_invert`` gave when the tail was set up.
-        """
+        """w at s from one inversion: a float for a float s, element by element on a 1-d array, with the same
+        bits. At s_end log w is ``ly_end``, that of the last node."""
         if np.ndim(s) == 0:
             s = float(s)
             return math.exp(self.ly_end if s == self.s_end else self._invert(s))
-        return _exp(self._invert(s))
+        ly = self._invert(s)
+        ly[s == self.s_end] = self.ly_end
+        return libm_exp(ly)
 
     def g(self, w):
         """g = G(w) on the manifold, on a float or element by element on an array."""
@@ -922,18 +904,18 @@ def _tail(sigma: float, d: list[float], e: list[float] | None, s0: float, ly0: f
     s_max = relation.place(ly_max, math.exp(-ly_max))
     if not s_end <= s_max:
         raise ProfileError("w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end", s_max)
-    # _invert reads neither ly_end nor pieces, which follow from it
+    # log w at s_end: Newton's steps as in _Tail._invert, which reads neither ly_end nor pieces, but
+    # on until a step is below 1e-15 of log w, which settles it to rounding; the nodes are spaced from it
     tail = _Tail(sigma, d, relation, ly0, ly_max, s_end, ly_end=ly0, pieces=0)
-    end = tail._invert(s_end)
+    end = min(relation.start(s_end), ly_max)
+    for _ in range(_NEWTON_STEPS):
+        step = tail._step(end, math.exp(-end), s_end)
+        end = min(max(end - step, ly0), ly_max)
+        if abs(step) <= 1e-15 * max(1.0, abs(end)):
+            break
     # k equal pieces up to it, none longer than the spacing and none a sliver
     dly = _QSS_DLY if sigma else _ETERNAL_DLY
     return tail._replace(ly_end=end, pieces=max(1, math.ceil((end - ly0) / dly)))
-
-
-def _slow_tail(sigma: float, d: list[float], e: list[float] | None, s0: float, ly0: float,
-               s_end: float) -> tuple[np.ndarray, ...]:
-    """Nodes (s, w, g, g_s) of the slow-manifold tail after (s0, log w = ly0), the last at s_end (``_Tail``)."""
-    return _tail(sigma, d, e, s0, ly0, s_end).nodes()
 
 
 def integrate_log(
@@ -977,7 +959,7 @@ def integrate_log(
     integral of 1/(x^2*G), term by term in the series of 1/G. Here it is set
     up, log w at s_max found and the tail's node pieces counted; dense reads
     past the switch invert the relation at their own points, and its nodes
-    are placed (``_slow_tail``) only when a node reader asks for them
+    are placed (``_Tail.nodes``) only when a node reader asks for them
     (``LogProfile``). ``qss_gap`` records the jump this puts into g:
     |g - G(w)|/|G| at the switch node reads 5.1e-14..2.7e-12 on the sigma > 0
     invariant grid rows (n <= 6; exactly 0 at alpha = 0, where g = G = 0) and

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, RegimeMismatch
-from .integrate import Solution, _exp
+from .integrate import Solution
 from .model import Regime, classify_regime
+from .series import libm_exp
 
 __all__ = ["PDE_RADII", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "residual_grid", "pde_residual"]
 
@@ -34,7 +35,7 @@ __all__ = ["PDE_RADII", "SelfSimilarSolution", "ResidualStats", "build_selfsimil
 # SIMD level and the array's length, and the residual's h/2 stencil amplifies
 # one such bit of u^m by about 4*(n-1)/(m*h^2), to ~1% of the reported
 # residual. So a point gets the same bits alone or in an array, on any CPU.
-# ``integrate._exp`` is the exponential, shared with the log chart's tail reads.
+# The exponential is ``series.libm_exp``, shared with the log chart's tail reads.
 _POW = np.frompyfunc(math.pow, 2, 1)
 
 
@@ -73,7 +74,7 @@ class SelfSimilarSolution:
                 )
             tt = self.T - t
             return _pow(tt, self.alpha), _pow(tt, self.beta), tt
-        return _exp(-self.alpha * t), _exp(-self.beta * t), np.ones_like(t)
+        return libm_exp(-self.alpha * t), libm_exp(-self.beta * t), np.ones_like(t)
 
     def value(self, x_abs, t):
         """u(|x|, t); array arguments broadcast against each other."""

@@ -232,11 +232,20 @@ class TestDeferredReads:
         interps = [vars(lp)[name] for name in ("_w_interp", "_g_interp") if name in vars(lp)]
         assert interps and not any("_coef" in vars(h) for h in interps)
 
+    # per alpha: the number of the tail's nodes, and (s, w, g, g_s) at the middle one, pinned to rounding
+    # (scripts/output_digest.py's charts group holds the bits of every node)
+    PLACED = {
+        2.5: (55, 27, (22.716754027883866, 48.32087270351508, 2.002585266660301, -0.00021558925030235463)),
+        1.25: (455, 227, (21.84388205879294, 7515730903.064919, 1.5000000001995817, -1.9958138759109585e-10)),
+        -1.0: (1327, 663, (21.071035395154574, 2.56116177635044e25, -1.9199999999999995, 5.877332755391059e-25)),
+        0.0: (935, 467, (21.339072774700487, 3.4267554326981304e18, 0.0, 0.0)),
+    }
+
     @pytest.mark.parametrize("alpha", [2.5, 1.25, -1.0, 0.0])
     def test_tail_nodes_placed_on_demand_are_those_of_the_slow_tail(self, alpha):
         # the decay readouts first, then the node readers: the stepped nodes and then, bit for bit, the
-        # nodes _slow_tail places from the switch node, one for each step the counters count
-        from fdprofiles.integrate import _chart_coeffs, _qss_switch, _slow_tail
+        # nodes _Tail.nodes places from the switch node, one for each step the counters count
+        from fdprofiles.integrate import _chart_coeffs, _qss_switch, _tail
 
         sol = solve_profile(P(alpha))
         lp = sol.logprofile
@@ -246,9 +255,12 @@ class TestDeferredReads:
             estimate_power_decay(sol)
         head, sigma = lp.head, lp.tail.sigma
         d, e, _ = _qss_switch(_chart_coeffs(3, 0.2, alpha, 1.0)._replace(sigma=sigma), 3, 1.0)
-        tail = _slow_tail(sigma, d, e, lp.qss_switch_s, math.log(head.y[-1]), 40.0)
+        tail = _tail(sigma, d, e, lp.qss_switch_s, math.log(head.y[-1]), 40.0).nodes()
         for got, stepped, placed in zip((lp.s, lp.w, lp.g, lp.gs), (head.t, head.y, head.z, head.fz), tail):
             assert np.array_equal(got, np.concatenate([stepped, placed]))
+        count, middle, values = self.PLACED[alpha]
+        assert tail[0].size == count
+        assert [a[middle] for a in tail] == pytest.approx(values, rel=1e-15, abs=0.0)
         assert lp.s.size == lp.n_steps + 1 == sol.diagnostics["s_steps"] + 1
         assert np.array_equal(lp.ws, lp.g + lp.sigma * lp.w) and np.array_equal(lp.wss, lp.gs + lp.sigma * lp.ws)
 
@@ -744,14 +756,14 @@ class TestStiffTail:
         # n = 10 and 1e-7 at n = 30.
         from scipy.integrate import quad as adaptive_quad
 
-        from fdprofiles.integrate import _chart_coeffs, _qss_switch, _slow_tail
+        from fdprofiles.integrate import _chart_coeffs, _qss_switch, _tail
 
         for mfrac in (1e-3, 0.5, 0.999):
             m = mfrac * (n - 2) / n
             for sigma in (0.021, 0.05, 1.0, 2.99, 0.0):
                 cc = _chart_coeffs(n, m, (2.0 - sigma) / (1.0 - m), 1.0)._replace(sigma=sigma)
                 d, e, w_switch = _qss_switch(cc, n, 1.0)
-                s, w, _, _ = _slow_tail(cc.sigma, d, e, 0.0, math.log(w_switch), 40.0)
+                s, w, _, _ = _tail(cc.sigma, d, e, 0.0, math.log(w_switch), 40.0).nodes()
 
                 def inv_rate(ly):
                     x = math.exp(-ly)
@@ -792,14 +804,14 @@ class TestStiffTail:
     def test_stalled_manifold_is_a_profile_error(self):
         # a manifold rate F = sigma + G/w <= 0 would never reach s_end: here
         # G = -1e4 at w = 5e3 gives F = 1 - 2 = -1
-        from fdprofiles.integrate import _reciprocal_series, _slow_tail
+        from fdprofiles.integrate import _reciprocal_series, _tail
 
         with pytest.raises(ProfileError, match="stops growing") as exc:
-            _slow_tail(1.0, [-1e4], None, 5.0, math.log(5000.0), 40.0)
+            _tail(1.0, [-1e4], None, 5.0, math.log(5000.0), 40.0)
         assert exc.value.location == 5.0
         # at sigma = 0, F = G/w: G = 1 - 2e4/w is -3 at w = 5e3
         with pytest.raises(ProfileError, match="stops growing") as exc:
-            _slow_tail(0.0, [1.0, -2e4], _reciprocal_series([1.0, -2e4]), 5.0, math.log(5000.0), 40.0)
+            _tail(0.0, [1.0, -2e4], _reciprocal_series([1.0, -2e4]), 5.0, math.log(5000.0), 40.0)
         assert exc.value.location == 5.0
 
     @pytest.mark.parametrize("n", range(3, 31))
@@ -986,6 +998,25 @@ class TestTailReads:
         assert abs(w1 - w0) <= 1e-14 * w1
         assert abs(g1 - g0) <= (lp.qss_gap + 1e-14) * abs(g1)
         assert abs(ws1 - ws0) <= abs(g1 - g0) + abs(lp.sigma) * abs(w1 - w0) + 1e-14 * abs(ws1)
+
+
+    @pytest.mark.parametrize("alpha", [2.5, 1.25])
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 6)])
+    def test_a_query_of_any_shape_past_the_switch_is_read(self, alpha, shape):
+        # a 2-d query wholly past the switch, of at most _TAIL_SHORT_READ points and of more: each read
+        # has the query's shape and, point by point, the bits of the same read on the flat query
+        from fdprofiles.integrate import _TAIL_SHORT_READ
+
+        sol = solve_profile(P(alpha))
+        size = math.prod(shape)
+        assert (size <= _TAIL_SHORT_READ) == (shape == (2, 3))
+        r = np.geomspace(1.5 * math.exp(sol.logprofile.qss_switch_s), math.exp(39.0), size).reshape(shape)
+        for read in (sol.v, sol.dv, lambda rr: sol.w_q(rr)[0], lambda rr: sol.w_q(rr)[1]):
+            got = read(r)
+            assert got.shape == shape and np.array_equal(got.ravel(), read(r.ravel()))
+        for part in ("w", "g", "ws", "v"):
+            got = sol.logprofile.eval(np.log(r), part)[0]
+            assert got.shape == shape and np.array_equal(got.ravel(), sol.logprofile.eval(np.log(r).ravel(), part)[0])
 
 
 class TestStiffSwitch:

@@ -123,6 +123,14 @@ class TestResidual:
         bad = dataclasses.replace(ss, alpha=1.01 * ss.alpha)
         assert pde_residual(bad).max_rel_residual >= 100.0 * base
 
+    def test_stencil_past_the_log_charts_switch_is_read(self, solved):
+        # at r = 1e5 (s = 11.5) every stencil point of the eternal chart is past qss_switch_s = 9.4, so v and
+        # v' are read on stacked arrays that lie wholly on the slow tail
+        sol = solved(6, 0.25, 8.0 / 3.0, 1.0)
+        assert sol.logprofile.qss_switch_s < math.log(0.9e5)
+        stats = pde_residual(build_selfsimilar(sol, Regime.ETERNAL), radii=(1e5,))
+        assert np.isfinite(stats.max_rel_residual) and np.isfinite(stats.chain_rule_max_rel_diff)
+
     def test_out_of_range_stencil_rejected(self, eternal_wide):
         ss = build_selfsimilar(eternal_wide, Regime.ETERNAL)
         with pytest.raises(OutOfRange):
