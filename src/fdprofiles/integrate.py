@@ -593,13 +593,14 @@ _TAIL_SHORT_READ = 24
 _NEWTON_STEPS = 16
 # A tail read stops after a point's first Newton step of at most this much in
 # log w. The error that step leaves is about K*step^2 <= 9e-18*K in log w,
-# below the rounding of s(log w) itself, with K = |dF/d(log w)|/(2F): it
-# tends to 1/2 on an eternal tail and to 0 on a power one, and the ratio of
-# a step to the square of the one before read at most 0.67 on the tails of
-# n = 3..30, m across its range, sigma from 0.021 to 2.99 and 0, to s = 40
-# and 1e6. A step below 1e-15 of log w to confirm the stop, as the last
-# node's log w takes (``_tail``), cost an eternal tail's points a fourth step
-# each: one more exp and one more evaluation of the relation.
+# below the rounding of s(log w) itself, with K = |s''/(2s')| in the
+# variable the method runs in: at most 0.59 on power tails (in log w) and
+# 0.17 on eternal ones (in w), read as the ratio of a step to the square of
+# the one before on n = 3..30, m across its range, beta from 0.25 to 4 and
+# sigma from 0.021 to 2.99 and 0, to s = 40 and 1e8.
+# A step below 1e-15 of log w to confirm the stop, as the last node's log w
+# takes (``_tail``), would cost every point one more step: a C-library exp
+# or log and one more evaluation of the relation.
 _NEWTON_STOP = 3e-9
 # The longest piece between the log chart's nodes: a quintic Hermite piece of
 # them forms h^2/2. An eternal chart's tail pieces reach it near s = 6.7e155;
@@ -725,6 +726,17 @@ class _PowerRelation(NamedTuple):
             return np.minimum(held, free) if self.f0 > self.sigma else np.maximum(held, free)
         return min(held, free) if self.f0 > self.sigma else max(held, free)
 
+    # A read's Newton's method (``_Tail._invert``) runs in v = log w, in which s is near linear: ``at`` gives
+    # (log w, x = 1/w, dv/d(log w)) at v, ``w`` gives w, and ``v`` takes log w to v; on floats or arrays.
+    def at(self, ly):
+        return ly, libm_exp(-ly), 1.0
+
+    w = staticmethod(libm_exp)
+
+    @staticmethod
+    def v(ly):
+        return ly
+
 
 class _EternalRelation(NamedTuple):
     """The tail's relation at sigma = 0, s as a function of log w (``_eternal_relation``), as plain numbers.
@@ -745,9 +757,22 @@ class _EternalRelation(NamedTuple):
         return self.base + self.e0 / x + self.e1 * ly - x * horner(self.p, x)
 
     def start(self, s):
-        """A start for log w at s, a float or an array: w0 + G(x0)*(s - s0), from which Newton's method took
-        at most 6 steps on n = 3..30, m across its range, beta from 0.25 to 4 and s up to 1e8."""
-        return libm_log(1.0 / self.x0 + self.g0 * (s - self.s0))
+        """A start for w at s, a float or an array: w0 + G(x0)*(s - s0). On n = 3..30, m across its range, beta
+        from 0.25 to 4 and s up to 1e8, Newton's method took at most 6 steps from its log to log w at s_end
+        (``_tail``), and at most 4 in w to a read's stop."""
+        return 1.0 / self.x0 + self.g0 * (s - self.s0)
+
+    # A read's Newton's method (``_Tail._invert``) runs in v = w, in which s is near linear (s ~ e0*w), so
+    # that it takes neither a start's log nor a last exp: ``at`` gives (log w, x = 1/w, dv/d(log w)) at v,
+    # ``w`` gives w, and ``v`` takes log w to v; on floats or arrays.
+    def at(self, w):
+        return libm_log(w), 1.0 / w, w
+
+    @staticmethod
+    def w(w):
+        return w
+
+    v = staticmethod(math.exp)
 
 
 def _power_relation(sigma: float, d: tuple[float, ...], s0: float, ly0: float) -> _PowerRelation:
@@ -792,8 +817,9 @@ def _eternal_relation(d: tuple[float, ...], e: list[float], s0: float, ly0: floa
         P(x) = sum over k >= 2 of e_k*x^(k-1)/(k-1),
 
     so no interpolant is built. s is convex in log w wherever
-    G + x*G_x > 0, so Newton's method (``_Tail._invert``) moves down to the
-    root from above it, and from below it steps past the root once.
+    G + x*G_x > 0, so Newton's method in log w (``_tail``) moves down to the
+    root from above it, and from below it steps past the root once. A read's
+    runs in w itself (``_EternalRelation.at``), in which s is near linear.
     """
     x0 = math.exp(-ly0)
     g0 = horner(d, x0)
@@ -831,39 +857,42 @@ class _Tail(NamedTuple):
         return (self.relation.place(ly, x) - s) * (self.sigma + x * horner(self.d, x))
 
     def _invert(self, s):
-        """log w at s, by Newton's method from the relation's start, each step kept within [ly0, ly_max]: a float
-        for a float s, element by element on a 1-d array, with the same operations. Each point stops on its
-        own, after its first step of at most _NEWTON_STOP."""
-        lo, hi = self.ly0, self.ly_max
+        """w at s, by Newton's method in the relation's variable v from its start, each step kept within log w
+        in [ly0, ly_max]: a float for a float s, element by element on a 1-d array, with the same operations.
+        Each point stops on its own, after its first step of at most _NEWTON_STOP in log w."""
+        rel = self.relation
+        lo, hi = rel.v(self.ly0), rel.v(self.ly_max)
         if np.ndim(s) == 0:
-            ly = min(self.relation.start(s), hi)
+            v = min(max(rel.start(s), lo), hi)
             for _ in range(_NEWTON_STEPS):
-                step = self._step(ly, math.exp(-ly), s)
-                ly = min(max(ly - step, lo), hi)
+                ly, x, scale = rel.at(v)
+                step = self._step(ly, x, s)
+                v = min(max(v - step * scale, lo), hi)
                 if abs(step) <= _NEWTON_STOP:
                     break
-            return ly
-        out = np.minimum(self.relation.start(s), hi)
-        going, ly = np.arange(s.size), out
+            return rel.w(v)
+        out = np.minimum(np.maximum(rel.start(s), lo), hi)
+        going, v = np.arange(s.size), out
         for _ in range(_NEWTON_STEPS):
-            step = self._step(ly, libm_exp(-ly), s)
-            ly = np.minimum(np.maximum(ly - step, lo), hi)
-            out[going] = ly
+            ly, x, scale = rel.at(v)
+            step = self._step(ly, x, s)
+            v = np.minimum(np.maximum(v - step * scale, lo), hi)
+            out[going] = v
             on = ~(np.abs(step) <= _NEWTON_STOP)
             if not on.any():
                 break
-            going, ly, s = going[on], ly[on], s[on]
-        return out
+            going, v, s = going[on], v[on], s[on]
+        return rel.w(out)
 
     def w(self, s):
         """w at s from one inversion: a float for a float s, element by element on a 1-d array, with the same
-        bits. At s_end log w is ``ly_end``, that of the last node."""
+        bits. At s_end it is e^ly_end, the last node's."""
         if np.ndim(s) == 0:
             s = float(s)
-            return math.exp(self.ly_end if s == self.s_end else self._invert(s))
-        ly = self._invert(s)
-        ly[s == self.s_end] = self.ly_end
-        return libm_exp(ly)
+            return math.exp(self.ly_end) if s == self.s_end else self._invert(s)
+        w = self._invert(s)
+        w[s == self.s_end] = math.exp(self.ly_end)
+        return w
 
     def g(self, w):
         """g = G(w) on the manifold, on a float or element by element on an array."""
@@ -904,10 +933,10 @@ def _tail(sigma: float, d: list[float], e: list[float] | None, s0: float, ly0: f
     s_max = relation.place(ly_max, math.exp(-ly_max))
     if not s_end <= s_max:
         raise ProfileError("w = r^2 v^(1-m) overflows the float range on the slow manifold; lower s_end", s_max)
-    # log w at s_end: Newton's steps as in _Tail._invert, which reads neither ly_end nor pieces, but
-    # on until a step is below 1e-15 of log w, which settles it to rounding; the nodes are spaced from it
+    # log w at s_end by the steps of _Tail._invert, which reads neither ly_end nor pieces, taken on
+    # until one is below 1e-15 of log w: the nodes are spaced from it, so their bits follow its own
     tail = _Tail(sigma, d, relation, ly0, ly_max, s_end, ly_end=ly0, pieces=0)
-    end = min(relation.start(s_end), ly_max)
+    end = min(relation.at(relation.start(s_end))[0], ly_max)  # log w at the relation's start
     for _ in range(_NEWTON_STEPS):
         step = tail._step(end, math.exp(-end), s_end)
         end = min(max(end - step, ly0), ly_max)

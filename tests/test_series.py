@@ -142,3 +142,31 @@ class TestResidual:
     def test_truncation_estimate_below_default_budget(self):
         se = expand_at_origin(P(2.5))
         assert se.truncation_estimate < 1e-10
+
+
+class TestElementwise:
+    """``horner``, ``libm_exp`` and ``libm_log`` give an array the bits of a loop over its elements on floats."""
+
+    @pytest.mark.parametrize("size", [1, 15, 16, 17, 1000])
+    def test_horner_on_an_array_has_the_bits_of_the_float_loop(self, size):
+        # from _HORNER_IN_PLACE points on, the sums are updated in place
+        from fdprofiles.series import _HORNER_IN_PLACE, horner
+
+        assert 1 < _HORNER_IN_PLACE <= 1000
+        rng = np.random.default_rng(size)
+        c = rng.normal(size=25).tolist()
+        y = rng.uniform(-1.5, 1.5, size)
+        got = horner(c, y)
+        assert got.shape == y.shape and np.array_equal(got, [horner(c, v) for v in y.tolist()])
+        rows = rng.normal(size=(8, size))
+        assert np.array_equal(horner(rows, y), [horner(rows[:, i].tolist(), v) for i, v in enumerate(y.tolist())])
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 40)])
+    def test_libm_exp_and_log_have_the_bits_of_the_math_module(self, shape):
+        from fdprofiles.series import libm_exp, libm_log
+
+        x = np.random.default_rng(len(shape)).uniform(0.01, 50.0, shape)
+        for f, ref in ((libm_exp, math.exp), (libm_log, math.log)):
+            got = f(x)
+            assert got.shape == x.shape and np.array_equal(got.ravel(), [ref(v) for v in x.ravel().tolist()])
+            assert type(f(2.5)) is float and f(2.5) == ref(2.5)
