@@ -556,22 +556,24 @@ _SIGMA_ZERO = 2.0**-50
 # the switch of 2 of 468 sigma > 0.02 charts (n = 25 and 26 at the endpoint
 # m, sigma = 1), by 0.7% and 4.8% in w; no tested row.
 _SERIES_TERMS = 25
-# The tail's nodes, placed for the node readers (the checks, the breaks of
-# their quadratures and ``solve --log-out``), are at most _QSS_DLY apart in
-# log w, steps of about _QSS_DLY/sigma in s. The spacing was set when a
-# quintic Hermite of the nodes served the dense reads: on the four alpha < 0
-# INVARIANT_GRID rows, whose switch falls at r = 8.3-15.7, below r = 20 where
-# the flux identity reads the chart, its mismatch at r_max = 2 read
+# The node readers' sample spacing on a power tail. The tail's nodes, placed
+# only for the node readers (the checks, the breaks of their quadratures and
+# ``solve --log-out``; dense reads invert the tail's relation), are at most
+# _QSS_DLY apart in log w, steps of about _QSS_DLY/sigma in s. The spacing was
+# set when a quintic Hermite of the nodes served the dense reads: on the four
+# alpha < 0 INVARIANT_GRID rows, whose switch falls at r = 8.3-15.7, below r =
+# 20 where the flux identity reads the chart, its mismatch at r_max = 2 read
 # 1.2e-12..2.0e-12, 2.1e-11..1.2e-10 at 0.15. Read from the tail's relation
 # between the same breaks it reads 3.7e-15..4.6e-14.
 _QSS_DLY = 0.08
-# At sigma = 0 the tail's nodes are at most _ETERNAL_DLY apart in log w,
-# steps of about _ETERNAL_DLY*s in s. The spacing was set when w_s between
-# them was the cubic Hermite of the nodes' g: midway between the nodes,
-# against the full system stepped from the switch node at rtol 1e-13, w_s
-# read up to 1.6e-7 at 0.08, 1.1e-8 at 0.04, 7.0e-10 at 0.02 and 6.1e-11 at
-# 0.01 (the eternal decay grid and n = 3 at m = 0.1 and 0.02). Read from the
-# tail's relation it reads at most 1.1e-12 there; the node readers keep 0.02.
+# The node readers' sample spacing at sigma = 0: the tail's nodes are at most
+# _ETERNAL_DLY apart in log w, steps of about _ETERNAL_DLY*s in s. The spacing
+# was set when w_s between them was the cubic Hermite of the nodes' g: midway
+# between the nodes, against the full system stepped from the switch node at
+# rtol 1e-13, w_s read up to 1.6e-7 at 0.08, 1.1e-8 at 0.04, 7.0e-10 at 0.02
+# and 6.1e-11 at 0.01 (the eternal decay grid and n = 3 at m = 0.1 and 0.02).
+# Read from the tail's relation it reads at most 1.1e-12 there; the node
+# readers keep 0.02.
 _ETERNAL_DLY = 0.02
 # The tail takes Phi, the integral of G/F in x = 1/w (``_power_relation``), from
 # one Chebyshev interpolant of G/F at this many Lobatto points of
@@ -602,10 +604,10 @@ _NEWTON_STEPS = 16
 # takes (``_tail``), would cost every point one more step: a C-library exp
 # or log and one more evaluation of the relation.
 _NEWTON_STOP = 3e-9
-# The longest piece between the log chart's nodes: a quintic Hermite piece of
-# them forms h^2/2. An eternal chart's tail pieces reach it near s = 6.7e155;
-# only a chart longer than _H_MAX can, and ``integrate_log`` places its nodes
-# to find the first such piece.
+# The longest piece between the log chart's stepped nodes: a quintic Hermite
+# piece of them forms h^2/2. Only a chart longer than _H_MAX can have a longer
+# one, and ``integrate_log`` then scans them for it. Tail reads use no Hermite,
+# so an eternal tail's pieces may pass _H_MAX (near s = 6.7e155).
 _H_MAX = math.sqrt(np.finfo(float).max)
 
 
@@ -904,18 +906,12 @@ class _Tail(NamedTuple):
         x = np.exp(-ly)
         s = self.relation.place(ly, x)
         s[-1] = self.s_end
-        # G and G_x at the nodes by one Horner loop, in place: at these node
-        # counts a new array per operation costs more than the arithmetic, and
-        # summing only the terms that rounding still sees did not pay for its
-        # slicing; g_s = G'(w)*w_s = -x*G_x*F
-        d = self.d
-        g = np.full_like(x, d[-1])
-        gx = np.zeros_like(x)
-        for dk in d[-2::-1]:
-            gx *= x
-            gx += g
-            g *= x
-            g += dk
+        # G and G_x at the nodes by one Horner loop, the recurrence of
+        # ``series.horner`` with G_x's beside it; g_s = G'(w)*w_s = -x*G_x*F
+        g, gx = self.d[-1], 0.0
+        for dk in self.d[-2::-1]:
+            gx = gx * x + g
+            g = g * x + dk
         return s, np.exp(ly), g, -x * gx * (self.sigma + x * g)
 
 
@@ -1028,12 +1024,12 @@ def integrate_log(
     # the step loop's state at the switch is not kept: past it the tail serves the chart
     lp = LogProfile(head=replace(path, paused=None), tail=tail, sigma=sigma, m=m, rtol=rtol, qss_switch_s=switch_s,
                     qss_gap=gap, **counters)
-    # no piece is longer than the chart, so only a chart longer than _H_MAX places its nodes here
+    # only the stepped nodes carry a Hermite, and only a chart longer than _H_MAX can have a piece that long
     if s_max - s0 > _H_MAX:
-        long_pieces = np.flatnonzero(np.diff(lp.s) > _H_MAX)
+        long_pieces = np.flatnonzero(np.diff(path.t) > _H_MAX)
         if long_pieces.size:
             raise ProfileError("log-chart nodes too far apart for the dense output of w; lower s_end",
-                               float(lp.s[long_pieces[0]]))
+                               float(path.t[long_pieces[0]]))
     return lp
 
 

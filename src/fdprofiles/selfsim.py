@@ -25,22 +25,17 @@ import numpy as np
 from .errors import OutOfRange, RegimeMismatch
 from .integrate import Solution
 from .model import Regime, classify_regime
-from .series import libm_exp
+from .series import libm_exp, libm_pow
 
 __all__ = ["PDE_RADII", "SelfSimilarSolution", "ResidualStats", "build_selfsimilar", "residual_grid", "pde_residual"]
 
 # Powers and exponentials here are taken element by element with the C
-# library, as scalar arithmetic takes them. numpy's vectorized pow and exp
-# round some elements differently in the last bit, depending on the CPU's
-# SIMD level and the array's length, and the residual's h/2 stencil amplifies
-# one such bit of u^m by about 4*(n-1)/(m*h^2), to ~1% of the reported
-# residual. So a point gets the same bits alone or in an array, on any CPU.
-# The exponential is ``series.libm_exp``, shared with the log chart's tail reads.
-_POW = np.frompyfunc(math.pow, 2, 1)
-
-
-def _pow(x, p):
-    return np.asarray(_POW(x, p), dtype=float)
+# library (``series.libm_pow`` and ``libm_exp``), as scalar arithmetic takes
+# them. numpy's vectorized pow and exp round some elements differently in the
+# last bit, depending on the CPU's SIMD level and the array's length, and the
+# residual's h/2 stencil amplifies one such bit of u^m by about
+# 4*(n-1)/(m*h^2), to ~1% of the reported residual. So a point gets the same
+# bits alone or in an array, on any CPU.
 
 
 @dataclass(frozen=True)
@@ -66,14 +61,14 @@ class SelfSimilarSolution:
         if self.regime is Regime.FORWARD:
             if np.any(t <= 0.0):
                 raise OutOfRange(f"forward self-similar solutions live on t > 0, got t = {np.min(t)}")
-            return _pow(t, -self.alpha), _pow(t, -self.beta), t
+            return libm_pow(t, -self.alpha), libm_pow(t, -self.beta), t
         if self.regime is Regime.BACKWARD:
             if np.any(t >= self.T):
                 raise OutOfRange(
                     f"backward self-similar solutions live on t < T = {self.T}, got t = {np.max(t)}"
                 )
             tt = self.T - t
-            return _pow(tt, self.alpha), _pow(tt, self.beta), tt
+            return libm_pow(tt, self.alpha), libm_pow(tt, self.beta), tt
         return libm_exp(-self.alpha * t), libm_exp(-self.beta * t), np.ones_like(t)
 
     def value(self, x_abs, t):
@@ -183,9 +178,9 @@ def _max_residual(ss: SelfSimilarSolution, radii, times, h, dt, eps_scale):
     v = ss.solution.v(np.stack([r * scale[0], r * scale[1], centre, (r + h) * scale[2], (r - h) * scale[2]]))
     u_later, u_earlier, u0, u_right, u_left = pref[[0, 1, 2, 2, 2]] * v
     u_t = (u_later - u_earlier) / (2.0 * dt)
-    f0 = _pow(u0, ss.m)
-    fp = _pow(u_right, ss.m)
-    fm = _pow(u_left, ss.m)
+    f0 = libm_pow(u0, ss.m)
+    fp = libm_pow(u_right, ss.m)
+    fm = libm_pow(u_left, ss.m)
     lap = (fp - 2.0 * f0 + fm) / (h * h) + (ss.n - 1) / r * (fp - fm) / (2.0 * h)
     rhs = (ss.n - 1) / ss.m * lap
     resid = np.abs(u_t - rhs) / (np.abs(u_t) + np.abs(rhs) + eps_scale)

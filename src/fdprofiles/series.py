@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -135,45 +136,38 @@ def horner(c: list[float], y):
     """sum of c[k]*y^k by Horner's rule, on a float or element by element on an array.
 
     Both are the same IEEE operations in the same order, so the bits of a
-    value do not depend on the shape it is asked for in. From _HORNER_IN_PLACE
-    points on, the array's sums are updated in place, with the same bits.
+    value do not depend on the shape it is asked for in.
     """
-    if len(c) > 1 and isinstance(y, np.ndarray) and y.size >= _HORNER_IN_PLACE:
-        p = c[-1] * y + c[-2]
-        for ck in c[-3::-1]:
-            p *= y
-            p += ck
-        return p
     p = c[-1]
     for ck in c[-2::-1]:
         p = p * y + ck
     return p
 
 
-# Points from which ``horner`` sums an array in place. With 25 coefficients a
-# sum in place took twice as long as one on new arrays at 1 point, as long at
-# 4, 0.8-0.9x at 16 to 256 and 0.54x at 200,000 (2-core sandbox, best of 7).
-_HORNER_IN_PLACE = 16
-
-
-# exp and log element by element from the C library, as on Python floats:
-# numpy's vectorized exp and log round some elements differently in the last
-# bit, depending on the CPU's SIMD level and the array's length. So a value
-# has the same bits alone or in an array, as with ``horner``.
-def _libm(f, x):
-    if not isinstance(x, np.ndarray):
-        return f(x)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+# exp, log and pow element by element from the C library, as on Python
+# floats: numpy's vectorized exp, log and pow round some elements differently
+# in the last bit, depending on the CPU's SIMD level and the array's length.
+# So a value has the same bits alone or in an array, as with ``horner``. The
+# log chart's tail reads take exp and log, ``selfsim``'s stencil exp and pow.
+# A float goes straight to the C function: one more Python call per float
+# costs more than exp itself, and a short tail read takes one per Newton step.
+def _elementwise(f, x: np.ndarray, *args) -> np.ndarray:
+    return np.fromiter(map(f, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
 
 
 def libm_exp(x):
     """e^x by the C library: a float for a float, element by element on an array."""
-    return _libm(math.exp, x)
+    return _elementwise(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def libm_log(x):
     """log x by the C library: a float for a float, element by element on an array."""
-    return _libm(math.log, x)
+    return _elementwise(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def libm_pow(x, p: float):
+    """x^p by the C library: a float for a float, element by element on an array."""
+    return _elementwise(math.pow, x, p) if isinstance(x, np.ndarray) else math.pow(x, p)
 
 
 def eval_series(se: SeriesExpansion, r, order: int = 1) -> tuple:

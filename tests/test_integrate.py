@@ -705,12 +705,22 @@ class TestStiffTail:
             assert run_all_checks(sol).overall
             assert sol.diagnostics["overlap_error"] < 1e-9
 
-    def test_pieces_past_the_dense_output_range_are_a_located_profile_error(self):
-        # past s = 6.7e155 a tail piece is longer than sqrt(float max), where h^2/2 overflows
+    def test_eternal_tail_past_the_dense_output_range_verifies(self):
+        # past s = 6.7e155 a tail piece is longer than sqrt(float max), where a
+        # Hermite's h^2/2 would overflow; tail reads use no Hermite, so the
+        # solve places no tail node and the checks pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_profile(P(2.5), SolveConfig(s_end=1e300))
+            assert "_nodes" not in sol.logprofile.__dict__
+            assert run_all_checks(sol).overall
+
+    def test_stepped_pieces_past_the_dense_output_range_are_a_located_profile_error(self):
+        # sigma = -1: no tail, and the stepped nodes pass sqrt(float max) apart near s = 9.7e153
         with warnings.catch_warnings(), pytest.raises(ProfileError, match="lower s_end") as exc:
             warnings.simplefilter("error")
-            solve_profile(P(2.5), SolveConfig(s_end=1e300))
-        assert 6e155 < exc.value.location < 7e155
+            solve_profile(P(3.75), SolveConfig(s_end=1e300))
+        assert 9.7e153 < exc.value.location < 9.8e153
 
     @pytest.mark.parametrize("alpha", [1.25, -1.0, 2.5])
     def test_node_s_is_the_quadrature_of_the_manifold_rate(self, solved, alpha):
